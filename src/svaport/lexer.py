@@ -47,7 +47,11 @@ def _decode_number(m: re.Match, line: int, col: int) -> tuple[int, int | None]:
     digits = m.group(3).replace("_", "")
     if re.search(r"[xXzZ?]", digits):
         raise ParseError("x/z digits are not supported (two-state values only)", line, col)
-    value = int(digits, base)
+    try:
+        value = int(digits, base)
+    except ValueError:
+        raise ParseError(f"{digits!r} is not a valid base-{base} number",
+                         line, col) from None
     if size is not None and value >= (1 << size):
         raise ParseError(f"literal value {value} does not fit in {size} bits", line, col)
     return value, size

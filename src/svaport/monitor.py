@@ -15,14 +15,22 @@ antecedent at cycle 1 reports its failure at cycle 3.
 $past(e, d) reads the trace d cycles back.  Reads that would land before
 cycle 0 yield 0 and are counted in ``past_underflow_warnings`` — visible,
 never a silent pass.
+
+``check_batch`` applies the same semantics to many traces at once (the
+rows of batch-simulated arrays) and reports per row only whether some
+attempt failed and whether some attempt passed non-vacuously.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from typing import Collection, Mapping
+
+import numpy as np
 
 from . import expr as ex
 from .errors import UnknownSignalError
+from .search import batch_eval
 from .sim import Trace
 from .sva import Assertion, SeqExpr, normalize_overlapped
 
@@ -110,30 +118,31 @@ class _TraceCtx(ex.EvalContext):
         return _TraceCtx(self.trace, self.cycle - depth, self.monitor)
 
 
+def _validate(a: Assertion, nets: Collection[str], params: Mapping[str, int],
+              design: str) -> None:
+    names = ex.idents_of(a.disable) if a.disable is not None else set()
+    for term in a.antecedent.terms() + a.consequent.terms():
+        names |= ex.idents_of(term)
+    for name in sorted(names):
+        if name not in nets and name not in params:
+            raise UnknownSignalError(
+                f"assertion {a.effective_name()} references {name}, which "
+                f"is not a net or constant of {design}")
+    if a.clock not in nets:
+        raise UnknownSignalError(
+            f"assertion {a.effective_name()} samples clock {a.clock}, "
+            f"which is not a net of {design}")
+
+
 class _Monitor:
     def __init__(self, trace: Trace, assertion: Assertion):
         self.trace = trace
         self.assertion = normalize_overlapped(assertion)
         self.underflows = 0
-        self._validate()
+        _validate(self.assertion, trace.values, trace.params, trace.design)
         self.disable = [self._eval_bool(self.assertion.disable, t)
                         if self.assertion.disable is not None else False
                         for t in range(trace.cycles)]
-
-    def _validate(self) -> None:
-        a = self.assertion
-        names = ex.idents_of(a.disable) if a.disable is not None else set()
-        for term in a.antecedent.terms() + a.consequent.terms():
-            names |= ex.idents_of(term)
-        for name in sorted(names):
-            if name not in self.trace.values and name not in self.trace.params:
-                raise UnknownSignalError(
-                    f"assertion {a.effective_name()} references {name}, which "
-                    f"is not a net or constant of {self.trace.design}")
-        if a.clock not in self.trace.values:
-            raise UnknownSignalError(
-                f"assertion {a.effective_name()} samples clock {a.clock}, "
-                f"which is not a net of {self.trace.design}")
 
     def _eval_bool(self, e: ex.Expr, cycle: int) -> bool:
         return ex.evaluate(e, _TraceCtx(self.trace, cycle, self)) != 0
@@ -200,3 +209,69 @@ def check_assertions(trace: Trace, assertions: list[Assertion]) -> list[Assertio
     """Evaluate every assertion over the same trace (one verdict each,
     same order)."""
     return [check_assertion(trace, a) for a in assertions]
+
+
+# --------------------------------------------------------------------------
+# batched checking
+
+@dataclass
+class BatchVerdict:
+    """Per-row outcome of one assertion over a batch of traces."""
+
+    failed: np.ndarray   # bool (rows,): some attempt fails
+    passed: np.ndarray   # bool (rows,): some attempt passes non-vacuously
+
+
+def check_batch(assertion: Assertion, values: Mapping[str, np.ndarray],
+                widths: Mapping[str, int], params: Mapping[str, int],
+                design: str) -> BatchVerdict:
+    """Check *assertion* over every row of (rows, cycles) net arrays.
+
+    Same semantics as ``check_assertion`` row by row: all attempts advance
+    in lockstep through the steps of the normalized sequence, and an
+    attempt leaves at the first step that cancels it (a disable cycle
+    after its start, up to the step's cycle or the trace end), runs past
+    the trace (pending) or reads a false term (vacuous in the antecedent,
+    a failure in the consequent).  Attempts that survive every step pass.
+    """
+    a = normalize_overlapped(assertion)
+    _validate(a, values, params, design)
+    rows, cycles = values[a.clock].shape
+
+    def env(name: str):
+        if name in params:
+            return np.uint64(params[name])
+        return values[name]
+
+    def width(name: str) -> int:
+        if name in widths:
+            return widths[name]
+        return max(1, params[name].bit_length())
+
+    def holds(e: ex.Expr) -> np.ndarray:
+        return np.broadcast_to(batch_eval(e, env, width) != 0, (rows, cycles))
+
+    disable = (holds(a.disable) if a.disable is not None
+               else np.zeros((rows, cycles), dtype=bool))
+    # seen[:, i] counts the disable cycles before cycle i
+    seen = np.zeros((rows, cycles + 1), dtype=np.int64)
+    np.cumsum(disable, axis=1, out=seen[:, 1:])
+    start = np.arange(cycles)
+    alive = ~disable
+    failed = np.zeros((rows, cycles), dtype=bool)
+    offset = 0
+    plan = [(d, t, False) for d, t in a.antecedent.steps] + \
+        [(d, t, True) for d, t in a.consequent.steps]
+    for delay, term, in_consequent in plan:
+        offset += delay
+        reach = np.minimum(start + offset, cycles - 1)
+        alive &= seen[:, reach + 1] <= seen[:, start + 1]   # not cancelled
+        alive &= start + offset < cycles                    # not pending
+        if not alive.any():
+            break
+        sampled = np.zeros((rows, cycles), dtype=bool)
+        sampled[:, :cycles - offset] = holds(term)[:, offset:]
+        if in_consequent:
+            failed |= alive & ~sampled
+        alive &= sampled
+    return BatchVerdict(failed.any(axis=1), alive.any(axis=1))

@@ -5,8 +5,9 @@ stimuli hold each primary input at a constant value (with an optional
 warm-up prefix that differs, to let registered state build up before the
 interesting vector applies).  Candidates over the free input bits are
 enumerated exhaustively when the free space is small enough, otherwise
-sampled from a seeded stream.  Candidates are simulated in numpy batches
-and a caller-supplied check picks the winner.
+sampled from a seeded stream.  Candidates are simulated in numpy batches,
+a caller-supplied objective decides every batch with arrays, and a scalar
+check confirms the winner.
 """
 
 from __future__ import annotations
@@ -22,6 +23,7 @@ from .netlist import Netlist, NetKind
 from .sim import SimKernel, Stimulus
 
 _CHUNK = 8192
+_WORD = 63  # random bits per drawn code word (the draw keeps the sign bit clear)
 
 
 def batch_eval(e: ex.Expr, env: Callable[[str], np.ndarray],
@@ -30,8 +32,9 @@ def batch_eval(e: ex.Expr, env: Callable[[str], np.ndarray],
 
     *env* returns a (rows, cycles) uint64 array per identifier (numpy
     scalars broadcast fine for parameters).  Boolean results are 0/1;
-    ``$past`` shifts along the cycle axis with zero fill, matching what a
-    monitor sees before cycle 0.
+    ``$past`` evaluates its operand with every net shifted along the cycle
+    axis and zero-filled, so reads before cycle 0 see nets at 0 and
+    parameters at their values, exactly as the monitor does.
     """
     if isinstance(e, ex.Const):
         return np.uint64(e.value)
@@ -77,13 +80,15 @@ def batch_eval(e: ex.Expr, env: Callable[[str], np.ndarray],
         o = batch_eval(e.other, env, width)
         return np.where(c != 0, t, o).astype(np.uint64)
     if isinstance(e, ex.Past):
-        v = batch_eval(e.expr, env, width)
-        if v.ndim < 2 or e.depth == 0:
-            return v
-        out = np.zeros_like(v)
-        if e.depth < v.shape[1]:
-            out[:, e.depth:] = v[:, :-e.depth]
-        return out
+        def shifted(name: str) -> np.ndarray:
+            v = env(name)
+            if np.ndim(v) < 2 or e.depth == 0:
+                return v
+            out = np.zeros_like(v)
+            if e.depth < v.shape[1]:
+                out[:, e.depth:] = v[:, :-e.depth]
+            return out
+        return batch_eval(e.expr, shifted, width)
     raise TypeError(f"not an expression node: {e!r}")
 
 
@@ -143,11 +148,13 @@ def _vectors(netlist: Netlist, inputs: list[str],
         if name in base and val:
             base[name] |= np.uint64(1 << bit)
 
-    def expand(codes: np.ndarray) -> dict[str, np.ndarray]:
-        rows = codes.shape[0]
+    def expand(words: list[np.ndarray]) -> dict[str, np.ndarray]:
+        """Free bit i is bit i % _WORD of code word i // _WORD."""
+        rows = words[0].shape[0]
         out = {name: np.full(rows, base[name], dtype=np.uint64) for name in inputs}
         for i, (name, bit) in enumerate(free):
-            bits = (codes >> np.uint64(i)) & np.uint64(1)
+            word, shift = divmod(i, _WORD)
+            bits = (words[word] >> np.uint64(shift)) & np.uint64(1)
             out[name] |= bits << np.uint64(bit)
         return out
 
@@ -156,14 +163,16 @@ def _vectors(netlist: Netlist, inputs: list[str],
         total = 1 << n
         for start in range(0, total, _CHUNK):
             stop = min(start + _CHUNK, total)
-            yield expand(np.arange(start, stop, dtype=np.uint64))
+            yield expand([np.arange(start, stop, dtype=np.uint64)])
     else:
+        # one word per _WORD free bits, the last masked to the bits left
+        sizes = [min(_WORD, n - lo) for lo in range(0, n, _WORD)]
         remaining = budget.random_vectors
         while remaining > 0:
             take = min(_CHUNK, remaining)
             remaining -= take
-            yield expand(rng.integers(0, 1 << 63, size=take, dtype=np.uint64)
-                         & np.uint64((1 << n) - 1))
+            yield expand([rng.integers(0, 1 << 63, size=take, dtype=np.uint64)
+                          & np.uint64(ex.mask(size)) for size in sizes])
 
 
 def _schedules(netlist: Netlist, forced: dict[tuple[str, int], int],
@@ -218,20 +227,26 @@ def search_stimulus(
     netlist: Netlist,
     relevant_inputs: list[str],
     forced: dict[tuple[str, int], int],
-    rough: Callable[[dict[str, np.ndarray], dict[str, np.ndarray]], np.ndarray],
+    objective: Callable[[dict[str, np.ndarray], dict[str, np.ndarray], int],
+                        np.ndarray],
     accept: Callable[[Stimulus], bool],
     rng: np.random.Generator,
     budget: SearchBudget,
     kernel: SimKernel | None = None,
     max_exact_checks: int = 64,
 ) -> tuple[Stimulus | None, SearchStats]:
-    """Find a stimulus the caller accepts.
+    """Find a stimulus that meets the caller's objective.
 
-    *rough* receives the batch-simulated net arrays (rows x cycles) plus
-    the raw input arrays that produced them (so it can co-simulate another
-    kernel on the same candidates) and returns a boolean row mask of
-    candidates worth an exact look; *accept* re-checks a concrete Stimulus
-    (single-run semantics, monitors, ...).
+    The batch mask is the objective.  *objective* receives the
+    batch-simulated net arrays (rows x cycles), the raw input arrays that
+    produced them (so it can co-simulate another kernel on the same
+    candidates) and *max_exact_checks*.  It screens the batch with a cheap
+    necessary condition, decides the full objective with arrays over the
+    first *max_exact_checks* rows that pass the screen, and returns the
+    rows that meet it in ascending order.  *accept* only confirms: the
+    first returned row is materialized and re-checked with a scalar run
+    (single-run semantics, monitors, ...); should it disagree, the next
+    row is tried.
     Deterministic: candidate order is fixed by the enumeration and the
     seeded stream.
     """
@@ -252,13 +267,23 @@ def search_stimulus(
             for name, lvl in resets.items():
                 inputs[name] = np.full(rows, lvl, dtype=np.uint64)
             arrays = kernel.run_batch(inputs, cycles)
-            mask = rough(arrays, inputs)
-            hits = np.flatnonzero(mask)[:max_exact_checks]
-            for row in hits:
+            for row in objective(arrays, inputs, max_exact_checks):
                 stim = _materialize(netlist, inputs, int(row), cycles, resets)
                 if accept(stim):
                     return stim, stats
     return None, stats
+
+
+def take_rows(arrays: dict[str, np.ndarray],
+              rows: np.ndarray) -> dict[str, np.ndarray]:
+    """The given rows of every array, (rows,) and (rows, cycles) alike.
+
+    *rows* ascend without repeats, so as many rows as the arrays have are
+    all of them: the arrays are then returned as they are, not copied.
+    """
+    if all(arr.shape[0] == rows.size for arr in arrays.values()):
+        return arrays
+    return {name: arr[rows] for name, arr in arrays.items()}
 
 
 def _materialize(netlist: Netlist, inputs: dict[str, np.ndarray], row: int,

@@ -271,7 +271,11 @@ class SimKernel:
 
 
 def simulate(netlist: Netlist, stimulus: Stimulus) -> Trace:
-    """Convenience wrapper: compile (or reuse) a kernel and run it."""
+    """Compile a kernel for *netlist* and run it once.
+
+    Compiles on every call, so it suits one-off runs; code that simulates
+    one netlist repeatedly keeps a ``SimKernel`` and calls ``run``.
+    """
     return SimKernel(netlist).run(stimulus)
 
 

@@ -24,11 +24,12 @@ import numpy as np
 from . import expr as ex
 from .errors import ConfigError
 from .graph import DependencyGraph, Relationship, build_graph, classify, fanin
-from .monitor import check_assertion
+from .monitor import check_assertion, check_batch
 from .netlist import Netlist
 from .rng import substream
-from .search import SearchBudget, batch_eval, input_cone, search_stimulus
-from .sim import SimKernel, Stimulus, simulate
+from .search import (SearchBudget, batch_eval, input_cone, search_stimulus,
+                     take_rows)
+from .sim import SimKernel, Stimulus
 from .sva import Assertion, SeqExpr, signals_of
 
 DEFAULT_SUFFIXES = ("_i", "_o", "_q", "_d", "_n")
@@ -568,9 +569,12 @@ def generate_testcase(a: Assertion, target: Netlist,
                       kernel: SimKernel | None = None) -> Stimulus | None:
     """Find inputs under which *a* passes non-vacuously on the clean design.
 
-    Batch simulation filters for stimuli whose first antecedent term fires
-    early enough for the full sequence to fit the horizon; a monitor run
-    confirms at least one completed, non-vacuous pass and no failure.
+    Batch simulation screens for stimuli whose first antecedent term fires
+    early enough for the full sequence to fit the horizon; the batched
+    monitor then decides the verdict (no failure, at least one completed
+    non-vacuous pass) and a scalar monitor run confirms the winner.  The
+    search covers the assertion's whole input cone, then, if that finds
+    nothing, the input cone of the antecedent alone.
     """
     config = config or TranslationConfig()
     graph = graph or build_graph(target)
@@ -581,23 +585,35 @@ def generate_testcase(a: Assertion, target: Netlist,
     window = max(budget.horizon - span, 1)
 
     params = {name: p.value for name, p in target.params.items()}
+    widths = {name: net.width for name, net in target.nets.items()}
     first_term = a.antecedent.steps[0][1]
 
-    def rough(arrays: dict[str, np.ndarray],
-              inputs: dict[str, np.ndarray]) -> np.ndarray:
+    def objective(arrays: dict[str, np.ndarray],
+                  inputs: dict[str, np.ndarray], limit: int) -> np.ndarray:
         def env(name: str) -> np.ndarray:
             if name in params:
                 return np.uint64(params[name])
             return arrays[name]
         hot = batch_eval(first_term, env, target.width) != 0
-        return hot[:, :window].any(axis=1)
+        rows = np.flatnonzero(hot[:, :window].any(axis=1))[:limit]
+        verdict = check_batch(a, take_rows(arrays, rows), widths, params,
+                              target.name)
+        return rows[verdict.passed & ~verdict.failed]
 
     def accept(stim: Stimulus) -> bool:
-        verdict = check_assertion(simulate(target, stim), a)
+        verdict = check_assertion(kernel.run(stim), a)
         return verdict.failure_count == 0 and verdict.non_vacuous_passes >= 1
 
+    # the whole input cone first; when that misses, the antecedent's cone
+    # alone, so inputs only the consequent reads ride the defaults instead
+    # of diluting a random sweep of the bits that steer the antecedent
     cone = input_cone(target, graph, signals_of(a))
+    steer = set().union(*(ex.idents_of(t) for t in a.antecedent.terms()))
+    narrow = input_cone(target, graph, steer)
     rng = substream(config.seed, "translate", "testcase", a.effective_name())
-    stim, _stats = search_stimulus(target, cone, {}, rough, accept, rng,
-                                   budget, kernel=kernel)
-    return stim
+    for relevant in ([cone, narrow] if narrow != cone else [cone]):
+        stim, _stats = search_stimulus(target, relevant, {}, objective,
+                                       accept, rng, budget, kernel=kernel)
+        if stim is not None:
+            return stim
+    return None

@@ -26,11 +26,12 @@ from . import expr as ex
 from .errors import (ActivationNotFoundError, ConfigError,
                      InsufficientSignalsError, PayloadConflictError)
 from .graph import build_graph
-from .monitor import check_assertions
+from .monitor import check_assertions, check_batch
 from .netlist import Assign, Netlist, NetKind, Register, combinational_closure
 from .rng import substream
-from .search import SearchBudget, batch_eval, input_cone, search_stimulus
-from .sim import SimKernel, Stimulus, simulate
+from .search import (SearchBudget, batch_eval, input_cone, search_stimulus,
+                     take_rows)
+from .sim import SimKernel, Stimulus
 from .sva import Assertion, signals_of
 
 PAYLOAD_KINDS = ("invert_net", "force_constant", "xor_into_assign")
@@ -382,15 +383,23 @@ def _find_activation(spec: TrojanSpec, netlist: Netlist,
 
     Always required: the trigger fires and the corrupted design's trace
     differs from the clean one on an observable net.  When *target* is
-    given its assertion must fail on the corrupted design; with
-    *unique_failure* no other supplied assertion may fail.
+    given its assertion must fail on the corrupted design and hold on the
+    clean one; with *unique_failure* no other supplied assertion may fail.
+
+    The batch mask is the objective: each batch is screened by the trigger
+    and the target's first antecedent term, the clean design is
+    co-simulated on the rows that pass, and the assertions are checked with
+    arrays over the first ``max_exact_checks`` rows that also differ.
+    ``accept`` re-runs the winner on both compiled kernels only to confirm.
     """
     injected = inject(netlist, spec).netlist
     inj_kernel = SimKernel(injected)
     kernel = kernel or SimKernel(netlist)
     trig = trigger_expr(spec, netlist)
     params = {name: p.value for name, p in netlist.params.items()}
+    widths = {name: net.width for name, net in netlist.nets.items()}
     watch = _observables(netlist, spec, assertions)
+    checked = assertions or [target]
 
     graph = build_graph(injected)
     trig_signals = {c.signal for c in spec.trigger}
@@ -401,34 +410,51 @@ def _find_activation(spec: TrojanSpec, netlist: Netlist,
     # the first-term antecedent is batchable and a cheap necessary condition
     ante_term = target.antecedent.steps[0][1] if target is not None else None
 
-    def rough(arrays: dict[str, np.ndarray],
-              inputs: dict[str, np.ndarray]) -> np.ndarray:
+    def objective(arrays: dict[str, np.ndarray],
+                  inputs: dict[str, np.ndarray], limit: int) -> np.ndarray:
         def env(name: str) -> np.ndarray:
             if name in params:
                 return np.uint64(params[name])
             return arrays[name]
-        mask = (batch_eval(trig, env, injected.width) != 0).any(axis=1)
+        screen = (batch_eval(trig, env, injected.width) != 0).any(axis=1)
         if ante_term is not None:
-            mask &= (batch_eval(ante_term, env, injected.width) != 0).any(axis=1)
-        if not mask.any():
-            return mask
+            screen &= (batch_eval(ante_term, env, injected.width) != 0).any(axis=1)
+        rows = np.flatnonzero(screen)
+        if not rows.size:
+            return rows
         cycles = next(iter(arrays.values())).shape[1]
-        clean_arr = kernel.run_batch(inputs, cycles)
-        differs = np.zeros_like(mask)
+        clean = kernel.run_batch(take_rows(inputs, rows), cycles)
+        differs = np.zeros(rows.size, dtype=bool)
         for n in watch:
-            differs |= (arrays[n] != clean_arr[n]).any(axis=1)
-        return mask & differs
+            differs |= (arrays[n][rows] != clean[n]).any(axis=1)
+        keep = np.flatnonzero(differs)[:limit]
+        rows = rows[keep]
+        if target is None or not rows.size:
+            return rows
+        dirty = take_rows(arrays, rows)
+        failed = [(a.effective_name(),
+                   check_batch(a, dirty, widths, params, netlist.name).failed)
+                  for a in checked]
+        name = target.effective_name()
+        ok = dict(failed)[name].copy()
+        if unique_failure:
+            for other, hit in failed:
+                if other != name:
+                    ok &= ~hit
+        clean = take_rows(clean, keep)
+        ok &= ~check_batch(target, clean, widths, params, netlist.name).failed
+        return rows[ok]
 
     def accept(stim: Stimulus) -> bool:
-        dirty = simulate(injected, stim)
+        dirty = inj_kernel.run(stim)
         if not any(trigger_fires(spec, dirty, t) for t in range(dirty.cycles)):
             return False
-        clean = simulate(netlist, stim)
+        clean = kernel.run(stim)
         if all(clean.value(n, t) == dirty.value(n, t)
                for n in watch for t in range(clean.cycles)):
             return False
         if target is not None:
-            verdicts = check_assertions(dirty, assertions or [target])
+            verdicts = check_assertions(dirty, checked)
             by_name = {v.name: v for v in verdicts}
             if not by_name[target.effective_name()].failed:
                 return False
@@ -451,7 +477,7 @@ def _find_activation(spec: TrojanSpec, netlist: Netlist,
     narrow = input_cone(injected, graph, steer)
     wide = sorted(set(narrow) | set(input_cone(injected, graph, set(watch))))
     for relevant in ([narrow, wide] if narrow != wide else [wide]):
-        stim, _stats = search_stimulus(injected, relevant, forced, rough,
+        stim, _stats = search_stimulus(injected, relevant, forced, objective,
                                        accept, rng, budget, kernel=inj_kernel)
         if stim is not None:
             return stim

@@ -133,8 +133,10 @@ def traces(draw, *, nets: dict[str, int] | None = None,
 
 
 @st.composite
-def assertions(draw, symbols: dict[str, int], *, clock: str = "clk") -> Assertion:
-    """Random implication properties over *symbols*."""
+def assertions(draw, symbols: dict[str, int], *, clock: str = "clk",
+               antecedent_past: bool = False) -> Assertion:
+    """Random implication properties over *symbols* ($past in the
+    consequent, and in the antecedent too with *antecedent_past*)."""
     def seq(allow_past: bool):
         n_steps = draw(st.integers(1, 2))
         steps = []
@@ -147,7 +149,7 @@ def assertions(draw, symbols: dict[str, int], *, clock: str = "clk") -> Assertio
 
     disable = draw(st.none() | expressions(symbols, max_depth=1))
     return Assertion(
-        antecedent=seq(False),
+        antecedent=seq(antecedent_past),
         implication=draw(st.sampled_from(["|->", "|=>"])),
         consequent=seq(True),
         clock=clock,

@@ -130,6 +130,16 @@ def test_pipeline_errors_exit_1(tmp_path, capsys):
     assert "error:" in capsys.readouterr().err
 
 
+def test_malformed_literal_exits_1_without_traceback(tmp_path, capsys):
+    cfg = make_campaign(tmp_path)
+    (tmp_path / "toy.sv").write_text(
+        TOY_RTL.replace("4'd15", "4'b0a"))
+    # a raw exception would escape main instead of returning 1
+    assert main(["translate", "--config", str(cfg)]) == 1
+    err = capsys.readouterr().err
+    assert "error:" in err and "not a valid base-2 number" in err
+
+
 # ---------------------------------------------------------------------------
 # stages
 

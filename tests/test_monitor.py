@@ -1,11 +1,13 @@
 """Assertion monitor: timing, statuses, cancellation, $past, oracle parity."""
 
+import numpy as np
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
 from svaport.errors import UnknownSignalError
-from svaport.monitor import Failure, check_assertion, check_assertions
+from svaport.monitor import (Failure, check_assertion, check_assertions,
+                             check_batch)
 from svaport.sim import Trace
 from svaport.sva import parse_assertion
 
@@ -160,3 +162,77 @@ def test_monitor_matches_reference(trace, data):
     statuses, failures = oracles.check_reference(trace, a)
     assert got.statuses == statuses
     assert [(f.attempt_cycle, f.fail_cycle) for f in got.failures] == failures
+
+
+# --------------------------------------------------------------------------
+# batched checker
+
+def batch_of(traces: list[Trace]) -> dict[str, np.ndarray]:
+    """Stack equal-length traces into (rows, cycles) net arrays."""
+    return {name: np.array([t.values[name] for t in traces], dtype=np.uint64)
+            for name in traces[0].nets}
+
+
+def check_rows(traces: list[Trace], a):
+    head = traces[0]
+    return check_batch(a, batch_of(traces), head.widths, head.params,
+                       head.design)
+
+
+@pytest.mark.parametrize("text,values,failed,passed", [
+    # disable blocks the start of the attempt that would fail
+    ("disable iff (rst) a |-> b", dict(a=[1, 1], b=[1, 0], rst=[0, 1]),
+     False, True),
+    # and cancels an attempt in flight before its consequent is read
+    ("disable iff (rst) a |-> ##2 b",
+     dict(a=[1, 0, 0, 0], b=[0, 0, 0, 0], rst=[0, 1, 0, 0]), False, False),
+    # |=> reads the consequent one cycle later
+    ("a |=> b", dict(a=[1, 0, 1], b=[0, 0, 0]), True, False),
+    # an attempt still running at the end is pending, neither verdict
+    ("a |=> b", dict(a=[0, 0, 1], b=[0, 0, 0]), False, False),
+    # $past before cycle 0 reads nets as 0, so $past(!b) holds at cycle 0
+    ("a |-> $past(!b)", dict(a=[1, 0], b=[1, 1]), False, True),
+])
+def test_batch_matches_scalar_on_hand_traces(text, values, failed, passed):
+    trace = make_trace(len(values["a"]), **values)
+    a = prop(text)
+    verdict = check_rows([trace], a)
+    assert (verdict.failed[0], verdict.passed[0]) == (failed, passed)
+    v = check_assertion(trace, a)
+    assert (v.failed, v.non_vacuous_passes >= 1) == (failed, passed)
+
+
+def test_batch_resolves_params_like_the_monitor():
+    nets = {"clk": 1, "op": 2}
+    trace = Trace("t", tuple(nets), nets, {"OP_WRITE": 1},
+                  {"clk": [1, 1, 1], "op": [0, 1, 2]}, 3)
+    a = prop("op == OP_WRITE |-> ~OP_WRITE == 0")
+    verdict = check_rows([trace], a)
+    v = check_assertion(trace, a)
+    assert (verdict.failed[0], verdict.passed[0]) == (False, True)
+    assert (v.failed, v.non_vacuous_passes >= 1) == (False, True)
+
+
+def test_batch_rejects_unknown_signals():
+    trace = make_trace(3, a=[0, 0, 0])
+    with pytest.raises(UnknownSignalError, match="ghost"):
+        check_rows([trace], prop("a |-> ghost"))
+
+
+@given(st.data())
+def test_batch_matches_reference(data):
+    symbols = {"a": 1, "b": 1, "c": 1, "d": 1, "x": 4, "y": 4}
+    cycles = data.draw(st.integers(1, 12))
+    traces = data.draw(st.lists(
+        gen.traces(min_cycles=cycles, max_cycles=cycles), min_size=1,
+        max_size=4))
+    a = data.draw(gen.assertions(symbols, antecedent_past=True))
+    verdict = check_rows(traces, a)
+    for i, trace in enumerate(traces):
+        statuses, failures = oracles.check_reference(trace, a)
+        assert verdict.failed[i] == bool(failures)
+        assert verdict.passed[i] == ("pass" in statuses)
+        single = check_rows([trace], a)
+        v = check_assertion(trace, a)
+        assert single.failed[0] == v.failed
+        assert single.passed[0] == (v.non_vacuous_passes >= 1)

@@ -127,6 +127,15 @@ def test_parse_error_carries_location():
     assert err.value.col > 0
 
 
+@pytest.mark.parametrize("literal", ["2'b0a", "8'oFE"])
+def test_malformed_literal_is_a_parse_error(literal):
+    text = ("module m (input logic [1:0] a, output logic y);\n"
+            f"  assign y = a == {literal};\nendmodule\n")
+    with pytest.raises(ParseError, match="not a valid base") as err:
+        parse_design(text)
+    assert (err.value.line, err.value.col) == (2, 19)
+
+
 @pytest.mark.parametrize("snippet,needle", [
     ("module m (inout logic a);\nendmodule\n", "inout"),
     ("module m #(parameter W = 4) (input logic a);\nendmodule\n", "parameter"),

@@ -10,7 +10,8 @@ from svaport.rtl_parser import parse_design
 from svaport.sim import simulate
 from svaport.sva import parse_assertion, parse_assertions, signals_of
 from svaport.translate import (SignalMap, TranslationConfig, Translatable,
-                               Untranslatable, assertion_key, translate)
+                               Untranslatable, assertion_key,
+                               generate_testcase, translate)
 
 GOLDEN_SOURCE = corpus.golden_path("source_assertion.sva").read_text()
 GOLDEN_WANT = corpus.golden_path("ported_assertion.sva").read_text()
@@ -232,15 +233,37 @@ def test_signal_map_schema_errors(csr_unit, tmp_path):
 def test_every_corpus_assertion_yields_a_testcase(corpus_designs,
                                                   corpus_assertions,
                                                   corpus_maps):
-    # one representative per module keeps this quick; the campaign run
-    # exercises all of them
     for name in corpus.MODULES:
         target, smap = corpus_designs[name], corpus_maps[name]
-        a = corpus_assertions[name][0]
-        out = translate(a, target, smap,
-                        TranslationConfig(key=assertion_key(a, 0), seed=5))
-        assert out.translatable
-        stim = out.verdict.testcase
-        assert stim is not None, name
-        v = check_assertion(simulate(target, stim), out.verdict.assertion)
-        assert v.failure_count == 0 and v.non_vacuous_passes >= 1, name
+        for i, a in enumerate(corpus_assertions[name]):
+            key = assertion_key(a, i)
+            out = translate(a, target, smap,
+                            TranslationConfig(key=key, seed=5))
+            assert out.translatable
+            stim = out.verdict.testcase
+            assert stim is not None, key
+            v = check_assertion(simulate(target, stim), out.verdict.assertion)
+            assert v.failure_count == 0 and v.non_vacuous_passes >= 1, key
+
+
+WIDE_RTL = """\
+module wide (
+  input  logic        clk,
+  input  logic [39:0] a_i,
+  input  logic [39:0] b_i,
+  output logic [39:0] x_o
+);
+  assign x_o = a_i ^ b_i;
+endmodule
+"""
+
+
+def test_testcase_search_over_more_than_63_free_bits():
+    # 80 free input bits: more than one 63-bit code word per candidate
+    target = parse_design(WIDE_RTL)
+    a = parse_assertion("W: assert property (@(posedge clk) "
+                        "a_i[39] && b_i[39] |-> x_o[39] == 1'b0);")
+    stim = generate_testcase(a, target)
+    assert stim is not None
+    v = check_assertion(simulate(target, stim), a)
+    assert v.failure_count == 0 and v.non_vacuous_passes >= 1

@@ -5,7 +5,7 @@ import random
 
 import pytest
 
-from svaport import corpus
+from svaport import corpus, sim, trojan
 from svaport import expr as ex
 from svaport.errors import (ActivationNotFoundError, CombinationalLoopError,
                             ConfigError, InsufficientSignalsError,
@@ -284,3 +284,35 @@ def test_forge_needs_assertions_and_trigger_bits(toy, toy_asserts):
     # toy's assertion cone offers 9 input bits in total
     with pytest.raises(InsufficientSignalsError, match="k=10"):
         forge(toy, toy_asserts, ForgeParams(count=1, k_values=(10,), seed=0))
+
+
+def test_forge_compiles_once_per_netlist_and_confirms_each_check(
+        toy, toy_asserts, monkeypatch):
+    compiled: list[tuple[str, str]] = []
+    compile_kernel = sim.SimKernel.__init__
+
+    def counting_compile(self, netlist):
+        compile_kernel(self, netlist)
+        compiled.append((netlist.name, self.source))
+
+    confirmed: list[bool] = []
+    search = trojan.search_stimulus
+
+    def counting_search(netlist, relevant, forced, objective, accept, *rest,
+                        **kwargs):
+        def confirm(stim):
+            confirmed.append(accept(stim))
+            return confirmed[-1]
+        return search(netlist, relevant, forced, objective, confirm, *rest,
+                      **kwargs)
+
+    monkeypatch.setattr(sim.SimKernel, "__init__", counting_compile)
+    monkeypatch.setattr(trojan, "search_stimulus", counting_search)
+    specs = forge(toy, toy_asserts, ForgeParams(count=4, k_min=2, k_max=3,
+                                                seed=11, horizon=8))
+    assert len(specs) == 4
+    # one kernel per distinct netlist (the clean design plus one injected
+    # design per attempt), not one per candidate stimulus
+    assert len(compiled) == len(set(compiled))
+    # the batch objective is exact: every scalar confirmation succeeds
+    assert confirmed and all(confirmed)
