@@ -29,7 +29,7 @@ from .sva import (Assertion, normalize_overlapped, parse_assertion,
                   parse_assertions, render_assertion, signals_of)
 from .translate import (SignalMap, TranslationConfig, TranslationOutcome,
                         assertion_key, generate_testcase, translate)
-from .trojan import (ForgeParams, InjectedDesign, TrojanSpec,
+from .trojan import (ForgeParams, TrojanSpec,
                      activation_stimulus, forge, inject, load_trojans,
                      save_trojans, validate_spec)
 

@@ -188,7 +188,7 @@ def cmd_inject(config: ProjectConfig) -> int:
                 spec.meta["activation"] = stim.inputs
             stimulus = Stimulus.for_design(target, spec.meta["activation"])
             _atomic_write(tdir / f"{spec.id}.sv",
-                          render_netlist(injected.netlist))
+                          render_netlist(injected))
             _atomic_write(tdir / f"{spec.id}.json", _json_text(spec.to_dict()))
             _atomic_write(tdir / f"{spec.id}.stim.json",
                           _json_text(stimulus.inputs))
@@ -385,6 +385,10 @@ def main(argv: list[str] | None = None) -> int:
         return _COMMANDS[args.command](config)
     except SvaportError as err:
         print(f"error: {err}", file=sys.stderr)
+        return 1
+    except Exception as err:  # noqa: BLE001 - any other exception is a bug
+        print(f"internal error: {type(err).__name__}: {err} (please report "
+              "this as a bug)", file=sys.stderr)
         return 1
 
 

@@ -78,7 +78,6 @@ class ModuleJob:
     target_design: Path
     assertions: Path
     signal_map: Path | None = None
-    source_design: Path | None = None
     trojans: int = 0
     k_values: tuple[int, ...] | None = None
     imported_trojans: Path | None = None
@@ -86,8 +85,8 @@ class ModuleJob:
     @staticmethod
     def from_dict(data: dict, base: Path) -> "ModuleJob":
         _require_keys(data, {"name", "target_design", "assertions",
-                             "signal_map", "source_design", "trojans",
-                             "k_values", "imported_trojans"}, "module entry")
+                             "signal_map", "trojans", "k_values",
+                             "imported_trojans"}, "module entry")
         try:
             name = data["name"]
         except KeyError:
@@ -113,8 +112,6 @@ class ModuleJob:
                              f"module {name}", required=True),
             signal_map=_path(base, data.get("signal_map"),
                              f"module {name}", required=True),
-            source_design=_path(base, data.get("source_design"),
-                                f"module {name}", required=True),
             trojans=trojans,
             k_values=k_values,
             imported_trojans=_path(base, data.get("imported_trojans"),

@@ -7,7 +7,8 @@ RTL parser rejects them.
 
 Values are two-state.  Addition wraps at the result width, comparisons and
 the logical operators produce the integers 0/1, and unsized literals adapt to
-whatever width the context requires.
+whatever width the context requires.  ``sim.emit`` computes values: it
+compiles expressions to Python code.
 """
 
 from __future__ import annotations
@@ -265,74 +266,6 @@ def width_of(e: Expr, net_width: Callable[[str], int]) -> int | None:
 
 def mask(width: int) -> int:
     return (1 << width) - 1
-
-
-# --------------------------------------------------------------------------
-# evaluation
-
-class EvalContext:
-    """Resolves identifiers during interpretation.
-
-    value(name) returns the current integer value, width(name) the declared
-    width.  shifted(d) must return a context reading d cycles earlier; the
-    base implementation refuses, which makes $past an error outside traces.
-    """
-
-    def value(self, name: str) -> int:  # pragma: no cover - interface
-        raise NotImplementedError
-
-    def width(self, name: str) -> int:  # pragma: no cover - interface
-        raise NotImplementedError
-
-    def shifted(self, depth: int) -> "EvalContext":
-        raise NotImplementedError("$past is not meaningful here")
-
-
-def evaluate(e: Expr, ctx: EvalContext) -> int:
-    """Reference interpreter.  Deliberately plain — it doubles as the oracle
-    for the generated simulation kernels."""
-    if isinstance(e, Const):
-        return e.value
-    if isinstance(e, Ident):
-        return ctx.value(e.name)
-    if isinstance(e, Select):
-        return (ctx.value(e.base) >> e.lsb) & mask(e.msb - e.lsb + 1)
-    if isinstance(e, Unary):
-        v = evaluate(e.operand, ctx)
-        if e.op == "!":
-            return int(v == 0)
-        w = width_of(e.operand, ctx.width)
-        if w is None:
-            raise ValueError("cannot apply ~ to an unsized literal")
-        return ~v & mask(w)
-    if isinstance(e, Binary):
-        lv = evaluate(e.left, ctx)
-        rv = evaluate(e.right, ctx)
-        op = e.op
-        if op == "&&":
-            return int(lv != 0 and rv != 0)
-        if op == "||":
-            return int(lv != 0 or rv != 0)
-        if op == "==":
-            return int(lv == rv)
-        if op == "!=":
-            return int(lv != rv)
-        if op == "+":
-            w = width_of(e, ctx.width)
-            total = lv + rv
-            return total & mask(w) if w is not None else total
-        if op == "&":
-            return lv & rv
-        if op == "|":
-            return lv | rv
-        if op == "^":
-            return lv ^ rv
-        raise ValueError(f"unknown operator {op}")
-    if isinstance(e, Ternary):
-        return evaluate(e.then if evaluate(e.cond, ctx) != 0 else e.other, ctx)
-    if isinstance(e, Past):
-        return evaluate(e.expr, ctx.shifted(e.depth))
-    raise TypeError(f"not an expression node: {e!r}")
 
 
 # --------------------------------------------------------------------------

@@ -37,8 +37,8 @@ from .errors import ConeTooLargeError, ConfigError, DomainError
 from .graph import DependencyGraph, build_graph
 from .netlist import Netlist
 from .rng import substream
-from .search import batch_eval, input_cone
-from .sim import SimKernel
+from .search import input_cone
+from .sim import BatchExpr, SimKernel
 from .trojan import TrojanSpec, trigger_expr
 
 _LOG10_2 = math.log10(2)
@@ -122,9 +122,9 @@ def _count_hits(netlist: Netlist, spec: TrojanSpec, kernel: SimKernel,
                 arrays: dict[str, np.ndarray]) -> int:
     """Rows (out of a one-cycle batch) on which the trigger holds."""
     nets = kernel.run_batch(arrays, cycles=1)
-    trig = trigger_expr(spec, netlist)
-    vals = batch_eval(trig, lambda n: nets[n], netlist.width)
-    return int(np.count_nonzero(vals[:, 0]))
+    params = {name: p.value for name, p in netlist.params.items()}
+    trig = BatchExpr(trigger_expr(spec, netlist), netlist.width, params)
+    return int(np.count_nonzero(trig(nets)[:, 0]))
 
 
 def brute_force_probability(netlist: Netlist, spec: TrojanSpec, *,

@@ -12,13 +12,17 @@ Statuses are recorded per attempt-start cycle.  Failures additionally record
 the cycle at which the violated term was sampled, so `a |-> ##2 b` with the
 antecedent at cycle 1 reports its failure at cycle 3.
 
-$past(e, d) reads the trace d cycles back.  Reads that would land before
-cycle 0 yield 0 and are counted in ``past_underflow_warnings`` — visible,
-never a silent pass.
+$past(e, d) reads the trace d cycles back.  Nets read before cycle 0 yield
+0 (parameters keep their values) and are counted in
+``past_underflow_warnings`` — visible, never a silent pass.  The count has
+one entry per net read before cycle 0 in each term that a live attempt
+samples (every read of the term, both arms of a ``?:`` included), and in
+the disable expression at every cycle.
 
-``check_batch`` applies the same semantics to many traces at once (the
-rows of batch-simulated arrays) and reports per row only whether some
-attempt failed and whether some attempt passed non-vacuously.
+``check_batch`` is the checker: it takes the rows of batch-simulated
+arrays, advances every attempt of every row in lockstep, and evaluates
+terms through the simulator's expression emitter.  ``check_assertion`` is
+``check_batch`` on one trace as a batch of one row.
 """
 
 from __future__ import annotations
@@ -28,17 +32,19 @@ from typing import Collection, Mapping
 
 import numpy as np
 
-from . import expr as ex
 from .errors import UnknownSignalError
-from .search import batch_eval
-from .sim import Trace
-from .sva import Assertion, SeqExpr, normalize_overlapped
+from .sim import BatchExpr, Trace
+from .sva import Assertion, normalize_overlapped, signals_of
 
 NOT_ATTEMPTED = "not_attempted"
 VACUOUS_PASS = "vacuous_pass"
 PASS = "pass"
 FAIL = "fail"
 PENDING = "pending"
+
+#: attempt statuses, indexed by the codes of ``BatchVerdict.status``
+STATUSES = (NOT_ATTEMPTED, VACUOUS_PASS, PASS, FAIL, PENDING)
+_NOT_ATTEMPTED, _VACUOUS_PASS, _PASS, _FAIL, _PENDING = range(len(STATUSES))
 
 
 @dataclass(eq=True)
@@ -90,39 +96,11 @@ class AssertionVerdict:
         }
 
 
-class _TraceCtx(ex.EvalContext):
-    """Evaluates expressions against one cycle of a trace."""
-
-    def __init__(self, trace: Trace, cycle: int, monitor: "_Monitor"):
-        self.trace = trace
-        self.cycle = cycle
-        self.monitor = monitor
-
-    def value(self, name: str) -> int:
-        if name in self.trace.params:
-            return self.trace.params[name]
-        if self.cycle < 0:
-            self.monitor.underflows += 1
-            return 0
-        return self.trace.value(name, self.cycle)
-
-    def width(self, name: str) -> int:
-        if name in self.trace.widths:
-            return self.trace.widths[name]
-        if name in self.trace.params:
-            v = self.trace.params[name]
-            return max(1, v.bit_length())
-        raise UnknownSignalError(f"{name} is not a net of {self.trace.design}")
-
-    def shifted(self, depth: int) -> "_TraceCtx":
-        return _TraceCtx(self.trace, self.cycle - depth, self.monitor)
-
-
 def _validate(a: Assertion, nets: Collection[str], params: Mapping[str, int],
-              design: str) -> None:
-    names = ex.idents_of(a.disable) if a.disable is not None else set()
-    for term in a.antecedent.terms() + a.consequent.terms():
-        names |= ex.idents_of(term)
+              design: str) -> set[str]:
+    """Reject names that *a* reads but *design* lacks; return the nets it
+    reads, its clock included."""
+    names = signals_of(a)
     for name in sorted(names):
         if name not in nets and name not in params:
             raise UnknownSignalError(
@@ -132,77 +110,21 @@ def _validate(a: Assertion, nets: Collection[str], params: Mapping[str, int],
         raise UnknownSignalError(
             f"assertion {a.effective_name()} samples clock {a.clock}, "
             f"which is not a net of {design}")
-
-
-class _Monitor:
-    def __init__(self, trace: Trace, assertion: Assertion):
-        self.trace = trace
-        self.assertion = normalize_overlapped(assertion)
-        self.underflows = 0
-        _validate(self.assertion, trace.values, trace.params, trace.design)
-        self.disable = [self._eval_bool(self.assertion.disable, t)
-                        if self.assertion.disable is not None else False
-                        for t in range(trace.cycles)]
-
-    def _eval_bool(self, e: ex.Expr, cycle: int) -> bool:
-        return ex.evaluate(e, _TraceCtx(self.trace, cycle, self)) != 0
-
-    def _cancelled(self, start: int, upto: int) -> bool:
-        return any(self.disable[start + 1: upto + 1])
-
-    def _walk(self, seq: SeqExpr, base: int, start: int):
-        """Yield ('pending'|'cancelled'|'false'|'done', cycle).
-
-        Terms are examined in order; the first one that cannot be read
-        (beyond the trace) or is false decides the outcome.
-        """
-        cycle = base
-        for delay, term in seq.steps:
-            cycle += delay
-            # cancellation strikes in real time, before a term that is still
-            # in the future could ever be read
-            if self._cancelled(start, min(cycle, self.trace.cycles - 1)):
-                return ("cancelled", cycle)
-            if cycle >= self.trace.cycles:
-                return ("pending", cycle)
-            if not self._eval_bool(term, cycle):
-                return ("false", cycle)
-        return ("done", cycle)
-
-    def run(self) -> AssertionVerdict:
-        a = self.assertion
-        statuses: list[str] = []
-        failures: list[Failure] = []
-        for t in range(self.trace.cycles):
-            if self.disable[t]:
-                statuses.append(NOT_ATTEMPTED)
-                continue
-            kind, cycle = self._walk(a.antecedent, t, t)
-            if kind == "cancelled":
-                statuses.append(NOT_ATTEMPTED)
-                continue
-            if kind == "pending":
-                statuses.append(PENDING)
-                continue
-            if kind == "false":
-                statuses.append(VACUOUS_PASS)
-                continue
-            kind, ccycle = self._walk(a.consequent, cycle, t)
-            if kind == "cancelled":
-                statuses.append(NOT_ATTEMPTED)
-            elif kind == "pending":
-                statuses.append(PENDING)
-            elif kind == "false":
-                statuses.append(FAIL)
-                failures.append(Failure(t, ccycle))
-            else:
-                statuses.append(PASS)
-        return AssertionVerdict(a.effective_name(), statuses, failures,
-                                self.underflows)
+    return {n for n in names if n not in params} | {a.clock}
 
 
 def check_assertion(trace: Trace, assertion: Assertion) -> AssertionVerdict:
-    return _Monitor(trace, assertion).run()
+    """Check *assertion* over *trace*: the batched checker on the trace as
+    one row, converting only the nets the assertion reads."""
+    a = normalize_overlapped(assertion)
+    nets = _validate(a, trace.values, trace.params, trace.design)
+    verdict = _check(a, trace.arrays(nets), trace.widths, trace.params)
+    status = verdict.status[0]
+    failures = [Failure(int(t), int(verdict.fail_cycle[0, t]))
+                for t in np.flatnonzero(status == _FAIL)]
+    return AssertionVerdict(a.effective_name(),
+                            [STATUSES[c] for c in status.tolist()], failures,
+                            int(verdict.past_underflows[0]))
 
 
 def check_assertions(trace: Trace, assertions: list[Assertion]) -> list[AssertionVerdict]:
@@ -212,14 +134,26 @@ def check_assertions(trace: Trace, assertions: list[Assertion]) -> list[Assertio
 
 
 # --------------------------------------------------------------------------
-# batched checking
+# the checker
 
 @dataclass
 class BatchVerdict:
-    """Per-row outcome of one assertion over a batch of traces."""
+    """Per-attempt outcome of one assertion over a batch of traces."""
 
-    failed: np.ndarray   # bool (rows,): some attempt fails
-    passed: np.ndarray   # bool (rows,): some attempt passes non-vacuously
+    status: np.ndarray           # int8 (rows, cycles): STATUSES code per attempt start
+    fail_cycle: np.ndarray       # int64 (rows, cycles): where status is FAIL, the
+                                 # cycle at which the violated term was sampled
+    past_underflows: np.ndarray  # int64 (rows,): nets read before cycle 0
+
+    @property
+    def failed(self) -> np.ndarray:
+        """bool (rows,): some attempt fails."""
+        return (self.status == _FAIL).any(axis=1)
+
+    @property
+    def passed(self) -> np.ndarray:
+        """bool (rows,): some attempt passes non-vacuously."""
+        return (self.status == _PASS).any(axis=1)
 
 
 def check_batch(assertion: Assertion, values: Mapping[str, np.ndarray],
@@ -227,51 +161,69 @@ def check_batch(assertion: Assertion, values: Mapping[str, np.ndarray],
                 design: str) -> BatchVerdict:
     """Check *assertion* over every row of (rows, cycles) net arrays.
 
-    Same semantics as ``check_assertion`` row by row: all attempts advance
-    in lockstep through the steps of the normalized sequence, and an
-    attempt leaves at the first step that cancels it (a disable cycle
-    after its start, up to the step's cycle or the trace end), runs past
-    the trace (pending) or reads a false term (vacuous in the antecedent,
-    a failure in the consequent).  Attempts that survive every step pass.
+    All attempts advance in lockstep through the steps of the normalized
+    sequence, and an attempt leaves at the first step that cancels it (a
+    disable cycle after its start, up to the step's cycle or the trace
+    end), runs past the trace (pending) or reads a false term (vacuous in
+    the antecedent, a failure in the consequent).  Attempts that survive
+    every step pass.
     """
     a = normalize_overlapped(assertion)
     _validate(a, values, params, design)
-    rows, cycles = values[a.clock].shape
+    return _check(a, values, widths, params)
 
-    def env(name: str):
-        if name in params:
-            return np.uint64(params[name])
-        return values[name]
+
+def _check(a: Assertion, values: Mapping[str, np.ndarray],
+           widths: Mapping[str, int], params: Mapping[str, int]) -> BatchVerdict:
+    rows, cycles = values[a.clock].shape
 
     def width(name: str) -> int:
         if name in widths:
             return widths[name]
         return max(1, params[name].bit_length())
 
-    def holds(e: ex.Expr) -> np.ndarray:
-        return np.broadcast_to(batch_eval(e, env, width) != 0, (rows, cycles))
-
-    disable = (holds(a.disable) if a.disable is not None
-               else np.zeros((rows, cycles), dtype=bool))
-    # seen[:, i] counts the disable cycles before cycle i
-    seen = np.zeros((rows, cycles + 1), dtype=np.int64)
-    np.cumsum(disable, axis=1, out=seen[:, 1:])
+    underflows = np.zeros(rows, dtype=np.int64)
+    status = np.full((rows, cycles), _PASS, dtype=np.int8)
+    alive = np.ones((rows, cycles), dtype=bool)
+    cancels = False
+    if a.disable is not None:
+        term = BatchExpr(a.disable, width, params)
+        disable = term(values) != 0
+        underflows += sum(min(d, cycles) for d in term.past_depths)
+        status[disable] = _NOT_ATTEMPTED
+        alive &= ~disable
+        cancels = bool(disable.any())
+        # seen[:, i] counts the disable cycles before cycle i
+        seen = np.zeros((rows, cycles + 1), dtype=np.int64)
+        np.cumsum(disable, axis=1, out=seen[:, 1:])
     start = np.arange(cycles)
-    alive = ~disable
-    failed = np.zeros((rows, cycles), dtype=bool)
+    fail_cycle = np.zeros((rows, cycles), dtype=np.int64)
     offset = 0
     plan = [(d, t, False) for d, t in a.antecedent.steps] + \
         [(d, t, True) for d, t in a.consequent.steps]
     for delay, term, in_consequent in plan:
         offset += delay
-        reach = np.minimum(start + offset, cycles - 1)
-        alive &= seen[:, reach + 1] <= seen[:, start + 1]   # not cancelled
-        alive &= start + offset < cycles                    # not pending
+        if cancels:
+            reach = np.minimum(start + offset, cycles - 1)
+            left = alive & (seen[:, reach + 1] > seen[:, start + 1])
+            status[left] = _NOT_ATTEMPTED
+            alive &= ~left
+        late = max(cycles - offset, 0)   # attempts from here run past the end
+        status[:, late:][alive[:, late:]] = _PENDING
+        alive[:, late:] = False
         if not alive.any():
             break
+        compiled = BatchExpr(term, width, params)
         sampled = np.zeros((rows, cycles), dtype=bool)
-        sampled[:, :cycles - offset] = holds(term)[:, offset:]
+        sampled[:, :late] = (compiled(values) != 0)[:, offset:]
+        for d in compiled.past_depths:
+            underflows += np.count_nonzero(alive[:, :max(d - offset, 0)],
+                                           axis=1)
+        left = alive & ~sampled
         if in_consequent:
-            failed |= alive & ~sampled
+            status[left] = _FAIL
+            fail_cycle[left] = offset
+        else:
+            status[left] = _VACUOUS_PASS
         alive &= sampled
-    return BatchVerdict(failed.any(axis=1), alive.any(axis=1))
+    return BatchVerdict(status, fail_cycle + start, underflows)

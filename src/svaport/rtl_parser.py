@@ -131,6 +131,9 @@ class _Parser:
     def declare(self, tok: Token, width: int, kind: NetKind) -> None:
         if tok.text in self.nets or tok.text in self.params:
             self.ts.error(f"duplicate declaration of {tok.text}", tok, ElaborationError)
+        if width > 64:
+            self.ts.error(f"net {tok.text} is {width} bits wide; nets are "
+                          "limited to 64 bits", tok, ElaborationError)
         self.nets[tok.text] = Net(tok.text, width, kind)
 
     def item(self) -> None:

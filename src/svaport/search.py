@@ -26,72 +26,6 @@ _CHUNK = 8192
 _WORD = 63  # random bits per drawn code word (the draw keeps the sign bit clear)
 
 
-def batch_eval(e: ex.Expr, env: Callable[[str], np.ndarray],
-               width: Callable[[str], int]) -> np.ndarray:
-    """Vectorized mirror of ``expr.evaluate`` over batch-simulated arrays.
-
-    *env* returns a (rows, cycles) uint64 array per identifier (numpy
-    scalars broadcast fine for parameters).  Boolean results are 0/1;
-    ``$past`` evaluates its operand with every net shifted along the cycle
-    axis and zero-filled, so reads before cycle 0 see nets at 0 and
-    parameters at their values, exactly as the monitor does.
-    """
-    if isinstance(e, ex.Const):
-        return np.uint64(e.value)
-    if isinstance(e, ex.Ident):
-        return env(e.name)
-    if isinstance(e, ex.Select):
-        w = e.msb - e.lsb + 1
-        return (env(e.base) >> np.uint64(e.lsb)) & np.uint64(ex.mask(w))
-    if isinstance(e, ex.Unary):
-        v = batch_eval(e.operand, env, width)
-        if e.op == "!":
-            return (v == 0).astype(np.uint64)
-        w = ex.width_of(e.operand, width)
-        if w is None:
-            raise ValueError("cannot apply ~ to an unsized literal")
-        return ~v & np.uint64(ex.mask(w))
-    if isinstance(e, ex.Binary):
-        lv = batch_eval(e.left, env, width)
-        rv = batch_eval(e.right, env, width)
-        op = e.op
-        if op == "&&":
-            return ((lv != 0) & (rv != 0)).astype(np.uint64)
-        if op == "||":
-            return ((lv != 0) | (rv != 0)).astype(np.uint64)
-        if op == "==":
-            return (lv == rv).astype(np.uint64)
-        if op == "!=":
-            return (lv != rv).astype(np.uint64)
-        if op == "+":
-            w = ex.width_of(e, width)
-            total = lv + rv
-            return total & np.uint64(ex.mask(w)) if w is not None else total
-        if op == "&":
-            return lv & rv
-        if op == "|":
-            return lv | rv
-        if op == "^":
-            return lv ^ rv
-        raise ValueError(f"unknown operator {op}")
-    if isinstance(e, ex.Ternary):
-        c = batch_eval(e.cond, env, width)
-        t = batch_eval(e.then, env, width)
-        o = batch_eval(e.other, env, width)
-        return np.where(c != 0, t, o).astype(np.uint64)
-    if isinstance(e, ex.Past):
-        def shifted(name: str) -> np.ndarray:
-            v = env(name)
-            if np.ndim(v) < 2 or e.depth == 0:
-                return v
-            out = np.zeros_like(v)
-            if e.depth < v.shape[1]:
-                out[:, e.depth:] = v[:, :-e.depth]
-            return out
-        return batch_eval(e.expr, shifted, width)
-    raise TypeError(f"not an expression node: {e!r}")
-
-
 @dataclass
 class SearchBudget:
     horizon: int = 16          # cycles per candidate stimulus

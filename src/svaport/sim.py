@@ -9,17 +9,20 @@ register whose reset net is active at the clock edge reloads its reset value
 for the next cycle.
 
 The settle/update step is compiled to a Python function once per netlist.
-The same generated source runs in two flavors: scalar (plain ints, arbitrary
-width) and batch (numpy uint64 arrays, many independent stimuli at once,
-nets capped at 64 bits).  ``expr.evaluate`` stays available as the
-independent slow-path oracle for this kernel.
+The same generated source runs in two flavors: scalar (plain ints) and
+batch (numpy uint64 arrays, many independent stimuli at once; the RTL
+parser rejects nets wider than 64 bits).  ``emit`` is the one expression
+evaluator: it writes the kernel's code, and ``BatchExpr`` compiles
+assertion terms and search screens with it.
 """
 
 from __future__ import annotations
 
 import json
 from dataclasses import dataclass
+from functools import lru_cache
 from pathlib import Path
+from typing import Callable, Iterable, Mapping
 
 import numpy as np
 
@@ -105,9 +108,14 @@ class Trace:
         except KeyError:
             raise UnknownSignalError(f"{net} is not a net of {self.design}") from None
 
+    def arrays(self, nets: Iterable[str]) -> dict[str, np.ndarray]:
+        """The given nets as (1, cycles) uint64 arrays: the trace as a
+        batch of one row."""
+        return {n: np.array([self.values[n]], dtype=np.uint64) for n in nets}
+
 
 # --------------------------------------------------------------------------
-# compiled kernel
+# expression emitter
 
 def _scalar_mux(c, a, b):
     return a if c else b
@@ -119,6 +127,120 @@ def _batch_mux(c, a, b):
 
 def _batch_bit(x):
     return np.asarray(x).astype(np.uint64)
+
+
+def emit(e: ex.Expr, width: Callable[[str], int], params: Mapping[str, int],
+         read: Callable[[str, int], str] | None = None, depth: int = 0) -> str:
+    """Python source computing *e*: the one evaluator of the expression AST.
+
+    The source runs on plain ints (any width) and on numpy uint64 arrays
+    alike, given that flavor's ``_b`` (truth value to 0/1) and ``_mux``.
+    Parameters are inlined as literals and a net is ``v_<name>``.  With
+    *read*, ``$past`` is allowed and a net read *depth* cycles back is
+    ``read(name, depth)``; without it ``$past`` is not synthesizable.
+    """
+    def net(name: str) -> str:
+        return read(name, depth) if read is not None else f"v_{name}"
+
+    def sub(x: ex.Expr) -> str:
+        return emit(x, width, params, read, depth)
+
+    if isinstance(e, ex.Const):
+        return str(e.value)
+    if isinstance(e, ex.Ident):
+        return str(params[e.name]) if e.name in params else net(e.name)
+    if isinstance(e, ex.Select):
+        w = e.msb - e.lsb + 1
+        base = str(params[e.base]) if e.base in params else net(e.base)
+        if e.lsb == 0:
+            return f"({base} & {ex.mask(w)})"
+        return f"(({base} >> {e.lsb}) & {ex.mask(w)})"
+    if isinstance(e, ex.Unary):
+        inner = sub(e.operand)
+        if e.op == "!":
+            return f"_b({inner} == 0)"
+        w = ex.width_of(e.operand, width)
+        if w is None:
+            raise ElaborationError("cannot apply ~ to an unsized literal")
+        return f"(~{inner} & {ex.mask(w)})"
+    if isinstance(e, ex.Binary):
+        lhs, rhs = sub(e.left), sub(e.right)
+        if e.op == "&&":
+            return f"_b(({lhs} != 0) & ({rhs} != 0))"
+        if e.op == "||":
+            return f"_b(({lhs} != 0) | ({rhs} != 0))"
+        if e.op in ("==", "!="):
+            return f"_b({lhs} {e.op} {rhs})"
+        if e.op == "+":
+            w = ex.width_of(e, width)
+            if w is None:
+                return f"({lhs} + {rhs})"
+            return f"(({lhs} + {rhs}) & {ex.mask(w)})"
+        return f"({lhs} {e.op} {rhs})"
+    if isinstance(e, ex.Ternary):
+        return f"_mux({sub(e.cond)} != 0, {sub(e.then)}, {sub(e.other)})"
+    if isinstance(e, ex.Past):
+        if read is None:
+            raise ElaborationError("$past cannot appear in synthesizable logic")
+        return emit(e.expr, width, params, read, depth + e.depth)
+    raise TypeError(f"not an expression node: {e!r}")
+
+
+@lru_cache(maxsize=4096)
+def _compile_batch(source: str) -> Callable:
+    scope: dict = {"_b": _batch_bit, "_mux": _batch_mux}
+    exec(compile(source, "<expr>", "exec"), scope)
+    return scope["_expr"]
+
+
+def _past(v: np.ndarray, depth: int) -> np.ndarray:
+    """*v* shifted *depth* cycles later along the cycle axis, zero-filled."""
+    out = np.zeros_like(v)
+    if depth < v.shape[1]:
+        out[:, depth:] = v[:, :-depth]
+    return out
+
+
+class BatchExpr:
+    """An expression compiled to a function of (rows, cycles) net arrays.
+
+    ``$past(e, d)`` reads every net of *e* shifted d cycles along the
+    cycle axis and zero-filled: nets read 0 before cycle 0, parameters keep
+    their values.  Each distinct emitted source is compiled once.
+    """
+
+    def __init__(self, e: ex.Expr, width: Callable[[str], int],
+                 params: Mapping[str, int]):
+        reads: list[tuple[str, int]] = []
+
+        def var(name: str, depth: int) -> str:
+            return f"v_{name}" if depth == 0 else f"p{depth}_{name}"
+
+        def read(name: str, depth: int) -> str:
+            reads.append((name, depth))
+            return var(name, depth)
+
+        body = emit(e, width, params, read)
+        self.args = tuple(sorted(set(reads)))
+        #: the $past depth of every net read under $past, one per read
+        self.past_depths = tuple(d for _, d in reads if d)
+        names = ", ".join(var(n, d) for n, d in self.args)
+        self._fn = _compile_batch(f"def _expr({names}):\n    return {body}\n")
+
+    @property
+    def nets(self) -> set[str]:
+        return {name for name, _ in self.args}
+
+    def __call__(self, values: Mapping[str, np.ndarray]) -> np.ndarray:
+        """Values of the expression, shaped like the arrays of *values*."""
+        shape = next(iter(values.values())).shape
+        out = self._fn(*(values[n] if d == 0 else _past(values[n], d)
+                         for n, d in self.args))
+        return out if np.shape(out) == shape else np.broadcast_to(out, shape)
+
+
+# --------------------------------------------------------------------------
+# compiled kernel
 
 
 class SimKernel:
@@ -139,54 +261,9 @@ class SimKernel:
 
     # -- code generation ---------------------------------------------------
 
-    def _width(self, name: str) -> int:
-        return self.netlist.width(name)
-
-    def _emit(self, e: ex.Expr) -> str:
-        nl = self.netlist
-        if isinstance(e, ex.Const):
-            return str(e.value)
-        if isinstance(e, ex.Ident):
-            if e.name in nl.params:
-                return str(nl.params[e.name].value)
-            return f"v_{e.name}"
-        if isinstance(e, ex.Select):
-            w = e.msb - e.lsb + 1
-            base = f"v_{e.base}" if e.base in nl.nets else str(nl.params[e.base].value)
-            if e.lsb == 0:
-                return f"({base} & {ex.mask(w)})"
-            return f"(({base} >> {e.lsb}) & {ex.mask(w)})"
-        if isinstance(e, ex.Unary):
-            inner = self._emit(e.operand)
-            if e.op == "!":
-                return f"_b({inner} == 0)"
-            w = ex.width_of(e.operand, self._width)
-            if w is None:
-                raise ElaborationError("cannot apply ~ to an unsized literal")
-            return f"(~{inner} & {ex.mask(w)})"
-        if isinstance(e, ex.Binary):
-            lhs, rhs = self._emit(e.left), self._emit(e.right)
-            if e.op == "&&":
-                return f"_b(({lhs} != 0) & ({rhs} != 0))"
-            if e.op == "||":
-                return f"_b(({lhs} != 0) | ({rhs} != 0))"
-            if e.op in ("==", "!="):
-                return f"_b({lhs} {e.op} {rhs})"
-            if e.op == "+":
-                w = ex.width_of(e, self._width)
-                if w is None:
-                    return f"({lhs} + {rhs})"
-                return f"(({lhs} + {rhs}) & {ex.mask(w)})"
-            return f"({lhs} {e.op} {rhs})"
-        if isinstance(e, ex.Ternary):
-            return (f"_mux({self._emit(e.cond)} != 0, "
-                    f"{self._emit(e.then)}, {self._emit(e.other)})")
-        if isinstance(e, ex.Past):
-            raise ElaborationError("$past cannot appear in synthesizable logic")
-        raise TypeError(f"not an expression node: {e!r}")
-
     def _generate(self) -> str:
         nl = self.netlist
+        params = {p.name: p.value for p in nl.params.values()}
         lines = ["def _step(IN, REG, _zero, _b, _mux):"]
         if self.input_names:
             lines.append(f"    ({', '.join('v_' + n for n in self.input_names)},) = IN")
@@ -197,9 +274,9 @@ class SimKernel:
             if net not in driven:
                 lines.append(f"    v_{net} = _zero")
         for a in combinational_closure(nl):
-            lines.append(f"    v_{a.lhs} = {self._emit(a.rhs)}")
+            lines.append(f"    v_{a.lhs} = {emit(a.rhs, nl.width, params)}")
         for r in nl.registers:
-            nxt = self._emit(r.next)
+            nxt = emit(r.next, nl.width, params)
             if r.reset is not None:
                 cmp = "==" if r.reset.active_level == 1 else "!="
                 nxt = f"_mux(v_{r.reset.net} {cmp} 1, {r.reset.value}, {nxt})"
@@ -244,11 +321,6 @@ class SimKernel:
         or (rows,) for values held constant.  Returns every net as an array
         of shape (rows, cycles).
         """
-        for net in self.netlist.nets.values():
-            if net.width > 64:
-                raise ElaborationError(
-                    f"net {net.name} is wider than 64 bits; batch simulation "
-                    "is limited to 64-bit nets")
         rows = next(iter(inputs.values())).shape[0] if inputs else 1
         zero = np.zeros(rows, dtype=np.uint64)
 

@@ -27,9 +27,8 @@ from .graph import DependencyGraph, Relationship, build_graph, classify, fanin
 from .monitor import check_assertion, check_batch
 from .netlist import Netlist
 from .rng import substream
-from .search import (SearchBudget, batch_eval, input_cone, search_stimulus,
-                     take_rows)
-from .sim import SimKernel, Stimulus
+from .search import SearchBudget, input_cone, search_stimulus, take_rows
+from .sim import BatchExpr, SimKernel, Stimulus
 from .sva import Assertion, SeqExpr, signals_of
 
 DEFAULT_SUFFIXES = ("_i", "_o", "_q", "_d", "_n")
@@ -570,9 +569,10 @@ def generate_testcase(a: Assertion, target: Netlist,
     """Find inputs under which *a* passes non-vacuously on the clean design.
 
     Batch simulation screens for stimuli whose first antecedent term fires
-    early enough for the full sequence to fit the horizon; the batched
-    monitor then decides the verdict (no failure, at least one completed
-    non-vacuous pass) and a scalar monitor run confirms the winner.  The
+    early enough for the full sequence to fit the horizon; the monitor then
+    decides the verdict (no failure, at least one completed non-vacuous
+    pass) on the batch, and a scalar simulation checked by
+    ``check_assertion`` confirms the winner.  The
     search covers the assertion's whole input cone, then, if that finds
     nothing, the input cone of the antecedent alone.
     """
@@ -586,15 +586,11 @@ def generate_testcase(a: Assertion, target: Netlist,
 
     params = {name: p.value for name, p in target.params.items()}
     widths = {name: net.width for name, net in target.nets.items()}
-    first_term = a.antecedent.steps[0][1]
+    first_term = BatchExpr(a.antecedent.steps[0][1], target.width, params)
 
     def objective(arrays: dict[str, np.ndarray],
                   inputs: dict[str, np.ndarray], limit: int) -> np.ndarray:
-        def env(name: str) -> np.ndarray:
-            if name in params:
-                return np.uint64(params[name])
-            return arrays[name]
-        hot = batch_eval(first_term, env, target.width) != 0
+        hot = first_term(arrays) != 0
         rows = np.flatnonzero(hot[:, :window].any(axis=1))[:limit]
         verdict = check_batch(a, take_rows(arrays, rows), widths, params,
                               target.name)

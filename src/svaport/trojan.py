@@ -29,9 +29,8 @@ from .graph import build_graph
 from .monitor import check_assertions, check_batch
 from .netlist import Assign, Netlist, NetKind, Register, combinational_closure
 from .rng import substream
-from .search import (SearchBudget, batch_eval, input_cone, search_stimulus,
-                     take_rows)
-from .sim import SimKernel, Stimulus
+from .search import SearchBudget, input_cone, search_stimulus, take_rows
+from .sim import BatchExpr, SimKernel, Stimulus
 from .sva import Assertion, signals_of
 
 PAYLOAD_KINDS = ("invert_net", "force_constant", "xor_into_assign")
@@ -150,17 +149,6 @@ def validate_spec(spec: TrojanSpec, netlist: Netlist) -> None:
             raise ConfigError(f"trojan {spec.id}: payload value out of range")
 
 
-def trigger_fires(spec: TrojanSpec, trace, cycle: int) -> bool:
-    """Whether every trigger condition holds at *cycle* of *trace*."""
-    for c in spec.trigger:
-        v = trace.value(c.signal, cycle)
-        if c.bit is not None:
-            v = (v >> c.bit) & 1
-        if v != c.value:
-            return False
-    return True
-
-
 def trigger_expr(spec: TrojanSpec, netlist: Netlist) -> ex.Expr:
     """The trigger cube as a boolean expression over netlist signals."""
     conds: list[ex.Expr] = []
@@ -177,12 +165,6 @@ def trigger_expr(spec: TrojanSpec, netlist: Netlist) -> ex.Expr:
 # --------------------------------------------------------------------------
 # injection
 
-@dataclass
-class InjectedDesign:
-    netlist: Netlist
-    provenance: dict  # original fingerprint + spec id
-
-
 def _corrupted(kind: str, orig: ex.Expr, trig: ex.Expr, width: int,
                value: int | None) -> ex.Expr:
     if kind == "invert_net":
@@ -196,7 +178,7 @@ def _corrupted(kind: str, orig: ex.Expr, trig: ex.Expr, width: int,
     raise ConfigError(f"unknown payload kind {kind}")
 
 
-def inject(netlist: Netlist, spec: TrojanSpec) -> InjectedDesign:
+def inject(netlist: Netlist, spec: TrojanSpec) -> Netlist:
     """Return a new netlist with the payload spliced into the target net's
     driver.  The original netlist is left untouched; ports, widths, and the
     module name carry over unchanged."""
@@ -232,10 +214,7 @@ def inject(netlist: Netlist, spec: TrojanSpec) -> InjectedDesign:
         out.registers[idx] = replace(driver, next=_corrupted(
             spec.payload_kind, driver.next, trig, width, spec.payload_value))
     combinational_closure(out)  # surfaces any loop the trigger closed
-    return InjectedDesign(
-        netlist=out,
-        provenance={"original": netlist.fingerprint(), "trojan": spec.id},
-    )
+    return out
 
 
 # --------------------------------------------------------------------------
@@ -392,11 +371,11 @@ def _find_activation(spec: TrojanSpec, netlist: Netlist,
     arrays over the first ``max_exact_checks`` rows that also differ.
     ``accept`` re-runs the winner on both compiled kernels only to confirm.
     """
-    injected = inject(netlist, spec).netlist
+    injected = inject(netlist, spec)
     inj_kernel = SimKernel(injected)
     kernel = kernel or SimKernel(netlist)
-    trig = trigger_expr(spec, netlist)
     params = {name: p.value for name, p in netlist.params.items()}
+    trig = BatchExpr(trigger_expr(spec, netlist), injected.width, params)
     widths = {name: net.width for name, net in netlist.nets.items()}
     watch = _observables(netlist, spec, assertions)
     checked = assertions or [target]
@@ -408,17 +387,14 @@ def _find_activation(spec: TrojanSpec, netlist: Netlist,
               and netlist.nets[c.signal].kind is NetKind.INPUT}
 
     # the first-term antecedent is batchable and a cheap necessary condition
-    ante_term = target.antecedent.steps[0][1] if target is not None else None
+    ante_term = (BatchExpr(target.antecedent.steps[0][1], injected.width,
+                           params) if target is not None else None)
 
     def objective(arrays: dict[str, np.ndarray],
                   inputs: dict[str, np.ndarray], limit: int) -> np.ndarray:
-        def env(name: str) -> np.ndarray:
-            if name in params:
-                return np.uint64(params[name])
-            return arrays[name]
-        screen = (batch_eval(trig, env, injected.width) != 0).any(axis=1)
+        screen = (trig(arrays) != 0).any(axis=1)
         if ante_term is not None:
-            screen &= (batch_eval(ante_term, env, injected.width) != 0).any(axis=1)
+            screen &= (ante_term(arrays) != 0).any(axis=1)
         rows = np.flatnonzero(screen)
         if not rows.size:
             return rows
@@ -447,7 +423,7 @@ def _find_activation(spec: TrojanSpec, netlist: Netlist,
 
     def accept(stim: Stimulus) -> bool:
         dirty = inj_kernel.run(stim)
-        if not any(trigger_fires(spec, dirty, t) for t in range(dirty.cycles)):
+        if not (trig(dirty.arrays(trig.nets)) != 0).any():
             return False
         clean = kernel.run(stim)
         if all(clean.value(n, t) == dirty.value(n, t)

@@ -290,6 +290,18 @@ def check_reference(trace: Trace, assertion: Assertion) -> tuple[list[str], list
 
 
 # --------------------------------------------------------------------------
+# trojan triggers
+
+def trigger_holds(spec, trace: Trace, cycle: int) -> bool:
+    """Whether *spec*'s trigger cube holds at *cycle*: each condition is
+    read straight off the trace as one bit, or as the whole signal."""
+    def observed(c) -> int:
+        v = trace.values[c.signal][cycle]
+        return v if c.bit is None else (v >> c.bit) % 2
+    return all(observed(c) == c.value for c in spec.trigger)
+
+
+# --------------------------------------------------------------------------
 # probabilities
 
 def count_trigger_states(netlist: Netlist, spec, input_names: list[str]) -> Fraction:
@@ -298,7 +310,6 @@ def count_trigger_states(netlist: Netlist, spec, input_names: list[str]) -> Frac
     from itertools import product
 
     from svaport.sim import SimKernel
-    from svaport.trojan import trigger_fires
 
     kernel = SimKernel(netlist)
     widths = [netlist.width(n) for n in input_names]
@@ -307,5 +318,5 @@ def count_trigger_states(netlist: Netlist, spec, input_names: list[str]) -> Frac
         stim = Stimulus.for_design(netlist, [dict(zip(input_names, combo))])
         trace = kernel.run(stim)
         total += 1
-        hits += int(trigger_fires(spec, trace, 0))
+        hits += int(trigger_holds(spec, trace, 0))
     return Fraction(hits, total)

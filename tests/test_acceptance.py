@@ -22,8 +22,8 @@ from svaport.metrics import (analytic_probability, brute_force_probability,
 from svaport.monitor import check_assertion, check_assertions
 from svaport.netlist import NetKind
 from svaport.rtl_parser import parse_design
-from svaport.search import batch_eval, input_cone
-from svaport.sim import SimKernel, Stimulus, Trace, simulate
+from svaport.search import input_cone
+from svaport.sim import BatchExpr, SimKernel, Stimulus, Trace, simulate
 from svaport.sva import parse_assertion, parse_assertions
 from svaport.translate import (SignalMap, TranslationConfig, assertion_key,
                                translate)
@@ -201,7 +201,7 @@ def test_c08_every_forged_trojan_is_dormant_until_activated(campaign_run,
             dirty_kernel = SimKernel(dirty)
             assert all(clean.nets[c.signal].kind is NetKind.INPUT
                        for c in spec.trigger)
-            trig = trigger_expr(spec, clean)
+            trig = BatchExpr(trigger_expr(spec, clean), clean.width, {})
 
             # uniform random stimuli, kept only when the trigger never fires
             quiet = {n.name: [] for n in input_nets}
@@ -215,8 +215,7 @@ def test_c08_every_forged_trojan_is_dormant_until_activated(campaign_run,
                                  dtype=np.uint64)
                     for n in input_nets
                 }
-                fired = (batch_eval(trig, lambda s: chunk[s], clean.width)
-                         != 0).any(axis=1)
+                fired = (trig(chunk) != 0).any(axis=1)
                 for name, arr in chunk.items():
                     quiet[name].append(arr[~fired])
                 collected += int((~fired).sum())

@@ -5,6 +5,7 @@ from pathlib import Path
 
 import pytest
 
+from svaport import cli
 from svaport.cli import main
 from svaport.config import ForgeDefaults, ModuleJob, ProjectConfig
 from svaport.errors import ConfigError
@@ -73,6 +74,7 @@ def test_config_schema_errors(tmp_path):
         ({"modules": []}, "non-empty array"),
         ({"modules": "toy"}, "non-empty array"),
         ({"modules": [{**module, "extra": 1}]}, "unknown keys"),
+        ({"modules": [{**module, "source_design": "toy.sv"}]}, "unknown keys"),
         ({"modules": [dict(target_design="toy.sv")]}, "missing 'name'"),
         ({"modules": [{"name": "toy"}]}, "missing 'target_design'"),
         ({"modules": [{**module, "assertions": "absent.sva"}]},
@@ -138,6 +140,20 @@ def test_malformed_literal_exits_1_without_traceback(tmp_path, capsys):
     assert main(["translate", "--config", str(cfg)]) == 1
     err = capsys.readouterr().err
     assert "error:" in err and "not a valid base-2 number" in err
+
+
+def test_unexpected_exception_exits_1_with_one_line(tmp_path, capsys,
+                                                    monkeypatch):
+    cfg = make_campaign(tmp_path)
+
+    def broken(config):
+        raise RuntimeError("kernel exploded")
+
+    monkeypatch.setitem(cli._COMMANDS, "translate", broken)
+    assert main(["translate", "--config", str(cfg)]) == 1
+    err = capsys.readouterr().err
+    assert err.count("\n") == 1
+    assert "RuntimeError: kernel exploded" in err and "please report" in err
 
 
 # ---------------------------------------------------------------------------

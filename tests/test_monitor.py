@@ -1,10 +1,13 @@
 """Assertion monitor: timing, statuses, cancellation, $past, oracle parity."""
 
+from dataclasses import replace
+
 import numpy as np
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+from svaport import expr as ex
 from svaport.errors import UnknownSignalError
 from svaport.monitor import (Failure, check_assertion, check_assertions,
                              check_batch)
@@ -98,6 +101,21 @@ def test_past_reads_back_and_underflow_warns():
     v = check_assertion(trace, prop("en |-> y == $past(x)"))
     assert v.statuses == ["fail", "pass", "pass", "pass"]
     assert v.past_underflow_warnings == 1  # the cycle-0 read of x[-1]
+
+
+def test_past_underflows_count_every_read_and_the_disable_term():
+    trace = make_trace(3, en=[1, 1, 1], x=[1, 1, 1], rst=[0, 0, 0])
+    # both arms of ?: are read (2 at cycle 0), and $past(x, 2) twice more
+    # (cycles 0 and 1)
+    a = prop("en |-> (en ? $past(x) : $past(x)) == $past(x, 2)")
+    assert check_assertion(trace, a).past_underflow_warnings == 2 + 2
+    # a disable term reads rst one cycle back at every cycle: 1 more (the
+    # parser keeps $past out of disable iff, so it is built directly)
+    a = replace(a, disable=ex.Past(ex.Ident("rst"), 1))
+    assert check_assertion(trace, a).past_underflow_warnings == 1 + 2 + 2
+    # a vacuous antecedent leaves the consequent unread
+    v = check_assertion(trace, prop("!en |-> $past(x)"))
+    assert v.past_underflow_warnings == 0
 
 
 def test_past_depth_two():

@@ -1,10 +1,11 @@
-"""Candidate enumeration and vectorized evaluation of the stimulus search."""
+"""Candidate enumeration of the stimulus search, and its screens' $past."""
 
 import numpy as np
 
 from svaport import expr as ex
 from svaport.netlist import Net, NetKind, Netlist
-from svaport.search import SearchBudget, _vectors, batch_eval
+from svaport.search import SearchBudget, _vectors
+from svaport.sim import BatchExpr
 
 
 def _inputs(*widths: int) -> Netlist:
@@ -49,6 +50,6 @@ def test_random_codes_beyond_63_bits_use_more_words():
 def test_past_reads_nets_before_cycle_zero_as_zero():
     values = {"a": np.array([[1, 1, 0]], dtype=np.uint64)}
     e = ex.Past(ex.Unary("!", ex.Ident("a")), 1)
-    got = batch_eval(e, values.__getitem__, lambda n: 1)
+    got = BatchExpr(e, lambda n: 1, {})(values)
     # cycle 0 evaluates !a with a at 0; later cycles see !a one cycle back
     assert got.tolist() == [[1, 0, 0]]

@@ -6,7 +6,6 @@ import random
 import pytest
 
 from svaport import corpus, sim, trojan
-from svaport import expr as ex
 from svaport.errors import (ActivationNotFoundError, CombinationalLoopError,
                             ConfigError, InsufficientSignalsError,
                             PayloadConflictError)
@@ -14,12 +13,13 @@ from svaport.monitor import check_assertions
 from svaport.netlist import NetKind
 from svaport.rtl_parser import parse_design
 from svaport.search import SearchBudget
-from svaport.sim import Stimulus, simulate
+from svaport.sim import BatchExpr, Stimulus, simulate
 from svaport.sva import parse_assertions
 from svaport.trojan import (ForgeParams, TriggerCond, TrojanSpec,
                             activation_stimulus, forge, inject, load_trojans,
-                            save_trojans, trigger_expr, trigger_fires,
-                            validate_spec)
+                            save_trojans, trigger_expr, validate_spec)
+
+from .oracles import trigger_holds
 
 TOY_RTL = """\
 module toy (
@@ -110,15 +110,14 @@ def test_inject_preserves_interface_and_original(toy):
     before = toy.fingerprint()
     out = inject(toy, spec)
     assert toy.fingerprint() == before
-    assert out.netlist.name == toy.name
-    assert out.netlist.ports == toy.ports
-    assert {n: (d.kind, d.width) for n, d in out.netlist.nets.items()} \
+    assert out.name == toy.name
+    assert out.ports == toy.ports
+    assert {n: (d.kind, d.width) for n, d in out.nets.items()} \
         == {n: (d.kind, d.width) for n, d in toy.nets.items()}
-    assert out.netlist.params == toy.params
-    assert out.netlist.fingerprint() != before
-    assert out.provenance == {"original": before, "trojan": "toy_t99"}
+    assert out.params == toy.params
+    assert out.fingerprint() != before
     # only the payload net's driver changed
-    changed = [a.lhs for a in out.netlist.assigns
+    changed = [a.lhs for a in out.assigns
                if a not in toy.assigns]
     assert changed == ["sum_o"]
 
@@ -131,10 +130,10 @@ def test_inject_can_rewrite_a_register_driver():
                       trigger=(TriggerCond("csr_wdata_i", 0, 1),), k=1,
                       payload_kind="invert_net", payload_net=reg)
     out = inject(csr, spec)
-    assert out.netlist.assigns == csr.assigns
-    assert [r.target for r in out.netlist.registers] \
+    assert out.assigns == csr.assigns
+    assert [r.target for r in out.registers] \
         == [r.target for r in csr.registers]
-    assert out.netlist.registers != csr.registers
+    assert out.registers != csr.registers
 
 
 def test_inject_rejects_unrewritable_payloads(toy):
@@ -152,27 +151,17 @@ def test_inject_surfaces_trigger_loops(toy):
         inject(toy, spec)
 
 
-def test_trigger_expr_agrees_with_trigger_fires(toy, forged):
-    class _Ctx(ex.EvalContext):
-        def __init__(self, trace, cycle):
-            self.trace, self.cycle = trace, cycle
-
-        def value(self, name):
-            return self.trace.value(name, self.cycle)
-
-        def width(self, name):
-            return toy.width(name)
-
+def test_trigger_expr_agrees_with_the_oracle_trigger_check(toy, forged):
     rng = random.Random(3)
     stim = Stimulus.for_design(toy, [
         {"a_i": rng.randrange(16), "b_i": rng.randrange(16),
          "en_i": rng.randrange(2)} for _ in range(64)])
     for spec in forged:
-        e = trigger_expr(spec, toy)
-        trace = simulate(inject(toy, spec).netlist, stim)
+        trig = BatchExpr(trigger_expr(spec, toy), toy.width, {})
+        trace = simulate(inject(toy, spec), stim)
+        fired = trig(trace.arrays(trig.nets))[0]
         for t in range(trace.cycles):
-            assert bool(ex.evaluate(e, _Ctx(trace, t))) \
-                == trigger_fires(spec, trace, t)
+            assert bool(fired[t]) == trigger_holds(spec, trace, t)
 
 
 def test_forge_is_deterministic(toy, toy_asserts, forged):
@@ -228,14 +217,14 @@ def test_dormant_trojans_are_invisible(toy, forged):
     rng = random.Random(2024)
     nets = sorted(toy.nets)
     for spec in forged:
-        dirty = inject(toy, spec).netlist
+        dirty = inject(toy, spec)
         quiet = 0
         for _ in range(200):
             stim = Stimulus.for_design(toy, [
                 {"a_i": rng.randrange(16), "b_i": rng.randrange(16),
                  "en_i": rng.randrange(2)} for _ in range(6)])
             dirty_trace = simulate(dirty, stim)
-            if any(trigger_fires(spec, dirty_trace, t)
+            if any(trigger_holds(spec, dirty_trace, t)
                    for t in range(dirty_trace.cycles)):
                 continue
             quiet += 1
@@ -249,7 +238,7 @@ def test_activation_replays_from_metadata(toy, toy_asserts, forged):
     by_name = {a.effective_name(): a for a in toy_asserts}
     for spec in forged:
         stim = Stimulus(inputs=spec.meta["activation"])
-        dirty = simulate(inject(toy, spec).netlist, stim)
+        dirty = simulate(inject(toy, spec), stim)
         clean = simulate(toy, stim)
         assert any(clean.values[n] != dirty.values[n] for n in sorted(toy.nets))
         verdicts = {v.name: v for v in check_assertions(dirty, toy_asserts)}
@@ -263,9 +252,9 @@ def test_activation_replays_from_metadata(toy, toy_asserts, forged):
 def test_activation_stimulus_search(toy, forged):
     spec = forged[0]
     stim = activation_stimulus(spec, toy, seed=4)
-    dirty = simulate(inject(toy, spec).netlist, stim)
+    dirty = simulate(inject(toy, spec), stim)
     clean = simulate(toy, stim)
-    assert any(trigger_fires(spec, dirty, t) for t in range(dirty.cycles))
+    assert any(trigger_holds(spec, dirty, t) for t in range(dirty.cycles))
     assert any(clean.values[n] != dirty.values[n] for n in sorted(toy.nets))
 
 
