@@ -124,8 +124,7 @@ def cmd_translate(config: ProjectConfig) -> int:
             key = assertion_key(assertion, idx)
             stem = f"a{idx:02d}_{_slug(key)}"
             tconf = TranslationConfig(
-                budget=SearchBudget(horizon=config.horizon,
-                                    exhaustive_bits=20),
+                budget=SearchBudget(horizon=config.horizon),
                 seed=config.seed, key=key)
             outcome = translate(assertion, target, smap, tconf,
                                 graph=graph, kernel=kernel)
@@ -199,13 +198,12 @@ def cmd_inject(config: ProjectConfig) -> int:
 # evaluate
 
 
-def _evaluate_one(sv_text: str, spec_doc: dict, stim_rows: list,
-                  sva_texts: tuple[str, ...]) -> tuple[str, bool, str | None]:
+def _evaluate_one(sv_text: str, stim_rows: list,
+                  sva_texts: tuple[str, ...]) -> tuple[bool, str | None]:
     """Score one trojan: does any translated assertion fail on its
     activation run?  Self-contained and picklable so a process pool can
     run it; any error is reported, never raised, to keep one bad trojan
     from sinking the batch."""
-    trojan_id = str(spec_doc.get("id", "<unknown>"))
     try:
         netlist = parse_design(sv_text)
         assertions: list[Assertion] = []
@@ -215,9 +213,9 @@ def _evaluate_one(sv_text: str, spec_doc: dict, stim_rows: list,
         trace = simulate(netlist, stimulus)
         verdicts = check_assertions(trace, assertions)
         detected = any(v.failure_count >= 1 for v in verdicts)
-        return trojan_id, detected, None
+        return detected, None
     except Exception as err:  # noqa: BLE001 - isolation boundary
-        return trojan_id, False, f"{type(err).__name__}: {err}"
+        return False, f"{type(err).__name__}: {err}"
 
 
 def _trojan_files(config: ProjectConfig, job: ModuleJob) -> list[Path]:
@@ -246,7 +244,7 @@ def cmd_evaluate(config: ProjectConfig) -> int:
         per_module[job.name] = {
             "source": source_count,
             "translated": translated_count,
-            "specs": [],
+            "scored": [],
         }
         for spec_path in _trojan_files(config, job):
             spec = load_trojans(spec_path)[0]
@@ -256,29 +254,27 @@ def cmd_evaluate(config: ProjectConfig) -> int:
                 raise ConfigError(
                     f"trojan {spec.id}: missing {sv_path.name} or "
                     f"{stim_path.name}; run the inject stage first")
-            args = (sv_path.read_text(), spec.to_dict(),
-                    json.loads(stim_path.read_text()), sva_texts)
-            per_module[job.name]["specs"].append(spec)
+            args = (sv_path.read_text(), json.loads(stim_path.read_text()),
+                    sva_texts)
             tasks.append((job, spec, args))
 
-    results: dict[str, tuple[bool, str | None]] = {}
     if config.jobs > 1 and len(tasks) > 1:
         with futures.ProcessPoolExecutor(max_workers=config.jobs) as pool:
-            for trojan_id, detected, error in pool.map(
-                    _evaluate_one, *zip(*(t[2] for t in tasks))):
-                results[trojan_id] = (detected, error)
+            results = list(pool.map(_evaluate_one,
+                                    *zip(*(t[2] for t in tasks))))
     else:
-        for _, _, args in tasks:
-            trojan_id, detected, error = _evaluate_one(*args)
-            results[trojan_id] = (detected, error)
+        results = [_evaluate_one(*args) for _, _, args in tasks]
+    # results pair with tasks by position, not by trojan id: imported specs
+    # choose their own ids, so two modules may share one
+    for (job, spec, _), (detected, error) in zip(tasks, results):
+        per_module[job.name]["scored"].append((spec, detected, error))
 
     for job in config.modules:
         info = per_module[job.name]
         detected_count = 0
-        for spec in info["specs"]:
-            detected, error = results[spec.id]
+        for spec, detected, error in info["scored"]:
             if error is not None:
-                _warn(f"trojan {spec.id}: {error}")
+                _warn(f"module {job.name}, trojan {spec.id}: {error}")
             detected_count += bool(detected)
             probability = analytic_probability(spec)
             trojan_rows.append(TrojanRow(spec.id, job.name, probability))
@@ -294,14 +290,14 @@ def cmd_evaluate(config: ProjectConfig) -> int:
             module=job.name,
             source_assertions=info["source"],
             translated=info["translated"],
-            generated=len(info["specs"]),
+            generated=len(info["scored"]),
             detected=detected_count,
         ))
         raw["modules"].append({
             "module": job.name,
             "source_assertions": info["source"],
             "translated": info["translated"],
-            "generated": len(info["specs"]),
+            "generated": len(info["scored"]),
             "detected": detected_count,
         })
 

@@ -84,9 +84,6 @@ class Netlist:
     def inputs(self) -> list[Net]:
         return [n for n in self.nets.values() if n.kind is NetKind.INPUT]
 
-    def input_bits(self) -> int:
-        return sum(n.width for n in self.inputs())
-
     def driver_of(self, name: str) -> Assign | Register | None:
         for a in self.assigns:
             if a.lhs == name:

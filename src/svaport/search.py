@@ -29,7 +29,7 @@ _WORD = 63  # random bits per drawn code word (the draw keeps the sign bit clear
 @dataclass
 class SearchBudget:
     horizon: int = 16          # cycles per candidate stimulus
-    exhaustive_bits: int = 16  # enumerate when free bits fit
+    exhaustive_bits: int = 20  # enumerate when free bits fit
     random_vectors: int = 10000
     warmup: int = 4            # prefix length for two-phase candidates
 
@@ -57,18 +57,6 @@ def input_cone(netlist: Netlist, graph: DependencyGraph,
     return sorted(inputs - clocks)
 
 
-def _bit_layout(netlist: Netlist, inputs: list[str],
-                forced: dict[tuple[str, int], int]):
-    """Split the bits of *inputs* into forced and free, little islands the
-    vector enumerator can pack into one integer."""
-    free: list[tuple[str, int]] = []
-    for name in inputs:
-        for bit in range(netlist.nets[name].width):
-            if (name, bit) not in forced:
-                free.append((name, bit))
-    return free
-
-
 def _vectors(netlist: Netlist, inputs: list[str],
              forced: dict[tuple[str, int], int],
              rng: np.random.Generator,
@@ -76,7 +64,9 @@ def _vectors(netlist: Netlist, inputs: list[str],
     """Yield batches of constant input vectors (dict name -> (rows,) uint64)
     honoring the forced bits.  Exhaustive in integer order when the free
     space fits, else seeded random."""
-    free = _bit_layout(netlist, inputs, forced)
+    free = [(name, bit) for name in inputs
+            for bit in range(netlist.nets[name].width)
+            if (name, bit) not in forced]
     base = {name: np.uint64(0) for name in inputs}
     for (name, bit), val in forced.items():
         if name in base and val:
@@ -161,26 +151,25 @@ def search_stimulus(
     netlist: Netlist,
     relevant_inputs: list[str],
     forced: dict[tuple[str, int], int],
-    objective: Callable[[dict[str, np.ndarray], dict[str, np.ndarray], int],
+    objective: Callable[[dict[str, np.ndarray], dict[str, np.ndarray]],
                         np.ndarray],
     accept: Callable[[Stimulus], bool],
     rng: np.random.Generator,
     budget: SearchBudget,
     kernel: SimKernel | None = None,
-    max_exact_checks: int = 64,
 ) -> tuple[Stimulus | None, SearchStats]:
     """Find a stimulus that meets the caller's objective.
 
     The batch mask is the objective.  *objective* receives the
-    batch-simulated net arrays (rows x cycles), the raw input arrays that
-    produced them (so it can co-simulate another kernel on the same
-    candidates) and *max_exact_checks*.  It screens the batch with a cheap
-    necessary condition, decides the full objective with arrays over the
-    first *max_exact_checks* rows that pass the screen, and returns the
-    rows that meet it in ascending order.  *accept* only confirms: the
-    first returned row is materialized and re-checked with a scalar run
-    (single-run semantics, monitors, ...); should it disagree, the next
-    row is tried.
+    batch-simulated net arrays (rows x cycles) and the raw input arrays
+    that produced them (so it can co-simulate another kernel on the same
+    candidates), decides the full objective with arrays over every row of
+    the batch, and returns every row that meets it in ascending order.
+    *accept* only confirms: the first returned row is materialized and
+    re-checked with a scalar run (single-run semantics, monitors, ...);
+    should it disagree, the next row is tried.  With an exhaustive
+    enumeration, every candidate that meets the objective is therefore
+    reached.
     Deterministic: candidate order is fixed by the enumeration and the
     seeded stream.
     """
@@ -201,7 +190,7 @@ def search_stimulus(
             for name, lvl in resets.items():
                 inputs[name] = np.full(rows, lvl, dtype=np.uint64)
             arrays = kernel.run_batch(inputs, cycles)
-            for row in objective(arrays, inputs, max_exact_checks):
+            for row in objective(arrays, inputs):
                 stim = _materialize(netlist, inputs, int(row), cycles, resets)
                 if accept(stim):
                     return stim, stats

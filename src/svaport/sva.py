@@ -38,9 +38,6 @@ class SeqExpr:
 
     steps: tuple[tuple[int, ex.Expr], ...]
 
-    def span(self) -> int:
-        return sum(d for d, _ in self.steps)
-
     def terms(self):
         return [t for _, t in self.steps]
 

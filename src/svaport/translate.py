@@ -27,8 +27,8 @@ from .graph import DependencyGraph, Relationship, build_graph, classify, fanin
 from .monitor import check_assertion, check_batch
 from .netlist import Netlist
 from .rng import substream
-from .search import SearchBudget, input_cone, search_stimulus, take_rows
-from .sim import BatchExpr, SimKernel, Stimulus
+from .search import SearchBudget, input_cone, search_stimulus
+from .sim import SimKernel, Stimulus
 from .sva import Assertion, SeqExpr, signals_of
 
 DEFAULT_SUFFIXES = ("_i", "_o", "_q", "_d", "_n")
@@ -78,16 +78,6 @@ class SignalMap:
     suffixes: tuple[str, ...] = DEFAULT_SUFFIXES
     prefixes: tuple[str, ...] = ()
     naming: list[NamingRule] = field(default_factory=list)
-    manual_sources: set[str] = field(default_factory=set)
-
-    def add_manual(self, source: str, target: str) -> None:
-        if source in self.mappings and self.mappings[source] != target:
-            raise ConfigError(f"conflicting mapping for {source}")
-        self.mappings[source] = target
-        self.manual_sources.add(source)
-
-    def origin_of(self, source: str) -> str:
-        return "manual" if source in self.manual_sources else "alias_file"
 
     @staticmethod
     def from_dict(data: dict) -> "SignalMap":
@@ -273,7 +263,7 @@ def _resolve(name: str, target: Netlist, smap: SignalMap,
              norm_index: dict[str, list[str]]) -> tuple[str | None, str]:
     """Resolution chain for one identifier: (target name, method text)."""
     if name in smap.mappings:
-        return smap.mappings[name], smap.origin_of(name)
+        return smap.mappings[name], "alias_file"
     if target.resolves(name):
         return name, "exact"
     key = _normalize(name, smap.suffixes, smap.prefixes)
@@ -338,14 +328,6 @@ def trace_internal_logic(report: LinkReport,
     return report
 
 
-@dataclass(frozen=True)
-class DropPolicy:
-    """What may be discarded when a signal has no counterpart."""
-
-    drop_removable_conjuncts: bool = True
-    drop_unresolved_disable: bool = True
-
-
 def _functional_signals(a: Assertion) -> set[str]:
     out: set[str] = set()
     for term in a.antecedent.terms() + a.consequent.terms():
@@ -364,47 +346,45 @@ def _strip_conjuncts(seq: SeqExpr, doomed: set[str]) -> SeqExpr | None:
     return SeqExpr(tuple(steps))
 
 
-def drop_untranslatable(report: LinkReport, policy: DropPolicy) -> LinkReport:
+def drop_untranslatable(report: LinkReport) -> LinkReport:
     """Decide the fate of unresolved signals.
 
     A signal carried only by removable conjuncts is dropped (the conjunct
     goes with it); one whose removal would leave an implication side empty
     stays unresolved.  A disable expression referencing signals without
-    counterparts is removed wholesale when the policy allows — losing a
-    reset guard weakens nothing an implication checks.
+    counterparts is removed wholesale — losing a reset guard weakens
+    nothing an implication checks.
     """
     a = report.assertion
     functional = _functional_signals(a)
     disable_ids = ex.idents_of(a.disable) if a.disable is not None else set()
 
-    candidates = {e.source for e in report.unresolved() if e.source in functional}
-    if policy.drop_removable_conjuncts:
-        doomed = set(candidates)
-        while doomed:
-            blocked: set[str] = set()
-            for seq in (a.antecedent, a.consequent):
-                for _, term in seq.steps:
-                    cs = ex.conjuncts(term)
-                    if all(ex.idents_of(c) & doomed for c in cs):
-                        for c in cs:
-                            blocked |= ex.idents_of(c) & doomed
-            if not blocked:
-                break
-            for name in blocked:
-                entry = report.entries[name]
-                entry.method += ("; dropping it would empty the "
-                                 "antecedent or consequent")
-            doomed -= blocked
-        for name in doomed:
+    doomed = {e.source for e in report.unresolved() if e.source in functional}
+    while doomed:
+        blocked: set[str] = set()
+        for seq in (a.antecedent, a.consequent):
+            for _, term in seq.steps:
+                cs = ex.conjuncts(term)
+                if all(ex.idents_of(c) & doomed for c in cs):
+                    for c in cs:
+                        blocked |= ex.idents_of(c) & doomed
+        if not blocked:
+            break
+        for name in blocked:
             entry = report.entries[name]
-            entry.status = DROPPED
-            entry.method = "removable conjunct dropped: " + entry.method
+            entry.method += ("; dropping it would empty the "
+                             "antecedent or consequent")
+        doomed -= blocked
+    for name in doomed:
+        entry = report.entries[name]
+        entry.status = DROPPED
+        entry.method = "removable conjunct dropped: " + entry.method
 
     if a.disable is not None:
         unresolved_disable = {
             n for n in disable_ids
             if report.entries[n].status != MATCHED}
-        if unresolved_disable and policy.drop_unresolved_disable:
+        if unresolved_disable:
             report.disable_dropped = True
             report.disable_reason = (
                 "disable expression references "
@@ -425,9 +405,7 @@ def drop_untranslatable(report: LinkReport, policy: DropPolicy) -> LinkReport:
 class TranslationConfig:
     """Knobs for the rewrite and the activation search."""
 
-    negation_to_eq0: bool = True
-    drop_policy: DropPolicy = field(default_factory=DropPolicy)
-    budget: SearchBudget = field(default_factory=lambda: SearchBudget(exhaustive_bits=20))
+    budget: SearchBudget = field(default_factory=SearchBudget)
     seed: int = 0
     generate_testcase: bool = True
     key: str | None = None  # naming/augmentation selector; default derived
@@ -460,10 +438,8 @@ def assertion_key(a: Assertion, index: int = 0) -> str:
     return a.label or a.name or f"#{index}"
 
 
-def _restyle(term: ex.Expr, enabled: bool) -> ex.Expr:
+def _restyle(term: ex.Expr) -> ex.Expr:
     """Render plain negations of a name as comparisons with zero."""
-    if not enabled:
-        return term
     out = []
     for c in ex.conjuncts(term):
         if isinstance(c, ex.Unary) and c.op == "!" and \
@@ -505,7 +481,7 @@ def translate(source: Assertion, target: Netlist, smap: SignalMap,
 
     report = identify_signals(source, target, smap)
     report = trace_internal_logic(report, graph, target)
-    report = drop_untranslatable(report, config.drop_policy)
+    report = drop_untranslatable(report)
 
     unresolved = report.unresolved()
     if report.clock_target is None:
@@ -528,7 +504,7 @@ def translate(source: Assertion, target: Netlist, smap: SignalMap,
         reduced = _strip_conjuncts(seq, dropped)
         assert reduced is not None  # drop stage guarantees non-empty steps
         steps = tuple(
-            (delay, _restyle(ex.rename(term, table), config.negation_to_eq0))
+            (delay, _restyle(ex.rename(term, table)))
             for delay, term in reduced.steps)
         return SeqExpr(steps)
 
@@ -568,33 +544,23 @@ def generate_testcase(a: Assertion, target: Netlist,
                       kernel: SimKernel | None = None) -> Stimulus | None:
     """Find inputs under which *a* passes non-vacuously on the clean design.
 
-    Batch simulation screens for stimuli whose first antecedent term fires
-    early enough for the full sequence to fit the horizon; the monitor then
-    decides the verdict (no failure, at least one completed non-vacuous
-    pass) on the batch, and a scalar simulation checked by
-    ``check_assertion`` confirms the winner.  The
-    search covers the assertion's whole input cone, then, if that finds
-    nothing, the input cone of the antecedent alone.
+    The monitor decides the verdict (no failure, at least one completed
+    non-vacuous pass) with arrays over every candidate of each simulated
+    batch, and a scalar simulation checked by ``check_assertion`` confirms
+    the first candidate that meets it.  The search covers the assertion's
+    whole input cone, then, if that finds nothing, the input cone of the
+    antecedent alone.
     """
     config = config or TranslationConfig()
     graph = graph or build_graph(target)
     kernel = kernel or SimKernel(target)
-    budget = config.budget
-    span = a.antecedent.span() + a.consequent.span() + \
-        (1 if a.implication == "|=>" else 0)
-    window = max(budget.horizon - span, 1)
-
     params = {name: p.value for name, p in target.params.items()}
     widths = {name: net.width for name, net in target.nets.items()}
-    first_term = BatchExpr(a.antecedent.steps[0][1], target.width, params)
 
     def objective(arrays: dict[str, np.ndarray],
-                  inputs: dict[str, np.ndarray], limit: int) -> np.ndarray:
-        hot = first_term(arrays) != 0
-        rows = np.flatnonzero(hot[:, :window].any(axis=1))[:limit]
-        verdict = check_batch(a, take_rows(arrays, rows), widths, params,
-                              target.name)
-        return rows[verdict.passed & ~verdict.failed]
+                  inputs: dict[str, np.ndarray]) -> np.ndarray:
+        verdict = check_batch(a, arrays, widths, params, target.name)
+        return np.flatnonzero(verdict.passed & ~verdict.failed)
 
     def accept(stim: Stimulus) -> bool:
         verdict = check_assertion(kernel.run(stim), a)
@@ -609,7 +575,8 @@ def generate_testcase(a: Assertion, target: Netlist,
     rng = substream(config.seed, "translate", "testcase", a.effective_name())
     for relevant in ([cone, narrow] if narrow != cone else [cone]):
         stim, _stats = search_stimulus(target, relevant, {}, objective,
-                                       accept, rng, budget, kernel=kernel)
+                                       accept, rng, config.budget,
+                                       kernel=kernel)
         if stim is not None:
             return stim
     return None

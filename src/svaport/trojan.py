@@ -237,7 +237,7 @@ class ForgeParams:
     unique_failure: bool = True
 
     def budget(self) -> SearchBudget:
-        return SearchBudget(horizon=self.horizon, exhaustive_bits=20)
+        return SearchBudget(horizon=self.horizon)
 
 
 def _trigger_pool(netlist: Netlist, assertions: list[Assertion]) -> list[tuple[str, int]]:
@@ -366,10 +366,11 @@ def _find_activation(spec: TrojanSpec, netlist: Netlist,
     clean one; with *unique_failure* no other supplied assertion may fail.
 
     The batch mask is the objective: each batch is screened by the trigger
-    and the target's first antecedent term, the clean design is
-    co-simulated on the rows that pass, and the assertions are checked with
-    arrays over the first ``max_exact_checks`` rows that also differ.
-    ``accept`` re-runs the winner on both compiled kernels only to confirm.
+    and the target's first antecedent term (both necessary), the clean
+    design is co-simulated on the rows that pass, and the assertions are
+    checked with arrays over the whole batch, so every row that meets the
+    objective is returned.  ``accept`` re-runs the first of them on both
+    compiled kernels only to confirm.
     """
     injected = inject(netlist, spec)
     inj_kernel = SimKernel(injected)
@@ -390,8 +391,11 @@ def _find_activation(spec: TrojanSpec, netlist: Netlist,
     ante_term = (BatchExpr(target.antecedent.steps[0][1], injected.width,
                            params) if target is not None else None)
 
+    def fails(a: Assertion, values: dict[str, np.ndarray]) -> np.ndarray:
+        return check_batch(a, values, widths, params, netlist.name).failed
+
     def objective(arrays: dict[str, np.ndarray],
-                  inputs: dict[str, np.ndarray], limit: int) -> np.ndarray:
+                  inputs: dict[str, np.ndarray]) -> np.ndarray:
         screen = (trig(arrays) != 0).any(axis=1)
         if ante_term is not None:
             screen &= (ante_term(arrays) != 0).any(axis=1)
@@ -400,25 +404,19 @@ def _find_activation(spec: TrojanSpec, netlist: Netlist,
             return rows
         cycles = next(iter(arrays.values())).shape[1]
         clean = kernel.run_batch(take_rows(inputs, rows), cycles)
-        differs = np.zeros(rows.size, dtype=bool)
+        ok = np.zeros(rows.size, dtype=bool)
         for n in watch:
-            differs |= (arrays[n][rows] != clean[n]).any(axis=1)
-        keep = np.flatnonzero(differs)[:limit]
-        rows = rows[keep]
-        if target is None or not rows.size:
-            return rows
-        dirty = take_rows(arrays, rows)
-        failed = [(a.effective_name(),
-                   check_batch(a, dirty, widths, params, netlist.name).failed)
-                  for a in checked]
-        name = target.effective_name()
-        ok = dict(failed)[name].copy()
+            ok |= (arrays[n][rows] != clean[n]).any(axis=1)
+        if target is None or not ok.any():
+            return rows[ok]
+        # the dirty arrays are checked whole and the clean ones hold only
+        # the screened rows, so every verdict is indexed by row, not copied
+        ok &= ~fails(target, clean)
+        ok &= fails(target, arrays)[rows]
         if unique_failure:
-            for other, hit in failed:
-                if other != name:
-                    ok &= ~hit
-        clean = take_rows(clean, keep)
-        ok &= ~check_batch(target, clean, widths, params, netlist.name).failed
+            for a in checked:
+                if a.effective_name() != target.effective_name() and ok.any():
+                    ok &= ~fails(a, arrays)[rows]
         return rows[ok]
 
     def accept(stim: Stimulus) -> bool:
@@ -470,7 +468,7 @@ def activation_stimulus(spec: TrojanSpec, netlist: Netlist,
     Exhaustive over the relevant input bits when they fit the budget,
     otherwise a seeded random sweep; deterministic either way.
     """
-    budget = budget or SearchBudget(horizon=horizon, exhaustive_bits=20)
+    budget = budget or SearchBudget(horizon=horizon)
     rng = substream(seed, "activate", spec.module, spec.id)
     stim = _find_activation(spec, netlist, assertions, None, budget, rng)
     if stim is None:

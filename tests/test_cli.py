@@ -256,6 +256,27 @@ def test_parallel_evaluation_matches_serial(tmp_path, capsys):
     assert parallel == serial
 
 
+def test_evaluate_keeps_verdicts_apart_when_modules_share_trojan_ids(
+        tmp_path, capsys):
+    # both modules port the same design, so both forge toy_t00 and toy_t01
+    toy = {"target_design": "toy.sv", "assertions": "toy.sva", "trojans": 2}
+    cfg = make_campaign(tmp_path, modules=[dict(toy, name="a"),
+                                           dict(toy, name="b")])
+    for stage in ("translate", "inject"):
+        assert main([stage, "--config", str(cfg)]) == 0
+    (tmp_path / "out" / "a" / "trojans" / "toy_t00.sv").write_text("module")
+    for jobs in ("1", "2"):
+        assert main(["evaluate", "--config", str(cfg), "--jobs", jobs]) == 0
+        raw = json.loads((tmp_path / "out" / "metrics.json").read_text())
+        verdicts = [(t["module"], t["id"], t["detected"], t["error"] is None)
+                    for t in raw["trojans"]]
+        assert verdicts == [("a", "toy_t00", False, False),
+                            ("a", "toy_t01", True, True),
+                            ("b", "toy_t00", True, True),
+                            ("b", "toy_t01", True, True)]
+        assert "module a, trojan toy_t00: ParseError" in capsys.readouterr().err
+
+
 def test_report_rerenders_existing_metrics(tmp_path, capsys):
     cfg = make_campaign(tmp_path)
     for stage in ("translate", "inject", "evaluate"):

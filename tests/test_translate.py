@@ -101,8 +101,7 @@ def test_identity_translation_is_conservative(csr_unit):
         "HOLD: assert property (@(posedge clk_i) csr_op_en_i |-> "
         "csr_we_int == 0 || illegal_csr_insn_o == 0);")
     out = translate(source, csr_unit, SignalMap(),
-                    TranslationConfig(negation_to_eq0=False,
-                                      generate_testcase=False))
+                    TranslationConfig(generate_testcase=False))
     assert out.translatable
     assert out.verdict.assertion == source
 
@@ -265,5 +264,31 @@ def test_testcase_search_over_more_than_63_free_bits():
                         "a_i[39] && b_i[39] |-> x_o[39] == 1'b0);")
     stim = generate_testcase(a, target)
     assert stim is not None
+    v = check_assertion(simulate(target, stim), a)
+    assert v.failure_count == 0 and v.non_vacuous_passes >= 1
+
+
+WIT_RTL = """\
+module wit (
+  input  logic       clk_i,
+  input  logic [7:0] x_i,
+  input  logic [7:0] y_i,
+  output logic       ok_o
+);
+  assign ok_o = y_i == 8'd31;
+endmodule
+"""
+
+
+def test_testcase_search_decides_every_candidate_of_a_batch():
+    # the 16-bit space is enumerated in one batch, x_i in the low code bits:
+    # half the rows fire the antecedent, and the only witnesses (y_i == 31)
+    # sit thousands of rows past the first of them
+    target = parse_design(WIT_RTL)
+    a = parse_assertion("W: assert property (@(posedge clk_i) "
+                        "x_i[0] == 0 |-> ok_o);")
+    stim = generate_testcase(a, target)
+    assert stim is not None
+    assert {(c["x_i"], c["y_i"]) for c in stim.inputs} == {(0, 31)}
     v = check_assertion(simulate(target, stim), a)
     assert v.failure_count == 0 and v.non_vacuous_passes >= 1

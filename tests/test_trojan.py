@@ -3,6 +3,7 @@
 import json
 import random
 
+import numpy as np
 import pytest
 
 from svaport import corpus, sim, trojan
@@ -305,3 +306,41 @@ def test_forge_compiles_once_per_netlist_and_confirms_each_check(
     assert len(compiled) == len(set(compiled))
     # the batch objective is exact: every scalar confirmation succeeds
     assert confirmed and all(confirmed)
+
+
+DEEP_RTL = """\
+module deep (
+  input  logic       clk,
+  input  logic [7:0] x_i,
+  input  logic [7:0] y_i,
+  output logic       hit_o,
+  output logic       ok_o
+);
+  assign hit_o = y_i == 8'd31;
+  assign ok_o = !x_i[1];
+endmodule
+"""
+
+
+def test_activation_search_decides_every_candidate_of_a_batch():
+    # trigger x_i[0] == 0 is forced, so x_i[7:1] and y_i give 15 free bits,
+    # x_i first.  Every row whose antecedent holds (x_i[1] == 0) also shows
+    # the inverted ok_o, but the target fails only where hit_o is high
+    # (y_i == 31): the first such row has about 2,000 screened, differing
+    # rows before it in the first batch.
+    netlist = parse_design(DEEP_RTL)
+    target = parse_assertions(
+        "T: assert property (@(posedge clk) x_i[1] == 0 |-> ok_o || !hit_o);")[0]
+    spec = TrojanSpec(id="deep_t00", module="deep",
+                      module_kind="combinational",
+                      trigger=(TriggerCond("x_i", 0, 0),), k=1,
+                      payload_kind="invert_net", payload_net="ok_o")
+    budget = SearchBudget(horizon=4)
+    stim = trojan._find_activation(spec, netlist, [target], target, budget,
+                                   np.random.default_rng(0),
+                                   unique_failure=True)
+    assert stim is not None
+    assert {(c["x_i"], c["y_i"]) for c in stim.inputs} == {(0, 31)}
+    dirty = check_assertions(simulate(inject(netlist, spec), stim), [target])
+    clean = check_assertions(simulate(netlist, stim), [target])
+    assert dirty[0].failed and not clean[0].failed
