@@ -7,14 +7,18 @@ previous stage's files and writing its own under the output directory:
   writing one ``.sva`` per success and a link report per attempt,
 * ``inject`` - forge trojans against the translated assertions (and adopt
   any imported specs), writing mutated ``.sv``, spec JSON, and activation
-  stimulus per trojan,
+  stimulus per trojan; the activation is kept only in the stimulus file,
+  never in the spec,
 * ``evaluate`` - replay every activation stimulus on its mutated design,
   score detection, and render the campaign report,
 * ``report`` - re-render a finished evaluation in another format.
 
 Stages communicate only through these files, so any stage can be re-run
-or inspected in isolation.  All randomness derives from the config seed;
-identical config and seed give byte-identical artifacts.
+or inspected in isolation.  Testcases and activations share the one
+stimulus format of :func:`svaport.sim.stimulus_text`, and evaluate reads
+them back with :func:`svaport.sim.load_stimulus`.  All randomness derives
+from the config seed; identical config and seed give byte-identical
+artifacts.
 
 Exit codes: 0 on success, 2 when translation left assertions behind,
 1 for configuration, parse, forge, or simulation errors.
@@ -51,7 +55,8 @@ from .monitor import check_assertions
 from .netlist import Netlist, render_netlist
 from .rtl_parser import parse_design
 from .search import SearchBudget
-from .sim import SimKernel, Stimulus, simulate
+from .sim import (SimKernel, Stimulus, load_stimulus, simulate,
+                  stimulus_text)
 from .sva import Assertion, parse_assertions, render_assertion
 from .translate import SignalMap, TranslationConfig, assertion_key, translate
 from .trojan import (ForgeParams, TrojanSpec, activation_stimulus, forge,
@@ -141,7 +146,7 @@ def cmd_translate(config: ProjectConfig) -> int:
                               render_assertion(outcome.verdict.assertion) + "\n")
                 if outcome.verdict.testcase is not None:
                     _atomic_write(base / "testcases" / f"{stem}.json",
-                                  _json_text(outcome.verdict.testcase.inputs))
+                                  stimulus_text(outcome.verdict.testcase))
             else:
                 doc["reasons"] = list(outcome.verdict.reasons)
                 _warn(f"module {job.name}: assertion {key} is untranslatable")
@@ -181,16 +186,16 @@ def cmd_inject(config: ProjectConfig) -> int:
         tdir = _module_dir(config, job) / "trojans"
         for spec in specs:
             injected = inject(target, spec)
-            if "activation" not in spec.meta:
-                stim = activation_stimulus(spec, target, config.horizon,
-                                           seed=config.seed)
-                spec.meta["activation"] = stim.inputs
-            stimulus = Stimulus.for_design(target, spec.meta["activation"])
+            # the activation is written once, to its own stimulus file
+            rows = spec.meta.pop("activation", None)
+            stimulus = (activation_stimulus(spec, target, config.horizon,
+                                            seed=config.seed)
+                        if rows is None else Stimulus.for_design(target, rows))
             _atomic_write(tdir / f"{spec.id}.sv",
                           render_netlist(injected))
             _atomic_write(tdir / f"{spec.id}.json", _json_text(spec.to_dict()))
             _atomic_write(tdir / f"{spec.id}.stim.json",
-                          _json_text(stimulus.inputs))
+                          stimulus_text(stimulus))
     return 0
 
 
@@ -198,19 +203,15 @@ def cmd_inject(config: ProjectConfig) -> int:
 # evaluate
 
 
-def _evaluate_one(sv_text: str, stim_rows: list,
-                  sva_texts: tuple[str, ...]) -> tuple[bool, str | None]:
+def _evaluate_one(sv_path: Path, stim_path: Path,
+                  assertions: list[Assertion]) -> tuple[bool, str | None]:
     """Score one trojan: does any translated assertion fail on its
     activation run?  Self-contained and picklable so a process pool can
     run it; any error is reported, never raised, to keep one bad trojan
     from sinking the batch."""
     try:
-        netlist = parse_design(sv_text)
-        assertions: list[Assertion] = []
-        for text in sva_texts:
-            assertions.extend(parse_assertions(text))
-        stimulus = Stimulus.for_design(netlist, stim_rows)
-        trace = simulate(netlist, stimulus)
+        netlist = parse_design(sv_path.read_text())
+        trace = simulate(netlist, load_stimulus(stim_path, netlist))
         verdicts = check_assertions(trace, assertions)
         detected = any(v.failure_count >= 1 for v in verdicts)
         return detected, None
@@ -238,12 +239,11 @@ def cmd_evaluate(config: ProjectConfig) -> int:
         source_count = len(parse_assertions(job.assertions.read_text()))
         tdir = _module_dir(config, job) / "translated"
         sva_files = sorted(tdir.glob("*.sva")) if tdir.is_dir() else []
-        sva_texts = tuple(f.read_text() for f in sva_files)
-        translated_count = sum(
-            len(parse_assertions(text)) for text in sva_texts)
+        assertions = [a for f in sva_files
+                      for a in parse_assertions(f.read_text())]
         per_module[job.name] = {
             "source": source_count,
-            "translated": translated_count,
+            "translated": len(assertions),
             "scored": [],
         }
         for spec_path in _trojan_files(config, job):
@@ -254,9 +254,7 @@ def cmd_evaluate(config: ProjectConfig) -> int:
                 raise ConfigError(
                     f"trojan {spec.id}: missing {sv_path.name} or "
                     f"{stim_path.name}; run the inject stage first")
-            args = (sv_path.read_text(), json.loads(stim_path.read_text()),
-                    sva_texts)
-            tasks.append((job, spec, args))
+            tasks.append((job, spec, (sv_path, stim_path, assertions)))
 
     if config.jobs > 1 and len(tasks) > 1:
         with futures.ProcessPoolExecutor(max_workers=config.jobs) as pool:

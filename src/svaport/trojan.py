@@ -83,24 +83,43 @@ class TrojanSpec:
 
     @staticmethod
     def from_dict(data: dict) -> "TrojanSpec":
-        try:
-            trigger = tuple(
-                TriggerCond(row["signal"], row.get("bit"), row["value"])
-                for row in data["trigger"])
-            payload = data["payload"]
-            return TrojanSpec(
-                id=data["id"],
-                module=data["module"],
-                module_kind=data["module_kind"],
-                trigger=trigger,
-                k=data["k"],
-                payload_kind=payload["kind"],
-                payload_net=payload["net"],
-                payload_value=payload.get("value"),
-                meta=data.get("meta", {}),
-            )
-        except KeyError as err:
-            raise ConfigError(f"trojan record is missing field {err}") from err
+        record, entry = "trojan record", "trigger entry"
+        trigger = tuple(
+            TriggerCond(_field(row, "signal", str, entry),
+                        _field(row, "bit", int, entry, optional=True),
+                        _field(row, "value", int, entry))
+            for row in _field(data, "trigger", list, record))
+        payload = _field(data, "payload", dict, record)
+        return TrojanSpec(
+            id=_field(data, "id", str, record),
+            module=_field(data, "module", str, record),
+            module_kind=_field(data, "module_kind", str, record),
+            trigger=trigger,
+            k=_field(data, "k", int, record),
+            payload_kind=_field(payload, "kind", str, "payload"),
+            payload_net=_field(payload, "net", str, "payload"),
+            payload_value=_field(payload, "value", int, "payload",
+                                 optional=True),
+            meta=_field(data, "meta", dict, record, optional=True) or {},
+        )
+
+
+def _field(record, key: str, kind: type, where: str, *,
+           optional: bool = False):
+    """``record[key]`` checked to be a *kind* (a bool is not an int); an
+    optional field may be absent or null."""
+    if not isinstance(record, dict):
+        raise ConfigError(f"{where} must be an object, "
+                          f"got {type(record).__name__}")
+    if record.get(key) is None and optional:
+        return None
+    if key not in record:
+        raise ConfigError(f"{where} is missing field '{key}'")
+    value = record[key]
+    if not isinstance(value, kind) or (kind is int and isinstance(value, bool)):
+        raise ConfigError(f"{where} field '{key}' must be of type "
+                          f"{kind.__name__}, got {value!r}")
+    return value
 
 
 def save_trojans(specs: list[TrojanSpec], path: str | Path) -> None:
@@ -111,7 +130,10 @@ def save_trojans(specs: list[TrojanSpec], path: str | Path) -> None:
 def load_trojans(path: str | Path) -> list[TrojanSpec]:
     """Read one spec or an array of specs (the import path for externally
     authored trojans)."""
-    data = json.loads(Path(path).read_text())
+    try:
+        data = json.loads(Path(path).read_text())
+    except json.JSONDecodeError as err:
+        raise ConfigError(f"{path}: not valid JSON: {err}") from None
     rows = data if isinstance(data, list) else [data]
     return [TrojanSpec.from_dict(row) for row in rows]
 

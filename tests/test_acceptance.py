@@ -23,7 +23,8 @@ from svaport.monitor import check_assertion, check_assertions
 from svaport.netlist import NetKind
 from svaport.rtl_parser import parse_design
 from svaport.search import input_cone
-from svaport.sim import BatchExpr, SimKernel, Stimulus, Trace, simulate
+from svaport.sim import (BatchExpr, SimKernel, Trace, load_stimulus,
+                         simulate)
 from svaport.sva import parse_assertion, parse_assertions
 from svaport.translate import (SignalMap, TranslationConfig, assertion_key,
                                translate)
@@ -229,7 +230,8 @@ def test_c08_every_forged_trojan_is_dormant_until_activated(campaign_run,
                     (spec.id, net)
 
             # the stored activation makes the corruption visible and caught
-            stim = Stimulus.for_design(clean, spec.meta["activation"])
+            stim = load_stimulus(
+                spec_path.with_name(f"{spec.id}.stim.json"), clean)
             clean_trace = clean_kernel.run(stim)
             dirty_trace = dirty_kernel.run(stim)
             assert any(clean_trace.values[n] != dirty_trace.values[n]

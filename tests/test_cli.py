@@ -9,6 +9,8 @@ from svaport import cli
 from svaport.cli import main
 from svaport.config import ForgeDefaults, ModuleJob, ProjectConfig
 from svaport.errors import ConfigError
+from svaport.rtl_parser import parse_design
+from svaport.sim import Stimulus, load_stimulus
 
 from .test_trojan import TOY_RTL, TOY_SVA
 
@@ -199,7 +201,86 @@ def test_inject_stage_materializes_trojans(tmp_path, capsys):
         "toy_t01.json", "toy_t01.stim.json", "toy_t01.sv"]
     spec = json.loads((tdir / "toy_t00.json").read_text())
     assert spec["k"] == 2 and spec["meta"]["seed"] == 3
+    assert "activation" not in spec["meta"]  # it lives in toy_t00.stim.json
     assert "module toy" in (tdir / "toy_t00.sv").read_text()
+
+
+IMPORTED = {"id": "toy_imp", "module": "toy", "module_kind": "combinational",
+            "k": 2, "trigger": [{"signal": "a_i", "bit": 0, "value": 1},
+                                {"signal": "en_i", "bit": None, "value": 1}],
+            "payload": {"kind": "invert_net", "net": "sum_o"}}
+
+
+def _imported_campaign(root: Path, records) -> Path:
+    text = records if isinstance(records, str) else json.dumps(records)
+    (root / "imported.json").write_text(text)
+    return make_campaign(root, modules=[{
+        "name": "toy", "target_design": "toy.sv", "assertions": "toy.sva",
+        "trojans": 0, "imported_trojans": "imported.json"}])
+
+
+def test_imported_activation_is_written_once(tmp_path, capsys):
+    rows = [{"a_i": 1, "b_i": 0, "en_i": 1}, {"a_i": 2, "en_i": 1}, {}]
+    cfg = _imported_campaign(
+        tmp_path, [dict(IMPORTED, meta={"origin": "test", "activation": rows})])
+    for stage in ("translate", "inject"):
+        assert main([stage, "--config", str(cfg)]) == 0
+    tdir = tmp_path / "out" / "toy" / "trojans"
+    spec = json.loads((tdir / "toy_imp.json").read_text())
+    assert spec["meta"] == {"origin": "test", "seed": 3}
+    # the stimulus file holds the activation, one cycle per line
+    stim_path = tdir / "toy_imp.stim.json"
+    want = Stimulus.for_design(parse_design(TOY_RTL), rows).inputs
+    lines = stim_path.read_text().splitlines()
+    assert lines[0] == "[" and lines[-1] == "]"
+    assert [json.loads(line.rstrip(",")) for line in lines[1:-1]] == want
+    assert load_stimulus(stim_path, parse_design(TOY_RTL)).inputs == want
+    # evaluate scores it, and a hand-written indented file alike
+    for text in (None, json.dumps(want, indent=2) + "\n"):
+        if text is not None:
+            stim_path.write_text(text)
+        assert main(["evaluate", "--config", str(cfg)]) == 0
+        raw = json.loads((tmp_path / "out" / "metrics.json").read_text())
+        assert [(t["id"], t["detected"], t["error"]) for t in raw["trojans"]] \
+            == [("toy_imp", True, None)]
+
+
+@pytest.mark.parametrize("records, needle", [
+    pytest.param([5], "trojan record must be an object, got int",
+                 id="record-not-an-object"),
+    pytest.param([dict(IMPORTED, trigger=["a"])],
+                 "trigger entry must be an object, got str",
+                 id="trigger-entry-not-an-object"),
+    pytest.param([dict(IMPORTED, k="2")],
+                 "trojan record field 'k' must be of type int, got '2'",
+                 id="string-k"),
+    pytest.param([dict(IMPORTED, trigger=[{"signal": "a_i", "value": True}])],
+                 "trigger entry field 'value' must be of type int",
+                 id="bool-trigger-value"),
+    pytest.param([dict(IMPORTED, meta=[])],
+                 "trojan record field 'meta' must be of type dict",
+                 id="meta-not-an-object"),
+    pytest.param([dict(IMPORTED, meta={"activation": [{"a_i": "1"}]})],
+                 "cycle 0: value '1' for input a_i is not an integer",
+                 id="string-activation-value"),
+    pytest.param([dict(IMPORTED, meta={"activation": [{}, {"en_i": 1.5}]})],
+                 "cycle 1: value 1.5 for input en_i is not an integer",
+                 id="float-activation-value"),
+    pytest.param([dict(IMPORTED, meta={"activation": [{"a_i": 1}, 7]})],
+                 "cycle 1: expected a map of input values, got int",
+                 id="activation-cycle-not-an-object"),
+    pytest.param([dict(IMPORTED, meta={"activation": {"a_i": 1}})],
+                 "expected an array of per-cycle input maps",
+                 id="activation-not-an-array"),
+    pytest.param("[{", "not valid JSON", id="bad-json"),
+])
+def test_malformed_imported_trojan_exits_1(tmp_path, capsys, records, needle):
+    cfg = _imported_campaign(tmp_path, records)
+    assert main(["translate", "--config", str(cfg)]) == 0
+    capsys.readouterr()
+    assert main(["inject", "--config", str(cfg)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and needle in err
 
 
 def test_inject_before_translate_fails(tmp_path, capsys):

@@ -1,6 +1,7 @@
 """Simulation kernel and expression emitter: oracle agreement, determinism,
 batching, stimulus IO."""
 
+import json
 import random
 
 import numpy as np
@@ -9,11 +10,12 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from svaport import corpus
-from svaport.errors import ConfigError, ElaborationError, UnknownSignalError
+from svaport.errors import (ConfigError, ElaborationError, SvaportError,
+                            UnknownSignalError)
 from svaport.netlist import Netlist
 from svaport.rtl_parser import parse_design
 from svaport.sim import (BatchExpr, SimKernel, Stimulus, load_stimulus,
-                         save_stimulus, simulate, write_vcd)
+                         save_stimulus, simulate, stimulus_text, write_vcd)
 
 from . import gen, oracles
 
@@ -178,18 +180,76 @@ def test_stimulus_file_round_trip(tmp_path, corpus_designs):
     path = tmp_path / "stim.json"
     save_stimulus(stim, path)
     text = path.read_text()
-    assert text.lstrip().startswith("[")  # a bare array of cycle maps
+    assert text == stimulus_text(stim)
+    # a bare array holding one compact cycle map per line
+    lines = text.splitlines()
+    assert lines[0] == "[" and lines[-1] == "]" and len(lines) == 2 + 5
+    assert [json.loads(line.rstrip(",")) for line in lines[1:-1]] \
+        == stim.inputs
     assert load_stimulus(path, nl) == stim
-    # wrapped form is accepted too
-    path.write_text('{"inputs": ' + text + "}")
+    # any JSON array of cycle maps loads, such as an indented one
+    path.write_text(json.dumps(stim.inputs, indent=2) + "\n")
     assert load_stimulus(path, nl) == stim
 
 
-def test_load_stimulus_rejects_non_array(tmp_path, corpus_designs):
+@pytest.mark.parametrize("text, error, needle", [
+    pytest.param('{"cycles": 3}', ConfigError, "array", id="object"),
+    pytest.param('{"inputs": [{}]}', ConfigError, "array", id="wrapped"),
+    pytest.param('[{}, 5]', ConfigError,
+                 "cycle 1: expected a map of input values, got int",
+                 id="cycle-not-an-object"),
+    pytest.param('[{"dret_i": "1"}]', ConfigError,
+                 "cycle 0: value '1' for input dret_i is not an integer",
+                 id="string"),
+    pytest.param('[{}, {"dret_i": 1.5}]', ConfigError,
+                 "cycle 1: value 1.5 for input dret_i is not an integer",
+                 id="float"),
+    pytest.param('[{"dret_i": true}]', ConfigError,
+                 "cycle 0: value True for input dret_i is not an integer",
+                 id="bool"),
+    pytest.param('[{"dret_i": null}]', ConfigError,
+                 "cycle 0: value None for input dret_i is not an integer",
+                 id="null"),
+    pytest.param('[{"dret_i": -1}]', ConfigError,
+                 r"cycle 0: value -1 does not fit input dret_i\[0:0\]",
+                 id="negative"),
+    # the first bad cycle is named, not the first bad input
+    pytest.param('[{}, {"step_en_i": 2}, {"debug_req_i": 2}]', ConfigError,
+                 "cycle 1: value 2 does not fit input step_en_i",
+                 id="first-bad-cycle"),
+    pytest.param('[{"debug_mode_q": 1}, {"dret_i": 2}]', UnknownSignalError,
+                 "debug_mode_q is not an input", id="unknown-input"),
+])
+def test_load_stimulus_rejects_non_array(tmp_path, corpus_designs, text,
+                                         error, needle):
     path = tmp_path / "bad.json"
-    path.write_text('{"cycles": 3}')
-    with pytest.raises(ConfigError, match="array"):
+    path.write_text(text)
+    with pytest.raises(error, match=needle):
         load_stimulus(path, corpus_designs["debug_unit"])
+
+
+_CYCLE_VALUES = st.one_of(st.integers(-1, 5), st.booleans(),
+                          st.just(None), st.just(1.0), st.just("1"))
+
+
+@settings(max_examples=200)
+@given(st.lists(st.dictionaries(
+    st.sampled_from(["debug_req_i", "dret_i", "step_en_i", "rst_ni",
+                     "debug_mode_q"]), _CYCLE_VALUES), max_size=6))
+def test_stimulus_validation_matches_cycle_by_cycle_reference(
+        corpus_designs, cycles):
+    # for_design validates column by column; the reference walks the
+    # cycles in order, so both must agree on the rows or the first fault
+    nl = corpus_designs["debug_unit"]
+    try:
+        want = oracles.stimulus_rows(nl, cycles)
+    except ValueError as fault:
+        kind, message = fault.args
+        with pytest.raises(SvaportError) as err:
+            Stimulus.for_design(nl, cycles)
+        assert (type(err.value).__name__, str(err.value)) == (kind, message)
+    else:
+        assert Stimulus.for_design(nl, cycles).inputs == want
 
 
 def test_vcd_dump(tmp_path, corpus_designs):
