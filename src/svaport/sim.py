@@ -27,8 +27,7 @@ from typing import Callable, Iterable, Mapping
 import numpy as np
 
 from . import expr as ex
-from .errors import (ConfigError, ElaborationError, SvaportError,
-                     UnknownSignalError)
+from .errors import ConfigError, ElaborationError, UnknownSignalError
 from .netlist import Netlist, NetKind, combinational_closure
 
 
@@ -53,49 +52,35 @@ class Stimulus:
 
     @staticmethod
     def for_design(netlist: Netlist, cycles: list[dict[str, int]]) -> "Stimulus":
-        """Validate *cycles* one input column at a time and fill in the
-        defaults.  Values must be ints (not bools) that fit the input."""
-        widths = {n.name: n.width for n in netlist.inputs()}
-        defaults = dict.fromkeys(widths, 0)
+        """Fill in the defaults; the first bad cycle or value raises."""
+        names = {n.name: n for n in netlist.inputs()}
+        inactive = {}
         for r in netlist.registers:
-            if r.reset is not None and r.reset.net in widths:
-                defaults[r.reset.net] = 1 - r.reset.active_level
-        if not (isinstance(cycles, list)
-                and all(isinstance(c, dict) for c in cycles)
-                and set().union(*cycles) <= widths.keys()):
-            raise _first_fault(netlist, widths, defaults, cycles)
-        rows = [{**defaults, **c} for c in cycles]  # keys in input order
-        columns = zip(*map(dict.values, rows))
-        for column, width in zip(columns, widths.values()):
-            if not (set(map(type, column)) <= {int}
-                    and min(column) >= 0 and max(column) >> width == 0):
-                raise _first_fault(netlist, widths, defaults, cycles)
+            if r.reset is not None and r.reset.net in names:
+                inactive[r.reset.net] = 1 - r.reset.active_level
+        if not isinstance(cycles, list):
+            raise ConfigError("expected an array of per-cycle input maps")
+        rows: list[dict[str, int]] = []
+        for i, cycle in enumerate(cycles):
+            if not isinstance(cycle, dict):
+                raise ConfigError(f"cycle {i}: expected a map of input "
+                                  f"values, got {type(cycle).__name__}")
+            row: dict[str, int] = {}
+            for name, net in names.items():
+                value = cycle.get(name, inactive.get(name, 0))
+                if type(value) is not int:
+                    raise ConfigError(f"cycle {i}: value {value!r} for input "
+                                      f"{name} is not an integer")
+                if not 0 <= value < (1 << net.width):
+                    raise ConfigError(
+                        f"cycle {i}: value {value} does not fit input "
+                        f"{name}[{net.width - 1}:0]")
+                row[name] = value
+            for name in cycle:
+                if name not in names:
+                    raise UnknownSignalError(f"{name} is not an input of {netlist.name}")
+            rows.append(row)
         return Stimulus(rows)
-
-
-def _first_fault(netlist: Netlist, widths: dict[str, int],
-                 defaults: dict[str, int], cycles) -> SvaportError:
-    """The error for the first bad cycle of a stimulus that failed
-    ``Stimulus.for_design``'s column checks."""
-    if not isinstance(cycles, list):
-        return ConfigError("expected an array of per-cycle input maps")
-    for i, cycle in enumerate(cycles):
-        if not isinstance(cycle, dict):
-            return ConfigError(f"cycle {i}: expected a map of input values, "
-                               f"got {type(cycle).__name__}")
-        for name, width in widths.items():
-            value = cycle.get(name, defaults[name])
-            if type(value) is not int:
-                return ConfigError(f"cycle {i}: value {value!r} for input "
-                                   f"{name} is not an integer")
-            if not 0 <= value < (1 << width):
-                return ConfigError(f"cycle {i}: value {value} does not fit "
-                                   f"input {name}[{width - 1}:0]")
-        for name in cycle:
-            if name not in widths:
-                return UnknownSignalError(
-                    f"{name} is not an input of {netlist.name}")
-    raise AssertionError("unreachable: the column checks found a fault")
 
 
 def stimulus_text(stim: Stimulus) -> str:

@@ -69,42 +69,6 @@ def eval_expr(e, value, width):
 
 
 # --------------------------------------------------------------------------
-# stimulus validation, one cycle at a time
-
-def stimulus_rows(netlist: Netlist, cycles) -> list[dict[str, int]]:
-    """The rows ``Stimulus.for_design`` builds, checked cycle by cycle: the
-    first bad cycle raises ``(kind, message)`` as a ``ValueError``, with
-    *kind* the name of the error class the package raises."""
-    names = {n.name: n.width for n in netlist.inputs()}
-    resets = {r.reset.net: 1 - r.reset.active_level
-              for r in netlist.registers if r.reset is not None}
-    if not isinstance(cycles, list):
-        raise ValueError("ConfigError",
-                         "expected an array of per-cycle input maps")
-    rows = []
-    for i, cycle in enumerate(cycles):
-        if not isinstance(cycle, dict):
-            raise ValueError("ConfigError", f"cycle {i}: expected a map of "
-                             f"input values, got {type(cycle).__name__}")
-        row = {}
-        for name, width in names.items():
-            value = cycle[name] if name in cycle else resets.get(name, 0)
-            if isinstance(value, bool) or not isinstance(value, int):
-                raise ValueError("ConfigError", f"cycle {i}: value {value!r} "
-                                 f"for input {name} is not an integer")
-            if value < 0 or value >= 2 ** width:
-                raise ValueError("ConfigError", f"cycle {i}: value {value} "
-                                 f"does not fit input {name}[{width - 1}:0]")
-            row[name] = value
-        for name in cycle:
-            if name not in names:
-                raise ValueError("UnknownSignalError",
-                                 f"{name} is not an input of {netlist.name}")
-        rows.append(row)
-    return rows
-
-
-# --------------------------------------------------------------------------
 # simulation by fixpoint iteration
 
 def simulate_fixpoint(netlist: Netlist, stimulus: Stimulus) -> Trace:
