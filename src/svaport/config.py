@@ -25,9 +25,21 @@ REPORT_FORMATS = ("table", "json", "csv")
 
 
 def _require_keys(data: dict, allowed: set[str], context: str) -> None:
+    if not isinstance(data, dict):
+        raise ConfigError(f"{context}: expected an object, got {data!r}")
     unknown = set(data) - allowed
     if unknown:
         raise ConfigError(f"{context}: unknown keys {sorted(unknown)}")
+
+
+_KINDS = {int: "an integer", bool: "true or false", str: "a string"}
+
+
+def _typed(value, kind: type, what: str):
+    """*value*, which must be exactly of *kind*: a bool is not an int."""
+    if type(value) is not kind:
+        raise ConfigError(f"{what} must be {_KINDS[kind]}, got {value!r}")
+    return value
 
 
 def _path(base: Path, value, context: str, *, required: bool) -> Path | None:
@@ -55,7 +67,13 @@ class ForgeDefaults:
         _require_keys(data, {"k_min", "k_max", "tries", "payloads",
                              "unique_failure"}, "forge")
         kwargs = dict(data)
+        for key, kind in (("k_min", int), ("k_max", int), ("tries", int),
+                          ("unique_failure", bool)):
+            if key in data:
+                _typed(data[key], kind, f"forge: {key}")
         if "payloads" in kwargs:
+            if not isinstance(kwargs["payloads"], list):
+                raise ConfigError("forge: payloads must be an array")
             payloads = tuple(kwargs["payloads"])
             for kind in payloads:
                 if kind not in PAYLOAD_KINDS:
@@ -94,12 +112,17 @@ class ModuleJob:
         for key in ("target_design", "assertions"):
             if key not in data:
                 raise ConfigError(f"module {name}: missing '{key}'")
-        trojans = int(data.get("trojans", 0))
+        trojans = _typed(data.get("trojans", 0), int,
+                         f"module {name}: trojans")
         if trojans < 0:
             raise ConfigError(f"module {name}: trojans must be >= 0")
         k_values = data.get("k_values")
         if k_values is not None:
-            k_values = tuple(int(k) for k in k_values)
+            if not (isinstance(k_values, list)
+                    and all(type(k) is int for k in k_values)):
+                raise ConfigError(f"module {name}: k_values must be an array "
+                                  f"of integers, got {k_values!r}")
+            k_values = tuple(k_values)
             if len(k_values) != trojans:
                 raise ConfigError(
                     f"module {name}: k_values lists {len(k_values)} widths "
@@ -180,13 +203,18 @@ class ProjectConfig:
         modules = tuple(ModuleJob.from_dict(entry, base) for entry in entries)
         out_dir = (base / str(data.get("out_dir", "out"))).resolve()
         forge = ForgeDefaults.from_dict(data.get("forge", {}))
+
+        def entry(key: str, default, kind: type):
+            return _typed(data.get(key, default), kind,
+                          f"campaign config: {key}")
+
         return ProjectConfig(
             modules=modules,
             out_dir=out_dir,
-            seed=int(data.get("seed", 0)),
-            horizon=int(data.get("horizon", 16)),
-            format=str(data.get("format", "table")),
-            jobs=int(data.get("jobs", 1)),
+            seed=entry("seed", 0, int),
+            horizon=entry("horizon", 16, int),
+            format=entry("format", "table", str),
+            jobs=entry("jobs", 1, int),
             forge=forge,
         )
 

@@ -14,6 +14,12 @@ batch (numpy uint64 arrays, many independent stimuli at once; the RTL
 parser rejects nets wider than 64 bits).  ``emit`` is the one expression
 evaluator: it writes the kernel's code, and ``BatchExpr`` compiles
 assertion terms and search screens with it.
+
+A kernel may be sliced to the nets a caller reads (``SimKernel(netlist,
+keep)``): it then computes only their fan-in cone and returns only them,
+which is all a search objective needs.  Batch runs store each net
+cycle-major, one contiguous (rows,) row per cycle, and hand the arrays out
+as (rows, cycles) views.
 """
 
 from __future__ import annotations
@@ -252,18 +258,53 @@ class BatchExpr:
 # --------------------------------------------------------------------------
 # compiled kernel
 
+def _cone(netlist: Netlist, keep: Iterable[str]) -> set[str]:
+    """*keep* and every net that can reach it: the nets read by the assigns
+    and register next-values on the way, plus each register's reset net,
+    which its reset mux reads."""
+    reads = {a.lhs: ex.idents_of(a.rhs) for a in netlist.assigns}
+    for r in netlist.registers:
+        reads[r.target] = ex.idents_of(r.next) | (
+            {r.reset.net} if r.reset is not None else set())
+    cone: set[str] = set()
+    todo = list(keep)
+    while todo:
+        name = todo.pop()
+        if name in cone:
+            continue
+        if name not in netlist.nets:
+            raise UnknownSignalError(f"{name} is not a net of {netlist.name}")
+        cone.add(name)
+        todo.extend(n for n in reads.get(name, ()) if n in netlist.nets)
+    return cone
+
 
 class SimKernel:
-    """One netlist compiled into a reusable settle+update step function."""
+    """One netlist compiled into a reusable settle+update step function.
 
-    def __init__(self, netlist: Netlist):
+    With *keep*, a set of nets, the kernel is sliced to their fan-in cone
+    (cone-of-influence reduction): it computes only the assigns and
+    registers that can reach a kept net, and ``run`` and ``run_batch``
+    return the kept nets alone.  Every input is still read, so a reset mux
+    in the cone sees its net.  Without *keep* the cone is the whole design
+    and every net is returned.
+    """
+
+    def __init__(self, netlist: Netlist, keep: Iterable[str] | None = None):
         self.netlist = netlist
+        cone = set(netlist.nets) if keep is None else _cone(netlist, keep)
+        kept = cone if keep is None else set(keep)
         self.input_names = tuple(n.name for n in netlist.inputs())
-        self.reg_names = tuple(r.target for r in netlist.registers)
-        self.net_order = tuple(netlist.nets)
+        self._registers = [r for r in netlist.registers if r.target in cone]
+        self._assigns = [a for a in combinational_closure(netlist)
+                         if a.lhs in cone]
+        self._cone = tuple(n for n in netlist.nets if n in cone)
+        self.reg_names = tuple(r.target for r in self._registers)
+        #: the nets ``run`` and ``run_batch`` return, in declaration order
+        self.net_order = tuple(n for n in netlist.nets if n in kept)
         self.reg_init = tuple(
             (r.reset.value if r.reset is not None else 0)
-            for r in netlist.registers)
+            for r in self._registers)
         self._source = self._generate()
         scope: dict = {}
         exec(compile(self._source, f"<kernel:{netlist.name}>", "exec"), scope)
@@ -279,13 +320,14 @@ class SimKernel:
             lines.append(f"    ({', '.join('v_' + n for n in self.input_names)},) = IN")
         if self.reg_names:
             lines.append(f"    ({', '.join('v_' + n for n in self.reg_names)},) = REG")
-        driven = {a.lhs for a in nl.assigns} | set(self.reg_names) | set(self.input_names)
-        for net in self.net_order:
+        driven = ({a.lhs for a in self._assigns} | set(self.reg_names)
+                  | set(self.input_names))
+        for net in self._cone:
             if net not in driven:
                 lines.append(f"    v_{net} = _zero")
-        for a in combinational_closure(nl):
+        for a in self._assigns:
             lines.append(f"    v_{a.lhs} = {emit(a.rhs, nl.width, params)}")
-        for r in nl.registers:
+        for r in self._registers:
             nxt = emit(r.next, nl.width, params)
             if r.reset is not None:
                 cmp = "==" if r.reset.active_level == 1 else "!="
@@ -328,8 +370,10 @@ class SimKernel:
         """Simulate many stimuli at once.
 
         *inputs* maps input names to uint64 arrays of shape (rows, cycles)
-        or (rows,) for values held constant.  Returns every net as an array
-        of shape (rows, cycles).
+        or (rows,) for values held constant.  Returns each net of
+        ``net_order`` as an array of shape (rows, cycles).  Each is the
+        transposed view of a cycle-major (cycles, rows) array, so every
+        cycle's step stores one contiguous row per net.
         """
         rows = next(iter(inputs.values())).shape[0] if inputs else 1
         zero = np.zeros(rows, dtype=np.uint64)
@@ -343,13 +387,13 @@ class SimKernel:
             return arr[:, t]
 
         regs = tuple(np.full(rows, init, dtype=np.uint64) for init in self.reg_init)
-        out = {n: np.empty((rows, cycles), dtype=np.uint64) for n in self.net_order}
+        out = [np.empty((cycles, rows), dtype=np.uint64) for _ in self.net_order]
         for t in range(cycles):
             ins = tuple(col(n, t) for n in self.input_names)
             nets, regs = self._fn(ins, regs, zero, _batch_bit, _batch_mux)
-            for name, v in zip(self.net_order, nets):
-                out[name][:, t] = v
-        return out
+            for arr, v in zip(out, nets):
+                arr[t] = v
+        return {name: arr.T for name, arr in zip(self.net_order, out)}
 
 
 def simulate(netlist: Netlist, stimulus: Stimulus) -> Trace:

@@ -85,21 +85,40 @@ class SignalMap:
         stray = set(data) - known
         if stray:
             raise ConfigError(f"unknown signal-map keys: {', '.join(sorted(stray))}")
+
+        def objects(key: str) -> list[dict]:
+            rows = data.get(key, [])
+            if not (isinstance(rows, list)
+                    and all(isinstance(row, dict) for row in rows)):
+                raise ConfigError(f"signal map: {key} must be an array of "
+                                  f"objects, got {rows!r}")
+            return rows
+
+        def strings(value, what: str) -> tuple[str, ...]:
+            if not (isinstance(value, list)
+                    and all(isinstance(v, str) for v in value)):
+                raise ConfigError(f"signal map: {what} must be an array of "
+                                  f"strings, got {value!r}")
+            return tuple(value)
+
         m = SignalMap()
-        for row in data.get("mappings", []):
+        for row in objects("mappings"):
             src, tgt = row.get("source"), row.get("target")
-            if not src or not tgt:
+            if not (src and tgt and isinstance(src, str)
+                    and isinstance(tgt, str)):
                 raise ConfigError(f"mapping needs source and target: {row}")
             if src in m.mappings:
                 raise ConfigError(f"duplicate mapping for {src}")
             m.mappings[src] = tgt
-        for row in data.get("augmentations", []):
+        for row in objects("augmentations"):
             attach = row.get("attach")
             if attach not in _ATTACH:
                 raise ConfigError(f"augmentation attach must be one of {_ATTACH}")
             position = row.get("position", "last")
             if position not in _POSITION:
                 raise ConfigError(f"augmentation position must be one of {_POSITION}")
+            if not isinstance(row.get("condition"), str):
+                raise ConfigError(f"augmentation needs a condition: {row}")
             cond = ex.parse_expr_text(row["condition"])
             signal = row.get("signal", "")
             if signal not in ex.idents_of(cond):
@@ -108,14 +127,18 @@ class SignalMap:
                     f"condition {row['condition']!r}")
             m.augmentations.append(Augmentation(
                 signal=signal, condition=cond, attach=attach, position=position,
-                applies_to=tuple(row.get("applies_to", [])),
+                applies_to=strings(row.get("applies_to", []),
+                                   "augmentation applies_to"),
                 note=row.get("note", "")))
         norm = data.get("normalize", {})
+        if not isinstance(norm, dict):
+            raise ConfigError(f"signal map: normalize must be an object, "
+                              f"got {norm!r}")
         if "suffixes" in norm:
-            m.suffixes = tuple(norm["suffixes"])
+            m.suffixes = strings(norm["suffixes"], "normalize suffixes")
         if "prefixes" in norm:
-            m.prefixes = tuple(norm["prefixes"])
-        for row in data.get("naming", []):
+            m.prefixes = strings(norm["prefixes"], "normalize prefixes")
+        for row in objects("naming"):
             if "applies_to" not in row:
                 raise ConfigError("naming rule needs applies_to")
             m.naming.append(NamingRule(
@@ -547,9 +570,10 @@ def generate_testcase(a: Assertion, target: Netlist,
     The monitor decides the verdict (no failure, at least one completed
     non-vacuous pass) with arrays over every candidate of each simulated
     batch, and a scalar simulation checked by ``check_assertion`` confirms
-    the first candidate that meets it.  The search covers the assertion's
-    whole input cone, then, if that finds nothing, the input cone of the
-    antecedent alone.
+    the first candidate that meets it.  Batches run on a kernel sliced to
+    the nets the assertion reads; the confirmation runs on the whole
+    design.  The search covers the assertion's whole input cone, then, if
+    that finds nothing, the input cone of the antecedent alone.
     """
     config = config or TranslationConfig()
     graph = graph or build_graph(target)
@@ -573,10 +597,12 @@ def generate_testcase(a: Assertion, target: Netlist,
     steer = set().union(*(ex.idents_of(t) for t in a.antecedent.terms()))
     narrow = input_cone(target, graph, steer)
     rng = substream(config.seed, "translate", "testcase", a.effective_name())
+    sliced = SimKernel(target, keep=(signals_of(a) & target.nets.keys())
+                       | {a.clock})
     for relevant in ([cone, narrow] if narrow != cone else [cone]):
         stim, _stats = search_stimulus(target, relevant, {}, objective,
                                        accept, rng, config.budget,
-                                       kernel=kernel)
+                                       kernel=sliced)
         if stim is not None:
             return stim
     return None

@@ -392,16 +392,22 @@ def _find_activation(spec: TrojanSpec, netlist: Netlist,
     design is co-simulated on the rows that pass, and the assertions are
     checked with arrays over the whole batch, so every row that meets the
     objective is returned.  ``accept`` re-runs the first of them on both
-    compiled kernels only to confirm.
+    compiled kernels only to confirm.  The corrupted design's kernel is
+    sliced to the nets that the objective and ``accept`` read.
     """
     injected = inject(netlist, spec)
-    inj_kernel = SimKernel(injected)
     kernel = kernel or SimKernel(netlist)
     params = {name: p.value for name, p in netlist.params.items()}
     trig = BatchExpr(trigger_expr(spec, netlist), injected.width, params)
     widths = {name: net.width for name, net in netlist.nets.items()}
     watch = _observables(netlist, spec, assertions)
     checked = assertions or [target]
+    # the corrupted design is only ever read on these nets
+    keep = set(watch) | trig.nets
+    for a in checked:
+        if a is not None:
+            keep |= (signals_of(a) & injected.nets.keys()) | {a.clock}
+    inj_kernel = SimKernel(injected, keep=keep)
 
     graph = build_graph(injected)
     trig_signals = {c.signal for c in spec.trigger}

@@ -100,6 +100,57 @@ def test_config_schema_errors(tmp_path):
             ProjectConfig.from_dict(doc, base)
 
 
+@pytest.mark.parametrize("where, key, value", [
+    ("top", "seed", "x"),
+    ("top", "seed", True),
+    ("top", "horizon", "8"),
+    ("top", "jobs", 1.5),
+    ("top", "format", 3),
+    ("top", "forge", 5),
+    ("module", "trojans", "2"),
+    ("module", "k_values", ["2", "3"]),
+    ("module", "k_values", 2),
+    ("forge", "k_min", "2"),
+    ("forge", "k_max", 3.0),
+    ("forge", "tries", True),
+    ("forge", "unique_failure", 1),
+    ("forge", "payloads", 7),
+])
+def test_config_value_of_wrong_type_exits_1(tmp_path, capsys, where, key,
+                                            value):
+    path = make_campaign(tmp_path)
+    doc = json.loads(path.read_text())
+    {"top": doc, "module": doc["modules"][0],
+     "forge": doc["forge"]}[where][key] = value
+    path.write_text(json.dumps(doc))
+    assert main(["translate", "--config", str(path)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and key in err
+
+
+@pytest.mark.parametrize("smap", [
+    {"mappings": "x"},
+    {"mappings": [1]},
+    {"mappings": [{"source": ["a"], "target": "flag_o"}]},
+    {"augmentations": {"attach": "antecedent"}},
+    {"augmentations": [{"attach": "antecedent", "signal": "en_i"}]},
+    {"naming": ["x"]},
+    {"normalize": ["_i"]},
+    {"normalize": {"suffixes": [1]}},
+    {"normalize": {"prefixes": "u_"}},
+    {"augmentations": [{"attach": "antecedent", "signal": "en_i",
+                        "condition": "en_i == 1", "applies_to": "#0"}]},
+])
+def test_malformed_signal_map_exits_1(tmp_path, capsys, smap):
+    path = make_campaign(tmp_path)
+    doc = json.loads(path.read_text())
+    doc["modules"][0]["signal_map"] = "toy_map.json"
+    (tmp_path / "toy_map.json").write_text(json.dumps(smap))
+    path.write_text(json.dumps(doc))
+    assert main(["translate", "--config", str(path)]) == 1
+    assert capsys.readouterr().err.startswith("error:")
+
+
 def test_config_overrides(tmp_path):
     cfg = ProjectConfig.load(make_campaign(tmp_path))
     assert cfg.override() is cfg

@@ -11,6 +11,8 @@ from hypothesis import strategies as st
 
 from svaport import corpus
 from svaport.errors import ConfigError, ElaborationError, UnknownSignalError
+from svaport.graph import build_graph, fanin
+from svaport.monitor import check_batch
 from svaport.netlist import Netlist
 from svaport.rtl_parser import parse_design
 from svaport.sim import (BatchExpr, SimKernel, Stimulus, load_stimulus,
@@ -163,6 +165,120 @@ def test_run_batch_broadcasts_constant_rows(corpus_designs):
     out = SimKernel(nl).run_batch(inputs, 3)
     assert out["in_region"].shape == (4, 3)
     assert bool(out["in_region"].all())
+
+
+@st.composite
+def _sliced_runs(draw):
+    """A generated design, a random set of nets to keep, and random
+    per-cycle inputs for a few rows."""
+    nl = draw(gen.designs())
+    keep = draw(st.sets(st.sampled_from(sorted(nl.nets)), min_size=1))
+    rows, cycles = draw(st.integers(1, 3)), draw(st.integers(1, 6))
+    inputs = {
+        n.name: np.array(
+            draw(st.lists(st.lists(st.integers(0, (1 << n.width) - 1),
+                                   min_size=cycles, max_size=cycles),
+                          min_size=rows, max_size=rows)), dtype=np.uint64)
+        for n in nl.inputs()}
+    return nl, keep, inputs, cycles
+
+
+@given(_sliced_runs(), st.data())
+def test_sliced_batch_kernel_matches_oracle_on_kept_nets(run, data):
+    nl, keep, inputs, cycles = run
+    out = SimKernel(nl, keep).run_batch(inputs, cycles)
+    assert set(out) == keep
+    rows = next(iter(inputs.values())).shape[0]
+    for r in range(rows):
+        stim = Stimulus.for_design(nl, [
+            {name: int(arr[r, t]) for name, arr in inputs.items()}
+            for t in range(cycles)])
+        want = oracles.simulate_fixpoint(nl, stim).values
+        for net in keep:
+            assert out[net].shape == (rows, cycles)
+            assert out[net][r].tolist() == want[net], net
+    # the monitor reads the (rows, cycles) views as it reads C-ordered
+    # arrays of the same values
+    widths = {n: nl.width(n) for n in keep}
+    params = {p.name: p.value for p in nl.params.values()}
+    a = data.draw(gen.assertions(
+        widths, clock=data.draw(st.sampled_from(sorted(keep)))))
+    copies = {n: np.ascontiguousarray(v) for n, v in out.items()}
+    on_views = check_batch(a, out, widths, params, nl.name)
+    on_copies = check_batch(a, copies, widths, params, nl.name)
+    for field in ("status", "fail_cycle", "past_underflows"):
+        assert np.array_equal(getattr(on_views, field),
+                              getattr(on_copies, field)), field
+
+
+def _fanin_cone(nl: Netlist, keep: set[str]) -> set[str]:
+    """*keep*, its graph fan-in and the reset nets of the registers in it."""
+    graph = build_graph(nl)
+    cone: set[str] = set()
+    todo = set(keep)
+    while todo:
+        cone |= todo
+        for name in list(todo):
+            cone |= set(fanin(graph, name))
+        resets = {r.reset.net for r in nl.registers
+                  if r.target in cone and r.reset is not None}
+        todo = resets - cone
+    return cone
+
+
+@pytest.mark.parametrize("name, keep", [
+    ("csr_unit", {"mstatus_q"}),
+    ("pmp_unit", {"in_region"}),
+    ("debug_unit", {"debug_mode_q", "dret_i"}),
+])
+def test_sliced_kernel_assigns_only_its_cone(corpus_designs, name, keep):
+    nl = corpus_designs[name]
+    kernel = SimKernel(nl, keep)
+    cone = _fanin_cone(nl, keep)
+    assert cone < set(nl.nets)                   # the slice drops something
+    # every input is still unpacked; the single-net lines set cone nets
+    # (v_<net>) and cone registers' next values (n_<net>) only
+    inputs = ", ".join(f"v_{n.name}" for n in nl.inputs())
+    assert f"    ({inputs},) = IN\n" in kernel.source
+    body = kernel.source.splitlines()[1:-1]
+    targets = {line.split(" = ")[0].strip()[2:] for line in body
+               if not line.lstrip().startswith("(")}
+    assert targets and targets <= cone
+    inputs = {n.name: np.zeros(2, dtype=np.uint64) for n in nl.inputs()}
+    assert set(kernel.run_batch(inputs, 3)) == keep
+    assert set(kernel.run(Stimulus.for_design(nl, [{}])).values) == keep
+    # without keep, the kernel is the whole design
+    assert set(SimKernel(nl).run_batch(inputs, 3)) == set(nl.nets)
+
+
+INTERNAL_RESET_RTL = """\
+module r (input logic clk, input logic a, input logic b,
+          input logic [3:0] d, output logic [3:0] q_o);
+  logic rst_int;
+  logic [3:0] q;
+  assign rst_int = a & b;
+  assign q_o = q;
+  always_ff @(posedge clk) begin
+    if (rst_int) q <= 4'h5;
+    else q <= d;
+  end
+endmodule
+"""
+
+
+def test_sliced_kernel_keeps_an_internal_reset_net():
+    # q's next value reads only d, but its reset mux reads rst_int, an
+    # assign over inputs: the slice must compute it
+    nl = parse_design(INTERNAL_RESET_RTL)
+    stim = _random_stimulus(nl, 12, 5)
+    got = SimKernel(nl, {"q"}).run(stim).values
+    assert got == {"q": oracles.simulate_fixpoint(nl, stim).values["q"]}
+    assert "v_rst_int = " in SimKernel(nl, {"q"}).source
+
+
+def test_sliced_kernel_rejects_unknown_nets(corpus_designs):
+    with pytest.raises(UnknownSignalError, match="no_such_net"):
+        SimKernel(corpus_designs["cf_unit"], {"no_such_net"})
 
 
 def test_batch_rejects_wide_nets():

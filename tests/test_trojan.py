@@ -281,8 +281,8 @@ def test_forge_compiles_once_per_netlist_and_confirms_each_check(
     compiled: list[tuple[str, str]] = []
     compile_kernel = sim.SimKernel.__init__
 
-    def counting_compile(self, netlist):
-        compile_kernel(self, netlist)
+    def counting_compile(self, netlist, keep=None):
+        compile_kernel(self, netlist, keep)
         compiled.append((netlist.name, self.source))
 
     confirmed: list[bool] = []
