@@ -51,7 +51,7 @@ def main(argv: list[str] | None = None) -> int:
     for k in range(args.k_min, args.k_max + 1):
         spec = forge(design, assertions,
                      ForgeParams(count=1, k_values=(k,),
-                                 seed=args.seed + k))[0]
+                                 seed=args.seed + k))[0][0]
         probe = measure_trigger(design, spec, samples=args.samples,
                                 seed=args.seed)
         exact = ("-" if probe.brute_force is None

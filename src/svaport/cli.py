@@ -7,8 +7,10 @@ previous stage's files and writing its own under the output directory:
   writing one ``.sva`` per success and a link report per attempt,
 * ``inject`` - forge trojans against the translated assertions (and adopt
   any imported specs), writing mutated ``.sv``, spec JSON, and activation
-  stimulus per trojan; the activation is kept only in the stimulus file,
-  never in the spec,
+  stimulus per trojan; ``forge`` hands each activation back beside its
+  spec, and inject keeps it only in the stimulus file, never in the spec.
+  A trojan id names these files, so it must be a plain file name that no
+  other trojan of the module uses,
 * ``evaluate`` - replay every activation stimulus on its mutated design,
   score detection, and render the campaign report,
 * ``report`` - re-render a finished evaluation in another format.
@@ -54,7 +56,6 @@ from .metrics import (MetricsReport, ModuleRow, TrojanRow,
 from .monitor import check_assertions
 from .netlist import Netlist, render_netlist
 from .rtl_parser import parse_design
-from .search import SearchBudget
 from .sim import (SimKernel, Stimulus, load_stimulus, simulate,
                   stimulus_text)
 from .sva import Assertion, parse_assertions, render_assertion
@@ -128,9 +129,8 @@ def cmd_translate(config: ProjectConfig) -> int:
         for idx, assertion in enumerate(assertions):
             key = assertion_key(assertion, idx)
             stem = f"a{idx:02d}_{_slug(key)}"
-            tconf = TranslationConfig(
-                budget=SearchBudget(horizon=config.horizon),
-                seed=config.seed, key=key)
+            tconf = TranslationConfig(horizon=config.horizon,
+                                      seed=config.seed, key=key)
             outcome = translate(assertion, target, smap, tconf,
                                 graph=graph, kernel=kernel)
             doc = {
@@ -159,10 +159,25 @@ def cmd_translate(config: ProjectConfig) -> int:
 # inject
 
 
+def _check_ids(job: ModuleJob, specs: list[TrojanSpec]) -> None:
+    """Each trojan id names its files, so it must be a plain file name
+    that no other trojan of the module uses."""
+    seen: set[str] = set()
+    for spec in specs:
+        if (not spec.id or spec.id.startswith(".")
+                or "/" in spec.id or "\\" in spec.id):
+            raise ConfigError(f"module {job.name}: trojan id {spec.id!r} is "
+                              "not a plain file name")
+        if spec.id in seen:
+            raise ConfigError(f"module {job.name}: trojan id {spec.id!r} "
+                              "is used twice")
+        seen.add(spec.id)
+
+
 def cmd_inject(config: ProjectConfig) -> int:
     """Forge and materialize this campaign's trojans."""
     for job in config.modules:
-        specs: list[TrojanSpec] = []
+        trojans: list[tuple[TrojanSpec, Stimulus]] = []
         target = _load_design(job.target_design)
         if job.trojans:
             assertions = _translated_assertions(config, job)
@@ -175,24 +190,24 @@ def cmd_inject(config: ProjectConfig) -> int:
                 seed=config.seed,
                 tries=config.forge.tries,
                 horizon=config.horizon,
-                unique_failure=config.forge.unique_failure,
             )
-            specs.extend(forge(target, assertions, params))
+            trojans.extend(forge(target, assertions, params))
         if job.imported_trojans:
             for spec in load_trojans(job.imported_trojans):
                 validate_spec(spec, target)
                 spec.meta.setdefault("seed", config.seed)
-                specs.append(spec)
+                # the activation is written once, to its own stimulus file
+                rows = spec.meta.pop("activation", None)
+                stimulus = (activation_stimulus(spec, target, config.horizon,
+                                                seed=config.seed)
+                            if rows is None
+                            else Stimulus.for_design(target, rows))
+                trojans.append((spec, stimulus))
+        _check_ids(job, [spec for spec, _ in trojans])
         tdir = _module_dir(config, job) / "trojans"
-        for spec in specs:
-            injected = inject(target, spec)
-            # the activation is written once, to its own stimulus file
-            rows = spec.meta.pop("activation", None)
-            stimulus = (activation_stimulus(spec, target, config.horizon,
-                                            seed=config.seed)
-                        if rows is None else Stimulus.for_design(target, rows))
+        for spec, stimulus in trojans:
             _atomic_write(tdir / f"{spec.id}.sv",
-                          render_netlist(injected))
+                          render_netlist(inject(target, spec)))
             _atomic_write(tdir / f"{spec.id}.json", _json_text(spec.to_dict()))
             _atomic_write(tdir / f"{spec.id}.stim.json",
                           stimulus_text(stimulus))
@@ -247,7 +262,11 @@ def cmd_evaluate(config: ProjectConfig) -> int:
             "scored": [],
         }
         for spec_path in _trojan_files(config, job):
-            spec = load_trojans(spec_path)[0]
+            specs = load_trojans(spec_path)
+            if len(specs) != 1:
+                raise ConfigError(f"{spec_path}: expected one trojan spec, "
+                                  f"found {len(specs)}")
+            spec = specs[0]
             sv_path = spec_path.with_suffix(".sv")
             stim_path = spec_path.with_name(spec_path.stem + ".stim.json")
             if not sv_path.is_file() or not stim_path.is_file():
@@ -318,14 +337,19 @@ def cmd_report(config: ProjectConfig) -> int:
     path = config.out_dir / "metrics.json"
     if not path.is_file():
         raise ConfigError(f"{path}: not found; run the evaluate stage first")
-    raw = json.loads(path.read_text())
-    modules = [ModuleRow(d["module"], d["source_assertions"], d["translated"],
-                         d["generated"], d["detected"])
-               for d in raw.get("modules", [])]
-    trojans = [TrojanRow(d["id"], d["module"], Fraction(d["p"]))
-               for d in raw.get("trojans", [])]
-    report = MetricsReport(modules=modules, trojans=trojans,
-                           seed=raw.get("seed"))
+    try:
+        raw = json.loads(path.read_text())
+        report = MetricsReport(
+            modules=[ModuleRow(d["module"], d["source_assertions"],
+                               d["translated"], d["generated"], d["detected"])
+                     for d in raw["modules"]],
+            trojans=[TrojanRow(d["id"], d["module"], Fraction(d["p"]))
+                     for d in raw["trojans"]],
+            seed=raw["seed"])
+    except (KeyError, TypeError, ValueError) as err:
+        # a JSON syntax error is a ValueError too
+        raise ConfigError(f"{path}: not a metrics file written by evaluate "
+                          f"({type(err).__name__}: {err})") from None
     sys.stdout.write(emit_report(report, config.format))
     return 0
 

@@ -32,7 +32,7 @@ def _require_keys(data: dict, allowed: set[str], context: str) -> None:
         raise ConfigError(f"{context}: unknown keys {sorted(unknown)}")
 
 
-_KINDS = {int: "an integer", bool: "true or false", str: "a string"}
+_KINDS = {int: "an integer", str: "a string"}
 
 
 def _typed(value, kind: type, what: str):
@@ -60,17 +60,14 @@ class ForgeDefaults:
     k_max: int = 6
     tries: int = 64
     payloads: tuple[str, ...] = PAYLOAD_KINDS
-    unique_failure: bool = True
 
     @staticmethod
     def from_dict(data: dict) -> "ForgeDefaults":
-        _require_keys(data, {"k_min", "k_max", "tries", "payloads",
-                             "unique_failure"}, "forge")
+        _require_keys(data, {"k_min", "k_max", "tries", "payloads"}, "forge")
         kwargs = dict(data)
-        for key, kind in (("k_min", int), ("k_max", int), ("tries", int),
-                          ("unique_failure", bool)):
+        for key in ("k_min", "k_max", "tries"):
             if key in data:
-                _typed(data[key], kind, f"forge: {key}")
+                _typed(data[key], int, f"forge: {key}")
         if "payloads" in kwargs:
             if not isinstance(kwargs["payloads"], list):
                 raise ConfigError("forge: payloads must be an array")

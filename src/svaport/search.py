@@ -5,7 +5,8 @@ stimuli hold each primary input at a constant value (with an optional
 warm-up prefix that differs, to let registered state build up before the
 interesting vector applies).  Candidates over the free input bits are
 enumerated exhaustively when the free space is small enough, otherwise
-sampled from a seeded stream.  Candidates are simulated in numpy batches,
+sampled from a seeded stream, one caller-given set of free inputs after
+another.  Candidates are simulated in numpy batches,
 a caller-supplied objective decides every batch with arrays, and a scalar
 check confirms the winner.
 """
@@ -24,14 +25,9 @@ from .sim import SimKernel, Stimulus
 
 _CHUNK = 8192
 _WORD = 63  # random bits per drawn code word (the draw keeps the sign bit clear)
-
-
-@dataclass
-class SearchBudget:
-    horizon: int = 16          # cycles per candidate stimulus
-    exhaustive_bits: int = 20  # enumerate when free bits fit
-    random_vectors: int = 10000
-    warmup: int = 4            # prefix length for two-phase candidates
+_EXHAUSTIVE_BITS = 20    # enumerate the free bits when they fit
+_RANDOM_VECTORS = 10000  # otherwise draw this many candidates
+_WARMUP = 4              # prefix length for two-phase candidates
 
 
 @dataclass
@@ -59,8 +55,7 @@ def input_cone(netlist: Netlist, graph: DependencyGraph,
 
 def _vectors(netlist: Netlist, inputs: list[str],
              forced: dict[tuple[str, int], int],
-             rng: np.random.Generator,
-             budget: SearchBudget) -> Iterator[dict[str, np.ndarray]]:
+             rng: np.random.Generator) -> Iterator[dict[str, np.ndarray]]:
     """Yield batches of constant input vectors (dict name -> (rows,) uint64)
     honoring the forced bits.  Exhaustive in integer order when the free
     space fits, else seeded random."""
@@ -83,7 +78,7 @@ def _vectors(netlist: Netlist, inputs: list[str],
         return out
 
     n = len(free)
-    if n <= budget.exhaustive_bits:
+    if n <= _EXHAUSTIVE_BITS:
         total = 1 << n
         for start in range(0, total, _CHUNK):
             stop = min(start + _CHUNK, total)
@@ -91,7 +86,7 @@ def _vectors(netlist: Netlist, inputs: list[str],
     else:
         # one word per _WORD free bits, the last masked to the bits left
         sizes = [min(_WORD, n - lo) for lo in range(0, n, _WORD)]
-        remaining = budget.random_vectors
+        remaining = _RANDOM_VECTORS
         while remaining > 0:
             take = min(_CHUNK, remaining)
             remaining -= take
@@ -99,14 +94,11 @@ def _vectors(netlist: Netlist, inputs: list[str],
                           & np.uint64(ex.mask(size)) for size in sizes])
 
 
-def _schedules(netlist: Netlist, forced: dict[tuple[str, int], int],
-               budget: SearchBudget):
+def _schedules(netlist: Netlist, forced: dict[tuple[str, int], int]):
     """Ways to turn a constant vector into a full stimulus.  'constant'
     applies it from cycle 0; the warm-up variants run a different prefix
     first so sequential state can settle before the vector (and with it any
     forced trigger bits) applies."""
-    warm = budget.warmup
-
     def constant(values: dict[str, np.ndarray], cycles: int):
         return {n: v for n, v in values.items()}
 
@@ -118,7 +110,7 @@ def _schedules(netlist: Netlist, forced: dict[tuple[str, int], int],
             for (name, bit), _ in forced.items():
                 if name == n:
                     pre ^= np.uint64(1 << bit)
-            arr[:, :warm] = pre[:, None]
+            arr[:, :_WARMUP] = pre[:, None]
             out[n] = arr
         return out
 
@@ -126,7 +118,7 @@ def _schedules(netlist: Netlist, forced: dict[tuple[str, int], int],
         out = {}
         for n, v in values.items():
             arr = np.repeat(v[:, None], cycles, axis=1)
-            arr[:, :warm] = 0
+            arr[:, :_WARMUP] = 0
             out[n] = arr
         return out
 
@@ -149,51 +141,56 @@ def _reset_values(netlist: Netlist) -> dict[str, int]:
 
 def search_stimulus(
     netlist: Netlist,
-    relevant_inputs: list[str],
+    input_sets: list[list[str]],
     forced: dict[tuple[str, int], int],
     objective: Callable[[dict[str, np.ndarray], dict[str, np.ndarray]],
                         np.ndarray],
     accept: Callable[[Stimulus], bool],
     rng: np.random.Generator,
-    budget: SearchBudget,
+    horizon: int,
     kernel: SimKernel | None = None,
 ) -> tuple[Stimulus | None, SearchStats]:
-    """Find a stimulus that meets the caller's objective.
+    """Find a *horizon*-cycle stimulus that meets the caller's objective.
 
-    The batch mask is the objective.  *objective* receives the
-    batch-simulated net arrays (rows x cycles) and the raw input arrays
-    that produced them (so it can co-simulate another kernel on the same
-    candidates), decides the full objective with arrays over every row of
-    the batch, and returns every row that meets it in ascending order.
-    *accept* only confirms: the first returned row is materialized and
-    re-checked with a scalar run (single-run semantics, monitors, ...);
-    should it disagree, the next row is tried.  With an exhaustive
-    enumeration, every candidate that meets the objective is therefore
-    reached.
-    Deterministic: candidate order is fixed by the enumeration and the
-    seeded stream.
+    *input_sets* are searched in order until one yields a stimulus, each
+    with its inputs free and the rest at zero; a set already searched,
+    resets aside, is skipped.  The batch mask is the objective.  *objective*
+    receives the batch-simulated net arrays (rows x cycles) and the raw
+    input arrays that produced them (so it can co-simulate another kernel
+    on the same candidates), decides the full objective with arrays over
+    every row of the batch, and returns every row that meets it in
+    ascending order.  *accept* only confirms: the first returned row is
+    materialized and re-checked with a scalar run (single-run semantics,
+    monitors, ...); should it disagree, the next row is tried.  With an
+    exhaustive enumeration, every candidate that meets the objective is
+    therefore reached.
+    Deterministic: candidate order is fixed by the set order, the
+    enumeration and the seeded stream.
     """
     kernel = kernel or SimKernel(netlist)
     stats = SearchStats()
     resets = _reset_values(netlist)
-    cycles = budget.horizon
-    # reset is pinned inactive below, so its bits are never worth enumerating
-    relevant = [n for n in relevant_inputs if n not in resets]
-
-    for sched_name, schedule in _schedules(netlist, forced, budget):
-        stats.schedules_tried.append(sched_name)
-        for values in _vectors(netlist, relevant, forced, rng, budget):
-            rows = next(iter(values.values())).shape[0] if values else 1
-            stats.candidates += rows
-            inputs = schedule(values, cycles)
-            # searches never toggle reset: pin it at the inactive level
-            for name, lvl in resets.items():
-                inputs[name] = np.full(rows, lvl, dtype=np.uint64)
-            arrays = kernel.run_batch(inputs, cycles)
-            for row in objective(arrays, inputs):
-                stim = _materialize(netlist, inputs, int(row), cycles, resets)
-                if accept(stim):
-                    return stim, stats
+    searched: list[list[str]] = []
+    for input_set in input_sets:
+        # reset is pinned inactive below, never enumerated
+        relevant = [n for n in input_set if n not in resets]
+        if relevant in searched:
+            continue
+        searched.append(relevant)
+        for sched_name, schedule in _schedules(netlist, forced):
+            stats.schedules_tried.append(sched_name)
+            for values in _vectors(netlist, relevant, forced, rng):
+                rows = next(iter(values.values())).shape[0] if values else 1
+                stats.candidates += rows
+                inputs = schedule(values, horizon)
+                # searches never toggle reset: pin it at the inactive level
+                for name, lvl in resets.items():
+                    inputs[name] = np.full(rows, lvl, dtype=np.uint64)
+                arrays = kernel.run_batch(inputs, horizon)
+                for row in objective(arrays, inputs):
+                    stim = _materialize(netlist, inputs, int(row), horizon)
+                    if accept(stim):
+                        return stim, stats
     return None, stats
 
 
@@ -210,13 +207,11 @@ def take_rows(arrays: dict[str, np.ndarray],
 
 
 def _materialize(netlist: Netlist, inputs: dict[str, np.ndarray], row: int,
-                 cycles: int, resets: dict[str, int]) -> Stimulus:
+                 cycles: int) -> Stimulus:
     maps = []
     for t in range(cycles):
         m: dict[str, int] = {}
         for name, arr in inputs.items():
             m[name] = int(arr[row] if arr.ndim == 1 else arr[row, t])
-        for name, lvl in resets.items():
-            m.setdefault(name, lvl)
         maps.append(m)
     return Stimulus.for_design(netlist, maps)

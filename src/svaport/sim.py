@@ -101,7 +101,11 @@ def save_stimulus(stim: Stimulus, path: str | Path) -> None:
 
 def load_stimulus(path: str | Path, netlist: Netlist) -> Stimulus:
     """Read a stimulus file; any JSON array of per-cycle input maps loads."""
-    return Stimulus.for_design(netlist, json.loads(Path(path).read_text()))
+    try:
+        cycles = json.loads(Path(path).read_text())
+    except json.JSONDecodeError as err:
+        raise ConfigError(f"{path}: not valid JSON: {err}") from None
+    return Stimulus.for_design(netlist, cycles)
 
 
 # --------------------------------------------------------------------------

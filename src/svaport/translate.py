@@ -27,7 +27,7 @@ from .graph import DependencyGraph, Relationship, build_graph, classify, fanin
 from .monitor import check_assertion, check_batch
 from .netlist import Netlist
 from .rng import substream
-from .search import SearchBudget, input_cone, search_stimulus
+from .search import input_cone, search_stimulus
 from .sim import SimKernel, Stimulus
 from .sva import Assertion, SeqExpr, signals_of
 
@@ -139,8 +139,12 @@ class SignalMap:
         if "prefixes" in norm:
             m.prefixes = strings(norm["prefixes"], "normalize prefixes")
         for row in objects("naming"):
-            if "applies_to" not in row:
-                raise ConfigError("naming rule needs applies_to")
+            if not isinstance(row.get("applies_to"), str):
+                raise ConfigError(f"naming rule needs a string applies_to: {row}")
+            for key in ("property", "label", "error"):
+                if not isinstance(row.get(key, ""), str):
+                    raise ConfigError(f"naming rule {key} must be a string, "
+                                      f"got {row[key]!r}")
             m.naming.append(NamingRule(
                 applies_to=row["applies_to"],
                 property_name=row.get("property"),
@@ -428,7 +432,7 @@ def drop_untranslatable(report: LinkReport) -> LinkReport:
 class TranslationConfig:
     """Knobs for the rewrite and the activation search."""
 
-    budget: SearchBudget = field(default_factory=SearchBudget)
+    horizon: int = 16  # cycles per candidate stimulus
     seed: int = 0
     generate_testcase: bool = True
     key: str | None = None  # naming/augmentation selector; default derived
@@ -599,10 +603,6 @@ def generate_testcase(a: Assertion, target: Netlist,
     rng = substream(config.seed, "translate", "testcase", a.effective_name())
     sliced = SimKernel(target, keep=(signals_of(a) & target.nets.keys())
                        | {a.clock})
-    for relevant in ([cone, narrow] if narrow != cone else [cone]):
-        stim, _stats = search_stimulus(target, relevant, {}, objective,
-                                       accept, rng, config.budget,
-                                       kernel=sliced)
-        if stim is not None:
-            return stim
-    return None
+    stim, _stats = search_stimulus(target, [cone, narrow], {}, objective,
+                                   accept, rng, config.horizon, kernel=sliced)
+    return stim

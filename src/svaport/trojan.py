@@ -26,10 +26,10 @@ from . import expr as ex
 from .errors import (ActivationNotFoundError, ConfigError,
                      InsufficientSignalsError, PayloadConflictError)
 from .graph import build_graph
-from .monitor import check_assertions, check_batch
+from .monitor import check_batch
 from .netlist import Assign, Netlist, NetKind, Register, combinational_closure
 from .rng import substream
-from .search import SearchBudget, input_cone, search_stimulus, take_rows
+from .search import input_cone, search_stimulus, take_rows
 from .sim import BatchExpr, SimKernel, Stimulus
 from .sva import Assertion, signals_of
 
@@ -256,10 +256,6 @@ class ForgeParams:
     seed: int = 0
     tries: int = 64
     horizon: int = 16
-    unique_failure: bool = True
-
-    def budget(self) -> SearchBudget:
-        return SearchBudget(horizon=self.horizon)
 
 
 def _trigger_pool(netlist: Netlist, assertions: list[Assertion]) -> list[tuple[str, int]]:
@@ -290,8 +286,9 @@ def _payload_candidates(netlist: Netlist, a: Assertion) -> list[str]:
 
 
 def forge(netlist: Netlist, assertions: list[Assertion],
-          params: ForgeParams) -> list[TrojanSpec]:
-    """Generate ``params.count`` proven-activatable trojans.
+          params: ForgeParams) -> list[tuple[TrojanSpec, Stimulus]]:
+    """Generate ``params.count`` proven-activatable trojans, each with the
+    stimulus that activates it.
 
     Trojan *j* targets assertion ``j % len(assertions)`` and corrupts a net
     that assertion checks.  Candidates are sampled from a seeded stream and
@@ -307,7 +304,7 @@ def forge(netlist: Netlist, assertions: list[Assertion],
     module_kind = "sequential" if netlist.registers else "combinational"
     kernel = SimKernel(netlist)
 
-    specs: list[TrojanSpec] = []
+    forged: list[tuple[TrojanSpec, Stimulus]] = []
     for j in range(params.count):
         k = (params.k_values[j] if params.k_values is not None
              else k_span[j % len(k_span)])
@@ -321,7 +318,6 @@ def forge(netlist: Netlist, assertions: list[Assertion],
             raise InsufficientSignalsError(
                 f"assertion {target.effective_name()} checks no driven net")
         rng = substream(params.seed, "forge", netlist.name, j)
-        spec = None
         for attempt in range(params.tries):
             picks = sorted(rng.choice(len(pool), size=k, replace=False))
             trigger = tuple(
@@ -346,54 +342,50 @@ def forge(netlist: Netlist, assertions: list[Assertion],
                       "seed": params.seed},
             )
             stim = _find_activation(
-                cand, netlist, assertions, target, params.budget(),
+                cand, netlist, assertions, target, params.horizon,
                 substream(params.seed, "forge", netlist.name, j, attempt),
-                unique_failure=params.unique_failure, kernel=kernel)
+                kernel=kernel)
             if stim is not None:
-                cand.meta["activation"] = stim.inputs
-                spec = cand
+                forged.append((cand, stim))
                 break
-        if spec is None:
+        else:
             raise ActivationNotFoundError(
                 f"no viable trojan {j} for {netlist.name} after "
                 f"{params.tries} attempts", tried=params.tries)
-        specs.append(spec)
-    return specs
+    return forged
 
 
 # --------------------------------------------------------------------------
 # activation
 
 def _observables(netlist: Netlist, spec: TrojanSpec,
-                 assertions: list[Assertion] | None) -> list[str]:
+                 assertions: list[Assertion]) -> list[str]:
     names = {n.name for n in netlist.nets.values() if n.kind is NetKind.OUTPUT}
     names.add(spec.payload_net)
-    for a in assertions or []:
+    for a in assertions:
         names |= {s for s in signals_of(a) if s in netlist.nets}
     return sorted(names)
 
 
 def _find_activation(spec: TrojanSpec, netlist: Netlist,
-                     assertions: list[Assertion] | None,
-                     target: Assertion | None,
-                     budget: SearchBudget,
-                     rng: np.random.Generator,
-                     *, unique_failure: bool = False,
-                     kernel: SimKernel | None = None) -> Stimulus | None:
+                     assertions: list[Assertion], target: Assertion | None,
+                     horizon: int, rng: np.random.Generator,
+                     *, kernel: SimKernel | None = None) -> Stimulus | None:
     """Search for a stimulus satisfying the activation objective.
 
     Always required: the trigger fires and the corrupted design's trace
     differs from the clean one on an observable net.  When *target* is
     given its assertion must fail on the corrupted design and hold on the
-    clean one; with *unique_failure* no other supplied assertion may fail.
+    clean one, and no other of *assertions* may fail.
 
-    The batch mask is the objective: each batch is screened by the trigger
-    and the target's first antecedent term (both necessary), the clean
-    design is co-simulated on the rows that pass, and the assertions are
-    checked with arrays over the whole batch, so every row that meets the
-    objective is returned.  ``accept`` re-runs the first of them on both
-    compiled kernels only to confirm.  The corrupted design's kernel is
-    sliced to the nets that the objective and ``accept`` read.
+    One rule, ``meets``, decides the objective with arrays, for a batch and
+    for a single run alike.  Each batch is screened by the trigger and the
+    target's first antecedent term (both necessary), the clean design is
+    co-simulated on the rows that pass, and ``meets`` decides every one of
+    them, so every row that meets the objective is returned.  ``accept``
+    re-runs the first of them on both compiled kernels and decides it with
+    the same rule only to confirm.  The corrupted design's kernel is sliced
+    to the nets that the rule reads.
     """
     injected = inject(netlist, spec)
     kernel = kernel or SimKernel(netlist)
@@ -401,12 +393,10 @@ def _find_activation(spec: TrojanSpec, netlist: Netlist,
     trig = BatchExpr(trigger_expr(spec, netlist), injected.width, params)
     widths = {name: net.width for name, net in netlist.nets.items()}
     watch = _observables(netlist, spec, assertions)
-    checked = assertions or [target]
     # the corrupted design is only ever read on these nets
     keep = set(watch) | trig.nets
-    for a in checked:
-        if a is not None:
-            keep |= (signals_of(a) & injected.nets.keys()) | {a.clock}
+    for a in assertions:
+        keep |= (signals_of(a) & injected.nets.keys()) | {a.clock}
     inj_kernel = SimKernel(injected, keep=keep)
 
     graph = build_graph(injected)
@@ -422,6 +412,24 @@ def _find_activation(spec: TrojanSpec, netlist: Netlist,
     def fails(a: Assertion, values: dict[str, np.ndarray]) -> np.ndarray:
         return check_batch(a, values, widths, params, netlist.name).failed
 
+    def meets(dirty: dict[str, np.ndarray], clean: dict[str, np.ndarray],
+              rows: np.ndarray) -> np.ndarray:
+        """Which *rows* of the corrupted run meet the objective, given the
+        clean run of just those rows."""
+        ok = np.zeros(rows.size, dtype=bool)
+        for n in watch:
+            ok |= (dirty[n][rows] != clean[n]).any(axis=1)
+        if target is None or not ok.any():
+            return ok
+        # the dirty arrays are checked whole and the clean ones hold only
+        # the given rows, so every verdict is indexed by row, not copied
+        ok &= ~fails(target, clean)
+        ok &= fails(target, dirty)[rows]
+        for a in assertions:
+            if a.effective_name() != target.effective_name() and ok.any():
+                ok &= ~fails(a, dirty)[rows]
+        return ok
+
     def objective(arrays: dict[str, np.ndarray],
                   inputs: dict[str, np.ndarray]) -> np.ndarray:
         screen = (trig(arrays) != 0).any(axis=1)
@@ -432,42 +440,14 @@ def _find_activation(spec: TrojanSpec, netlist: Netlist,
             return rows
         cycles = next(iter(arrays.values())).shape[1]
         clean = kernel.run_batch(take_rows(inputs, rows), cycles)
-        ok = np.zeros(rows.size, dtype=bool)
-        for n in watch:
-            ok |= (arrays[n][rows] != clean[n]).any(axis=1)
-        if target is None or not ok.any():
-            return rows[ok]
-        # the dirty arrays are checked whole and the clean ones hold only
-        # the screened rows, so every verdict is indexed by row, not copied
-        ok &= ~fails(target, clean)
-        ok &= fails(target, arrays)[rows]
-        if unique_failure:
-            for a in checked:
-                if a.effective_name() != target.effective_name() and ok.any():
-                    ok &= ~fails(a, arrays)[rows]
-        return rows[ok]
+        return rows[meets(arrays, clean, rows)]
 
     def accept(stim: Stimulus) -> bool:
-        dirty = inj_kernel.run(stim)
-        if not (trig(dirty.arrays(trig.nets)) != 0).any():
+        dirty = inj_kernel.run(stim).arrays(keep)
+        if not (trig(dirty) != 0).any():
             return False
-        clean = kernel.run(stim)
-        if all(clean.value(n, t) == dirty.value(n, t)
-               for n in watch for t in range(clean.cycles)):
-            return False
-        if target is not None:
-            verdicts = check_assertions(dirty, checked)
-            by_name = {v.name: v for v in verdicts}
-            if not by_name[target.effective_name()].failed:
-                return False
-            if unique_failure and any(
-                    v.failed for v in verdicts
-                    if v.name != target.effective_name()):
-                return False
-            clean_verdicts = check_assertions(clean, [target])
-            if clean_verdicts[0].failed:
-                return False
-        return True
+        clean = kernel.run(stim).arrays(keep)
+        return bool(meets(dirty, clean, np.arange(1))[0])
 
     # enumerate the inputs that steer the objective (trigger plus the
     # target's antecedent) before falling back to everything the
@@ -478,29 +458,22 @@ def _find_activation(spec: TrojanSpec, netlist: Netlist,
             steer |= {s for s in ex.idents_of(term) if s in injected.nets}
     narrow = input_cone(injected, graph, steer)
     wide = sorted(set(narrow) | set(input_cone(injected, graph, set(watch))))
-    for relevant in ([narrow, wide] if narrow != wide else [wide]):
-        stim, _stats = search_stimulus(injected, relevant, forced, objective,
-                                       accept, rng, budget, kernel=inj_kernel)
-        if stim is not None:
-            return stim
-    return None
+    stim, _stats = search_stimulus(injected, [narrow, wide], forced, objective,
+                                   accept, rng, horizon, kernel=inj_kernel)
+    return stim
 
 
 def activation_stimulus(spec: TrojanSpec, netlist: Netlist,
-                        horizon: int = 16, *,
-                        assertions: list[Assertion] | None = None,
-                        seed: int = 0,
-                        budget: SearchBudget | None = None) -> Stimulus:
+                        horizon: int = 16, *, seed: int = 0) -> Stimulus:
     """Find inputs that fire the trigger and make the corruption visible.
 
-    Exhaustive over the relevant input bits when they fit the budget,
-    otherwise a seeded random sweep; deterministic either way.
+    Exhaustive over the relevant input bits when they fit the search
+    budget, otherwise a seeded random sweep; deterministic either way.
     """
-    budget = budget or SearchBudget(horizon=horizon)
     rng = substream(seed, "activate", spec.module, spec.id)
-    stim = _find_activation(spec, netlist, assertions, None, budget, rng)
+    stim = _find_activation(spec, netlist, [], None, horizon, rng)
     if stim is None:
         raise ActivationNotFoundError(
             f"no activating stimulus for {spec.id} within budget "
-            f"(horizon {budget.horizon})")
+            f"(horizon {horizon})")
     return stim

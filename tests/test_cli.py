@@ -140,6 +140,10 @@ def test_config_value_of_wrong_type_exits_1(tmp_path, capsys, where, key,
     {"normalize": {"prefixes": "u_"}},
     {"augmentations": [{"attach": "antecedent", "signal": "en_i",
                         "condition": "en_i == 1", "applies_to": "#0"}]},
+    {"naming": [{"applies_to": "A_SUM", "label": 5, "property": 7}]},
+    {"naming": [{"applies_to": "A_SUM", "property": 7}]},
+    {"naming": [{"applies_to": "A_SUM", "error": ["failed"]}]},
+    {"naming": [{"applies_to": 0, "label": "L"}]},
 ])
 def test_malformed_signal_map_exits_1(tmp_path, capsys, smap):
     path = make_campaign(tmp_path)
@@ -332,6 +336,59 @@ def test_malformed_imported_trojan_exits_1(tmp_path, capsys, records, needle):
     assert main(["inject", "--config", str(cfg)]) == 1
     err = capsys.readouterr().err
     assert err.startswith("error:") and needle in err
+
+
+@pytest.mark.parametrize("records", [
+    pytest.param([dict(IMPORTED, id="")], id="empty"),
+    pytest.param([dict(IMPORTED, id=".hidden")], id="leading-dot"),
+    pytest.param([dict(IMPORTED, id="../../escaped")], id="parent-path"),
+    pytest.param([dict(IMPORTED, id="sub/dir")], id="slash"),
+    pytest.param([dict(IMPORTED, id="sub\\dir")], id="backslash"),
+    pytest.param([dict(IMPORTED, id="toy_t00")], id="forged-id"),
+    pytest.param([IMPORTED, IMPORTED], id="repeated-import"),
+])
+def test_trojan_id_must_be_a_file_name_unique_in_its_module(tmp_path, capsys,
+                                                            records):
+    (tmp_path / "imported.json").write_text(json.dumps(records))
+    cfg = make_campaign(tmp_path, modules=[{
+        "name": "toy", "target_design": "toy.sv", "assertions": "toy.sva",
+        "trojans": 1, "imported_trojans": "imported.json"}])
+    assert main(["translate", "--config", str(cfg)]) == 0
+    capsys.readouterr()
+    assert main(["inject", "--config", str(cfg)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and "trojan id" in err
+    # nothing is written, inside the trojan directory or out of it
+    assert not (tmp_path / "out" / "toy" / "trojans").exists()
+    assert not list(tmp_path.glob("**/escaped*"))
+
+
+@pytest.mark.parametrize("stage, name, text", [
+    pytest.param("evaluate", "toy/trojans/toy_t00.json", "[]",
+                 id="no-spec"),
+    pytest.param("evaluate", "toy/trojans/toy_t00.json",
+                 json.dumps([IMPORTED, IMPORTED]), id="two-specs"),
+    pytest.param("report", "metrics.json", "[1, 2]",
+                 id="metrics-not-an-object"),
+    pytest.param("report", "metrics.json", json.dumps({"modules": [
+        {"module": "toy", "translated": 2, "generated": 2, "detected": 2}]}),
+                 id="module-row-without-source-assertions"),
+    pytest.param("report", "metrics.json", "{", id="metrics-not-json"),
+    pytest.param("report", "metrics.json", json.dumps({"trojans": [
+        {"id": "toy_t00", "module": "toy", "p": "half"}]}),
+                 id="probability-not-a-fraction"),
+])
+def test_malformed_stage_file_exits_1(tmp_path, capsys, stage, name, text):
+    cfg = make_campaign(tmp_path)
+    if stage == "evaluate":
+        for before in ("translate", "inject"):
+            assert main([before, "--config", str(cfg)]) == 0
+    path = tmp_path / "out" / name
+    path.parent.mkdir(parents=True, exist_ok=True)
+    path.write_text(text)
+    capsys.readouterr()
+    assert main([stage, "--config", str(cfg)]) == 1
+    assert capsys.readouterr().err.startswith("error:")
 
 
 def test_inject_before_translate_fails(tmp_path, capsys):

@@ -334,6 +334,7 @@ def test_stimulus_file_round_trip(tmp_path, corpus_designs):
                  id="first-bad-cycle"),
     pytest.param('[{"debug_mode_q": 1}, {"dret_i": 2}]', UnknownSignalError,
                  "debug_mode_q is not an input", id="unknown-input"),
+    pytest.param('[{', ConfigError, "bad.json: not valid JSON", id="bad-json"),
 ])
 def test_load_stimulus_rejects_non_array(tmp_path, corpus_designs, text,
                                          error, needle):

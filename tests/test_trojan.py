@@ -13,7 +13,6 @@ from svaport.errors import (ActivationNotFoundError, CombinationalLoopError,
 from svaport.monitor import check_assertions
 from svaport.netlist import NetKind
 from svaport.rtl_parser import parse_design
-from svaport.search import SearchBudget
 from svaport.sim import BatchExpr, Stimulus, simulate
 from svaport.sva import parse_assertions
 from svaport.trojan import (ForgeParams, TriggerCond, TrojanSpec,
@@ -56,8 +55,14 @@ def toy_asserts():
 
 @pytest.fixture(scope="module")
 def forged(toy, toy_asserts):
+    """(spec, activation) pairs."""
     return forge(toy, toy_asserts, ForgeParams(count=4, k_min=2, k_max=3,
                                                seed=11, horizon=8))
+
+
+@pytest.fixture(scope="module")
+def specs(forged):
+    return [spec for spec, _ in forged]
 
 
 def _spec(toy, **kw):
@@ -89,14 +94,14 @@ def test_validate_spec_rejects_malformed_records(toy):
             validate_spec(_spec(toy, **overrides), toy)
 
 
-def test_spec_files_round_trip(forged, tmp_path):
+def test_spec_files_round_trip(specs, tmp_path):
     path = tmp_path / "trojans.json"
-    save_trojans(forged, path)
-    assert load_trojans(path) == forged
+    save_trojans(specs, path)
+    assert load_trojans(path) == specs
     # a single bare object is accepted too: the import format
     single = tmp_path / "one.json"
-    single.write_text(json.dumps(forged[0].to_dict()))
-    assert load_trojans(single) == [forged[0]]
+    single.write_text(json.dumps(specs[0].to_dict()))
+    assert load_trojans(single) == [specs[0]]
 
 
 def test_load_rejects_missing_fields(tmp_path):
@@ -152,12 +157,12 @@ def test_inject_surfaces_trigger_loops(toy):
         inject(toy, spec)
 
 
-def test_trigger_expr_agrees_with_the_oracle_trigger_check(toy, forged):
+def test_trigger_expr_agrees_with_the_oracle_trigger_check(toy, specs):
     rng = random.Random(3)
     stim = Stimulus.for_design(toy, [
         {"a_i": rng.randrange(16), "b_i": rng.randrange(16),
          "en_i": rng.randrange(2)} for _ in range(64)])
-    for spec in forged:
+    for spec in specs:
         trig = BatchExpr(trigger_expr(spec, toy), toy.width, {})
         trace = simulate(inject(toy, spec), stim)
         fired = trig(trace.arrays(trig.nets))[0]
@@ -175,8 +180,9 @@ def test_forge_is_deterministic(toy, toy_asserts, forged):
 
 
 def test_forge_honors_k_values(toy, toy_asserts):
-    specs = forge(toy, toy_asserts,
-                  ForgeParams(count=3, k_values=(2, 4, 3), seed=5, horizon=8))
+    specs = [spec for spec, _ in forge(
+        toy, toy_asserts,
+        ForgeParams(count=3, k_values=(2, 4, 3), seed=5, horizon=8))]
     assert [s.k for s in specs] == [2, 4, 3]
     for s in specs:
         assert sum(c.bits_constrained(toy) for c in s.trigger) == s.k
@@ -184,15 +190,16 @@ def test_forge_honors_k_values(toy, toy_asserts):
         forge(toy, toy_asserts, ForgeParams(count=2, k_values=(2,), seed=5))
 
 
-def test_forge_cycles_widths_and_targets(toy, toy_asserts, forged):
-    assert [s.k for s in forged] == [2, 3, 2, 3]
-    assert [s.meta["target_assertion"] for s in forged] \
+def test_forge_cycles_widths_and_targets(toy, toy_asserts, specs):
+    assert [s.k for s in specs] == [2, 3, 2, 3]
+    assert [s.meta["target_assertion"] for s in specs] \
         == ["A_SUM", "A_FLAG", "A_SUM", "A_FLAG"]
-    assert [s.id for s in forged] == [f"toy_t{j:02d}" for j in range(4)]
-    for s in forged:
+    assert [s.id for s in specs] == [f"toy_t{j:02d}" for j in range(4)]
+    for s in specs:
         assert s.module_kind == "combinational"
-        assert s.meta["seed"] == 11
-        assert s.meta["activation"]
+        # the activation comes back beside the spec, not inside it
+        assert s.meta == {"target_assertion": s.meta["target_assertion"],
+                          "seed": 11}
         validate_spec(s, toy)
 
 
@@ -205,19 +212,19 @@ def test_forged_triggers_use_only_free_input_bits():
     ported = [translate(a, irq, smap, TranslationConfig(
         key=a.effective_name() or str(i), generate_testcase=False)).verdict.assertion
         for i, a in enumerate(asserts)]
-    specs = forge(irq, ported, ForgeParams(count=2, k_min=2, k_max=2, seed=9,
-                                           horizon=8))
+    forged = forge(irq, ported, ForgeParams(count=2, k_min=2, k_max=2, seed=9,
+                                            horizon=8))
     banned = irq.clock_nets() | irq.reset_nets()
-    for s in specs:
+    for s, _ in forged:
         for c in s.trigger:
             assert irq.nets[c.signal].kind is NetKind.INPUT
             assert c.signal not in banned
 
 
-def test_dormant_trojans_are_invisible(toy, forged):
+def test_dormant_trojans_are_invisible(toy, specs):
     rng = random.Random(2024)
     nets = sorted(toy.nets)
-    for spec in forged:
+    for spec in specs:
         dirty = inject(toy, spec)
         quiet = 0
         for _ in range(200):
@@ -237,8 +244,7 @@ def test_dormant_trojans_are_invisible(toy, forged):
 
 def test_activation_replays_from_metadata(toy, toy_asserts, forged):
     by_name = {a.effective_name(): a for a in toy_asserts}
-    for spec in forged:
-        stim = Stimulus(inputs=spec.meta["activation"])
+    for spec, stim in forged:
         dirty = simulate(inject(toy, spec), stim)
         clean = simulate(toy, stim)
         assert any(clean.values[n] != dirty.values[n] for n in sorted(toy.nets))
@@ -250,8 +256,8 @@ def test_activation_replays_from_metadata(toy, toy_asserts, forged):
         assert not clean_v.failed
 
 
-def test_activation_stimulus_search(toy, forged):
-    spec = forged[0]
+def test_activation_stimulus_search(toy, specs):
+    spec = specs[0]
     stim = activation_stimulus(spec, toy, seed=4)
     dirty = simulate(inject(toy, spec), stim)
     clean = simulate(toy, stim)
@@ -263,9 +269,8 @@ def test_unsatisfiable_trigger_exhausts_the_budget(toy):
     # a_i == 3 forces bit 0 high, so requiring a_i[0] == 0 never fires
     spec = _spec(toy, trigger=(TriggerCond("a_i", None, 3),
                                TriggerCond("a_i", 0, 0)), k=5)
-    budget = SearchBudget(horizon=4, exhaustive_bits=4, random_vectors=200)
     with pytest.raises(ActivationNotFoundError, match="within budget"):
-        activation_stimulus(spec, toy, budget=budget, seed=1)
+        activation_stimulus(spec, toy, horizon=4, seed=1)
 
 
 def test_forge_needs_assertions_and_trigger_bits(toy, toy_asserts):
@@ -335,10 +340,8 @@ def test_activation_search_decides_every_candidate_of_a_batch():
                       module_kind="combinational",
                       trigger=(TriggerCond("x_i", 0, 0),), k=1,
                       payload_kind="invert_net", payload_net="ok_o")
-    budget = SearchBudget(horizon=4)
-    stim = trojan._find_activation(spec, netlist, [target], target, budget,
-                                   np.random.default_rng(0),
-                                   unique_failure=True)
+    stim = trojan._find_activation(spec, netlist, [target], target, 4,
+                                   np.random.default_rng(0))
     assert stim is not None
     assert {(c["x_i"], c["y_i"]) for c in stim.inputs} == {(0, 31)}
     dirty = check_assertions(simulate(inject(netlist, spec), stim), [target])
