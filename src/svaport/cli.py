@@ -244,8 +244,6 @@ def _trojan_files(config: ProjectConfig, job: ModuleJob) -> list[Path]:
 
 def cmd_evaluate(config: ProjectConfig) -> int:
     """Replay every activation stimulus and render the campaign report."""
-    module_rows: list[ModuleRow] = []
-    trojan_rows: list[TrojanRow] = []
     raw: dict = {"seed": config.seed, "modules": [], "trojans": []}
     tasks: list[tuple[ModuleJob, TrojanSpec, tuple]] = []
     per_module: dict[str, dict] = {}
@@ -293,23 +291,14 @@ def cmd_evaluate(config: ProjectConfig) -> int:
             if error is not None:
                 _warn(f"module {job.name}, trojan {spec.id}: {error}")
             detected_count += bool(detected)
-            probability = analytic_probability(spec)
-            trojan_rows.append(TrojanRow(spec.id, job.name, probability))
             raw["trojans"].append({
                 "id": spec.id,
                 "module": job.name,
                 "k": spec.k,
-                "p": str(probability),
+                "p": str(analytic_probability(spec)),
                 "detected": bool(detected),
                 "error": error,
             })
-        module_rows.append(ModuleRow(
-            module=job.name,
-            source_assertions=info["source"],
-            translated=info["translated"],
-            generated=len(info["scored"]),
-            detected=detected_count,
-        ))
         raw["modules"].append({
             "module": job.name,
             "source_assertions": info["source"],
@@ -318,9 +307,7 @@ def cmd_evaluate(config: ProjectConfig) -> int:
             "detected": detected_count,
         })
 
-    report = MetricsReport(modules=module_rows, trojans=trojan_rows,
-                           seed=config.seed)
-    rendered = emit_report(report, config.format)
+    rendered = emit_report(_metrics_report(raw), config.format)
     ext = {"table": "txt", "json": "json", "csv": "csv"}[config.format]
     _atomic_write(config.out_dir / "metrics.json", _json_text(raw))
     _atomic_write(config.out_dir / f"report.{ext}", rendered)
@@ -332,20 +319,24 @@ def cmd_evaluate(config: ProjectConfig) -> int:
 # report
 
 
+def _metrics_report(raw: dict) -> MetricsReport:
+    """The report of the rows in a ``metrics.json`` object."""
+    return MetricsReport(
+        modules=[ModuleRow(d["module"], d["source_assertions"],
+                           d["translated"], d["generated"], d["detected"])
+                 for d in raw["modules"]],
+        trojans=[TrojanRow(d["id"], d["module"], Fraction(d["p"]))
+                 for d in raw["trojans"]],
+        seed=raw["seed"])
+
+
 def cmd_report(config: ProjectConfig) -> int:
     """Re-render a finished evaluation (possibly in another format)."""
     path = config.out_dir / "metrics.json"
     if not path.is_file():
         raise ConfigError(f"{path}: not found; run the evaluate stage first")
     try:
-        raw = json.loads(path.read_text())
-        report = MetricsReport(
-            modules=[ModuleRow(d["module"], d["source_assertions"],
-                               d["translated"], d["generated"], d["detected"])
-                     for d in raw["modules"]],
-            trojans=[TrojanRow(d["id"], d["module"], Fraction(d["p"]))
-                     for d in raw["trojans"]],
-            seed=raw["seed"])
+        report = _metrics_report(json.loads(path.read_text()))
     except (KeyError, TypeError, ValueError) as err:
         # a JSON syntax error is a ValueError too
         raise ConfigError(f"{path}: not a metrics file written by evaluate "

@@ -122,8 +122,8 @@ def _count_hits(netlist: Netlist, spec: TrojanSpec, kernel: SimKernel,
                 arrays: dict[str, np.ndarray]) -> int:
     """Rows (out of a one-cycle batch) on which the trigger holds."""
     nets = kernel.run_batch(arrays, cycles=1)
-    params = {name: p.value for name, p in netlist.params.items()}
-    trig = BatchExpr(trigger_expr(spec, netlist), netlist.width, params)
+    trig = BatchExpr(trigger_expr(spec, netlist), netlist.width,
+                     netlist.constants())
     return int(np.count_nonzero(trig(nets)[:, 0]))
 
 

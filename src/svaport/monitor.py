@@ -13,26 +13,30 @@ the cycle at which the violated term was sampled, so `a |-> ##2 b` with the
 antecedent at cycle 1 reports its failure at cycle 3.
 
 $past(e, d) reads the trace d cycles back.  Nets read before cycle 0 yield
-0 (parameters keep their values) and are counted in
+0 (constants keep their values) and are counted in
 ``past_underflow_warnings`` — visible, never a silent pass.  The count has
 one entry per net read before cycle 0 in each term that a live attempt
 samples (every read of the term, both arms of a ``?:`` included), and in
 the disable expression at every cycle.
 
-``check_batch`` is the checker: it takes the rows of batch-simulated
-arrays, advances every attempt of every row in lockstep, and evaluates
-terms through the simulator's expression emitter.  ``check_assertion`` is
-``check_batch`` on one trace as a batch of one row.
+``Checker`` compiles one assertion against one design, once: it rejects
+names the design lacks, records the nets the assertion reads and compiles
+every term with the design's widths and constants, so a constant has its
+declared width (``parameter logic [3:0] P = 4'h1`` is 4 bits wide, an
+unsized constant as wide as its value).  Calling it decides every row of
+batch-simulated arrays, advancing every attempt of every row in lockstep.
+``check_assertion`` is a ``Checker`` on one trace as a batch of one row.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Collection, Mapping
+from typing import Mapping
 
 import numpy as np
 
 from .errors import UnknownSignalError
+from .netlist import Netlist
 from .sim import BatchExpr, Trace
 from .sva import Assertion, normalize_overlapped, signals_of
 
@@ -96,33 +100,15 @@ class AssertionVerdict:
         }
 
 
-def _validate(a: Assertion, nets: Collection[str], params: Mapping[str, int],
-              design: str) -> set[str]:
-    """Reject names that *a* reads but *design* lacks; return the nets it
-    reads, its clock included."""
-    names = signals_of(a)
-    for name in sorted(names):
-        if name not in nets and name not in params:
-            raise UnknownSignalError(
-                f"assertion {a.effective_name()} references {name}, which "
-                f"is not a net or constant of {design}")
-    if a.clock not in nets:
-        raise UnknownSignalError(
-            f"assertion {a.effective_name()} samples clock {a.clock}, "
-            f"which is not a net of {design}")
-    return {n for n in names if n not in params} | {a.clock}
-
-
 def check_assertion(trace: Trace, assertion: Assertion) -> AssertionVerdict:
-    """Check *assertion* over *trace*: the batched checker on the trace as
-    one row, converting only the nets the assertion reads."""
-    a = normalize_overlapped(assertion)
-    nets = _validate(a, trace.values, trace.params, trace.design)
-    verdict = _check(a, trace.arrays(nets), trace.widths, trace.params)
+    """Check *assertion* over *trace*: a ``Checker`` for the trace's
+    netlist on the trace as one row, converting only the nets it reads."""
+    checker = Checker(assertion, trace.netlist)
+    verdict = checker(trace.arrays(checker.nets))
     status = verdict.status[0]
     failures = [Failure(int(t), int(verdict.fail_cycle[0, t]))
                 for t in np.flatnonzero(status == _FAIL)]
-    return AssertionVerdict(a.effective_name(),
+    return AssertionVerdict(checker.assertion.effective_name(),
                             [STATUSES[c] for c in status.tolist()], failures,
                             int(verdict.past_underflows[0]))
 
@@ -156,74 +142,90 @@ class BatchVerdict:
         return (self.status == _PASS).any(axis=1)
 
 
-def check_batch(assertion: Assertion, values: Mapping[str, np.ndarray],
-                widths: Mapping[str, int], params: Mapping[str, int],
-                design: str) -> BatchVerdict:
-    """Check *assertion* over every row of (rows, cycles) net arrays.
+class Checker:
+    """One assertion compiled against one design.
 
-    All attempts advance in lockstep through the steps of the normalized
-    sequence, and an attempt leaves at the first step that cancels it (a
-    disable cycle after its start, up to the step's cycle or the trace
-    end), runs past the trace (pending) or reads a false term (vacuous in
-    the antecedent, a failure in the consequent).  Attempts that survive
-    every step pass.
+    Construction normalizes ``|=>``, rejects names that *netlist* lacks,
+    and compiles the disable term and every step term once, with the
+    netlist's widths and constants.  The checker then decides any batch of
+    net arrays that holds ``nets``.
     """
-    a = normalize_overlapped(assertion)
-    _validate(a, values, params, design)
-    return _check(a, values, widths, params)
 
+    def __init__(self, assertion: Assertion, netlist: Netlist):
+        a = normalize_overlapped(assertion)
+        names = signals_of(a)
+        for name in sorted(names):
+            if not netlist.resolves(name):
+                raise UnknownSignalError(
+                    f"assertion {a.effective_name()} references {name}, "
+                    f"which is not a net or constant of {netlist.name}")
+        if a.clock not in netlist.nets:
+            raise UnknownSignalError(
+                f"assertion {a.effective_name()} samples clock {a.clock}, "
+                f"which is not a net of {netlist.name}")
+        self.assertion = a
+        #: the nets the assertion reads, its clock included
+        self.nets = (names - netlist.params.keys()) | {a.clock}
+        consts = netlist.constants()
 
-def _check(a: Assertion, values: Mapping[str, np.ndarray],
-           widths: Mapping[str, int], params: Mapping[str, int]) -> BatchVerdict:
-    rows, cycles = values[a.clock].shape
+        def compiled(e) -> BatchExpr:
+            return BatchExpr(e, netlist.width, consts)
 
-    def width(name: str) -> int:
-        if name in widths:
-            return widths[name]
-        return max(1, params[name].bit_length())
+        self._disable = compiled(a.disable) if a.disable is not None else None
+        # (delay, term, in consequent) per step of the normalized sequence
+        self._plan = ([(d, compiled(t), False) for d, t in a.antecedent.steps]
+                      + [(d, compiled(t), True) for d, t in a.consequent.steps])
 
-    underflows = np.zeros(rows, dtype=np.int64)
-    status = np.full((rows, cycles), _PASS, dtype=np.int8)
-    alive = np.ones((rows, cycles), dtype=bool)
-    cancels = False
-    if a.disable is not None:
-        term = BatchExpr(a.disable, width, params)
-        disable = term(values) != 0
-        underflows += sum(min(d, cycles) for d in term.past_depths)
-        status[disable] = _NOT_ATTEMPTED
-        alive &= ~disable
-        cancels = bool(disable.any())
-        # seen[:, i] counts the disable cycles before cycle i
-        seen = np.zeros((rows, cycles + 1), dtype=np.int64)
-        np.cumsum(disable, axis=1, out=seen[:, 1:])
-    start = np.arange(cycles)
-    fail_cycle = np.zeros((rows, cycles), dtype=np.int64)
-    offset = 0
-    plan = [(d, t, False) for d, t in a.antecedent.steps] + \
-        [(d, t, True) for d, t in a.consequent.steps]
-    for delay, term, in_consequent in plan:
-        offset += delay
-        if cancels:
-            reach = np.minimum(start + offset, cycles - 1)
-            left = alive & (seen[:, reach + 1] > seen[:, start + 1])
-            status[left] = _NOT_ATTEMPTED
-            alive &= ~left
-        late = max(cycles - offset, 0)   # attempts from here run past the end
-        status[:, late:][alive[:, late:]] = _PENDING
-        alive[:, late:] = False
-        if not alive.any():
-            break
-        compiled = BatchExpr(term, width, params)
-        sampled = np.zeros((rows, cycles), dtype=bool)
-        sampled[:, :late] = (compiled(values) != 0)[:, offset:]
-        for d in compiled.past_depths:
-            underflows += np.count_nonzero(alive[:, :max(d - offset, 0)],
-                                           axis=1)
-        left = alive & ~sampled
-        if in_consequent:
-            status[left] = _FAIL
-            fail_cycle[left] = offset
-        else:
-            status[left] = _VACUOUS_PASS
-        alive &= sampled
-    return BatchVerdict(status, fail_cycle + start, underflows)
+    def __call__(self, values: Mapping[str, np.ndarray]) -> BatchVerdict:
+        """Decide every row of (rows, cycles) net arrays.
+
+        All attempts advance in lockstep through the steps of the
+        normalized sequence, and an attempt leaves at the first step that
+        cancels it (a disable cycle after its start, up to the step's
+        cycle or the trace end), runs past the trace (pending) or reads a
+        false term (vacuous in the antecedent, a failure in the
+        consequent).  Attempts that survive every step pass.
+        """
+        rows, cycles = values[self.assertion.clock].shape
+        underflows = np.zeros(rows, dtype=np.int64)
+        status = np.full((rows, cycles), _PASS, dtype=np.int8)
+        alive = np.ones((rows, cycles), dtype=bool)
+        cancels = False
+        if self._disable is not None:
+            disable = self._disable(values) != 0
+            underflows += sum(min(d, cycles)
+                              for d in self._disable.past_depths)
+            status[disable] = _NOT_ATTEMPTED
+            alive &= ~disable
+            cancels = bool(disable.any())
+            # seen[:, i] counts the disable cycles before cycle i
+            seen = np.zeros((rows, cycles + 1), dtype=np.int64)
+            np.cumsum(disable, axis=1, out=seen[:, 1:])
+        start = np.arange(cycles)
+        fail_cycle = np.zeros((rows, cycles), dtype=np.int64)
+        offset = 0
+        for delay, term, in_consequent in self._plan:
+            offset += delay
+            if cancels:
+                reach = np.minimum(start + offset, cycles - 1)
+                left = alive & (seen[:, reach + 1] > seen[:, start + 1])
+                status[left] = _NOT_ATTEMPTED
+                alive &= ~left
+            late = max(cycles - offset, 0)  # attempts from here run past the end
+            status[:, late:][alive[:, late:]] = _PENDING
+            alive[:, late:] = False
+            if not alive.any():
+                break
+            sampled = np.zeros((rows, cycles), dtype=bool)
+            sampled[:, :late] = (term(values) != 0)[:, offset:]
+            for d in term.past_depths:
+                underflows += np.count_nonzero(alive[:, :max(d - offset, 0)],
+                                               axis=1)
+            left = alive & ~sampled
+            if in_consequent:
+                status[left] = _FAIL
+                fail_cycle[left] = offset
+            else:
+                status[left] = _VACUOUS_PASS
+            alive &= sampled
+        return BatchVerdict(status, fail_cycle + start, underflows)

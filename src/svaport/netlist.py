@@ -81,6 +81,10 @@ class Netlist:
     def resolves(self, name: str) -> bool:
         return name in self.nets or name in self.params
 
+    def constants(self) -> dict[str, int]:
+        """The value of each named constant."""
+        return {name: p.value for name, p in self.params.items()}
+
     def inputs(self) -> list[Net]:
         return [n for n in self.nets.values() if n.kind is NetKind.INPUT]
 
@@ -98,6 +102,14 @@ class Netlist:
 
     def reset_nets(self) -> set[str]:
         return {r.reset.net for r in self.registers if r.reset is not None}
+
+    def idle_resets(self) -> dict[str, int]:
+        """Each input reset net at its inactive level: the value that lets
+        the design run."""
+        inputs = {n.name for n in self.inputs()}
+        return {r.reset.net: 1 - r.reset.active_level
+                for r in self.registers
+                if r.reset is not None and r.reset.net in inputs}
 
     def fingerprint(self) -> str:
         """Stable content hash of the elaborated design."""

@@ -130,15 +130,6 @@ def _schedules(netlist: Netlist, forced: dict[tuple[str, int], int]):
     return schedules
 
 
-def _reset_values(netlist: Netlist) -> dict[str, int]:
-    out = {}
-    for r in netlist.registers:
-        if r.reset is not None and r.reset.net in netlist.nets \
-                and netlist.nets[r.reset.net].kind is NetKind.INPUT:
-            out[r.reset.net] = 1 - r.reset.active_level
-    return out
-
-
 def search_stimulus(
     netlist: Netlist,
     input_sets: list[list[str]],
@@ -169,7 +160,7 @@ def search_stimulus(
     """
     kernel = kernel or SimKernel(netlist)
     stats = SearchStats()
-    resets = _reset_values(netlist)
+    resets = netlist.idle_resets()
     searched: list[list[str]] = []
     for input_set in input_sets:
         # reset is pinned inactive below, never enumerated

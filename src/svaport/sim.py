@@ -19,7 +19,9 @@ A kernel may be sliced to the nets a caller reads (``SimKernel(netlist,
 keep)``): it then computes only their fan-in cone and returns only them,
 which is all a search objective needs.  Batch runs store each net
 cycle-major, one contiguous (rows,) row per cycle, and hand the arrays out
-as (rows, cycles) views.
+as (rows, cycles) views.  A scalar run returns a ``Trace``, which keeps the
+netlist it ran: readers take the nets' widths and the design's constants
+from it.
 """
 
 from __future__ import annotations
@@ -34,7 +36,7 @@ import numpy as np
 
 from . import expr as ex
 from .errors import ConfigError, ElaborationError, UnknownSignalError
-from .netlist import Netlist, NetKind, combinational_closure
+from .netlist import Netlist, combinational_closure
 
 
 # --------------------------------------------------------------------------
@@ -60,10 +62,7 @@ class Stimulus:
     def for_design(netlist: Netlist, cycles: list[dict[str, int]]) -> "Stimulus":
         """Fill in the defaults; the first bad cycle or value raises."""
         names = {n.name: n for n in netlist.inputs()}
-        inactive = {}
-        for r in netlist.registers:
-            if r.reset is not None and r.reset.net in names:
-                inactive[r.reset.net] = 1 - r.reset.active_level
+        inactive = netlist.idle_resets()
         if not isinstance(cycles, list):
             raise ConfigError("expected an array of per-cycle input maps")
         rows: list[dict[str, int]] = []
@@ -113,12 +112,11 @@ def load_stimulus(path: str | Path, netlist: Netlist) -> Stimulus:
 
 @dataclass
 class Trace:
-    """Settled per-cycle values of every net, plus the design's constants."""
+    """Settled per-cycle values of the simulated nets of *netlist*, which
+    gives their widths and the design's constants."""
 
-    design: str
+    netlist: Netlist
     nets: tuple[str, ...]
-    widths: dict[str, int]
-    params: dict[str, int]
     values: dict[str, list[int]]
     cycles: int
 
@@ -126,7 +124,8 @@ class Trace:
         try:
             return self.values[net][cycle]
         except KeyError:
-            raise UnknownSignalError(f"{net} is not a net of {self.design}") from None
+            raise UnknownSignalError(
+                f"{net} is not a net of {self.netlist.name}") from None
 
     def arrays(self, nets: Iterable[str]) -> dict[str, np.ndarray]:
         """The given nets as (1, cycles) uint64 arrays: the trace as a
@@ -318,7 +317,7 @@ class SimKernel:
 
     def _generate(self) -> str:
         nl = self.netlist
-        params = {p.name: p.value for p in nl.params.values()}
+        params = nl.constants()
         lines = ["def _step(IN, REG, _zero, _b, _mux):"]
         if self.input_names:
             lines.append(f"    ({', '.join('v_' + n for n in self.input_names)},) = IN")
@@ -360,15 +359,7 @@ class SimKernel:
             nets, regs = self.step(ins, regs)
             for name, v in zip(self.net_order, nets):
                 values[name].append(v)
-        nl = self.netlist
-        return Trace(
-            design=nl.name,
-            nets=self.net_order,
-            widths={n: nl.nets[n].width for n in self.net_order},
-            params={p.name: p.value for p in nl.params.values()},
-            values=values,
-            cycles=stimulus.cycles,
-        )
+        return Trace(self.netlist, self.net_order, values, stimulus.cycles)
 
     def run_batch(self, inputs: dict[str, np.ndarray], cycles: int) -> dict[str, np.ndarray]:
         """Simulate many stimuli at once.
@@ -425,9 +416,10 @@ def write_vcd(trace: Trace, path: str | Path, timescale: str = "1ns") -> None:
             if k < 0:
                 break
         ids[net] = code
-    lines = [f"$timescale {timescale} $end", f"$scope module {trace.design} $end"]
+    nl = trace.netlist
+    lines = [f"$timescale {timescale} $end", f"$scope module {nl.name} $end"]
     for net in trace.nets:
-        lines.append(f"$var wire {trace.widths[net]} {ids[net]} {net} $end")
+        lines.append(f"$var wire {nl.width(net)} {ids[net]} {net} $end")
     lines.append("$upscope $end")
     lines.append("$enddefinitions $end")
     last: dict[str, int | None] = {n: None for n in trace.nets}
@@ -437,7 +429,7 @@ def write_vcd(trace: Trace, path: str | Path, timescale: str = "1ns") -> None:
             v = trace.values[net][t]
             if v != last[net]:
                 last[net] = v
-                if trace.widths[net] == 1:
+                if nl.width(net) == 1:
                     lines.append(f"{v}{ids[net]}")
                 else:
                     lines.append(f"b{v:b} {ids[net]}")

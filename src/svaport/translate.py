@@ -24,7 +24,7 @@ import numpy as np
 from . import expr as ex
 from .errors import ConfigError
 from .graph import DependencyGraph, Relationship, build_graph, classify, fanin
-from .monitor import check_assertion, check_batch
+from .monitor import Checker, check_assertion
 from .netlist import Netlist
 from .rng import substream
 from .search import input_cone, search_stimulus
@@ -141,6 +141,9 @@ class SignalMap:
         for row in objects("naming"):
             if not isinstance(row.get("applies_to"), str):
                 raise ConfigError(f"naming rule needs a string applies_to: {row}")
+            if any(rule.applies_to == row["applies_to"] for rule in m.naming):
+                raise ConfigError(
+                    f"duplicate naming rule for {row['applies_to']}")
             for key in ("property", "label", "error"):
                 if not isinstance(row.get(key, ""), str):
                     raise ConfigError(f"naming rule {key} must be a string, "
@@ -571,10 +574,10 @@ def generate_testcase(a: Assertion, target: Netlist,
                       kernel: SimKernel | None = None) -> Stimulus | None:
     """Find inputs under which *a* passes non-vacuously on the clean design.
 
-    The monitor decides the verdict (no failure, at least one completed
-    non-vacuous pass) with arrays over every candidate of each simulated
-    batch, and a scalar simulation checked by ``check_assertion`` confirms
-    the first candidate that meets it.  Batches run on a kernel sliced to
+    One ``Checker`` decides the verdict (no failure, at least one
+    completed non-vacuous pass) with arrays over every candidate of each
+    simulated batch, and a scalar simulation checked by ``check_assertion``
+    confirms the first candidate that meets it.  Batches run on a kernel sliced to
     the nets the assertion reads; the confirmation runs on the whole
     design.  The search covers the assertion's whole input cone, then, if
     that finds nothing, the input cone of the antecedent alone.
@@ -582,12 +585,11 @@ def generate_testcase(a: Assertion, target: Netlist,
     config = config or TranslationConfig()
     graph = graph or build_graph(target)
     kernel = kernel or SimKernel(target)
-    params = {name: p.value for name, p in target.params.items()}
-    widths = {name: net.width for name, net in target.nets.items()}
+    checker = Checker(a, target)
 
     def objective(arrays: dict[str, np.ndarray],
                   inputs: dict[str, np.ndarray]) -> np.ndarray:
-        verdict = check_batch(a, arrays, widths, params, target.name)
+        verdict = checker(arrays)
         return np.flatnonzero(verdict.passed & ~verdict.failed)
 
     def accept(stim: Stimulus) -> bool:
@@ -601,8 +603,7 @@ def generate_testcase(a: Assertion, target: Netlist,
     steer = set().union(*(ex.idents_of(t) for t in a.antecedent.terms()))
     narrow = input_cone(target, graph, steer)
     rng = substream(config.seed, "translate", "testcase", a.effective_name())
-    sliced = SimKernel(target, keep=(signals_of(a) & target.nets.keys())
-                       | {a.clock})
+    sliced = SimKernel(target, keep=checker.nets)
     stim, _stats = search_stimulus(target, [cone, narrow], {}, objective,
                                    accept, rng, config.horizon, kernel=sliced)
     return stim

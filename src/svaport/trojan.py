@@ -26,7 +26,7 @@ from . import expr as ex
 from .errors import (ActivationNotFoundError, ConfigError,
                      InsufficientSignalsError, PayloadConflictError)
 from .graph import build_graph
-from .monitor import check_batch
+from .monitor import Checker
 from .netlist import Assign, Netlist, NetKind, Register, combinational_closure
 from .rng import substream
 from .search import input_cone, search_stimulus, take_rows
@@ -303,6 +303,9 @@ def forge(netlist: Netlist, assertions: list[Assertion],
     k_span = list(range(params.k_min, params.k_max + 1))
     module_kind = "sequential" if netlist.registers else "combinational"
     kernel = SimKernel(netlist)
+    # the injected designs keep the clean one's nets and constants, so one
+    # checker per assertion decides clean and corrupted runs alike
+    checkers = [Checker(a, netlist) for a in assertions]
 
     forged: list[tuple[TrojanSpec, Stimulus]] = []
     for j in range(params.count):
@@ -312,11 +315,12 @@ def forge(netlist: Netlist, assertions: list[Assertion],
             raise InsufficientSignalsError(
                 f"assertion cone offers {len(pool)} trigger bits, "
                 f"but trojan {j} needs k={k}")
-        target = assertions[j % len(assertions)]
-        nets = _payload_candidates(netlist, target)
+        target = j % len(assertions)
+        checked = assertions[target]
+        nets = _payload_candidates(netlist, checked)
         if not nets:
             raise InsufficientSignalsError(
-                f"assertion {target.effective_name()} checks no driven net")
+                f"assertion {checked.effective_name()} checks no driven net")
         rng = substream(params.seed, "forge", netlist.name, j)
         for attempt in range(params.tries):
             picks = sorted(rng.choice(len(pool), size=k, replace=False))
@@ -338,11 +342,11 @@ def forge(netlist: Netlist, assertions: list[Assertion],
                 payload_kind=payload_kind,
                 payload_net=payload_net,
                 payload_value=value,
-                meta={"target_assertion": target.effective_name(),
+                meta={"target_assertion": checked.effective_name(),
                       "seed": params.seed},
             )
             stim = _find_activation(
-                cand, netlist, assertions, target, params.horizon,
+                cand, netlist, checkers, target, params.horizon,
                 substream(params.seed, "forge", netlist.name, j, attempt),
                 kernel=kernel)
             if stim is not None:
@@ -359,24 +363,24 @@ def forge(netlist: Netlist, assertions: list[Assertion],
 # activation
 
 def _observables(netlist: Netlist, spec: TrojanSpec,
-                 assertions: list[Assertion]) -> list[str]:
+                 checkers: list[Checker]) -> list[str]:
     names = {n.name for n in netlist.nets.values() if n.kind is NetKind.OUTPUT}
     names.add(spec.payload_net)
-    for a in assertions:
-        names |= {s for s in signals_of(a) if s in netlist.nets}
+    for c in checkers:
+        names |= signals_of(c.assertion) & netlist.nets.keys()
     return sorted(names)
 
 
 def _find_activation(spec: TrojanSpec, netlist: Netlist,
-                     assertions: list[Assertion], target: Assertion | None,
+                     checkers: list[Checker], target: int | None,
                      horizon: int, rng: np.random.Generator,
                      *, kernel: SimKernel | None = None) -> Stimulus | None:
     """Search for a stimulus satisfying the activation objective.
 
     Always required: the trigger fires and the corrupted design's trace
     differs from the clean one on an observable net.  When *target* is
-    given its assertion must fail on the corrupted design and hold on the
-    clean one, and no other of *assertions* may fail.
+    given, the assertion of ``checkers[target]`` must fail on the corrupted
+    design and hold on the clean one, and no other checker may fail.
 
     One rule, ``meets``, decides the objective with arrays, for a batch and
     for a single run alike.  Each batch is screened by the trigger and the
@@ -389,14 +393,13 @@ def _find_activation(spec: TrojanSpec, netlist: Netlist,
     """
     injected = inject(netlist, spec)
     kernel = kernel or SimKernel(netlist)
-    params = {name: p.value for name, p in netlist.params.items()}
-    trig = BatchExpr(trigger_expr(spec, netlist), injected.width, params)
-    widths = {name: net.width for name, net in netlist.nets.items()}
-    watch = _observables(netlist, spec, assertions)
+    consts = netlist.constants()
+    trig = BatchExpr(trigger_expr(spec, netlist), injected.width, consts)
+    watch = _observables(netlist, spec, checkers)
     # the corrupted design is only ever read on these nets
     keep = set(watch) | trig.nets
-    for a in assertions:
-        keep |= (signals_of(a) & injected.nets.keys()) | {a.clock}
+    for c in checkers:
+        keep |= c.nets
     inj_kernel = SimKernel(injected, keep=keep)
 
     graph = build_graph(injected)
@@ -406,11 +409,10 @@ def _find_activation(spec: TrojanSpec, netlist: Netlist,
               and netlist.nets[c.signal].kind is NetKind.INPUT}
 
     # the first-term antecedent is batchable and a cheap necessary condition
-    ante_term = (BatchExpr(target.antecedent.steps[0][1], injected.width,
-                           params) if target is not None else None)
-
-    def fails(a: Assertion, values: dict[str, np.ndarray]) -> np.ndarray:
-        return check_batch(a, values, widths, params, netlist.name).failed
+    goal = checkers[target] if target is not None else None
+    ante = goal.assertion.antecedent if goal is not None else None
+    ante_term = (BatchExpr(ante.steps[0][1], injected.width, consts)
+                 if ante is not None else None)
 
     def meets(dirty: dict[str, np.ndarray], clean: dict[str, np.ndarray],
               rows: np.ndarray) -> np.ndarray:
@@ -419,15 +421,15 @@ def _find_activation(spec: TrojanSpec, netlist: Netlist,
         ok = np.zeros(rows.size, dtype=bool)
         for n in watch:
             ok |= (dirty[n][rows] != clean[n]).any(axis=1)
-        if target is None or not ok.any():
+        if goal is None or not ok.any():
             return ok
         # the dirty arrays are checked whole and the clean ones hold only
         # the given rows, so every verdict is indexed by row, not copied
-        ok &= ~fails(target, clean)
-        ok &= fails(target, dirty)[rows]
-        for a in assertions:
-            if a.effective_name() != target.effective_name() and ok.any():
-                ok &= ~fails(a, dirty)[rows]
+        ok &= ~goal(clean).failed
+        ok &= goal(dirty).failed[rows]
+        for i, other in enumerate(checkers):
+            if i != target and ok.any():
+                ok &= ~other(dirty).failed[rows]
         return ok
 
     def objective(arrays: dict[str, np.ndarray],
@@ -453,8 +455,8 @@ def _find_activation(spec: TrojanSpec, netlist: Netlist,
     # target's antecedent) before falling back to everything the
     # observables depend on; consequent-only inputs can ride the defaults
     steer = set(trig_signals)
-    if target is not None:
-        for term in target.antecedent.terms():
+    if ante is not None:
+        for term in ante.terms():
             steer |= {s for s in ex.idents_of(term) if s in injected.nets}
     narrow = input_cone(injected, graph, steer)
     wide = sorted(set(narrow) | set(input_cone(injected, graph, set(watch))))

@@ -129,7 +129,16 @@ def traces(draw, *, nets: dict[str, int] | None = None,
         name: [draw(st.integers(0, (1 << w) - 1)) for _ in range(cycles)]
         for name, w in nets.items()
     }
-    return Trace("rand_trace", tuple(nets), dict(nets), {}, values, cycles)
+    return Trace(netlist_of("rand_trace", nets), tuple(nets), values, cycles)
+
+
+def netlist_of(name: str, widths: dict[str, int],
+               params: tuple[Param, ...] = ()) -> Netlist:
+    """A netlist that only declares nets of the given widths (as inputs)
+    and the given constants: enough for a hand-made trace."""
+    return Netlist(name, tuple(widths),
+                   {n: Net(n, w, NetKind.INPUT) for n, w in widths.items()},
+                   {p.name: p for p in params})
 
 
 @st.composite

@@ -74,7 +74,7 @@ def eval_expr(e, value, width):
 def simulate_fixpoint(netlist: Netlist, stimulus: Stimulus) -> Trace:
     """Reference simulator: re-evaluate every assign in declaration order
     until no value changes, then update registers all at once."""
-    consts = {name: p.value for name, p in netlist.params.items()}
+    consts = netlist.constants()
 
     def width(name: str) -> int:
         return netlist.width(name)
@@ -113,14 +113,7 @@ def simulate_fixpoint(netlist: Netlist, stimulus: Stimulus) -> Trace:
                 nxt[r.target] = eval_expr(r.next, read, width)
         state.update(nxt)
 
-    return Trace(
-        design=netlist.name,
-        nets=tuple(netlist.nets),
-        widths={n: netlist.nets[n].width for n in netlist.nets},
-        params=dict(consts),
-        values=values,
-        cycles=stimulus.cycles,
-    )
+    return Trace(netlist, tuple(netlist.nets), values, stimulus.cycles)
 
 
 # --------------------------------------------------------------------------
@@ -184,12 +177,8 @@ def check_reference(trace: Trace, assertion: Assertion) -> tuple[list[str], list
     the attempt.  A schedule running past the trace is pending.  $past
     reads d cycles back and yields 0 before cycle 0.
     """
-    consts = trace.params
-
-    def width(name: str) -> int:
-        if name in trace.widths:
-            return trace.widths[name]
-        return max(1, consts[name].bit_length())
+    consts = trace.netlist.constants()
+    width = trace.netlist.width
 
     def value_at(name: str, t: int) -> int:
         if name in consts:

@@ -30,7 +30,7 @@ from svaport.translate import (SignalMap, TranslationConfig, assertion_key,
                                translate)
 from svaport.trojan import load_trojans, trigger_expr
 
-from . import oracles
+from . import gen, oracles
 
 TABLE2 = json.loads(
     (Path(__file__).parent / "data" / "table2.json").read_text())
@@ -147,6 +147,7 @@ def test_c07_temporal_semantics_hold_on_1000_random_traces():
     rng = random.Random(0x5EED)
     names = ("clk", "a", "b", "c", "d", "x", "xs1", "xs2", "xs3")
     widths = dict.fromkeys(names, 1) | {"x": 4, "xs1": 4, "xs2": 4, "xs3": 4}
+    netlist = gen.netlist_of("rand", widths)
     traces = non_vacuous = 0
     for i in range(1000):
         n = rng.randint(8, 14)
@@ -158,8 +159,7 @@ def test_c07_temporal_semantics_hold_on_1000_random_traces():
         values["x"] = [rng.randint(0, 15) for _ in range(n)]
         for depth in (1, 2, 3):
             values[f"xs{depth}"] = [0] * depth + values["x"][:-depth]
-        trace = Trace(design="rand", nets=names, widths=widths, params={},
-                      values=values, cycles=n)
+        trace = Trace(netlist=netlist, nets=names, values=values, cycles=n)
         traces += 1
 
         v_over = check_assertion(trace, overlapped)

@@ -144,6 +144,8 @@ def test_config_value_of_wrong_type_exits_1(tmp_path, capsys, where, key,
     {"naming": [{"applies_to": "A_SUM", "property": 7}]},
     {"naming": [{"applies_to": "A_SUM", "error": ["failed"]}]},
     {"naming": [{"applies_to": 0, "label": "L"}]},
+    {"naming": [{"applies_to": "A_SUM", "label": "FIRST"},
+                {"applies_to": "A_SUM", "label": "SECOND"}]},
 ])
 def test_malformed_signal_map_exits_1(tmp_path, capsys, smap):
     path = make_campaign(tmp_path)

@@ -9,9 +9,11 @@ from hypothesis import strategies as st
 
 from svaport import expr as ex
 from svaport.errors import UnknownSignalError
-from svaport.monitor import (Failure, check_assertion, check_assertions,
-                             check_batch)
-from svaport.sim import Trace
+from svaport.monitor import (Checker, Failure, check_assertion,
+                             check_assertions)
+from svaport.netlist import Param
+from svaport.rtl_parser import parse_design
+from svaport.sim import Stimulus, Trace, simulate
 from svaport.sva import parse_assertion
 
 from . import gen, oracles
@@ -29,7 +31,7 @@ def make_trace(cycles: int, **values) -> Trace:
         assert len(series) == cycles
         nets[name] = width
         cols[name] = list(series)
-    return Trace("hand_trace", tuple(nets), nets, {}, cols, cycles)
+    return Trace(gen.netlist_of("hand_trace", nets), tuple(nets), cols, cycles)
 
 
 def prop(text: str):
@@ -147,12 +149,36 @@ def test_unknown_signal_rejected():
             trace, parse_assertion("assert property (@(posedge ck2) a |-> a);"))
 
 
-def test_params_resolve_in_assertions():
+def op_trace(param: Param) -> Trace:
+    """Three cycles of a 2-bit ``op`` counting 0, 1, 2 beside *param*."""
     nets = {"clk": 1, "op": 2}
-    trace = Trace("t", tuple(nets), nets, {"OP_WRITE": 1},
-                  {"clk": [1, 1, 1], "op": [0, 1, 2]}, 3)
+    return Trace(gen.netlist_of("t", nets, (param,)), tuple(nets),
+                 {"clk": [1, 1, 1], "op": [0, 1, 2]}, 3)
+
+
+def test_params_resolve_in_assertions():
+    trace = op_trace(Param("OP_WRITE", 1))
     v = check_assertion(trace, prop("op == OP_WRITE |-> op != 2"))
     assert v.statuses == ["vacuous_pass", "pass", "vacuous_pass"]
+
+
+SIZED_RTL = """\
+module m (input logic clk, input logic [3:0] x_i, output logic [3:0] y_o);
+  parameter logic [3:0] P = 4'h1;
+  assign y_o = ~P;
+endmodule
+"""
+
+
+def test_sized_constant_has_its_declared_width():
+    # ~P is 4'he in the design, so the assertion must read it as 4 bits too
+    nl = parse_design(SIZED_RTL)
+    trace = simulate(nl, Stimulus.for_design(nl, [{}] * 3))
+    assert trace.values["y_o"] == [14, 14, 14]
+    a = prop("x_i == 0 |-> y_o == ~P")
+    v = check_assertion(trace, a)
+    assert v.statuses == ["pass"] * 3 and v.failure_count == 0
+    assert oracles.check_reference(trace, a) == (["pass"] * 3, [])
 
 
 def test_check_assertions_preserves_order():
@@ -192,9 +218,7 @@ def batch_of(traces: list[Trace]) -> dict[str, np.ndarray]:
 
 
 def check_rows(traces: list[Trace], a):
-    head = traces[0]
-    return check_batch(a, batch_of(traces), head.widths, head.params,
-                       head.design)
+    return Checker(a, traces[0].netlist)(batch_of(traces))
 
 
 @pytest.mark.parametrize("text,values,failed,passed", [
@@ -221,20 +245,31 @@ def test_batch_matches_scalar_on_hand_traces(text, values, failed, passed):
 
 
 def test_batch_resolves_params_like_the_monitor():
-    nets = {"clk": 1, "op": 2}
-    trace = Trace("t", tuple(nets), nets, {"OP_WRITE": 1},
-                  {"clk": [1, 1, 1], "op": [0, 1, 2]}, 3)
-    a = prop("op == OP_WRITE |-> ~OP_WRITE == 0")
-    verdict = check_rows([trace], a)
-    v = check_assertion(trace, a)
-    assert (verdict.failed[0], verdict.passed[0]) == (False, True)
-    assert (v.failed, v.non_vacuous_passes >= 1) == (False, True)
+    for param, consequent in [
+            # an unsized constant is as wide as its value: ~1 is 0
+            (Param("OP_WRITE", 1), "~OP_WRITE == 0"),
+            # a sized one has its declared width: ~4'h1 is 4'he
+            (Param("OP_WRITE", 1, 4), "~OP_WRITE == 14")]:
+        trace = op_trace(param)
+        a = prop(f"op == OP_WRITE |-> {consequent}")
+        verdict = check_rows([trace], a)
+        v = check_assertion(trace, a)
+        assert (verdict.failed[0], verdict.passed[0]) == (False, True)
+        assert (v.failed, v.non_vacuous_passes >= 1) == (False, True)
+        assert oracles.check_reference(trace, a)[1] == []
 
 
 def test_batch_rejects_unknown_signals():
     trace = make_trace(3, a=[0, 0, 0])
     with pytest.raises(UnknownSignalError, match="ghost"):
         check_rows([trace], prop("a |-> ghost"))
+
+
+def test_checker_reads_its_nets_and_clock_but_no_constant():
+    trace = op_trace(Param("OP_WRITE", 1))
+    checker = Checker(prop("op == OP_WRITE |=> op != 0"), trace.netlist)
+    assert checker.nets == {"clk", "op"}
+    assert checker.assertion.implication == "|->"
 
 
 @given(st.data())

@@ -2,7 +2,7 @@
 
 import pytest
 
-from svaport import corpus
+from svaport import corpus, monitor
 from svaport import expr as ex
 from svaport.errors import ConfigError
 from svaport.monitor import check_assertion
@@ -292,3 +292,21 @@ def test_testcase_search_decides_every_candidate_of_a_batch():
     assert {(c["x_i"], c["y_i"]) for c in stim.inputs} == {(0, 31)}
     v = check_assertion(simulate(target, stim), a)
     assert v.failure_count == 0 and v.non_vacuous_passes >= 1
+
+
+def test_testcase_search_compiles_its_assertion_once(monkeypatch):
+    # the search's batches share one checker; the scalar confirmation of
+    # the one winning candidate builds the other
+    compiled: list[str] = []
+    compile_checker = monitor.Checker.__init__
+
+    def counting_compile(self, assertion, netlist):
+        compile_checker(self, assertion, netlist)
+        compiled.append(assertion.effective_name())
+
+    monkeypatch.setattr(monitor.Checker, "__init__", counting_compile)
+    target = parse_design(WIT_RTL)
+    a = parse_assertion("W: assert property (@(posedge clk_i) "
+                        "x_i[0] == 0 |-> ok_o);")
+    assert generate_testcase(a, target) is not None
+    assert compiled == ["W", "W"]

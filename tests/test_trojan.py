@@ -6,11 +6,11 @@ import random
 import numpy as np
 import pytest
 
-from svaport import corpus, sim, trojan
+from svaport import corpus, monitor, sim, trojan
 from svaport.errors import (ActivationNotFoundError, CombinationalLoopError,
                             ConfigError, InsufficientSignalsError,
                             PayloadConflictError)
-from svaport.monitor import check_assertions
+from svaport.monitor import Checker, check_assertions
 from svaport.netlist import NetKind
 from svaport.rtl_parser import parse_design
 from svaport.sim import BatchExpr, Stimulus, simulate
@@ -313,6 +313,44 @@ def test_forge_compiles_once_per_netlist_and_confirms_each_check(
     assert confirmed and all(confirmed)
 
 
+def test_forge_compiles_each_assertion_once(toy, toy_asserts, monkeypatch):
+    compiled: list[str] = []
+    compile_checker = monitor.Checker.__init__
+
+    def counting_compile(self, assertion, netlist):
+        compile_checker(self, assertion, netlist)
+        compiled.append(assertion.effective_name())
+
+    monkeypatch.setattr(monitor.Checker, "__init__", counting_compile)
+    attempts: list[None] = []
+    find = trojan._find_activation
+
+    def counting_find(*args, **kwargs):
+        attempts.append(None)
+        return find(*args, **kwargs)
+
+    monkeypatch.setattr(trojan, "_find_activation", counting_find)
+    # seed 6 takes ten attempts for four trojans
+    forge(toy, toy_asserts, ForgeParams(count=4, k_min=2, k_max=3, seed=6,
+                                        horizon=8))
+    assert len(attempts) == 10
+    assert sorted(compiled) == ["A_FLAG", "A_SUM"]
+
+
+def test_forge_tells_unlabeled_assertions_apart(toy):
+    # two properties without labels share one effective name; each forged
+    # activation must still fail its target alone
+    unlabeled = parse_assertions(
+        "\n".join(line.split(": ", 1)[1] for line in TOY_SVA.splitlines()))
+    assert {a.effective_name() for a in unlabeled} == {"<anonymous>"}
+    for seed in range(30):
+        for j, (spec, stim) in enumerate(forge(toy, unlabeled, ForgeParams(
+                count=2, k_min=2, k_max=3, seed=seed, horizon=8))):
+            verdicts = check_assertions(simulate(inject(toy, spec), stim),
+                                        unlabeled)
+            assert [v.failed for v in verdicts] == [j == 0, j == 1], seed
+
+
 DEEP_RTL = """\
 module deep (
   input  logic       clk,
@@ -340,8 +378,8 @@ def test_activation_search_decides_every_candidate_of_a_batch():
                       module_kind="combinational",
                       trigger=(TriggerCond("x_i", 0, 0),), k=1,
                       payload_kind="invert_net", payload_net="ok_o")
-    stim = trojan._find_activation(spec, netlist, [target], target, 4,
-                                   np.random.default_rng(0))
+    stim = trojan._find_activation(spec, netlist, [Checker(target, netlist)],
+                                   0, 4, np.random.default_rng(0))
     assert stim is not None
     assert {(c["x_i"], c["y_i"]) for c in stim.inputs} == {(0, 31)}
     dirty = check_assertions(simulate(inject(netlist, spec), stim), [target])
