@@ -49,7 +49,7 @@ from fractions import Fraction
 from pathlib import Path
 
 from .config import REPORT_FORMATS, ModuleJob, ProjectConfig
-from .errors import ConfigError, SvaportError
+from .errors import ConfigError, SvaportError, UnknownSignalError
 from .graph import build_graph
 from .metrics import (MetricsReport, ModuleRow, TrojanRow,
                       analytic_probability, emit_report)
@@ -198,10 +198,15 @@ def cmd_inject(config: ProjectConfig) -> int:
                 spec.meta.setdefault("seed", config.seed)
                 # the activation is written once, to its own stimulus file
                 rows = spec.meta.pop("activation", None)
-                stimulus = (activation_stimulus(spec, target, config.horizon,
-                                                seed=config.seed)
-                            if rows is None
-                            else Stimulus.for_design(target, rows))
+                if rows is None:
+                    stimulus = activation_stimulus(spec, target, config.horizon,
+                                                   seed=config.seed)
+                else:
+                    try:
+                        stimulus = Stimulus.for_design(target, rows)
+                    except (ConfigError, UnknownSignalError) as err:
+                        raise type(err)(f"module {job.name}, trojan {spec.id}: "
+                                        f"{err}") from None
                 trojans.append((spec, stimulus))
         _check_ids(job, [spec for spec, _ in trojans])
         tdir = _module_dir(config, job) / "trojans"

@@ -15,6 +15,14 @@ parser rejects nets wider than 64 bits).  ``emit`` is the one expression
 evaluator: it writes the kernel's code, and ``BatchExpr`` compiles
 assertion terms and search screens with it.
 
+A stimulus is one map of input values per cycle.  ``Stimulus.for_design``
+checks it whole, a list of maps naming inputs and each input's column all
+integers that fit its width; it walks the cycles one by one only when a
+check fails, to name the first bad cycle.  ``stimulus_text`` writes every
+cycle through one format string per tuple of input names, and
+``SimKernel.run`` reads each cycle's inputs with one item getter, so a long
+stimulus costs no Python work per value.
+
 A kernel may be sliced to the nets a caller reads (``SimKernel(netlist,
 keep)``): it then computes only their fan-in cone and returns only them,
 which is all a search objective needs.  Batch runs store each net
@@ -29,6 +37,8 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass
 from functools import lru_cache
+from itertools import repeat
+from operator import itemgetter
 from pathlib import Path
 from typing import Callable, Iterable, Mapping
 
@@ -60,38 +70,79 @@ class Stimulus:
 
     @staticmethod
     def for_design(netlist: Netlist, cycles: list[dict[str, int]]) -> "Stimulus":
-        """Fill in the defaults; the first bad cycle or value raises."""
-        names = {n.name: n for n in netlist.inputs()}
+        """Fill in the defaults; the first bad cycle or value raises.
+
+        The input is checked whole: a list of maps naming inputs only, and
+        each input's column all integers that fit its width.  Only a
+        stimulus that fails a check is walked cycle by cycle, to name its
+        first bad cycle or value.
+        """
+        nets = netlist.inputs()
         inactive = netlist.idle_resets()
-        if not isinstance(cycles, list):
-            raise ConfigError("expected an array of per-cycle input maps")
-        rows: list[dict[str, int]] = []
-        for i, cycle in enumerate(cycles):
-            if not isinstance(cycle, dict):
-                raise ConfigError(f"cycle {i}: expected a map of input "
-                                  f"values, got {type(cycle).__name__}")
-            row: dict[str, int] = {}
-            for name, net in names.items():
-                value = cycle.get(name, inactive.get(name, 0))
-                if type(value) is not int:
-                    raise ConfigError(f"cycle {i}: value {value!r} for input "
-                                      f"{name} is not an integer")
-                if not 0 <= value < (1 << net.width):
-                    raise ConfigError(
-                        f"cycle {i}: value {value} does not fit input "
-                        f"{name}[{net.width - 1}:0]")
-                row[name] = value
-            for name in cycle:
-                if name not in names:
-                    raise UnknownSignalError(f"{name} is not an input of {netlist.name}")
-            rows.append(row)
-        return Stimulus(rows)
+        defaults = {n.name: inactive.get(n.name, 0) for n in nets}
+        if (type(cycles) is list and set(map(type, cycles)) <= {dict}
+                and set().union(*cycles) <= defaults.keys()):
+            rows = [{**defaults, **cycle} for cycle in cycles]
+            if not rows or all(_fits(list(map(itemgetter(n.name), rows)),
+                                     n.width) for n in nets):
+                return Stimulus(rows)
+        return Stimulus(_checked_rows(netlist, cycles))
+
+
+def _fits(column: list, width: int) -> bool:
+    """Every value of *column* is an int (not a bool) in [0, 2**width)."""
+    return (set(map(type, column)) == {int} and min(column) >= 0
+            and max(column) >> width == 0)
+
+
+def _checked_rows(netlist: Netlist, cycles) -> list[dict[str, int]]:
+    """``Stimulus.for_design``'s rows, built one cycle at a time so the
+    first bad cycle or value raises."""
+    names = {n.name: n for n in netlist.inputs()}
+    inactive = netlist.idle_resets()
+    if not isinstance(cycles, list):
+        raise ConfigError("expected an array of per-cycle input maps")
+    rows: list[dict[str, int]] = []
+    for i, cycle in enumerate(cycles):
+        if not isinstance(cycle, dict):
+            raise ConfigError(f"cycle {i}: expected a map of input "
+                              f"values, got {type(cycle).__name__}")
+        row: dict[str, int] = {}
+        for name, net in names.items():
+            value = cycle.get(name, inactive.get(name, 0))
+            if type(value) is not int:
+                raise ConfigError(f"cycle {i}: value {value!r} for input "
+                                  f"{name} is not an integer")
+            if not 0 <= value < (1 << net.width):
+                raise ConfigError(
+                    f"cycle {i}: value {value} does not fit input "
+                    f"{name}[{net.width - 1}:0]")
+            row[name] = value
+        for name in cycle:
+            if name not in names:
+                raise UnknownSignalError(f"{name} is not an input of {netlist.name}")
+        rows.append(row)
+    return rows
 
 
 def stimulus_text(stim: Stimulus) -> str:
     """The one on-disk form of a stimulus: a JSON array holding one compact
-    input map per cycle, each on its own line."""
-    return "[\n" + ",\n".join(map(json.dumps, stim.inputs)) + "\n]\n"
+    input map per cycle, each on its own line.
+
+    Each line is what ``json.dumps`` writes for the cycle's map, given that
+    its values are ints, as ``Stimulus.for_design`` makes them.  It is
+    formatted from one ``%d`` template per tuple of input names.
+    """
+    templates: dict[tuple, str] = {}
+    lines = []
+    for row in stim.inputs:
+        keys = tuple(row)
+        template = templates.get(keys)
+        if template is None:
+            template = templates[keys] = "{%s}" % ", ".join(
+                json.dumps(k).replace("%", "%%") + ": %d" for k in keys)
+        lines.append(template % tuple(row.values()))
+    return "[\n" + ",\n".join(lines) + "\n]\n"
 
 
 def save_stimulus(stim: Stimulus, path: str | Path) -> None:
@@ -348,18 +399,23 @@ class SimKernel:
 
     # -- execution -----------------------------------------------------------
 
-    def step(self, inputs: tuple, regs: tuple) -> tuple[tuple, tuple]:
-        return self._fn(inputs, regs, 0, int, _scalar_mux)
-
     def run(self, stimulus: Stimulus) -> Trace:
-        values: dict[str, list[int]] = {n: [] for n in self.net_order}
-        regs = self.reg_init
-        for row in stimulus.inputs:
-            ins = tuple(row[n] for n in self.input_names)
-            nets, regs = self.step(ins, regs)
-            for name, v in zip(self.net_order, nets):
-                values[name].append(v)
+        fn, regs, out = self._fn, self.reg_init, []
+        for ins in self._input_tuples(stimulus):
+            nets, regs = fn(ins, regs, 0, int, _scalar_mux)
+            out.append(nets)
+        columns = zip(*out) if out else repeat(())
+        values = {name: list(col) for name, col in zip(self.net_order, columns)}
         return Trace(self.netlist, self.net_order, values, stimulus.cycles)
+
+    def _input_tuples(self, stimulus: Stimulus) -> Iterable[tuple]:
+        """Each cycle's input values, in ``input_names`` order."""
+        names, rows = self.input_names, stimulus.inputs
+        if not names:
+            return repeat((), len(rows))
+        if len(names) == 1:
+            return zip(map(itemgetter(names[0]), rows))
+        return map(itemgetter(*names), rows)
 
     def run_batch(self, inputs: dict[str, np.ndarray], cycles: int) -> dict[str, np.ndarray]:
         """Simulate many stimuli at once.

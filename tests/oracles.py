@@ -4,8 +4,9 @@ Everything here is deliberately written with different algorithms than the
 shipped code: the expression walker is a plain recursive interpreter, the
 simulator settles combinational logic by fixpoint iteration instead of
 topological scheduling, reachability is computed by relaxation over an
-explicit edge list, and the assertion checker re-derives attempt schedules
-from scratch.  Agreement between these and the package is what the property
+explicit edge list, the assertion checker re-derives attempt schedules
+from scratch, and a stimulus is validated one cycle and one input at a time
+where the package checks whole input columns.  Agreement between these and the package is what the property
 tests assert.
 """
 
@@ -14,6 +15,7 @@ from __future__ import annotations
 from fractions import Fraction
 
 from svaport import expr as ex
+from svaport.errors import ConfigError, UnknownSignalError
 from svaport.netlist import Netlist
 from svaport.sim import Stimulus, Trace
 from svaport.sva import Assertion
@@ -66,6 +68,39 @@ def eval_expr(e, value, width):
         pick = e.then if eval_expr(e.cond, value, width) else e.other
         return eval_expr(pick, value, width)
     raise TypeError(f"unexpected node {e!r}")
+
+
+# --------------------------------------------------------------------------
+# stimulus validation, one cycle and one input at a time
+
+def stimulus_rows(netlist: Netlist, cycles) -> list[dict[str, int]]:
+    """Reference for ``Stimulus.for_design``: each cycle's full input map,
+    in the netlist's input order, or the first bad cycle or value raised."""
+    names = {n.name: n for n in netlist.inputs()}
+    inactive = netlist.idle_resets()
+    if not isinstance(cycles, list):
+        raise ConfigError("expected an array of per-cycle input maps")
+    rows: list[dict[str, int]] = []
+    for i, cycle in enumerate(cycles):
+        if not isinstance(cycle, dict):
+            raise ConfigError(f"cycle {i}: expected a map of input "
+                              f"values, got {type(cycle).__name__}")
+        row: dict[str, int] = {}
+        for name, net in names.items():
+            value = cycle.get(name, inactive.get(name, 0))
+            if type(value) is not int:
+                raise ConfigError(f"cycle {i}: value {value!r} for input "
+                                  f"{name} is not an integer")
+            if not 0 <= value < (1 << net.width):
+                raise ConfigError(
+                    f"cycle {i}: value {value} does not fit input "
+                    f"{name}[{net.width - 1}:0]")
+            row[name] = value
+        for name in cycle:
+            if name not in names:
+                raise UnknownSignalError(f"{name} is not an input of {netlist.name}")
+        rows.append(row)
+    return rows
 
 
 # --------------------------------------------------------------------------

@@ -338,6 +338,9 @@ def test_malformed_imported_trojan_exits_1(tmp_path, capsys, records, needle):
     assert main(["inject", "--config", str(cfg)]) == 1
     err = capsys.readouterr().err
     assert err.startswith("error:") and needle in err
+    if "activation" in str(records):
+        # a rejected activation names its module and trojan
+        assert "module toy, trojan toy_imp: " in err
 
 
 @pytest.mark.parametrize("records", [

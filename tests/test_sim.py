@@ -351,3 +351,121 @@ def test_vcd_dump(tmp_path, corpus_designs):
     assert f"$scope module {nl.name} $end" in text
     assert text.count("$var wire") == len(nl.nets)
     assert "#0" in text and f"#{trace.cycles}" in text
+
+
+NO_INPUT_RTL = """\
+module no_in (output logic [3:0] y_o);
+  assign y_o = 4'h5;
+endmodule
+"""
+
+CLOCK_ONLY_RTL = """\
+module clk_only (input logic clk, output logic [3:0] q_o);
+  logic [3:0] q;
+  assign q_o = q;
+  always_ff @(posedge clk) q <= q + 4'h1;
+endmodule
+"""
+
+SMALL_DESIGNS = [parse_design(NO_INPUT_RTL), parse_design(CLOCK_ONLY_RTL),
+                 parse_design(corpus.design_path("debug_unit").read_text())]
+
+
+def _designs():
+    """Designs with zero, one and several inputs, one with a reset."""
+    return st.sampled_from(SMALL_DESIGNS) | gen.designs()
+
+
+@st.composite
+def _clean_cycles(draw, nl: Netlist):
+    """Input maps that name some inputs of *nl*, in any order, with values
+    that fit."""
+    names = [n.name for n in nl.inputs()]
+    cycles = []
+    for _ in range(draw(st.integers(0, 6))):
+        keys = draw(st.lists(st.sampled_from(names), unique=True)) \
+            if names else []
+        cycles.append({k: draw(st.integers(0, (1 << nl.width(k)) - 1))
+                       for k in keys})
+    return cycles
+
+
+@st.composite
+def _raw_cycles(draw, nl: Netlist):
+    """Clean cycles with up to two faults: a value of the wrong type or
+    range, an unknown name, a cycle that is no map, or no list at all."""
+    cycles = draw(_clean_cycles(nl))
+    names = [n.name for n in nl.inputs()]
+    for _ in range(draw(st.integers(0, 2))):
+        fault = draw(st.sampled_from(["type", "range", "name", "cycle",
+                                      "whole"]))
+        if fault == "whole" or not cycles:
+            return draw(st.integers() | st.none() | st.text(max_size=2)
+                        | st.just({names[0] if names else "x": 1}))
+        i = draw(st.integers(0, len(cycles) - 1))
+        if fault == "cycle" or type(cycles[i]) is not dict:
+            cycles[i] = draw(st.integers() | st.none()
+                             | st.lists(st.integers(0, 1), max_size=1))
+        elif fault == "name" or not names:
+            cycles[i]["ghost_i"] = draw(st.integers(0, 1))
+        elif fault == "type":
+            cycles[i][draw(st.sampled_from(names))] = draw(
+                st.booleans() | st.floats() | st.text(max_size=2) | st.none())
+        else:
+            name = draw(st.sampled_from(names))
+            cycles[i][name] = draw(st.integers(max_value=-1)
+                                   | st.integers(1 << nl.width(name), 2 ** 70))
+    return cycles
+
+
+def _outcome(fn):
+    try:
+        return "rows", [list(row.items()) for row in fn()]
+    except (ConfigError, UnknownSignalError) as err:
+        return type(err), str(err)
+
+
+@settings(max_examples=200)
+@given(_designs(), st.data())
+def test_for_design_matches_per_cycle_validator(nl, data):
+    # the column checks accept what the per-cycle walk accepts, with the
+    # same rows in the same key order, and reject the rest with its error
+    cycles = data.draw(_raw_cycles(nl))
+    want = _outcome(lambda: oracles.stimulus_rows(nl, cycles))
+    assert _outcome(lambda: Stimulus.for_design(nl, cycles).inputs) == want
+
+
+@given(_designs(), st.data())
+def test_stimulus_text_is_json_dumps_per_cycle(nl, data):
+    stim = Stimulus.for_design(nl, data.draw(_clean_cycles(nl)))
+    assert stimulus_text(stim) == \
+        "[\n" + ",\n".join(map(json.dumps, stim.inputs)) + "\n]\n"
+
+
+@settings(max_examples=15)
+@given(st.sampled_from(SMALL_DESIGNS[:2]) | gen.designs(), st.data())
+def test_long_run_matches_oracle_full_and_sliced(nl, data):
+    cycles = data.draw(st.integers(256, 300))
+    rng = random.Random(data.draw(st.integers(0, 2 ** 32 - 1)))
+    stim = Stimulus.for_design(nl, [
+        {n.name: rng.randrange(1 << n.width) for n in nl.inputs()}
+        for _ in range(cycles)])
+    want = oracles.simulate_fixpoint(nl, stim).values
+    assert simulate(nl, stim).values == want
+    keep = data.draw(st.sets(st.sampled_from(sorted(nl.nets)), min_size=1))
+    got = SimKernel(nl, keep).run(stim)
+    assert got.cycles == cycles
+    assert got.values == {n: want[n] for n in keep}
+
+
+@pytest.mark.parametrize("name", corpus.MODULES)
+def test_long_run_matches_oracle_on_corpus(name, corpus_designs):
+    nl = corpus_designs[name]
+    stim = _random_stimulus(nl, 256, 17)
+    want = oracles.simulate_fixpoint(nl, stim).values
+    assert simulate(nl, stim).values == want
+    keep = set(sorted(nl.nets)[::3])
+    assert SimKernel(nl, keep).run(stim).values == {n: want[n] for n in keep}
+    # a run of no cycles gives every net an empty list
+    assert simulate(nl, Stimulus.for_design(nl, [])).values \
+        == {n: [] for n in nl.nets}

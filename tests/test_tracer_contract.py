@@ -2,8 +2,10 @@
 
 ``perfbench/tracer.py`` replaces functions by name on the pipeline's
 modules and binds ``search_stimulus``'s ``accept`` argument by name, so a
-rename that it misses would break only traced benchmark runs.  The wrappers
-stay for the life of a process, so the check runs in a fresh one.
+rename that it misses would break only traced benchmark runs.  Evaluate's
+replay must also reach ``SimKernel.run`` and ``check_assertion`` through
+the wrapped names, or its cycle and check counts would read low.  The
+wrappers stay for the life of a process, so the check runs in a fresh one.
 """
 
 import os
@@ -39,6 +41,18 @@ counts = tracer.counts
 assert counts["search.search_stimulus.calls"] == 2, counts
 assert counts["search.accepted"] == 2, counts
 assert counts["search.exact_checks"] >= 2, counts
+# evaluate's replay: one traced run and one traced check per assertion
+from svaport.monitor import check_assertions
+from svaport.sim import Stimulus, simulate
+before = counts.copy()
+assertions = parse_assertions(TOY_SVA)
+stim = Stimulus.for_design(toy, [{"a_i": 3, "en_i": 1}, {}, {"b_i": 5}])
+check_assertions(simulate(toy, stim), assertions)
+ran = counts["sim.run.cycles"] - before["sim.run.cycles"]
+assert ran == stim.cycles, counts
+checked = (counts["monitor.check_assertion.calls"]
+           - before["monitor.check_assertion.calls"])
+assert checked == len(assertions), counts
 """
 
 
