@@ -12,7 +12,8 @@ previous stage's files and writing its own under the output directory:
   A trojan id names these files, so it must be a plain file name that no
   other trojan of the module uses,
 * ``evaluate`` - replay every activation stimulus on its mutated design,
-  score detection, and render the campaign report,
+  score detection, and render the campaign report; it warns about a
+  module with fewer trojans than its config asks for,
 * ``report`` - re-render a finished evaluation in another format.
 
 Stages communicate only through these files, so any stage can be re-run
@@ -247,8 +248,30 @@ def _trojan_files(config: ProjectConfig, job: ModuleJob) -> list[Path]:
                   if not p.name.endswith(".stim.json"))
 
 
+def _imported_count(path: Path, room: int) -> int:
+    """The number of specs in the imported file *path*, or an upper bound
+    on it when that bound is at most *room*.
+
+    Imported specs may carry long activations, and decoding them costs
+    about as much as scoring them, so the file is decoded only when it may
+    hold more than *room* specs.  Each spec has one ``"module_kind"`` key,
+    so a file without escapes holds at most as many specs as that key
+    appears.
+    """
+    raw = path.read_bytes()
+    bound = raw.count(b'"module_kind"')
+    if b"\\" not in raw and bound <= room:
+        return bound
+    return len(load_trojans(path))
+
+
 def cmd_evaluate(config: ProjectConfig) -> int:
-    """Replay every activation stimulus and render the campaign report."""
+    """Replay every activation stimulus and render the campaign report.
+
+    A module with fewer trojan files than its config asks for (its
+    ``trojans`` count plus its imported specs) is scored as it is, with a
+    warning: inject stopped before it, or its files were removed.
+    """
     raw: dict = {"seed": config.seed, "modules": [], "trojans": []}
     tasks: list[tuple[ModuleJob, TrojanSpec, tuple]] = []
     per_module: dict[str, dict] = {}
@@ -264,7 +287,15 @@ def cmd_evaluate(config: ProjectConfig) -> int:
             "translated": len(assertions),
             "scored": [],
         }
-        for spec_path in _trojan_files(config, job):
+        spec_paths = _trojan_files(config, job)
+        asked = job.trojans
+        if job.imported_trojans is not None:
+            asked += _imported_count(job.imported_trojans,
+                                     len(spec_paths) - asked)
+        if len(spec_paths) < asked:
+            _warn(f"module {job.name}: {len(spec_paths)} trojan files, but "
+                  f"the config asks for {asked}; run the inject stage first")
+        for spec_path in spec_paths:
             specs = load_trojans(spec_path)
             if len(specs) != 1:
                 raise ConfigError(f"{spec_path}: expected one trojan spec, "

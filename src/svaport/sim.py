@@ -312,7 +312,7 @@ class BatchExpr:
 # --------------------------------------------------------------------------
 # compiled kernel
 
-def _cone(netlist: Netlist, keep: Iterable[str]) -> set[str]:
+def fanin_cone(netlist: Netlist, keep: Iterable[str]) -> set[str]:
     """*keep* and every net that can reach it: the nets read by the assigns
     and register next-values on the way, plus each register's reset net,
     which its reset mux reads."""
@@ -346,7 +346,7 @@ class SimKernel:
 
     def __init__(self, netlist: Netlist, keep: Iterable[str] | None = None):
         self.netlist = netlist
-        cone = set(netlist.nets) if keep is None else _cone(netlist, keep)
+        cone = set(netlist.nets) if keep is None else fanin_cone(netlist, keep)
         kept = cone if keep is None else set(keep)
         self.input_names = tuple(n.name for n in netlist.inputs())
         self._registers = [r for r in netlist.registers if r.target in cone]

@@ -30,7 +30,7 @@ from .monitor import Checker
 from .netlist import Assign, Netlist, NetKind, Register, combinational_closure
 from .rng import substream
 from .search import input_cone, search_stimulus, take_rows
-from .sim import BatchExpr, SimKernel, Stimulus
+from .sim import BatchExpr, SimKernel, Stimulus, fanin_cone
 from .sva import Assertion, signals_of
 
 PAYLOAD_KINDS = ("invert_net", "force_constant", "xor_into_assign")
@@ -146,7 +146,9 @@ def validate_spec(spec: TrojanSpec, netlist: Netlist) -> None:
         raise ConfigError(f"unknown payload kind {spec.payload_kind}")
     if not spec.trigger:
         raise ConfigError(f"trojan {spec.id} has an empty trigger")
-    seen: set[tuple[str, int | None]] = set()
+    # the bits each net's conditions constrain: one bit may be constrained
+    # once, or k and the trigger's probability would count it twice
+    taken: dict[str, set[int]] = {}
     for c in spec.trigger:
         if c.signal not in netlist.nets:
             raise ConfigError(
@@ -157,9 +159,11 @@ def validate_spec(spec: TrojanSpec, netlist: Netlist) -> None:
         limit = 2 if c.bit is not None else (1 << w)
         if not 0 <= c.value < limit:
             raise ConfigError(f"trigger value for {c.signal} out of range")
-        if (c.signal, c.bit) in seen:
-            raise ConfigError(f"duplicate trigger condition on {c.signal}")
-        seen.add((c.signal, c.bit))
+        bits = set(range(w)) if c.bit is None else {c.bit}
+        if bits & taken.setdefault(c.signal, set()):
+            raise ConfigError(f"duplicate trigger condition on {c.signal}: "
+                              "a bit is constrained twice")
+        taken[c.signal] |= bits
     k = sum(c.bits_constrained(netlist) for c in spec.trigger)
     if spec.k != k or k < 1:
         raise ConfigError(
@@ -294,6 +298,12 @@ def forge(netlist: Netlist, assertions: list[Assertion],
     that assertion checks.  Candidates are sampled from a seeded stream and
     accepted only when an activation stimulus exists (see module docstring
     for the objective), so the result is deterministic for a given seed.
+
+    One clean kernel serves every attempt.  It is sliced to the nets the
+    objective reads of the clean design: the outputs and each assertion's
+    nets, which hold every payload candidate.  A screen kernel whose cone
+    the payload cannot reach is the clean design's, kept once per distinct
+    set of screen nets and shared by the attempts that screen on it.
     """
     if not assertions:
         raise InsufficientSignalsError("cannot forge without assertions")
@@ -302,10 +312,12 @@ def forge(netlist: Netlist, assertions: list[Assertion],
         raise ConfigError("k_values length must equal count")
     k_span = list(range(params.k_min, params.k_max + 1))
     module_kind = "sequential" if netlist.registers else "combinational"
-    kernel = SimKernel(netlist)
     # the injected designs keep the clean one's nets and constants, so one
     # checker per assertion decides clean and corrupted runs alike
     checkers = [Checker(a, netlist) for a in assertions]
+    kernel = SimKernel(netlist, keep=_outputs(netlist).union(
+        *(c.nets for c in checkers)))
+    screens: dict[frozenset[str], SimKernel] = {}
 
     forged: list[tuple[TrojanSpec, Stimulus]] = []
     for j in range(params.count):
@@ -348,7 +360,7 @@ def forge(netlist: Netlist, assertions: list[Assertion],
             stim = _find_activation(
                 cand, netlist, checkers, target, params.horizon,
                 substream(params.seed, "forge", netlist.name, j, attempt),
-                kernel=kernel)
+                kernel=kernel, screens=screens)
             if stim is not None:
                 forged.append((cand, stim))
                 break
@@ -362,10 +374,13 @@ def forge(netlist: Netlist, assertions: list[Assertion],
 # --------------------------------------------------------------------------
 # activation
 
+def _outputs(netlist: Netlist) -> set[str]:
+    return {n.name for n in netlist.nets.values() if n.kind is NetKind.OUTPUT}
+
+
 def _observables(netlist: Netlist, spec: TrojanSpec,
                  checkers: list[Checker]) -> list[str]:
-    names = {n.name for n in netlist.nets.values() if n.kind is NetKind.OUTPUT}
-    names.add(spec.payload_net)
+    names = _outputs(netlist) | {spec.payload_net}
     for c in checkers:
         names |= signals_of(c.assertion) & netlist.nets.keys()
     return sorted(names)
@@ -374,7 +389,9 @@ def _observables(netlist: Netlist, spec: TrojanSpec,
 def _find_activation(spec: TrojanSpec, netlist: Netlist,
                      checkers: list[Checker], target: int | None,
                      horizon: int, rng: np.random.Generator,
-                     *, kernel: SimKernel | None = None) -> Stimulus | None:
+                     *, kernel: SimKernel | None = None,
+                     screens: dict[frozenset[str], SimKernel] | None = None,
+                     ) -> Stimulus | None:
     """Search for a stimulus satisfying the activation objective.
 
     Always required: the trigger fires and the corrupted design's trace
@@ -382,24 +399,27 @@ def _find_activation(spec: TrojanSpec, netlist: Netlist,
     given, the assertion of ``checkers[target]`` must fail on the corrupted
     design and hold on the clean one, and no other checker may fail.
 
-    One rule, ``meets``, decides the objective with arrays, for a batch and
-    for a single run alike.  Each batch is screened by the trigger and the
-    target's first antecedent term (both necessary), the clean design is
-    co-simulated on the rows that pass, and ``meets`` decides every one of
-    them, so every row that meets the objective is returned.  ``accept``
-    re-runs the first of them on both compiled kernels and decides it with
-    the same rule only to confirm.  The corrupted design's kernel is sliced
-    to the nets that the rule reads.
+    Each batch is first screened by the trigger and the target's first
+    antecedent term (both necessary) on a kernel sliced to just their nets.
+    When the payload cannot reach those nets, that is the clean design's
+    kernel, looked up in (and added to) *screens* by its nets.  Only the
+    rows that pass are then co-simulated, on the corrupted design's kernel
+    sliced to the nets the objective reads and on the clean *kernel*
+    (which must keep the observables and the checkers' nets; by default
+    one is sliced to them).  One rule, ``meets``, decides every passing
+    row with arrays, so every row that meets the objective is returned.
+    ``accept`` re-runs the first of them on both kernels and decides it
+    with the same rule only to confirm.
     """
     injected = inject(netlist, spec)
-    kernel = kernel or SimKernel(netlist)
     consts = netlist.constants()
     trig = BatchExpr(trigger_expr(spec, netlist), injected.width, consts)
     watch = _observables(netlist, spec, checkers)
-    # the corrupted design is only ever read on these nets
-    keep = set(watch) | trig.nets
-    for c in checkers:
-        keep |= c.nets
+    # the objective reads these nets of both designs, plus the trigger of
+    # the corrupted one
+    reads = set(watch).union(*(c.nets for c in checkers))
+    keep = reads | trig.nets
+    kernel = kernel or SimKernel(netlist, keep=reads)
     inj_kernel = SimKernel(injected, keep=keep)
 
     graph = build_graph(injected)
@@ -413,43 +433,52 @@ def _find_activation(spec: TrojanSpec, netlist: Netlist,
     ante = goal.assertion.antecedent if goal is not None else None
     ante_term = (BatchExpr(ante.steps[0][1], injected.width, consts)
                  if ante is not None else None)
+    screen_nets = trig.nets | (ante_term.nets if ante_term is not None
+                               else set())
+    if spec.payload_net in fanin_cone(netlist, screen_nets):
+        screen_kernel = SimKernel(injected, keep=screen_nets)
+    else:
+        # the corruption cannot reach the screen: the clean design computes
+        # the same screen values
+        screens = {} if screens is None else screens
+        key = frozenset(screen_nets)
+        if key not in screens:
+            screens[key] = SimKernel(netlist, keep=screen_nets)
+        screen_kernel = screens[key]
 
-    def meets(dirty: dict[str, np.ndarray], clean: dict[str, np.ndarray],
-              rows: np.ndarray) -> np.ndarray:
-        """Which *rows* of the corrupted run meet the objective, given the
-        clean run of just those rows."""
-        ok = np.zeros(rows.size, dtype=bool)
+    def meets(dirty: dict[str, np.ndarray],
+              clean: dict[str, np.ndarray]) -> np.ndarray:
+        """Which rows of the corrupted run meet the objective, given the
+        clean run of the same rows."""
+        ok = np.zeros(dirty[spec.payload_net].shape[0], dtype=bool)
         for n in watch:
-            ok |= (dirty[n][rows] != clean[n]).any(axis=1)
+            ok |= (dirty[n] != clean[n]).any(axis=1)
         if goal is None or not ok.any():
             return ok
-        # the dirty arrays are checked whole and the clean ones hold only
-        # the given rows, so every verdict is indexed by row, not copied
         ok &= ~goal(clean).failed
-        ok &= goal(dirty).failed[rows]
+        ok &= goal(dirty).failed
         for i, other in enumerate(checkers):
             if i != target and ok.any():
-                ok &= ~other(dirty).failed[rows]
+                ok &= ~other(dirty).failed
         return ok
 
-    def objective(arrays: dict[str, np.ndarray],
+    def objective(screened: dict[str, np.ndarray],
                   inputs: dict[str, np.ndarray]) -> np.ndarray:
-        screen = (trig(arrays) != 0).any(axis=1)
+        screen = (trig(screened) != 0).any(axis=1)
         if ante_term is not None:
-            screen &= (ante_term(arrays) != 0).any(axis=1)
+            screen &= (ante_term(screened) != 0).any(axis=1)
         rows = np.flatnonzero(screen)
         if not rows.size:
             return rows
-        cycles = next(iter(arrays.values())).shape[1]
-        clean = kernel.run_batch(take_rows(inputs, rows), cycles)
-        return rows[meets(arrays, clean, rows)]
+        passed = take_rows(inputs, rows)
+        return rows[meets(inj_kernel.run_batch(passed, horizon),
+                          kernel.run_batch(passed, horizon))]
 
     def accept(stim: Stimulus) -> bool:
         dirty = inj_kernel.run(stim).arrays(keep)
         if not (trig(dirty) != 0).any():
             return False
-        clean = kernel.run(stim).arrays(keep)
-        return bool(meets(dirty, clean, np.arange(1))[0])
+        return bool(meets(dirty, kernel.run(stim).arrays(reads))[0])
 
     # enumerate the inputs that steer the objective (trigger plus the
     # target's antecedent) before falling back to everything the
@@ -461,7 +490,7 @@ def _find_activation(spec: TrojanSpec, netlist: Netlist,
     narrow = input_cone(injected, graph, steer)
     wide = sorted(set(narrow) | set(input_cone(injected, graph, set(watch))))
     stim, _stats = search_stimulus(injected, [narrow, wide], forced, objective,
-                                   accept, rng, horizon, kernel=inj_kernel)
+                                   accept, rng, horizon, kernel=screen_kernel)
     return stim
 
 

@@ -330,6 +330,10 @@ def test_imported_activation_is_written_once(tmp_path, capsys):
                  "expected an array of per-cycle input maps",
                  id="activation-not-an-array"),
     pytest.param("[{", "not valid JSON", id="bad-json"),
+    pytest.param([dict(IMPORTED, k=5, trigger=[
+        {"signal": "a_i", "bit": None, "value": 3},
+        {"signal": "a_i", "bit": 0, "value": 0}])],
+                 "duplicate trigger condition on a_i", id="bit-constrained-twice"),
 ])
 def test_malformed_imported_trojan_exits_1(tmp_path, capsys, records, needle):
     cfg = _imported_campaign(tmp_path, records)
@@ -394,6 +398,53 @@ def test_malformed_stage_file_exits_1(tmp_path, capsys, stage, name, text):
     capsys.readouterr()
     assert main([stage, "--config", str(cfg)]) == 1
     assert capsys.readouterr().err.startswith("error:")
+
+
+@pytest.mark.parametrize("meta", [
+    pytest.param({}, id="plain"),
+    # a backslash makes evaluate decode the imported file to count its specs
+    pytest.param({"note": "C:\\tmp"}, id="escaped"),
+])
+def test_evaluate_warns_when_trojan_files_are_missing(tmp_path, capsys, meta):
+    records = [dict(IMPORTED, meta=meta),
+               dict(IMPORTED, id="toy_imp2", meta=meta)]
+    (tmp_path / "imported.json").write_text(json.dumps(records))
+    cfg = make_campaign(tmp_path, modules=[{
+        "name": "toy", "target_design": "toy.sv", "assertions": "toy.sva",
+        "trojans": 1, "imported_trojans": "imported.json"}])
+    for stage in ("translate", "inject", "evaluate"):
+        assert main([stage, "--config", str(cfg)]) == 0
+    assert capsys.readouterr().err == ""
+    for path in (tmp_path / "out" / "toy" / "trojans").glob("toy_imp2*"):
+        path.unlink()
+    assert main(["evaluate", "--config", str(cfg)]) == 0
+    out, err = capsys.readouterr()
+    assert err == ("warning: module toy: 2 trojan files, but the config asks "
+                   "for 3; run the inject stage first\n")
+    # the files that are there are scored and reported as before
+    raw = json.loads((tmp_path / "out" / "metrics.json").read_text())
+    assert raw["modules"][0]["generated"] == 2
+    assert [t["id"] for t in raw["trojans"]] == ["toy_imp", "toy_t00"]
+    assert out == (tmp_path / "out" / "report.txt").read_text()
+
+
+def test_evaluate_warns_for_a_module_inject_did_not_reach(tmp_path, capsys):
+    # module b needs a 10-bit trigger, but toy's cone offers 9 bits, so
+    # inject stops after writing module a
+    toy = {"target_design": "toy.sv", "assertions": "toy.sva"}
+    cfg = make_campaign(tmp_path, modules=[
+        dict(toy, name="a", trojans=2),
+        dict(toy, name="b", trojans=1, k_values=[10])])
+    assert main(["translate", "--config", str(cfg)]) == 0
+    assert main(["inject", "--config", str(cfg)]) == 1
+    capsys.readouterr()
+    assert main(["evaluate", "--config", str(cfg)]) == 0
+    assert capsys.readouterr().err == (
+        "warning: module b: 0 trojan files, but the config asks for 1; "
+        "run the inject stage first\n")
+    raw = json.loads((tmp_path / "out" / "metrics.json").read_text())
+    assert [(m["module"], m["generated"]) for m in raw["modules"]] \
+        == [("a", 2), ("b", 0)]
 
 
 def test_inject_before_translate_fails(tmp_path, capsys):

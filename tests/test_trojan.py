@@ -3,23 +3,30 @@
 import json
 import random
 
+import itertools
+
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from svaport import corpus, monitor, sim, trojan
+from svaport import expr as ex
 from svaport.errors import (ActivationNotFoundError, CombinationalLoopError,
                             ConfigError, InsufficientSignalsError,
                             PayloadConflictError)
 from svaport.monitor import Checker, check_assertions
-from svaport.netlist import NetKind
+from svaport.netlist import Assign, NetKind
 from svaport.rtl_parser import parse_design
 from svaport.sim import BatchExpr, Stimulus, simulate
-from svaport.sva import parse_assertions
+from svaport.sva import Assertion, SeqExpr, parse_assertions, signals_of
 from svaport.trojan import (ForgeParams, TriggerCond, TrojanSpec,
                             activation_stimulus, forge, inject, load_trojans,
                             save_trojans, trigger_expr, validate_spec)
 
-from .oracles import trigger_holds
+from . import gen
+from .oracles import (check_reference, eval_expr, simulate_fixpoint,
+                      trigger_holds)
 
 TOY_RTL = """\
 module toy (
@@ -84,6 +91,15 @@ def test_validate_spec_rejects_malformed_records(toy):
         (dict(trigger=(TriggerCond("a_i", None, 16),), k=4), "out of range"),
         (dict(trigger=(TriggerCond("a_i", 1, 1),
                        TriggerCond("a_i", 1, 0)), k=2), "duplicate"),
+        # a whole-signal condition and a bit condition on one net, in
+        # either order, and two whole-signal conditions
+        (dict(trigger=(TriggerCond("a_i", None, 3),
+                       TriggerCond("a_i", 0, 0)), k=5), "condition on a_i"),
+        (dict(trigger=(TriggerCond("en_i", 0, 1),
+                       TriggerCond("en_i", None, 1)), k=2),
+         "condition on en_i"),
+        (dict(trigger=(TriggerCond("b_i", None, 1),
+                       TriggerCond("b_i", None, 1)), k=8), "condition on b_i"),
         (dict(k=5), "constrains 2 bits"),
         (dict(trigger=(TriggerCond("a_i", None, 3),), k=1), "constrains 4"),
         (dict(payload_kind="force_constant"), "needs a value"),
@@ -266,9 +282,11 @@ def test_activation_stimulus_search(toy, specs):
 
 
 def test_unsatisfiable_trigger_exhausts_the_budget(toy):
-    # a_i == 3 forces bit 0 high, so requiring a_i[0] == 0 never fires
-    spec = _spec(toy, trigger=(TriggerCond("a_i", None, 3),
-                               TriggerCond("a_i", 0, 0)), k=5)
+    # en_i == 0 forces sum_o to 0, so sum_o == 15 (flag_o == 1) never holds
+    # with it; the payload sits on flag_o, outside the trigger's fan-in
+    spec = _spec(toy, trigger=(TriggerCond("en_i", None, 0),
+                               TriggerCond("sum_o", None, 15)), k=5,
+                 payload_net="flag_o")
     with pytest.raises(ActivationNotFoundError, match="within budget"):
         activation_stimulus(spec, toy, horizon=4, seed=1)
 
@@ -385,3 +403,197 @@ def test_activation_search_decides_every_candidate_of_a_batch():
     dirty = check_assertions(simulate(inject(netlist, spec), stim), [target])
     clean = check_assertions(simulate(netlist, stim), [target])
     assert dirty[0].failed and not clean[0].failed
+
+
+def test_forge_co_simulates_only_the_rows_that_pass_the_screen(
+        toy, toy_asserts, monkeypatch):
+    calls: list[tuple[sim.SimKernel, dict]] = []
+    run_batch = sim.SimKernel.run_batch
+
+    def counting_run_batch(self, inputs, cycles):
+        calls.append((self, inputs))
+        return run_batch(self, inputs, cycles)
+
+    attempts: list[tuple[TrojanSpec, int, int]] = []
+    find = trojan._find_activation
+
+    def tracking_find(spec, netlist, checkers, target, *args, **kwargs):
+        attempts.append((spec, target, len(calls)))
+        return find(spec, netlist, checkers, target, *args, **kwargs)
+
+    monkeypatch.setattr(sim.SimKernel, "run_batch", counting_run_batch)
+    monkeypatch.setattr(trojan, "_find_activation", tracking_find)
+    # seed 6 takes ten attempts for four trojans: 78 of the 896 rows they
+    # screen pass, and five attempts pass none
+    forge(toy, toy_asserts, ForgeParams(count=4, k_min=2, k_max=3, seed=6,
+                                        horizon=8))
+    ends = [start for _, _, start in attempts[1:]] + [len(calls)]
+    screened = passing = quiet = 0
+    for (spec, target, start), end in zip(attempts, ends):
+        # the screen: the trigger and the target's first antecedent term
+        term = toy_asserts[target].antecedent.steps[0][1]
+        screen_nets = {c.signal for c in spec.trigger} | ex.idents_of(term)
+        runs = [(set(kernel.net_order) == screen_nets, _rows(inputs))
+                for kernel, inputs in calls[start:end]]
+        assert runs and runs[0][0]
+        quiet += all(is_screen for is_screen, _ in runs)
+        for i, (is_screen, rows) in enumerate(runs):
+            if not is_screen:
+                continue
+            # the toy is combinational: a candidate holds its inputs for
+            # every cycle, so the screen is read off the inputs
+            passed = [row for row in rows
+                      if _screen_holds(spec, term, row, toy.width)]
+            after = [r for _, r in itertools.takewhile(
+                lambda run: not run[0], runs[i + 1:])]
+            # both designs kept to the observables get exactly the rows
+            # that passed, and none runs when no row passed
+            assert after == ([passed, passed] if passed else [])
+            screened += len(rows)
+            passing += len(passed)
+    assert 0 < passing < screened
+    # some attempt passed no row at all and ran the screen kernel alone
+    assert quiet >= 1
+
+
+def test_screen_reads_the_corrupted_design_where_the_payload_reaches_it(
+        toy, toy_asserts):
+    # forcing sum_o to 15 raises flag_o, which the target's antecedent
+    # reads: only in the corrupted design can flag_o hold while en_i is low
+    target = parse_assertions(
+        "T: assert property (@(posedge clk) flag_o |-> en_i);")[0]
+    spec = _spec(toy, trigger=(TriggerCond("en_i", None, 0),), k=1,
+                 payload_kind="force_constant", payload_value=15)
+    screens: dict = {}
+    stim = trojan._find_activation(spec, toy, [Checker(target, toy)], 0, 4,
+                                   np.random.default_rng(0), screens=screens)
+    assert stim is not None and screens == {}
+    assert check_assertions(simulate(inject(toy, spec), stim),
+                            [target])[0].failed
+    # A_FLAG's screen (a_i, b_i) is out of the payload's reach: the clean
+    # design's screen kernel is kept for the next attempt on those nets
+    spec = _spec(toy, trigger=(TriggerCond("a_i", 0, 1),), k=1)
+    checkers = [Checker(a, toy) for a in toy_asserts]
+    trojan._find_activation(spec, toy, checkers, 1, 4,
+                            np.random.default_rng(0), screens=screens)
+    assert list(screens) == [frozenset({"a_i", "b_i"})]
+    assert screens[frozenset({"a_i", "b_i"})].netlist is toy
+
+
+def _rows(inputs: dict[str, np.ndarray]) -> list[dict[str, int]]:
+    """The candidate rows of a batch of constant inputs."""
+    names = sorted(inputs)
+    return [dict(zip(names, row))
+            for row in zip(*(inputs[n].tolist() for n in names))]
+
+
+def _screen_holds(spec: TrojanSpec, term: ex.Expr, row: dict,
+                  width) -> bool:
+    """The trigger and *term* on one input row of a combinational design,
+    inputs absent from the batch held at 0."""
+    value = lambda name: row.get(name, 0)
+    bit = lambda c: (value(c.signal) if c.bit is None
+                     else value(c.signal) >> c.bit & 1)
+    return (all(bit(c) == c.value for c in spec.trigger)
+            and eval_expr(term, value, width) != 0)
+
+
+# --------------------------------------------------------------------------
+# the activation search against the oracles
+
+_FREE_BITS = 10  # small enough for the oracle to try every candidate
+
+
+@st.composite
+def _activation_cases(draw):
+    """A generated design and assertions, a trigger on input bits, a payload
+    on a driven net, and a target when there are assertions; at most
+    _FREE_BITS input bits are left free."""
+    netlist = draw(gen.designs(max_inputs=3))
+    off = netlist.clock_nets() | netlist.reset_nets()
+    bits = [(n.name, b) for n in netlist.inputs() if n.name not in off
+            for b in range(n.width)]
+    picks = draw(st.lists(st.sampled_from(bits), min_size=1, max_size=3,
+                          unique=True))
+    assume(len(bits) - len(picks) <= _FREE_BITS)
+    trigger = tuple(TriggerCond(name, bit, draw(st.integers(0, 1)))
+                    for name, bit in sorted(picks))
+    driven = sorted(n for n in netlist.nets
+                    if netlist.driver_of(n) is not None)
+    net = draw(st.sampled_from(driven))
+    kind = draw(st.sampled_from(trojan.PAYLOAD_KINDS))
+    value = (draw(st.integers(0, (1 << netlist.width(net)) - 1))
+             if kind == "force_constant" else None)
+    spec = TrojanSpec(id="rand_t00", module=netlist.name,
+                      module_kind="sequential" if netlist.registers
+                      else "combinational",
+                      trigger=trigger, k=len(trigger), payload_kind=kind,
+                      payload_net=net, payload_value=value)
+    symbols = {n: netlist.width(n) for n in netlist.nets if n != "clk"}
+    assertions = draw(st.lists(gen.assertions(symbols), max_size=2))
+    target = draw(st.integers(0, len(assertions) - 1)) if assertions else None
+    driver = netlist.driver_of(net)
+    if isinstance(driver, Assign) and draw(st.booleans()):
+        # the target is then an assertion that the clean design always
+        # meets and the corrupted one breaks where the payload changes the
+        # net, so that activations with a target are found often
+        ante = draw(gen.expressions(symbols, max_depth=1))
+        check = ex.Binary("==", ex.Ident(net), driver.rhs)
+        target = draw(st.integers(0, len(assertions)))
+        assertions.insert(target, Assertion(
+            SeqExpr(((0, ante),)), "|->", SeqExpr(((0, check),)), "clk"))
+    return netlist, spec, assertions, target
+
+
+def _meets_by_oracle(netlist, spec, assertions, target, stim) -> bool:
+    """The activation objective, decided by the reference simulator and
+    checker: the trigger fires, an output, the payload net or a net an
+    assertion reads differs, and with a target, the target fails on the
+    corrupted design and holds on the clean one, and no other assertion
+    fails on the corrupted design."""
+    dirty = simulate_fixpoint(inject(netlist, spec), stim)
+    if not any(trigger_holds(spec, dirty, t) for t in range(dirty.cycles)):
+        return False
+    clean = simulate_fixpoint(netlist, stim)
+    seen = {n.name for n in netlist.nets.values()
+            if n.kind is NetKind.OUTPUT} | {spec.payload_net}
+    for a in assertions:
+        seen |= signals_of(a) & netlist.nets.keys()
+    if all(dirty.values[n] == clean.values[n] for n in seen):
+        return False
+    if target is None:
+        return True
+    fails = lambda trace, a: bool(check_reference(trace, a)[1])
+    return (fails(dirty, assertions[target])
+            and not fails(clean, assertions[target])
+            and not any(fails(dirty, a) for i, a in enumerate(assertions)
+                        if i != target))
+
+
+@settings(max_examples=60)
+@given(_activation_cases(), st.integers(0, 2 ** 32 - 1))
+def test_activation_search_agrees_with_the_oracles(case, seed):
+    netlist, spec, assertions, target = case
+    horizon = 6
+    checkers = [Checker(a, netlist) for a in assertions]
+    stim = trojan._find_activation(spec, netlist, checkers, target, horizon,
+                                   np.random.default_rng(seed))
+    if stim is not None:
+        assert stim.cycles == horizon
+        assert _meets_by_oracle(netlist, spec, assertions, target, stim)
+        return
+    # nothing found: no candidate of the constant schedule, every free
+    # input bit enumerated and reset idle, meets the objective either
+    off = netlist.clock_nets() | netlist.reset_nets()
+    forced = {(c.signal, c.bit): c.value for c in spec.trigger}
+    names = [n.name for n in netlist.inputs() if n.name not in off]
+    free = [(n, b) for n in names for b in range(netlist.width(n))
+            if (n, b) not in forced]
+    for code in range(1 << len(free)):
+        row = dict.fromkeys(names, 0)
+        for (n, b), v in forced.items():
+            row[n] |= v << b
+        for i, (n, b) in enumerate(free):
+            row[n] |= (code >> i & 1) << b
+        stim = Stimulus.for_design(netlist, [row] * horizon)
+        assert not _meets_by_oracle(netlist, spec, assertions, target, stim)
