@@ -17,11 +17,12 @@ previous stage's files and writing its own under the output directory:
 * ``report`` - re-render a finished evaluation in another format.
 
 Stages communicate only through these files, so any stage can be re-run
-or inspected in isolation.  Testcases and activations share the one
-stimulus format of :func:`svaport.sim.stimulus_text`, and evaluate reads
-them back with :func:`svaport.sim.load_stimulus`.  All randomness derives
-from the config seed; identical config and seed give byte-identical
-artifacts.
+or inspected in isolation; translate and inject replace the module
+subdirectories they write, so a rerun leaves no file of an earlier one.
+Testcases and activations share the one stimulus format of
+:func:`svaport.sim.stimulus_text`, and evaluate reads them back with
+:func:`svaport.sim.load_stimulus`.  All randomness derives from the config
+seed; identical config and seed give byte-identical artifacts.
 
 Exit codes: 0 on success, 2 when translation left assertions behind,
 1 for configuration, parse, forge, or simulation errors.
@@ -44,6 +45,7 @@ from __future__ import annotations
 import argparse
 import json
 import os
+import shutil
 import sys
 from concurrent import futures
 from fractions import Fraction
@@ -56,6 +58,7 @@ from .metrics import (MetricsReport, ModuleRow, TrojanRow,
                       analytic_probability, emit_report)
 from .monitor import check_assertions
 from .netlist import Netlist, render_netlist
+from .records import field, file_name, read_json, record
 from .rtl_parser import parse_design
 from .sim import (SimKernel, Stimulus, load_stimulus, simulate,
                   stimulus_text)
@@ -94,6 +97,14 @@ def _module_dir(config: ProjectConfig, job: ModuleJob) -> Path:
     return config.out_dir / job.name
 
 
+def _clear(*dirs: Path) -> None:
+    """Remove the directories a stage owns, so that no file of an earlier
+    run outlives the one it writes now."""
+    for path in dirs:
+        if path.is_dir():
+            shutil.rmtree(path)
+
+
 def _translated_assertions(config: ProjectConfig,
                            job: ModuleJob) -> list[Assertion]:
     tdir = _module_dir(config, job) / "translated"
@@ -118,15 +129,16 @@ def cmd_translate(config: ProjectConfig) -> int:
     for job in config.modules:
         target = _load_design(job.target_design)
         assertions = parse_assertions(job.assertions.read_text())
+        smap = (SignalMap.load(job.signal_map, netlist=target)
+                if job.signal_map else SignalMap())
+        base = _module_dir(config, job)
+        _clear(base / "links", base / "translated", base / "testcases")
         if not assertions:
             _warn(f"{job.assertions}: no assertions found; "
                   f"nothing to translate for module {job.name}")
             continue
-        smap = (SignalMap.load(job.signal_map, netlist=target)
-                if job.signal_map else SignalMap())
         graph = build_graph(target)
         kernel = SimKernel(target)
-        base = _module_dir(config, job)
         for idx, assertion in enumerate(assertions):
             key = assertion_key(assertion, idx)
             stem = f"a{idx:02d}_{_slug(key)}"
@@ -165,10 +177,7 @@ def _check_ids(job: ModuleJob, specs: list[TrojanSpec]) -> None:
     that no other trojan of the module uses."""
     seen: set[str] = set()
     for spec in specs:
-        if (not spec.id or spec.id.startswith(".")
-                or "/" in spec.id or "\\" in spec.id):
-            raise ConfigError(f"module {job.name}: trojan id {spec.id!r} is "
-                              "not a plain file name")
+        file_name(spec.id, f"module {job.name}: trojan id")
         if spec.id in seen:
             raise ConfigError(f"module {job.name}: trojan id {spec.id!r} "
                               "is used twice")
@@ -211,6 +220,7 @@ def cmd_inject(config: ProjectConfig) -> int:
                 trojans.append((spec, stimulus))
         _check_ids(job, [spec for spec, _ in trojans])
         tdir = _module_dir(config, job) / "trojans"
+        _clear(tdir)
         for spec, stimulus in trojans:
             _atomic_write(tdir / f"{spec.id}.sv",
                           render_netlist(inject(target, spec)))
@@ -357,13 +367,26 @@ def cmd_evaluate(config: ProjectConfig) -> int:
 
 def _metrics_report(raw: dict) -> MetricsReport:
     """The report of the rows in a ``metrics.json`` object."""
-    return MetricsReport(
-        modules=[ModuleRow(d["module"], d["source_assertions"],
-                           d["translated"], d["generated"], d["detected"])
-                 for d in raw["modules"]],
-        trojans=[TrojanRow(d["id"], d["module"], Fraction(d["p"]))
-                 for d in raw["trojans"]],
-        seed=raw["seed"])
+    where = "metrics.json"
+
+    def rows(key: str, **kinds: type) -> list[list]:
+        at = f"{where} {key} row"
+        return [[field(record(row, at), name, kind, at)
+                 for name, kind in kinds.items()]
+                for row in field(record(raw, where), key, list, where)]
+
+    modules = rows("modules", module=str, source_assertions=int,
+                   translated=int, generated=int, detected=int)
+    trojans = rows("trojans", id=str, module=str, p=str)
+    try:
+        return MetricsReport(
+            modules=[ModuleRow(*row) for row in modules],
+            trojans=[TrojanRow(tid, module, Fraction(p))
+                     for tid, module, p in trojans],
+            seed=field(raw, "seed", int, where))
+    except (ValueError, ZeroDivisionError) as err:
+        raise ConfigError(f"{where}: a trojan row's p is not a fraction "
+                          f"({err})") from None
 
 
 def cmd_report(config: ProjectConfig) -> int:
@@ -371,12 +394,7 @@ def cmd_report(config: ProjectConfig) -> int:
     path = config.out_dir / "metrics.json"
     if not path.is_file():
         raise ConfigError(f"{path}: not found; run the evaluate stage first")
-    try:
-        report = _metrics_report(json.loads(path.read_text()))
-    except (KeyError, TypeError, ValueError) as err:
-        # a JSON syntax error is a ValueError too
-        raise ConfigError(f"{path}: not a metrics file written by evaluate "
-                          f"({type(err).__name__}: {err})") from None
+    report = _metrics_report(read_json(path))
     sys.stdout.write(emit_report(report, config.format))
     return 0
 

@@ -14,41 +14,23 @@ typo here beats a traceback three pipeline stages later.
 
 from __future__ import annotations
 
-import json
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 from pathlib import Path
 
 from .errors import ConfigError
+from .records import field, file_name, read_json, record
 from .trojan import PAYLOAD_KINDS
 
 REPORT_FORMATS = ("table", "json", "csv")
 
 
-def _require_keys(data: dict, allowed: set[str], context: str) -> None:
-    if not isinstance(data, dict):
-        raise ConfigError(f"{context}: expected an object, got {data!r}")
-    unknown = set(data) - allowed
-    if unknown:
-        raise ConfigError(f"{context}: unknown keys {sorted(unknown)}")
-
-
-_KINDS = {int: "an integer", str: "a string"}
-
-
-def _typed(value, kind: type, what: str):
-    """*value*, which must be exactly of *kind*: a bool is not an int."""
-    if type(value) is not kind:
-        raise ConfigError(f"{what} must be {_KINDS[kind]}, got {value!r}")
-    return value
-
-
-def _path(base: Path, value, context: str, *, required: bool) -> Path | None:
+def _file(base: Path, value: str | None, where: str) -> Path | None:
+    """The input file *value* names, which must exist; None stays None."""
     if value is None:
         return None
-    p = (base / str(value)).resolve()
-    if required and not p.is_file():
-        raise ConfigError(f"{context}: no such file: {value}")
-    return p
+    if not (base / value).is_file():  # also false for a NUL in the path
+        raise ConfigError(f"{where}: no such file: {value}")
+    return (base / value).resolve()
 
 
 @dataclass(frozen=True)
@@ -63,20 +45,17 @@ class ForgeDefaults:
 
     @staticmethod
     def from_dict(data: dict) -> "ForgeDefaults":
-        _require_keys(data, {"k_min", "k_max", "tries", "payloads"}, "forge")
-        kwargs = dict(data)
-        for key in ("k_min", "k_max", "tries"):
-            if key in data:
-                _typed(data[key], int, f"forge: {key}")
-        if "payloads" in kwargs:
-            if not isinstance(kwargs["payloads"], list):
-                raise ConfigError("forge: payloads must be an array")
-            payloads = tuple(kwargs["payloads"])
-            for kind in payloads:
-                if kind not in PAYLOAD_KINDS:
-                    raise ConfigError(f"forge: unknown payload kind {kind!r}")
-            kwargs["payloads"] = payloads
-        out = ForgeDefaults(**kwargs)
+        record(data, "forge", {"k_min", "k_max", "tries", "payloads"})
+        out = ForgeDefaults(
+            *(field(data, key, int, "forge", default=getattr(ForgeDefaults, key))
+              for key in ("k_min", "k_max", "tries")),
+            payloads=field(data, "payloads", (list, str), "forge",
+                           default=PAYLOAD_KINDS))
+        for kind in out.payloads:
+            if kind not in PAYLOAD_KINDS:
+                raise ConfigError(f"forge: unknown payload kind {kind!r}")
+        if not out.payloads:
+            raise ConfigError("forge: payloads must name at least one kind")
         if not 1 <= out.k_min <= out.k_max:
             raise ConfigError(
                 f"forge: need 1 <= k_min <= k_max, got [{out.k_min}, {out.k_max}]")
@@ -99,43 +78,34 @@ class ModuleJob:
 
     @staticmethod
     def from_dict(data: dict, base: Path) -> "ModuleJob":
-        _require_keys(data, {"name", "target_design", "assertions",
-                             "signal_map", "trojans", "k_values",
-                             "imported_trojans"}, "module entry")
-        try:
-            name = data["name"]
-        except KeyError:
-            raise ConfigError("module entry: missing 'name'") from None
-        for key in ("target_design", "assertions"):
-            if key not in data:
-                raise ConfigError(f"module {name}: missing '{key}'")
-        trojans = _typed(data.get("trojans", 0), int,
-                         f"module {name}: trojans")
+        record(data, "module entry", {
+            "name", "target_design", "assertions", "signal_map", "trojans",
+            "k_values", "imported_trojans"})
+        name = file_name(field(data, "name", str, "module entry"),
+                         "module name")
+        where = f"module {name}"
+        trojans = field(data, "trojans", int, where, default=0)
         if trojans < 0:
-            raise ConfigError(f"module {name}: trojans must be >= 0")
-        k_values = data.get("k_values")
-        if k_values is not None:
-            if not (isinstance(k_values, list)
-                    and all(type(k) is int for k in k_values)):
-                raise ConfigError(f"module {name}: k_values must be an array "
-                                  f"of integers, got {k_values!r}")
-            k_values = tuple(k_values)
-            if len(k_values) != trojans:
-                raise ConfigError(
-                    f"module {name}: k_values lists {len(k_values)} widths "
-                    f"for {trojans} trojans")
+            raise ConfigError(f"{where}: trojans must be >= 0")
+        k_values = field(data, "k_values", (list, int), where, default=None)
+        if k_values is not None and len(k_values) != trojans:
+            raise ConfigError(f"{where}: k_values lists {len(k_values)} "
+                              f"widths for {trojans} trojans")
+        if k_values and min(k_values) < 1:
+            raise ConfigError(f"{where}: every k_values entry must be at "
+                              f"least 1, got {list(k_values)}")
+
+        def path(key: str, **default) -> Path | None:
+            return _file(base, field(data, key, str, where, **default), where)
+
         return ModuleJob(
-            name=str(name),
-            target_design=_path(base, data["target_design"],
-                                f"module {name}", required=True),
-            assertions=_path(base, data["assertions"],
-                             f"module {name}", required=True),
-            signal_map=_path(base, data.get("signal_map"),
-                             f"module {name}", required=True),
+            name=name,
+            target_design=path("target_design"),
+            assertions=path("assertions"),
+            signal_map=path("signal_map", default=None),
             trojans=trojans,
             k_values=k_values,
-            imported_trojans=_path(base, data.get("imported_trojans"),
-                                   f"module {name}", required=True),
+            imported_trojans=path("imported_trojans", default=None),
         )
 
 
@@ -149,7 +119,7 @@ class ProjectConfig:
     horizon: int = 16
     format: str = "table"
     jobs: int = 1
-    forge: ForgeDefaults = field(default_factory=ForgeDefaults)
+    forge: ForgeDefaults = ForgeDefaults()
 
     def __post_init__(self) -> None:
         if self.format not in REPORT_FORMATS:
@@ -191,28 +161,24 @@ class ProjectConfig:
 
     @staticmethod
     def from_dict(data: dict, base: Path) -> "ProjectConfig":
-        _require_keys(data, {"modules", "out_dir", "seed", "horizon",
-                             "format", "jobs", "forge"}, "campaign config")
-        entries = data.get("modules")
-        if not isinstance(entries, list) or not entries:
-            raise ConfigError("campaign config: 'modules' must be a "
-                              "non-empty array")
-        modules = tuple(ModuleJob.from_dict(entry, base) for entry in entries)
-        out_dir = (base / str(data.get("out_dir", "out"))).resolve()
-        forge = ForgeDefaults.from_dict(data.get("forge", {}))
-
-        def entry(key: str, default, kind: type):
-            return _typed(data.get(key, default), kind,
-                          f"campaign config: {key}")
-
+        where = "campaign config"
+        record(data, where, {"modules", "out_dir", "seed", "horizon", "format",
+                             "jobs", "forge"})
+        entries = field(data, "modules", list, where)
+        if not entries:
+            raise ConfigError(f"{where}: 'modules' must be a non-empty array")
+        out_dir = field(data, "out_dir", str, where, default="out")
+        if "\0" in out_dir:
+            raise ConfigError(f"{where}: out_dir {out_dir!r} is not a path")
         return ProjectConfig(
-            modules=modules,
-            out_dir=out_dir,
-            seed=entry("seed", 0, int),
-            horizon=entry("horizon", 16, int),
-            format=entry("format", "table", str),
-            jobs=entry("jobs", 1, int),
-            forge=forge,
+            modules=tuple(ModuleJob.from_dict(entry, base) for entry in entries),
+            out_dir=(base / out_dir).resolve(),
+            seed=field(data, "seed", int, where, default=0),
+            horizon=field(data, "horizon", int, where, default=16),
+            format=field(data, "format", str, where, default="table"),
+            jobs=field(data, "jobs", int, where, default=1),
+            forge=ForgeDefaults.from_dict(
+                field(data, "forge", dict, where, default={})),
         )
 
     @staticmethod
@@ -220,10 +186,4 @@ class ProjectConfig:
         path = Path(path).resolve()
         if not path.is_file():
             raise ConfigError(f"no such config file: {path}")
-        try:
-            data = json.loads(path.read_text())
-        except json.JSONDecodeError as err:
-            raise ConfigError(f"{path}: not valid JSON: {err}") from None
-        if not isinstance(data, dict):
-            raise ConfigError(f"{path}: expected a JSON object")
-        return ProjectConfig.from_dict(data, path.parent)
+        return ProjectConfig.from_dict(read_json(path), path.parent)

@@ -47,6 +47,7 @@ import numpy as np
 from . import expr as ex
 from .errors import ConfigError, ElaborationError, UnknownSignalError
 from .netlist import Netlist, combinational_closure
+from .records import read_json
 
 
 # --------------------------------------------------------------------------
@@ -151,11 +152,7 @@ def save_stimulus(stim: Stimulus, path: str | Path) -> None:
 
 def load_stimulus(path: str | Path, netlist: Netlist) -> Stimulus:
     """Read a stimulus file; any JSON array of per-cycle input maps loads."""
-    try:
-        cycles = json.loads(Path(path).read_text())
-    except json.JSONDecodeError as err:
-        raise ConfigError(f"{path}: not valid JSON: {err}") from None
-    return Stimulus.for_design(netlist, cycles)
+    return Stimulus.for_design(netlist, read_json(path))
 
 
 # --------------------------------------------------------------------------

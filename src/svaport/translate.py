@@ -15,8 +15,8 @@ renamed, removed, or added.
 
 from __future__ import annotations
 
-import json
-from dataclasses import dataclass, field, replace
+import dataclasses
+from dataclasses import dataclass, replace
 from pathlib import Path
 
 import numpy as np
@@ -26,6 +26,7 @@ from .errors import ConfigError
 from .graph import DependencyGraph, Relationship, build_graph, classify, fanin
 from .monitor import Checker, check_assertion
 from .netlist import Netlist
+from .records import field, read_json, record
 from .rng import substream
 from .search import input_cone, search_stimulus
 from .sim import SimKernel, Stimulus
@@ -73,97 +74,68 @@ class NamingRule:
 class SignalMap:
     """Alias table plus per-design translation hints, loaded from JSON."""
 
-    mappings: dict[str, str] = field(default_factory=dict)
-    augmentations: list[Augmentation] = field(default_factory=list)
+    mappings: dict[str, str] = dataclasses.field(default_factory=dict)
+    augmentations: list[Augmentation] = dataclasses.field(default_factory=list)
     suffixes: tuple[str, ...] = DEFAULT_SUFFIXES
     prefixes: tuple[str, ...] = ()
-    naming: list[NamingRule] = field(default_factory=list)
+    naming: list[NamingRule] = dataclasses.field(default_factory=list)
 
     @staticmethod
     def from_dict(data: dict) -> "SignalMap":
-        known = {"mappings", "augmentations", "normalize", "naming"}
-        stray = set(data) - known
-        if stray:
-            raise ConfigError(f"unknown signal-map keys: {', '.join(sorted(stray))}")
-
-        def objects(key: str) -> list[dict]:
-            rows = data.get(key, [])
-            if not (isinstance(rows, list)
-                    and all(isinstance(row, dict) for row in rows)):
-                raise ConfigError(f"signal map: {key} must be an array of "
-                                  f"objects, got {rows!r}")
-            return rows
-
-        def strings(value, what: str) -> tuple[str, ...]:
-            if not (isinstance(value, list)
-                    and all(isinstance(v, str) for v in value)):
-                raise ConfigError(f"signal map: {what} must be an array of "
-                                  f"strings, got {value!r}")
-            return tuple(value)
-
+        where, aug = "signal map", "augmentation"
+        record(data, where, {"mappings", "augmentations", "normalize",
+                             "naming"})
         m = SignalMap()
-        for row in objects("mappings"):
-            src, tgt = row.get("source"), row.get("target")
-            if not (src and tgt and isinstance(src, str)
-                    and isinstance(tgt, str)):
+        for row in field(data, "mappings", list, where, default=()):
+            record(row, "mapping", {"source", "target"})
+            src = field(row, "source", str, "mapping", default="")
+            tgt = field(row, "target", str, "mapping", default="")
+            if not (src and tgt):
                 raise ConfigError(f"mapping needs source and target: {row}")
             if src in m.mappings:
                 raise ConfigError(f"duplicate mapping for {src}")
             m.mappings[src] = tgt
-        for row in objects("augmentations"):
+        for row in field(data, "augmentations", list, where, default=()):
+            record(row, aug, {"signal", "condition", "attach", "position",
+                              "applies_to", "note"})
             attach = row.get("attach")
             if attach not in _ATTACH:
                 raise ConfigError(f"augmentation attach must be one of {_ATTACH}")
-            position = row.get("position", "last")
+            position = field(row, "position", str, aug, default="last")
             if position not in _POSITION:
                 raise ConfigError(f"augmentation position must be one of {_POSITION}")
-            if not isinstance(row.get("condition"), str):
-                raise ConfigError(f"augmentation needs a condition: {row}")
-            cond = ex.parse_expr_text(row["condition"])
-            signal = row.get("signal", "")
+            text = field(row, "condition", str, aug)
+            cond = ex.parse_expr_text(text)
+            signal = field(row, "signal", str, aug, default="")
             if signal not in ex.idents_of(cond):
                 raise ConfigError(
                     f"augmentation signal {signal!r} does not appear in its "
-                    f"condition {row['condition']!r}")
+                    f"condition {text!r}")
             m.augmentations.append(Augmentation(
                 signal=signal, condition=cond, attach=attach, position=position,
-                applies_to=strings(row.get("applies_to", []),
-                                   "augmentation applies_to"),
-                note=row.get("note", "")))
-        norm = data.get("normalize", {})
-        if not isinstance(norm, dict):
-            raise ConfigError(f"signal map: normalize must be an object, "
-                              f"got {norm!r}")
-        if "suffixes" in norm:
-            m.suffixes = strings(norm["suffixes"], "normalize suffixes")
-        if "prefixes" in norm:
-            m.prefixes = strings(norm["prefixes"], "normalize prefixes")
-        for row in objects("naming"):
-            if not isinstance(row.get("applies_to"), str):
-                raise ConfigError(f"naming rule needs a string applies_to: {row}")
-            if any(rule.applies_to == row["applies_to"] for rule in m.naming):
-                raise ConfigError(
-                    f"duplicate naming rule for {row['applies_to']}")
-            for key in ("property", "label", "error"):
-                if not isinstance(row.get(key, ""), str):
-                    raise ConfigError(f"naming rule {key} must be a string, "
-                                      f"got {row[key]!r}")
-            m.naming.append(NamingRule(
-                applies_to=row["applies_to"],
-                property_name=row.get("property"),
-                label=row.get("label"),
-                error=row.get("error")))
+                applies_to=field(row, "applies_to", (list, str), aug,
+                                 default=()),
+                note=field(row, "note", str, aug, default="")))
+        norm = record(field(data, "normalize", dict, where, default={}),
+                      "normalize", {"suffixes", "prefixes"})
+        m.suffixes = field(norm, "suffixes", (list, str), "normalize",
+                           default=DEFAULT_SUFFIXES)
+        m.prefixes = field(norm, "prefixes", (list, str), "normalize",
+                           default=())
+        for row in field(data, "naming", list, where, default=()):
+            record(row, "naming rule", {"applies_to", "property", "label",
+                                        "error"})
+            key = field(row, "applies_to", str, "naming rule")
+            if any(rule.applies_to == key for rule in m.naming):
+                raise ConfigError(f"duplicate naming rule for {key}")
+            m.naming.append(NamingRule(key, *(
+                field(row, name, str, "naming rule", default=None)
+                for name in ("property", "label", "error"))))
         return m
 
     @staticmethod
     def load(path: str | Path, netlist: Netlist | None = None) -> "SignalMap":
-        try:
-            data = json.loads(Path(path).read_text())
-        except json.JSONDecodeError as err:
-            raise ConfigError(f"{path}: not valid JSON ({err})") from err
-        if not isinstance(data, dict):
-            raise ConfigError(f"{path}: signal map must be a JSON object")
-        m = SignalMap.from_dict(data)
+        m = SignalMap.from_dict(read_json(path))
         if netlist is not None:
             m.validate(netlist)
         return m
@@ -456,7 +428,7 @@ class Untranslatable:
 class TranslationOutcome:
     verdict: Translatable | Untranslatable
     link_report: LinkReport
-    notes: list[str] = field(default_factory=list)
+    notes: list[str] = dataclasses.field(default_factory=list)
 
     @property
     def translatable(self) -> bool:

@@ -16,8 +16,9 @@ condition, so an untriggered trojan is behaviorally invisible.
 
 from __future__ import annotations
 
+import dataclasses
 import json
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 from pathlib import Path
 
 import numpy as np
@@ -28,6 +29,7 @@ from .errors import (ActivationNotFoundError, ConfigError,
 from .graph import build_graph
 from .monitor import Checker
 from .netlist import Assign, Netlist, NetKind, Register, combinational_closure
+from .records import field, read_json, record
 from .rng import substream
 from .search import input_cone, search_stimulus, take_rows
 from .sim import BatchExpr, SimKernel, Stimulus, fanin_cone
@@ -64,7 +66,7 @@ class TrojanSpec:
     payload_kind: str
     payload_net: str
     payload_value: int | None = None   # force_constant only
-    meta: dict = field(default_factory=dict)
+    meta: dict = dataclasses.field(default_factory=dict)
 
     def to_dict(self) -> dict:
         payload: dict = {"kind": self.payload_kind, "net": self.payload_net}
@@ -83,43 +85,25 @@ class TrojanSpec:
 
     @staticmethod
     def from_dict(data: dict) -> "TrojanSpec":
-        record, entry = "trojan record", "trigger entry"
-        trigger = tuple(
-            TriggerCond(_field(row, "signal", str, entry),
-                        _field(row, "bit", int, entry, optional=True),
-                        _field(row, "value", int, entry))
-            for row in _field(data, "trigger", list, record))
-        payload = _field(data, "payload", dict, record)
+        # meta is only checked to be an object: imported specs may carry
+        # long activations there, which inject checks against the design
+        where, entry = "trojan record", "trigger entry"
+        payload = field(record(data, where), "payload", dict, where)
         return TrojanSpec(
-            id=_field(data, "id", str, record),
-            module=_field(data, "module", str, record),
-            module_kind=_field(data, "module_kind", str, record),
-            trigger=trigger,
-            k=_field(data, "k", int, record),
-            payload_kind=_field(payload, "kind", str, "payload"),
-            payload_net=_field(payload, "net", str, "payload"),
-            payload_value=_field(payload, "value", int, "payload",
-                                 optional=True),
-            meta=_field(data, "meta", dict, record, optional=True) or {},
+            id=field(data, "id", str, where),
+            module=field(data, "module", str, where),
+            module_kind=field(data, "module_kind", str, where),
+            trigger=tuple(
+                TriggerCond(field(record(row, entry), "signal", str, entry),
+                            field(row, "bit", int, entry, default=None),
+                            field(row, "value", int, entry))
+                for row in field(data, "trigger", list, where)),
+            k=field(data, "k", int, where),
+            payload_kind=field(payload, "kind", str, "payload"),
+            payload_net=field(payload, "net", str, "payload"),
+            payload_value=field(payload, "value", int, "payload", default=None),
+            meta=field(data, "meta", dict, where, default=None) or {},
         )
-
-
-def _field(record, key: str, kind: type, where: str, *,
-           optional: bool = False):
-    """``record[key]`` checked to be a *kind* (a bool is not an int); an
-    optional field may be absent or null."""
-    if not isinstance(record, dict):
-        raise ConfigError(f"{where} must be an object, "
-                          f"got {type(record).__name__}")
-    if record.get(key) is None and optional:
-        return None
-    if key not in record:
-        raise ConfigError(f"{where} is missing field '{key}'")
-    value = record[key]
-    if not isinstance(value, kind) or (kind is int and isinstance(value, bool)):
-        raise ConfigError(f"{where} field '{key}' must be of type "
-                          f"{kind.__name__}, got {value!r}")
-    return value
 
 
 def save_trojans(specs: list[TrojanSpec], path: str | Path) -> None:
@@ -130,11 +114,8 @@ def save_trojans(specs: list[TrojanSpec], path: str | Path) -> None:
 def load_trojans(path: str | Path) -> list[TrojanSpec]:
     """Read one spec or an array of specs (the import path for externally
     authored trojans)."""
-    try:
-        data = json.loads(Path(path).read_text())
-    except json.JSONDecodeError as err:
-        raise ConfigError(f"{path}: not valid JSON: {err}") from None
-    rows = data if isinstance(data, list) else [data]
+    data = read_json(path)
+    rows = data if type(data) is list else [data]
     return [TrojanSpec.from_dict(row) for row in rows]
 
 
@@ -168,6 +149,9 @@ def validate_spec(spec: TrojanSpec, netlist: Netlist) -> None:
     if spec.k != k or k < 1:
         raise ConfigError(
             f"trojan {spec.id}: k={spec.k} but trigger constrains {k} bits")
+    if spec.payload_net not in netlist.nets:
+        raise PayloadConflictError(
+            f"payload target {spec.payload_net} is not a net of {netlist.name}")
     if spec.payload_kind == "force_constant":
         if spec.payload_value is None:
             raise ConfigError(f"trojan {spec.id}: force_constant needs a value")
@@ -210,9 +194,6 @@ def inject(netlist: Netlist, spec: TrojanSpec) -> Netlist:
     module name carry over unchanged."""
     validate_spec(spec, netlist)
     name = spec.payload_net
-    if name not in netlist.nets:
-        raise PayloadConflictError(
-            f"payload target {name} is not a net of {netlist.name}")
     driver = netlist.driver_of(name)
     if driver is None:
         kind = netlist.nets[name].kind
@@ -310,7 +291,6 @@ def forge(netlist: Netlist, assertions: list[Assertion],
     pool = _trigger_pool(netlist, assertions)
     if params.k_values is not None and len(params.k_values) != params.count:
         raise ConfigError("k_values length must equal count")
-    k_span = list(range(params.k_min, params.k_max + 1))
     module_kind = "sequential" if netlist.registers else "combinational"
     # the injected designs keep the clean one's nets and constants, so one
     # checker per assertion decides clean and corrupted runs alike
@@ -322,7 +302,7 @@ def forge(netlist: Netlist, assertions: list[Assertion],
     forged: list[tuple[TrojanSpec, Stimulus]] = []
     for j in range(params.count):
         k = (params.k_values[j] if params.k_values is not None
-             else k_span[j % len(k_span)])
+             else params.k_min + j % (params.k_max - params.k_min + 1))
         if len(pool) < k:
             raise InsufficientSignalsError(
                 f"assertion cone offers {len(pool)} trigger bits, "

@@ -61,7 +61,7 @@ def test_config_file_errors(tmp_path):
     with pytest.raises(ConfigError, match="not valid JSON"):
         ProjectConfig.load(bad)
     bad.write_text("[1, 2]")
-    with pytest.raises(ConfigError, match="expected a JSON object"):
+    with pytest.raises(ConfigError, match="campaign config must be an object"):
         ProjectConfig.load(bad)
 
 
@@ -74,16 +74,44 @@ def test_config_schema_errors(tmp_path):
     cases = [
         ({"modules": [module], "mystery": 1}, "unknown keys"),
         ({"modules": []}, "non-empty array"),
-        ({"modules": "toy"}, "non-empty array"),
+        ({"modules": "toy"}, "field 'modules' must be of type list"),
         ({"modules": [{**module, "extra": 1}]}, "unknown keys"),
         ({"modules": [{**module, "source_design": "toy.sv"}]}, "unknown keys"),
-        ({"modules": [dict(target_design="toy.sv")]}, "missing 'name'"),
-        ({"modules": [{"name": "toy"}]}, "missing 'target_design'"),
+        ({"modules": [dict(target_design="toy.sv")]}, "missing field 'name'"),
+        ({"modules": [{"name": "toy"}]}, "missing field 'target_design'"),
         ({"modules": [{**module, "assertions": "absent.sva"}]},
          "no such file"),
         ({"modules": [{**module, "trojans": -1}]}, "must be >= 0"),
         ({"modules": [{**module, "trojans": 2, "k_values": [2]}]},
          "k_values lists 1"),
+        ({"modules": [{**module, "trojans": 2, "k_values": [-1, 2]}]},
+         "k_values entry must be at least 1"),
+        ({"modules": [{**module, "trojans": 2, "k_values": [0, 2]}]},
+         "k_values entry must be at least 1"),
+        # a module name names its output directory
+        ({"modules": [{**module, "name": "../escaped"}]},
+         "module name '../escaped' is not a plain file name"),
+        ({"modules": [{**module, "name": ""}]}, "not a plain file name"),
+        ({"modules": [{**module, "name": ".hidden"}]}, "not a plain file name"),
+        ({"modules": [{**module, "name": "a/b"}]}, "not a plain file name"),
+        ({"modules": [{**module, "name": "a\\b"}]}, "not a plain file name"),
+        ({"modules": [{**module, "name": ["a"]}]},
+         "field 'name' must be of type str"),
+        ({"modules": [{**module, "target_design": ["toy.sv"]}]},
+         "field 'target_design' must be of type str"),
+        ({"modules": [{**module, "assertions": 5}]},
+         "field 'assertions' must be of type str"),
+        ({"modules": [{**module, "signal_map": {}}]},
+         "field 'signal_map' must be of type str"),
+        ({"modules": [{**module, "imported_trojans": True}]},
+         "field 'imported_trojans' must be of type str"),
+        ({"modules": [module], "out_dir": ["out"]},
+         "field 'out_dir' must be of type str"),
+        # a NUL character names no file
+        ({"modules": [{**module, "name": "to\0y"}]}, "not a plain file name"),
+        ({"modules": [{**module, "target_design": "toy\0.sv"}]},
+         "no such file"),
+        ({"modules": [module], "out_dir": "o\0ut"}, "out_dir .* is not a path"),
         ({"modules": [module, module]}, "duplicate module name"),
         ({"modules": [module], "format": "xml"}, "format must be one of"),
         ({"modules": [module], "horizon": 1}, "at least 2"),
@@ -93,6 +121,8 @@ def test_config_schema_errors(tmp_path):
         ({"modules": [module], "forge": {"tries": 0}}, "tries"),
         ({"modules": [module], "forge": {"payloads": ["melt"]}},
          "unknown payload kind"),
+        ({"modules": [module], "forge": {"payloads": []}},
+         "payloads must name at least one kind"),
         ({"modules": [module], "forge": {"mystery": 1}}, "unknown keys"),
     ]
     for doc, needle in cases:
@@ -146,6 +176,14 @@ def test_config_value_of_wrong_type_exits_1(tmp_path, capsys, where, key,
     {"naming": [{"applies_to": 0, "label": "L"}]},
     {"naming": [{"applies_to": "A_SUM", "label": "FIRST"},
                 {"applies_to": "A_SUM", "label": "SECOND"}]},
+    # rows and normalize reject keys they do not know, as the top level does
+    {"augmentations": [{"attach": "antecedent", "signal": "en_i",
+                        "condition": "en_i == 1", "positon": "first"}]},
+    {"normalize": {"sufixes": ["_i"]}},
+    {"mappings": [{"source": "A", "target": "flag_o", "traget": "sum_o"}]},
+    {"naming": [{"applies_to": "A_SUM", "lable": "L"}]},
+    {"augmentations": [{"attach": "antecedent", "signal": "en_i",
+                        "condition": "en_i == 1", "note": 5}]},
 ])
 def test_malformed_signal_map_exits_1(tmp_path, capsys, smap):
     path = make_campaign(tmp_path)
@@ -154,7 +192,11 @@ def test_malformed_signal_map_exits_1(tmp_path, capsys, smap):
     (tmp_path / "toy_map.json").write_text(json.dumps(smap))
     path.write_text(json.dumps(doc))
     assert main(["translate", "--config", str(path)]) == 1
-    assert capsys.readouterr().err.startswith("error:")
+    err = capsys.readouterr().err
+    assert err.startswith("error:")
+    for typo in ("positon", "sufixes", "traget", "lable"):
+        if typo in json.dumps(smap):
+            assert f"unknown keys ['{typo}']" in err
 
 
 def test_config_overrides(tmp_path):
@@ -260,6 +302,56 @@ def test_inject_stage_materializes_trojans(tmp_path, capsys):
     assert spec["k"] == 2 and spec["meta"]["seed"] == 3
     assert "activation" not in spec["meta"]  # it lives in toy_t00.stim.json
     assert "module toy" in (tdir / "toy_t00.sv").read_text()
+
+
+def test_translate_rerun_replaces_its_module_files(tmp_path, capsys):
+    cfg = make_campaign(tmp_path)
+    assert main(["translate", "--config", str(cfg)]) == 0
+    out = tmp_path / "out" / "toy"
+    assert (out / "translated" / "a01_A_FLAG.sva").is_file()
+    # drop A_FLAG from the source: its files of the first run must go
+    (tmp_path / "toy.sva").write_text(TOY_SVA.splitlines()[0] + "\n")
+    assert main(["translate", "--config", str(cfg)]) == 0
+    for sub in ("links", "translated", "testcases"):
+        assert not [p for p in (out / sub).iterdir() if "A_FLAG" in p.name]
+    assert sorted(p.name for p in (out / "translated").iterdir()) \
+        == ["a00_A_SUM.sva"]
+    for stage in ("inject", "evaluate"):
+        assert main([stage, "--config", str(cfg)]) == 0
+    raw = json.loads((tmp_path / "out" / "metrics.json").read_text())
+    assert (raw["modules"][0]["source_assertions"],
+            raw["modules"][0]["translated"]) == (1, 1)
+
+
+def test_inject_rerun_replaces_its_trojans(tmp_path, capsys):
+    cfg = make_campaign(tmp_path, trojans=4)
+    for stage in ("translate", "inject"):
+        assert main([stage, "--config", str(cfg)]) == 0
+    tdir = tmp_path / "out" / "toy" / "trojans"
+    assert len(list(tdir.glob("*.sv"))) == 4
+    cfg = make_campaign(tmp_path, trojans=2)
+    for stage in ("inject", "evaluate"):
+        assert main([stage, "--config", str(cfg)]) == 0
+    assert sorted(p.name for p in tdir.glob("*.sv")) \
+        == ["toy_t00.sv", "toy_t01.sv"]
+    raw = json.loads((tmp_path / "out" / "metrics.json").read_text())
+    assert raw["modules"][0]["generated"] == 2
+    assert [t["id"] for t in raw["trojans"]] == ["toy_t00", "toy_t01"]
+    # a campaign without trojans leaves none behind
+    cfg = make_campaign(tmp_path, trojans=0)
+    assert main(["inject", "--config", str(cfg)]) == 0
+    assert not tdir.exists()
+
+
+def test_inject_cycles_k_without_listing_a_huge_span(tmp_path, capsys):
+    # k runs k_min, k_min + 1, ... up to k_max; a k_max far past any trigger
+    # pool must not be expanded into a list
+    cfg = make_campaign(tmp_path, forge={"k_min": 2, "k_max": 2 ** 80})
+    for stage in ("translate", "inject"):
+        assert main([stage, "--config", str(cfg)]) == 0
+    tdir = tmp_path / "out" / "toy" / "trojans"
+    assert [json.loads((tdir / f"toy_t0{j}.json").read_text())["k"]
+            for j in range(2)] == [2, 3]
 
 
 IMPORTED = {"id": "toy_imp", "module": "toy", "module_kind": "combinational",

@@ -207,7 +207,7 @@ def test_naming_rule_applies_only_to_its_key(csr_unit, golden_map):
 
 
 def test_signal_map_schema_errors(csr_unit, tmp_path):
-    with pytest.raises(ConfigError, match="unknown signal-map keys"):
+    with pytest.raises(ConfigError, match="signal map: unknown keys"):
         SignalMap.from_dict({"aliases": []})
     with pytest.raises(ConfigError, match="source and target"):
         SignalMap.from_dict({"mappings": [{"source": "A"}]})
