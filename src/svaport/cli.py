@@ -48,6 +48,7 @@ import os
 import shutil
 import sys
 from concurrent import futures
+from dataclasses import asdict
 from fractions import Fraction
 from pathlib import Path
 
@@ -58,7 +59,7 @@ from .metrics import (MetricsReport, ModuleRow, TrojanRow,
                       analytic_probability, emit_report)
 from .monitor import check_assertions
 from .netlist import Netlist, render_netlist
-from .records import field, file_name, read_json, record
+from .records import field, file_name, read_json, read_text, record
 from .rtl_parser import parse_design
 from .sim import (SimKernel, Stimulus, load_stimulus, simulate,
                   stimulus_text)
@@ -90,7 +91,7 @@ def _slug(key: str) -> str:
 
 
 def _load_design(path: Path) -> Netlist:
-    return parse_design(path.read_text())
+    return parse_design(read_text(path))
 
 
 def _module_dir(config: ProjectConfig, job: ModuleJob) -> Path:
@@ -115,7 +116,7 @@ def _translated_assertions(config: ProjectConfig,
             "run the translate stage first")
     out: list[Assertion] = []
     for f in files:
-        out.extend(parse_assertions(f.read_text()))
+        out.extend(parse_assertions(read_text(f)))
     return out
 
 
@@ -128,9 +129,11 @@ def cmd_translate(config: ProjectConfig) -> int:
     status = 0
     for job in config.modules:
         target = _load_design(job.target_design)
-        assertions = parse_assertions(job.assertions.read_text())
+        assertions = parse_assertions(read_text(job.assertions))
         smap = (SignalMap.load(job.signal_map, netlist=target)
                 if job.signal_map else SignalMap())
+        keys = [assertion_key(a, idx) for idx, a in enumerate(assertions)]
+        smap.check_keys(set(keys), str(job.signal_map))
         base = _module_dir(config, job)
         _clear(base / "links", base / "translated", base / "testcases")
         if not assertions:
@@ -139,8 +142,7 @@ def cmd_translate(config: ProjectConfig) -> int:
             continue
         graph = build_graph(target)
         kernel = SimKernel(target)
-        for idx, assertion in enumerate(assertions):
-            key = assertion_key(assertion, idx)
+        for idx, (assertion, key) in enumerate(zip(assertions, keys)):
             stem = f"a{idx:02d}_{_slug(key)}"
             tconf = TranslationConfig(horizon=config.horizon,
                                       seed=config.seed, key=key)
@@ -155,6 +157,7 @@ def cmd_translate(config: ProjectConfig) -> int:
                 "link": outcome.link_report.to_dict(),
             }
             if outcome.translatable:
+                doc["search"] = asdict(outcome.verdict.search)
                 _atomic_write(base / "translated" / f"{stem}.sva",
                               render_assertion(outcome.verdict.assertion) + "\n")
                 if outcome.verdict.testcase is not None:
@@ -241,7 +244,7 @@ def _evaluate_one(sv_path: Path, stim_path: Path,
     run it; any error is reported, never raised, to keep one bad trojan
     from sinking the batch."""
     try:
-        netlist = parse_design(sv_path.read_text())
+        netlist = parse_design(read_text(sv_path))
         trace = simulate(netlist, load_stimulus(stim_path, netlist))
         verdicts = check_assertions(trace, assertions)
         detected = any(v.failure_count >= 1 for v in verdicts)
@@ -287,11 +290,11 @@ def cmd_evaluate(config: ProjectConfig) -> int:
     per_module: dict[str, dict] = {}
 
     for job in config.modules:
-        source_count = len(parse_assertions(job.assertions.read_text()))
+        source_count = len(parse_assertions(read_text(job.assertions)))
         tdir = _module_dir(config, job) / "translated"
         sva_files = sorted(tdir.glob("*.sva")) if tdir.is_dir() else []
         assertions = [a for f in sva_files
-                      for a in parse_assertions(f.read_text())]
+                      for a in parse_assertions(read_text(f))]
         per_module[job.name] = {
             "source": source_count,
             "translated": len(assertions),

@@ -1,7 +1,8 @@
-"""Reading JSON inputs: configs, signal maps, trojan specs, stimuli and
-metrics files decode here, and each value must have exactly the JSON type
-its reader expects (a bool is not an integer).  Every fault is a
-``ConfigError`` that names the file, record or field.
+"""Reading inputs: designs and assertion files are read as UTF-8 text
+here, and configs, signal maps, trojan specs, stimuli and metrics files
+decode here, each value with exactly the JSON type its reader expects (a
+bool is not an integer).  Every fault is a ``ConfigError`` that names the
+file, record or field.
 """
 
 from __future__ import annotations
@@ -12,6 +13,14 @@ from pathlib import Path
 from .errors import ConfigError
 
 _REQUIRED = object()
+
+
+def read_text(path: str | Path) -> str:
+    """The contents of the UTF-8 text file *path*."""
+    try:
+        return Path(path).read_text(encoding="utf-8")
+    except UnicodeDecodeError as err:
+        raise ConfigError(f"{path}: not valid UTF-8: {err}") from None
 
 
 def read_json(path: str | Path):

@@ -3,17 +3,23 @@
 The strategy is deliberately simple and fully deterministic: candidate
 stimuli hold each primary input at a constant value (with an optional
 warm-up prefix that differs, to let registered state build up before the
-interesting vector applies).  Candidates over the free input bits are
-enumerated exhaustively when the free space is small enough, otherwise
-sampled from a seeded stream, one caller-given set of free inputs after
-another.  Candidates are simulated in numpy batches,
+interesting vector applies).  A search is a list of passes, each a set of
+free inputs and the input bits it forces, walked in order.  A pass's free
+bits are enumerated exhaustively when they are few enough, otherwise
+sampled from a seeded stream.  Candidates are simulated in numpy batches,
 a caller-supplied objective decides every batch with arrays, and a scalar
 check confirms the winner.
+
+``necessary_literals`` guides a search: it backtraces a term through the
+combinational logic to the input bits every candidate that makes the term
+true must have (PODEM's backtrace, Goel 1981).  Forcing them keeps the
+integer order of the remaining free bits, so an enumerated pass meets the
+candidates that satisfy them in the order an unforced pass would.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Callable, Iterator
 
 import numpy as np
@@ -30,10 +36,21 @@ _RANDOM_VECTORS = 10000  # otherwise draw this many candidates
 _WARMUP = 4              # prefix length for two-phase candidates
 
 
+#: input bits a pass holds fixed: (input, bit) -> 0 or 1
+Literals = dict[tuple[str, int], int]
+
+
 @dataclass
 class SearchStats:
+    """What a search cost, and how its witness was found: the winning
+    pass's schedule, whether its free bits were ``enumerated`` or
+    ``sampled``, and how many bits it forced (each None when no witness
+    was found)."""
+
     candidates: int = 0
-    schedules_tried: list[str] = field(default_factory=list)
+    schedule: str | None = None
+    space: str | None = None
+    forced: int | None = None
 
 
 def input_cone(netlist: Netlist, graph: DependencyGraph,
@@ -53,15 +70,157 @@ def input_cone(netlist: Netlist, graph: DependencyGraph,
     return sorted(inputs - clocks)
 
 
+_LOGIC = ("!", "&&", "||", "==", "!=")  # operators whose value is 0 or 1
+
+
+class _Conflict(Exception):
+    """Two requirements of a term disagree on one bit."""
+
+
+def necessary_literals(term: ex.Expr, netlist: Netlist) -> Literals | None:
+    """The primary-input bits, clock and reset excluded, that hold
+    whenever *term* is true; None when no input values make it true,
+    because two of its requirements disagree.
+
+    A requirement on a node (not zero, or given bits) becomes requirements
+    on its operands wherever it implies them: through ``&&``, ``&``,
+    ``!``, ``~``, ``||`` and ``|`` required false, ``==`` and ``!=``
+    against a constant or parameter, bit and part selects, and each net's
+    combinational ``assign``.  The walk stops at registers, ``$past``,
+    ``?:``, ``+``, ``^`` and comparisons of two non-constant values, so
+    every returned bit is necessary, and None means a real contradiction.
+    """
+    consts = netlist.constants()
+    drivers = {a.lhs: a.rhs for a in netlist.assigns}
+    off_limits = netlist.clock_nets() | netlist.reset_nets()
+    width = netlist.width
+    out: Literals = {}
+    # the requirements on nets already walked, so that reconverging
+    # fan-out is walked once
+    walked: set[tuple[str, tuple | None]] = set()
+
+    def const(e: ex.Expr) -> int | None:
+        if isinstance(e, ex.Const):
+            return e.value
+        if isinstance(e, ex.Ident) and e.name in consts:
+            return consts[e.name]
+        return None
+
+    def first(name: str, bits: tuple | None) -> bool:
+        """Whether *bits* (None: not zero) are required of net *name* for
+        the first time."""
+        if (name, bits) in walked:
+            return False
+        walked.add((name, bits))
+        return True
+
+    def true(e: ex.Expr) -> None:
+        """*e* is not zero."""
+        c = const(e)
+        if c is not None:
+            if not c:
+                raise _Conflict
+        elif isinstance(e, ex.Ident) and e.name in drivers:
+            if first(e.name, None):
+                true(drivers[e.name])
+        elif isinstance(e, ex.Binary) and e.op == "&":
+            true(e.left)
+            true(e.right)
+        elif ex.width_of(e, width) == 1:
+            need(e, {0: 1})
+
+    def zero(e: ex.Expr) -> None:
+        need(e, dict.fromkeys(range(ex.width_of(e, width) or 1), 0))
+
+    def need(e: ex.Expr, bits: dict[int, int]) -> None:
+        """Bit i of *e*'s value is bits[i]."""
+        c = const(e)
+        if c is not None:
+            if any((c >> i) & 1 != b for i, b in bits.items()):
+                raise _Conflict
+        elif isinstance(e, ex.Select):
+            span = e.msb - e.lsb + 1
+            if any(b for i, b in bits.items() if i >= span):
+                raise _Conflict
+            need(ex.Ident(e.base), {i + e.lsb: b for i, b in bits.items()
+                                    if i < span})
+        elif isinstance(e, ex.Ident) and e.name in drivers:
+            if first(e.name, tuple(sorted(bits.items()))):
+                need(drivers[e.name], bits)
+        elif isinstance(e, ex.Ident):
+            net = netlist.nets[e.name]
+            if net.kind is not NetKind.INPUT:
+                return  # a register
+            for i, b in bits.items():
+                if i >= net.width:
+                    if b:
+                        raise _Conflict
+                elif e.name not in off_limits and \
+                        out.setdefault((e.name, i), b) != b:
+                    raise _Conflict
+        elif isinstance(e, ex.Unary) and e.op == "~":
+            span = ex.width_of(e.operand, width)
+            if span is None:
+                return  # ~ of an unsized literal does not compile
+            if any(b for i, b in bits.items() if i >= span):
+                raise _Conflict
+            need(e.operand, {i: 1 - b for i, b in bits.items() if i < span})
+        elif isinstance(e, (ex.Unary, ex.Binary)) and e.op in _LOGIC:
+            if any(b for i, b in bits.items() if i >= 1):
+                raise _Conflict
+            if 0 in bits:
+                logic(e, bits[0])
+        elif isinstance(e, ex.Binary) and e.op in ("&", "|"):
+            # a bit of & that is 1, or of | that is 0, is so in both operands
+            keep = {i: b for i, b in bits.items() if b == (e.op == "&")}
+            need(e.left, keep)
+            need(e.right, keep)
+
+    def logic(e: ex.Unary | ex.Binary, value: int) -> None:
+        """The 0/1 node *e* has *value*."""
+        if e.op == "!":
+            (zero if value else true)(e.operand)
+        elif e.op == "&&" and value:
+            true(e.left)
+            true(e.right)
+        elif e.op == "||" and not value:
+            zero(e.left)
+            zero(e.right)
+        elif e.op in ("==", "!="):
+            equal = bool(value) == (e.op == "==")
+            for x, y in ((e.left, e.right), (e.right, e.left)):
+                c = const(y)
+                if c is None:
+                    continue
+                if equal:
+                    span = max(c.bit_length(), ex.width_of(x, width) or 1)
+                    need(x, {i: (c >> i) & 1 for i in range(span)})
+                elif c == 0:
+                    true(x)
+                return
+
+    try:
+        true(term)
+    except _Conflict:
+        return None
+    return out
+
+
+def _free(netlist: Netlist, inputs: list[str],
+          forced: Literals) -> list[tuple[str, int]]:
+    """The bits of *inputs* that *forced* leaves free, in input order."""
+    return [(name, bit) for name in inputs
+            for bit in range(netlist.nets[name].width)
+            if (name, bit) not in forced]
+
+
 def _vectors(netlist: Netlist, inputs: list[str],
-             forced: dict[tuple[str, int], int],
+             forced: Literals,
              rng: np.random.Generator) -> Iterator[dict[str, np.ndarray]]:
     """Yield batches of constant input vectors (dict name -> (rows,) uint64)
     honoring the forced bits.  Exhaustive in integer order when the free
     space fits, else seeded random."""
-    free = [(name, bit) for name in inputs
-            for bit in range(netlist.nets[name].width)
-            if (name, bit) not in forced]
+    free = _free(netlist, inputs, forced)
     base = {name: np.uint64(0) for name in inputs}
     for (name, bit), val in forced.items():
         if name in base and val:
@@ -94,11 +253,12 @@ def _vectors(netlist: Netlist, inputs: list[str],
                           & np.uint64(ex.mask(size)) for size in sizes])
 
 
-def _schedules(netlist: Netlist, forced: dict[tuple[str, int], int]):
+def _schedules(netlist: Netlist, forced: Literals):
     """Ways to turn a constant vector into a full stimulus.  'constant'
     applies it from cycle 0; the warm-up variants run a different prefix
     first so sequential state can settle before the vector (and with it any
-    forced trigger bits) applies."""
+    forced bits) applies: 'flipped_prefix' holds the forced bits inverted,
+    'zero_prefix' every input at zero."""
     def constant(values: dict[str, np.ndarray], cycles: int):
         return {n: v for n, v in values.items()}
 
@@ -132,8 +292,7 @@ def _schedules(netlist: Netlist, forced: dict[tuple[str, int], int]):
 
 def search_stimulus(
     netlist: Netlist,
-    input_sets: list[list[str]],
-    forced: dict[tuple[str, int], int],
+    passes: list[tuple[list[str], Literals]],
     objective: Callable[[dict[str, np.ndarray], dict[str, np.ndarray]],
                         np.ndarray],
     accept: Callable[[Stimulus], bool],
@@ -143,33 +302,35 @@ def search_stimulus(
 ) -> tuple[Stimulus | None, SearchStats]:
     """Find a *horizon*-cycle stimulus that meets the caller's objective.
 
-    *input_sets* are searched in order until one yields a stimulus, each
-    with its inputs free and the rest at zero; a set already searched,
-    resets aside, is skipped.  The batch mask is the objective.  *objective*
-    receives the batch-simulated net arrays (rows x cycles) and the raw
-    input arrays that produced them (so it can co-simulate another kernel
-    on the same candidates), decides the full objective with arrays over
-    every row of the batch, and returns every row that meets it in
-    ascending order.  *accept* only confirms: the first returned row is
-    materialized and re-checked with a scalar run (single-run semantics,
-    monitors, ...); should it disagree, the next row is tried.  With an
-    exhaustive enumeration, every candidate that meets the objective is
-    therefore reached.
-    Deterministic: candidate order is fixed by the set order, the
-    enumeration and the seeded stream.
+    *passes* are searched in order until one yields a stimulus.  A pass
+    ``(inputs, forced)`` holds the *forced* bits and frees every other bit
+    of *inputs*; the rest of the inputs stay at zero.  A pass already
+    searched, resets aside, is skipped.  The batch mask is the objective.
+    *objective* receives the batch-simulated net arrays (rows x cycles)
+    and the raw input arrays that produced them (so it can co-simulate
+    another kernel on the same candidates), decides the full objective
+    with arrays over every row of the batch, and returns every row that
+    meets it in ascending order.  *accept* only confirms: the first
+    returned row is materialized and re-checked with a scalar run
+    (single-run semantics, monitors, ...); should it disagree, the next
+    row is tried.  With an exhaustive enumeration, every candidate that
+    meets the objective is therefore reached.
+    Deterministic: candidate order is fixed by the pass order, the
+    enumeration and the seeded stream, one stream for every pass.
     """
     kernel = kernel or SimKernel(netlist)
     stats = SearchStats()
     resets = netlist.idle_resets()
-    searched: list[list[str]] = []
-    for input_set in input_sets:
+    searched: list[tuple[list[str], Literals]] = []
+    for input_set, forced in passes:
         # reset is pinned inactive below, never enumerated
         relevant = [n for n in input_set if n not in resets]
-        if relevant in searched:
+        if (relevant, forced) in searched:
             continue
-        searched.append(relevant)
+        searched.append((relevant, forced))
+        free = len(_free(netlist, relevant, forced))
+        space = "enumerated" if free <= _EXHAUSTIVE_BITS else "sampled"
         for sched_name, schedule in _schedules(netlist, forced):
-            stats.schedules_tried.append(sched_name)
             for values in _vectors(netlist, relevant, forced, rng):
                 rows = next(iter(values.values())).shape[0] if values else 1
                 stats.candidates += rows
@@ -181,6 +342,8 @@ def search_stimulus(
                 for row in objective(arrays, inputs):
                     stim = _materialize(netlist, inputs, int(row), horizon)
                     if accept(stim):
+                        stats.schedule, stats.space = sched_name, space
+                        stats.forced = len(forced)
                         return stim, stats
     return None, stats
 

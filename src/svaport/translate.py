@@ -28,7 +28,8 @@ from .monitor import Checker, check_assertion
 from .netlist import Netlist
 from .records import field, read_json, record
 from .rng import substream
-from .search import input_cone, search_stimulus
+from .search import (SearchStats, input_cone, necessary_literals,
+                     search_stimulus)
 from .sim import SimKernel, Stimulus
 from .sva import Assertion, SeqExpr, signals_of
 
@@ -139,6 +140,15 @@ class SignalMap:
         if netlist is not None:
             m.validate(netlist)
         return m
+
+    def check_keys(self, keys: set[str], where: str) -> None:
+        """Every assertion key an augmentation or a naming rule applies to
+        must be one of *keys*, those of the assertions it is used with."""
+        named = [k for g in self.augmentations for k in g.applies_to]
+        for key in named + [rule.applies_to for rule in self.naming]:
+            if key not in keys:
+                raise ConfigError(f"{where}: applies_to {key!r} names no "
+                                  f"assertion; the keys are {sorted(keys)}")
 
     def validate(self, netlist: Netlist) -> None:
         """Every mapped target and augmentation identifier must exist."""
@@ -417,6 +427,7 @@ class TranslationConfig:
 class Translatable:
     assertion: Assertion
     testcase: Stimulus | None
+    search: SearchStats | None = None  # None when no search ran
 
 
 @dataclass
@@ -527,14 +538,18 @@ def translate(source: Assertion, target: Netlist, smap: SignalMap,
                       action=rule.error or out.action)
 
     notes: list[str] = []
-    testcase = None
+    testcase = stats = None
     if config.generate_testcase:
-        testcase = generate_testcase(out, target, config,
-                                     graph=graph, kernel=kernel)
-        if testcase is None:
+        testcase, stats = generate_testcase(out, target, config,
+                                            graph=graph, kernel=kernel)
+        if testcase is None and not stats.candidates:
+            notes.append("the antecedent's first step can never hold: the "
+                         "input bits it needs contradict each other")
+        elif testcase is None:
             notes.append("no stimulus found that drives the antecedent "
                          "within the search budget")
-    return TranslationOutcome(Translatable(out, testcase), report, notes)
+    return TranslationOutcome(Translatable(out, testcase, stats), report,
+                              notes)
 
 
 # --------------------------------------------------------------------------
@@ -543,21 +558,32 @@ def translate(source: Assertion, target: Netlist, smap: SignalMap,
 def generate_testcase(a: Assertion, target: Netlist,
                       config: TranslationConfig | None = None, *,
                       graph: DependencyGraph | None = None,
-                      kernel: SimKernel | None = None) -> Stimulus | None:
-    """Find inputs under which *a* passes non-vacuously on the clean design.
+                      kernel: SimKernel | None = None,
+                      ) -> tuple[Stimulus | None, SearchStats]:
+    """Find inputs under which *a* passes non-vacuously on the clean
+    design, and say what the search took.
 
     One ``Checker`` decides the verdict (no failure, at least one
     completed non-vacuous pass) with arrays over every candidate of each
     simulated batch, and a scalar simulation checked by ``check_assertion``
-    confirms the first candidate that meets it.  Batches run on a kernel sliced to
-    the nets the assertion reads; the confirmation runs on the whole
-    design.  The search covers the assertion's whole input cone, then, if
-    that finds nothing, the input cone of the antecedent alone.
+    confirms the first candidate that meets it.  Batches run on a kernel
+    sliced to the nets the assertion reads; the confirmation runs on the
+    whole design.  Every input of the assertion's cone is searched in two
+    passes.  The guided pass forces the input bits that the antecedent's
+    first step needs (``necessary_literals``); ``flipped_prefix`` then
+    runs as well, with those bits inverted for the warm-up.  When it finds
+    nothing, the unguided pass, which forces nothing, makes every
+    candidate reachable; without literals the guided pass is that same
+    pass and runs once.  An antecedent whose literals contradict each
+    other can never hold, so it is not searched at all.
     """
     config = config or TranslationConfig()
+    checker = Checker(a, target)
+    literals = necessary_literals(a.antecedent.steps[0][1], target)
+    if literals is None:
+        return None, SearchStats()
     graph = graph or build_graph(target)
     kernel = kernel or SimKernel(target)
-    checker = Checker(a, target)
 
     def objective(arrays: dict[str, np.ndarray],
                   inputs: dict[str, np.ndarray]) -> np.ndarray:
@@ -568,14 +594,8 @@ def generate_testcase(a: Assertion, target: Netlist,
         verdict = check_assertion(kernel.run(stim), a)
         return verdict.failure_count == 0 and verdict.non_vacuous_passes >= 1
 
-    # the whole input cone first; when that misses, the antecedent's cone
-    # alone, so inputs only the consequent reads ride the defaults instead
-    # of diluting a random sweep of the bits that steer the antecedent
     cone = input_cone(target, graph, signals_of(a))
-    steer = set().union(*(ex.idents_of(t) for t in a.antecedent.terms()))
-    narrow = input_cone(target, graph, steer)
     rng = substream(config.seed, "translate", "testcase", a.effective_name())
     sliced = SimKernel(target, keep=checker.nets)
-    stim, _stats = search_stimulus(target, [cone, narrow], {}, objective,
-                                   accept, rng, config.horizon, kernel=sliced)
-    return stim
+    return search_stimulus(target, [(cone, literals), (cone, {})], objective,
+                           accept, rng, config.horizon, kernel=sliced)

@@ -469,8 +469,9 @@ def _find_activation(spec: TrojanSpec, netlist: Netlist,
             steer |= {s for s in ex.idents_of(term) if s in injected.nets}
     narrow = input_cone(injected, graph, steer)
     wide = sorted(set(narrow) | set(input_cone(injected, graph, set(watch))))
-    stim, _stats = search_stimulus(injected, [narrow, wide], forced, objective,
-                                   accept, rng, horizon, kernel=screen_kernel)
+    passes = [(narrow, forced), (wide, forced)]
+    stim, _stats = search_stimulus(injected, passes, objective, accept, rng,
+                                   horizon, kernel=screen_kernel)
     return stim
 
 

@@ -49,6 +49,17 @@ def expressions(symbols: dict[str, int], *, allow_past: bool = False,
 
 
 @st.composite
+def comparisons(draw, symbols: dict[str, int]) -> ex.Expr:
+    """A shallow expression over *symbols* compared with a constant of its
+    width: the usual shape of an antecedent conjunct."""
+    e = draw(expressions(symbols, max_depth=draw(st.integers(0, 1))))
+    w = ex.width_of(e, symbols.__getitem__)
+    value = draw(st.integers(0, (1 << w) - 1))
+    op = draw(st.sampled_from(["==", "!="]))
+    return ex.Binary(op, e, ex.Const(value, w))
+
+
+@st.composite
 def designs(draw, *, max_inputs: int = 4, max_assigns: int = 5,
             max_registers: int = 2) -> Netlist:
     """Small random netlists with inputs, an assign chain, registers, and a

@@ -199,6 +199,34 @@ def test_malformed_signal_map_exits_1(tmp_path, capsys, smap):
             assert f"unknown keys ['{typo}']" in err
 
 
+@pytest.mark.parametrize("key, smap", [
+    ("A_FLGA", {"augmentations": [{"attach": "antecedent", "signal": "en_i",
+                                   "condition": "en_i == 1",
+                                   "applies_to": ["A_SUM", "A_FLGA"]}]}),
+    ("A_SMU", {"naming": [{"applies_to": "A_SMU", "label": "L"}]}),
+], ids=["augmentation", "naming"])
+def test_applies_to_naming_no_assertion_exits_1(tmp_path, capsys, key, smap):
+    path = make_campaign(tmp_path)
+    doc = json.loads(path.read_text())
+    doc["modules"][0]["signal_map"] = "toy_map.json"
+    (tmp_path / "toy_map.json").write_text(json.dumps(smap))
+    path.write_text(json.dumps(doc))
+    assert main(["translate", "--config", str(path)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and f"applies_to '{key}'" in err
+    assert not (tmp_path / "out" / "toy").exists()
+
+
+@pytest.mark.parametrize("name", ["toy.sv", "toy.sva"])
+def test_source_that_is_not_utf8_exits_1(tmp_path, capsys, name):
+    cfg = make_campaign(tmp_path)
+    source = tmp_path / name
+    source.write_bytes(source.read_bytes() + b"// \xff\n")
+    assert main(["translate", "--config", str(cfg)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: {source}: not valid UTF-8")
+
+
 def test_config_overrides(tmp_path):
     cfg = ProjectConfig.load(make_campaign(tmp_path))
     assert cfg.override() is cfg
@@ -272,6 +300,12 @@ def test_translate_stage_writes_links_and_assertions(tmp_path, capsys):
     doc = json.loads((out / "links" / "a00_A_SUM.json").read_text())
     assert doc["module"] == "toy" and doc["translatable"] is True
     assert doc["seed"] == 3 and "link" in doc
+    # en_i is the one input bit A_SUM's antecedent needs; A_FLAG compares
+    # two inputs, which forces none
+    assert doc["search"] == {"candidates": 256, "schedule": "constant",
+                             "space": "enumerated", "forced": 1}
+    doc = json.loads((out / "links" / "a01_A_FLAG.json").read_text())
+    assert doc["search"]["forced"] == 0
     # the shipped testcase replays through the simulator
     for stim in (out / "testcases").glob("*.json"):
         assert isinstance(json.loads(stim.read_text()), list)
@@ -283,7 +317,7 @@ def test_untranslatable_assertion_exits_2(tmp_path, capsys):
     assert "untranslatable" in capsys.readouterr().err
     out = tmp_path / "out" / "toy"
     doc = json.loads((out / "links" / "a02_BOGUS.json").read_text())
-    assert doc["translatable"] is False
+    assert doc["translatable"] is False and "search" not in doc
     assert any("BogusSig" in r for r in doc["reasons"])
     assert not (out / "translated" / "a02_BOGUS.sva").exists()
     # the two clean assertions still landed

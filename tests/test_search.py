@@ -1,12 +1,20 @@
-"""Candidate enumeration of the stimulus search, and its screens' $past."""
+"""Candidate enumeration of the stimulus search, its screens' $past, and
+the necessary input literals that guide it."""
 
 import numpy as np
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
+from svaport import corpus
 from svaport import expr as ex
+from svaport import translate
 from svaport.netlist import Net, NetKind, Netlist
 from svaport.rtl_parser import parse_design
-from svaport.search import _CHUNK, _vectors, search_stimulus
-from svaport.sim import BatchExpr, SimKernel
+from svaport.search import (_CHUNK, _vectors, necessary_literals,
+                            search_stimulus)
+from svaport.sim import BatchExpr, SimKernel, Stimulus
+
+from . import gen, oracles
 
 PICK_RTL = """\
 module pick (
@@ -70,7 +78,8 @@ def test_search_walks_each_input_set_once_in_order():
 
     def search(accept):
         searched.clear()
-        return search_stimulus(netlist, [["a_i"], ["b_i"], ["a_i"]], {},
+        return search_stimulus(netlist, [(["a_i"], {}), (["b_i"], {}),
+                                         (["a_i"], {})],
                                objective, accept, np.random.default_rng(0),
                                4, kernel=kernel)
 
@@ -80,10 +89,11 @@ def test_search_walks_each_input_set_once_in_order():
     assert stim.cycles == 4
     # one SearchStats covers both sets: four candidates each
     assert stats.candidates == 8
-    assert stats.schedules_tried == ["constant", "constant"]
+    assert (stats.schedule, stats.space, stats.forced) == \
+        ("constant", "enumerated", 0)
     # refusing b_i's witness leaves nothing new to search
     stim, stats = search(lambda s: False)
-    assert stim is None
+    assert stim is None and stats.schedule is None
     assert searched == [["a_i"], ["b_i"]] and stats.candidates == 8
 
 
@@ -93,3 +103,98 @@ def test_past_reads_nets_before_cycle_zero_as_zero():
     got = BatchExpr(e, lambda n: 1, {})(values)
     # cycle 0 evaluates !a with a at 0; later cycles see !a one cycle back
     assert got.tolist() == [[1, 0, 0]]
+
+
+# --------------------------------------------------------------------------
+# necessary literals
+
+
+def _bits(name: str, value: int, lsb: int, width: int) -> dict:
+    return {(name, lsb + i): (value >> i) & 1 for i in range(width)}
+
+
+def test_literals_of_the_pmp_write_antecedent():
+    pmp = parse_design(corpus.design_path("pmp_unit").read_text())
+
+    def lits(text):
+        return necessary_literals(ex.parse_expr_text(text), pmp)
+
+    # ACC_WRITE and REGION_TAG are parameters; == 0 pins a whole net
+    got = lits("req_valid_i && acc_type_i == ACC_WRITE && "
+               "addr_i[7:4] == REGION_TAG && priv_lvl_i == 0 && "
+               "cfg_perm_i[1] == 0")
+    assert got == {("req_valid_i", 0): 1, **_bits("acc_type_i", 1, 0, 2),
+                   **_bits("addr_i", 0xA, 4, 4), ("priv_lvl_i", 0): 0,
+                   ("cfg_perm_i", 1): 0}
+    # through assigns: grant_o needs in_region, which is the address tag;
+    # the permission | (any one of three) forces nothing
+    assert lits("grant_o") == {("req_valid_i", 0): 1,
+                               **_bits("addr_i", 0xA, 4, 4)}
+    # deny_o = req_valid_i & ~grant_o, and grant_o == 0 forces nothing
+    assert lits("deny_o") == {("req_valid_i", 0): 1}
+    # || under negation forces both sides; the reset is never a literal
+    assert lits("!(priv_lvl_i || cfg_lock_i) && rst_ni") == {
+        ("priv_lvl_i", 0): 0, ("cfg_lock_i", 0): 0}
+    # a zero | is zero in every bit of both operands; a 1-bit ~ inverts
+    # its operand, while a wider ~ that is not zero forces no one bit
+    assert lits("!(addr_i | cfg_perm_i)") == {**_bits("addr_i", 0, 0, 8),
+                                              **_bits("cfg_perm_i", 0, 0, 3)}
+    assert lits("~cfg_lock_i") == {("cfg_lock_i", 0): 0}
+    assert lits("req_valid_i != 1'b0") == {("req_valid_i", 0): 1}
+    assert lits("~cfg_perm_i && req_valid_i") == {("req_valid_i", 0): 1}
+    # a register, a comparison of two nets and + stop the walk
+    assert lits("err_pulse_o") == {}
+    assert lits("acc_type_i == cfg_perm_i[1:0]") == {}
+    assert lits("acc_type_i + 2'd1 == 2'd0") == {}
+    # contradictions: one bit both ways (directly, or through two nets
+    # that need different access types), a value wider than its select
+    assert lits("addr_i[7:4] == REGION_TAG && addr_i[4]") is None
+    assert lits("read_req && write_req") is None
+    assert lits("addr_i[7:4] == 5'h1a") is None
+
+
+@st.composite
+def _terms(draw, max_bits: int):
+    """A small design (at most *max_bits* input bits) and a conjunction of
+    one to three expressions over its nets and constants."""
+    netlist = draw(gen.designs(max_inputs=3))
+    assume(sum(n.width for n in netlist.inputs()) <= max_bits)
+    symbols = {n: net.width for n, net in netlist.nets.items()}
+    symbols.update({p.name: p.size for p in netlist.params.values()})
+    parts = draw(st.lists(gen.comparisons(symbols)
+                          | gen.expressions(symbols, max_depth=2),
+                          min_size=1, max_size=3))
+    return netlist, ex.conjoin(parts)
+
+
+def _constant_vectors(netlist: Netlist):
+    """Every assignment of values to the inputs, as one input map each."""
+    nets = netlist.inputs()
+    total = sum(n.width for n in nets)
+    for code in range(1 << total):
+        row, shift = {}, 0
+        for n in nets:
+            row[n.name] = (code >> shift) & ((1 << n.width) - 1)
+            shift += n.width
+        yield row
+
+
+@settings(max_examples=60)
+@given(_terms(max_bits=9))
+def test_literals_hold_under_every_vector_that_makes_the_term_true(case):
+    netlist, term = case
+    lits = necessary_literals(term, netlist)
+    consts = netlist.constants()
+    cycles = 3
+    for row in _constant_vectors(netlist):
+        trace = oracles.simulate_fixpoint(
+            netlist, Stimulus.for_design(netlist, [row] * cycles))
+        holds = any(
+            oracles.eval_expr(term, lambda n, t=t: consts[n] if n in consts
+                              else trace.values[n][t], netlist.width)
+            for t in range(cycles))
+        if holds:
+            # None claims no vector makes the term true
+            assert lits is not None
+            for (name, bit), value in lits.items():
+                assert (row[name] >> bit) & 1 == value, (name, bit)

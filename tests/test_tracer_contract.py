@@ -32,7 +32,7 @@ translate = import_module("svaport.translate")
 trojan = import_module("svaport.trojan")
 toy = parse_design(TOY_RTL)
 # one search through each module that imports search_stimulus
-assert translate.generate_testcase(parse_assertions(TOY_SVA)[0], toy)
+assert translate.generate_testcase(parse_assertions(TOY_SVA)[0], toy)[0]
 spec = trojan.TrojanSpec("toy_t00", "toy", "combinational",
                          (trojan.TriggerCond("en_i", None, 1),), 1,
                          "invert_net", "sum_o")

@@ -311,13 +311,11 @@ def test_forge_compiles_once_per_netlist_and_confirms_each_check(
     confirmed: list[bool] = []
     search = trojan.search_stimulus
 
-    def counting_search(netlist, relevant, forced, objective, accept, *rest,
-                        **kwargs):
+    def counting_search(netlist, passes, objective, accept, *rest, **kwargs):
         def confirm(stim):
             confirmed.append(accept(stim))
             return confirmed[-1]
-        return search(netlist, relevant, forced, objective, confirm, *rest,
-                      **kwargs)
+        return search(netlist, passes, objective, confirm, *rest, **kwargs)
 
     monkeypatch.setattr(sim.SimKernel, "__init__", counting_compile)
     monkeypatch.setattr(trojan, "search_stimulus", counting_search)
