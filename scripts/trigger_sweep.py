@@ -11,7 +11,9 @@ Carlo sampling.  The power index column is -log10 of the closed form.
 import argparse
 
 from svaport import corpus
-from svaport.metrics import measure_trigger
+from svaport.errors import ConeTooLargeError
+from svaport.metrics import (analytic_probability, brute_force_probability,
+                             monte_carlo_probability, tpi)
 from svaport.rtl_parser import parse_design
 from svaport.sva import parse_assertions
 from svaport.translate import (SignalMap, TranslationConfig, assertion_key,
@@ -52,20 +54,21 @@ def main(argv: list[str] | None = None) -> int:
         spec = forge(design, assertions,
                      ForgeParams(count=1, k_values=(k,),
                                  seed=args.seed + k))[0][0]
-        probe = measure_trigger(design, spec, samples=args.samples,
-                                seed=args.seed)
-        exact = ("-" if probe.brute_force is None
-                 else f"{float(probe.brute_force):.3e}")
-        if probe.monte_carlo is None:
-            sampled, interval = "-", "-"
-        else:
-            mc = probe.monte_carlo
+        analytic = analytic_probability(spec)
+        try:
+            exact = f"{float(brute_force_probability(design, spec)):.3e}"
+        except ConeTooLargeError:
+            exact = "-"
+        if args.samples:
+            mc = monte_carlo_probability(design, spec, args.samples, args.seed)
             sampled = f"{mc.estimate:.3e}"
             interval = f"[{mc.low:.3e}, {mc.high:.3e}]"
+        else:
+            sampled, interval = "-", "-"
         target = spec.meta["target_assertion"]
-        print(f"{k:>2}  {target:<22} {float(probe.analytic):>11.3e} "
+        print(f"{k:>2}  {target:<22} {float(analytic):>11.3e} "
               f"{exact:>11} {sampled:>11} {interval:>22} "
-              f"{probe.power_index:>6.2f}")
+              f"{tpi(analytic):>6.2f}")
     return 0
 
 

@@ -17,9 +17,8 @@ from .errors import (ActivationNotFoundError, CombinationalLoopError,
 from .graph import DependencyGraph, Relation, Relationship, build_graph, \
     classify, fanin
 from .metrics import (MetricsReport, ModuleRow, MonteCarloEstimate, TrojanRow,
-                      TriggerProbability, analytic_probability,
-                      brute_force_probability, emit_report, measure_trigger,
-                      monte_carlo_probability, tder, tpi)
+                      analytic_probability, brute_force_probability,
+                      emit_report, monte_carlo_probability, tder, tpi)
 from .monitor import AssertionVerdict, check_assertion, check_assertions
 from .netlist import Netlist, render_netlist
 from .rtl_parser import parse_design

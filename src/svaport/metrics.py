@@ -226,51 +226,6 @@ def monte_carlo_probability(netlist: Netlist, spec: TrojanSpec,
                               hits=hits, samples=samples, seed=seed)
 
 
-@dataclass(frozen=True)
-class TriggerProbability:
-    """The probability of one trigger, measured up to three ways.
-
-    The analytic value is always present; enumeration and sampling are
-    filled in when affordable or requested.  When the trigger constrains
-    primary-input bits only, enumeration must agree with the closed form.
-    """
-
-    analytic: Fraction
-    brute_force: Fraction | None = None
-    monte_carlo: MonteCarloEstimate | None = None
-
-    def __post_init__(self) -> None:
-        if not 0 < self.analytic <= 1:
-            raise DomainError(f"analytic probability {self.analytic} "
-                              "outside (0, 1]")
-
-    @property
-    def power_index(self) -> float:
-        return tpi(self.analytic)
-
-
-def measure_trigger(netlist: Netlist, spec: TrojanSpec, *,
-                    samples: int = 0, seed: int = 0,
-                    graph: DependencyGraph | None = None,
-                    ) -> TriggerProbability:
-    """Bundle analytic, enumerated, and (optionally) sampled probability.
-
-    Enumeration is attempted and silently skipped when the cone is too
-    wide; sampling runs only when *samples* > 0.
-    """
-    graph = graph if graph is not None else build_graph(netlist)
-    analytic = analytic_probability(spec)
-    try:
-        brute = brute_force_probability(netlist, spec, graph=graph)
-    except ConeTooLargeError:
-        brute = None
-    mc = None
-    if samples:
-        mc = monte_carlo_probability(netlist, spec, samples, seed, graph=graph)
-    return TriggerProbability(analytic=analytic, brute_force=brute,
-                              monte_carlo=mc)
-
-
 # ---------------------------------------------------------------------------
 # report model
 

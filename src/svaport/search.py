@@ -2,19 +2,22 @@
 
 The strategy is deliberately simple and fully deterministic: candidate
 stimuli hold each primary input at a constant value (with an optional
-warm-up prefix that differs, to let registered state build up before the
-interesting vector applies).  A search is a list of passes, each a set of
-free inputs and the input bits it forces, walked in order.  A pass's free
-bits are enumerated exhaustively when they are few enough, otherwise
-sampled from a seeded stream.  Candidates are simulated in numpy batches,
-a caller-supplied objective decides every batch with arrays, and a scalar
-check confirms the winner.
+warm-up prefix that holds the forced bits inverted, to let registered
+state build up before the interesting vector applies).  A search is a list
+of passes, each a set of free inputs and the input bits it forces, walked
+in order.  A pass's free bits are enumerated exhaustively when they are
+few enough, otherwise sampled from a seeded stream.  Candidates are
+simulated in numpy batches, a caller-supplied objective decides every
+batch with arrays, and a scalar check confirms the winner.
 
 ``necessary_literals`` guides a search: it backtraces a term through the
 combinational logic to the input bits every candidate that makes the term
-true must have (PODEM's backtrace, Goel 1981).  Forcing them keeps the
-integer order of the remaining free bits, so an enumerated pass meets the
-candidates that satisfy them in the order an unforced pass would.
+true must have (PODEM's backtrace, Goel 1981).  Every constant-schedule
+witness has those bits, so one guided pass is enough.  An enumerated pass
+holds every such witness, and since forcing keeps the integer order of
+the remaining free bits, it meets them in the order an unforced pass
+would.  A sampled pass draws from a smaller space than an unforced one,
+and every witness of the larger space lies in it.
 """
 
 from __future__ import annotations
@@ -33,7 +36,7 @@ _CHUNK = 8192
 _WORD = 63  # random bits per drawn code word (the draw keeps the sign bit clear)
 _EXHAUSTIVE_BITS = 20    # enumerate the free bits when they fit
 _RANDOM_VECTORS = 10000  # otherwise draw this many candidates
-_WARMUP = 4              # prefix length for two-phase candidates
+_WARMUP = 4              # prefix length of flipped_prefix candidates
 
 
 #: input bits a pass holds fixed: (input, bit) -> 0 or 1
@@ -255,10 +258,10 @@ def _vectors(netlist: Netlist, inputs: list[str],
 
 def _schedules(netlist: Netlist, forced: Literals):
     """Ways to turn a constant vector into a full stimulus.  'constant'
-    applies it from cycle 0; the warm-up variants run a different prefix
-    first so sequential state can settle before the vector (and with it any
-    forced bits) applies: 'flipped_prefix' holds the forced bits inverted,
-    'zero_prefix' every input at zero."""
+    applies it from cycle 0.  On a design with registers, a pass that
+    forces bits also tries 'flipped_prefix': the forced bits held inverted
+    for a warm-up, so sequential state can see them change before the
+    vector applies."""
     def constant(values: dict[str, np.ndarray], cycles: int):
         return {n: v for n, v in values.items()}
 
@@ -274,19 +277,9 @@ def _schedules(netlist: Netlist, forced: Literals):
             out[n] = arr
         return out
 
-    def zero_prefix(values: dict[str, np.ndarray], cycles: int):
-        out = {}
-        for n, v in values.items():
-            arr = np.repeat(v[:, None], cycles, axis=1)
-            arr[:, :_WARMUP] = 0
-            out[n] = arr
-        return out
-
     schedules = [("constant", constant)]
-    if netlist.registers:
-        if forced:
-            schedules.append(("flipped_prefix", flipped_prefix))
-        schedules.append(("zero_prefix", zero_prefix))
+    if netlist.registers and forced:
+        schedules.append(("flipped_prefix", flipped_prefix))
     return schedules
 
 
@@ -298,7 +291,7 @@ def search_stimulus(
     accept: Callable[[Stimulus], bool],
     rng: np.random.Generator,
     horizon: int,
-    kernel: SimKernel | None = None,
+    kernel: SimKernel,
 ) -> tuple[Stimulus | None, SearchStats]:
     """Find a *horizon*-cycle stimulus that meets the caller's objective.
 
@@ -306,11 +299,12 @@ def search_stimulus(
     ``(inputs, forced)`` holds the *forced* bits and frees every other bit
     of *inputs*; the rest of the inputs stay at zero.  A pass already
     searched, resets aside, is skipped.  The batch mask is the objective.
-    *objective* receives the batch-simulated net arrays (rows x cycles)
-    and the raw input arrays that produced them (so it can co-simulate
-    another kernel on the same candidates), decides the full objective
-    with arrays over every row of the batch, and returns every row that
-    meets it in ascending order.  *accept* only confirms: the first
+    *objective* receives the net arrays batch-simulated on *kernel*
+    (rows x cycles), which must keep every net it reads, and the raw
+    input arrays that produced them (so it can co-simulate another kernel
+    on the same candidates), decides the full objective with arrays over
+    every row of the batch, and returns every row that meets it in
+    ascending order.  *accept* only confirms: the first
     returned row is materialized and re-checked with a scalar run
     (single-run semantics, monitors, ...); should it disagree, the next
     row is tried.  With an exhaustive enumeration, every candidate that
@@ -318,7 +312,6 @@ def search_stimulus(
     Deterministic: candidate order is fixed by the pass order, the
     enumeration and the seeded stream, one stream for every pass.
     """
-    kernel = kernel or SimKernel(netlist)
     stats = SearchStats()
     resets = netlist.idle_resets()
     searched: list[tuple[list[str], Literals]] = []

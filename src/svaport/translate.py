@@ -568,14 +568,17 @@ def generate_testcase(a: Assertion, target: Netlist,
     simulated batch, and a scalar simulation checked by ``check_assertion``
     confirms the first candidate that meets it.  Batches run on a kernel
     sliced to the nets the assertion reads; the confirmation runs on the
-    whole design.  Every input of the assertion's cone is searched in two
-    passes.  The guided pass forces the input bits that the antecedent's
-    first step needs (``necessary_literals``); ``flipped_prefix`` then
-    runs as well, with those bits inverted for the warm-up.  When it finds
-    nothing, the unguided pass, which forces nothing, makes every
-    candidate reachable; without literals the guided pass is that same
-    pass and runs once.  An antecedent whose literals contradict each
-    other can never hold, so it is not searched at all.
+    whole design.  Every input of the assertion's cone is searched in one
+    pass that forces the input bits the antecedent's first step needs
+    (``necessary_literals``), and forces nothing when it needs none.  When
+    it forces bits on a design with registers, ``flipped_prefix`` runs
+    after ``constant``, with those bits inverted for the warm-up.  No
+    unforced pass follows: every constant-schedule witness has those bits.
+    When the space is enumerated, it holds every such witness and meets
+    them in the order an unforced pass would; when it is sampled, an
+    unforced draw would only sample a larger space whose witnesses all lie
+    in this one.  An antecedent whose literals contradict each other can
+    never hold, so it is not searched at all.
     """
     config = config or TranslationConfig()
     checker = Checker(a, target)
@@ -597,5 +600,5 @@ def generate_testcase(a: Assertion, target: Netlist,
     cone = input_cone(target, graph, signals_of(a))
     rng = substream(config.seed, "translate", "testcase", a.effective_name())
     sliced = SimKernel(target, keep=checker.nets)
-    return search_stimulus(target, [(cone, literals), (cone, {})], objective,
-                           accept, rng, config.horizon, kernel=sliced)
+    return search_stimulus(target, [(cone, literals)], objective, accept,
+                           rng, config.horizon, kernel=sliced)

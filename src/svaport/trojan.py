@@ -358,14 +358,6 @@ def _outputs(netlist: Netlist) -> set[str]:
     return {n.name for n in netlist.nets.values() if n.kind is NetKind.OUTPUT}
 
 
-def _observables(netlist: Netlist, spec: TrojanSpec,
-                 checkers: list[Checker]) -> list[str]:
-    names = _outputs(netlist) | {spec.payload_net}
-    for c in checkers:
-        names |= signals_of(c.assertion) & netlist.nets.keys()
-    return sorted(names)
-
-
 def _find_activation(spec: TrojanSpec, netlist: Netlist,
                      checkers: list[Checker], target: int | None,
                      horizon: int, rng: np.random.Generator,
@@ -375,9 +367,10 @@ def _find_activation(spec: TrojanSpec, netlist: Netlist,
     """Search for a stimulus satisfying the activation objective.
 
     Always required: the trigger fires and the corrupted design's trace
-    differs from the clean one on an observable net.  When *target* is
-    given, the assertion of ``checkers[target]`` must fail on the corrupted
-    design and hold on the clean one, and no other checker may fail.
+    differs from the clean one on an output, the payload net or a net of
+    an assertion.  When *target* is given, the assertion of
+    ``checkers[target]`` must fail on the corrupted design and hold on the
+    clean one, and no other checker may fail.
 
     Each batch is first screened by the trigger and the target's first
     antecedent term (both necessary) on a kernel sliced to just their nets.
@@ -385,19 +378,19 @@ def _find_activation(spec: TrojanSpec, netlist: Netlist,
     kernel, looked up in (and added to) *screens* by its nets.  Only the
     rows that pass are then co-simulated, on the corrupted design's kernel
     sliced to the nets the objective reads and on the clean *kernel*
-    (which must keep the observables and the checkers' nets; by default
-    one is sliced to them).  One rule, ``meets``, decides every passing
-    row with arrays, so every row that meets the objective is returned.
+    (which must keep those nets; by default one is sliced to them).  One
+    rule, ``meets``, decides every passing row with arrays, so every row
+    that meets the objective is returned.
     ``accept`` re-runs the first of them on both kernels and decides it
     with the same rule only to confirm.
     """
     injected = inject(netlist, spec)
     consts = netlist.constants()
     trig = BatchExpr(trigger_expr(spec, netlist), injected.width, consts)
-    watch = _observables(netlist, spec, checkers)
     # the objective reads these nets of both designs, plus the trigger of
-    # the corrupted one
-    reads = set(watch).union(*(c.nets for c in checkers))
+    # the corrupted one; the clock among them is an input, equal in both
+    reads = (_outputs(netlist) | {spec.payload_net}).union(
+        *(c.nets for c in checkers))
     keep = reads | trig.nets
     kernel = kernel or SimKernel(netlist, keep=reads)
     inj_kernel = SimKernel(injected, keep=keep)
@@ -431,7 +424,7 @@ def _find_activation(spec: TrojanSpec, netlist: Netlist,
         """Which rows of the corrupted run meet the objective, given the
         clean run of the same rows."""
         ok = np.zeros(dirty[spec.payload_net].shape[0], dtype=bool)
-        for n in watch:
+        for n in reads:
             ok |= (dirty[n] != clean[n]).any(axis=1)
         if goal is None or not ok.any():
             return ok
@@ -461,14 +454,14 @@ def _find_activation(spec: TrojanSpec, netlist: Netlist,
         return bool(meets(dirty, kernel.run(stim).arrays(reads))[0])
 
     # enumerate the inputs that steer the objective (trigger plus the
-    # target's antecedent) before falling back to everything the
-    # observables depend on; consequent-only inputs can ride the defaults
+    # target's antecedent) before falling back to everything the read
+    # nets depend on; consequent-only inputs can ride the defaults
     steer = set(trig_signals)
     if ante is not None:
         for term in ante.terms():
             steer |= {s for s in ex.idents_of(term) if s in injected.nets}
     narrow = input_cone(injected, graph, steer)
-    wide = sorted(set(narrow) | set(input_cone(injected, graph, set(watch))))
+    wide = sorted(set(narrow) | set(input_cone(injected, graph, reads)))
     passes = [(narrow, forced), (wide, forced)]
     stim, _stats = search_stimulus(injected, passes, objective, accept, rng,
                                    horizon, kernel=screen_kernel)

@@ -13,9 +13,8 @@ from hypothesis import strategies as st
 
 from svaport.errors import ConeTooLargeError, ConfigError, DomainError
 from svaport.metrics import (MetricsReport, ModuleRow, MonteCarloEstimate,
-                             TriggerProbability, TrojanRow,
-                             analytic_probability, brute_force_probability,
-                             emit_report, measure_trigger,
+                             TrojanRow, analytic_probability,
+                             brute_force_probability, emit_report,
                              monte_carlo_probability, tder, tpi)
 from svaport.rtl_parser import parse_design
 from svaport.trojan import TriggerCond, TrojanSpec
@@ -142,26 +141,16 @@ def test_brute_force_rejects_wide_cones(toy):
         brute_force_probability(toy, spec, max_bits=3)
 
 
-def test_measure_trigger_skips_enumeration_when_unaffordable():
+def test_a_cone_too_wide_to_enumerate_is_sampled():
     wide = parse_design(WIDE_RTL)
     spec = TrojanSpec(id="wide_t00", module="wide", module_kind="combinational",
                       trigger=(TriggerCond("eq_o", None, 1),), k=1,
                       payload_kind="invert_net", payload_net="eq_o")
-    got = measure_trigger(wide, spec, samples=2000, seed=3)
-    assert got.analytic == Fraction(1, 2)
-    assert got.brute_force is None
-    assert got.monte_carlo is not None
-    assert got.monte_carlo.samples == 2000
-
-
-def test_measure_trigger_bundles_all_three(toy):
-    spec = _toy_spec((TriggerCond("a_i", 0, 1), TriggerCond("en_i", None, 1)), 2)
-    got = measure_trigger(toy, spec, samples=4000, seed=1)
-    assert got.analytic == got.brute_force == Fraction(1, 4)
-    assert got.power_index == 2 * math.log10(2)
-    assert got.monte_carlo.low <= 0.25 <= got.monte_carlo.high
-    skipped = measure_trigger(toy, spec)
-    assert skipped.monte_carlo is None
+    # 32 input bits exceed the default enumeration limit
+    with pytest.raises(ConeTooLargeError):
+        brute_force_probability(wide, spec)
+    assert monte_carlo_probability(wide, spec, samples=2000, seed=3).samples \
+        == 2000
 
 
 def test_monte_carlo_is_deterministic_and_calibrated(toy):
@@ -176,6 +165,10 @@ def test_monte_carlo_is_deterministic_and_calibrated(toy):
     assert first.to_dict()["interval95"] == [first.low, first.high]
     with pytest.raises(DomainError, match="at least 1000"):
         monte_carlo_probability(toy, spec, samples=10)
+    # an input-bit trigger: the interval covers the closed form
+    spec = _toy_spec((TriggerCond("a_i", 0, 1), TriggerCond("en_i", None, 1)), 2)
+    quarter = monte_carlo_probability(toy, spec, samples=4000, seed=1)
+    assert quarter.low <= 0.25 <= quarter.high
 
 
 def test_monte_carlo_interval_boundaries():
@@ -230,8 +223,6 @@ def test_row_validation():
                   detected=0)
     with pytest.raises(DomainError, match="outside"):
         TrojanRow("t", "m", Fraction(0))
-    with pytest.raises(DomainError, match="outside"):
-        TriggerProbability(analytic=Fraction(2))
 
 
 def test_report_text_layout():

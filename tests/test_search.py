@@ -97,6 +97,37 @@ def test_search_walks_each_input_set_once_in_order():
     assert searched == [["a_i"], ["b_i"]] and stats.candidates == 8
 
 
+LATCH_RTL = """\
+module latch (
+  input  logic       clk,
+  input  logic [1:0] a_i,
+  input  logic [1:0] b_i,
+  output logic [1:0] q_o
+);
+  always_ff @(posedge clk) q_o <= a_i ^ b_i;
+endmodule
+"""
+
+
+def test_a_refused_search_runs_each_schedule_once_over_its_space():
+    # on a design with registers, a pass that forces bits tries the
+    # constant and the flipped-prefix schedule; one that forces none tries
+    # the constant schedule alone
+    netlist = parse_design(LATCH_RTL)
+    kernel = SimKernel(netlist)
+
+    def refused(forced):
+        stim, stats = search_stimulus(
+            netlist, [(["a_i", "b_i"], forced)],
+            lambda arrays, inputs: np.arange(len(arrays["q_o"])),
+            lambda s: False, np.random.default_rng(0), 6, kernel=kernel)
+        assert stim is None and stats.schedule is None
+        return stats.candidates
+
+    assert refused({("a_i", 0): 1}) == 2 * 2 ** 3
+    assert refused({}) == 2 ** 4
+
+
 def test_past_reads_nets_before_cycle_zero_as_zero():
     values = {"a": np.array([[1, 1, 0]], dtype=np.uint64)}
     e = ex.Past(ex.Unary("!", ex.Ident("a")), 1)

@@ -334,6 +334,18 @@ def test_an_antecedent_that_can_never_hold_is_not_searched():
                          "input bits it needs contradict each other"]
 
 
+def test_a_witness_search_that_finds_nothing_runs_one_pass():
+    # the antecedent forces x_i[0] and all of y_i, leaving 7 free bits, and
+    # its y_i contradicts ok_o: the guided pass refuses every candidate of
+    # its one schedule, and no unforced pass over all 16 bits follows
+    target = parse_design(WIT_RTL)
+    a = parse_assertion("W: assert property (@(posedge clk_i) "
+                        "x_i[0] == 0 && y_i == 8'd30 |-> ok_o);")
+    stim, stats = generate_testcase(a, target)
+    assert stim is None
+    assert stats.candidates == 2 ** 7
+
+
 def _unguided(a, target, config):
     """generate_testcase with no literals: the one pass forces nothing."""
     # the package exports a function named like the module
@@ -400,7 +412,8 @@ def test_guided_search_finds_a_witness_whenever_the_unguided_one_does(case):
             trace = oracles.simulate_fixpoint(netlist, stim)
             statuses, failures = oracles.check_reference(trace, a)
             assert not failures and "pass" in statuses
-    # every space here is enumerated: a witness the unguided pass finds
-    # under the constant schedule is the guided pass's first as well
+    # the gate for searching one guided pass: every space here is
+    # enumerated, so a witness the unguided pass finds under the constant
+    # schedule lies in the guided space and is its first as well
     if plain.schedule == "constant":
         assert guided == unguided
