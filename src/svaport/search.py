@@ -8,7 +8,11 @@ of passes, each a set of free inputs and the input bits it forces, walked
 in order.  A pass's free bits are enumerated exhaustively when they are
 few enough, otherwise sampled from a seeded stream.  Candidates are
 simulated in numpy batches, a caller-supplied objective decides every
-batch with arrays, and a scalar check confirms the winner.
+batch with arrays, and a scalar check confirms the winner.  A pass's
+batches grow from 256 rows, doubling up to 8,192, so a witness near the
+start of a pass costs a small batch; the candidates and their order do
+not depend on the batch sizes, so every search meets the same first
+witness whatever they are.
 
 ``necessary_literals`` guides a search: it backtraces a term through the
 combinational logic to the input bits every candidate that makes the term
@@ -32,7 +36,8 @@ from .graph import DependencyGraph, fanin
 from .netlist import Netlist, NetKind
 from .sim import SimKernel, Stimulus
 
-_CHUNK = 8192
+_FIRST_CHUNK = 256  # rows of a pass's first batch; each next one doubles,
+_CHUNK = 8192       # up to this many
 _WORD = 63  # random bits per drawn code word (the draw keeps the sign bit clear)
 _EXHAUSTIVE_BITS = 20    # enumerate the free bits when they fit
 _RANDOM_VECTORS = 10000  # otherwise draw this many candidates
@@ -222,38 +227,44 @@ def _vectors(netlist: Netlist, inputs: list[str],
              rng: np.random.Generator) -> Iterator[dict[str, np.ndarray]]:
     """Yield batches of constant input vectors (dict name -> (rows,) uint64)
     honoring the forced bits.  Exhaustive in integer order when the free
-    space fits, else seeded random."""
+    space fits, else seeded random.  The first batch has _FIRST_CHUNK rows
+    and each next one twice as many, up to _CHUNK; the candidates and
+    their order do not depend on the batch sizes."""
     free = _free(netlist, inputs, forced)
     base = {name: np.uint64(0) for name in inputs}
     for (name, bit), val in forced.items():
         if name in base and val:
             base[name] |= np.uint64(1 << bit)
 
-    def expand(words: list[np.ndarray]) -> dict[str, np.ndarray]:
-        """Free bit i is bit i % _WORD of code word i // _WORD."""
-        rows = words[0].shape[0]
+    def expand(codes: np.ndarray) -> dict[str, np.ndarray]:
+        """Free bit i is bit i % _WORD of column i // _WORD of the
+        (rows, words) *codes*."""
+        rows = codes.shape[0]
         out = {name: np.full(rows, base[name], dtype=np.uint64) for name in inputs}
         for i, (name, bit) in enumerate(free):
             word, shift = divmod(i, _WORD)
-            bits = (words[word] >> np.uint64(shift)) & np.uint64(1)
+            bits = (codes[:, word] >> np.uint64(shift)) & np.uint64(1)
             out[name] |= bits << np.uint64(bit)
         return out
 
     n = len(free)
-    if n <= _EXHAUSTIVE_BITS:
-        total = 1 << n
-        for start in range(0, total, _CHUNK):
-            stop = min(start + _CHUNK, total)
-            yield expand([np.arange(start, stop, dtype=np.uint64)])
-    else:
-        # one word per _WORD free bits, the last masked to the bits left
-        sizes = [min(_WORD, n - lo) for lo in range(0, n, _WORD)]
-        remaining = _RANDOM_VECTORS
-        while remaining > 0:
-            take = min(_CHUNK, remaining)
-            remaining -= take
-            yield expand([rng.integers(0, 1 << 63, size=take, dtype=np.uint64)
-                          & np.uint64(ex.mask(size)) for size in sizes])
+    sampled = n > _EXHAUSTIVE_BITS
+    total = _RANDOM_VECTORS if sampled else 1 << n
+    # one word per _WORD free bits, the last masked to the bits left
+    masks = np.array([ex.mask(min(_WORD, n - lo)) for lo in range(0, n, _WORD)],
+                     dtype=np.uint64)
+    start, size = 0, _FIRST_CHUNK
+    while start < total:
+        stop = min(start + size, total)
+        if sampled:
+            # each row draws its words in turn, so the stream does not
+            # depend on how the rows are split into batches
+            codes = rng.integers(0, 1 << 63, size=(stop - start, masks.size),
+                                 dtype=np.uint64) & masks
+        else:
+            codes = np.arange(start, stop, dtype=np.uint64)[:, None]
+        yield expand(codes)
+        start, size = stop, min(2 * size, _CHUNK)
 
 
 def _schedules(netlist: Netlist, forced: Literals):
@@ -261,7 +272,7 @@ def _schedules(netlist: Netlist, forced: Literals):
     applies it from cycle 0.  On a design with registers, a pass that
     forces bits also tries 'flipped_prefix': the forced bits held inverted
     for a warm-up, so sequential state can see them change before the
-    vector applies."""
+    vector applies.  ``ruled_out`` relies on these two shapes."""
     def constant(values: dict[str, np.ndarray], cycles: int):
         return {n: v for n, v in values.items()}
 
@@ -281,6 +292,28 @@ def _schedules(netlist: Netlist, forced: Literals):
     if netlist.registers and forced:
         schedules.append(("flipped_prefix", flipped_prefix))
     return schedules
+
+
+def ruled_out(term: ex.Expr, netlist: Netlist,
+              forced: Literals) -> str | None:
+    """Why no candidate of a pass that forces the *forced* bits makes
+    *term* true at any cycle; None when one may.
+
+    *term* holds only on inputs with its necessary literals.  A candidate
+    holds the forced bits from cycle 0, or, on a design with registers,
+    after a warm-up that holds them inverted.  A forced bit the term needs
+    the other way rules out every cycle after the warm-up, and one it
+    needs as forced rules out the warm-up.
+    """
+    need = necessary_literals(term, netlist)
+    if need is None:
+        return "its requirements contradict each other"
+    clash = any(forced.get(bit, value) != value for bit, value in need.items())
+    agree = any(forced.get(bit, 1 - value) == value
+                for bit, value in need.items())
+    if clash and (not netlist.registers or agree):
+        return "a forced bit contradicts a bit it needs"
+    return None
 
 
 def search_stimulus(

@@ -27,7 +27,9 @@ A kernel may be sliced to the nets a caller reads (``SimKernel(netlist,
 keep)``): it then computes only their fan-in cone and returns only them,
 which is all a search objective needs.  Batch runs store each net
 cycle-major, one contiguous (rows,) row per cycle, and hand the arrays out
-as (rows, cycles) views.  A scalar run returns a ``Trace``, which keeps the
+as (rows, cycles) views.  A batch run stops stepping once its inputs hold
+and a step leaves every register of every row unchanged, since each later
+cycle repeats that one.  A scalar run returns a ``Trace``, which keeps the
 netlist it ran: readers take the nets' widths and the design's constants
 from it.
 """
@@ -422,6 +424,12 @@ class SimKernel:
         ``net_order`` as an array of shape (rows, cycles).  Each is the
         transposed view of a cycle-major (cycles, rows) array, so every
         cycle's step stores one contiguous row per net.
+
+        The run stops stepping at the first cycle from which every input
+        holds its value and whose step leaves every register of every row
+        as it was: each later cycle would repeat that one, so it is copied
+        into the rest.  Constant inputs on a combinational kernel take one
+        step.
         """
         rows = next(iter(inputs.values())).shape[0] if inputs else 1
         zero = np.zeros(rows, dtype=np.uint64)
@@ -434,13 +442,25 @@ class SimKernel:
                 return arr
             return arr[:, t]
 
+        # the first cycle from which every input holds its value
+        steady = 0
+        for arr in inputs.values():
+            if arr.ndim == 2:
+                moved = np.flatnonzero((arr[:, 1:] != arr[:, :-1]).any(axis=0))
+                if moved.size:
+                    steady = max(steady, int(moved[-1]) + 1)
         regs = tuple(np.full(rows, init, dtype=np.uint64) for init in self.reg_init)
         out = [np.empty((cycles, rows), dtype=np.uint64) for _ in self.net_order]
         for t in range(cycles):
             ins = tuple(col(n, t) for n in self.input_names)
-            nets, regs = self._fn(ins, regs, zero, _batch_bit, _batch_mux)
+            nets, nxt = self._fn(ins, regs, zero, _batch_bit, _batch_mux)
             for arr, v in zip(out, nets):
                 arr[t] = v
+            if t >= steady and all(map(np.array_equal, nxt, regs)):
+                for arr in out:
+                    arr[t + 1:] = arr[t]
+                break
+            regs = nxt
         return {name: arr.T for name, arr in zip(self.net_order, out)}
 
 

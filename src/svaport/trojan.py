@@ -18,6 +18,7 @@ from __future__ import annotations
 
 import dataclasses
 import json
+from collections import Counter
 from dataclasses import dataclass, replace
 from pathlib import Path
 
@@ -31,7 +32,7 @@ from .monitor import Checker
 from .netlist import Assign, Netlist, NetKind, Register, combinational_closure
 from .records import field, read_json, record
 from .rng import substream
-from .search import input_cone, search_stimulus, take_rows
+from .search import input_cone, ruled_out, search_stimulus, take_rows
 from .sim import BatchExpr, SimKernel, Stimulus, fanin_cone
 from .sva import Assertion, signals_of
 
@@ -314,6 +315,7 @@ def forge(netlist: Netlist, assertions: list[Assertion],
             raise InsufficientSignalsError(
                 f"assertion {checked.effective_name()} checks no driven net")
         rng = substream(params.seed, "forge", netlist.name, j)
+        skipped: Counter[str] = Counter()
         for attempt in range(params.tries):
             picks = sorted(rng.choice(len(pool), size=k, replace=False))
             trigger = tuple(
@@ -340,14 +342,18 @@ def forge(netlist: Netlist, assertions: list[Assertion],
             stim = _find_activation(
                 cand, netlist, checkers, target, params.horizon,
                 substream(params.seed, "forge", netlist.name, j, attempt),
-                kernel=kernel, screens=screens)
+                kernel=kernel, screens=screens, skipped=skipped)
             if stim is not None:
                 forged.append((cand, stim))
                 break
         else:
+            skips = "".join(
+                f"; {n} skipped unsearched, since no candidate meets the "
+                f"target's first antecedent term ({why})"
+                for why, n in skipped.most_common())
             raise ActivationNotFoundError(
                 f"no viable trojan {j} for {netlist.name} after "
-                f"{params.tries} attempts", tried=params.tries)
+                f"{params.tries} attempts{skips}", tried=params.tries)
     return forged
 
 
@@ -363,6 +369,7 @@ def _find_activation(spec: TrojanSpec, netlist: Netlist,
                      horizon: int, rng: np.random.Generator,
                      *, kernel: SimKernel | None = None,
                      screens: dict[frozenset[str], SimKernel] | None = None,
+                     skipped: Counter[str] | None = None,
                      ) -> Stimulus | None:
     """Search for a stimulus satisfying the activation objective.
 
@@ -383,8 +390,26 @@ def _find_activation(spec: TrojanSpec, netlist: Netlist,
     that meets the objective is returned.
     ``accept`` re-runs the first of them on both kernels and decides it
     with the same rule only to confirm.
+
+    With a *target*, an attempt in which ``search.ruled_out`` proves that
+    no candidate meets the first antecedent term, and so none passes the
+    screen, returns None before any kernel is compiled, counting the
+    reason in *skipped*.
     """
     injected = inject(netlist, spec)
+    forced = {(c.signal, c.bit): c.value for c in spec.trigger
+              if c.bit is not None
+              and netlist.nets[c.signal].kind is NetKind.INPUT}
+    # the first-term antecedent is batchable and a cheap necessary condition
+    goal = checkers[target] if target is not None else None
+    ante = goal.assertion.antecedent if goal is not None else None
+    if ante is not None:
+        why = ruled_out(ante.steps[0][1], injected, forced)
+        if why is not None:
+            if skipped is not None:
+                skipped[why] += 1
+            return None
+
     consts = netlist.constants()
     trig = BatchExpr(trigger_expr(spec, netlist), injected.width, consts)
     # the objective reads these nets of both designs, plus the trigger of
@@ -397,13 +422,6 @@ def _find_activation(spec: TrojanSpec, netlist: Netlist,
 
     graph = build_graph(injected)
     trig_signals = {c.signal for c in spec.trigger}
-    forced = {(c.signal, c.bit): c.value for c in spec.trigger
-              if c.bit is not None
-              and netlist.nets[c.signal].kind is NetKind.INPUT}
-
-    # the first-term antecedent is batchable and a cheap necessary condition
-    goal = checkers[target] if target is not None else None
-    ante = goal.assertion.antecedent if goal is not None else None
     ante_term = (BatchExpr(ante.steps[0][1], injected.width, consts)
                  if ante is not None else None)
     screen_nets = trig.nets | (ante_term.nets if ante_term is not None

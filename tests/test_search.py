@@ -2,6 +2,7 @@
 the necessary input literals that guide it."""
 
 import numpy as np
+import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
@@ -10,8 +11,8 @@ from svaport import expr as ex
 from svaport import translate
 from svaport.netlist import Net, NetKind, Netlist
 from svaport.rtl_parser import parse_design
-from svaport.search import (_CHUNK, _vectors, necessary_literals,
-                            search_stimulus)
+from svaport.search import (_CHUNK, _FIRST_CHUNK, _RANDOM_VECTORS, _vectors,
+                            necessary_literals, search_stimulus)
 from svaport.sim import BatchExpr, SimKernel, Stimulus
 
 from . import gen, oracles
@@ -44,26 +45,69 @@ def test_random_codes_up_to_63_bits_are_one_draw_per_candidate():
     # bit i of the code landing on the i-th free bit in input order
     nl = _inputs(24, 24, 15)
     batch = _first_batch(nl, 7)
-    codes = np.random.default_rng(7).integers(0, 1 << 63, size=_CHUNK,
+    codes = np.random.default_rng(7).integers(0, 1 << 63, size=_FIRST_CHUNK,
                                               dtype=np.uint64)
     mask = np.uint64((1 << 24) - 1)
+    assert batch["in0"].shape == (_FIRST_CHUNK,)
     assert (batch["in0"] == codes & mask).all()
     assert (batch["in1"] == (codes >> np.uint64(24)) & mask).all()
     assert (batch["in2"] == codes >> np.uint64(48)).all()
 
 
 def test_random_codes_beyond_63_bits_use_more_words():
+    # each candidate draws its two words in turn: word 0 holds free bits
+    # 0..62, word 1 (masked to 17 bits) holds bits 63..79
     nl = _inputs(40, 40)
     batch = _first_batch(nl, 7)
-    rng = np.random.default_rng(7)
-    low = rng.integers(0, 1 << 63, size=_CHUNK, dtype=np.uint64)
-    high = rng.integers(0, 1 << 63, size=_CHUNK, dtype=np.uint64) \
-        & np.uint64((1 << 17) - 1)
+    codes = np.random.default_rng(7).integers(
+        0, 1 << 63, size=2 * _FIRST_CHUNK, dtype=np.uint64)
+    low, high = codes[0::2], codes[1::2] & np.uint64((1 << 17) - 1)
     mask = np.uint64((1 << 40) - 1)
+    assert batch["in0"].shape == (_FIRST_CHUNK,)
     assert (batch["in0"] == low & mask).all()
     # free bits 40..62 come from the first word, 63..79 from the second
     assert (batch["in1"] == ((low >> np.uint64(40))
                              | (high << np.uint64(23)))).all()
+
+
+@pytest.mark.parametrize("widths", [(24, 24, 15), (40, 40)])
+def test_sampled_batches_grow_and_join_to_one_draw(widths):
+    # the batches double from _FIRST_CHUNK rows up to _CHUNK, and together
+    # they are one draw of _RANDOM_VECTORS candidates however they split
+    nl = _inputs(*widths)
+    names = sorted(nl.nets)
+    batches = list(_vectors(nl, names, {}, np.random.default_rng(3)))
+    sizes = [len(b["in0"]) for b in batches]
+    assert sizes[0] == _FIRST_CHUNK and sum(sizes) == _RANDOM_VECTORS
+    assert all(b == min(2 * a, _CHUNK) for a, b in zip(sizes, sizes[1:-1]))
+    assert sizes[-1] <= min(2 * sizes[-2], _CHUNK)
+    words = -(-sum(widths) // 63)
+    codes = np.random.default_rng(3).integers(
+        0, 1 << 63, size=(_RANDOM_VECTORS, words), dtype=np.uint64)
+    # free bit i is bit i % 63 of word i // 63, inputs in name order
+    i = 0
+    for name, width in zip(names, widths):
+        expected = np.zeros(_RANDOM_VECTORS, dtype=np.uint64)
+        for bit in range(width):
+            word, shift = divmod(i, 63)
+            expected |= ((codes[:, word] >> np.uint64(shift)) & np.uint64(1)) \
+                << np.uint64(bit)
+            i += 1
+        got = np.concatenate([b[name] for b in batches])
+        assert (got == expected).all(), name
+
+
+def test_enumerated_batches_grow_in_integer_order():
+    nl = _inputs(7, 6)
+    batches = list(_vectors(nl, ["in0", "in1"], {("in1", 2): 1},
+                            np.random.default_rng(0)))
+    assert [len(b["in0"]) for b in batches] == [256, 512, 1024, 2048, 256]
+    code = np.arange(1 << 12, dtype=np.uint64)
+    # in1's bit 2 is forced, its other bits take free bits 7..11
+    high = code >> np.uint64(7)
+    in1 = (high & np.uint64(3)) | np.uint64(4) | ((high >> np.uint64(2)) << np.uint64(3))
+    assert (np.concatenate([b["in0"] for b in batches]) == code & np.uint64(127)).all()
+    assert (np.concatenate([b["in1"] for b in batches]) == in1).all()
 
 
 def test_search_walks_each_input_set_once_in_order():

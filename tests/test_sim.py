@@ -6,7 +6,7 @@ import random
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from svaport import corpus
@@ -164,6 +164,124 @@ def test_run_batch_broadcasts_constant_rows(corpus_designs):
     out = SimKernel(nl).run_batch(inputs, 3)
     assert out["in_region"].shape == (4, 3)
     assert bool(out["in_region"].all())
+
+
+@st.composite
+def _held_runs(draw):
+    """A generated design with registers and a few rows of inputs held
+    constant, held after a prefix with some bits inverted, or drawn anew
+    every cycle."""
+    nl = draw(gen.designs(max_registers=3))
+    assume(nl.registers)
+    rows, cycles = draw(st.integers(1, 4)), draw(st.integers(1, 10))
+    shape = draw(st.sampled_from(["constant", "flipped_prefix", "random"]))
+    prefix = draw(st.integers(0, cycles))
+    inputs = {}
+    for n in nl.inputs():
+        value = st.integers(0, (1 << n.width) - 1)
+        held = np.array(draw(st.lists(value, min_size=rows, max_size=rows)),
+                        dtype=np.uint64)
+        if shape == "constant":
+            inputs[n.name] = held
+        elif shape == "flipped_prefix":
+            arr = np.repeat(held[:, None], cycles, axis=1)
+            arr[:, :prefix] ^= np.uint64(draw(value))
+            inputs[n.name] = arr
+        else:
+            inputs[n.name] = np.array(draw(st.lists(
+                st.lists(value, min_size=cycles, max_size=cycles),
+                min_size=rows, max_size=rows)), dtype=np.uint64)
+    return nl, inputs, rows, cycles
+
+
+@given(_held_runs())
+def test_run_batch_matches_oracle_when_it_stops_early(run):
+    nl, inputs, rows, cycles = run
+    out = SimKernel(nl).run_batch(inputs, cycles)
+    for r in range(rows):
+        stim = Stimulus.for_design(nl, [
+            {name: int(arr[r] if arr.ndim == 1 else arr[r, t])
+             for name, arr in inputs.items()} for t in range(cycles)])
+        want = oracles.simulate_fixpoint(nl, stim).values
+        for net in nl.nets:
+            assert out[net][r].tolist() == want[net], net
+
+
+COUNTER_RTL = """\
+module counter (
+  input  logic       clk,
+  input  logic       en_i,
+  output logic [3:0] cnt_o
+);
+  always_ff @(posedge clk) cnt_o <= en_i ? cnt_o + 4'd1 : cnt_o;
+endmodule
+"""
+
+SHIFT_RTL = """\
+module shift (
+  input  logic       clk,
+  input  logic [1:0] a_i,
+  output logic [1:0] q_o
+);
+  logic [1:0] q1;
+  always_ff @(posedge clk) q1 <= a_i;
+  always_ff @(posedge clk) q_o <= q1;
+endmodule
+"""
+
+
+def _counted(kernel: SimKernel) -> list[int]:
+    """Count the calls of *kernel*'s step function."""
+    steps = [0]
+    step = kernel._fn
+
+    def counting(*args):
+        steps[0] += 1
+        return step(*args)
+
+    kernel._fn = counting
+    return steps
+
+
+def test_run_batch_steps_a_free_running_counter_every_cycle():
+    kernel = SimKernel(parse_design(COUNTER_RTL))
+    steps = _counted(kernel)
+    out = kernel.run_batch({"en_i": np.array([1, 1], dtype=np.uint64)}, 12)
+    assert steps == [12]
+    assert out["cnt_o"].tolist() == [list(range(12))] * 2
+    # one row that counts keeps every row stepping; idle rows never change
+    out = kernel.run_batch({"en_i": np.array([0, 1], dtype=np.uint64)}, 12)
+    assert steps == [24]
+    assert out["cnt_o"].tolist() == [[0] * 12, list(range(12))]
+    # with no row counting, the first step already leaves the state as it was
+    kernel.run_batch({"en_i": np.array([0, 0], dtype=np.uint64)}, 12)
+    assert steps == [25]
+
+
+def test_run_batch_stops_once_inputs_hold_and_registers_settle():
+    nl = parse_design(SHIFT_RTL)
+    kernel = SimKernel(nl)
+    steps = _counted(kernel)
+    a = np.arange(4, dtype=np.uint64)
+    # q1 takes a at cycle 1 and q_o at cycle 2; the step at cycle 2
+    # changes nothing, so cycles 3..11 repeat it
+    out = kernel.run_batch({"a_i": a}, 12)
+    assert steps == [3]
+    assert out["q_o"].tolist() == [[0, 0] + [v] * 10 for v in range(4)]
+    # inputs that change at cycle 4 hold from there: cycles 4..6 step
+    held = np.repeat(a[:, None], 12, axis=1)
+    held[:, :4] ^= np.uint64(3)
+    out = kernel.run_batch({"a_i": held}, 12)
+    assert steps == [3 + 7]
+    for r in range(4):
+        stim = Stimulus.for_design(nl, [{"a_i": int(v)} for v in held[r]])
+        assert out["q_o"][r].tolist() == simulate(nl, stim).values["q_o"]
+    # a combinational kernel with constant inputs takes one step
+    comb = SimKernel(nl, keep={"a_i"})
+    steps = _counted(comb)
+    assert comb.run_batch({"a_i": a}, 12)["a_i"].tolist() == \
+        [[v] * 12 for v in range(4)]
+    assert steps == [1]
 
 
 @st.composite

@@ -4,6 +4,10 @@ import json
 import random
 
 import itertools
+import shutil
+from collections import Counter
+from dataclasses import replace
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -11,6 +15,7 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from svaport import corpus, monitor, sim, trojan
+from svaport.cli import main as cli_main
 from svaport import expr as ex
 from svaport.errors import (ActivationNotFoundError, CombinationalLoopError,
                             ConfigError, InsufficientSignalsError,
@@ -18,6 +23,7 @@ from svaport.errors import (ActivationNotFoundError, CombinationalLoopError,
 from svaport.monitor import Checker, check_assertions
 from svaport.netlist import Assign, NetKind
 from svaport.rtl_parser import parse_design
+from svaport.search import necessary_literals
 from svaport.sim import BatchExpr, Stimulus, simulate
 from svaport.sva import Assertion, SeqExpr, parse_assertions, signals_of
 from svaport.trojan import (ForgeParams, TriggerCond, TrojanSpec,
@@ -421,19 +427,30 @@ def test_forge_co_simulates_only_the_rows_that_pass_the_screen(
 
     monkeypatch.setattr(sim.SimKernel, "run_batch", counting_run_batch)
     monkeypatch.setattr(trojan, "_find_activation", tracking_find)
-    # seed 6 takes ten attempts for four trojans: 78 of the 896 rows they
-    # screen pass, and five attempts pass none
+    # seed 6 takes ten attempts for four trojans: three hold en_i low
+    # against A_SUM's antecedent en_i and run nothing; 82 of the 680 rows
+    # the others screen pass, and two of them pass none
     forge(toy, toy_asserts, ForgeParams(count=4, k_min=2, k_max=3, seed=6,
                                         horizon=8))
     ends = [start for _, _, start in attempts[1:]] + [len(calls)]
-    screened = passing = quiet = 0
+    screened = passing = quiet = skipped = 0
     for (spec, target, start), end in zip(attempts, ends):
         # the screen: the trigger and the target's first antecedent term
         term = toy_asserts[target].antecedent.steps[0][1]
         screen_nets = {c.signal for c in spec.trigger} | ex.idents_of(term)
         runs = [(set(kernel.net_order) == screen_nets, _rows(inputs))
                 for kernel, inputs in calls[start:end]]
-        assert runs and runs[0][0]
+        # the toy is combinational, so an attempt runs no batch exactly
+        # when a trigger bit contradicts a bit the term needs
+        needed = necessary_literals(term, inject(toy, spec))
+        clash = needed is None or any(
+            needed.get((c.signal, c.bit), c.value) != c.value
+            for c in spec.trigger)
+        assert (not runs) == clash, spec.trigger
+        if clash:
+            skipped += 1
+            continue
+        assert runs[0][0]
         quiet += all(is_screen for is_screen, _ in runs)
         for i, (is_screen, rows) in enumerate(runs):
             if not is_screen:
@@ -451,7 +468,7 @@ def test_forge_co_simulates_only_the_rows_that_pass_the_screen(
             passing += len(passed)
     assert 0 < passing < screened
     # some attempt passed no row at all and ran the screen kernel alone
-    assert quiet >= 1
+    assert quiet >= 1 and skipped >= 1
 
 
 def test_screen_reads_the_corrupted_design_where_the_payload_reaches_it(
@@ -476,6 +493,170 @@ def test_screen_reads_the_corrupted_design_where_the_payload_reaches_it(
                             np.random.default_rng(0), screens=screens)
     assert list(screens) == [frozenset({"a_i", "b_i"})]
     assert screens[frozenset({"a_i", "b_i"})].netlist is toy
+
+
+# --------------------------------------------------------------------------
+# the pre-filter of forge attempts
+
+
+def _record_skips(monkeypatch) -> list[tuple[tuple, dict]]:
+    """Record the arguments of every ``_find_activation`` call that the
+    pre-filter skips."""
+    calls: list[tuple[tuple, dict]] = []
+    find = trojan._find_activation
+
+    def recording(*args, skipped, **kwargs):
+        before = skipped.total()
+        stim = find(*args, skipped=skipped, **kwargs)
+        if skipped.total() > before:
+            assert stim is None
+            calls.append((args, kwargs))
+        return stim
+
+    monkeypatch.setattr(trojan, "_find_activation", recording)
+    return calls
+
+
+_FIND_ACTIVATION = trojan._find_activation  # before any test wraps it
+
+
+def _unfiltered_find(*args, **kwargs):
+    """``_find_activation`` without the pre-filter."""
+    with mock.patch.object(trojan, "ruled_out", lambda *_: None):
+        return _FIND_ACTIVATION(*args, **kwargs)
+
+
+def test_campaign_attempts_the_prefilter_skips_find_nothing_unfiltered(
+        campaign_run, tmp_path, monkeypatch):
+    out = tmp_path / "out"
+    shutil.copytree(campaign_run.out_dir, out)
+    calls = _record_skips(monkeypatch)
+    assert cli_main(["inject", "--config", str(corpus.campaign_path()),
+                     "--out", str(out)]) == 0
+    for args, kwargs in calls:
+        assert _unfiltered_find(*args, **kwargs) is None, args[0]
+    assert Counter(args[0].id for args, _ in calls) == {
+        "pmp_unit_t01": 4, "debug_unit_t02": 3, "cf_unit_t02": 3,
+        "cf_unit_t05": 1}
+
+
+WARM_RTL = """\
+module warm (
+  input  logic clk,
+  input  logic en_i,
+  input  logic d_i,
+  output logic y_o,
+  output logic q_o
+);
+  assign y_o = d_i;
+  always_ff @(posedge clk) q_o <= d_i;
+endmodule
+"""
+
+
+def test_prefilter_keeps_attempts_the_warm_up_can_activate():
+    # the antecedent needs en_i low and the trigger holds it high: on a
+    # design with registers the flipped-prefix warm-up holds it low, and
+    # the trigger fires once the warm-up ends
+    netlist = parse_design(WARM_RTL)
+    spec = TrojanSpec(id="warm_t00", module="warm",
+                      module_kind="sequential",
+                      trigger=(TriggerCond("en_i", 0, 1),), k=1,
+                      payload_kind="invert_net", payload_net="y_o")
+    target = parse_assertions(
+        "W: assert property (@(posedge clk) !en_i |-> ##4 y_o == d_i);")
+    skipped: Counter[str] = Counter()
+    stim = trojan._find_activation(spec, netlist, [Checker(target[0], netlist)],
+                                   0, 8, np.random.default_rng(0),
+                                   skipped=skipped)
+    assert stim is not None and not skipped
+    assert [c["en_i"] for c in stim.inputs] == [0] * 4 + [1] * 4
+    # with d_i also in the trigger and needed high, the warm-up holds it
+    # low: no cycle can meet the antecedent, and the attempt is skipped
+    spec = replace(spec, trigger=(TriggerCond("d_i", 0, 1),
+                                  TriggerCond("en_i", 0, 1)), k=2)
+    target = parse_assertions(
+        "W: assert property (@(posedge clk) !en_i && d_i |-> ##4 y_o == d_i);")
+    checkers = [Checker(target[0], netlist)]
+    assert trojan._find_activation(spec, netlist, checkers, 0, 8,
+                                   np.random.default_rng(0),
+                                   skipped=skipped) is None
+    assert skipped == {"a forced bit contradicts a bit it needs": 1}
+    assert _unfiltered_find(spec, netlist, checkers, 0, 8,
+                            np.random.default_rng(0)) is None
+
+
+@st.composite
+def _screened_cases(draw):
+    """An activation case whose target's first antecedent term needs some
+    of the trigger's bits, the first one inverted and the others either
+    way, besides a random comparison."""
+    netlist, spec, assertions, _ = draw(_activation_cases())
+    conds = draw(st.permutations(spec.trigger))[:draw(
+        st.integers(1, len(spec.trigger)))]
+    values = [1 - conds[0].value] + [draw(st.integers(0, 1))
+                                     for _ in conds[1:]]
+    parts: list[ex.Expr] = [
+        ex.Binary("==", ex.Select(c.signal, c.bit, c.bit), ex.Const(v, 1))
+        for c, v in zip(conds, values)]
+    symbols = {n: netlist.width(n) for n in netlist.nets if n != "clk"}
+    if draw(st.booleans()):
+        parts.append(draw(gen.comparisons(symbols)))
+    check = draw(gen.expressions(symbols, max_depth=1))
+    target = draw(st.integers(0, len(assertions)))
+    assertions.insert(target, Assertion(
+        SeqExpr(((0, ex.conjoin(parts)),)), "|->", SeqExpr(((0, check),)),
+        "clk"))
+    return netlist, spec, assertions, target
+
+
+@settings(max_examples=30)
+@given(_screened_cases(), st.integers(0, 2 ** 32 - 1))
+def test_generated_attempts_the_prefilter_skips_find_nothing_unfiltered(
+        case, seed):
+    netlist, spec, assertions, target = case
+    checkers = [Checker(a, netlist) for a in assertions]
+    skipped: Counter[str] = Counter()
+    args = (spec, netlist, checkers, target, 6)
+    stim = trojan._find_activation(*args, np.random.default_rng(seed),
+                                   skipped=skipped)
+    assume(skipped)
+    assert stim is None
+    assert _unfiltered_find(*args, np.random.default_rng(seed)) is None
+
+
+GATE_RTL = """\
+module gate (
+  input  logic       clk,
+  input  logic       en_i,
+  input  logic [1:0] d_i,
+  output logic [1:0] q_o
+);
+  assign q_o = d_i;
+endmodule
+"""
+
+
+@pytest.mark.parametrize("antecedent, reason", [
+    ("en_i", "a forced bit contradicts a bit it needs"),
+    ("en_i && !en_i", "its requirements contradict each other"),
+])
+def test_activation_error_names_the_skipped_attempts(antecedent, reason,
+                                                    monkeypatch):
+    # the target never fails, so every attempt fails; those whose trigger
+    # holds en_i low (or all, when the term can never hold) are skipped
+    netlist = parse_design(GATE_RTL)
+    target = parse_assertions(
+        f"G: assert property (@(posedge clk) {antecedent} |-> q_o == q_o);")
+    calls = _record_skips(monkeypatch)
+    with pytest.raises(ActivationNotFoundError) as info:
+        forge(netlist, target, ForgeParams(count=1, k_min=1, k_max=1,
+                                           seed=3, tries=8))
+    assert 0 < len(calls) <= 8
+    assert str(info.value) == (
+        f"no viable trojan 0 for gate after 8 attempts; {len(calls)} "
+        "skipped unsearched, since no candidate meets the target's first "
+        f"antecedent term ({reason})")
 
 
 def _rows(inputs: dict[str, np.ndarray]) -> list[dict[str, int]]:
