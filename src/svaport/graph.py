@@ -98,18 +98,16 @@ def _distance_to(graph: DependencyGraph, target: str) -> dict[str, int]:
     return dist
 
 
-def fanin(graph: DependencyGraph, signal: str,
-          max_depth: int | None = None) -> dict[str, int]:
+def fanin(graph: DependencyGraph, signal: str) -> dict[str, int]:
     """Transitive sources of *signal* with their shortest edge distance.
 
     The signal itself is excluded unless it reaches itself through a cycle.
-    max_depth=None means unbounded (the graph is finite, BFS terminates).
     """
     _require(graph, signal)
     depths: dict[str, int] = {}
     frontier = [signal]
     depth = 0
-    while frontier and (max_depth is None or depth < max_depth):
+    while frontier:
         depth += 1
         nxt: list[str] = []
         for node in frontier:

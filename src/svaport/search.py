@@ -3,25 +3,24 @@
 The strategy is deliberately simple and fully deterministic: candidate
 stimuli hold each primary input at a constant value (with an optional
 warm-up prefix that holds the forced bits inverted, to let registered
-state build up before the interesting vector applies).  A search is a list
-of passes, each a set of free inputs and the input bits it forces, walked
-in order.  A pass's free bits are enumerated exhaustively when they are
-few enough, otherwise sampled from a seeded stream.  Candidates are
-simulated in numpy batches, a caller-supplied objective decides every
-batch with arrays, and a scalar check confirms the winner.  A pass's
-batches grow from 256 rows, doubling up to 8,192, so a witness near the
-start of a pass costs a small batch; the candidates and their order do
-not depend on the batch sizes, so every search meets the same first
-witness whatever they are.
+state build up before the interesting vector applies).  A search is one
+pass: a set of free inputs and the input bits it forces.  Its free bits
+are enumerated exhaustively when they are few enough, otherwise sampled
+from a seeded stream.  Candidates are simulated in numpy batches, a
+caller-supplied objective decides every batch with arrays, and a scalar
+check confirms the winner.  Batches grow from 256 rows, doubling up to
+8,192, so a witness near the start costs a small batch; the candidates
+and their order do not depend on the batch sizes, so every search meets
+the same first witness whatever they are.
 
 ``necessary_literals`` guides a search: it backtraces a term through the
 combinational logic to the input bits every candidate that makes the term
 true must have (PODEM's backtrace, Goel 1981).  Every constant-schedule
-witness has those bits, so one guided pass is enough.  An enumerated pass
-holds every such witness, and since forcing keeps the integer order of
-the remaining free bits, it meets them in the order an unforced pass
-would.  A sampled pass draws from a smaller space than an unforced one,
-and every witness of the larger space lies in it.
+witness has those bits, so forcing them loses none.  An enumerated
+search holds every such witness, and since forcing keeps the integer
+order of the remaining free bits, it meets them in the order an unforced
+one would.  A sampled search draws from a smaller space than an unforced
+one, and every witness of the larger space lies in it.
 """
 
 from __future__ import annotations
@@ -36,7 +35,7 @@ from .graph import DependencyGraph, fanin
 from .netlist import Netlist, NetKind
 from .sim import SimKernel, Stimulus
 
-_FIRST_CHUNK = 256  # rows of a pass's first batch; each next one doubles,
+_FIRST_CHUNK = 256  # rows of a search's first batch; each next one doubles,
 _CHUNK = 8192       # up to this many
 _WORD = 63  # random bits per drawn code word (the draw keeps the sign bit clear)
 _EXHAUSTIVE_BITS = 20    # enumerate the free bits when they fit
@@ -44,14 +43,14 @@ _RANDOM_VECTORS = 10000  # otherwise draw this many candidates
 _WARMUP = 4              # prefix length of flipped_prefix candidates
 
 
-#: input bits a pass holds fixed: (input, bit) -> 0 or 1
+#: input bits a search holds fixed: (input, bit) -> 0 or 1
 Literals = dict[tuple[str, int], int]
 
 
 @dataclass
 class SearchStats:
     """What a search cost, and how its witness was found: the winning
-    pass's schedule, whether its free bits were ``enumerated`` or
+    schedule, whether the free bits were ``enumerated`` or
     ``sampled``, and how many bits it forced (each None when no witness
     was found)."""
 
@@ -269,23 +268,26 @@ def _vectors(netlist: Netlist, inputs: list[str],
 
 def _schedules(netlist: Netlist, forced: Literals):
     """Ways to turn a constant vector into a full stimulus.  'constant'
-    applies it from cycle 0.  On a design with registers, a pass that
-    forces bits also tries 'flipped_prefix': the forced bits held inverted
-    for a warm-up, so sequential state can see them change before the
-    vector applies.  ``ruled_out`` relies on these two shapes."""
+    applies it from cycle 0.  On a design with registers, a search that
+    forces bits also tries 'flipped_prefix': every forced bit held
+    inverted for a warm-up, so sequential state can see them change
+    before the vector applies; an input without forced bits stays
+    constant.  ``ruled_out`` relies on these two shapes."""
+    flips: dict[str, np.uint64] = {}
+    for name, bit in forced:
+        flips[name] = flips.get(name, np.uint64(0)) | np.uint64(1 << bit)
+
     def constant(values: dict[str, np.ndarray], cycles: int):
         return {n: v for n, v in values.items()}
 
     def flipped_prefix(values: dict[str, np.ndarray], cycles: int):
-        out = {}
-        for n, v in values.items():
-            arr = np.repeat(v[:, None], cycles, axis=1)
-            pre = v.copy()
-            for (name, bit), _ in forced.items():
-                if name == n:
-                    pre ^= np.uint64(1 << bit)
-            arr[:, :_WARMUP] = pre[:, None]
-            out[n] = arr
+        out = dict(values)
+        for name, flip in flips.items():
+            if name in values:
+                v = values[name]
+                arr = np.repeat(v[:, None], cycles, axis=1)
+                arr[:, :_WARMUP] = (v ^ flip)[:, None]
+                out[name] = arr
         return out
 
     schedules = [("constant", constant)]
@@ -294,18 +296,18 @@ def _schedules(netlist: Netlist, forced: Literals):
     return schedules
 
 
-def ruled_out(term: ex.Expr, netlist: Netlist,
+def ruled_out(need: Literals | None, netlist: Netlist,
               forced: Literals) -> str | None:
-    """Why no candidate of a pass that forces the *forced* bits makes
-    *term* true at any cycle; None when one may.
+    """Why no candidate of a search that forces the *forced* bits makes a
+    term true at any cycle; None when one may.  *need* is the term's
+    ``necessary_literals``, None when its requirements contradict.
 
-    *term* holds only on inputs with its necessary literals.  A candidate
-    holds the forced bits from cycle 0, or, on a design with registers,
-    after a warm-up that holds them inverted.  A forced bit the term needs
-    the other way rules out every cycle after the warm-up, and one it
-    needs as forced rules out the warm-up.
+    The term holds only on inputs with its necessary literals.  A
+    candidate holds the forced bits from cycle 0, or, on a design with
+    registers, after a warm-up that holds them inverted.  A forced bit the
+    term needs the other way rules out every cycle after the warm-up, and
+    one it needs as forced rules out the warm-up.
     """
-    need = necessary_literals(term, netlist)
     if need is None:
         return "its requirements contradict each other"
     clash = any(forced.get(bit, value) != value for bit, value in need.items())
@@ -318,7 +320,8 @@ def ruled_out(term: ex.Expr, netlist: Netlist,
 
 def search_stimulus(
     netlist: Netlist,
-    passes: list[tuple[list[str], Literals]],
+    inputs: list[str],
+    forced: Literals,
     objective: Callable[[dict[str, np.ndarray], dict[str, np.ndarray]],
                         np.ndarray],
     accept: Callable[[Stimulus], bool],
@@ -328,49 +331,41 @@ def search_stimulus(
 ) -> tuple[Stimulus | None, SearchStats]:
     """Find a *horizon*-cycle stimulus that meets the caller's objective.
 
-    *passes* are searched in order until one yields a stimulus.  A pass
-    ``(inputs, forced)`` holds the *forced* bits and frees every other bit
-    of *inputs*; the rest of the inputs stay at zero.  A pass already
-    searched, resets aside, is skipped.  The batch mask is the objective.
-    *objective* receives the net arrays batch-simulated on *kernel*
-    (rows x cycles), which must keep every net it reads, and the raw
-    input arrays that produced them (so it can co-simulate another kernel
-    on the same candidates), decides the full objective with arrays over
-    every row of the batch, and returns every row that meets it in
-    ascending order.  *accept* only confirms: the first
-    returned row is materialized and re-checked with a scalar run
-    (single-run semantics, monitors, ...); should it disagree, the next
-    row is tried.  With an exhaustive enumeration, every candidate that
-    meets the objective is therefore reached.
-    Deterministic: candidate order is fixed by the pass order, the
-    enumeration and the seeded stream, one stream for every pass.
+    The search holds the *forced* bits and frees every other bit of
+    *inputs*; the rest of the inputs stay at zero, and resets at their
+    idle level.  *objective* receives the net arrays batch-simulated on
+    *kernel* (rows x cycles), which must keep every net it reads, and the
+    raw input arrays that produced them (so it can co-simulate another
+    kernel on the same candidates), decides the full objective with arrays
+    over every row of the batch, and returns every row that meets it in
+    ascending order.  *accept* only confirms: the first returned row is
+    materialized and re-checked with a scalar run (single-run semantics,
+    monitors, ...); should it disagree, the next row is tried.  With an
+    exhaustive enumeration, every candidate that meets the objective is
+    therefore reached.  Deterministic: candidate order is fixed by the
+    schedules, the enumeration and the seeded stream.
     """
     stats = SearchStats()
     resets = netlist.idle_resets()
-    searched: list[tuple[list[str], Literals]] = []
-    for input_set, forced in passes:
-        # reset is pinned inactive below, never enumerated
-        relevant = [n for n in input_set if n not in resets]
-        if (relevant, forced) in searched:
-            continue
-        searched.append((relevant, forced))
-        free = len(_free(netlist, relevant, forced))
-        space = "enumerated" if free <= _EXHAUSTIVE_BITS else "sampled"
-        for sched_name, schedule in _schedules(netlist, forced):
-            for values in _vectors(netlist, relevant, forced, rng):
-                rows = next(iter(values.values())).shape[0] if values else 1
-                stats.candidates += rows
-                inputs = schedule(values, horizon)
-                # searches never toggle reset: pin it at the inactive level
-                for name, lvl in resets.items():
-                    inputs[name] = np.full(rows, lvl, dtype=np.uint64)
-                arrays = kernel.run_batch(inputs, horizon)
-                for row in objective(arrays, inputs):
-                    stim = _materialize(netlist, inputs, int(row), horizon)
-                    if accept(stim):
-                        stats.schedule, stats.space = sched_name, space
-                        stats.forced = len(forced)
-                        return stim, stats
+    # reset is pinned inactive below, never enumerated
+    relevant = [n for n in inputs if n not in resets]
+    free = len(_free(netlist, relevant, forced))
+    space = "enumerated" if free <= _EXHAUSTIVE_BITS else "sampled"
+    for sched_name, schedule in _schedules(netlist, forced):
+        for values in _vectors(netlist, relevant, forced, rng):
+            rows = next(iter(values.values())).shape[0] if values else 1
+            stats.candidates += rows
+            batch = schedule(values, horizon)
+            # searches never toggle reset: pin it at the inactive level
+            for name, lvl in resets.items():
+                batch[name] = np.full(rows, lvl, dtype=np.uint64)
+            arrays = kernel.run_batch(batch, horizon)
+            for row in objective(arrays, batch):
+                stim = _materialize(netlist, batch, int(row), horizon)
+                if accept(stim):
+                    stats.schedule, stats.space = sched_name, space
+                    stats.forced = len(forced)
+                    return stim, stats
     return None, stats
 
 

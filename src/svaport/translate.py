@@ -600,5 +600,5 @@ def generate_testcase(a: Assertion, target: Netlist,
     cone = input_cone(target, graph, signals_of(a))
     rng = substream(config.seed, "translate", "testcase", a.effective_name())
     sliced = SimKernel(target, keep=checker.nets)
-    return search_stimulus(target, [(cone, literals)], objective, accept,
-                           rng, config.horizon, kernel=sliced)
+    return search_stimulus(target, cone, literals, objective, accept, rng,
+                           config.horizon, kernel=sliced)

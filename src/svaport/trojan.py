@@ -32,7 +32,8 @@ from .monitor import Checker
 from .netlist import Assign, Netlist, NetKind, Register, combinational_closure
 from .records import field, read_json, record
 from .rng import substream
-from .search import input_cone, ruled_out, search_stimulus, take_rows
+from .search import (input_cone, necessary_literals, ruled_out,
+                     search_stimulus, take_rows)
 from .sim import BatchExpr, SimKernel, Stimulus, fanin_cone
 from .sva import Assertion, signals_of
 
@@ -391,24 +392,35 @@ def _find_activation(spec: TrojanSpec, netlist: Netlist,
     ``accept`` re-runs the first of them on both kernels and decides it
     with the same rule only to confirm.
 
-    With a *target*, an attempt in which ``search.ruled_out`` proves that
-    no candidate meets the first antecedent term, and so none passes the
-    screen, returns None before any kernel is compiled, counting the
-    reason in *skipped*.
+    The search is one pass over every input the objective's nets depend
+    on.  It forces the trigger's input bits and, with a *target*, the
+    necessary literals of the target's first antecedent term
+    (``search.necessary_literals``), which every constant-schedule
+    candidate that passes the screen has.  When a literal clashes with a
+    trigger bit, the trigger bits alone are forced: only the warm-up of
+    ``flipped_prefix``, which holds them inverted, can then meet the term.
+    An attempt in which ``search.ruled_out`` proves that no candidate
+    meets the term, and so none passes the screen, returns None before
+    any kernel is compiled, counting the reason in *skipped*.
     """
     injected = inject(netlist, spec)
-    forced = {(c.signal, c.bit): c.value for c in spec.trigger
-              if c.bit is not None
-              and netlist.nets[c.signal].kind is NetKind.INPUT}
+    trigger_bits = {(c.signal, c.bit): c.value for c in spec.trigger
+                    if c.bit is not None
+                    and netlist.nets[c.signal].kind is NetKind.INPUT}
+    forced = trigger_bits
     # the first-term antecedent is batchable and a cheap necessary condition
     goal = checkers[target] if target is not None else None
     ante = goal.assertion.antecedent if goal is not None else None
     if ante is not None:
-        why = ruled_out(ante.steps[0][1], injected, forced)
+        need = necessary_literals(ante.steps[0][1], injected)
+        why = ruled_out(need, injected, trigger_bits)
         if why is not None:
             if skipped is not None:
                 skipped[why] += 1
             return None
+        if need and all(trigger_bits.get(bit, value) == value
+                        for bit, value in need.items()):
+            forced = trigger_bits | need
 
     consts = netlist.constants()
     trig = BatchExpr(trigger_expr(spec, netlist), injected.width, consts)
@@ -420,8 +432,6 @@ def _find_activation(spec: TrojanSpec, netlist: Netlist,
     kernel = kernel or SimKernel(netlist, keep=reads)
     inj_kernel = SimKernel(injected, keep=keep)
 
-    graph = build_graph(injected)
-    trig_signals = {c.signal for c in spec.trigger}
     ante_term = (BatchExpr(ante.steps[0][1], injected.width, consts)
                  if ante is not None else None)
     screen_nets = trig.nets | (ante_term.nets if ante_term is not None
@@ -471,18 +481,10 @@ def _find_activation(spec: TrojanSpec, netlist: Netlist,
             return False
         return bool(meets(dirty, kernel.run(stim).arrays(reads))[0])
 
-    # enumerate the inputs that steer the objective (trigger plus the
-    # target's antecedent) before falling back to everything the read
-    # nets depend on; consequent-only inputs can ride the defaults
-    steer = set(trig_signals)
-    if ante is not None:
-        for term in ante.terms():
-            steer |= {s for s in ex.idents_of(term) if s in injected.nets}
-    narrow = input_cone(injected, graph, steer)
-    wide = sorted(set(narrow) | set(input_cone(injected, graph, reads)))
-    passes = [(narrow, forced), (wide, forced)]
-    stim, _stats = search_stimulus(injected, passes, objective, accept, rng,
-                                   horizon, kernel=screen_kernel)
+    cone = input_cone(injected, build_graph(injected),
+                      reads | {c.signal for c in spec.trigger})
+    stim, _stats = search_stimulus(injected, cone, forced, objective, accept,
+                                   rng, horizon, kernel=screen_kernel)
     return stim
 
 
@@ -490,8 +492,10 @@ def activation_stimulus(spec: TrojanSpec, netlist: Netlist,
                         horizon: int = 16, *, seed: int = 0) -> Stimulus:
     """Find inputs that fire the trigger and make the corruption visible.
 
-    Exhaustive over the relevant input bits when they fit the search
-    budget, otherwise a seeded random sweep; deterministic either way.
+    One search over the inputs of the observed nets' cone, with the
+    trigger's input bits forced: exhaustive over the other bits when they
+    fit the search budget, otherwise a seeded random sweep; deterministic
+    either way.
     """
     rng = substream(seed, "activate", spec.module, spec.id)
     stim = _find_activation(spec, netlist, [], None, horizon, rng)

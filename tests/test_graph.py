@@ -2,7 +2,6 @@
 
 import pytest
 from hypothesis import given
-from hypothesis import strategies as st
 
 from svaport import corpus
 from svaport.errors import UnknownSignalError
@@ -99,26 +98,6 @@ def test_exactly_one_relation_per_pair(corpus_designs):
             counts[classify(g, reader, source).kind] += 1
     assert sum(counts.values()) == len(nl.nets) ** 2
     assert all(v > 0 for v in counts.values())
-
-
-@given(gen.designs(), st.integers(0, 6))
-def test_fanin_monotone_in_depth(nl, depth):
-    g = build_graph(nl)
-    for signal in nl.nets:
-        shallow = fanin(g, signal, max_depth=depth)
-        deep = fanin(g, signal, max_depth=depth + 1)
-        unbounded = fanin(g, signal)
-        assert set(shallow) <= set(deep) <= set(unbounded)
-        for name, d in shallow.items():
-            assert deep[name] == d == unbounded[name]
-
-
-@given(gen.designs())
-def test_bounded_fanin_respects_depth(nl):
-    g = build_graph(nl)
-    for signal in nl.nets:
-        for name, d in fanin(g, signal, max_depth=2).items():
-            assert 1 <= d <= 2
 
 
 def test_to_dot_lists_nodes_and_edge_styles(irq_logic):

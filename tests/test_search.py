@@ -110,35 +110,35 @@ def test_enumerated_batches_grow_in_integer_order():
     assert (np.concatenate([b["in1"] for b in batches]) == in1).all()
 
 
-def test_search_walks_each_input_set_once_in_order():
-    # only freeing b_i can raise hit_o; the repeated a_i set is skipped
+def test_search_walks_its_input_set_once_holding_the_forced_bits():
+    # b_i[1] is forced high, so a_i and b_i[0] give eight candidates in one
+    # batch; only b_i == 3 raises hit_o
     netlist = parse_design(PICK_RTL)
     kernel = SimKernel(netlist)
-    searched: list[list[str]] = []
+    searched: list[list[int]] = []
 
     def objective(arrays, inputs):
-        searched.append(sorted(inputs))
+        assert sorted(inputs) == ["a_i", "b_i"]
+        searched.append(inputs["b_i"].tolist())
         return np.flatnonzero(arrays["hit_o"].any(axis=1))
 
     def search(accept):
         searched.clear()
-        return search_stimulus(netlist, [(["a_i"], {}), (["b_i"], {}),
-                                         (["a_i"], {})],
+        return search_stimulus(netlist, ["a_i", "b_i"], {("b_i", 1): 1},
                                objective, accept, np.random.default_rng(0),
                                4, kernel=kernel)
 
     stim, stats = search(lambda s: kernel.run(s).value("hit_o", 0) == 1)
-    assert searched == [["a_i"], ["b_i"]]
+    assert searched == [[2] * 4 + [3] * 4]
     assert {(c["a_i"], c["b_i"]) for c in stim.inputs} == {(0, 3)}
     assert stim.cycles == 4
-    # one SearchStats covers both sets: four candidates each
     assert stats.candidates == 8
     assert (stats.schedule, stats.space, stats.forced) == \
-        ("constant", "enumerated", 0)
-    # refusing b_i's witness leaves nothing new to search
+        ("constant", "enumerated", 1)
+    # refusing every witness walks the set once more, and finds nothing
     stim, stats = search(lambda s: False)
     assert stim is None and stats.schedule is None
-    assert searched == [["a_i"], ["b_i"]] and stats.candidates == 8
+    assert len(searched) == 1 and stats.candidates == 8
 
 
 LATCH_RTL = """\
@@ -154,7 +154,7 @@ endmodule
 
 
 def test_a_refused_search_runs_each_schedule_once_over_its_space():
-    # on a design with registers, a pass that forces bits tries the
+    # on a design with registers, a search that forces bits tries the
     # constant and the flipped-prefix schedule; one that forces none tries
     # the constant schedule alone
     netlist = parse_design(LATCH_RTL)
@@ -162,7 +162,7 @@ def test_a_refused_search_runs_each_schedule_once_over_its_space():
 
     def refused(forced):
         stim, stats = search_stimulus(
-            netlist, [(["a_i", "b_i"], forced)],
+            netlist, ["a_i", "b_i"], forced,
             lambda arrays, inputs: np.arange(len(arrays["q_o"])),
             lambda s: False, np.random.default_rng(0), 6, kernel=kernel)
         assert stim is None and stats.schedule is None

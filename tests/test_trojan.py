@@ -317,11 +317,13 @@ def test_forge_compiles_once_per_netlist_and_confirms_each_check(
     confirmed: list[bool] = []
     search = trojan.search_stimulus
 
-    def counting_search(netlist, passes, objective, accept, *rest, **kwargs):
+    def counting_search(netlist, inputs, forced, objective, accept, *rest,
+                        **kwargs):
         def confirm(stim):
             confirmed.append(accept(stim))
             return confirmed[-1]
-        return search(netlist, passes, objective, confirm, *rest, **kwargs)
+        return search(netlist, inputs, forced, objective, confirm, *rest,
+                      **kwargs)
 
     monkeypatch.setattr(sim.SimKernel, "__init__", counting_compile)
     monkeypatch.setattr(trojan, "search_stimulus", counting_search)
@@ -571,6 +573,17 @@ def test_prefilter_keeps_attempts_the_warm_up_can_activate():
                                    skipped=skipped)
     assert stim is not None and not skipped
     assert [c["en_i"] for c in stim.inputs] == [0] * 4 + [1] * 4
+    # the term also needs d_i high: forcing that literal with the trigger
+    # would hold it low for the warm-up, so the clashing en_i leaves d_i
+    # free, and the activation holds it high throughout
+    target = parse_assertions(
+        "W: assert property (@(posedge clk) !en_i && d_i |-> ##4 y_o == d_i);")
+    stim = trojan._find_activation(spec, netlist, [Checker(target[0], netlist)],
+                                   0, 8, np.random.default_rng(0),
+                                   skipped=skipped)
+    assert stim is not None and not skipped
+    assert [(c["en_i"], c["d_i"]) for c in stim.inputs] == \
+        [(0, 1)] * 4 + [(1, 1)] * 4
     # with d_i also in the trigger and needed high, the warm-up holds it
     # low: no cycle can meet the antecedent, and the attempt is skipped
     spec = replace(spec, trigger=(TriggerCond("d_i", 0, 1),
@@ -757,6 +770,13 @@ def test_activation_search_agrees_with_the_oracles(case, seed):
     checkers = [Checker(a, netlist) for a in assertions]
     stim = trojan._find_activation(spec, netlist, checkers, target, horizon,
                                    np.random.default_rng(seed))
+    # the search forcing the trigger bits alone finds an activation only
+    # where the guided one, which also forces the target's literals, does
+    with mock.patch.object(trojan, "necessary_literals", lambda *_: {}):
+        unguided = trojan._find_activation(spec, netlist, checkers, target,
+                                           horizon,
+                                           np.random.default_rng(seed))
+    assert unguided is None or stim is not None
     if stim is not None:
         assert stim.cycles == horizon
         assert _meets_by_oracle(netlist, spec, assertions, target, stim)
