@@ -57,13 +57,13 @@ from .errors import ConfigError, SvaportError, UnknownSignalError
 from .graph import build_graph
 from .metrics import (MetricsReport, ModuleRow, TrojanRow,
                       analytic_probability, emit_report)
-from .monitor import check_assertions
+from .monitor import AssertionVerdict, check_assertions
 from .netlist import Netlist, render_netlist
 from .records import field, file_name, read_json, read_text, record
 from .rtl_parser import parse_design
-from .sim import (SimKernel, Stimulus, load_stimulus, simulate,
-                  stimulus_text)
-from .sva import Assertion, parse_assertions, render_assertion
+from .sim import SimKernel, Stimulus, load_stimulus, stimulus_text
+from .sva import (Assertion, parse_assertions, render_assertion,
+                  signals_of)
 from .translate import SignalMap, TranslationConfig, assertion_key, translate
 from .trojan import (ForgeParams, TrojanSpec, activation_stimulus, forge,
                      inject, load_trojans, validate_spec)
@@ -237,6 +237,17 @@ def cmd_inject(config: ProjectConfig) -> int:
 # evaluate
 
 
+def _replay(netlist: Netlist, stimulus: Stimulus,
+            assertions: list[Assertion]) -> list[AssertionVerdict]:
+    """Each assertion's verdict on *stimulus*, run on a kernel sliced to
+    the nets the assertions read, clocks included.  A name that is no net
+    of *netlist* stays out of the slice, for the checker to reject."""
+    keep = set().union(*(signals_of(a) | {a.clock}
+                         for a in assertions)) & netlist.nets.keys()
+    return check_assertions(SimKernel(netlist, keep).run(stimulus),
+                            assertions)
+
+
 def _evaluate_one(sv_path: Path, stim_path: Path,
                   assertions: list[Assertion]) -> tuple[bool, str | None]:
     """Score one trojan: does any translated assertion fail on its
@@ -245,8 +256,8 @@ def _evaluate_one(sv_path: Path, stim_path: Path,
     from sinking the batch."""
     try:
         netlist = parse_design(read_text(sv_path))
-        trace = simulate(netlist, load_stimulus(stim_path, netlist))
-        verdicts = check_assertions(trace, assertions)
+        verdicts = _replay(netlist, load_stimulus(stim_path, netlist),
+                           assertions)
         detected = any(v.failure_count >= 1 for v in verdicts)
         return detected, None
     except Exception as err:  # noqa: BLE001 - isolation boundary

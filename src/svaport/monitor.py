@@ -57,32 +57,44 @@ class Failure:
     fail_cycle: int
 
 
-@dataclass
+@dataclass(eq=False)
 class AssertionVerdict:
+    """One assertion's outcome over one trace.  *codes* holds the status
+    code of the attempt started at each cycle, an index into
+    ``STATUSES``; the counts are taken from the codes."""
+
     name: str
-    statuses: list[str]
+    codes: np.ndarray  # int8 (cycles,)
     failures: list[Failure] = field(default_factory=list)
     past_underflow_warnings: int = 0
 
     @property
+    def statuses(self) -> list[str]:
+        """The status of the attempt started at each cycle."""
+        return [STATUSES[c] for c in self.codes.tolist()]
+
+    def _count(self, code: int) -> int:
+        return int(np.count_nonzero(self.codes == code))
+
+    @property
     def attempts(self) -> int:
-        return sum(1 for s in self.statuses if s != NOT_ATTEMPTED)
+        return self.codes.size - self._count(_NOT_ATTEMPTED)
 
     @property
     def vacuous_passes(self) -> int:
-        return self.statuses.count(VACUOUS_PASS)
+        return self._count(_VACUOUS_PASS)
 
     @property
     def non_vacuous_passes(self) -> int:
-        return self.statuses.count(PASS)
+        return self._count(_PASS)
 
     @property
     def failure_count(self) -> int:
-        return self.statuses.count(FAIL)
+        return self._count(_FAIL)
 
     @property
     def pending_at_end(self) -> int:
-        return self.statuses.count(PENDING)
+        return self._count(_PENDING)
 
     @property
     def failed(self) -> bool:
@@ -108,9 +120,8 @@ def check_assertion(trace: Trace, assertion: Assertion) -> AssertionVerdict:
     status = verdict.status[0]
     failures = [Failure(int(t), int(verdict.fail_cycle[0, t]))
                 for t in np.flatnonzero(status == _FAIL)]
-    return AssertionVerdict(checker.assertion.effective_name(),
-                            [STATUSES[c] for c in status.tolist()], failures,
-                            int(verdict.past_underflows[0]))
+    return AssertionVerdict(checker.assertion.effective_name(), status,
+                            failures, int(verdict.past_underflows[0]))
 
 
 def check_assertions(trace: Trace, assertions: list[Assertion]) -> list[AssertionVerdict]:

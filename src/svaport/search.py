@@ -26,6 +26,7 @@ one, and every witness of the larger space lies in it.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import groupby
 from typing import Callable, Iterator
 
 import numpy as np
@@ -221,6 +222,21 @@ def _free(netlist: Netlist, inputs: list[str],
             if (name, bit) not in forced]
 
 
+def _runs(free: list[tuple[str, int]]) -> list[tuple]:
+    """Free bit i is bit i % _WORD of code word i // _WORD.  Consecutive
+    free bits of one input that lie in one word and fill adjacent bits of
+    the input, so that bit - i stays the same, form a run, copied with
+    one shift and mask: (input, word, shift, mask, lowest bit)."""
+    runs = []
+    for (name, word, _), group in groupby(
+            enumerate(free), key=lambda e: (e[1][0], e[0] // _WORD,
+                                            e[1][1] - e[0])):
+        (i, (_, bit)), *rest = group
+        runs.append((name, word, np.uint64(i % _WORD),
+                     np.uint64(ex.mask(1 + len(rest))), np.uint64(bit)))
+    return runs
+
+
 def _vectors(netlist: Netlist, inputs: list[str],
              forced: Literals,
              rng: np.random.Generator) -> Iterator[dict[str, np.ndarray]]:
@@ -234,16 +250,14 @@ def _vectors(netlist: Netlist, inputs: list[str],
     for (name, bit), val in forced.items():
         if name in base and val:
             base[name] |= np.uint64(1 << bit)
+    runs = _runs(free)
 
     def expand(codes: np.ndarray) -> dict[str, np.ndarray]:
-        """Free bit i is bit i % _WORD of column i // _WORD of the
-        (rows, words) *codes*."""
+        """The inputs of the (rows, words) *codes*, run by run."""
         rows = codes.shape[0]
         out = {name: np.full(rows, base[name], dtype=np.uint64) for name in inputs}
-        for i, (name, bit) in enumerate(free):
-            word, shift = divmod(i, _WORD)
-            bits = (codes[:, word] >> np.uint64(shift)) & np.uint64(1)
-            out[name] |= bits << np.uint64(bit)
+        for name, word, shift, mask, bit in runs:
+            out[name] |= ((codes[:, word] >> shift) & mask) << bit
         return out
 
     n = len(free)

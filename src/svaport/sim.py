@@ -15,13 +15,15 @@ parser rejects nets wider than 64 bits).  ``emit`` is the one expression
 evaluator: it writes the kernel's code, and ``BatchExpr`` compiles
 assertion terms and search screens with it.
 
-A stimulus is one map of input values per cycle.  ``Stimulus.for_design``
-checks it whole, a list of maps naming inputs and each input's column all
-integers that fit its width; it walks the cycles one by one only when a
-check fails, to name the first bad cycle.  ``stimulus_text`` writes every
-cycle through one format string per tuple of input names, and
-``SimKernel.run`` reads each cycle's inputs with one item getter, so a long
-stimulus costs no Python work per value.
+A stimulus holds one column of values per input.  ``Stimulus.for_design``
+builds the columns, in the netlist's input order, from a list of
+per-cycle maps, each in one pass, and checks them whole: maps naming
+inputs only, and each column all integers that fit the input's width.  It
+walks the cycles one by one only when a check fails, to name the first
+bad cycle.
+``stimulus_text`` fills one line template per cycle from the zipped
+columns, and ``SimKernel.run`` zips the columns into each cycle's inputs,
+so a long stimulus costs no Python work per value.
 
 A kernel may be sliced to the nets a caller reads (``SimKernel(netlist,
 keep)``): it then computes only their fan-in cone and returns only them,
@@ -31,16 +33,17 @@ as (rows, cycles) views.  A batch run stops stepping once its inputs hold
 and a step leaves every register of every row unchanged, since each later
 cycle repeats that one.  A scalar run returns a ``Trace``, which keeps the
 netlist it ran: readers take the nets' widths and the design's constants
-from it.
+from it.  A trace holds each net's values as a list and converts a net to
+one uint64 array the first time a reader asks for it.
 """
 
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from functools import lru_cache
-from itertools import repeat
-from operator import itemgetter
+from itertools import chain, repeat
+from operator import itemgetter, pos
 from pathlib import Path
 from typing import Callable, Iterable, Mapping
 
@@ -55,41 +58,99 @@ from .records import read_json
 # --------------------------------------------------------------------------
 # stimulus
 
-@dataclass
+@dataclass(init=False)
 class Stimulus:
-    """Per-cycle values for every primary input.
+    """Values for every primary input, held as one column per input.
 
-    Construction normalizes the cycle maps so each one names every input
-    explicitly: omitted inputs default to 0, except a reset net, which
-    defaults to its inactive level so designs run unless a cycle explicitly
-    asserts reset.
+    ``columns`` maps each input to its values, one per cycle; ``cycles``
+    counts the cycles, which a design without inputs has too.
+    ``Stimulus(rows)`` takes full per-cycle maps that all name the same
+    inputs; ``for_design`` also fills in the inputs a cycle omits and
+    checks the values.  ``inputs``, the per-cycle maps, is built on
+    demand.
     """
 
-    inputs: list[dict[str, int]]
+    columns: dict[str, list[int]]
+    cycles: int
+
+    def __init__(self, rows: list[dict[str, int]]):
+        names = list(rows[0]) if rows else []
+        if any(row.keys() != rows[0].keys() for row in rows):
+            raise ValueError("every cycle of a stimulus must name the same "
+                             "inputs")
+        self.columns = {name: [row[name] for row in rows] for name in names}
+        self.cycles = len(rows)
+
+    @classmethod
+    def _of_columns(cls, columns: dict[str, list[int]],
+                    cycles: int) -> "Stimulus":
+        stim = cls.__new__(cls)
+        stim.columns, stim.cycles = columns, cycles
+        return stim
+
+    def rows(self) -> Iterable[tuple]:
+        """Each cycle's values, in the order of ``columns``."""
+        if not self.columns:
+            return repeat((), self.cycles)
+        return zip(*self.columns.values())
 
     @property
-    def cycles(self) -> int:
-        return len(self.inputs)
+    def inputs(self) -> list[dict[str, int]]:
+        """One map of every input's value per cycle, built on each read."""
+        names = list(self.columns)
+        return [dict(zip(names, values)) for values in self.rows()]
 
     @staticmethod
     def for_design(netlist: Netlist, cycles: list[dict[str, int]]) -> "Stimulus":
         """Fill in the defaults; the first bad cycle or value raises.
 
-        The input is checked whole: a list of maps naming inputs only, and
-        each input's column all integers that fit its width.  Only a
-        stimulus that fails a check is walked cycle by cycle, to name its
-        first bad cycle or value.
+        A cycle that omits an input gives it 0, or a reset net its
+        inactive level, so designs run unless a cycle asserts reset.  The
+        columns come in the netlist's input order.  Each is built in one
+        pass, straight from the maps when every cycle names the same
+        inputs, and checked whole: all integers that fit the input's
+        width.  Only a stimulus that fails a check is walked cycle by
+        cycle, to name its first bad cycle or value.
         """
         nets = netlist.inputs()
-        inactive = netlist.idle_resets()
-        defaults = {n.name: inactive.get(n.name, 0) for n in nets}
-        if (type(cycles) is list and set(map(type, cycles)) <= {dict}
-                and set().union(*cycles) <= defaults.keys()):
-            rows = [{**defaults, **cycle} for cycle in cycles]
-            if not rows or all(_fits(list(map(itemgetter(n.name), rows)),
-                                     n.width) for n in nets):
-                return Stimulus(rows)
-        return Stimulus(_checked_rows(netlist, cycles))
+        if type(cycles) is list and set(map(type, cycles)) <= {dict}:
+            columns = _columns(netlist, cycles)
+            if columns is not None and (not cycles or all(
+                    _fits(columns[n.name], n.width) for n in nets)):
+                return Stimulus._of_columns(columns, len(cycles))
+        rows = _checked_rows(netlist, cycles)
+        return Stimulus._of_columns(
+            {n.name: [row[n.name] for row in rows] for n in nets}, len(rows))
+
+
+def _columns(netlist: Netlist,
+             cycles: list[dict]) -> dict[str, list] | None:
+    """Each input's column, defaults filled in; None when a cycle names
+    something that is not an input.
+
+    When every cycle has m keys and m inputs are found in every cycle,
+    those m are each cycle's keys and no other input is in any: their
+    columns are read straight from the maps and the others hold their
+    default.
+    """
+    names = [n.name for n in netlist.inputs()]
+    inactive = netlist.idle_resets()
+    lengths = set(map(len, cycles))
+    if len(lengths) == 1:
+        found = {}
+        for name in names:
+            try:
+                found[name] = list(map(itemgetter(name), cycles))
+            except KeyError:
+                pass
+        if len(found) in lengths:
+            return {name: found[name] if name in found
+                    else [inactive.get(name, 0)] * len(cycles)
+                    for name in names}
+    if not set().union(*cycles) <= set(names):
+        return None
+    return {name: [cycle.get(name, inactive.get(name, 0)) for cycle in cycles]
+            for name in names}
 
 
 def _fits(column: list, width: int) -> bool:
@@ -133,19 +194,14 @@ def stimulus_text(stim: Stimulus) -> str:
     input map per cycle, each on its own line.
 
     Each line is what ``json.dumps`` writes for the cycle's map, given that
-    its values are ints, as ``Stimulus.for_design`` makes them.  It is
-    formatted from one ``%d`` template per tuple of input names.
+    its values are ints, as ``Stimulus.for_design`` makes them.  One
+    template per line, naming the columns in order, is repeated for every
+    cycle and filled from the columns in a single formatting call.
     """
-    templates: dict[tuple, str] = {}
-    lines = []
-    for row in stim.inputs:
-        keys = tuple(row)
-        template = templates.get(keys)
-        if template is None:
-            template = templates[keys] = "{%s}" % ", ".join(
-                json.dumps(k).replace("%", "%%") + ": %d" for k in keys)
-        lines.append(template % tuple(row.values()))
-    return "[\n" + ",\n".join(lines) + "\n]\n"
+    line = "{%s}" % ", ".join(json.dumps(name).replace("%", "%%") + ": %s"
+                              for name in stim.columns)
+    body = ",\n".join(repeat(line, stim.cycles))
+    return "[\n" + body % tuple(chain.from_iterable(stim.rows())) + "\n]\n"
 
 
 def save_stimulus(stim: Stimulus, path: str | Path) -> None:
@@ -163,12 +219,21 @@ def load_stimulus(path: str | Path, netlist: Netlist) -> Stimulus:
 @dataclass
 class Trace:
     """Settled per-cycle values of the simulated nets of *netlist*, which
-    gives their widths and the design's constants."""
+    gives their widths and the design's constants.
+
+    ``values`` holds each net's values as a list.  ``arrays`` converts a
+    net to uint64 on its first request and hands out that same read-only
+    array after, so a trace read by many assertions converts each net
+    once.  uint64 holds every net: the RTL parser rejects nets wider than
+    64 bits.
+    """
 
     netlist: Netlist
     nets: tuple[str, ...]
     values: dict[str, list[int]]
     cycles: int
+    _arrays: dict[str, np.ndarray] = field(
+        default_factory=dict, init=False, repr=False, compare=False)
 
     def value(self, net: str, cycle: int) -> int:
         try:
@@ -178,9 +243,17 @@ class Trace:
                 f"{net} is not a net of {self.netlist.name}") from None
 
     def arrays(self, nets: Iterable[str]) -> dict[str, np.ndarray]:
-        """The given nets as (1, cycles) uint64 arrays: the trace as a
-        batch of one row."""
-        return {n: np.array([self.values[n]], dtype=np.uint64) for n in nets}
+        """The given nets as read-only (1, cycles) uint64 arrays: the trace
+        as a batch of one row."""
+        out = {}
+        for n in nets:
+            arr = self._arrays.get(n)
+            if arr is None:
+                arr = self._arrays[n] = np.array([self.values[n]],
+                                                 dtype=np.uint64)
+                arr.flags.writeable = False
+            out[n] = arr
+        return out
 
 
 # --------------------------------------------------------------------------
@@ -401,20 +474,20 @@ class SimKernel:
     def run(self, stimulus: Stimulus) -> Trace:
         fn, regs, out = self._fn, self.reg_init, []
         for ins in self._input_tuples(stimulus):
-            nets, regs = fn(ins, regs, 0, int, _scalar_mux)
+            # operator.pos turns a comparison's bool into an int, as int()
+            # does, at a third of the cost
+            nets, regs = fn(ins, regs, 0, pos, _scalar_mux)
             out.append(nets)
         columns = zip(*out) if out else repeat(())
         values = {name: list(col) for name, col in zip(self.net_order, columns)}
         return Trace(self.netlist, self.net_order, values, stimulus.cycles)
 
     def _input_tuples(self, stimulus: Stimulus) -> Iterable[tuple]:
-        """Each cycle's input values, in ``input_names`` order."""
-        names, rows = self.input_names, stimulus.inputs
-        if not names:
-            return repeat((), len(rows))
-        if len(names) == 1:
-            return zip(map(itemgetter(names[0]), rows))
-        return map(itemgetter(*names), rows)
+        """Each cycle's input values, in ``input_names`` order: the
+        stimulus's columns zipped."""
+        if not self.input_names:
+            return repeat((), stimulus.cycles)
+        return zip(*map(stimulus.columns.__getitem__, self.input_names))
 
     def run_batch(self, inputs: dict[str, np.ndarray], cycles: int) -> dict[str, np.ndarray]:
         """Simulate many stimuli at once.

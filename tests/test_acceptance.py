@@ -15,7 +15,7 @@ from pathlib import Path
 import numpy as np
 
 from svaport import corpus
-from svaport.cli import main as cli_main
+from svaport.cli import _replay, main as cli_main
 from svaport.graph import Relation, build_graph, classify, fanin
 from svaport.metrics import (analytic_probability, brute_force_probability,
                              monte_carlo_probability, tder, tpi)
@@ -23,8 +23,8 @@ from svaport.monitor import check_assertion, check_assertions
 from svaport.netlist import NetKind
 from svaport.rtl_parser import parse_design
 from svaport.search import input_cone
-from svaport.sim import (BatchExpr, SimKernel, Trace, load_stimulus,
-                         simulate)
+from svaport.sim import (BatchExpr, SimKernel, Stimulus, Trace,
+                         load_stimulus, simulate)
 from svaport.sva import parse_assertion, parse_assertions
 from svaport.translate import (SignalMap, TranslationConfig, assertion_key,
                                translate)
@@ -238,6 +238,29 @@ def test_c08_every_forged_trojan_is_dormant_until_activated(campaign_run,
                        for n in clean.nets), spec.id
             verdicts = check_assertions(dirty_trace, assertions)
             assert any(v.failure_count >= 1 for v in verdicts), spec.id
+
+
+def test_evaluate_slice_keeps_every_verdict(campaign_run, corpus_designs):
+    # evaluate runs each trojan on a kernel sliced to the assertions' nets;
+    # on the stored activation and on a long random stimulus, every verdict
+    # equals the full kernel's
+    rng = random.Random(23)
+    for module in corpus.MODULES:
+        assertions = _translated(campaign_run, module)
+        for spec_path in _spec_paths(campaign_run, module):
+            dirty = parse_design(spec_path.with_suffix(".sv").read_text())
+            activation = load_stimulus(
+                spec_path.with_name(f"{spec_path.stem}.stim.json"), dirty)
+            noise = Stimulus.for_design(dirty, [
+                {n.name: rng.randrange(1 << n.width) for n in dirty.inputs()}
+                for _ in range(300)])
+            for stim in (activation, noise):
+                full = check_assertions(simulate(dirty, stim), assertions)
+                sliced = _replay(dirty, stim, assertions)
+                assert [(v.name, v.statuses, v.failures,
+                         v.past_underflow_warnings) for v in sliced] == \
+                    [(v.name, v.statuses, v.failures,
+                      v.past_underflow_warnings) for v in full], spec_path.stem
 
 
 def test_c09_probability_paths_agree(campaign_run, corpus_designs):

@@ -97,6 +97,41 @@ def test_sampled_batches_grow_and_join_to_one_draw(widths):
         assert (got == expected).all(), name
 
 
+@settings(max_examples=60)
+@given(st.lists(st.integers(1, 64), min_size=1, max_size=4), st.data())
+def test_vectors_fill_free_bits_as_the_per_bit_expansion(widths, data):
+    # _vectors copies each run of adjacent free bits of one input and one
+    # code word with one shift and mask; the candidates are those of
+    # filling free bit i from bit i % 63 of word i // 63, one bit at a time
+    nl = _inputs(*widths)
+    names = sorted(nl.nets)
+    forced = {}
+    for name, width in zip(names, widths):
+        for bit in data.draw(st.sets(st.integers(0, width - 1))):
+            forced[name, bit] = data.draw(st.integers(0, 1))
+    free = [(n, b) for n, w in zip(names, widths) for b in range(w)
+            if (n, b) not in forced]
+    assume(len(free) <= 12 or len(free) > 20)
+    seed = data.draw(st.integers(0, 2 ** 32 - 1))
+    batches = list(_vectors(nl, names, forced, np.random.default_rng(seed)))
+    if len(free) <= 12:
+        codes = np.arange(1 << len(free), dtype=np.uint64)[:, None]
+    else:
+        codes = np.random.default_rng(seed).integers(
+            0, 1 << 63, size=(_RANDOM_VECTORS, -(-len(free) // 63)),
+            dtype=np.uint64)
+    want = {n: np.zeros(codes.shape[0], dtype=np.uint64) for n in names}
+    for (name, bit), value in forced.items():
+        want[name] |= np.uint64(value << bit)
+    for i, (name, bit) in enumerate(free):
+        word, shift = divmod(i, 63)
+        want[name] |= ((codes[:, word] >> np.uint64(shift)) & np.uint64(1)) \
+            << np.uint64(bit)
+    for name in names:
+        assert np.array_equal(np.concatenate([b[name] for b in batches]),
+                              want[name]), name
+
+
 def test_enumerated_batches_grow_in_integer_order():
     nl = _inputs(7, 6)
     batches = list(_vectors(nl, ["in0", "in1"], {("in1", 2): 1},

@@ -560,6 +560,59 @@ def test_stimulus_text_is_json_dumps_per_cycle(nl, data):
         "[\n" + ",\n".join(map(json.dumps, stim.inputs)) + "\n]\n"
 
 
+@given(_designs(), st.data())
+def test_stimulus_of_full_rows_equals_for_design(nl, data):
+    # full per-cycle maps, in any key order, as perfbench's checks and the
+    # oracles build stimuli: the same columns as for_design's
+    names = data.draw(st.permutations([n.name for n in nl.inputs()]))
+    rows = [{k: data.draw(st.integers(0, (1 << nl.width(k)) - 1))
+             for k in names} for _ in range(data.draw(st.integers(1, 6)))]
+    stim = Stimulus(rows)
+    assert stim == Stimulus.for_design(nl, rows)
+    assert stim.cycles == len(rows) and stim.inputs == rows
+
+
+def test_stimulus_rows_must_name_the_same_inputs():
+    with pytest.raises(ValueError, match="same inputs"):
+        Stimulus([{"a_i": 1}, {"b_i": 1}])
+
+
+def test_trace_arrays_convert_each_net_once(corpus_designs):
+    nl = corpus_designs["csr_unit"]
+    trace = simulate(nl, _random_stimulus(nl, 40, 3))
+    first = trace.arrays(nl.nets)
+    again = trace.arrays(sorted(nl.nets, reverse=True))
+    for n in nl.nets:
+        assert again[n] is first[n]
+        assert first[n].dtype == np.uint64 and first[n].shape == (1, 40)
+        assert not first[n].flags.writeable
+        assert np.array_equal(first[n], np.array([trace.values[n]],
+                                                 dtype=np.uint64))
+
+
+def test_scalar_run_stores_ints(corpus_designs):
+    # comparisons settle to bools; a scalar run stores them as ints, which
+    # the VCD writer prints as digits
+    nl = corpus_designs["csr_unit"]
+    trace = simulate(nl, _random_stimulus(nl, 20, 4))
+    assert {type(v) for col in trace.values.values() for v in col} == {int}
+
+
+@pytest.mark.parametrize("cycles", [0, 3])
+@pytest.mark.parametrize("nl", SMALL_DESIGNS[:2], ids=["no_input", "clock"])
+def test_stimulus_without_inputs_or_cycles(tmp_path, nl, cycles):
+    stim = Stimulus.for_design(nl, [{}] * cycles)
+    assert stim.inputs == oracles.stimulus_rows(nl, [{}] * cycles)
+    path = tmp_path / "stim.json"
+    save_stimulus(stim, path)
+    assert path.read_text() == \
+        "[\n" + ",\n".join(map(json.dumps, stim.inputs)) + "\n]\n"
+    assert load_stimulus(path, nl) == stim
+    trace = SimKernel(nl).run(stim)
+    assert trace.cycles == cycles
+    assert trace.values == oracles.simulate_fixpoint(nl, stim).values
+
+
 @settings(max_examples=15)
 @given(st.sampled_from(SMALL_DESIGNS[:2]) | gen.designs(), st.data())
 def test_long_run_matches_oracle_full_and_sliced(nl, data):

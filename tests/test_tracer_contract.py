@@ -3,9 +3,10 @@
 ``perfbench/tracer.py`` replaces functions by name on the pipeline's
 modules and binds ``search_stimulus``'s ``accept`` argument by name, so a
 rename that it misses would break only traced benchmark runs.  Evaluate's
-replay must also reach ``SimKernel.run`` and ``check_assertion`` through
-the wrapped names, or its cycle and check counts would read low.  The
-wrappers stay for the life of a process, so the check runs in a fresh one.
+scoring of a trojan (``cli._evaluate_one``) must also reach
+``SimKernel.run`` and ``check_assertion`` through the wrapped names, or
+its cycle and check counts would read low.  The wrappers stay for the
+life of a process, so the check runs in a fresh one.
 """
 
 import os
@@ -41,18 +42,33 @@ counts = tracer.counts
 assert counts["search.search_stimulus.calls"] == 2, counts
 assert counts["search.accepted"] == 2, counts
 assert counts["search.exact_checks"] >= 2, counts
-# evaluate's replay: one traced run and one traced check per assertion
-from svaport.monitor import check_assertions
-from svaport.sim import Stimulus, simulate
-before = counts.copy()
+# evaluate scoring one trojan: one traced kernel, one traced run over the
+# stimulus's cycles and one traced check per assertion
+import tempfile
+from pathlib import Path
+
+from svaport import cli
+from svaport.netlist import render_netlist
+from svaport.sim import Stimulus, stimulus_text
+
+def runs():
+    return sum(1 for span in tracer.spans if span[0] == "sim.run")
+
+before, runs_before = counts.copy(), runs()
 assertions = parse_assertions(TOY_SVA)
 stim = Stimulus.for_design(toy, [{"a_i": 3, "en_i": 1}, {}, {"b_i": 5}])
-check_assertions(simulate(toy, stim), assertions)
-ran = counts["sim.run.cycles"] - before["sim.run.cycles"]
-assert ran == stim.cycles, counts
-checked = (counts["monitor.check_assertion.calls"]
-           - before["monitor.check_assertion.calls"])
-assert checked == len(assertions), counts
+with tempfile.TemporaryDirectory() as tmp:
+    sv_path = Path(tmp, "toy_t00.sv")
+    stim_path = Path(tmp, "toy_t00.stim.json")
+    sv_path.write_text(render_netlist(trojan.inject(toy, spec)))
+    stim_path.write_text(stimulus_text(stim))
+    detected, error = cli._evaluate_one(sv_path, stim_path, assertions)
+assert error is None and detected, error
+assert runs() == runs_before + 1, counts
+delta = {key: counts[key] - before[key] for key in counts}
+assert delta["sim.kernel_compiles"] == 1, delta
+assert delta["sim.run.cycles"] == stim.cycles, delta
+assert delta["monitor.check_assertion.calls"] == len(assertions), delta
 """
 
 

@@ -700,7 +700,8 @@ _FREE_BITS = 10  # small enough for the oracle to try every candidate
 def _activation_cases(draw):
     """A generated design and assertions, a trigger on input bits, a payload
     on a driven net, and a target when there are assertions; at most
-    _FREE_BITS input bits are left free."""
+    _FREE_BITS input bits are left free.  Some targets clash with the
+    trigger, so that only a warm-up can meet them."""
     netlist = draw(gen.designs(max_inputs=3))
     off = netlist.clock_nets() | netlist.reset_nets()
     bits = [(n.name, b) for n in netlist.inputs() if n.name not in off
@@ -725,12 +726,31 @@ def _activation_cases(draw):
     assertions = draw(st.lists(gen.assertions(symbols), max_size=2))
     target = draw(st.integers(0, len(assertions) - 1)) if assertions else None
     driver = netlist.driver_of(net)
-    if isinstance(driver, Assign) and draw(st.booleans()):
+    if not isinstance(driver, Assign):
+        return netlist, spec, assertions, target
+    check = ex.Binary("==", ex.Ident(net), driver.rhs)
+    if netlist.registers and draw(st.booleans()):
+        # the target alone, clashing with the trigger so that only the
+        # warm-up of flipped_prefix can meet it: its antecedent compares
+        # the widest trigger input with a constant, every trigger bit
+        # that comparison needs is inverted against it, and its
+        # consequent looks 1-5 cycles later, when the trigger may fire
+        name = max((c.signal for c in trigger), key=netlist.width)
+        width = netlist.width(name)
+        ante = ex.Binary("==", ex.Ident(name), ex.Const(
+            draw(st.integers(0, (1 << width) - 1)), width))
+        need = necessary_literals(ante, netlist)
+        spec = replace(spec, trigger=tuple(
+            replace(c, value=1 - need[c.signal, c.bit])
+            if (c.signal, c.bit) in need else c for c in trigger))
+        later = SeqExpr(((draw(st.integers(1, 5)), check),))
+        return netlist, spec, [Assertion(SeqExpr(((0, ante),)), "|->", later,
+                                         "clk")], 0
+    if draw(st.booleans()):
         # the target is then an assertion that the clean design always
         # meets and the corrupted one breaks where the payload changes the
         # net, so that activations with a target are found often
         ante = draw(gen.expressions(symbols, max_depth=1))
-        check = ex.Binary("==", ex.Ident(net), driver.rhs)
         target = draw(st.integers(0, len(assertions)))
         assertions.insert(target, Assertion(
             SeqExpr(((0, ante),)), "|->", SeqExpr(((0, check),)), "clk"))
