@@ -1,9 +1,13 @@
 """Signal dependency graph over an elaborated netlist.
 
-Nodes are net names.  An edge (reader, read) exists when *read* appears in
-the expression driving *reader* — the right-hand side of its assign, or the
-next-value expression of its register.  Named constants are values, not
-signals, so they never become nodes or edges.
+Nodes are net names.  The edges are the ``assign`` and ``register`` edges
+of the netlist's dependency map (``Netlist.edges``): (reader, read) when
+*read* appears in the expression driving *reader*.  Named constants are
+values, not signals, so they never become nodes or edges.  The map's
+``reset`` edges, from a register to its reset net, are left out: kernel
+slicing follows them, but a reset net is not a register's source.  The
+map, built once per netlist, holds because no netlist is mutated after
+``parse_design`` or ``trojan.inject`` returns it.
 
 classify() reproduces the reader/source relationship used when linking
 assertion signals: Direct for a one-edge dependency, Indirect for a longer
@@ -15,7 +19,6 @@ from __future__ import annotations
 import enum
 from dataclasses import dataclass, field
 
-from . import expr as ex
 from .errors import UnknownSignalError
 from .netlist import Netlist
 
@@ -52,29 +55,17 @@ class DependencyGraph:
 
 
 def build_graph(netlist: Netlist) -> DependencyGraph:
-    nodes = tuple(netlist.nets)
-    reads: dict[str, set[str]] = {n: set() for n in nodes}
-    labels: dict[tuple[str, str], str] = {}
-    for a in netlist.assigns:
-        for name in ex.idents_of(a.rhs):
-            if name in netlist.nets:
-                reads[a.lhs].add(name)
-                labels[(a.lhs, name)] = "assign"
-    for r in netlist.registers:
-        for name in ex.idents_of(r.next):
-            if name in netlist.nets:
-                reads[r.target].add(name)
-                labels[(r.target, name)] = "register"
-    readers: dict[str, set[str]] = {n: set() for n in nodes}
-    for reader, read_set in reads.items():
-        for read in read_set:
-            readers[read].add(reader)
-    return DependencyGraph(
-        nodes,
-        {n: tuple(sorted(s)) for n, s in reads.items()},
-        labels,
-        {n: tuple(sorted(s)) for n, s in readers.items()},
-    )
+    """The graph of the netlist's assign and register edges."""
+    labels = {(reader, read): label for reader, es in netlist.edges.items()
+              for read, label in es if label != "reset"}
+    reads: dict[str, list[str]] = {n: [] for n in netlist.nets}
+    readers: dict[str, list[str]] = {n: [] for n in netlist.nets}
+    for reader, read in labels:
+        reads[reader].append(read)
+        readers[read].append(reader)
+    return DependencyGraph(tuple(netlist.nets),
+                           {n: tuple(r) for n, r in reads.items()}, labels,
+                           {n: tuple(sorted(r)) for n, r in readers.items()})
 
 
 def _require(graph: DependencyGraph, name: str) -> None:
@@ -82,20 +73,22 @@ def _require(graph: DependencyGraph, name: str) -> None:
         raise UnknownSignalError(f"{name} is not a net in this design")
 
 
-def _distance_to(graph: DependencyGraph, target: str) -> dict[str, int]:
-    """Shortest edge count from every node down to *target*, following read
-    edges forward (computed by walking reader edges backward from target)."""
-    dist = {target: 0}
-    frontier = [target]
+def _depths(edges: dict[str, tuple[str, ...]], start: str) -> dict[str, int]:
+    """Shortest edge count from *start* to every node it reaches over
+    *edges* (breadth first); *start* itself only through a cycle."""
+    depths: dict[str, int] = {}
+    frontier = [start]
+    depth = 0
     while frontier:
+        depth += 1
         nxt: list[str] = []
         for node in frontier:
-            for reader in graph.readers_of(node):
-                if reader not in dist:
-                    dist[reader] = dist[node] + 1
-                    nxt.append(reader)
-        frontier = sorted(set(nxt))
-    return dist
+            for n in edges[node]:
+                if n not in depths:
+                    depths[n] = depth
+                    nxt.append(n)
+        frontier = sorted(nxt)
+    return depths
 
 
 def fanin(graph: DependencyGraph, signal: str) -> dict[str, int]:
@@ -104,19 +97,7 @@ def fanin(graph: DependencyGraph, signal: str) -> dict[str, int]:
     The signal itself is excluded unless it reaches itself through a cycle.
     """
     _require(graph, signal)
-    depths: dict[str, int] = {}
-    frontier = [signal]
-    depth = 0
-    while frontier:
-        depth += 1
-        nxt: list[str] = []
-        for node in frontier:
-            for read in graph.reads_of(node):
-                if read not in depths:
-                    depths[read] = depth
-                    nxt.append(read)
-        frontier = sorted(set(nxt))
-    return depths
+    return _depths(graph.reads, signal)
 
 
 def classify(graph: DependencyGraph, reader: str, source: str) -> Relationship:
@@ -131,7 +112,9 @@ def classify(graph: DependencyGraph, reader: str, source: str) -> Relationship:
         # only a literal self-edge counts; longer cycles back to the same
         # net do not make a signal its own source
         return Relationship(Relation.UNRELATED)
-    dist = _distance_to(graph, source)
+    # shortest edge count from every node down to source, walking reader
+    # edges backward from it
+    dist = {**_depths(graph.readers, source), source: 0}
     if reader not in dist:
         return Relationship(Relation.UNRELATED)
     # walk from reader toward source, always taking the lexicographically

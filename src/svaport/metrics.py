@@ -114,8 +114,7 @@ def _trigger_cone(netlist: Netlist, spec: TrojanSpec,
                   graph: DependencyGraph | None) -> list[str]:
     """Input ports the trigger condition can possibly depend on."""
     graph = graph if graph is not None else build_graph(netlist)
-    signals = sorted({cond.signal for cond in spec.trigger})
-    return sorted(input_cone(netlist, graph, signals))
+    return input_cone(netlist, graph, {c.signal for c in spec.trigger})
 
 
 def _count_hits(netlist: Netlist, spec: TrojanSpec, kernel: SimKernel,

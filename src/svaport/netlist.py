@@ -4,13 +4,17 @@ A Netlist is what the RTL parser produces and what every later stage consumes.
 It is a flat, single-module view: named constants are kept in ``params``,
 every other identifier is a Net, and each net has at most one driver (an
 assign or a register).
+
+``Netlist.edges``, the dependency map, is the one place read edges are
+taken from driver expressions; every dependency walk is derived from it.
 """
 
 from __future__ import annotations
 
 import enum
-import hashlib
+import heapq
 from dataclasses import dataclass, field
+from functools import cached_property
 
 from . import expr as ex
 from .errors import CombinationalLoopError, ElaborationError
@@ -111,50 +115,66 @@ class Netlist:
                 for r in self.registers
                 if r.reset is not None and r.reset.net in inputs}
 
-    def fingerprint(self) -> str:
-        """Stable content hash of the elaborated design."""
-        return hashlib.sha256(render_netlist(self).encode()).hexdigest()
+    @cached_property
+    def edges(self) -> dict[str, tuple[tuple[str, str], ...]]:
+        """Each driven net -> its sorted ``(read net, label)`` edges:
+        ``assign`` or ``register`` for a net its driver's expression reads,
+        ``reset`` for a register's reset net.  Built once, on first use:
+        nothing mutates a netlist after ``parse_design`` or
+        ``trojan.inject`` returns it."""
+        return _read_edges(self)
+
+
+def _read_edges(nl: Netlist) -> dict[str, tuple[tuple[str, str], ...]]:
+    edges: dict[str, tuple[tuple[str, str], ...]] = {}
+    for a in nl.assigns:
+        edges[a.lhs] = tuple(sorted(
+            (n, "assign") for n in ex.idents_of(a.rhs) if n in nl.nets))
+    for r in nl.registers:
+        reads = {(n, "register") for n in ex.idents_of(r.next) if n in nl.nets}
+        if r.reset is not None and r.reset.net in nl.nets:
+            reads.add((r.reset.net, "reset"))
+        edges[r.target] = tuple(sorted(reads))
+    return edges
 
 
 def combinational_closure(netlist: Netlist) -> list[Assign]:
-    """Order the continuous assigns so every read net is computed first.
+    """Order the continuous assigns so every read net is computed first,
+    the smallest ready net first (Kahn's algorithm with a heap).
 
     Registers break cycles: a register's target counts as available from the
     start of the cycle.  A cycle through assigns alone raises
     CombinationalLoopError naming the nets on the loop.
     """
     by_lhs = {a.lhs: a for a in netlist.assigns}
-    # edges between assign-driven nets only
-    deps: dict[str, set[str]] = {}
-    for a in netlist.assigns:
-        deps[a.lhs] = {n for n in ex.idents_of(a.rhs) if n in by_lhs}
-
+    # edges between assign-driven nets only; each set loses a net once it
+    # is placed, so a net is ready when its set is empty
+    deps = {lhs: {n for n, _ in netlist.edges[lhs] if n in by_lhs}
+            for lhs in by_lhs}
+    readers: dict[str, list[str]] = {lhs: [] for lhs in by_lhs}
+    for lhs, ds in deps.items():
+        for d in ds:
+            readers[d].append(lhs)
+    ready = [lhs for lhs, ds in deps.items() if not ds]
+    heapq.heapify(ready)
     ordered: list[Assign] = []
-    ready = sorted(lhs for lhs, ds in deps.items() if not ds)
-    remaining = {lhs: set(ds) for lhs, ds in deps.items() if ds}
-    done: set[str] = set()
     while ready:
-        lhs = ready.pop(0)
-        done.add(lhs)
+        lhs = heapq.heappop(ready)
         ordered.append(by_lhs[lhs])
-        newly = []
-        for other, ds in remaining.items():
-            ds.discard(lhs)
-            if not ds:
-                newly.append(other)
-        for other in newly:
-            del remaining[other]
-        ready = sorted(ready + newly)
+        for other in readers[lhs]:
+            deps[other].discard(lhs)
+            if not deps[other]:
+                heapq.heappush(ready, other)
 
-    if remaining:
-        # walk the leftover subgraph to surface one concrete cycle
-        stuck = sorted(remaining)
-        start = stuck[0]
+    stuck = [lhs for lhs, ds in deps.items() if ds]
+    if stuck:
+        # walk the unplaced nets, which read only each other, to surface
+        # one concrete cycle
         seen: list[str] = []
-        node = start
+        node = min(stuck)
         while node not in seen:
             seen.append(node)
-            node = sorted(d for d in deps[node] if d in remaining)[0]
+            node = min(deps[node])
         cycle = seen[seen.index(node):] + [node]
         raise CombinationalLoopError(cycle)
     return ordered
@@ -162,26 +182,27 @@ def combinational_closure(netlist: Netlist) -> list[Assign]:
 
 def validate(netlist: Netlist) -> None:
     """Re-check the structural invariants (single driver per net, every
-    referenced identifier declared, widths consistent)."""
-    drivers: dict[str, str] = {}
-    for a in netlist.assigns:
-        if a.lhs in drivers:
-            raise ElaborationError(f"net {a.lhs} has multiple drivers")
-        drivers[a.lhs] = "assign"
-    for r in netlist.registers:
-        if r.target in drivers:
-            raise ElaborationError(f"net {r.target} has multiple drivers")
-        drivers[r.target] = "register"
-    for a in netlist.assigns:
-        for name in ex.idents_of(a.rhs):
+    referenced identifier declared, ``~`` only on sized operands, no
+    combinational loop)."""
+    drivers = [(f"assign {a.lhs}", a.lhs, a.rhs) for a in netlist.assigns]
+    drivers += [(f"register {r.target}", r.target, r.next)
+                for r in netlist.registers]
+    driven: set[str] = set()
+    for _, net, _ in drivers:
+        if net in driven:
+            raise ElaborationError(f"net {net} has multiple drivers")
+        driven.add(net)
+    for where, _, e in drivers:
+        for name in ex.idents_of(e):
             if not netlist.resolves(name):
-                raise ElaborationError(f"undeclared identifier {name} in assign {a.lhs}")
-    for r in netlist.registers:
-        for name in ex.idents_of(r.next):
-            if not netlist.resolves(name):
-                raise ElaborationError(f"undeclared identifier {name} in register {r.target}")
-    for net in netlist.nets.values():
-        if net.kind is NetKind.INPUT and net.name in drivers:
+                raise ElaborationError(f"undeclared identifier {name} in {where}")
+        for node in ex.walk(e):
+            if (isinstance(node, ex.Unary) and node.op == "~"
+                    and ex.width_of(node.operand, netlist.width) is None):
+                raise ElaborationError(
+                    f"cannot apply ~ to an unsized literal in {where}")
+    for net in netlist.inputs():
+        if net.name in driven:
             raise ElaborationError(f"input {net.name} must not be driven internally")
     combinational_closure(netlist)
 
@@ -198,7 +219,7 @@ def render_netlist(nl: Netlist) -> str:
     """Pretty-print the netlist as compilable subset SystemVerilog.
 
     The output is canonical: re-parsing it yields a structurally identical
-    Netlist, which is also what makes fingerprints meaningful.
+    Netlist.
     """
     lines: list[str] = [f"module {nl.name} ("]
     for i, pname in enumerate(nl.ports):

@@ -32,7 +32,7 @@ from typing import Callable, Iterator
 import numpy as np
 
 from . import expr as ex
-from .graph import DependencyGraph, fanin
+from .graph import DependencyGraph
 from .netlist import Netlist, NetKind
 from .sim import SimKernel, Stimulus
 
@@ -63,19 +63,19 @@ class SearchStats:
 
 def input_cone(netlist: Netlist, graph: DependencyGraph,
                signals: set[str]) -> list[str]:
-    """Primary inputs that can influence any of *signals* (clock excluded,
-    an input signal is its own cone)."""
-    inputs: set[str] = set()
+    """Primary inputs that can influence any of *signals* over the graph's
+    edges, which leave out reset edges (clock excluded, an input signal is
+    its own cone, names that are not nets ignored)."""
+    cone: set[str] = set()
+    todo = [s for s in signals if s in netlist.nets]
+    while todo:
+        name = todo.pop()
+        if name not in cone:
+            cone.add(name)
+            todo.extend(graph.reads_of(name))
     clocks = netlist.clock_nets()
-    for s in sorted(signals):
-        if s not in netlist.nets:
-            continue
-        if netlist.nets[s].kind is NetKind.INPUT:
-            inputs.add(s)
-        for name in fanin(graph, s):
-            if netlist.nets[name].kind is NetKind.INPUT:
-                inputs.add(name)
-    return sorted(inputs - clocks)
+    return sorted(n for n in cone if n not in clocks
+                  and netlist.nets[n].kind is NetKind.INPUT)
 
 
 _LOGIC = ("!", "&&", "||", "==", "!=")  # operators whose value is 0 or 1

@@ -385,13 +385,8 @@ class BatchExpr:
 # compiled kernel
 
 def fanin_cone(netlist: Netlist, keep: Iterable[str]) -> set[str]:
-    """*keep* and every net that can reach it: the nets read by the assigns
-    and register next-values on the way, plus each register's reset net,
-    which its reset mux reads."""
-    reads = {a.lhs: ex.idents_of(a.rhs) for a in netlist.assigns}
-    for r in netlist.registers:
-        reads[r.target] = ex.idents_of(r.next) | (
-            {r.reset.net} if r.reset is not None else set())
+    """*keep* and every net that can reach it over the netlist's read
+    edges, reset edges included: a register's reset mux reads its net."""
     cone: set[str] = set()
     todo = list(keep)
     while todo:
@@ -401,7 +396,7 @@ def fanin_cone(netlist: Netlist, keep: Iterable[str]) -> set[str]:
         if name not in netlist.nets:
             raise UnknownSignalError(f"{name} is not a net of {netlist.name}")
         cone.add(name)
-        todo.extend(n for n in reads.get(name, ()) if n in netlist.nets)
+        todo.extend(n for n, _ in netlist.edges.get(name, ()))
     return cone
 
 

@@ -249,16 +249,12 @@ def _trigger_pool(netlist: Netlist, assertions: list[Assertion]) -> list[tuple[s
     """Candidate (input, bit) pairs inside the assertions' fan-in cones.
     Clock and reset nets never qualify: triggers must be reachable while
     the design is running normally."""
-    graph = build_graph(netlist)
-    watched: set[str] = set()
-    for a in assertions:
-        watched |= {s for s in signals_of(a) if s in netlist.nets}
-    cone = input_cone(netlist, graph, watched)
+    watched = set().union(*(signals_of(a) for a in assertions))
     off_limits = netlist.clock_nets() | netlist.reset_nets()
-    pool = [(name, bit)
-            for name in cone if name not in off_limits
+    return [(name, bit)
+            for name in input_cone(netlist, build_graph(netlist), watched)
+            if name not in off_limits
             for bit in range(netlist.width(name))]
-    return pool
 
 
 def _payload_candidates(netlist: Netlist, a: Assertion) -> list[str]:

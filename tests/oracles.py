@@ -168,6 +168,44 @@ def edge_list(netlist: Netlist) -> set[tuple[str, str]]:
     return edges
 
 
+def fanin_cone(netlist: Netlist, keep, *, resets: bool = True) -> set[str]:
+    """*keep* and every net that reaches it over ``edge_list``'s edges,
+    plus, with *resets*, each register's edge to its reset net, grown to a
+    fixpoint."""
+    edges = edge_list(netlist)
+    if resets:
+        edges |= {(r.target, r.reset.net) for r in netlist.registers
+                  if r.reset is not None}
+    cone = set(keep)
+    while True:
+        grown = cone | {b for a, b in edges if a in cone}
+        if grown == cone:
+            return cone
+        cone = grown
+
+
+def assign_order(netlist: Netlist) -> tuple[list[str], list[str] | None]:
+    """The assigns' nets, scheduled by rescanning every assign each round
+    and taking the smallest-named one whose assign-driven reads are all
+    scheduled, and the loop that stops the schedule short (None when it
+    does not): the path from the smallest unscheduled net, stepping to the
+    smallest unscheduled net each one reads, from its first repeat on."""
+    driven = {a.lhs for a in netlist.assigns}
+    reads = {a.lhs: ex.idents_of(a.rhs) & driven for a in netlist.assigns}
+    order: list[str] = []
+    while len(order) < len(reads):
+        ready = [n for n, r in reads.items()
+                 if n not in order and r <= set(order)]
+        if not ready:
+            stuck = set(reads) - set(order)
+            path = [min(stuck)]
+            while path.count(path[-1]) < 2:
+                path.append(min(reads[path[-1]] & stuck))
+            return order, path[path.index(path[-1]):]
+        order.append(min(ready))
+    return order, None
+
+
 def shortest_distances(netlist: Netlist) -> dict[tuple[str, str], int]:
     """All-pairs shortest edge counts by Bellman-Ford-style relaxation.
 

@@ -10,7 +10,8 @@ from svaport.cli import main
 from svaport.config import ForgeDefaults, ModuleJob, ProjectConfig
 from svaport.errors import ConfigError
 from svaport.rtl_parser import parse_design
-from svaport.sim import Stimulus, load_stimulus
+from svaport.sim import Stimulus, load_stimulus, stimulus_text
+from svaport.sva import parse_assertions
 
 from .test_trojan import TOY_RTL, TOY_SVA
 
@@ -678,3 +679,19 @@ def test_seed_and_out_overrides(tmp_path, capsys):
     assert doc["seed"] == 4
     spec = json.loads((alt / "toy" / "trojans" / "toy_t00.json").read_text())
     assert spec["meta"]["seed"] == 4
+
+
+def test_evaluate_reports_a_bad_assign_outside_the_assertions(tmp_path):
+    # no assertion reads junk, so evaluate's sliced kernel would never
+    # compile its assign; the parse must still reject the trojan design
+    bad = TOY_RTL.replace("  assign mix", "  logic [3:0] junk;\n"
+                          "  assign junk = ~4;\n  assign mix")
+    sv_path, stim_path = tmp_path / "toy_t00.sv", tmp_path / "toy_t00.stim.json"
+    sv_path.write_text(bad)
+    stim_path.write_text(stimulus_text(Stimulus.for_design(
+        parse_design(TOY_RTL), [{"a_i": 3, "en_i": 1}])))
+    detected, error = cli._evaluate_one(sv_path, stim_path,
+                                        parse_assertions(TOY_SVA))
+    assert not detected
+    assert error == ("ElaborationError: cannot apply ~ to an unsized "
+                     "literal in assign junk")

@@ -1,12 +1,20 @@
 """Dependency graph: edges, classification, fan-in, and oracle agreement."""
 
+from dataclasses import replace
+
 import pytest
-from hypothesis import given
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from svaport import corpus
-from svaport.errors import UnknownSignalError
+from svaport import expr as ex
+from svaport.errors import CombinationalLoopError, UnknownSignalError
 from svaport.graph import Relation, build_graph, classify, fanin, to_dot
+from svaport.netlist import (Assign, Net, NetKind, Netlist,
+                             combinational_closure)
 from svaport.rtl_parser import parse_design
+from svaport.search import input_cone
+from svaport.sim import fanin_cone
 
 from . import gen, oracles
 
@@ -107,3 +115,62 @@ def test_to_dot_lists_nodes_and_edge_styles(irq_logic):
     nl = parse_design(corpus.design_path("debug_unit").read_text())
     dot = to_dot(build_graph(nl))
     assert "[style=dashed]" in dot  # register feedback edge
+
+
+@st.composite
+def _relabelled_designs(draw):
+    """``tests/gen`` designs with the assign-driven nets renamed by a drawn
+    permutation, so a net may read one with a larger name, and up to three
+    assigns made to also read an assign-driven net, which may close
+    combinational loops."""
+    nl = draw(gen.designs(max_assigns=6))
+    assigns = [a.lhs for a in nl.assigns]
+    table = dict(zip(assigns, draw(st.permutations(assigns))))
+    nets = {table.get(n, n): Net(table.get(n, n), net.width, net.kind)
+            for n, net in nl.nets.items()}
+    rhs = [ex.rename(a.rhs, table) for a in nl.assigns]
+    for i, read in draw(st.lists(st.tuples(
+            st.integers(0, len(rhs) - 1), st.sampled_from(assigns)),
+            max_size=3)):
+        rhs[i] = ex.Binary("|", rhs[i], ex.Ident(table[read]))
+    return Netlist(
+        nl.name, tuple(table.get(p, p) for p in nl.ports), nets, nl.params,
+        [Assign(table[a.lhs], r) for a, r in zip(nl.assigns, rhs)],
+        [replace(r, next=ex.rename(r.next, table)) for r in nl.registers])
+
+
+@settings(max_examples=150)
+@given(_relabelled_designs(), st.data())
+def test_every_walk_derived_from_the_map_matches_the_oracles(nl, data):
+    edges = {(reader, read, label) for reader, es in nl.edges.items()
+             for read, label in es}
+    assert {(r, n) for r, n, label in edges if label != "reset"} \
+        == oracles.edge_list(nl)
+    assert {(r, n) for r, n, label in edges if label == "reset"} \
+        == {(r.target, r.reset.net) for r in nl.registers
+            if r.reset is not None}
+    drivers = {a.lhs: "assign" for a in nl.assigns}
+    drivers.update({r.target: "register" for r in nl.registers})
+    assert all(label in ("reset", drivers[r]) for r, _, label in edges)
+
+    g = build_graph(nl)
+    assert {(r, n) for r in g.nodes for n in g.reads_of(r)} \
+        == oracles.edge_list(nl)
+    assert {(r, n) for n in g.nodes for r in g.readers_of(n)} \
+        == oracles.edge_list(nl)
+
+    nets = sorted(nl.nets)
+    keep = data.draw(st.sets(st.sampled_from(nets), min_size=1))
+    assert fanin_cone(nl, keep) == oracles.fanin_cone(nl, keep)
+    signals = keep | data.draw(st.sets(st.sampled_from(["MAGIC", "ghost"])))
+    assert input_cone(nl, g, signals) == sorted(
+        n for n in oracles.fanin_cone(nl, keep, resets=False)
+        if nl.nets[n].kind is NetKind.INPUT and n not in nl.clock_nets())
+
+    order, loop = oracles.assign_order(nl)
+    if loop is None:
+        assert [a.lhs for a in combinational_closure(nl)] == order
+    else:
+        with pytest.raises(CombinationalLoopError) as err:
+            combinational_closure(nl)
+        assert err.value.cycle == loop

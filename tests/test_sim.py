@@ -11,7 +11,6 @@ from hypothesis import strategies as st
 
 from svaport import corpus
 from svaport.errors import ConfigError, ElaborationError, UnknownSignalError
-from svaport.graph import build_graph, fanin
 from svaport.monitor import Checker
 from svaport.netlist import Netlist
 from svaport.rtl_parser import parse_design
@@ -326,21 +325,6 @@ def test_sliced_batch_kernel_matches_oracle_on_kept_nets(run, data):
                               getattr(on_copies, field)), field
 
 
-def _fanin_cone(nl: Netlist, keep: set[str]) -> set[str]:
-    """*keep*, its graph fan-in and the reset nets of the registers in it."""
-    graph = build_graph(nl)
-    cone: set[str] = set()
-    todo = set(keep)
-    while todo:
-        cone |= todo
-        for name in list(todo):
-            cone |= set(fanin(graph, name))
-        resets = {r.reset.net for r in nl.registers
-                  if r.target in cone and r.reset is not None}
-        todo = resets - cone
-    return cone
-
-
 @pytest.mark.parametrize("name, keep", [
     ("csr_unit", {"mstatus_q"}),
     ("pmp_unit", {"in_region"}),
@@ -349,7 +333,7 @@ def _fanin_cone(nl: Netlist, keep: set[str]) -> set[str]:
 def test_sliced_kernel_assigns_only_its_cone(corpus_designs, name, keep):
     nl = corpus_designs[name]
     kernel = SimKernel(nl, keep)
-    cone = _fanin_cone(nl, keep)
+    cone = oracles.fanin_cone(nl, keep)
     assert cone < set(nl.nets)                   # the slice drops something
     # every input is still unpacked; the single-net lines set cone nets
     # (v_<net>) and cone registers' next values (n_<net>) only

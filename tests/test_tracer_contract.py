@@ -5,8 +5,9 @@ modules and binds ``search_stimulus``'s ``accept`` argument by name, so a
 rename that it misses would break only traced benchmark runs.  Evaluate's
 scoring of a trojan (``cli._evaluate_one``) must also reach
 ``SimKernel.run`` and ``check_assertion`` through the wrapped names, or
-its cycle and check counts would read low.  The wrappers stay for the
-life of a process, so the check runs in a fresh one.
+its cycle and check counts would read low.  Forge must still build its
+graph through ``build_graph``, or that layer would read 0.  The wrappers
+stay for the life of a process, so the check runs in a fresh one.
 """
 
 import os
@@ -42,6 +43,9 @@ counts = tracer.counts
 assert counts["search.search_stimulus.calls"] == 2, counts
 assert counts["search.accepted"] == 2, counts
 assert counts["search.exact_checks"] >= 2, counts
+# the forge path still builds its graph through the wrapped name, so the
+# graph.build_graph layer does not silently read 0
+assert counts["graph.build_graph.calls"] >= 1, counts
 # evaluate scoring one trojan: one traced kernel, one traced run over the
 # stimulus's cycles and one traced check per assertion
 import tempfile
@@ -69,6 +73,9 @@ delta = {key: counts[key] - before[key] for key in counts}
 assert delta["sim.kernel_compiles"] == 1, delta
 assert delta["sim.run.cycles"] == stim.cycles, delta
 assert delta["monitor.check_assertion.calls"] == len(assertions), delta
+# evaluate builds no graph (its kernel reads the map its parse built), so
+# the layer still reads the forge path's builds
+assert counts["graph.build_graph.calls"] >= 1, counts
 """
 
 

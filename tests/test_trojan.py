@@ -15,13 +15,14 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from svaport import corpus, monitor, sim, trojan
+from svaport import netlist as netlist_module
 from svaport.cli import main as cli_main
 from svaport import expr as ex
 from svaport.errors import (ActivationNotFoundError, CombinationalLoopError,
                             ConfigError, InsufficientSignalsError,
                             PayloadConflictError)
 from svaport.monitor import Checker, check_assertions
-from svaport.netlist import Assign, NetKind
+from svaport.netlist import Assign, NetKind, render_netlist
 from svaport.rtl_parser import parse_design
 from svaport.search import necessary_literals
 from svaport.sim import BatchExpr, Stimulus, simulate
@@ -135,15 +136,15 @@ def test_load_rejects_missing_fields(tmp_path):
 
 def test_inject_preserves_interface_and_original(toy):
     spec = _spec(toy)
-    before = toy.fingerprint()
+    before = render_netlist(toy)
     out = inject(toy, spec)
-    assert toy.fingerprint() == before
+    assert render_netlist(toy) == before
     assert out.name == toy.name
     assert out.ports == toy.ports
     assert {n: (d.kind, d.width) for n, d in out.nets.items()} \
         == {n: (d.kind, d.width) for n, d in toy.nets.items()}
     assert out.params == toy.params
-    assert out.fingerprint() != before
+    assert render_netlist(out) != before
     # only the payload net's driver changed
     changed = [a.lhs for a in out.assigns
                if a not in toy.assigns]
@@ -303,6 +304,24 @@ def test_forge_needs_assertions_and_trigger_bits(toy, toy_asserts):
     # toy's assertion cone offers 9 input bits in total
     with pytest.raises(InsufficientSignalsError, match="k=10"):
         forge(toy, toy_asserts, ForgeParams(count=1, k_values=(10,), seed=0))
+
+
+def test_activation_builds_each_dependency_map_once(monkeypatch):
+    built: list = []
+    read_edges = netlist_module._read_edges
+
+    def counting(nl):
+        built.append(nl)
+        return read_edges(nl)
+
+    monkeypatch.setattr(netlist_module, "_read_edges", counting)
+    clean = parse_design(TOY_RTL)
+    spec = _spec(clean)
+    trojan.activation_stimulus(spec, clean, 4)
+    # the clean design's map is built by its parse, the injected design's
+    # by inject; every kernel, cone and graph after that reuses them
+    assert len(built) == 2 and built[0] is clean
+    assert render_netlist(built[1]) == render_netlist(inject(clean, spec))
 
 
 def test_forge_compiles_once_per_netlist_and_confirms_each_check(
