@@ -191,7 +191,9 @@ def cmd_inject(config: ProjectConfig) -> int:
     """Forge and materialize this campaign's trojans."""
     for job in config.modules:
         trojans: list[tuple[TrojanSpec, Stimulus]] = []
-        target = _load_design(job.target_design)
+        # a module with no trojans to forge or import needs no design
+        if job.trojans or job.imported_trojans:
+            target = _load_design(job.target_design)
         if job.trojans:
             assertions = _translated_assertions(config, job)
             params = ForgeParams(

@@ -7,6 +7,8 @@ assign or a register).
 
 ``Netlist.edges``, the dependency map, is the one place read edges are
 taken from driver expressions; every dependency walk is derived from it.
+``Netlist.assign_order``, the order a simulator settles the assigns in, is
+derived from it once per netlist.
 """
 
 from __future__ import annotations
@@ -124,6 +126,13 @@ class Netlist:
         ``trojan.inject`` returns it."""
         return _read_edges(self)
 
+    @cached_property
+    def assign_order(self) -> tuple[Assign, ...]:
+        """The continuous assigns in ``combinational_closure``'s order,
+        derived once from ``edges``; a combinational loop raises
+        ``CombinationalLoopError`` on every read."""
+        return tuple(combinational_closure(self))
+
 
 def _read_edges(nl: Netlist) -> dict[str, tuple[tuple[str, str], ...]]:
     edges: dict[str, tuple[tuple[str, str], ...]] = {}
@@ -204,7 +213,7 @@ def validate(netlist: Netlist) -> None:
     for net in netlist.inputs():
         if net.name in driven:
             raise ElaborationError(f"input {net.name} must not be driven internally")
-    combinational_closure(netlist)
+    netlist.assign_order  # ordered now, so a combinational loop raises here
 
 
 # --------------------------------------------------------------------------

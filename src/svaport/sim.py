@@ -27,7 +27,10 @@ so a long stimulus costs no Python work per value.
 
 A kernel may be sliced to the nets a caller reads (``SimKernel(netlist,
 keep)``): it then computes only their fan-in cone and returns only them,
-which is all a search objective needs.  Batch runs store each net
+which is all a search objective needs.  A batch run may also be asked
+for a subset of the kept nets, and then stores only those: the step is
+the same, so one kernel serves a cheap pass that reads a few nets and a
+full pass over the rows that survive it.  Batch runs store each net
 cycle-major, one contiguous (rows,) row per cycle, and hand the arrays out
 as (rows, cycles) views.  A batch run stops stepping once its inputs hold
 and a step leaves every register of every row unchanged, since each later
@@ -51,7 +54,7 @@ import numpy as np
 
 from . import expr as ex
 from .errors import ConfigError, ElaborationError, UnknownSignalError
-from .netlist import Netlist, combinational_closure
+from .netlist import Netlist
 from .records import read_json
 
 
@@ -417,8 +420,7 @@ class SimKernel:
         kept = cone if keep is None else set(keep)
         self.input_names = tuple(n.name for n in netlist.inputs())
         self._registers = [r for r in netlist.registers if r.target in cone]
-        self._assigns = [a for a in combinational_closure(netlist)
-                         if a.lhs in cone]
+        self._assigns = [a for a in netlist.assign_order if a.lhs in cone]
         self._cone = tuple(n for n in netlist.nets if n in cone)
         self.reg_names = tuple(r.target for r in self._registers)
         #: the nets ``run`` and ``run_batch`` return, in declaration order
@@ -484,14 +486,17 @@ class SimKernel:
             return repeat((), stimulus.cycles)
         return zip(*map(stimulus.columns.__getitem__, self.input_names))
 
-    def run_batch(self, inputs: dict[str, np.ndarray], cycles: int) -> dict[str, np.ndarray]:
+    def run_batch(self, inputs: dict[str, np.ndarray], cycles: int,
+                  nets: Iterable[str] | None = None) -> dict[str, np.ndarray]:
         """Simulate many stimuli at once.
 
         *inputs* maps input names to uint64 arrays of shape (rows, cycles)
         or (rows,) for values held constant.  Returns each net of
-        ``net_order`` as an array of shape (rows, cycles).  Each is the
-        transposed view of a cycle-major (cycles, rows) array, so every
-        cycle's step stores one contiguous row per net.
+        ``net_order`` as an array of shape (rows, cycles), or with *nets*
+        only those, each of which must be a net the kernel keeps: the step
+        is the same, but only the asked-for nets are stored.  Each array
+        is the transposed view of a cycle-major (cycles, rows) array, so
+        every cycle's step stores one contiguous row per net.
 
         The run stops stepping at the first cycle from which every input
         holds its value and whose step leaves every register of every row
@@ -499,6 +504,17 @@ class SimKernel:
         into the rest.  Constant inputs on a combinational kernel take one
         step.
         """
+        # the positions in net_order of the nets to store
+        picks: Iterable[int] = range(len(self.net_order))
+        if nets is not None:
+            wanted = set(nets)
+            unkept = wanted.difference(self.net_order)
+            if unkept:
+                raise UnknownSignalError(
+                    f"{min(unkept)} is not a net the kernel of "
+                    f"{self.netlist.name} keeps")
+            picks = [i for i, n in enumerate(self.net_order) if n in wanted]
+        names = [self.net_order[i] for i in picks]
         rows = next(iter(inputs.values())).shape[0] if inputs else 1
         zero = np.zeros(rows, dtype=np.uint64)
 
@@ -518,18 +534,18 @@ class SimKernel:
                 if moved.size:
                     steady = max(steady, int(moved[-1]) + 1)
         regs = tuple(np.full(rows, init, dtype=np.uint64) for init in self.reg_init)
-        out = [np.empty((cycles, rows), dtype=np.uint64) for _ in self.net_order]
+        out = [np.empty((cycles, rows), dtype=np.uint64) for _ in names]
         for t in range(cycles):
             ins = tuple(col(n, t) for n in self.input_names)
-            nets, nxt = self._fn(ins, regs, zero, _batch_bit, _batch_mux)
-            for arr, v in zip(out, nets):
-                arr[t] = v
+            values, nxt = self._fn(ins, regs, zero, _batch_bit, _batch_mux)
+            for arr, i in zip(out, picks):
+                arr[t] = values[i]
             if t >= steady and all(map(np.array_equal, nxt, regs)):
                 for arr in out:
                     arr[t + 1:] = arr[t]
                 break
             regs = nxt
-        return {name: arr.T for name, arr in zip(self.net_order, out)}
+        return {name: arr.T for name, arr in zip(names, out)}
 
 
 def simulate(netlist: Netlist, stimulus: Stimulus) -> Trace:

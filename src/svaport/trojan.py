@@ -29,7 +29,7 @@ from .errors import (ActivationNotFoundError, ConfigError,
                      InsufficientSignalsError, PayloadConflictError)
 from .graph import build_graph
 from .monitor import Checker
-from .netlist import Assign, Netlist, NetKind, Register, combinational_closure
+from .netlist import Assign, Netlist, NetKind, Register
 from .records import field, read_json, record
 from .rng import substream
 from .search import (input_cone, necessary_literals, ruled_out,
@@ -222,7 +222,7 @@ def inject(netlist: Netlist, spec: TrojanSpec) -> Netlist:
         idx = out.registers.index(driver)
         out.registers[idx] = replace(driver, next=_corrupted(
             spec.payload_kind, driver.next, trig, width, spec.payload_value))
-    combinational_closure(out)  # surfaces any loop the trigger closed
+    out.assign_order  # ordered now, so a loop the trigger closed raises here
     return out
 
 
@@ -277,6 +277,13 @@ def forge(netlist: Netlist, assertions: list[Assertion],
     that assertion checks.  Candidates are sampled from a seeded stream and
     accepted only when an activation stimulus exists (see module docstring
     for the objective), so the result is deterministic for a given seed.
+
+    Each attempt's search decides a batch in stages, cheapest first (see
+    ``_find_activation``): the screen over every candidate, then the
+    corrupted design's run of the target's nets over the rows that pass
+    it, and only for rows on which the target fails, the full corrupted
+    and clean runs.  An attempt whose target never fails stops every batch
+    at the second stage and never runs the clean design.
 
     One clean kernel serves every attempt.  It is sliced to the nets the
     objective reads of the clean design: the outputs and each assertion's
@@ -376,17 +383,26 @@ def _find_activation(spec: TrojanSpec, netlist: Netlist,
     ``checkers[target]`` must fail on the corrupted design and hold on the
     clean one, and no other checker may fail.
 
-    Each batch is first screened by the trigger and the target's first
-    antecedent term (both necessary) on a kernel sliced to just their nets.
-    When the payload cannot reach those nets, that is the clean design's
-    kernel, looked up in (and added to) *screens* by its nets.  Only the
-    rows that pass are then co-simulated, on the corrupted design's kernel
-    sliced to the nets the objective reads and on the clean *kernel*
-    (which must keep those nets; by default one is sliced to them).  One
-    rule, ``meets``, decides every passing row with arrays, so every row
-    that meets the objective is returned.
-    ``accept`` re-runs the first of them on both kernels and decides it
-    with the same rule only to confirm.
+    Each batch passes three stages, each simulating only the rows that
+    survived the stage before it, the cheapest first:
+
+    1. the screen: the trigger and the target's first antecedent term
+       (both necessary), on a kernel sliced to just their nets.  When the
+       payload cannot reach those nets, that is the clean design's
+       kernel, looked up in (and added to) *screens* by its nets;
+    2. with a *target*, the corrupted design's run, storing only the
+       target checker's nets: only rows on which the target fails go on;
+    3. the co-simulation: the corrupted design's full run, on the kernel
+       stage 2 ran, which is sliced to the nets the objective reads, and
+       the clean design's run on *kernel* (which must keep those nets; by
+       default one is sliced to them).
+
+    One rule, ``meets``, decides every row that reaches stage 3 with
+    arrays.  Stage 2 drops only rows ``meets`` would reject, and rows are
+    independent in a batch run and in every checker, so every row that
+    meets the objective is returned, in order.  ``accept`` re-runs the
+    first of them on both kernels and decides it with the same rule only
+    to confirm.
 
     The search is one pass over every input the objective's nets depend
     on.  It forces the trigger's input bits and, with a *target*, the
@@ -461,10 +477,16 @@ def _find_activation(spec: TrojanSpec, netlist: Netlist,
 
     def objective(screened: dict[str, np.ndarray],
                   inputs: dict[str, np.ndarray]) -> np.ndarray:
+        # each stage simulates only the rows the one before it kept
         screen = (trig(screened) != 0).any(axis=1)
         if ante_term is not None:
             screen &= (ante_term(screened) != 0).any(axis=1)
         rows = np.flatnonzero(screen)
+        if goal is not None and rows.size:
+            # the corrupted design's run, storing only the target's nets
+            fails = goal(inj_kernel.run_batch(
+                take_rows(inputs, rows), horizon, nets=goal.nets)).failed
+            rows = rows[fails]
         if not rows.size:
             return rows
         passed = take_rows(inputs, rows)

@@ -592,6 +592,25 @@ def test_zero_trojan_campaign_reports_na(tmp_path, capsys):
     assert raw["modules"][0]["generated"] == 0
 
 
+def test_inject_parses_a_design_only_for_trojans(tmp_path, monkeypatch):
+    parsed: list[str] = []
+
+    def counting_parse(text):
+        parsed.append(text)
+        return parse_design(text)
+
+    monkeypatch.setattr(cli, "parse_design", counting_parse)
+    cfg = make_campaign(tmp_path, trojans=0)
+    assert main(["inject", "--config", str(cfg)]) == 0
+    assert parsed == []
+    # with trojans to forge, the target design is parsed once
+    cfg = make_campaign(tmp_path, trojans=1)
+    assert main(["translate", "--config", str(cfg)]) == 0
+    del parsed[:]
+    assert main(["inject", "--config", str(cfg)]) == 0
+    assert parsed == [TOY_RTL]
+
+
 def test_evaluate_with_missing_stimulus_fails(tmp_path, capsys):
     cfg = make_campaign(tmp_path)
     for stage in ("translate", "inject"):

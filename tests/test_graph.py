@@ -170,7 +170,9 @@ def test_every_walk_derived_from_the_map_matches_the_oracles(nl, data):
     order, loop = oracles.assign_order(nl)
     if loop is None:
         assert [a.lhs for a in combinational_closure(nl)] == order
+        assert [a.lhs for a in nl.assign_order] == order
     else:
-        with pytest.raises(CombinationalLoopError) as err:
-            combinational_closure(nl)
-        assert err.value.cycle == loop
+        for ordering in (combinational_closure, lambda nl: nl.assign_order):
+            with pytest.raises(CombinationalLoopError) as err:
+                ordering(nl)
+            assert err.value.cycle == loop

@@ -6,7 +6,9 @@ rename that it misses would break only traced benchmark runs.  Evaluate's
 scoring of a trojan (``cli._evaluate_one``) must also reach
 ``SimKernel.run`` and ``check_assertion`` through the wrapped names, or
 its cycle and check counts would read low.  Forge must still build its
-graph through ``build_graph``, or that layer would read 0.  The wrappers
+graph through ``build_graph``, or that layer would read 0, and run every
+batch, the run of a target's nets alone included, through ``run_batch``,
+or ``sim.run_batch.row_cycles`` would read low.  The wrappers
 stay for the life of a process, so the check runs in a fresh one.
 """
 
@@ -76,6 +78,27 @@ assert delta["monitor.check_assertion.calls"] == len(assertions), delta
 # evaluate builds no graph (its kernel reads the map its parse built), so
 # the layer still reads the forge path's builds
 assert counts["graph.build_graph.calls"] >= 1, counts
+# forging one toy trojan against a target: the run of the target's nets
+# alone goes through the wrapped run_batch too, so its row-cycles count
+from svaport.sim import SimKernel
+
+batches = []
+traced_run_batch = SimKernel.run_batch
+
+def spy(self, inputs, cycles, nets=None):
+    out = traced_run_batch(self, inputs, cycles, nets=nets)
+    rows, steps = next(iter(out.values())).shape
+    batches.append((nets is not None, rows * steps))
+    return out
+
+SimKernel.run_batch = spy
+before = counts["sim.run_batch.row_cycles"]
+forged = trojan.forge(toy, assertions, trojan.ForgeParams(
+    count=1, k_min=2, k_max=2, seed=6, horizon=4))
+assert len(forged) == 1
+assert any(subset for subset, _ in batches), batches
+assert counts["sim.run_batch.row_cycles"] - before \
+    == sum(cost for _, cost in batches), batches
 """
 
 

@@ -3,7 +3,6 @@
 import json
 import random
 
-import itertools
 import shutil
 from collections import Counter
 from dataclasses import replace
@@ -308,20 +307,30 @@ def test_forge_needs_assertions_and_trigger_bits(toy, toy_asserts):
 
 def test_activation_builds_each_dependency_map_once(monkeypatch):
     built: list = []
+    ordered: list = []
     read_edges = netlist_module._read_edges
+    closure = netlist_module.combinational_closure
 
     def counting(nl):
         built.append(nl)
         return read_edges(nl)
 
+    def counting_order(nl):
+        ordered.append(nl)
+        return closure(nl)
+
     monkeypatch.setattr(netlist_module, "_read_edges", counting)
+    monkeypatch.setattr(netlist_module, "combinational_closure",
+                        counting_order)
     clean = parse_design(TOY_RTL)
     spec = _spec(clean)
     trojan.activation_stimulus(spec, clean, 4)
-    # the clean design's map is built by its parse, the injected design's
-    # by inject; every kernel, cone and graph after that reuses them
+    # the clean design's map and assign order are built by its parse, the
+    # injected design's by inject; every kernel, cone and graph after that
+    # reuses them
     assert len(built) == 2 and built[0] is clean
     assert render_netlist(built[1]) == render_netlist(inject(clean, spec))
+    assert list(map(id, ordered)) == list(map(id, built))
 
 
 def test_forge_compiles_once_per_netlist_and_confirms_each_check(
@@ -430,14 +439,14 @@ def test_activation_search_decides_every_candidate_of_a_batch():
     assert dirty[0].failed and not clean[0].failed
 
 
-def test_forge_co_simulates_only_the_rows_that_pass_the_screen(
+def test_forge_runs_each_stage_only_on_the_rows_the_last_one_kept(
         toy, toy_asserts, monkeypatch):
-    calls: list[tuple[sim.SimKernel, dict]] = []
+    calls: list[tuple[sim.SimKernel, dict, set | None]] = []
     run_batch = sim.SimKernel.run_batch
 
-    def counting_run_batch(self, inputs, cycles):
-        calls.append((self, inputs))
-        return run_batch(self, inputs, cycles)
+    def counting_run_batch(self, inputs, cycles, nets=None):
+        calls.append((self, inputs, None if nets is None else set(nets)))
+        return run_batch(self, inputs, cycles, nets)
 
     attempts: list[tuple[TrojanSpec, int, int]] = []
     find = trojan._find_activation
@@ -448,22 +457,28 @@ def test_forge_co_simulates_only_the_rows_that_pass_the_screen(
 
     monkeypatch.setattr(sim.SimKernel, "run_batch", counting_run_batch)
     monkeypatch.setattr(trojan, "_find_activation", tracking_find)
+    horizon = 8
     # seed 6 takes ten attempts for four trojans: three hold en_i low
-    # against A_SUM's antecedent en_i and run nothing; 82 of the 680 rows
-    # the others screen pass, and two of them pass none
+    # against A_SUM's antecedent en_i and run nothing; 280 of the 896 rows
+    # the others screen pass, and the target fails on 272 of those; in
+    # one batch it fails on none of the rows that pass
     forge(toy, toy_asserts, ForgeParams(count=4, k_min=2, k_max=3, seed=6,
-                                        horizon=8))
+                                        horizon=horizon))
     ends = [start for _, _, start in attempts[1:]] + [len(calls)]
-    screened = passing = quiet = skipped = 0
+    screened = passing = failing = 0
+    skipped = quiet = held = 0
     for (spec, target, start), end in zip(attempts, ends):
-        # the screen: the trigger and the target's first antecedent term
-        term = toy_asserts[target].antecedent.steps[0][1]
+        assertion = toy_asserts[target]
+        term = assertion.antecedent.steps[0][1]
+        # the screen's nets: the trigger and the target's first antecedent
+        # term; the target's nets: its signals and its clock
         screen_nets = {c.signal for c in spec.trigger} | ex.idents_of(term)
-        runs = [(set(kernel.net_order) == screen_nets, _rows(inputs))
-                for kernel, inputs in calls[start:end]]
+        target_nets = signals_of(assertion) | {assertion.clock}
+        runs = calls[start:end]
         # the toy is combinational, so an attempt runs no batch exactly
         # when a trigger bit contradicts a bit the term needs
-        needed = necessary_literals(term, inject(toy, spec))
+        injected = inject(toy, spec)
+        needed = necessary_literals(term, injected)
         clash = needed is None or any(
             needed.get((c.signal, c.bit), c.value) != c.value
             for c in spec.trigger)
@@ -471,25 +486,50 @@ def test_forge_co_simulates_only_the_rows_that_pass_the_screen(
         if clash:
             skipped += 1
             continue
-        assert runs[0][0]
-        quiet += all(is_screen for is_screen, _ in runs)
-        for i, (is_screen, rows) in enumerate(runs):
-            if not is_screen:
-                continue
+        i = 0
+        while i < len(runs):
+            kernel, inputs, nets = runs[i]
+            # every batch starts with the screen, over every candidate
+            assert nets is None and set(kernel.net_order) == screen_nets
+            rows = _rows(inputs)
+            i += 1
             # the toy is combinational: a candidate holds its inputs for
             # every cycle, so the screen is read off the inputs
             passed = [row for row in rows
                       if _screen_holds(spec, term, row, toy.width)]
-            after = [r for _, r in itertools.takewhile(
-                lambda run: not run[0], runs[i + 1:])]
-            # both designs kept to the observables get exactly the rows
-            # that passed, and none runs when no row passed
-            assert after == ([passed, passed] if passed else [])
             screened += len(rows)
             passing += len(passed)
-    assert 0 < passing < screened
-    # some attempt passed no row at all and ran the screen kernel alone
-    assert quiet >= 1 and skipped >= 1
+            if not passed:
+                quiet += 1
+                continue
+            # the corrupted design's run over exactly the rows that pass
+            # the screen, storing only the target's nets
+            kernel, inputs, nets = runs[i]
+            assert kernel.netlist is not toy and nets == target_nets
+            assert _rows(inputs) == passed
+            i += 1
+            # the rows on which the corrupted design fails the target,
+            # decided by the reference simulator and monitor
+            fails = [row for row in passed if check_reference(
+                simulate_fixpoint(injected, Stimulus.for_design(
+                    injected, [row] * horizon)), assertion)[1]]
+            failing += len(fails)
+            if not fails:
+                held += 1
+                continue
+            # both designs' full runs over exactly those rows, corrupted
+            # first
+            (dirty, dirty_in, dirty_nets), (clean, clean_in, clean_nets) \
+                = runs[i:i + 2]
+            assert dirty.netlist is not toy and clean.netlist is toy
+            assert dirty_nets is None and clean_nets is None
+            assert _rows(dirty_in) == _rows(clean_in) == fails
+            i += 2
+    assert 0 < failing < passing < screened
+    # some attempt skipped its search, some batch passed no row and ran
+    # the screen alone, and in some batch rows passed the screen but the
+    # target failed on none, so neither full run ran
+    assert skipped >= 1 and quiet >= 1 and held >= 1
 
 
 def test_screen_reads_the_corrupted_design_where_the_payload_reaches_it(
