@@ -14,7 +14,7 @@ from pathlib import Path
 from svaport import corpus
 from svaport.monitor import check_assertion
 from svaport.rtl_parser import parse_design
-from svaport.sim import simulate
+from svaport.sim import SimKernel
 from svaport.sva import parse_assertion, render_assertion
 from svaport.translate import (SignalMap, TranslationConfig, assertion_key,
                                translate)
@@ -69,7 +69,7 @@ def main(argv: list[str] | None = None) -> int:
     if testcase is None:
         print("\nno passing test case found within the search budget")
         return 0
-    verdict = check_assertion(simulate(target, testcase),
+    verdict = check_assertion(SimKernel(target).run(testcase),
                               outcome.verdict.assertion)
     print(f"\ntest case: {testcase.cycles} cycles, "
           f"{verdict.non_vacuous_passes} real pass(es), "

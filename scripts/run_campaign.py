@@ -11,6 +11,7 @@ import argparse
 
 from svaport import corpus
 from svaport.cli import main as run_stage
+from svaport.config import REPORT_FORMATS
 
 
 def main(argv: list[str] | None = None) -> int:
@@ -19,7 +20,7 @@ def main(argv: list[str] | None = None) -> int:
                         help="campaign config (default: bundled corpus)")
     parser.add_argument("--out", help="output directory override")
     parser.add_argument("--seed", type=int, help="seed override")
-    parser.add_argument("--format", choices=("table", "json", "csv"),
+    parser.add_argument("--format", choices=REPORT_FORMATS,
                         help="report format override")
     parser.add_argument("--jobs", type=int, help="worker process count")
     args = parser.parse_args(argv)

@@ -22,14 +22,12 @@ from .metrics import (MetricsReport, ModuleRow, MonteCarloEstimate, TrojanRow,
 from .monitor import AssertionVerdict, check_assertion, check_assertions
 from .netlist import Netlist, render_netlist
 from .rtl_parser import parse_design
-from .sim import (SimKernel, Stimulus, Trace, load_stimulus, save_stimulus,
-                  simulate, write_vcd)
+from .sim import SimKernel, Stimulus, Trace, load_stimulus
 from .sva import (Assertion, normalize_overlapped, parse_assertion,
                   parse_assertions, render_assertion, signals_of)
 from .translate import (SignalMap, TranslationConfig, TranslationOutcome,
                         assertion_key, generate_testcase, translate)
-from .trojan import (ForgeParams, TrojanSpec,
-                     activation_stimulus, forge, inject, load_trojans,
-                     save_trojans, validate_spec)
+from .trojan import (ForgeParams, TrojanSpec, activation_stimulus, forge,
+                     inject, load_trojans, validate_spec)
 
 __version__ = "0.1.0"

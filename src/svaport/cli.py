@@ -52,7 +52,7 @@ from dataclasses import asdict
 from fractions import Fraction
 from pathlib import Path
 
-from .config import REPORT_FORMATS, ModuleJob, ProjectConfig
+from .config import REPORT_FILES, REPORT_FORMATS, ModuleJob, ProjectConfig
 from .errors import ConfigError, SvaportError, UnknownSignalError
 from .graph import build_graph
 from .metrics import (MetricsReport, ModuleRow, TrojanRow,
@@ -177,10 +177,14 @@ def cmd_translate(config: ProjectConfig) -> int:
 
 def _check_ids(job: ModuleJob, specs: list[TrojanSpec]) -> None:
     """Each trojan id names its files, so it must be a plain file name
-    that no other trojan of the module uses."""
+    that no other trojan of the module uses, and must not end in
+    ``.stim``: ``<id>.stim.json`` is the stimulus file of trojan *id*."""
     seen: set[str] = set()
     for spec in specs:
         file_name(spec.id, f"module {job.name}: trojan id")
+        if spec.id.endswith(".stim"):
+            raise ConfigError(f"module {job.name}: trojan id {spec.id!r} "
+                              "ends in .stim, which names stimulus files")
         if spec.id in seen:
             raise ConfigError(f"module {job.name}: trojan id {spec.id!r} "
                               "is used twice")
@@ -370,9 +374,8 @@ def cmd_evaluate(config: ProjectConfig) -> int:
         })
 
     rendered = emit_report(_metrics_report(raw), config.format)
-    ext = {"table": "txt", "json": "json", "csv": "csv"}[config.format]
     _atomic_write(config.out_dir / "metrics.json", _json_text(raw))
-    _atomic_write(config.out_dir / f"report.{ext}", rendered)
+    _atomic_write(config.out_dir / REPORT_FILES[config.format], rendered)
     sys.stdout.write(rendered)
     return 0
 

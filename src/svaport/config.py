@@ -21,7 +21,10 @@ from .errors import ConfigError
 from .records import field, file_name, read_json, record
 from .trojan import PAYLOAD_KINDS
 
-REPORT_FORMATS = ("table", "json", "csv")
+#: each report format's file, written to the output directory
+REPORT_FILES = {"table": "report.txt", "json": "report.json",
+                "csv": "report.csv"}
+REPORT_FORMATS = tuple(REPORT_FILES)
 
 
 def _file(base: Path, value: str | None, where: str) -> Path | None:
@@ -83,6 +86,9 @@ class ModuleJob:
             "k_values", "imported_trojans"})
         name = file_name(field(data, "name", str, "module entry"),
                          "module name")
+        if name in ("metrics.json", *REPORT_FILES.values()):
+            raise ConfigError(f"module name {name!r} is the name of an "
+                              "output file")
         where = f"module {name}"
         trojans = field(data, "trojans", int, where, default=0)
         if trojans < 0:

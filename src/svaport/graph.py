@@ -39,9 +39,8 @@ class Relationship:
 @dataclass
 class DependencyGraph:
     nodes: tuple[str, ...]
-    # reader -> sorted tuple of nets it reads; labels maps the edge to its source
+    # reader -> sorted tuple of nets it reads
     reads: dict[str, tuple[str, ...]] = field(default_factory=dict)
-    labels: dict[tuple[str, str], str] = field(default_factory=dict)
     readers: dict[str, tuple[str, ...]] = field(default_factory=dict)
 
     def has_node(self, name: str) -> bool:
@@ -50,21 +49,16 @@ class DependencyGraph:
     def reads_of(self, name: str) -> tuple[str, ...]:
         return self.reads[name]
 
-    def readers_of(self, name: str) -> tuple[str, ...]:
-        return self.readers[name]
-
 
 def build_graph(netlist: Netlist) -> DependencyGraph:
     """The graph of the netlist's assign and register edges."""
-    labels = {(reader, read): label for reader, es in netlist.edges.items()
-              for read, label in es if label != "reset"}
-    reads: dict[str, list[str]] = {n: [] for n in netlist.nets}
+    reads: dict[str, tuple[str, ...]] = {n: () for n in netlist.nets}
     readers: dict[str, list[str]] = {n: [] for n in netlist.nets}
-    for reader, read in labels:
-        reads[reader].append(read)
-        readers[read].append(reader)
-    return DependencyGraph(tuple(netlist.nets),
-                           {n: tuple(r) for n, r in reads.items()}, labels,
+    for reader, es in netlist.edges.items():
+        reads[reader] = tuple(read for read, label in es if label != "reset")
+        for read in reads[reader]:
+            readers[read].append(reader)
+    return DependencyGraph(tuple(netlist.nets), reads,
                            {n: tuple(sorted(r)) for n, r in readers.items()})
 
 
@@ -126,16 +120,3 @@ def classify(graph: DependencyGraph, reader: str, source: str) -> Relationship:
         node = min(n for n in graph.reads_of(node) if dist.get(n) == step)
         path.append(node)
     return Relationship(Relation.INDIRECT, len(path) - 1, tuple(path))
-
-
-def to_dot(graph: DependencyGraph, name: str = "deps") -> str:
-    """GraphViz text dump; assign edges solid, register edges dashed."""
-    lines = [f"digraph {name} {{"]
-    for node in sorted(graph.nodes):
-        lines.append(f'  "{node}";')
-    for reader in sorted(graph.reads):
-        for read in graph.reads_of(reader):
-            style = "dashed" if graph.labels[(reader, read)] == "register" else "solid"
-            lines.append(f'  "{reader}" -> "{read}" [style={style}];')
-    lines.append("}")
-    return "\n".join(lines) + "\n"

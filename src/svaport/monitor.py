@@ -100,17 +100,6 @@ class AssertionVerdict:
     def failed(self) -> bool:
         return bool(self.failures)
 
-    def summary(self) -> dict:
-        return {
-            "name": self.name,
-            "attempts": self.attempts,
-            "vacuous_passes": self.vacuous_passes,
-            "non_vacuous_passes": self.non_vacuous_passes,
-            "failures": self.failure_count,
-            "pending_at_end": self.pending_at_end,
-            "past_underflow_warnings": self.past_underflow_warnings,
-        }
-
 
 def check_assertion(trace: Trace, assertion: Assertion) -> AssertionVerdict:
     """Check *assertion* over *trace*: a ``Checker`` for the trace's

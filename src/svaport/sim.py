@@ -17,10 +17,10 @@ assertion terms and search screens with it.
 
 A stimulus holds one column of values per input.  ``Stimulus.for_design``
 builds the columns, in the netlist's input order, from a list of
-per-cycle maps, each in one pass, and checks them whole: maps naming
-inputs only, and each column all integers that fit the input's width.  It
-walks the cycles one by one only when a check fails, to name the first
-bad cycle.
+per-cycle maps, each in one pass, and checks them whole: every cycle a
+map of inputs only, each column all integers that fit the input's width.
+Only a stimulus that fails is searched for the earliest cycle at fault,
+which the error names.
 ``stimulus_text`` fills one line template per cycle from the zipped
 columns, and ``SimKernel.run`` zips the columns into each cycle's inputs,
 so a long stimulus costs no Python work per value.
@@ -43,9 +43,10 @@ one uint64 array the first time a reader asks for it.
 from __future__ import annotations
 
 import json
+from contextlib import suppress
 from dataclasses import dataclass, field
 from functools import lru_cache
-from itertools import chain, repeat
+from itertools import chain, repeat, takewhile
 from operator import itemgetter, pos
 from pathlib import Path
 from typing import Callable, Iterable, Mapping
@@ -105,91 +106,68 @@ class Stimulus:
 
     @staticmethod
     def for_design(netlist: Netlist, cycles: list[dict[str, int]]) -> "Stimulus":
-        """Fill in the defaults; the first bad cycle or value raises.
+        """Fill in the defaults and check the values; a fault raises,
+        naming the earliest cycle at fault.
 
         A cycle that omits an input gives it 0, or a reset net its
         inactive level, so designs run unless a cycle asserts reset.  The
-        columns come in the netlist's input order.  Each is built in one
-        pass, straight from the maps when every cycle names the same
-        inputs, and checked whole: all integers that fit the input's
-        width.  Only a stimulus that fails a check is walked cycle by
-        cycle, to name its first bad cycle or value.
+        columns come in the netlist's input order.  Each is read in one
+        pass and checked whole: all integers that fit the input's width.
+        Every key must name an input: when the maps all name the same
+        inputs, counting their keys shows it.  Only a stimulus that fails
+        is searched for its earliest cycle that is no map, holds a bad
+        value or names no input.  Within that cycle the inputs are checked
+        in netlist order, each for its type before its range, and unknown
+        names after them.
         """
+        if not isinstance(cycles, list):
+            raise ConfigError("expected an array of per-cycle input maps")
         nets = netlist.inputs()
-        if type(cycles) is list and set(map(type, cycles)) <= {dict}:
-            columns = _columns(netlist, cycles)
-            if columns is not None and (not cycles or all(
-                    _fits(columns[n.name], n.width) for n in nets)):
-                return Stimulus._of_columns(columns, len(cycles))
-        rows = _checked_rows(netlist, cycles)
-        return Stimulus._of_columns(
-            {n.name: [row[n.name] for row in rows] for n in nets}, len(rows))
-
-
-def _columns(netlist: Netlist,
-             cycles: list[dict]) -> dict[str, list] | None:
-    """Each input's column, defaults filled in; None when a cycle names
-    something that is not an input.
-
-    When every cycle has m keys and m inputs are found in every cycle,
-    those m are each cycle's keys and no other input is in any: their
-    columns are read straight from the maps and the others hold their
-    default.
-    """
-    names = [n.name for n in netlist.inputs()]
-    inactive = netlist.idle_resets()
-    lengths = set(map(len, cycles))
-    if len(lengths) == 1:
-        found = {}
-        for name in names:
-            try:
-                found[name] = list(map(itemgetter(name), cycles))
-            except KeyError:
-                pass
-        if len(found) in lengths:
-            return {name: found[name] if name in found
-                    else [inactive.get(name, 0)] * len(cycles)
-                    for name in names}
-    if not set().union(*cycles) <= set(names):
-        return None
-    return {name: [cycle.get(name, inactive.get(name, 0)) for cycle in cycles]
-            for name in names}
-
-
-def _fits(column: list, width: int) -> bool:
-    """Every value of *column* is an int (not a bool) in [0, 2**width)."""
-    return (set(map(type, column)) == {int} and min(column) >= 0
-            and max(column) >> width == 0)
-
-
-def _checked_rows(netlist: Netlist, cycles) -> list[dict[str, int]]:
-    """``Stimulus.for_design``'s rows, built one cycle at a time so the
-    first bad cycle or value raises."""
-    names = {n.name: n for n in netlist.inputs()}
-    inactive = netlist.idle_resets()
-    if not isinstance(cycles, list):
-        raise ConfigError("expected an array of per-cycle input maps")
-    rows: list[dict[str, int]] = []
-    for i, cycle in enumerate(cycles):
-        if not isinstance(cycle, dict):
-            raise ConfigError(f"cycle {i}: expected a map of input "
-                              f"values, got {type(cycle).__name__}")
-        row: dict[str, int] = {}
-        for name, net in names.items():
-            value = cycle.get(name, inactive.get(name, 0))
-            if type(value) is not int:
-                raise ConfigError(f"cycle {i}: value {value!r} for input "
-                                  f"{name} is not an integer")
-            if not 0 <= value < (1 << net.width):
-                raise ConfigError(
-                    f"cycle {i}: value {value} does not fit input "
-                    f"{name}[{net.width - 1}:0]")
-            row[name] = value
-        for name in cycle:
-            if name not in names:
-                raise UnknownSignalError(f"{name} is not an input of {netlist.name}")
-        rows.append(row)
-    return rows
+        inactive = netlist.idle_resets()
+        # the cycles before the first that is not a map, as plain dicts: a
+        # subclass's __missing__ would answer for an omitted input
+        maps = cycles
+        if not set(map(type, cycles)) <= {dict}:
+            maps = list(map(dict, takewhile(
+                lambda c: isinstance(c, dict), cycles)))
+        read = {}
+        for n in nets:
+            with suppress(KeyError):
+                read[n.name] = list(map(itemgetter(n.name), maps))
+        # whether the inputs that every map names are all the maps' keys
+        same = sum(map(len, maps)) == len(maps) * len(read)
+        columns = {}
+        for n in nets:
+            default = inactive.get(n.name, 0)
+            columns[n.name] = read[n.name] if n.name in read else (
+                [default] * len(maps) if same else
+                list(map(dict.get, maps, repeat(n.name), repeat(default))))
+        bad = [n for n, col in zip(nets, columns.values())
+               if not (set(map(type, col)) <= {int}
+                       and min(col, default=0) >= 0
+                       and max(col, default=0) >> n.width == 0)]
+        if len(maps) == len(cycles) and not bad and (
+                same or set().union(*maps) <= columns.keys()):
+            return Stimulus._of_columns(columns, len(cycles))
+        # the earliest cycle at fault; within it, the first input in netlist
+        # order, then the first unknown name
+        at, fault = len(maps), None
+        if at < len(cycles):
+            fault = ("expected a map of input values, got "
+                     + type(cycles[at]).__name__)
+        for n in bad:
+            i, v = next((i, v) for i, v in enumerate(columns[n.name])
+                        if type(v) is not int or v >> n.width)
+            if i < at:
+                at = i
+                fault = (f"value {v!r} for input {n.name} is not an integer"
+                         if type(v) is not int else f"value {v} does not fit "
+                         f"input {n.name}[{n.width - 1}:0]")
+        for name in chain.from_iterable(maps[:at]):
+            if name not in columns:
+                raise UnknownSignalError(f"{name} is not an input of "
+                                         f"{netlist.name}")
+        raise ConfigError(f"cycle {at}: {fault}")
 
 
 def stimulus_text(stim: Stimulus) -> str:
@@ -205,10 +183,6 @@ def stimulus_text(stim: Stimulus) -> str:
                               for name in stim.columns)
     body = ",\n".join(repeat(line, stim.cycles))
     return "[\n" + body % tuple(chain.from_iterable(stim.rows())) + "\n]\n"
-
-
-def save_stimulus(stim: Stimulus, path: str | Path) -> None:
-    Path(path).write_text(stimulus_text(stim))
 
 
 def load_stimulus(path: str | Path, netlist: Netlist) -> Stimulus:
@@ -546,49 +520,3 @@ class SimKernel:
                 break
             regs = nxt
         return {name: arr.T for name, arr in zip(names, out)}
-
-
-def simulate(netlist: Netlist, stimulus: Stimulus) -> Trace:
-    """Compile a kernel for *netlist* and run it once.
-
-    Compiles on every call, so it suits one-off runs; code that simulates
-    one netlist repeatedly keeps a ``SimKernel`` and calls ``run``.
-    """
-    return SimKernel(netlist).run(stimulus)
-
-
-# --------------------------------------------------------------------------
-# VCD dump
-
-def write_vcd(trace: Trace, path: str | Path, timescale: str = "1ns") -> None:
-    """Dump a trace as VCD text, one timestep per simulation cycle."""
-    ids: dict[str, str] = {}
-    alphabet = "".join(chr(c) for c in range(33, 127))
-    for i, net in enumerate(trace.nets):
-        code = ""
-        k = i
-        while True:
-            code = alphabet[k % len(alphabet)] + code
-            k = k // len(alphabet) - 1
-            if k < 0:
-                break
-        ids[net] = code
-    nl = trace.netlist
-    lines = [f"$timescale {timescale} $end", f"$scope module {nl.name} $end"]
-    for net in trace.nets:
-        lines.append(f"$var wire {nl.width(net)} {ids[net]} {net} $end")
-    lines.append("$upscope $end")
-    lines.append("$enddefinitions $end")
-    last: dict[str, int | None] = {n: None for n in trace.nets}
-    for t in range(trace.cycles):
-        lines.append(f"#{t}")
-        for net in trace.nets:
-            v = trace.values[net][t]
-            if v != last[net]:
-                last[net] = v
-                if nl.width(net) == 1:
-                    lines.append(f"{v}{ids[net]}")
-                else:
-                    lines.append(f"b{v:b} {ids[net]}")
-    lines.append(f"#{trace.cycles}")
-    Path(path).write_text("\n".join(lines) + "\n")

@@ -17,7 +17,6 @@ condition, so an untriggered trojan is behaviorally invisible.
 from __future__ import annotations
 
 import dataclasses
-import json
 from collections import Counter
 from dataclasses import dataclass, replace
 from pathlib import Path
@@ -106,11 +105,6 @@ class TrojanSpec:
             payload_value=field(payload, "value", int, "payload", default=None),
             meta=field(data, "meta", dict, where, default=None) or {},
         )
-
-
-def save_trojans(specs: list[TrojanSpec], path: str | Path) -> None:
-    Path(path).write_text(
-        json.dumps([s.to_dict() for s in specs], indent=2) + "\n")
 
 
 def load_trojans(path: str | Path) -> list[TrojanSpec]:

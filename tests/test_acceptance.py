@@ -23,8 +23,7 @@ from svaport.monitor import check_assertion, check_assertions
 from svaport.netlist import NetKind
 from svaport.rtl_parser import parse_design
 from svaport.search import input_cone
-from svaport.sim import (BatchExpr, SimKernel, Stimulus, Trace,
-                         load_stimulus, simulate)
+from svaport.sim import BatchExpr, SimKernel, Stimulus, Trace, load_stimulus
 from svaport.sva import parse_assertion, parse_assertions
 from svaport.translate import (SignalMap, TranslationConfig, assertion_key,
                                translate)
@@ -255,7 +254,7 @@ def test_evaluate_slice_keeps_every_verdict(campaign_run, corpus_designs):
                 {n.name: rng.randrange(1 << n.width) for n in dirty.inputs()}
                 for _ in range(300)])
             for stim in (activation, noise):
-                full = check_assertions(simulate(dirty, stim), assertions)
+                full = check_assertions(SimKernel(dirty).run(stim), assertions)
                 sliced = _replay(dirty, stim, assertions)
                 assert [(v.name, v.statuses, v.failures,
                          v.past_underflow_warnings) for v in sliced] == \

@@ -96,6 +96,15 @@ def test_config_schema_errors(tmp_path):
         ({"modules": [{**module, "name": ".hidden"}]}, "not a plain file name"),
         ({"modules": [{**module, "name": "a/b"}]}, "not a plain file name"),
         ({"modules": [{**module, "name": "a\\b"}]}, "not a plain file name"),
+        # nor may it be the name of a file written beside the directories
+        ({"modules": [{**module, "name": "metrics.json"}]},
+         "module name 'metrics.json' is the name of an output file"),
+        ({"modules": [{**module, "name": "report.txt"}]},
+         "is the name of an output file"),
+        ({"modules": [{**module, "name": "report.json"}]},
+         "is the name of an output file"),
+        ({"modules": [{**module, "name": "report.csv"}]},
+         "is the name of an output file"),
         ({"modules": [{**module, "name": ["a"]}]},
          "field 'name' must be of type str"),
         ({"modules": [{**module, "target_design": ["toy.sv"]}]},
@@ -482,6 +491,8 @@ def test_malformed_imported_trojan_exits_1(tmp_path, capsys, records, needle):
     pytest.param([dict(IMPORTED, id="sub\\dir")], id="backslash"),
     pytest.param([dict(IMPORTED, id="toy_t00")], id="forged-id"),
     pytest.param([IMPORTED, IMPORTED], id="repeated-import"),
+    # toy.stim.json would be read as a stimulus file, not a spec
+    pytest.param([dict(IMPORTED, id="toy.stim")], id="stim-suffix"),
 ])
 def test_trojan_id_must_be_a_file_name_unique_in_its_module(tmp_path, capsys,
                                                             records):

@@ -9,7 +9,7 @@ from hypothesis import strategies as st
 from svaport import corpus
 from svaport import expr as ex
 from svaport.errors import CombinationalLoopError, UnknownSignalError
-from svaport.graph import Relation, build_graph, classify, fanin, to_dot
+from svaport.graph import Relation, build_graph, classify, fanin
 from svaport.netlist import (Assign, Net, NetKind, Netlist,
                              combinational_closure)
 from svaport.rtl_parser import parse_design
@@ -108,15 +108,6 @@ def test_exactly_one_relation_per_pair(corpus_designs):
     assert all(v > 0 for v in counts.values())
 
 
-def test_to_dot_lists_nodes_and_edge_styles(irq_logic):
-    dot = to_dot(build_graph(irq_logic))
-    assert '"handle_irq" -> "irq_enabled" [style=solid];' in dot
-    assert dot.startswith("digraph")
-    nl = parse_design(corpus.design_path("debug_unit").read_text())
-    dot = to_dot(build_graph(nl))
-    assert "[style=dashed]" in dot  # register feedback edge
-
-
 @st.composite
 def _relabelled_designs(draw):
     """``tests/gen`` designs with the assign-driven nets renamed by a drawn
@@ -156,7 +147,7 @@ def test_every_walk_derived_from_the_map_matches_the_oracles(nl, data):
     g = build_graph(nl)
     assert {(r, n) for r in g.nodes for n in g.reads_of(r)} \
         == oracles.edge_list(nl)
-    assert {(r, n) for n in g.nodes for r in g.readers_of(n)} \
+    assert {(r, n) for n in g.nodes for r in g.readers[n]} \
         == oracles.edge_list(nl)
 
     nets = sorted(nl.nets)

@@ -13,7 +13,7 @@ from svaport.monitor import (Checker, Failure, check_assertion,
                              check_assertions)
 from svaport.netlist import Param
 from svaport.rtl_parser import parse_design
-from svaport.sim import Stimulus, Trace, simulate
+from svaport.sim import SimKernel, Stimulus, Trace
 from svaport.sva import parse_assertion
 
 from . import gen, oracles
@@ -135,9 +135,6 @@ def test_verdict_counters_are_consistent():
     assert (v.non_vacuous_passes + v.vacuous_passes + v.failure_count
             + v.pending_at_end) == v.attempts
     assert v.failed is (v.failure_count > 0)
-    summary = v.summary()
-    assert summary["failures"] == v.failure_count
-    assert summary["attempts"] == v.attempts
 
 
 def test_unknown_signal_rejected():
@@ -173,7 +170,7 @@ endmodule
 def test_sized_constant_has_its_declared_width():
     # ~P is 4'he in the design, so the assertion must read it as 4 bits too
     nl = parse_design(SIZED_RTL)
-    trace = simulate(nl, Stimulus.for_design(nl, [{}] * 3))
+    trace = SimKernel(nl).run(Stimulus.for_design(nl, [{}] * 3))
     assert trace.values["y_o"] == [14, 14, 14]
     a = prop("x_i == 0 |-> y_o == ~P")
     v = check_assertion(trace, a)

@@ -39,5 +39,7 @@ def test_port_demo_replays_a_passing_test_case(capsys):
 
 def test_run_campaign_writes_metrics(tmp_path):
     config = make_campaign(tmp_path)
-    assert _script("run_campaign").main(["--config", str(config)]) == 0
+    assert _script("run_campaign").main(["--config", str(config),
+                                         "--format", "csv"]) == 0
     assert (tmp_path / "out" / "metrics.json").is_file()
+    assert (tmp_path / "out" / "report.csv").is_file()

@@ -3,6 +3,7 @@ batching, stimulus IO."""
 
 import json
 import random
+from collections import defaultdict
 
 import numpy as np
 import pytest
@@ -15,7 +16,7 @@ from svaport.monitor import Checker
 from svaport.netlist import Netlist
 from svaport.rtl_parser import parse_design
 from svaport.sim import (BatchExpr, SimKernel, Stimulus, load_stimulus,
-                         save_stimulus, simulate, stimulus_text, write_vcd)
+                         stimulus_text)
 
 from . import gen, oracles
 
@@ -36,7 +37,7 @@ def test_kernel_matches_fixpoint_oracle(name, corpus_designs):
     nl = corpus_designs[name]
     for seed in range(5):
         stim = _random_stimulus(nl, 10, seed)
-        fast = simulate(nl, stim)
+        fast = SimKernel(nl).run(stim)
         slow = oracles.simulate_fixpoint(nl, stim)
         assert fast.values == slow.values, f"{name} seed {seed}"
 
@@ -44,7 +45,8 @@ def test_kernel_matches_fixpoint_oracle(name, corpus_designs):
 @given(gen.designs(), st.data())
 def test_kernel_matches_oracle_on_generated_designs(nl, data):
     stim = data.draw(gen.stimuli(nl))
-    assert simulate(nl, stim).values == oracles.simulate_fixpoint(nl, stim).values
+    assert SimKernel(nl).run(stim).values \
+        == oracles.simulate_fixpoint(nl, stim).values
 
 
 @settings(max_examples=100)
@@ -80,19 +82,19 @@ def test_emitter_matches_reference_interpreter(exprs, rows, cycles, seed):
 def test_identical_runs_identical_traces(corpus_designs):
     nl = corpus_designs["cf_unit"]
     stim = _random_stimulus(nl, 12, 7)
-    assert simulate(nl, stim) == simulate(nl, stim)
+    assert SimKernel(nl).run(stim) == SimKernel(nl).run(stim)
 
 
 def test_assign_order_is_irrelevant(corpus_designs):
     nl = corpus_designs["pmp_unit"]
     stim = _random_stimulus(nl, 10, 3)
-    want = simulate(nl, stim).values
+    want = SimKernel(nl).run(stim).values
     rng = random.Random(0)
     for _ in range(5):
         shuffled = Netlist(nl.name, nl.ports, dict(nl.nets), dict(nl.params),
                            rng.sample(nl.assigns, len(nl.assigns)),
                            list(nl.registers))
-        assert simulate(shuffled, stim).values == want
+        assert SimKernel(shuffled).run(stim).values == want
 
 
 def test_register_update_is_one_cycle_delayed(corpus_designs):
@@ -100,7 +102,7 @@ def test_register_update_is_one_cycle_delayed(corpus_designs):
     write = {"csr_addr_i": 0x300, "csr_op_i": 1, "csr_op_en_i": 1,
              "csr_wdata_i": 0xFF, "priv_lvl_i": 1}
     idle = {"csr_addr_i": 0x300}
-    trace = simulate(nl, Stimulus.for_design(nl, [write, idle, idle]))
+    trace = SimKernel(nl).run(Stimulus.for_design(nl, [write, idle, idle]))
     assert trace.value("mstatus_q", 0) == 0       # write lands next cycle
     assert trace.value("mstatus_q", 1) == 0xFF
     assert trace.value("mstatus_q", 2) == 0xFF    # no enable: holds
@@ -113,7 +115,7 @@ def test_reset_reloads_registers(corpus_designs):
             {},                            # debug_mode_q == 1 here
             {"rst_ni": 0},                 # reset asserted
             {}]                            # back to reset value
-    trace = simulate(nl, Stimulus.for_design(nl, rows))
+    trace = SimKernel(nl).run(Stimulus.for_design(nl, rows))
     assert trace.value("debug_mode_q", 0) == 0
     assert trace.value("debug_mode_q", 1) == 1
     assert trace.value("debug_mode_q", 2) == 1    # visible until the edge
@@ -133,7 +135,7 @@ def test_stimulus_defaults_and_validation(corpus_designs):
 
 def test_trace_unknown_net(corpus_designs):
     nl = corpus_designs["debug_unit"]
-    trace = simulate(nl, Stimulus.for_design(nl, [{}]))
+    trace = SimKernel(nl).run(Stimulus.for_design(nl, [{}]))
     with pytest.raises(UnknownSignalError):
         trace.value("nonexistent", 0)
 
@@ -150,7 +152,7 @@ def test_run_batch_rows_match_scalar_runs(corpus_designs):
         stim = Stimulus.for_design(nl, [
             {name: int(arr[r, t]) for name, arr in inputs.items()}
             for t in range(cycles)])
-        trace = simulate(nl, stim)
+        trace = SimKernel(nl).run(stim)
         for net in nl.nets:
             assert batch[net][r].tolist() == trace.values[net], net
 
@@ -274,7 +276,7 @@ def test_run_batch_stops_once_inputs_hold_and_registers_settle():
     assert steps == [3 + 7]
     for r in range(4):
         stim = Stimulus.for_design(nl, [{"a_i": int(v)} for v in held[r]])
-        assert out["q_o"][r].tolist() == simulate(nl, stim).values["q_o"]
+        assert out["q_o"][r].tolist() == SimKernel(nl).run(stim).values["q_o"]
     # a combinational kernel with constant inputs takes one step
     comb = SimKernel(nl, keep={"a_i"})
     steps = _counted(comb)
@@ -409,9 +411,8 @@ def test_stimulus_file_round_trip(tmp_path, corpus_designs):
     nl = corpus_designs["debug_unit"]
     stim = _random_stimulus(nl, 5, 9)
     path = tmp_path / "stim.json"
-    save_stimulus(stim, path)
-    text = path.read_text()
-    assert text == stimulus_text(stim)
+    text = stimulus_text(stim)
+    path.write_text(text)
     # a bare array holding one compact cycle map per line
     lines = text.splitlines()
     assert lines[0] == "[" and lines[-1] == "]" and len(lines) == 2 + 5
@@ -448,8 +449,16 @@ def test_stimulus_file_round_trip(tmp_path, corpus_designs):
     pytest.param('[{}, {"step_en_i": 2}, {"debug_req_i": 2}]', ConfigError,
                  "cycle 1: value 2 does not fit input step_en_i",
                  id="first-bad-cycle"),
+    # within a cycle, inputs in netlist order, whatever the key order
+    pytest.param('[{}, {"step_en_i": "1", "dret_i": 2}]', ConfigError,
+                 "cycle 1: value 2 does not fit input dret_i",
+                 id="range-before-later-type"),
     pytest.param('[{"debug_mode_q": 1}, {"dret_i": 2}]', UnknownSignalError,
                  "debug_mode_q is not an input", id="unknown-input"),
+    # a bad value comes before an unknown name in the same cycle
+    pytest.param('[{}, {"debug_mode_q": 1, "dret_i": 2}]', ConfigError,
+                 "cycle 1: value 2 does not fit input dret_i",
+                 id="value-before-unknown-input"),
     pytest.param('[{', ConfigError, "bad.json: not valid JSON", id="bad-json"),
 ])
 def test_load_stimulus_rejects_non_array(tmp_path, corpus_designs, text,
@@ -460,16 +469,15 @@ def test_load_stimulus_rejects_non_array(tmp_path, corpus_designs, text,
         load_stimulus(path, corpus_designs["debug_unit"])
 
 
-def test_vcd_dump(tmp_path, corpus_designs):
+def test_for_design_reads_a_map_subclass_as_a_map(corpus_designs):
+    # a defaultdict's __missing__ does not answer for an omitted input
     nl = corpus_designs["debug_unit"]
-    trace = simulate(nl, _random_stimulus(nl, 4, 2))
-    path = tmp_path / "wave.vcd"
-    write_vcd(trace, path)
-    text = path.read_text()
-    assert "$timescale 1ns $end" in text
-    assert f"$scope module {nl.name} $end" in text
-    assert text.count("$var wire") == len(nl.nets)
-    assert "#0" in text and f"#{trace.cycles}" in text
+    cycle = defaultdict(int, dret_i=1)
+    stim = Stimulus.for_design(nl, [cycle, {}])
+    assert stim.inputs == oracles.stimulus_rows(nl, [cycle, {}])
+    assert stim.columns["rst_ni"] == [1, 1] and dict(cycle) == {"dret_i": 1}
+    with pytest.raises(ConfigError, match="cycle 1: expected a map"):
+        Stimulus.for_design(nl, [cycle, 5])
 
 
 NO_INPUT_RTL = """\
@@ -580,7 +588,7 @@ def test_stimulus_rows_must_name_the_same_inputs():
 
 def test_trace_arrays_convert_each_net_once(corpus_designs):
     nl = corpus_designs["csr_unit"]
-    trace = simulate(nl, _random_stimulus(nl, 40, 3))
+    trace = SimKernel(nl).run(_random_stimulus(nl, 40, 3))
     first = trace.arrays(nl.nets)
     again = trace.arrays(sorted(nl.nets, reverse=True))
     for n in nl.nets:
@@ -592,10 +600,9 @@ def test_trace_arrays_convert_each_net_once(corpus_designs):
 
 
 def test_scalar_run_stores_ints(corpus_designs):
-    # comparisons settle to bools; a scalar run stores them as ints, which
-    # the VCD writer prints as digits
+    # comparisons settle to bools; a scalar run stores them as ints
     nl = corpus_designs["csr_unit"]
-    trace = simulate(nl, _random_stimulus(nl, 20, 4))
+    trace = SimKernel(nl).run(_random_stimulus(nl, 20, 4))
     assert {type(v) for col in trace.values.values() for v in col} == {int}
 
 
@@ -605,7 +612,7 @@ def test_stimulus_without_inputs_or_cycles(tmp_path, nl, cycles):
     stim = Stimulus.for_design(nl, [{}] * cycles)
     assert stim.inputs == oracles.stimulus_rows(nl, [{}] * cycles)
     path = tmp_path / "stim.json"
-    save_stimulus(stim, path)
+    path.write_text(stimulus_text(stim))
     assert path.read_text() == \
         "[\n" + ",\n".join(map(json.dumps, stim.inputs)) + "\n]\n"
     assert load_stimulus(path, nl) == stim
@@ -623,7 +630,7 @@ def test_long_run_matches_oracle_full_and_sliced(nl, data):
         {n.name: rng.randrange(1 << n.width) for n in nl.inputs()}
         for _ in range(cycles)])
     want = oracles.simulate_fixpoint(nl, stim).values
-    assert simulate(nl, stim).values == want
+    assert SimKernel(nl).run(stim).values == want
     keep = data.draw(st.sets(st.sampled_from(sorted(nl.nets)), min_size=1))
     got = SimKernel(nl, keep).run(stim)
     assert got.cycles == cycles
@@ -635,9 +642,9 @@ def test_long_run_matches_oracle_on_corpus(name, corpus_designs):
     nl = corpus_designs[name]
     stim = _random_stimulus(nl, 256, 17)
     want = oracles.simulate_fixpoint(nl, stim).values
-    assert simulate(nl, stim).values == want
+    assert SimKernel(nl).run(stim).values == want
     keep = set(sorted(nl.nets)[::3])
     assert SimKernel(nl, keep).run(stim).values == {n: want[n] for n in keep}
     # a run of no cycles gives every net an empty list
-    assert simulate(nl, Stimulus.for_design(nl, [])).values \
+    assert SimKernel(nl).run(Stimulus.for_design(nl, [])).values \
         == {n: [] for n in nl.nets}

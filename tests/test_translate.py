@@ -15,7 +15,7 @@ from svaport.errors import ConfigError
 from svaport.monitor import check_assertion
 from svaport.netlist import NetKind
 from svaport.rtl_parser import parse_design
-from svaport.sim import simulate
+from svaport.sim import SimKernel
 from svaport.sva import SeqExpr, parse_assertion, parse_assertions, signals_of
 from svaport.translate import (SignalMap, TranslationConfig, Translatable,
                                Untranslatable, assertion_key,
@@ -66,7 +66,8 @@ def test_golden_testcase_passes_non_vacuously(csr_unit, golden_map):
     out = _translate_golden(csr_unit, golden_map)
     testcase = out.verdict.testcase
     assert testcase is not None
-    v = check_assertion(simulate(csr_unit, testcase), out.verdict.assertion)
+    v = check_assertion(SimKernel(csr_unit).run(testcase),
+                        out.verdict.assertion)
     assert v.failure_count == 0
     assert v.non_vacuous_passes >= 1
 
@@ -252,7 +253,8 @@ def test_every_corpus_assertion_yields_a_testcase(corpus_designs,
             assert out.translatable
             stim = out.verdict.testcase
             assert stim is not None, key
-            v = check_assertion(simulate(target, stim), out.verdict.assertion)
+            v = check_assertion(SimKernel(target).run(stim),
+                                out.verdict.assertion)
             assert v.failure_count == 0 and v.non_vacuous_passes >= 1, key
 
 
@@ -275,7 +277,7 @@ def test_testcase_search_over_more_than_63_free_bits():
                         "a_i[39] && b_i[39] |-> x_o[39] == 1'b0);")
     stim, _ = generate_testcase(a, target)
     assert stim is not None
-    v = check_assertion(simulate(target, stim), a)
+    v = check_assertion(SimKernel(target).run(stim), a)
     assert v.failure_count == 0 and v.non_vacuous_passes >= 1
 
 
@@ -301,7 +303,7 @@ def test_testcase_search_decides_every_candidate_of_a_batch():
     stim, _ = generate_testcase(a, target)
     assert stim is not None
     assert {(c["x_i"], c["y_i"]) for c in stim.inputs} == {(0, 31)}
-    v = check_assertion(simulate(target, stim), a)
+    v = check_assertion(SimKernel(target).run(stim), a)
     assert v.failure_count == 0 and v.non_vacuous_passes >= 1
 
 

@@ -24,11 +24,11 @@ from svaport.monitor import Checker, check_assertions
 from svaport.netlist import Assign, NetKind, render_netlist
 from svaport.rtl_parser import parse_design
 from svaport.search import necessary_literals
-from svaport.sim import BatchExpr, Stimulus, simulate
+from svaport.sim import BatchExpr, SimKernel, Stimulus
 from svaport.sva import Assertion, SeqExpr, parse_assertions, signals_of
 from svaport.trojan import (ForgeParams, TriggerCond, TrojanSpec,
                             activation_stimulus, forge, inject, load_trojans,
-                            save_trojans, trigger_expr, validate_spec)
+                            trigger_expr, validate_spec)
 
 from . import gen
 from .oracles import (check_reference, eval_expr, simulate_fixpoint,
@@ -118,7 +118,7 @@ def test_validate_spec_rejects_malformed_records(toy):
 
 def test_spec_files_round_trip(specs, tmp_path):
     path = tmp_path / "trojans.json"
-    save_trojans(specs, path)
+    path.write_text(json.dumps([s.to_dict() for s in specs], indent=2))
     assert load_trojans(path) == specs
     # a single bare object is accepted too: the import format
     single = tmp_path / "one.json"
@@ -186,7 +186,7 @@ def test_trigger_expr_agrees_with_the_oracle_trigger_check(toy, specs):
          "en_i": rng.randrange(2)} for _ in range(64)])
     for spec in specs:
         trig = BatchExpr(trigger_expr(spec, toy), toy.width, {})
-        trace = simulate(inject(toy, spec), stim)
+        trace = SimKernel(inject(toy, spec)).run(stim)
         fired = trig(trace.arrays(trig.nets))[0]
         for t in range(trace.cycles):
             assert bool(fired[t]) == trigger_holds(spec, trace, t)
@@ -253,12 +253,12 @@ def test_dormant_trojans_are_invisible(toy, specs):
             stim = Stimulus.for_design(toy, [
                 {"a_i": rng.randrange(16), "b_i": rng.randrange(16),
                  "en_i": rng.randrange(2)} for _ in range(6)])
-            dirty_trace = simulate(dirty, stim)
+            dirty_trace = SimKernel(dirty).run(stim)
             if any(trigger_holds(spec, dirty_trace, t)
                    for t in range(dirty_trace.cycles)):
                 continue
             quiet += 1
-            clean_trace = simulate(toy, stim)
+            clean_trace = SimKernel(toy).run(stim)
             for n in nets:
                 assert clean_trace.values[n] == dirty_trace.values[n], spec.id
         assert quiet >= 10, f"{spec.id}: too few non-triggering stimuli"
@@ -267,8 +267,8 @@ def test_dormant_trojans_are_invisible(toy, specs):
 def test_activation_replays_from_metadata(toy, toy_asserts, forged):
     by_name = {a.effective_name(): a for a in toy_asserts}
     for spec, stim in forged:
-        dirty = simulate(inject(toy, spec), stim)
-        clean = simulate(toy, stim)
+        dirty = SimKernel(inject(toy, spec)).run(stim)
+        clean = SimKernel(toy).run(stim)
         assert any(clean.values[n] != dirty.values[n] for n in sorted(toy.nets))
         verdicts = {v.name: v for v in check_assertions(dirty, toy_asserts)}
         target = spec.meta["target_assertion"]
@@ -281,8 +281,8 @@ def test_activation_replays_from_metadata(toy, toy_asserts, forged):
 def test_activation_stimulus_search(toy, specs):
     spec = specs[0]
     stim = activation_stimulus(spec, toy, seed=4)
-    dirty = simulate(inject(toy, spec), stim)
-    clean = simulate(toy, stim)
+    dirty = SimKernel(inject(toy, spec)).run(stim)
+    clean = SimKernel(toy).run(stim)
     assert any(trigger_holds(spec, dirty, t) for t in range(dirty.cycles))
     assert any(clean.values[n] != dirty.values[n] for n in sorted(toy.nets))
 
@@ -398,7 +398,7 @@ def test_forge_tells_unlabeled_assertions_apart(toy):
     for seed in range(30):
         for j, (spec, stim) in enumerate(forge(toy, unlabeled, ForgeParams(
                 count=2, k_min=2, k_max=3, seed=seed, horizon=8))):
-            verdicts = check_assertions(simulate(inject(toy, spec), stim),
+            verdicts = check_assertions(SimKernel(inject(toy, spec)).run(stim),
                                         unlabeled)
             assert [v.failed for v in verdicts] == [j == 0, j == 1], seed
 
@@ -434,8 +434,9 @@ def test_activation_search_decides_every_candidate_of_a_batch():
                                    0, 4, np.random.default_rng(0))
     assert stim is not None
     assert {(c["x_i"], c["y_i"]) for c in stim.inputs} == {(0, 31)}
-    dirty = check_assertions(simulate(inject(netlist, spec), stim), [target])
-    clean = check_assertions(simulate(netlist, stim), [target])
+    dirty = check_assertions(SimKernel(inject(netlist, spec)).run(stim),
+                             [target])
+    clean = check_assertions(SimKernel(netlist).run(stim), [target])
     assert dirty[0].failed and not clean[0].failed
 
 
@@ -544,7 +545,7 @@ def test_screen_reads_the_corrupted_design_where_the_payload_reaches_it(
     stim = trojan._find_activation(spec, toy, [Checker(target, toy)], 0, 4,
                                    np.random.default_rng(0), screens=screens)
     assert stim is not None and screens == {}
-    assert check_assertions(simulate(inject(toy, spec), stim),
+    assert check_assertions(SimKernel(inject(toy, spec)).run(stim),
                             [target])[0].failed
     # A_FLAG's screen (a_i, b_i) is out of the payload's reach: the clean
     # design's screen kernel is kept for the next attempt on those nets
