@@ -144,12 +144,6 @@ class ProjectConfig:
                 raise ConfigError(f"duplicate module name {job.name!r}")
             seen.add(job.name)
 
-    def module(self, name: str) -> ModuleJob:
-        for job in self.modules:
-            if job.name == name:
-                return job
-        raise ConfigError(f"no module named {name!r} in the campaign")
-
     def override(self, *, seed: int | None = None, format: str | None = None,
                  out_dir: Path | None = None, jobs: int | None = None,
                  ) -> "ProjectConfig":

@@ -16,7 +16,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Callable, Iterator
 
-from .errors import ParseError, UnsupportedConstructError
+from .errors import UnsupportedConstructError
 from .lexer import TokenStream
 
 

@@ -21,10 +21,21 @@ KEYWORDS = {
     "property", "endproperty", "assert", "disable", "iff",
 }
 
-_NUMBER_RE = re.compile(r"(?:(\d[\d_]*)?'([bodhBODH])([0-9a-fA-FxXzZ_?]+))|(\d[\d_]*)")
-_ID_RE = re.compile(r"[A-Za-z_][A-Za-z0-9_$]*")
-_SYSID_RE = re.compile(r"\$[A-Za-z_][A-Za-z0-9_]*")
-_STRING_RE = re.compile(r'"([^"\\]|\\.)*"')
+# One alternative per token kind, tried in order at each offset.  ``space``
+# covers whitespace and comments; ``bad`` is what no other kind matches: an
+# unclosed ``/*``, an unclosed string, or any other character.
+_TOKEN_RE = re.compile("|".join([
+    r"(?P<space>[ \t\r\n]+|//[^\n]*|/\*(?s:.*?)\*/)",
+    r'(?P<string>"(?:[^"\\]|\\.)*")',
+    r"(?P<sysid>\$[A-Za-z_][A-Za-z0-9_]*)",
+    r"(?P<num>(?P<size>\d[\d_]*)?'(?P<base>[bodhBODH])(?P<digits>[0-9a-fA-FxXzZ_?]+)"
+    r"|\d[\d_]*)",
+    r"(?P<word>[A-Za-z_][A-Za-z0-9_$]*)",
+    "(?P<punct>" + "|".join(map(re.escape, _PUNCT)) + ")",
+    r'(?P<bad>/\*|"|.)',
+]))
+
+_BAD = {"/*": "unterminated block comment", '"': "unterminated string literal"}
 
 _BASES = {"b": 2, "o": 8, "d": 10, "h": 16}
 
@@ -40,11 +51,11 @@ class Token:
 
 
 def _decode_number(m: re.Match, line: int, col: int) -> tuple[int, int | None]:
-    if m.group(4) is not None:
-        return int(m.group(4).replace("_", "")), None
-    size = int(m.group(1).replace("_", "")) if m.group(1) else None
-    base = _BASES[m.group(2).lower()]
-    digits = m.group(3).replace("_", "")
+    if m.group("base") is None:
+        return int(m.group("num").replace("_", "")), None
+    size = int(m.group("size").replace("_", "")) if m.group("size") else None
+    base = _BASES[m.group("base").lower()]
+    digits = m.group("digits").replace("_", "")
     if re.search(r"[xXzZ?]", digits):
         raise ParseError("x/z digits are not supported (two-state values only)", line, col)
     try:
@@ -57,85 +68,38 @@ def _decode_number(m: re.Match, line: int, col: int) -> tuple[int, int | None]:
     return value, size
 
 
+def _line_text(text: str, line: int) -> str:
+    """Line *line* (1-based) of *text*, counted as the tokenizer counts
+    them, at each newline; "" past its end."""
+    lines = text.split("\n")
+    return lines[line - 1].rstrip("\r") if 0 < line <= len(lines) else ""
+
+
 def tokenize(text: str) -> list[Token]:
-    """Split *text* into tokens, tracking line/column for diagnostics."""
+    """Split *text* into tokens, each with the line and column it starts at."""
     tokens: list[Token] = []
-    lines = text.splitlines()
-    i, line, col = 0, 1, 1
-    n = len(text)
-
-    def excerpt() -> str:
-        return lines[line - 1] if 0 <= line - 1 < len(lines) else ""
-
-    while i < n:
-        ch = text[i]
-        if ch == "\n":
-            i += 1
-            line += 1
-            col = 1
-            continue
-        if ch in " \t\r":
-            i += 1
-            col += 1
-            continue
-        if text.startswith("//", i):
-            j = text.find("\n", i)
-            i = n if j < 0 else j
-            continue
-        if text.startswith("/*", i):
-            j = text.find("*/", i)
-            if j < 0:
-                raise ParseError("unterminated block comment", line, col, excerpt())
-            skipped = text[i:j + 2]
-            nl = skipped.count("\n")
-            if nl:
-                line += nl
-                col = len(skipped) - skipped.rfind("\n")
-            else:
-                col += len(skipped)
-            i = j + 2
-            continue
-        if ch == '"':
-            m = _STRING_RE.match(text, i)
-            if not m:
-                raise ParseError("unterminated string literal", line, col, excerpt())
-            raw = m.group(0)
-            tokens.append(Token("string", raw[1:-1], line, col))
-            i = m.end()
-            col += len(raw)
-            continue
-        if ch == "$":
-            m = _SYSID_RE.match(text, i)
-            if m:
-                tokens.append(Token("sysid", m.group(0), line, col))
-                col += len(m.group(0))
-                i = m.end()
-                continue
-        if ch.isdigit() or (ch == "'" and i + 1 < n):
-            m = _NUMBER_RE.match(text, i)
-            if m:
-                value, size = _decode_number(m, line, col)
-                tokens.append(Token("num", m.group(0), line, col, value=value, size=size))
-                col += len(m.group(0))
-                i = m.end()
-                continue
-        m = _ID_RE.match(text, i)
-        if m:
-            word = m.group(0)
-            kind = "kw" if word in KEYWORDS else "id"
-            tokens.append(Token(kind, word, line, col))
-            col += len(word)
-            i = m.end()
-            continue
-        for p in _PUNCT:
-            if text.startswith(p, i):
-                tokens.append(Token(p, p, line, col))
-                col += len(p)
-                i += len(p)
-                break
-        else:
-            raise ParseError(f"unexpected character {ch!r}", line, col, excerpt())
-    tokens.append(Token("eof", "", line, col))
+    line, line_start = 1, 0  # line_start: offset just past the last newline
+    for m in _TOKEN_RE.finditer(text):
+        kind, lexeme = m.lastgroup, m.group()
+        col = m.start() - line_start + 1
+        if kind == "word":
+            tokens.append(Token("kw" if lexeme in KEYWORDS else "id", lexeme, line, col))
+        elif kind == "punct":
+            tokens.append(Token(lexeme, lexeme, line, col))
+        elif kind == "num":
+            value, size = _decode_number(m, line, col)
+            tokens.append(Token("num", lexeme, line, col, value=value, size=size))
+        elif kind == "sysid":
+            tokens.append(Token("sysid", lexeme, line, col))
+        elif kind == "bad":
+            raise ParseError(_BAD.get(lexeme, f"unexpected character {lexeme!r}"),
+                             line, col, _line_text(text, line))
+        elif kind == "string":
+            tokens.append(Token("string", lexeme[1:-1], line, col))
+        if (kind == "space" or kind == "string") and "\n" in lexeme:
+            line += lexeme.count("\n")
+            line_start = m.start() + lexeme.rfind("\n") + 1
+    tokens.append(Token("eof", "", line, len(text) - line_start + 1))
     return tokens
 
 
@@ -145,7 +109,7 @@ class TokenStream:
     def __init__(self, tokens: list[Token], source: str = ""):
         self.tokens = tokens
         self.pos = 0
-        self._lines = source.splitlines()
+        self.source = source
 
     def peek(self, ahead: int = 0) -> Token:
         idx = min(self.pos + ahead, len(self.tokens) - 1)
@@ -167,20 +131,11 @@ class TokenStream:
         return None
 
     def expect(self, kind: str, text: str | None = None) -> Token:
-        tok = self.peek()
         if not self.at(kind, text):
-            want = text or kind
-            raise ParseError(
-                f"expected {want!r}, found {tok.text or tok.kind!r}",
-                tok.line, tok.col, self.line_text(tok.line),
-            )
+            tok = self.peek()
+            self.error(f"expected {text or kind!r}, found {tok.text or tok.kind!r}")
         return self.next()
-
-    def line_text(self, line: int) -> str:
-        if 0 < line <= len(self._lines):
-            return self._lines[line - 1]
-        return ""
 
     def error(self, message: str, tok: Token | None = None, cls=ParseError):
         tok = tok or self.peek()
-        raise cls(message, tok.line, tok.col, self.line_text(tok.line))
+        raise cls(message, tok.line, tok.col, _line_text(self.source, tok.line))

@@ -19,7 +19,7 @@ from dataclasses import dataclass, field
 from functools import cached_property
 
 from . import expr as ex
-from .errors import CombinationalLoopError, ElaborationError
+from .errors import CombinationalLoopError
 
 
 class NetKind(enum.Enum):
@@ -187,33 +187,6 @@ def combinational_closure(netlist: Netlist) -> list[Assign]:
         cycle = seen[seen.index(node):] + [node]
         raise CombinationalLoopError(cycle)
     return ordered
-
-
-def validate(netlist: Netlist) -> None:
-    """Re-check the structural invariants (single driver per net, every
-    referenced identifier declared, ``~`` only on sized operands, no
-    combinational loop)."""
-    drivers = [(f"assign {a.lhs}", a.lhs, a.rhs) for a in netlist.assigns]
-    drivers += [(f"register {r.target}", r.target, r.next)
-                for r in netlist.registers]
-    driven: set[str] = set()
-    for _, net, _ in drivers:
-        if net in driven:
-            raise ElaborationError(f"net {net} has multiple drivers")
-        driven.add(net)
-    for where, _, e in drivers:
-        for name in ex.idents_of(e):
-            if not netlist.resolves(name):
-                raise ElaborationError(f"undeclared identifier {name} in {where}")
-        for node in ex.walk(e):
-            if (isinstance(node, ex.Unary) and node.op == "~"
-                    and ex.width_of(node.operand, netlist.width) is None):
-                raise ElaborationError(
-                    f"cannot apply ~ to an unsized literal in {where}")
-    for net in netlist.inputs():
-        if net.name in driven:
-            raise ElaborationError(f"input {net.name} must not be driven internally")
-    netlist.assign_order  # ordered now, so a combinational loop raises here
 
 
 # --------------------------------------------------------------------------

@@ -27,9 +27,9 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from . import expr as ex
-from .errors import ElaborationError, ParseError, UnsupportedConstructError
+from .errors import ElaborationError, UnsupportedConstructError
 from .lexer import Token, TokenStream, tokenize
-from .netlist import Assign, Net, NetKind, Netlist, Param, Register, Reset, validate
+from .netlist import Assign, Net, NetKind, Netlist, Param, Register, Reset
 
 
 # ------------------------------------------------------------------ statements
@@ -58,10 +58,11 @@ class _AlwaysBlock:
 
 
 def parse_design(text: str) -> Netlist:
-    """Parse and elaborate a single module."""
-    ts = TokenStream(tokenize(text), text)
-    nl = _Parser(ts).module()
-    validate(nl)
+    """Parse and elaborate a single module.  Every elaboration rule is
+    checked during the parse, at its token; a combinational loop, which
+    has no single token, raises ``CombinationalLoopError`` last."""
+    nl = _Parser(TokenStream(tokenize(text), text)).module()
+    nl.assign_order  # ordered now, so a combinational loop raises here
     return nl
 
 
@@ -192,7 +193,7 @@ class _Parser:
         ts.expect("=")
         rhs = ex.parse_expr(ts)
         ts.expect(";")
-        self._check_readable(rhs, lhs)
+        self._check_readable(rhs, lhs, f"assign {lhs.text}")
         self._check_assign_width(lhs, rhs)
         if any(a.lhs == lhs.text for a in self.assigns):
             ts.error(f"net {lhs.text} has multiple drivers", lhs, ElaborationError)
@@ -261,7 +262,7 @@ class _Parser:
         p = self.params[name]
         return p.size if p.size is not None else max(1, p.value.bit_length())
 
-    def _check_readable(self, e: ex.Expr, at: Token) -> None:
+    def _check_readable(self, e: ex.Expr, at: Token, where: str) -> None:
         for node in ex.walk(e):
             if isinstance(node, ex.Ident):
                 if node.name not in self.nets and node.name not in self.params:
@@ -275,6 +276,11 @@ class _Parser:
                         f"{self.nets[node.base].width}", at)
             elif isinstance(node, ex.Past):
                 self._err("$past is not allowed in RTL", at)
+        # a second walk: widths are known once every name is declared
+        for node in ex.walk(e):
+            if (isinstance(node, ex.Unary) and node.op == "~"
+                    and ex.width_of(node.operand, self._width_fn) is None):
+                self._err(f"cannot apply ~ to an unsized literal in {where}", at)
 
     def _check_assign_width(self, lhs: Token, rhs: ex.Expr) -> None:
         if lhs.text not in self.nets:
@@ -289,31 +295,16 @@ class _Parser:
             self._err(f"cannot assign {rw}-bit value to {lw}-bit net {lhs.text}", lhs)
 
     def _elaborate_registers(self, nl: Netlist) -> None:
-        clocks = {b.clock for b in self.blocks}
-        if len(clocks) > 1:
-            raise ElaborationError(
-                "multiple clock nets: " + ", ".join(sorted(clocks)))
+        for block in self.blocks:
+            if block.clock != self.blocks[0].clock:
+                self._err("multiple clock nets: " + ", ".join(
+                    sorted({b.clock for b in self.blocks})), block.tok)
         for block in self.blocks:
             self._elaborate_block(nl, block)
-        seen: set[str] = set()
         for r in nl.registers:
-            if r.target in seen:
-                raise ElaborationError(f"net {r.target} has multiple drivers")
-            seen.add(r.target)
-            if any(a.lhs == r.target for a in nl.assigns):
-                raise ElaborationError(f"net {r.target} has multiple drivers")
             if r.target not in self.ports:
                 nl.nets[r.target] = Net(r.target, nl.nets[r.target].width,
                                         NetKind.REGISTER)
-
-    def _targets_of(self, stmts: list) -> set[str]:
-        out: set[str] = set()
-        for s in stmts:
-            if isinstance(s, _NbAssign):
-                out.add(s.target)
-            else:
-                out |= self._targets_of(s.then) | self._targets_of(s.other)
-        return out
 
     def _reset_cond(self, cond: ex.Expr) -> tuple[str, int] | None:
         """Recognize `rst`, `!rst`, `~rst`, `rst == 0/1` over a 1-bit net."""
@@ -358,21 +349,24 @@ class _Parser:
             self._err("async-reset sensitivity requires a leading reset arm "
                       "with constant loads", block.tok)
 
-        targets = sorted(self._targets_of(body) | set(reset_loads))
+        targets = sorted({s.target for s in _flat(body, _NbAssign)}
+                         | set(reset_loads))
         for tname in targets:
             if tname not in self.nets:
                 self._err(f"undeclared register target {tname}", block.tok)
             if self.nets[tname].kind is NetKind.INPUT:
                 self._err(f"input {tname} must not be driven internally", block.tok)
-        for s in _flat_assigns(body):
-            self._check_readable(s.rhs, s.tok)
+        for s in _flat(body, _NbAssign):
+            self._check_readable(s.rhs, s.tok, f"register {s.target}")
             tw = self.nets[s.target].width
             rw = ex.width_of(s.rhs, self._width_fn)
             if rw is not None and rw > tw:
                 self._err(f"cannot assign {rw}-bit value to {tw}-bit register "
                           f"{s.target}", s.tok)
-        for s in _flat_conds(body):
-            self._check_readable(s.cond, s.tok)
+        for s in _flat(body, _If):
+            written = [a.target for a in _flat([s], _NbAssign)]
+            self._check_readable(s.cond, s.tok, f"register {min(written)}"
+                                 if written else "always_ff block")
 
         for tname in targets:
             nxt = _fold_next(body, tname, ex.Ident(tname))
@@ -383,24 +377,21 @@ class _Parser:
                     self._err(f"register {tname} is not loaded in the reset arm",
                               block.tok)
                 tgt_reset = Reset(reset.net, reset.active_level, value)
+            if nl.driver_of(tname) is not None:
+                self._err(f"net {tname} has multiple drivers", block.tok)
             nl.registers.append(Register(tname, nxt, block.clock, tgt_reset))
 
 
-def _flat_assigns(stmts: list):
+def _flat(stmts: list, kind: type) -> list:
+    """Every statement of *kind* in *stmts*, nested ones included, in
+    source order."""
+    out = []
     for s in stmts:
-        if isinstance(s, _NbAssign):
-            yield s
-        else:
-            yield from _flat_assigns(s.then)
-            yield from _flat_assigns(s.other)
-
-
-def _flat_conds(stmts: list):
-    for s in stmts:
+        if isinstance(s, kind):
+            out.append(s)
         if isinstance(s, _If):
-            yield s
-            yield from _flat_conds(s.then)
-            yield from _flat_conds(s.other)
+            out += _flat(s.then, kind) + _flat(s.other, kind)
+    return out
 
 
 def _fold_next(stmts: list, target: str, current: ex.Expr) -> ex.Expr:

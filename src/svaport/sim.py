@@ -15,29 +15,9 @@ parser rejects nets wider than 64 bits).  ``emit`` is the one expression
 evaluator: it writes the kernel's code, and ``BatchExpr`` compiles
 assertion terms and search screens with it.
 
-A stimulus holds one column of values per input.  ``Stimulus.for_design``
-builds the columns, in the netlist's input order, from a list of
-per-cycle maps, each in one pass, and checks them whole: every cycle a
-map of inputs only, each column all integers that fit the input's width.
-Only a stimulus that fails is searched for the earliest cycle at fault,
-which the error names.
-``stimulus_text`` fills one line template per cycle from the zipped
-columns, and ``SimKernel.run`` zips the columns into each cycle's inputs,
-so a long stimulus costs no Python work per value.
-
-A kernel may be sliced to the nets a caller reads (``SimKernel(netlist,
-keep)``): it then computes only their fan-in cone and returns only them,
-which is all a search objective needs.  A batch run may also be asked
-for a subset of the kept nets, and then stores only those: the step is
-the same, so one kernel serves a cheap pass that reads a few nets and a
-full pass over the rows that survive it.  Batch runs store each net
-cycle-major, one contiguous (rows,) row per cycle, and hand the arrays out
-as (rows, cycles) views.  A batch run stops stepping once its inputs hold
-and a step leaves every register of every row unchanged, since each later
-cycle repeats that one.  A scalar run returns a ``Trace``, which keeps the
-netlist it ran: readers take the nets' widths and the design's constants
-from it.  A trace holds each net's values as a list and converts a net to
-one uint64 array the first time a reader asks for it.
+A stimulus holds one column of values per input (``Stimulus``); a
+kernel may be sliced to the nets a caller reads (``SimKernel``), and a
+scalar run returns a ``Trace``.
 """
 
 from __future__ import annotations
@@ -211,13 +191,6 @@ class Trace:
     cycles: int
     _arrays: dict[str, np.ndarray] = field(
         default_factory=dict, init=False, repr=False, compare=False)
-
-    def value(self, net: str, cycle: int) -> int:
-        try:
-            return self.values[net][cycle]
-        except KeyError:
-            raise UnknownSignalError(
-                f"{net} is not a net of {self.netlist.name}") from None
 
     def arrays(self, nets: Iterable[str]) -> dict[str, np.ndarray]:
         """The given nets as read-only (1, cycles) uint64 arrays: the trace

@@ -237,9 +237,6 @@ class LinkReport:
     disable_dropped: bool = False
     disable_reason: str = ""
 
-    def entry(self, name: str) -> LinkEntry:
-        return self.entries[name]
-
     def with_status(self, status: str) -> list[LinkEntry]:
         return [e for e in self.entries.values() if e.status == status]
 
@@ -340,13 +337,6 @@ def trace_internal_logic(report: LinkReport,
     return report
 
 
-def _functional_signals(a: Assertion) -> set[str]:
-    out: set[str] = set()
-    for term in a.antecedent.terms() + a.consequent.terms():
-        out |= ex.idents_of(term)
-    return out
-
-
 def _strip_conjuncts(seq: SeqExpr, doomed: set[str]) -> SeqExpr | None:
     """Remove every conjunct mentioning a doomed signal; None if a step empties."""
     steps = []
@@ -368,7 +358,7 @@ def drop_untranslatable(report: LinkReport) -> LinkReport:
     nothing an implication checks.
     """
     a = report.assertion
-    functional = _functional_signals(a)
+    functional = signals_of(replace(a, disable=None))
     disable_ids = ex.idents_of(a.disable) if a.disable is not None else set()
 
     doomed = {e.source for e in report.unresolved() if e.source in functional}
@@ -570,14 +560,8 @@ def generate_testcase(a: Assertion, target: Netlist,
     sliced to the nets the assertion reads; the confirmation runs on the
     whole design.  Every input of the assertion's cone is searched in one
     pass that forces the input bits the antecedent's first step needs
-    (``necessary_literals``), and forces nothing when it needs none.  When
-    it forces bits on a design with registers, ``flipped_prefix`` runs
-    after ``constant``, with those bits inverted for the warm-up.  No
-    unforced pass follows: every constant-schedule witness has those bits.
-    When the space is enumerated, it holds every such witness and meets
-    them in the order an unforced pass would; when it is sampled, an
-    unforced draw would only sample a larger space whose witnesses all lie
-    in this one.  An antecedent whose literals contradict each other can
+    (``necessary_literals``; the ``search`` module says why that loses no
+    witness).  An antecedent whose literals contradict each other can
     never hold, so it is not searched at all.
     """
     config = config or TranslationConfig()

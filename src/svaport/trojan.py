@@ -271,13 +271,8 @@ def forge(netlist: Netlist, assertions: list[Assertion],
     that assertion checks.  Candidates are sampled from a seeded stream and
     accepted only when an activation stimulus exists (see module docstring
     for the objective), so the result is deterministic for a given seed.
-
     Each attempt's search decides a batch in stages, cheapest first (see
-    ``_find_activation``): the screen over every candidate, then the
-    corrupted design's run of the target's nets over the rows that pass
-    it, and only for rows on which the target fails, the full corrupted
-    and clean runs.  An attempt whose target never fails stops every batch
-    at the second stage and never runs the clean design.
+    ``_find_activation``).
 
     One clean kernel serves every attempt.  It is sliced to the nets the
     objective reads of the clean design: the outputs and each assertion's

@@ -7,7 +7,7 @@ from svaport import corpus
 from svaport import expr as ex
 from svaport.errors import (CombinationalLoopError, ElaborationError,
                             ParseError, UnsupportedConstructError)
-from svaport.netlist import NetKind, render_netlist, validate
+from svaport.netlist import NetKind, render_netlist
 from svaport.rtl_parser import parse_design
 
 from . import gen
@@ -93,26 +93,55 @@ def test_multiple_drivers_rejected():
                      "  assign y = a;\n  assign y = !a;\nendmodule\n")
 
 
+@pytest.mark.parametrize("other", [
+    "  assign q = a;\n",
+    "  always_ff @(posedge clk) q <= a;\n",
+])
+def test_register_with_a_second_driver_rejected_at_its_block(other):
+    text = ("module m (input logic clk, input logic a, output logic y);\n"
+            "  logic q;\n  assign y = q;\n" + other
+            + "  always_ff @(posedge clk) q <= !a;\nendmodule\n")
+    with pytest.raises(ElaborationError, match="net q has multiple "
+                       "drivers") as err:
+        parse_design(text)
+    assert (err.value.line, err.value.col) == (5, 3)
+
+
+def test_second_clock_rejected_at_its_block():
+    text = ("module m (input logic c1, input logic c2, output logic y);\n"
+            "  logic p, q;\n  assign y = p & q;\n"
+            "  always_ff @(posedge c1) p <= !p;\n"
+            "  always_ff @(posedge c2) q <= !q;\nendmodule\n")
+    with pytest.raises(ElaborationError, match="multiple clock nets: "
+                       "c1, c2") as err:
+        parse_design(text)
+    assert (err.value.line, err.value.col) == (5, 3)
+
+
 def test_driven_input_rejected():
     with pytest.raises(ElaborationError, match="input"):
         parse_design("module m (input logic a, output logic y);\n"
                      "  assign a = 1'b1;\n  assign y = a;\nendmodule\n")
 
 
-@pytest.mark.parametrize("driver, where", [
-    ("  assign y = ~4;\n", "assign y"),
-    ("  assign y = q & ~(2 + 1);\n", "assign y"),
+@pytest.mark.parametrize("driver, where, at", [
+    ("  assign y = ~4;\n", "assign y", (4, 10)),
+    ("  assign y = q & ~(2 + 1);\n", "assign y", (4, 10)),
     ("  assign y = q;\n  always_ff @(posedge clk) begin\n"
-     "    q <= a ? ~1 : q;\n  end\n", "register q"),
+     "    q <= a ? ~1 : q;\n  end\n", "register q", (6, 5)),
+    ("  assign y = q;\n  always_ff @(posedge clk) begin\n"
+     "    if (~1) q <= a;\n  end\n", "register q", (6, 5)),
 ])
-def test_not_of_an_unsized_literal_rejected(driver, where):
+def test_not_of_an_unsized_literal_rejected(driver, where, at):
     # an unsized literal has no width for ~ to invert; the parse rejects
-    # it wherever it is, not only when a kernel compiles that driver
+    # it wherever it is, not only when a kernel compiles that driver, at
+    # the token of the statement that holds it
     text = ("module m (input logic clk, input logic a,\n"
             "          output logic [3:0] y);\n"
             "  logic [3:0] q;\n" + driver + "endmodule\n")
-    with pytest.raises(ElaborationError, match=f"unsized literal in {where}"):
+    with pytest.raises(ElaborationError, match=f"unsized literal in {where}") as err:
         parse_design(text)
+    assert (err.value.line, err.value.col) == at
     parse_design(text.replace("~4", "~4'd4").replace("~(2 + 1)", "~4'd3")
                  .replace("~1", "~4'd1"))
 
@@ -179,7 +208,6 @@ def test_one_module_per_file():
 
 @given(gen.designs())
 def test_generated_designs_round_trip(nl):
-    validate(nl)
     reparsed = parse_design(render_netlist(nl))
     assert reparsed.name == nl.name
     assert reparsed.ports == nl.ports

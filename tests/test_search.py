@@ -163,7 +163,7 @@ def test_search_walks_its_input_set_once_holding_the_forced_bits():
                                objective, accept, np.random.default_rng(0),
                                4, kernel=kernel)
 
-    stim, stats = search(lambda s: kernel.run(s).value("hit_o", 0) == 1)
+    stim, stats = search(lambda s: kernel.run(s).values["hit_o"][0] == 1)
     assert searched == [[2] * 4 + [3] * 4]
     assert {(c["a_i"], c["b_i"]) for c in stim.inputs} == {(0, 3)}
     assert stim.cycles == 4

@@ -1,9 +1,11 @@
 """Simulation kernel and expression emitter: oracle agreement, determinism,
 batching, stimulus IO."""
 
+import copy
 import json
 import random
-from collections import defaultdict
+from collections import OrderedDict, defaultdict
+from functools import partial
 
 import numpy as np
 import pytest
@@ -103,10 +105,10 @@ def test_register_update_is_one_cycle_delayed(corpus_designs):
              "csr_wdata_i": 0xFF, "priv_lvl_i": 1}
     idle = {"csr_addr_i": 0x300}
     trace = SimKernel(nl).run(Stimulus.for_design(nl, [write, idle, idle]))
-    assert trace.value("mstatus_q", 0) == 0       # write lands next cycle
-    assert trace.value("mstatus_q", 1) == 0xFF
-    assert trace.value("mstatus_q", 2) == 0xFF    # no enable: holds
-    assert trace.value("csr_rdata_o", 1) == 0xFF
+    assert trace.values["mstatus_q"][0] == 0       # write lands next cycle
+    assert trace.values["mstatus_q"][1] == 0xFF
+    assert trace.values["mstatus_q"][2] == 0xFF    # no enable: holds
+    assert trace.values["csr_rdata_o"][1] == 0xFF
 
 
 def test_reset_reloads_registers(corpus_designs):
@@ -116,10 +118,10 @@ def test_reset_reloads_registers(corpus_designs):
             {"rst_ni": 0},                 # reset asserted
             {}]                            # back to reset value
     trace = SimKernel(nl).run(Stimulus.for_design(nl, rows))
-    assert trace.value("debug_mode_q", 0) == 0
-    assert trace.value("debug_mode_q", 1) == 1
-    assert trace.value("debug_mode_q", 2) == 1    # visible until the edge
-    assert trace.value("debug_mode_q", 3) == 0
+    assert trace.values["debug_mode_q"][0] == 0
+    assert trace.values["debug_mode_q"][1] == 1
+    assert trace.values["debug_mode_q"][2] == 1    # visible until the edge
+    assert trace.values["debug_mode_q"][3] == 0
 
 
 def test_stimulus_defaults_and_validation(corpus_designs):
@@ -131,13 +133,6 @@ def test_stimulus_defaults_and_validation(corpus_designs):
         Stimulus.for_design(nl, [{"debug_req_i": 2}])
     with pytest.raises(UnknownSignalError, match="not an input"):
         Stimulus.for_design(nl, [{"debug_mode_q": 1}])
-
-
-def test_trace_unknown_net(corpus_designs):
-    nl = corpus_designs["debug_unit"]
-    trace = SimKernel(nl).run(Stimulus.for_design(nl, [{}]))
-    with pytest.raises(UnknownSignalError):
-        trace.value("nonexistent", 0)
 
 
 def test_run_batch_rows_match_scalar_runs(corpus_designs):
@@ -519,18 +514,25 @@ def _clean_cycles(draw, nl: Netlist):
 
 @st.composite
 def _raw_cycles(draw, nl: Netlist):
-    """Clean cycles with up to two faults: a value of the wrong type or
-    range, an unknown name, a cycle that is no map, or no list at all."""
-    cycles = draw(_clean_cycles(nl))
+    """Clean cycles, each a dict, OrderedDict or defaultdict(int), with up
+    to three faults: a value of the wrong type or range, an unknown name, a
+    cycle that is no map, or no list at all.  Half of the time every fault
+    goes into one cycle, so faults tie within it."""
+    cycles = [draw(st.sampled_from([dict, OrderedDict,
+                                    partial(defaultdict, int)]))(c)
+              for c in draw(_clean_cycles(nl))]
     names = [n.name for n in nl.inputs()]
-    for _ in range(draw(st.integers(0, 2))):
+    one_cycle = draw(st.booleans())
+    i = None
+    for _ in range(draw(st.integers(0, 3))):
         fault = draw(st.sampled_from(["type", "range", "name", "cycle",
                                       "whole"]))
         if fault == "whole" or not cycles:
             return draw(st.integers() | st.none() | st.text(max_size=2)
                         | st.just({names[0] if names else "x": 1}))
-        i = draw(st.integers(0, len(cycles) - 1))
-        if fault == "cycle" or type(cycles[i]) is not dict:
+        if i is None or not one_cycle:
+            i = draw(st.integers(0, len(cycles) - 1))
+        if fault == "cycle" or not isinstance(cycles[i], dict):
             cycles[i] = draw(st.integers() | st.none()
                              | st.lists(st.integers(0, 1), max_size=1))
         elif fault == "name" or not names:
@@ -559,7 +561,9 @@ def test_for_design_matches_per_cycle_validator(nl, data):
     # same rows in the same key order, and reject the rest with its error
     cycles = data.draw(_raw_cycles(nl))
     want = _outcome(lambda: oracles.stimulus_rows(nl, cycles))
+    before = copy.deepcopy(cycles)
     assert _outcome(lambda: Stimulus.for_design(nl, cycles).inputs) == want
+    assert cycles == before  # a defaultdict is read, never written
 
 
 @given(_designs(), st.data())

@@ -8,8 +8,12 @@ scoring of a trojan (``cli._evaluate_one``) must also reach
 its cycle and check counts would read low.  Forge must still build its
 graph through ``build_graph``, or that layer would read 0, and run every
 batch, the run of a target's nets alone included, through ``run_batch``,
-or ``sim.run_batch.row_cycles`` would read low.  The wrappers
-stay for the life of a process, so the check runs in a fresh one.
+or ``sim.run_batch.row_cycles`` would read low.  The benchmark's own
+modules must import, and the names they reach by attribute or keyword
+(``Stimulus(rows)``, ``Trace.values``, ``input_cone``,
+``TranslationConfig.generate_testcase``) must exist, so a deletion that
+breaks the benchmark fails here too.  The wrappers stay for the life of a
+process, so the check runs in a fresh one.
 """
 
 import os
@@ -99,6 +103,18 @@ assert len(forged) == 1
 assert any(subset for subset, _ in batches), batches
 assert counts["sim.run_batch.row_cycles"] - before \
     == sum(cost for _, cost in batches), batches
+# the benchmark's own modules import, and the names they reach by
+# attribute or keyword still exist
+import perfbench.checks
+import perfbench.workloads
+from svaport.graph import build_graph
+from svaport.search import input_cone
+from svaport.translate import TranslationConfig
+
+assert not TranslationConfig(generate_testcase=False).generate_testcase
+rows = Stimulus(Stimulus.for_design(toy, [{"a_i": 3, "en_i": 1}]).inputs)
+assert SimKernel(toy).run(rows).values["sum_o"] == [3]
+assert input_cone(toy, build_graph(toy), {"sum_o"})
 """
 
 
