@@ -124,14 +124,19 @@ def test_driven_input_rejected():
                      "  assign a = 1'b1;\n  assign y = a;\nendmodule\n")
 
 
-@pytest.mark.parametrize("driver, where, at", [
+_UNSIZED_NOT_CASES = [
     ("  assign y = ~4;\n", "assign y", (4, 10)),
     ("  assign y = q & ~(2 + 1);\n", "assign y", (4, 10)),
     ("  assign y = q;\n  always_ff @(posedge clk) begin\n"
      "    q <= a ? ~1 : q;\n  end\n", "register q", (6, 5)),
     ("  assign y = q;\n  always_ff @(posedge clk) begin\n"
      "    if (~1) q <= a;\n  end\n", "register q", (6, 5)),
-])
+]
+
+
+# a case is named by its driver and where, not by its expected position
+@pytest.mark.parametrize("driver, where, at", _UNSIZED_NOT_CASES,
+                         ids=[f"{d}-{w}" for d, w, _ in _UNSIZED_NOT_CASES])
 def test_not_of_an_unsized_literal_rejected(driver, where, at):
     # an unsized literal has no width for ~ to invert; the parse rejects
     # it wherever it is, not only when a kernel compiles that driver, at
