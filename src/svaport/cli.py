@@ -25,19 +25,8 @@ Testcases and activations share the one stimulus format of
 seed; identical config and seed give byte-identical artifacts.
 
 Exit codes: 0 on success, 2 when translation left assertions behind,
-1 for configuration, parse, forge, or simulation errors.
-
-Output layout::
-
-    <out_dir>/
-      <module>/links/a00_<key>.json       one per source assertion
-      <module>/translated/a00_<key>.sva   one per translatable assertion
-      <module>/testcases/a00_<key>.json   passing stimulus, when found
-      <module>/trojans/<id>.sv            design with the trojan inside
-      <module>/trojans/<id>.json          trojan spec
-      <module>/trojans/<id>.stim.json     activation stimulus
-      metrics.json                        raw evaluation results
-      report.txt|json|csv                 rendered summary
+1 for configuration, parse, forge, or simulation errors.  The output
+layout is the one ``docs/file_formats.md`` shows.
 """
 
 from __future__ import annotations
@@ -141,13 +130,11 @@ def cmd_translate(config: ProjectConfig) -> int:
                   f"nothing to translate for module {job.name}")
             continue
         graph = build_graph(target)
-        kernel = SimKernel(target)
         for idx, (assertion, key) in enumerate(zip(assertions, keys)):
             stem = f"a{idx:02d}_{_slug(key)}"
             tconf = TranslationConfig(horizon=config.horizon,
                                       seed=config.seed, key=key)
-            outcome = translate(assertion, target, smap, tconf,
-                                graph=graph, kernel=kernel)
+            outcome = translate(assertion, target, smap, tconf, graph=graph)
             doc = {
                 "seed": config.seed,
                 "module": job.name,

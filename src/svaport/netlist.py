@@ -64,6 +64,12 @@ class Param:
     value: int
     size: int | None = None
 
+    @property
+    def width(self) -> int:
+        """The declared size, or else the fewest bits that hold the value."""
+        return self.size if self.size is not None else max(
+            1, self.value.bit_length())
+
 
 @dataclass(eq=True)
 class Netlist:
@@ -80,8 +86,7 @@ class Netlist:
         if name in self.nets:
             return self.nets[name].width
         if name in self.params:
-            p = self.params[name]
-            return p.size if p.size is not None else max(1, p.value.bit_length())
+            return self.params[name].width
         raise KeyError(name)
 
     def resolves(self, name: str) -> bool:

@@ -194,7 +194,9 @@ class _Parser:
         rhs = ex.parse_expr(ts)
         ts.expect(";")
         self._check_readable(rhs, lhs, f"assign {lhs.text}")
-        self._check_assign_width(lhs, rhs)
+        if self.nets[self._net(lhs)].kind is NetKind.INPUT:
+            self._err(f"input {lhs.text} must not be driven internally", lhs)
+        self._check_width(lhs.text, "net", rhs, lhs)
         if any(a.lhs == lhs.text for a in self.assigns):
             ts.error(f"net {lhs.text} has multiple drivers", lhs, ElaborationError)
         self.assigns.append(Assign(lhs.text, rhs))
@@ -205,13 +207,13 @@ class _Parser:
         ts.expect("@")
         ts.expect("(")
         ts.expect("kw", "posedge")
-        clock = ts.expect("id").text
+        clock = self._net(ts.expect("id"))
         reset_sense = None
         if ts.accept("kw", "or"):
             edge = ts.next()
             if edge.text not in ("posedge", "negedge"):
                 ts.error("expected posedge/negedge in sensitivity list", edge)
-            rnet = ts.expect("id").text
+            rnet = self._net(ts.expect("id"))
             reset_sense = (rnet, 1 if edge.text == "posedge" else 0)
         if ts.at("kw", "or"):
             ts.error("at most one clock and one reset in a sensitivity list",
@@ -256,11 +258,16 @@ class _Parser:
     def _err(self, message: str, tok: Token) -> None:
         self.ts.error(message, tok, ElaborationError)
 
+    def _net(self, tok: Token) -> str:
+        """The name *tok* gives, which must be a declared net."""
+        if tok.text not in self.nets:
+            self._err(f"undeclared identifier {tok.text}", tok)
+        return tok.text
+
     def _width_fn(self, name: str) -> int:
         if name in self.nets:
             return self.nets[name].width
-        p = self.params[name]
-        return p.size if p.size is not None else max(1, p.value.bit_length())
+        return self.params[name].width
 
     def _check_readable(self, e: ex.Expr, at: Token, where: str) -> None:
         for node in ex.walk(e):
@@ -282,17 +289,15 @@ class _Parser:
                     and ex.width_of(node.operand, self._width_fn) is None):
                 self._err(f"cannot apply ~ to an unsized literal in {where}", at)
 
-    def _check_assign_width(self, lhs: Token, rhs: ex.Expr) -> None:
-        if lhs.text not in self.nets:
-            self._err(f"undeclared identifier {lhs.text}", lhs)
-        if self.nets[lhs.text].kind is NetKind.INPUT:
-            self._err(f"input {lhs.text} must not be driven internally", lhs)
-        lw = self.nets[lhs.text].width
+    def _check_width(self, target: str, what: str, rhs: ex.Expr,
+                     at: Token) -> None:
+        tw = self.nets[target].width
         rw = ex.width_of(rhs, self._width_fn)
         # unsized literals stretch to fit; anything wider than the target is
         # a real mismatch, never a silent truncation
-        if rw is not None and rw > lw:
-            self._err(f"cannot assign {rw}-bit value to {lw}-bit net {lhs.text}", lhs)
+        if rw is not None and rw > tw:
+            self._err(f"cannot assign {rw}-bit value to {tw}-bit {what} "
+                      f"{target}", at)
 
     def _elaborate_registers(self, nl: Netlist) -> None:
         for block in self.blocks:
@@ -358,11 +363,7 @@ class _Parser:
                 self._err(f"input {tname} must not be driven internally", block.tok)
         for s in _flat(body, _NbAssign):
             self._check_readable(s.rhs, s.tok, f"register {s.target}")
-            tw = self.nets[s.target].width
-            rw = ex.width_of(s.rhs, self._width_fn)
-            if rw is not None and rw > tw:
-                self._err(f"cannot assign {rw}-bit value to {tw}-bit register "
-                          f"{s.target}", s.tok)
+            self._check_width(s.target, "register", s.rhs, s.tok)
         for s in _flat(body, _If):
             written = [a.target for a in _flat([s], _NbAssign)]
             self._check_readable(s.cond, s.tok, f"register {min(written)}"

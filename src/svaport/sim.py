@@ -8,12 +8,14 @@ Registers start at their reset value, or 0 when no reset is declared, and a
 register whose reset net is active at the clock edge reloads its reset value
 for the next cycle.
 
-The settle/update step is compiled to a Python function once per netlist.
-The same generated source runs in two flavors: scalar (plain ints) and
-batch (numpy uint64 arrays, many independent stimuli at once; the RTL
-parser rejects nets wider than 64 bits).  ``emit`` is the one expression
-evaluator: it writes the kernel's code, and ``BatchExpr`` compiles
-assertion terms and search screens with it.
+The settle/update step is generated as Python source.  All generated
+code, kernels and ``BatchExpr`` terms alike, compiles once per distinct
+source (``_compiled``), so kernels that slice two designs to the same
+logic share one function.  A step runs in two flavors: scalar (plain
+ints) and batch (numpy uint64 arrays, many independent stimuli at once;
+the RTL parser rejects nets wider than 64 bits).  ``emit`` is the one
+expression evaluator: it writes the kernel's code, and ``BatchExpr``
+compiles assertion terms and search screens with it.
 
 A stimulus holds one column of values per input (``Stimulus``); a
 kernel may be sliced to the nets a caller reads (``SimKernel``), and a
@@ -86,19 +88,16 @@ class Stimulus:
 
     @staticmethod
     def for_design(netlist: Netlist, cycles: list[dict[str, int]]) -> "Stimulus":
-        """Fill in the defaults and check the values; a fault raises,
-        naming the earliest cycle at fault.
+        """Fill in the defaults and check the values by the stimulus rules
+        of ``docs/file_formats.md``; a fault raises, naming the earliest
+        cycle at fault.
 
-        A cycle that omits an input gives it 0, or a reset net its
-        inactive level, so designs run unless a cycle asserts reset.  The
-        columns come in the netlist's input order.  Each is read in one
+        The columns come in the netlist's input order.  Each is read in one
         pass and checked whole: all integers that fit the input's width.
         Every key must name an input: when the maps all name the same
         inputs, counting their keys shows it.  Only a stimulus that fails
-        is searched for its earliest cycle that is no map, holds a bad
-        value or names no input.  Within that cycle the inputs are checked
-        in netlist order, each for its type before its range, and unknown
-        names after them.
+        is searched for its earliest cycle at fault, where each input is
+        checked for its type before its range.
         """
         if not isinstance(cycles, list):
             raise ConfigError("expected an array of per-cycle input maps")
@@ -279,10 +278,12 @@ def emit(e: ex.Expr, width: Callable[[str], int], params: Mapping[str, int],
 
 
 @lru_cache(maxsize=4096)
-def _compile_batch(source: str) -> Callable:
+def _compiled(source: str, name: str) -> Callable:
+    """The function *name* that *source* defines, compiled once per
+    distinct source: the one compile cache of generated code."""
     scope: dict = {"_b": _batch_bit, "_mux": _batch_mux}
-    exec(compile(source, "<expr>", "exec"), scope)
-    return scope["_expr"]
+    exec(compile(source, "<generated>", "exec"), scope)
+    return scope[name]
 
 
 def _past(v: np.ndarray, depth: int) -> np.ndarray:
@@ -298,7 +299,7 @@ class BatchExpr:
 
     ``$past(e, d)`` reads every net of *e* shifted d cycles along the
     cycle axis and zero-filled: nets read 0 before cycle 0, parameters keep
-    their values.  Each distinct emitted source is compiled once.
+    their values.
     """
 
     def __init__(self, e: ex.Expr, width: Callable[[str], int],
@@ -317,7 +318,8 @@ class BatchExpr:
         #: the $past depth of every net read under $past, one per read
         self.past_depths = tuple(d for _, d in reads if d)
         names = ", ".join(var(n, d) for n, d in self.args)
-        self._fn = _compile_batch(f"def _expr({names}):\n    return {body}\n")
+        self._fn = _compiled(f"def _expr({names}):\n    return {body}\n",
+                             "_expr")
 
     @property
     def nets(self) -> set[str]:
@@ -351,7 +353,8 @@ def fanin_cone(netlist: Netlist, keep: Iterable[str]) -> set[str]:
 
 
 class SimKernel:
-    """One netlist compiled into a reusable settle+update step function.
+    """One netlist compiled into a reusable settle+update step function;
+    kernels whose generated ``source`` is the same share one function.
 
     With *keep*, a set of nets, the kernel is sliced to their fan-in cone
     (cone-of-influence reduction): it computes only the assigns and
@@ -376,9 +379,7 @@ class SimKernel:
             (r.reset.value if r.reset is not None else 0)
             for r in self._registers)
         self._source = self._generate()
-        scope: dict = {}
-        exec(compile(self._source, f"<kernel:{netlist.name}>", "exec"), scope)
-        self._fn = scope["_step"]
+        self._fn = _compiled(self._source, "_step")
 
     # -- code generation ---------------------------------------------------
 

@@ -470,8 +470,7 @@ def _apply_augmentations(seq: SeqExpr, augs: list[Augmentation],
 
 def translate(source: Assertion, target: Netlist, smap: SignalMap,
               config: TranslationConfig | None = None, *,
-              graph: DependencyGraph | None = None,
-              kernel: SimKernel | None = None) -> TranslationOutcome:
+              graph: DependencyGraph | None = None) -> TranslationOutcome:
     """Run the whole pipeline for one assertion.
 
     Either every identifier finds a home (verdict carries the rewritten
@@ -530,8 +529,7 @@ def translate(source: Assertion, target: Netlist, smap: SignalMap,
     notes: list[str] = []
     testcase = stats = None
     if config.generate_testcase:
-        testcase, stats = generate_testcase(out, target, config,
-                                            graph=graph, kernel=kernel)
+        testcase, stats = generate_testcase(out, target, config, graph=graph)
         if testcase is None and not stats.candidates:
             notes.append("the antecedent's first step can never hold: the "
                          "input bits it needs contradict each other")
@@ -548,7 +546,6 @@ def translate(source: Assertion, target: Netlist, smap: SignalMap,
 def generate_testcase(a: Assertion, target: Netlist,
                       config: TranslationConfig | None = None, *,
                       graph: DependencyGraph | None = None,
-                      kernel: SimKernel | None = None,
                       ) -> tuple[Stimulus | None, SearchStats]:
     """Find inputs under which *a* passes non-vacuously on the clean
     design, and say what the search took.
@@ -556,13 +553,12 @@ def generate_testcase(a: Assertion, target: Netlist,
     One ``Checker`` decides the verdict (no failure, at least one
     completed non-vacuous pass) with arrays over every candidate of each
     simulated batch, and a scalar simulation checked by ``check_assertion``
-    confirms the first candidate that meets it.  Batches run on a kernel
-    sliced to the nets the assertion reads; the confirmation runs on the
-    whole design.  Every input of the assertion's cone is searched in one
-    pass that forces the input bits the antecedent's first step needs
-    (``necessary_literals``; the ``search`` module says why that loses no
-    witness).  An antecedent whose literals contradict each other can
-    never hold, so it is not searched at all.
+    confirms the first candidate that meets it, both on a kernel sliced to
+    the nets the assertion reads.  Every input of the assertion's cone is
+    searched in one pass that forces the input bits the antecedent's first
+    step needs (``necessary_literals``; the ``search`` module says why that
+    loses no witness).  An antecedent whose literals contradict each other
+    can never hold, so it is not searched at all.
     """
     config = config or TranslationConfig()
     checker = Checker(a, target)
@@ -570,7 +566,7 @@ def generate_testcase(a: Assertion, target: Netlist,
     if literals is None:
         return None, SearchStats()
     graph = graph or build_graph(target)
-    kernel = kernel or SimKernel(target)
+    kernel = SimKernel(target, keep=checker.nets)
 
     def objective(arrays: dict[str, np.ndarray],
                   inputs: dict[str, np.ndarray]) -> np.ndarray:
@@ -583,6 +579,5 @@ def generate_testcase(a: Assertion, target: Netlist,
 
     cone = input_cone(target, graph, signals_of(a))
     rng = substream(config.seed, "translate", "testcase", a.effective_name())
-    sliced = SimKernel(target, keep=checker.nets)
     return search_stimulus(target, cone, literals, objective, accept, rng,
-                           config.horizon, kernel=sliced)
+                           config.horizon, kernel=kernel)

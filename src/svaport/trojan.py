@@ -33,7 +33,7 @@ from .records import field, read_json, record
 from .rng import substream
 from .search import (input_cone, necessary_literals, ruled_out,
                      search_stimulus, take_rows)
-from .sim import BatchExpr, SimKernel, Stimulus, fanin_cone
+from .sim import BatchExpr, SimKernel, Stimulus
 from .sva import Assertion, signals_of
 
 PAYLOAD_KINDS = ("invert_net", "force_constant", "xor_into_assign")
@@ -271,14 +271,10 @@ def forge(netlist: Netlist, assertions: list[Assertion],
     that assertion checks.  Candidates are sampled from a seeded stream and
     accepted only when an activation stimulus exists (see module docstring
     for the objective), so the result is deterministic for a given seed.
-    Each attempt's search decides a batch in stages, cheapest first (see
-    ``_find_activation``).
-
-    One clean kernel serves every attempt.  It is sliced to the nets the
-    objective reads of the clean design: the outputs and each assertion's
-    nets, which hold every payload candidate.  A screen kernel whose cone
-    the payload cannot reach is the clean design's, kept once per distinct
-    set of screen nets and shared by the attempts that screen on it.
+    Each attempt builds its own kernels, and each distinct generated
+    source compiles once (``sim``), so the clean design's kernel, the same
+    in every attempt, compiles once.  Each attempt's search decides a
+    batch in stages, cheapest first (see ``_find_activation``).
     """
     if not assertions:
         raise InsufficientSignalsError("cannot forge without assertions")
@@ -289,9 +285,6 @@ def forge(netlist: Netlist, assertions: list[Assertion],
     # the injected designs keep the clean one's nets and constants, so one
     # checker per assertion decides clean and corrupted runs alike
     checkers = [Checker(a, netlist) for a in assertions]
-    kernel = SimKernel(netlist, keep=_outputs(netlist).union(
-        *(c.nets for c in checkers)))
-    screens: dict[frozenset[str], SimKernel] = {}
 
     forged: list[tuple[TrojanSpec, Stimulus]] = []
     for j in range(params.count):
@@ -335,7 +328,7 @@ def forge(netlist: Netlist, assertions: list[Assertion],
             stim = _find_activation(
                 cand, netlist, checkers, target, params.horizon,
                 substream(params.seed, "forge", netlist.name, j, attempt),
-                kernel=kernel, screens=screens, skipped=skipped)
+                skipped=skipped)
             if stim is not None:
                 forged.append((cand, stim))
                 break
@@ -360,9 +353,7 @@ def _outputs(netlist: Netlist) -> set[str]:
 def _find_activation(spec: TrojanSpec, netlist: Netlist,
                      checkers: list[Checker], target: int | None,
                      horizon: int, rng: np.random.Generator,
-                     *, kernel: SimKernel | None = None,
-                     screens: dict[frozenset[str], SimKernel] | None = None,
-                     skipped: Counter[str] | None = None,
+                     *, skipped: Counter[str] | None = None,
                      ) -> Stimulus | None:
     """Search for a stimulus satisfying the activation objective.
 
@@ -376,22 +367,20 @@ def _find_activation(spec: TrojanSpec, netlist: Netlist,
     survived the stage before it, the cheapest first:
 
     1. the screen: the trigger and the target's first antecedent term
-       (both necessary), on a kernel sliced to just their nets.  When the
-       payload cannot reach those nets, that is the clean design's
-       kernel, looked up in (and added to) *screens* by its nets;
+       (both necessary), on the corrupted design sliced to just their nets;
     2. with a *target*, the corrupted design's run, storing only the
        target checker's nets: only rows on which the target fails go on;
     3. the co-simulation: the corrupted design's full run, on the kernel
-       stage 2 ran, which is sliced to the nets the objective reads, and
-       the clean design's run on *kernel* (which must keep those nets; by
-       default one is sliced to them).
+       stage 2 ran, and the clean design's, each sliced to the nets the
+       objective reads.
 
-    One rule, ``meets``, decides every row that reaches stage 3 with
-    arrays.  Stage 2 drops only rows ``meets`` would reject, and rows are
-    independent in a batch run and in every checker, so every row that
-    meets the objective is returned, in order.  ``accept`` re-runs the
-    first of them on both kernels and decides it with the same rule only
-    to confirm.
+    A screen the payload cannot reach has the clean design's source, so
+    it runs the clean design's compiled step.  One rule, ``meets``,
+    decides every row that reaches stage 3 with arrays.  Stage 2 drops
+    only rows ``meets`` would reject, and rows are independent in a batch
+    run and in every checker, so every row that meets the objective is
+    returned, in order.  ``accept`` re-runs the first of them on both
+    kernels and decides it with the same rule only to confirm.
 
     The search is one pass over every input the objective's nets depend
     on.  It forces the trigger's input bits and, with a *target*, the
@@ -430,23 +419,14 @@ def _find_activation(spec: TrojanSpec, netlist: Netlist,
     reads = (_outputs(netlist) | {spec.payload_net}).union(
         *(c.nets for c in checkers))
     keep = reads | trig.nets
-    kernel = kernel or SimKernel(netlist, keep=reads)
+    kernel = SimKernel(netlist, keep=reads)
     inj_kernel = SimKernel(injected, keep=keep)
 
     ante_term = (BatchExpr(ante.steps[0][1], injected.width, consts)
                  if ante is not None else None)
     screen_nets = trig.nets | (ante_term.nets if ante_term is not None
                                else set())
-    if spec.payload_net in fanin_cone(netlist, screen_nets):
-        screen_kernel = SimKernel(injected, keep=screen_nets)
-    else:
-        # the corruption cannot reach the screen: the clean design computes
-        # the same screen values
-        screens = {} if screens is None else screens
-        key = frozenset(screen_nets)
-        if key not in screens:
-            screens[key] = SimKernel(netlist, keep=screen_nets)
-        screen_kernel = screens[key]
+    screen_kernel = SimKernel(injected, keep=screen_nets)
 
     def meets(dirty: dict[str, np.ndarray],
               clean: dict[str, np.ndarray]) -> np.ndarray:
@@ -497,13 +477,8 @@ def _find_activation(spec: TrojanSpec, netlist: Netlist,
 
 def activation_stimulus(spec: TrojanSpec, netlist: Netlist,
                         horizon: int = 16, *, seed: int = 0) -> Stimulus:
-    """Find inputs that fire the trigger and make the corruption visible.
-
-    One search over the inputs of the observed nets' cone, with the
-    trigger's input bits forced: exhaustive over the other bits when they
-    fit the search budget, otherwise a seeded random sweep; deterministic
-    either way.
-    """
+    """Find inputs that fire the trigger and make the corruption visible:
+    forge's activation search, with no assertion to fail."""
     rng = substream(seed, "activate", spec.module, spec.id)
     stim = _find_activation(spec, netlist, [], None, horizon, rng)
     if stim is None:

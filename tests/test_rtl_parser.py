@@ -118,6 +118,21 @@ def test_second_clock_rejected_at_its_block():
     assert (err.value.line, err.value.col) == (5, 3)
 
 
+@pytest.mark.parametrize("sense, at", [
+    ("posedge ghost", (3, 23)),
+    ("posedge clk or negedge ghost", (3, 38)),
+], ids=["clock", "reset"])
+def test_undeclared_sensitivity_net_rejected_at_its_token(sense, at):
+    text = ("module m (input logic clk, input logic rst_n, input logic a,\n"
+            "           output logic q);\n  always_ff @(" + sense
+            + ") begin\n    if (!rst_n) q <= 1'b0;\n    else q <= a;\n"
+            "  end\nendmodule\n")
+    with pytest.raises(ElaborationError,
+                       match="^undeclared identifier ghost") as err:
+        parse_design(text)
+    assert (err.value.line, err.value.col) == at
+
+
 def test_driven_input_rejected():
     with pytest.raises(ElaborationError, match="input"):
         parse_design("module m (input logic a, output logic y);\n"

@@ -11,9 +11,9 @@ batch, the run of a target's nets alone included, through ``run_batch``,
 or ``sim.run_batch.row_cycles`` would read low.  The benchmark's own
 modules must import, and the names they reach by attribute or keyword
 (``Stimulus(rows)``, ``Trace.values``, ``input_cone``,
-``TranslationConfig.generate_testcase``) must exist, so a deletion that
-breaks the benchmark fails here too.  The wrappers stay for the life of a
-process, so the check runs in a fresh one.
+``TranslationConfig.generate_testcase``, ``translate(..., graph=)``) must
+exist, so a deletion that breaks the benchmark fails here too.  The
+wrappers stay for the life of a process, so the check runs in a fresh one.
 """
 
 import os
@@ -109,9 +109,12 @@ import perfbench.checks
 import perfbench.workloads
 from svaport.graph import build_graph
 from svaport.search import input_cone
-from svaport.translate import TranslationConfig
+from svaport.translate import SignalMap, TranslationConfig, translate
 
 assert not TranslationConfig(generate_testcase=False).generate_testcase
+a = parse_assertions(TOY_SVA)[0]
+assert translate(a, toy, SignalMap(), TranslationConfig(),
+                 graph=build_graph(toy)).translatable
 rows = Stimulus(Stimulus.for_design(toy, [{"a_i": 3, "en_i": 1}]).inputs)
 assert SimKernel(toy).run(rows).values["sum_o"] == [3]
 assert input_cone(toy, build_graph(toy), {"sum_o"})

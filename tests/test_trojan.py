@@ -335,12 +335,12 @@ def test_activation_builds_each_dependency_map_once(monkeypatch):
 
 def test_forge_compiles_once_per_netlist_and_confirms_each_check(
         toy, toy_asserts, monkeypatch):
-    compiled: list[tuple[str, str]] = []
-    compile_kernel = sim.SimKernel.__init__
+    sources: list[str] = []
+    compiled = sim._compiled
 
-    def counting_compile(self, netlist, keep=None):
-        compile_kernel(self, netlist, keep)
-        compiled.append((netlist.name, self.source))
+    def recording(source, name):
+        sources.append(source)
+        return compiled(source, name)
 
     confirmed: list[bool] = []
     search = trojan.search_stimulus
@@ -353,16 +353,32 @@ def test_forge_compiles_once_per_netlist_and_confirms_each_check(
         return search(netlist, inputs, forced, objective, confirm, *rest,
                       **kwargs)
 
-    monkeypatch.setattr(sim.SimKernel, "__init__", counting_compile)
+    monkeypatch.setattr(sim, "_compiled", recording)
     monkeypatch.setattr(trojan, "search_stimulus", counting_search)
+    compiled.cache_clear()
     specs = forge(toy, toy_asserts, ForgeParams(count=4, k_min=2, k_max=3,
                                                 seed=11, horizon=8))
     assert len(specs) == 4
-    # one kernel per distinct netlist (the clean design plus one injected
-    # design per attempt), not one per candidate stimulus
-    assert len(compiled) == len(set(compiled))
+    # each distinct generated source compiles once, however many kernels
+    # and expressions are built from it: the clean kernel of every attempt
+    # is the first attempt's
+    assert compiled.cache_info().misses == len(set(sources)) < len(sources)
     # the batch objective is exact: every scalar confirmation succeeds
     assert confirmed and all(confirmed)
+
+
+def test_kernels_of_one_source_share_one_step_function(toy):
+    assert SimKernel(toy)._fn is SimKernel(toy)._fn
+    assert SimKernel(toy, {"sum_o"})._fn is not SimKernel(toy)._fn
+    # the payload on sum_o cannot reach a screen on a_i and b_i: the
+    # corrupted design's screen kernel runs the clean design's step
+    injected = inject(toy, _spec(toy))
+    clean, dirty = (SimKernel(nl, keep={"a_i", "b_i"})
+                    for nl in (toy, injected))
+    assert dirty.netlist is injected and dirty._fn is clean._fn
+    # the payload reaches flag_o: its screen kernel is the corrupted one's
+    assert (SimKernel(injected, keep={"flag_o"})._fn
+            is not SimKernel(toy, keep={"flag_o"})._fn)
 
 
 def test_forge_compiles_each_assertion_once(toy, toy_asserts, monkeypatch):
@@ -534,27 +550,29 @@ def test_forge_runs_each_stage_only_on_the_rows_the_last_one_kept(
 
 
 def test_screen_reads_the_corrupted_design_where_the_payload_reaches_it(
-        toy, toy_asserts):
+        toy, monkeypatch):
     # forcing sum_o to 15 raises flag_o, which the target's antecedent
     # reads: only in the corrupted design can flag_o hold while en_i is low
     target = parse_assertions(
         "T: assert property (@(posedge clk) flag_o |-> en_i);")[0]
     spec = _spec(toy, trigger=(TriggerCond("en_i", None, 0),), k=1,
                  payload_kind="force_constant", payload_value=15)
-    screens: dict = {}
+    screens: list[SimKernel] = []
+    search = trojan.search_stimulus
+
+    def recording_search(*args, kernel, **kwargs):
+        screens.append(kernel)
+        return search(*args, kernel=kernel, **kwargs)
+
+    monkeypatch.setattr(trojan, "search_stimulus", recording_search)
     stim = trojan._find_activation(spec, toy, [Checker(target, toy)], 0, 4,
-                                   np.random.default_rng(0), screens=screens)
-    assert stim is not None and screens == {}
+                                   np.random.default_rng(0))
+    assert stim is not None
+    [screen] = screens
+    assert screen.netlist is not toy and "flag_o" in screen.net_order
     assert check_assertions(SimKernel(inject(toy, spec)).run(stim),
                             [target])[0].failed
-    # A_FLAG's screen (a_i, b_i) is out of the payload's reach: the clean
-    # design's screen kernel is kept for the next attempt on those nets
-    spec = _spec(toy, trigger=(TriggerCond("a_i", 0, 1),), k=1)
-    checkers = [Checker(a, toy) for a in toy_asserts]
-    trojan._find_activation(spec, toy, checkers, 1, 4,
-                            np.random.default_rng(0), screens=screens)
-    assert list(screens) == [frozenset({"a_i", "b_i"})]
-    assert screens[frozenset({"a_i", "b_i"})].netlist is toy
+    assert not check_assertions(SimKernel(toy).run(stim), [target])[0].failed
 
 
 # --------------------------------------------------------------------------
