@@ -77,9 +77,9 @@ class Past(Expr):
 # --------------------------------------------------------------------------
 # parsing
 
-# Binding strength, loosest first.  Each tier is left-associative; the
-# conditional operator sits below all of them and associates to the right.
-_TIERS: list[list[str]] = [["||"], ["&&"], ["|"], ["^"], ["&"], ["==", "!="], ["+"]]
+# Binding strength of each operator, loosest first, shared by the parser and
+# ``render_expr``.
+_PREC = {"?:": 0, "||": 1, "&&": 2, "|": 3, "^": 4, "&": 5, "==": 6, "!=": 6, "+": 7}
 
 
 def parse_expr(ts: TokenStream, allow_past: bool = False) -> Expr:
@@ -88,7 +88,7 @@ def parse_expr(ts: TokenStream, allow_past: bool = False) -> Expr:
 
 
 def _parse_ternary(ts: TokenStream, allow_past: bool) -> Expr:
-    cond = _parse_binary(ts, 0, allow_past)
+    cond = _parse_binary(ts, 1, allow_past)
     if ts.accept("?"):
         then = _parse_ternary(ts, allow_past)
         ts.expect(":")
@@ -97,15 +97,19 @@ def _parse_ternary(ts: TokenStream, allow_past: bool) -> Expr:
     return cond
 
 
-def _parse_binary(ts: TokenStream, tier: int, allow_past: bool) -> Expr:
-    if tier >= len(_TIERS):
-        return _parse_unary(ts, allow_past)
-    left = _parse_binary(ts, tier + 1, allow_past)
-    while any(ts.at(op) for op in _TIERS[tier]):
-        op = ts.next().text
-        right = _parse_binary(ts, tier + 1, allow_past)
-        left = Binary(op, left, right)
-    return left
+def _parse_binary(ts: TokenStream, floor: int, allow_past: bool) -> Expr:
+    """A chain of binary operators that bind at least as tightly as
+    *floor*, by precedence climbing over ``_PREC``: every operator is
+    left-associative, and the conditional operator sits below all of
+    them and associates to the right."""
+    left = _parse_unary(ts, allow_past)
+    while True:
+        op = ts.peek().kind
+        prec = _PREC.get(op, 0)
+        if prec < floor:
+            return left
+        ts.next()
+        left = Binary(op, left, _parse_binary(ts, prec + 1, allow_past))
 
 
 def _parse_unary(ts: TokenStream, allow_past: bool) -> Expr:
@@ -271,7 +275,6 @@ def mask(width: int) -> int:
 # --------------------------------------------------------------------------
 # rendering
 
-_PREC = {"?:": 0, "||": 1, "&&": 2, "|": 3, "^": 4, "&": 5, "==": 6, "!=": 6, "+": 7}
 _UNARY_PREC = 8
 
 

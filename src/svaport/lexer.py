@@ -112,8 +112,9 @@ class TokenStream:
         self.source = source
 
     def peek(self, ahead: int = 0) -> Token:
-        idx = min(self.pos + ahead, len(self.tokens) - 1)
-        return self.tokens[idx]
+        if not ahead:
+            return self.tokens[self.pos]  # next() never moves past eof
+        return self.tokens[min(self.pos + ahead, len(self.tokens) - 1)]
 
     def next(self) -> Token:
         tok = self.peek()

@@ -260,6 +260,8 @@ class _Parser:
 
     def _net(self, tok: Token) -> str:
         """The name *tok* gives, which must be a declared net."""
+        if tok.text in self.params:
+            self._err(f"{tok.text} is a parameter, not a net", tok)
         if tok.text not in self.nets:
             self._err(f"undeclared identifier {tok.text}", tok)
         return tok.text
@@ -357,6 +359,8 @@ class _Parser:
         targets = sorted({s.target for s in _flat(body, _NbAssign)}
                          | set(reset_loads))
         for tname in targets:
+            if tname in self.params:
+                self._err(f"{tname} is a parameter, not a net", block.tok)
             if tname not in self.nets:
                 self._err(f"undeclared register target {tname}", block.tok)
             if self.nets[tname].kind is NetKind.INPUT:

@@ -21,6 +21,11 @@ search holds every such witness, and since forcing keeps the integer
 order of the remaining free bits, it meets them in the order an unforced
 one would.  A sampled search draws from a smaller space than an unforced
 one, and every witness of the larger space lies in it.
+
+The same literals prove a search hopeless before it runs: ``ruled_out``
+says why no candidate can make a term true, given the bits the search
+forces, and a term whose literals contradict each other is never true.
+Forge skips such an attempt unsearched (``trojan._hopeless``).
 """
 
 from __future__ import annotations
@@ -93,10 +98,12 @@ def necessary_literals(term: ex.Expr, netlist: Netlist) -> Literals | None:
     A requirement on a node (not zero, or given bits) becomes requirements
     on its operands wherever it implies them: through ``&&``, ``&``,
     ``!``, ``~``, ``||`` and ``|`` required false, ``==`` and ``!=``
-    against a constant or parameter, bit and part selects, and each net's
-    combinational ``assign``.  The walk stops at registers, ``$past``,
-    ``?:``, ``+``, ``^`` and comparisons of two non-constant values, so
-    every returned bit is necessary, and None means a real contradiction.
+    against a constant or parameter, bit and part selects, each net's
+    combinational ``assign``, and the then-branch of a ``?:`` whose
+    condition is already required true.  The walk stops at registers,
+    ``$past``, any other ``?:``, ``+``, ``^`` and comparisons of two
+    non-constant values, so every returned bit is necessary, and None
+    means a real contradiction.
     """
     consts = netlist.constants()
     drivers = {a.lhs: a.rhs for a in netlist.assigns}
@@ -106,6 +113,7 @@ def necessary_literals(term: ex.Expr, netlist: Netlist) -> Literals | None:
     # the requirements on nets already walked, so that reconverging
     # fan-out is walked once
     walked: set[tuple[str, tuple | None]] = set()
+    held: list[ex.Expr] = []  # the nodes required not zero so far
 
     def const(e: ex.Expr) -> int | None:
         if isinstance(e, ex.Const):
@@ -122,8 +130,14 @@ def necessary_literals(term: ex.Expr, netlist: Netlist) -> Literals | None:
         walked.add((name, bits))
         return True
 
+    def taken(e: ex.Expr) -> bool:
+        """Whether *e* is a ``?:`` whose condition is required true, so
+        that it takes its then-branch."""
+        return isinstance(e, ex.Ternary) and any(e.cond == h for h in held)
+
     def true(e: ex.Expr) -> None:
         """*e* is not zero."""
+        held.append(e)
         c = const(e)
         if c is not None:
             if not c:
@@ -134,6 +148,8 @@ def necessary_literals(term: ex.Expr, netlist: Netlist) -> Literals | None:
         elif isinstance(e, ex.Binary) and e.op == "&":
             true(e.left)
             true(e.right)
+        elif taken(e):
+            true(e.then)
         elif ex.width_of(e, width) == 1:
             need(e, {0: 1})
 
@@ -155,6 +171,8 @@ def necessary_literals(term: ex.Expr, netlist: Netlist) -> Literals | None:
         elif isinstance(e, ex.Ident) and e.name in drivers:
             if first(e.name, tuple(sorted(bits.items()))):
                 need(drivers[e.name], bits)
+        elif taken(e):
+            need(e.then, bits)
         elif isinstance(e, ex.Ident):
             net = netlist.nets[e.name]
             if net.kind is not NetKind.INPUT:

@@ -12,6 +12,11 @@ targeted assertion fails, and no other supplied assertion does.
 Injection never touches the module interface: the payload is an inline
 rewrite of the target net's existing driver, guarded by the trigger
 condition, so an untriggered trojan is behaviorally invisible.
+
+A candidate proved hopeless is skipped before any search: when no input
+meets the target's first antecedent term with the trigger's bits held,
+or when the target sees the payload only in the cycle the trigger fires
+and no cycle can fire the trigger and fail the target (``_hopeless``).
 """
 
 from __future__ import annotations
@@ -31,9 +36,9 @@ from .monitor import Checker
 from .netlist import Assign, Netlist, NetKind, Register
 from .records import field, read_json, record
 from .rng import substream
-from .search import (input_cone, necessary_literals, ruled_out,
+from .search import (Literals, input_cone, necessary_literals, ruled_out,
                      search_stimulus, take_rows)
-from .sim import BatchExpr, SimKernel, Stimulus
+from .sim import BatchExpr, SimKernel, Stimulus, fanin_cone
 from .sva import Assertion, signals_of
 
 PAYLOAD_KINDS = ("invert_net", "force_constant", "xor_into_assign")
@@ -333,10 +338,8 @@ def forge(netlist: Netlist, assertions: list[Assertion],
                 forged.append((cand, stim))
                 break
         else:
-            skips = "".join(
-                f"; {n} skipped unsearched, since no candidate meets the "
-                f"target's first antecedent term ({why})"
-                for why, n in skipped.most_common())
+            skips = "".join(f"; {n} skipped unsearched, since {why}"
+                            for why, n in skipped.most_common())
             raise ActivationNotFoundError(
                 f"no viable trojan {j} for {netlist.name} after "
                 f"{params.tries} attempts{skips}", tried=params.tries)
@@ -389,9 +392,8 @@ def _find_activation(spec: TrojanSpec, netlist: Netlist,
     candidate that passes the screen has.  When a literal clashes with a
     trigger bit, the trigger bits alone are forced: only the warm-up of
     ``flipped_prefix``, which holds them inverted, can then meet the term.
-    An attempt in which ``search.ruled_out`` proves that no candidate
-    meets the term, and so none passes the screen, returns None before
-    any kernel is compiled, counting the reason in *skipped*.
+    An attempt that ``_hopeless`` proves can never fail the target returns
+    None before any kernel is compiled, counting the reason in *skipped*.
     """
     injected = inject(netlist, spec)
     trigger_bits = {(c.signal, c.bit): c.value for c in spec.trigger
@@ -401,9 +403,9 @@ def _find_activation(spec: TrojanSpec, netlist: Netlist,
     # the first-term antecedent is batchable and a cheap necessary condition
     goal = checkers[target] if target is not None else None
     ante = goal.assertion.antecedent if goal is not None else None
-    if ante is not None:
+    if goal is not None:
         need = necessary_literals(ante.steps[0][1], injected)
-        why = ruled_out(need, injected, trigger_bits)
+        why = _hopeless(spec, netlist, injected, goal, need, trigger_bits)
         if why is not None:
             if skipped is not None:
                 skipped[why] += 1
@@ -473,6 +475,49 @@ def _find_activation(spec: TrojanSpec, netlist: Netlist,
     stim, _stats = search_stimulus(injected, cone, forced, objective, accept,
                                    rng, horizon, kernel=screen_kernel)
     return stim
+
+
+def _hopeless(spec: TrojanSpec, netlist: Netlist, injected: Netlist,
+              goal: Checker, need: Literals | None,
+              trigger_bits: Literals) -> str | None:
+    """Why no candidate of an attempt's search can fail *goal*'s target;
+    None when one may.  *need* is the ``necessary_literals`` of the
+    target's first antecedent term on the *injected* design.
+
+    Either ``search.ruled_out`` proves that no candidate meets that term,
+    or the target sees the payload only in the cycle its antecedent is
+    sampled: it is ``ante |-> cons`` (one step each, no delay, no
+    ``$past`` in them or in its disable expression), the payload net is
+    driven by an ``assign``, and no register in the target's fan-in cone
+    has the payload net in its own.  The two designs then agree on every
+    net the target reads in each cycle the trigger does not fire, so the
+    target can fail on the corrupted design alone only in a cycle where
+    ``trigger && ante && !cons`` holds, and none does when its
+    ``necessary_literals`` contradict each other.
+    """
+    why = ruled_out(need, injected, trigger_bits)
+    if why is not None:
+        return f"no candidate meets the target's first antecedent term ({why})"
+    a = goal.assertion
+    steps = a.antecedent.steps + a.consequent.steps
+    if (len(a.antecedent.steps) != 1 or len(steps) != 2
+            or any(delay for delay, _ in steps)
+            or not isinstance(injected.driver_of(spec.payload_net), Assign)):
+        return None
+    (_, ante), (_, cons) = steps
+    reads = [ante, cons] + ([a.disable] if a.disable is not None else [])
+    if any(isinstance(n, ex.Past) for e in reads for n in ex.walk(e)):
+        return None
+    cone = fanin_cone(injected, goal.nets)
+    state = {r.target for r in injected.registers if r.target in cone}
+    if spec.payload_net in fanin_cone(injected, state):
+        return None
+    fails = ex.conjoin([trigger_expr(spec, netlist), ante,
+                        ex.Unary("!", cons)])
+    if necessary_literals(fails, injected) is None:
+        return ("the target sees the payload only in the cycle the trigger "
+                "fires, and no cycle can fire the trigger and fail the target")
+    return None
 
 
 def activation_stimulus(spec: TrojanSpec, netlist: Netlist,

@@ -4,6 +4,7 @@ Each test is self-describing and prints as a single pass/fail line under
 ``pytest -v``.  Tolerances are pinned in the assertions themselves.
 """
 
+import hashlib
 import json
 import math
 import random
@@ -36,6 +37,12 @@ TABLE2 = json.loads(
 
 EXPECTED_SOURCE_COUNTS = {"pmp_unit": 7, "csr_unit": 7, "debug_unit": 4,
                           "irq_unit": 6, "cf_unit": 9}
+
+# sha256 of the bundled campaign's output tree: every file's path relative
+# to the output directory and its bytes, each followed by a NUL byte, in
+# sorted path order (``perfbench/checks.py`` digests a tree the same way)
+CAMPAIGN_SHA256 = \
+    "96e8516a2291af6594451e3d8c5ca670ad2ead58d47720ca3cd34bd4a9c4d9ae"
 
 
 def _spec_paths(run, module):
@@ -311,3 +318,12 @@ def test_c10_evaluation_reports_are_byte_identical(campaign_run, tmp_path):
         == (campaign_run.out_dir / "metrics.json").read_bytes()
     assert first["report.txt"] \
         == (campaign_run.out_dir / "report.txt").read_bytes()
+
+
+def test_c11_campaign_output_tree_is_byte_identical(campaign_run):
+    out = campaign_run.out_dir
+    h = hashlib.sha256()
+    for path in sorted(p for p in out.rglob("*") if p.is_file()):
+        h.update(str(path.relative_to(out)).encode() + b"\0")
+        h.update(path.read_bytes() + b"\0")
+    assert h.hexdigest() == CAMPAIGN_SHA256

@@ -133,6 +133,22 @@ def test_undeclared_sensitivity_net_rejected_at_its_token(sense, at):
     assert (err.value.line, err.value.col) == at
 
 
+@pytest.mark.parametrize("item, at", [
+    ("  assign P = a;\n", (3, 10)),
+    ("  always_ff @(posedge P) q <= a;\n", (3, 23)),
+    ("  always_ff @(posedge clk or negedge P) begin\n"
+     "    if (!P) q <= 1'b0;\n    else q <= a;\n  end\n", (3, 38)),
+    ("  always_ff @(posedge clk) P <= a;\n", (3, 3)),
+], ids=["assign", "clock", "reset", "register"])
+def test_parameter_used_as_a_net_named_as_a_parameter(item, at):
+    text = ("module m (input logic clk, input logic a, output logic q);\n"
+            "  parameter P = 1;\n" + item + "endmodule\n")
+    with pytest.raises(ElaborationError,
+                       match="^P is a parameter, not a net") as err:
+        parse_design(text)
+    assert (err.value.line, err.value.col) == at
+
+
 def test_driven_input_rejected():
     with pytest.raises(ElaborationError, match="input"):
         parse_design("module m (input logic a, output logic y);\n"

@@ -263,10 +263,40 @@ def test_literals_of_the_pmp_write_antecedent():
     assert lits("addr_i[7:4] == 5'h1a") is None
 
 
+MUX_RTL = """\
+module mux (
+  input  logic       s_i,
+  input  logic [1:0] a_i,
+  input  logic [1:0] b_i,
+  output logic [1:0] y_o
+);
+  assign y_o = s_i ? a_i : b_i;
+endmodule
+"""
+
+
+def test_literals_pass_a_mux_only_once_its_condition_is_required():
+    mux = parse_design(MUX_RTL)
+
+    def lits(text):
+        return necessary_literals(ex.parse_expr_text(text), mux)
+
+    # with s_i free the mux may take either branch: the walk stops there
+    assert lits("y_o == 2'd2") == {}
+    # once s_i is required, y_o is a_i; with s_i low, it is not
+    assert lits("s_i && y_o == 2'd2") == {("s_i", 0): 1,
+                                         **_bits("a_i", 2, 0, 2)}
+    assert lits("!s_i && y_o == 2'd2") == {("s_i", 0): 0}
+    assert lits("s_i && y_o != 2'd0") == {("s_i", 0): 1}
+    assert lits("s_i && y_o == 2'd2 && !a_i[1]") is None
+
+
 @st.composite
 def _terms(draw, max_bits: int):
     """A small design (at most *max_bits* input bits) and a conjunction of
-    one to three expressions over its nets and constants."""
+    one to three expressions over its nets and constants, led half the
+    time by the condition of one of the design's muxes, so that the walk
+    takes that mux's then-branch."""
     netlist = draw(gen.designs(max_inputs=3))
     assume(sum(n.width for n in netlist.inputs()) <= max_bits)
     symbols = {n: net.width for n, net in netlist.nets.items()}
@@ -274,6 +304,10 @@ def _terms(draw, max_bits: int):
     parts = draw(st.lists(gen.comparisons(symbols)
                           | gen.expressions(symbols, max_depth=2),
                           min_size=1, max_size=3))
+    conds = [node.cond for a in netlist.assigns for node in ex.walk(a.rhs)
+             if isinstance(node, ex.Ternary)]
+    if conds and draw(st.booleans()):
+        parts.insert(0, draw(st.sampled_from(conds)))
     return netlist, ex.conjoin(parts)
 
 

@@ -475,32 +475,44 @@ def test_forge_runs_each_stage_only_on_the_rows_the_last_one_kept(
     monkeypatch.setattr(sim.SimKernel, "run_batch", counting_run_batch)
     monkeypatch.setattr(trojan, "_find_activation", tracking_find)
     horizon = 8
-    # seed 6 takes ten attempts for four trojans: three hold en_i low
-    # against A_SUM's antecedent en_i and run nothing; 280 of the 896 rows
-    # the others screen pass, and the target fails on 272 of those; in
-    # one batch it fails on none of the rows that pass
-    forge(toy, toy_asserts, ForgeParams(count=4, k_min=2, k_max=3, seed=6,
-                                        horizon=horizon))
+    # A_PAR reads flag_o and sum_o, and flag_o is computed from sum_o, so
+    # a trojan on sum_o never fails it; the pre-filter cannot prove that
+    asserts = toy_asserts + parse_assertions(
+        "A_PAR: assert property (@(posedge clk) "
+        "en_i |-> flag_o == (sum_o == 4'd15));")
+    # seed 6 takes twelve attempts for three trojans: four hold en_i low
+    # against A_PAR's antecedent en_i and one forces flag_o to 0 against
+    # A_FLAG's consequent, and these five run nothing; 520 of the 896
+    # rows the others screen pass, and the target fails on 264 of those;
+    # in two batches, of the sum_o trojans on A_PAR, it fails on none of
+    # the rows that pass
+    forge(toy, asserts, ForgeParams(count=3, k_min=2, k_max=3, seed=6,
+                                    horizon=horizon))
     ends = [start for _, _, start in attempts[1:]] + [len(calls)]
     screened = passing = failing = 0
     skipped = quiet = held = 0
     for (spec, target, start), end in zip(attempts, ends):
-        assertion = toy_asserts[target]
+        assertion = asserts[target]
         term = assertion.antecedent.steps[0][1]
         # the screen's nets: the trigger and the target's first antecedent
         # term; the target's nets: its signals and its clock
         screen_nets = {c.signal for c in spec.trigger} | ex.idents_of(term)
         target_nets = signals_of(assertion) | {assertion.clock}
         runs = calls[start:end]
-        # the toy is combinational, so an attempt runs no batch exactly
-        # when a trigger bit contradicts a bit the term needs
+        # the toy is combinational, every net is an assign and every
+        # target is ante |-> cons, so an attempt runs no batch exactly
+        # when a trigger bit contradicts a bit the term needs, or when no
+        # cycle can fire the trigger and fail the target
         injected = inject(toy, spec)
         needed = necessary_literals(term, injected)
-        clash = needed is None or any(
+        [(_, cons)] = assertion.consequent.steps
+        hopeless = needed is None or any(
             needed.get((c.signal, c.bit), c.value) != c.value
-            for c in spec.trigger)
-        assert (not runs) == clash, spec.trigger
-        if clash:
+            for c in spec.trigger) or necessary_literals(ex.conjoin(
+                [trigger_expr(spec, toy), term, ex.Unary("!", cons)]),
+                injected) is None
+        assert (not runs) == hopeless, spec.trigger
+        if hopeless:
             skipped += 1
             continue
         i = 0
@@ -602,7 +614,7 @@ _FIND_ACTIVATION = trojan._find_activation  # before any test wraps it
 
 def _unfiltered_find(*args, **kwargs):
     """``_find_activation`` without the pre-filter."""
-    with mock.patch.object(trojan, "ruled_out", lambda *_: None):
+    with mock.patch.object(trojan, "_hopeless", lambda *_: None):
         return _FIND_ACTIVATION(*args, **kwargs)
 
 
@@ -616,8 +628,8 @@ def test_campaign_attempts_the_prefilter_skips_find_nothing_unfiltered(
     for args, kwargs in calls:
         assert _unfiltered_find(*args, **kwargs) is None, args[0]
     assert Counter(args[0].id for args, _ in calls) == {
-        "pmp_unit_t01": 4, "debug_unit_t02": 3, "cf_unit_t02": 3,
-        "cf_unit_t05": 1}
+        "pmp_unit_t01": 8, "debug_unit_t02": 3, "cf_unit_t02": 3,
+        "csr_unit_t02": 2, "pmp_unit_t05": 1, "cf_unit_t05": 1}
 
 
 WARM_RTL = """\
@@ -672,7 +684,8 @@ def test_prefilter_keeps_attempts_the_warm_up_can_activate():
     assert trojan._find_activation(spec, netlist, checkers, 0, 8,
                                    np.random.default_rng(0),
                                    skipped=skipped) is None
-    assert skipped == {"a forced bit contradicts a bit it needs": 1}
+    assert skipped == {"no candidate meets the target's first antecedent "
+                       "term (a forced bit contradicts a bit it needs)": 1}
     assert _unfiltered_find(spec, netlist, checkers, 0, 8,
                             np.random.default_rng(0)) is None
 
@@ -716,6 +729,128 @@ def test_generated_attempts_the_prefilter_skips_find_nothing_unfiltered(
     assert _unfiltered_find(*args, np.random.default_rng(seed)) is None
 
 
+_PROOF_BITS = 12  # few enough input bits for the oracles to try every vector
+
+
+@st.composite
+def _single_cycle_cases(draw):
+    """A combinational generated design with at most _PROOF_BITS input
+    bits, a trigger on its input bits, a payload on an assign-driven net,
+    and a target ``ante |-> cons`` whose consequent most often compares
+    the payload net, or a select of it, with a constant, as its
+    antecedent may."""
+    netlist = draw(gen.designs(max_inputs=3, max_registers=0))
+    bits = [(n.name, b) for n in netlist.inputs() if n.name != "clk"
+            for b in range(n.width)]
+    assume(len(bits) <= _PROOF_BITS)
+    picks = draw(st.lists(st.sampled_from(bits), min_size=1, max_size=3,
+                          unique=True))
+    trigger = tuple(TriggerCond(name, bit, draw(st.integers(0, 1)))
+                    for name, bit in sorted(picks))
+    net = draw(st.sampled_from([a.lhs for a in netlist.assigns]))
+    width = netlist.width(net)
+    kind = draw(st.sampled_from(trojan.PAYLOAD_KINDS))
+    value = (draw(st.integers(0, (1 << width) - 1))
+             if kind == "force_constant" else None)
+    spec = TrojanSpec(id="rand_t00", module=netlist.name,
+                      module_kind="combinational", trigger=trigger,
+                      k=len(trigger), payload_kind=kind, payload_net=net,
+                      payload_value=value)
+    symbols = {n: netlist.width(n) for n in netlist.nets if n != "clk"}
+    lsb = draw(st.integers(0, width - 1))
+    msb = draw(st.integers(lsb, width - 1))
+    seen = draw(st.sampled_from([ex.Ident(net), ex.Select(net, msb, lsb)]))
+    span = ex.width_of(seen, netlist.width)
+    compared = st.builds(ex.Binary, st.sampled_from(["==", "!="]),
+                         st.just(seen),
+                         st.builds(ex.Const, st.integers(0, (1 << span) - 1),
+                                   st.just(span)))
+    cons = draw(st.one_of(compared, gen.expressions(symbols, max_depth=1)))
+    ante = draw(st.one_of(compared, gen.comparisons(symbols),
+                          gen.expressions(symbols, max_depth=1)))
+    disable = draw(st.none() | gen.expressions(symbols, max_depth=1))
+    target = Assertion(SeqExpr(((0, ante),)), "|->", SeqExpr(((0, cons),)),
+                       "clk", disable=disable)
+    return netlist, spec, target
+
+
+@given(_single_cycle_cases())
+def test_attempts_the_prefilter_skips_never_fire_the_trigger_and_fail(case):
+    # every input vector is one cycle of a stimulus: the design is
+    # combinational and the target reads no $past, so cycles are
+    # independent, and each is decided by the reference simulator and
+    # checker
+    netlist, spec, target = case
+    skipped: Counter[str] = Counter()
+    assert trojan._find_activation(
+        spec, netlist, [Checker(target, netlist)], 0, 4,
+        np.random.default_rng(0), skipped=skipped) is None or not skipped
+    assume(skipped)
+    names = [n.name for n in netlist.inputs()]
+    offsets = np.cumsum([0] + [netlist.width(n) for n in names])
+    rows = [{n: code >> int(lo) & ex.mask(netlist.width(n))
+             for n, lo in zip(names, offsets)}
+            for code in range(1 << int(offsets[-1]))]
+    injected = inject(netlist, spec)
+    trace = simulate_fixpoint(injected, Stimulus.for_design(injected, rows))
+    _, failures = check_reference(trace, target)
+    assert not any(trigger_holds(spec, trace, t) for t, _ in failures)
+
+
+NEG_RTL = """\
+module neg (
+  input  logic clk,
+  input  logic d_i,
+  output logic tog_o,
+  output logic p_o,
+  output logic q_o
+);
+  assign p_o = d_i;
+  always_ff @(posedge clk) tog_o <= !tog_o;
+  always_ff @(posedge clk) q_o <= p_o;
+endmodule
+"""
+
+
+@pytest.mark.parametrize("prop", [
+    # q_o, a register the target reads, holds the payload a cycle on
+    "!p_o |-> !q_o",
+    # the consequent is read a cycle after the antecedent
+    "p_o |-> ##1 p_o",
+    # the disable expression reads the cycle before
+    "disable iff (!$past(p_o)) 1'b1 |-> p_o",
+], ids=["register", "delay", "past_disable"])
+def test_prefilter_searches_targets_that_see_the_payload_later(prop):
+    # the trigger fires every other cycle and forces p_o high then: in no
+    # cycle can it fire while p_o is low, so trigger && ante && !cons is a
+    # contradiction.  Yet each target sees the payload in a later cycle,
+    # when the trigger no longer fires, and fails there on the corrupted
+    # design alone: the attempt must be searched, and it is activated
+    netlist = parse_design(NEG_RTL)
+    spec = TrojanSpec(id="neg_t00", module="neg", module_kind="sequential",
+                      trigger=(TriggerCond("tog_o", None, 1),), k=1,
+                      payload_kind="force_constant", payload_net="p_o",
+                      payload_value=1)
+    text = f"N: assert property (@(posedge clk) {prop});"
+    if "$past" in prop:
+        # the parser keeps $past out of disable expressions
+        base = parse_assertions(text.replace("!$past(p_o)", "!p_o"))[0]
+        target = replace(base, disable=ex.Unary("!", ex.Past(ex.Ident("p_o"))))
+    else:
+        target = parse_assertions(text)[0]
+    (_, ante), *_ = target.antecedent.steps
+    (_, cons), *_ = target.consequent.steps
+    assert necessary_literals(ex.conjoin(
+        [trigger_expr(spec, netlist), ante, ex.Unary("!", cons)]),
+        inject(netlist, spec)) is None
+    skipped: Counter[str] = Counter()
+    stim = trojan._find_activation(spec, netlist, [Checker(target, netlist)],
+                                   0, 6, np.random.default_rng(0),
+                                   skipped=skipped)
+    assert not skipped and stim is not None
+    assert _meets_by_oracle(netlist, spec, [target], 0, stim)
+
+
 GATE_RTL = """\
 module gate (
   input  logic       clk,
@@ -728,14 +863,25 @@ endmodule
 """
 
 
+_FIRST_TERM = "no candidate meets the target's first antecedent term ({})"
+
+
 @pytest.mark.parametrize("antecedent, reason", [
-    ("en_i", "a forced bit contradicts a bit it needs"),
-    ("en_i && !en_i", "its requirements contradict each other"),
-])
+    ("en_i", _FIRST_TERM.format("a forced bit contradicts a bit it needs")),
+    ("en_i && !en_i",
+     _FIRST_TERM.format("its requirements contradict each other")),
+    ("q_o == 2'd0", "the target sees the payload only in the cycle the "
+     "trigger fires, and no cycle can fire the trigger and fail the target"),
+], ids=["en_i-a forced bit contradicts a bit it needs",
+        "en_i && !en_i-its requirements contradict each other",
+        "q_o == 2'd0-no cycle can fire the trigger and fail the target"])
 def test_activation_error_names_the_skipped_attempts(antecedent, reason,
                                                     monkeypatch):
-    # the target never fails, so every attempt fails; those whose trigger
-    # holds en_i low (or all, when the term can never hold) are skipped
+    # the target never fails, so every attempt fails.  Skipped are those
+    # whose trigger holds en_i low (or all, when the term can never
+    # hold); or, for q_o == 0, those whose payload makes q_o nonzero
+    # whenever the trigger fires: an inverted q_o whose trigger holds a
+    # d_i bit low, and a forced q_o other than 0
     netlist = parse_design(GATE_RTL)
     target = parse_assertions(
         f"G: assert property (@(posedge clk) {antecedent} |-> q_o == q_o);")
@@ -746,8 +892,7 @@ def test_activation_error_names_the_skipped_attempts(antecedent, reason,
     assert 0 < len(calls) <= 8
     assert str(info.value) == (
         f"no viable trojan 0 for gate after 8 attempts; {len(calls)} "
-        "skipped unsearched, since no candidate meets the target's first "
-        f"antecedent term ({reason})")
+        f"skipped unsearched, since {reason}")
 
 
 def _rows(inputs: dict[str, np.ndarray]) -> list[dict[str, int]]:
