@@ -1,17 +1,18 @@
 """Stimulus search shared by test-case generation and trojan activation.
 
 The strategy is deliberately simple and fully deterministic: candidate
-stimuli hold each primary input at a constant value (with an optional
-warm-up prefix that holds the forced bits inverted, to let registered
-state build up before the interesting vector applies).  A search is one
-pass: a set of free inputs and the input bits it forces.  Its free bits
-are enumerated exhaustively when they are few enough, otherwise sampled
-from a seeded stream.  Candidates are simulated in numpy batches, a
-caller-supplied objective decides every batch with arrays, and a scalar
-check confirms the winner.  Batches grow from 256 rows, doubling up to
-8,192, so a witness near the start costs a small batch; the candidates
-and their order do not depend on the batch sizes, so every search meets
-the same first witness whatever they are.
+stimuli hold each primary input at a constant value, either from cycle 0
+or after a warm-up of at most four cycles, never the last, that holds the
+flipped bits inverted (the forced bits, or those of them the caller
+names), to let registered state see them change before the interesting
+vector applies.  A search is one pass: a set of free inputs and the input
+bits it forces.  Its free bits are enumerated exhaustively when they are
+few enough, otherwise sampled from a seeded stream.  Candidates are
+simulated in numpy batches, a caller-supplied objective decides every
+batch with arrays, and a scalar check confirms the winner.  Batches grow
+from 256 rows, doubling up to 8,192, so a witness near the start costs a
+small batch; the candidates and their order do not depend on the batch
+sizes, so every search meets the same first witness whatever they are.
 
 ``necessary_literals`` guides a search: it backtraces a term through the
 combinational logic to the input bits every candidate that makes the term
@@ -22,17 +23,22 @@ order of the remaining free bits, it meets them in the order an unforced
 one would.  A sampled search draws from a smaller space than an unforced
 one, and every witness of the larger space lies in it.
 
-The same literals prove a search hopeless before it runs: ``ruled_out``
-says why no candidate can make a term true, given the bits the search
-forces, and a term whose literals contradict each other is never true.
-Forge skips such an attempt unsearched (``trojan._hopeless``).
+The same literals decide which schedules can meet a term at all:
+``ruled_out`` says why no candidate of a schedule can make the term
+true, given the bits the search forces and flips, and a term whose
+literals contradict each other is never true.  A search never samples a
+schedule ruled out for its term, and forge skips an attempt unsearched
+when every schedule is (``trojan._hopeless``).  A forced bit the term
+needs the other way leaves only a warm-up that flips it to meet the
+term, as sequential ATPG justifies a value in an earlier time frame
+(Niermann and Patel, HITEC, 1991).
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from itertools import groupby
-from typing import Callable, Iterator
+from typing import Callable, Iterable, Iterator
 
 import numpy as np
 
@@ -46,7 +52,7 @@ _CHUNK = 8192       # up to this many
 _WORD = 63  # random bits per drawn code word (the draw keeps the sign bit clear)
 _EXHAUSTIVE_BITS = 20    # enumerate the free bits when they fit
 _RANDOM_VECTORS = 10000  # otherwise draw this many candidates
-_WARMUP = 4              # prefix length of flipped_prefix candidates
+_WARMUP = 4              # flipped_prefix warm-up cycles, at most horizon - 1
 
 
 #: input bits a search holds fixed: (input, bit) -> 0 or 1
@@ -298,54 +304,62 @@ def _vectors(netlist: Netlist, inputs: list[str],
         start, size = stop, min(2 * size, _CHUNK)
 
 
-def _schedules(netlist: Netlist, forced: Literals):
-    """Ways to turn a constant vector into a full stimulus.  'constant'
-    applies it from cycle 0.  On a design with registers, a search that
-    forces bits also tries 'flipped_prefix': every forced bit held
-    inverted for a warm-up, so sequential state can see them change
-    before the vector applies; an input without forced bits stays
-    constant.  ``ruled_out`` relies on these two shapes."""
-    flips: dict[str, np.uint64] = {}
-    for name, bit in forced:
-        flips[name] = flips.get(name, np.uint64(0)) | np.uint64(1 << bit)
+def schedules(netlist: Netlist, forced: Literals) -> list[str]:
+    """The schedules a search that forces the *forced* bits tries, in
+    order.  'constant' applies each vector from cycle 0.  On a design
+    with registers, a search that forces bits also tries
+    'flipped_prefix': for a warm-up of _WARMUP cycles, or all but the
+    last when the stimulus is that short, it holds the flipped bits
+    inverted (the forced bits the search is told to flip, by default all
+    of them) and every other bit as the vector has it; the vector then
+    applies to the end, so sequential state sees the flipped bits
+    change.  ``ruled_out`` relies on these two shapes."""
+    return (["constant", "flipped_prefix"] if netlist.registers and forced
+            else ["constant"])
 
-    def constant(values: dict[str, np.ndarray], cycles: int):
-        return {n: v for n, v in values.items()}
 
-    def flipped_prefix(values: dict[str, np.ndarray], cycles: int):
-        out = dict(values)
-        for name, flip in flips.items():
+def _apply(schedule: str, values: dict[str, np.ndarray], cycles: int,
+           masks: dict[str, np.uint64]) -> dict[str, np.ndarray]:
+    """The stimulus batch of *schedule* for a batch of constant vectors;
+    *masks* has the flipped bits of each input (``schedules``)."""
+    out = dict(values)
+    if schedule == "flipped_prefix":
+        warm = min(_WARMUP, cycles - 1)
+        for name, flip in masks.items():
             if name in values:
                 v = values[name]
                 arr = np.repeat(v[:, None], cycles, axis=1)
-                arr[:, :_WARMUP] = (v ^ flip)[:, None]
+                arr[:, :warm] = (v ^ flip)[:, None]
                 out[name] = arr
-        return out
-
-    schedules = [("constant", constant)]
-    if netlist.registers and forced:
-        schedules.append(("flipped_prefix", flipped_prefix))
-    return schedules
+    return out
 
 
-def ruled_out(need: Literals | None, netlist: Netlist,
-              forced: Literals) -> str | None:
-    """Why no candidate of a search that forces the *forced* bits makes a
-    term true at any cycle; None when one may.  *need* is the term's
-    ``necessary_literals``, None when its requirements contradict.
+def ruled_out(need: Literals | None, schedule: str, forced: Literals,
+              flips: Iterable[tuple[str, int]] | None = None) -> str | None:
+    """Why no candidate of *schedule*, in a search that forces the
+    *forced* bits and flips the *flips* among them for the warm-up (all
+    of them when None), makes a term true at any cycle; None when one
+    may.  *need* is the term's ``necessary_literals``, None when its
+    requirements contradict.
 
-    The term holds only on inputs with its necessary literals.  A
-    candidate holds the forced bits from cycle 0, or, on a design with
-    registers, after a warm-up that holds them inverted.  A forced bit the
-    term needs the other way rules out every cycle after the warm-up, and
-    one it needs as forced rules out the warm-up.
+    The term holds only in a cycle whose inputs have its necessary
+    literals.  A 'constant' candidate holds the forced bits in every
+    cycle.  A 'flipped_prefix' one holds them after its warm-up, which
+    always leaves at least the last cycle, and during it holds the
+    flipped bits inverted and the other forced bits as forced.  A phase
+    that holds a bit the term needs the other way never meets it, and a
+    schedule none of whose phases can is ruled out.  ``search_stimulus``
+    never samples a schedule ruled out for its term.
     """
     if need is None:
         return "its requirements contradict each other"
-    clash = any(forced.get(bit, value) != value for bit, value in need.items())
-    agree = any(forced.get(bit, 1 - value) == value
-                for bit, value in need.items())
-    if clash and (not netlist.registers or agree):
+    flipped = set(forced if flips is None else flips)
+    phases = [forced]
+    if schedule == "flipped_prefix":
+        phases.append({bit: value ^ (bit in flipped)
+                       for bit, value in forced.items()})
+    if all(any(held.get(bit, value) != value for bit, value in need.items())
+           for held in phases):
         return "a forced bit contradicts a bit it needs"
     return None
 
@@ -360,22 +374,31 @@ def search_stimulus(
     rng: np.random.Generator,
     horizon: int,
     kernel: SimKernel,
+    *,
+    need: Literals | None = None,
+    flips: Iterable[tuple[str, int]] | None = None,
 ) -> tuple[Stimulus | None, SearchStats]:
     """Find a *horizon*-cycle stimulus that meets the caller's objective.
 
     The search holds the *forced* bits and frees every other bit of
     *inputs*; the rest of the inputs stay at zero, and resets at their
-    idle level.  *objective* receives the net arrays batch-simulated on
-    *kernel* (rows x cycles), which must keep every net it reads, and the
-    raw input arrays that produced them (so it can co-simulate another
-    kernel on the same candidates), decides the full objective with arrays
-    over every row of the batch, and returns every row that meets it in
-    ascending order.  *accept* only confirms: the first returned row is
-    materialized and re-checked with a scalar run (single-run semantics,
-    monitors, ...); should it disagree, the next row is tried.  With an
-    exhaustive enumeration, every candidate that meets the objective is
-    therefore reached.  Deterministic: candidate order is fixed by the
-    schedules, the enumeration and the seeded stream.
+    idle level.  It tries each of ``schedules`` in turn; the warm-up of
+    'flipped_prefix' flips the *flips* among the forced bits, all of them
+    when None.  Given *need*, the ``necessary_literals`` of a term that
+    every candidate meeting the objective makes true in some cycle, a
+    schedule ``ruled_out`` for it is skipped, not sampled.
+
+    *objective* receives the net arrays batch-simulated on *kernel*
+    (rows x cycles), which must keep every net it reads, and the raw
+    input arrays that produced them (so it can co-simulate another
+    kernel on the same candidates), decides the full objective with
+    arrays over every row of the batch, and returns every row that meets
+    it in ascending order.  *accept* only confirms: the first returned
+    row is materialized and re-checked with a scalar run (single-run
+    semantics, monitors, ...); should it disagree, the next row is tried.
+    With an exhaustive enumeration, every candidate that meets the
+    objective is therefore reached.  Deterministic: candidate order is
+    fixed by the schedules, the enumeration and the seeded stream.
     """
     stats = SearchStats()
     resets = netlist.idle_resets()
@@ -383,11 +406,16 @@ def search_stimulus(
     relevant = [n for n in inputs if n not in resets]
     free = len(_free(netlist, relevant, forced))
     space = "enumerated" if free <= _EXHAUSTIVE_BITS else "sampled"
-    for sched_name, schedule in _schedules(netlist, forced):
+    masks: dict[str, np.uint64] = {}
+    for name, bit in forced if flips is None else flips:
+        masks[name] = masks.get(name, np.uint64(0)) | np.uint64(1 << bit)
+    for sched_name in schedules(netlist, forced):
+        if need is not None and ruled_out(need, sched_name, forced, flips):
+            continue
         for values in _vectors(netlist, relevant, forced, rng):
             rows = next(iter(values.values())).shape[0] if values else 1
             stats.candidates += rows
-            batch = schedule(values, horizon)
+            batch = _apply(sched_name, values, horizon, masks)
             # searches never toggle reset: pin it at the inactive level
             for name, lvl in resets.items():
                 batch[name] = np.full(rows, lvl, dtype=np.uint64)

@@ -13,10 +13,11 @@ Injection never touches the module interface: the payload is an inline
 rewrite of the target net's existing driver, guarded by the trigger
 condition, so an untriggered trojan is behaviorally invisible.
 
-A candidate proved hopeless is skipped before any search: when no input
-meets the target's first antecedent term with the trigger's bits held,
-or when the target sees the payload only in the cycle the trigger fires
-and no cycle can fire the trigger and fail the target (``_hopeless``).
+A candidate proved hopeless is skipped before any search: when no
+schedule of the search meets the target's first antecedent term with
+the trigger's bits held, or when the target sees the payload only in the
+cycle the trigger fires and no cycle can fire the trigger and fail the
+target (``_hopeless``).
 """
 
 from __future__ import annotations
@@ -37,7 +38,7 @@ from .netlist import Assign, Netlist, NetKind, Register
 from .records import field, read_json, record
 from .rng import substream
 from .search import (Literals, input_cone, necessary_literals, ruled_out,
-                     search_stimulus, take_rows)
+                     schedules, search_stimulus, take_rows)
 from .sim import BatchExpr, SimKernel, Stimulus, fanin_cone
 from .sva import Assertion, signals_of
 
@@ -388,31 +389,37 @@ def _find_activation(spec: TrojanSpec, netlist: Netlist,
     The search is one pass over every input the objective's nets depend
     on.  It forces the trigger's input bits and, with a *target*, the
     necessary literals of the target's first antecedent term
-    (``search.necessary_literals``), which every constant-schedule
-    candidate that passes the screen has.  When a literal clashes with a
-    trigger bit, the trigger bits alone are forced: only the warm-up of
-    ``flipped_prefix``, which holds them inverted, can then meet the term.
-    An attempt that ``_hopeless`` proves can never fail the target returns
-    None before any kernel is compiled, counting the reason in *skipped*.
+    (``search.necessary_literals``), the trigger's value winning where
+    they clash.  Without a clash, every constant-schedule candidate that
+    passes the screen has these bits, and the warm-up of
+    ``flipped_prefix`` flips them all.  With one, the term can hold only
+    in the warm-up, so the warm-up flips the trigger's bits alone and
+    holds the term's other bits as it needs them, and the constant
+    schedule, which can never meet the term, is not sampled
+    (``search.ruled_out``): every candidate that could pass the screen
+    lies in that space.  An attempt that ``_hopeless`` proves can never
+    fail the target returns None before any kernel is compiled, counting
+    the reason in *skipped*.
     """
     injected = inject(netlist, spec)
     trigger_bits = {(c.signal, c.bit): c.value for c in spec.trigger
                     if c.bit is not None
                     and netlist.nets[c.signal].kind is NetKind.INPUT}
-    forced = trigger_bits
+    forced, flips, need = trigger_bits, None, None
     # the first-term antecedent is batchable and a cheap necessary condition
     goal = checkers[target] if target is not None else None
     ante = goal.assertion.antecedent if goal is not None else None
     if goal is not None:
         need = necessary_literals(ante.steps[0][1], injected)
-        why = _hopeless(spec, netlist, injected, goal, need, trigger_bits)
+        if need:
+            forced = need | trigger_bits  # the trigger wins a clash
+            if any(forced[bit] != value for bit, value in need.items()):
+                flips = trigger_bits  # only the warm-up can meet the term
+        why = _hopeless(spec, netlist, injected, goal, need, forced, flips)
         if why is not None:
             if skipped is not None:
                 skipped[why] += 1
             return None
-        if need and all(trigger_bits.get(bit, value) == value
-                        for bit, value in need.items()):
-            forced = trigger_bits | need
 
     consts = netlist.constants()
     trig = BatchExpr(trigger_expr(spec, netlist), injected.width, consts)
@@ -473,19 +480,22 @@ def _find_activation(spec: TrojanSpec, netlist: Netlist,
     cone = input_cone(injected, build_graph(injected),
                       reads | {c.signal for c in spec.trigger})
     stim, _stats = search_stimulus(injected, cone, forced, objective, accept,
-                                   rng, horizon, kernel=screen_kernel)
+                                   rng, horizon, kernel=screen_kernel,
+                                   need=need, flips=flips)
     return stim
 
 
 def _hopeless(spec: TrojanSpec, netlist: Netlist, injected: Netlist,
-              goal: Checker, need: Literals | None,
-              trigger_bits: Literals) -> str | None:
+              goal: Checker, need: Literals | None, forced: Literals,
+              flips: Literals | None) -> str | None:
     """Why no candidate of an attempt's search can fail *goal*'s target;
     None when one may.  *need* is the ``necessary_literals`` of the
     target's first antecedent term on the *injected* design.
 
-    Either ``search.ruled_out`` proves that no candidate meets that term,
-    or the target sees the payload only in the cycle its antecedent is
+    Either ``search.ruled_out`` proves that no candidate of any schedule
+    the search tries, forcing the *forced* bits and flipping the *flips*
+    (all of them when None) for the warm-up, meets that term, or the
+    target sees the payload only in the cycle its antecedent is
     sampled: it is ``ante |-> cons`` (one step each, no delay, no
     ``$past`` in them or in its disable expression), the payload net is
     driven by an ``assign``, and no register in the target's fan-in cone
@@ -495,9 +505,11 @@ def _hopeless(spec: TrojanSpec, netlist: Netlist, injected: Netlist,
     ``trigger && ante && !cons`` holds, and none does when its
     ``necessary_literals`` contradict each other.
     """
-    why = ruled_out(need, injected, trigger_bits)
-    if why is not None:
-        return f"no candidate meets the target's first antecedent term ({why})"
+    whys = [ruled_out(need, schedule, forced, flips)
+            for schedule in schedules(injected, forced)]
+    if all(whys):
+        return ("no candidate meets the target's first antecedent term "
+                f"({whys[0]})")
     a = goal.assertion
     steps = a.antecedent.steps + a.consequent.steps
     if (len(a.antecedent.steps) != 1 or len(steps) != 2

@@ -42,7 +42,7 @@ EXPECTED_SOURCE_COUNTS = {"pmp_unit": 7, "csr_unit": 7, "debug_unit": 4,
 # to the output directory and its bytes, each followed by a NUL byte, in
 # sorted path order (``perfbench/checks.py`` digests a tree the same way)
 CAMPAIGN_SHA256 = \
-    "96e8516a2291af6594451e3d8c5ca670ad2ead58d47720ca3cd34bd4a9c4d9ae"
+    "0fb98c102c6bc824044837db89886c49a76a4bf7beb74f61cb6de5d22a66338b"
 
 
 def _spec_paths(run, module):

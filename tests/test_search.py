@@ -12,7 +12,7 @@ from svaport import translate
 from svaport.netlist import Net, NetKind, Netlist
 from svaport.rtl_parser import parse_design
 from svaport.search import (_CHUNK, _FIRST_CHUNK, _RANDOM_VECTORS, _vectors,
-                            necessary_literals, search_stimulus)
+                            necessary_literals, ruled_out, search_stimulus)
 from svaport.sim import BatchExpr, SimKernel, Stimulus
 
 from . import gen, oracles
@@ -205,6 +205,65 @@ def test_a_refused_search_runs_each_schedule_once_over_its_space():
 
     assert refused({("a_i", 0): 1}) == 2 * 2 ** 3
     assert refused({}) == 2 ** 4
+
+
+_CLASH = "a forced bit contradicts a bit it needs"
+
+
+def test_ruled_out_decides_each_schedule_by_the_bits_it_holds():
+    # the term needs en low and d high; the trigger holds en high, and the
+    # search forces d as the term needs it
+    need = {("en", 0): 0, ("d", 0): 1}
+    forced = {("en", 0): 1, ("d", 0): 1}
+    trigger = {("en", 0): 1}
+    # held from cycle 0, en contradicts the term in every cycle
+    assert ruled_out(need, "constant", forced, trigger) == _CLASH
+    # a warm-up that flips only the trigger's en holds the whole term
+    assert ruled_out(need, "flipped_prefix", forced, trigger) is None
+    # one that flips every forced bit holds d low, as does a trigger that
+    # holds d high itself: the flipped d is needed the other way
+    assert ruled_out(need, "flipped_prefix", forced) == _CLASH
+    assert ruled_out(need, "flipped_prefix", forced, forced) == _CLASH
+    # without a clash every schedule may meet the term after the warm-up
+    agree = {("en", 0): 0, ("d", 0): 1}
+    assert ruled_out(need, "constant", agree) is None
+    assert ruled_out(need, "flipped_prefix", agree) is None
+    assert ruled_out(None, "constant", {}) == \
+        "its requirements contradict each other"
+
+
+def test_a_search_never_samples_a_schedule_ruled_out_for_its_term():
+    netlist = parse_design(LATCH_RTL)
+    kernel = SimKernel(netlist)
+    seen: list[str] = []
+
+    def refused(forced, need, flips=None):
+        seen.clear()
+
+        def objective(arrays, inputs):
+            seen.append("constant" if inputs["a_i"].ndim == 1
+                        else "flipped_prefix")
+            return np.arange(len(arrays["q_o"]))
+
+        stim, stats = search_stimulus(
+            netlist, ["a_i", "b_i"], forced, objective, lambda s: False,
+            np.random.default_rng(0), 6, kernel=kernel, need=need,
+            flips=flips)
+        assert stim is None
+        return stats.candidates, sorted(set(seen))
+
+    both = (2 * 2 ** 3, ["constant", "flipped_prefix"])
+    forced = {("a_i", 0): 1}
+    assert refused(forced, {("a_i", 0): 1}) == both
+    # a term needing a_i[0] low is met only by the warm-up
+    assert refused(forced, {("a_i", 0): 0}) == (2 ** 3, ["flipped_prefix"])
+    # one that also needs b_i[1] high is met by a warm-up that flips the
+    # clashing a_i[0] alone, and never when b_i[1] flips with it
+    forced = {("a_i", 0): 1, ("b_i", 1): 1}
+    need = {("a_i", 0): 0, ("b_i", 1): 1}
+    assert refused(forced, need, flips=[("a_i", 0)]) == \
+        (2 ** 2, ["flipped_prefix"])
+    assert refused(forced, need) == (0, [])
 
 
 def test_past_reads_nets_before_cycle_zero_as_zero():

@@ -613,8 +613,10 @@ _FIND_ACTIVATION = trojan._find_activation  # before any test wraps it
 
 
 def _unfiltered_find(*args, **kwargs):
-    """``_find_activation`` without the pre-filter."""
-    with mock.patch.object(trojan, "_hopeless", lambda *_: None):
+    """``_find_activation`` without the pre-filter, its search sampling
+    every schedule."""
+    with mock.patch.object(trojan, "_hopeless", lambda *_: None), \
+            mock.patch("svaport.search.ruled_out", lambda *_: None):
         return _FIND_ACTIVATION(*args, **kwargs)
 
 
@@ -663,9 +665,9 @@ def test_prefilter_keeps_attempts_the_warm_up_can_activate():
                                    skipped=skipped)
     assert stim is not None and not skipped
     assert [c["en_i"] for c in stim.inputs] == [0] * 4 + [1] * 4
-    # the term also needs d_i high: forcing that literal with the trigger
-    # would hold it low for the warm-up, so the clashing en_i leaves d_i
-    # free, and the activation holds it high throughout
+    # the term also needs d_i high: the search forces that literal with the
+    # trigger, and the warm-up flips only the trigger's bits, so the
+    # activation holds d_i high throughout
     target = parse_assertions(
         "W: assert property (@(posedge clk) !en_i && d_i |-> ##4 y_o == d_i);")
     stim = trojan._find_activation(spec, netlist, [Checker(target[0], netlist)],
@@ -688,6 +690,93 @@ def test_prefilter_keeps_attempts_the_warm_up_can_activate():
                        "term (a forced bit contradicts a bit it needs)": 1}
     assert _unfiltered_find(spec, netlist, checkers, 0, 8,
                             np.random.default_rng(0)) is None
+
+
+@pytest.mark.parametrize("horizon", range(2, 7))
+def test_the_warm_up_leaves_the_vector_the_last_cycle(horizon):
+    # the antecedent needs en_i low and the trigger holds it high, so only
+    # the warm-up meets the term and only the cycles after it fire the
+    # trigger: a warm-up as long as the stimulus would never fire it
+    netlist = parse_design(WARM_RTL)
+    spec = TrojanSpec(id="warm_t00", module="warm",
+                      module_kind="sequential",
+                      trigger=(TriggerCond("en_i", 0, 1),), k=1,
+                      payload_kind="invert_net", payload_net="y_o")
+    target = parse_assertions(
+        "W: assert property (@(posedge clk) !en_i |=> y_o == d_i);")
+    stim = trojan._find_activation(spec, netlist,
+                                   [Checker(target[0], netlist)], 0, horizon,
+                                   np.random.default_rng(0))
+    assert stim is not None
+    warm = min(4, horizon - 1)
+    assert [c["en_i"] for c in stim.inputs] == \
+        [0] * warm + [1] * (horizon - warm)
+    assert _meets_by_oracle(netlist, spec, target, 0, stim)
+
+
+CLASH_RTL = """\
+module clash (
+  input  logic        clk,
+  input  logic        en_i,
+  input  logic [15:0] addr_i,
+  input  logic [23:0] d_i,
+  output logic [23:0] y_o,
+  output logic [23:0] q_o
+);
+  assign y_o = d_i;
+  always_ff @(posedge clk) q_o <= d_i;
+endmodule
+"""
+
+
+def test_a_clashing_trigger_searches_only_the_warm_up_that_holds_the_term(
+        monkeypatch):
+    # the antecedent needs en_i low and addr_i == 16'hbeef; the trigger
+    # holds en_i high, so no candidate meets the term from cycle 0.  The
+    # search forces addr_i with the trigger and flips only the trigger's
+    # bits for the warm-up, which then holds the whole term
+    netlist = parse_design(CLASH_RTL)
+    spec = TrojanSpec(id="clash_t00", module="clash",
+                      module_kind="sequential",
+                      trigger=(TriggerCond("d_i", 3, 1),
+                               TriggerCond("en_i", 0, 1)), k=2,
+                      payload_kind="invert_net", payload_net="y_o")
+    target = parse_assertions(
+        "C: assert property (@(posedge clk) "
+        "!en_i && addr_i == 16'hbeef |=> y_o == d_i);")
+    batches: list[dict[str, np.ndarray]] = []
+    results: list[tuple] = []
+    search = trojan.search_stimulus
+
+    def recording_search(netlist, inputs, forced, objective, *args,
+                         **kwargs):
+        def recorded(arrays, batch):
+            batches.append(batch)
+            return objective(arrays, batch)
+        results.append(search(netlist, inputs, forced, recorded, *args,
+                              **kwargs))
+        return results[-1]
+
+    monkeypatch.setattr(trojan, "search_stimulus", recording_search)
+    horizon = 8
+    stim = trojan._find_activation(spec, netlist,
+                                   [Checker(target[0], netlist)], 0, horizon,
+                                   np.random.default_rng(0))
+    [(found, stats)] = results
+    assert stim is not None and found is stim
+    assert _meets_by_oracle(netlist, spec, target, 0, stim)
+    # the witness comes from the first batch, of the flipped-prefix
+    # schedule: no constant batch is simulated
+    assert (stats.candidates, stats.schedule, stats.space, stats.forced) \
+        == (256, "flipped_prefix", "sampled", 18)
+    [batch] = batches
+    assert batch["en_i"].shape == (256, horizon)
+    assert (batch["en_i"] == [0] * 4 + [1] * 4).all()
+    assert ((batch["d_i"][:, :4] >> 3 & 1) == 0).all()
+    assert ((batch["d_i"][:, 4:] >> 3 & 1) == 1).all()
+    # every candidate holds the needed bits the trigger does not contradict
+    assert batch["addr_i"].shape == (256,)
+    assert (batch["addr_i"] == 0xbeef).all()
 
 
 @st.composite
@@ -893,6 +982,42 @@ def test_activation_error_names_the_skipped_attempts(antecedent, reason,
     assert str(info.value) == (
         f"no viable trojan 0 for gate after 8 attempts; {len(calls)} "
         f"skipped unsearched, since {reason}")
+
+
+_TERM_CLASH = _FIRST_TERM.format("a forced bit contradicts a bit it needs")
+_SINGLE_CYCLE = ("the target sees the payload only in the cycle the trigger "
+                 "fires, and no cycle can fire the trigger and fail the "
+                 "target")
+
+
+def test_campaign_forge_accounting(campaign_run, tmp_path, monkeypatch):
+    # every attempt of the bundled campaign's forge: whether it found an
+    # activation, and why the pre-filter skipped it if it did
+    out = tmp_path / "out"
+    shutil.copytree(campaign_run.out_dir, out)
+    attempts: list[tuple[str, bool, Counter[str]]] = []
+    find = trojan._find_activation
+
+    def recording(spec, *args, skipped, **kwargs):
+        before = skipped.copy()
+        stim = find(spec, *args, skipped=skipped, **kwargs)
+        attempts.append((spec.id, stim is not None, skipped - before))
+        return stim
+
+    monkeypatch.setattr(trojan, "_find_activation", recording)
+    assert cli_main(["inject", "--config", str(corpus.campaign_path()),
+                     "--out", str(out)]) == 0
+    assert len(attempts) == 53
+    assert sum(found for _, found, _ in attempts) == 33
+    assert sum((why for _, _, why in attempts), Counter()) == {
+        _TERM_CLASH: 11, _SINGLE_CYCLE: 7}
+    assert Counter(tid for tid, _, why in attempts if why) == {
+        "pmp_unit_t01": 8, "debug_unit_t02": 3, "cf_unit_t02": 3,
+        "csr_unit_t02": 2, "pmp_unit_t05": 1, "cf_unit_t05": 1}
+    # searched in vain: the target never fails on the corrupted design
+    # (cf_unit_t06), or another assertion fails with it (cf_unit_t02)
+    assert sorted(tid for tid, found, why in attempts
+                  if not found and not why) == ["cf_unit_t02", "cf_unit_t06"]
 
 
 def _rows(inputs: dict[str, np.ndarray]) -> list[dict[str, int]]:
