@@ -18,7 +18,7 @@ from .graph import DependencyGraph, Relation, Relationship, build_graph, \
     classify, fanin
 from .metrics import (MetricsReport, ModuleRow, MonteCarloEstimate, TrojanRow,
                       analytic_probability, brute_force_probability,
-                      emit_report, monte_carlo_probability, tder, tpi)
+                      emit_report, monte_carlo_probability, tpi)
 from .monitor import AssertionVerdict, check_assertion, check_assertions
 from .netlist import Netlist, render_netlist
 from .rtl_parser import parse_design

@@ -79,20 +79,6 @@ def tpi(p) -> float:
     return math.log10(den) - math.log10(num)
 
 
-def tder(detected: int, generated: int) -> float:
-    """Detection ratio as a percentage: ``detected / generated * 100``.
-
-    Exact by construction - ``tder(3, 8)`` and ``tder(30, 80)`` return the
-    same float - and undefined for an empty trojan population.
-    """
-    if generated <= 0:
-        raise DomainError("detection ratio needs at least one generated trojan")
-    if not 0 <= detected <= generated:
-        raise DomainError(
-            f"detected count {detected} outside [0, {generated}]")
-    return float(Fraction(detected, generated) * 100)
-
-
 # ---------------------------------------------------------------------------
 # trigger probability, three ways
 
@@ -119,7 +105,8 @@ def _trigger_cone(netlist: Netlist, spec: TrojanSpec,
 
 def _count_hits(netlist: Netlist, spec: TrojanSpec, kernel: SimKernel,
                 arrays: dict[str, np.ndarray]) -> int:
-    """Rows (out of a one-cycle batch) on which the trigger holds."""
+    """Rows of a one-cycle batch, *arrays* holding (rows, 1) inputs, on
+    which the trigger holds."""
     nets = kernel.run_batch(arrays, cycles=1)
     trig = BatchExpr(trigger_expr(spec, netlist), netlist.width,
                      netlist.constants())
@@ -149,7 +136,8 @@ def brute_force_probability(netlist: Netlist, spec: TrojanSpec, *,
     total = 1 << bits
     hits = 0
     for start in range(0, total, _ENUM_CHUNK):
-        idx = np.arange(start, min(start + _ENUM_CHUNK, total), dtype=np.uint64)
+        idx = np.arange(start, min(start + _ENUM_CHUNK, total),
+                        dtype=np.uint64)[:, None]
         arrays = {
             name: (idx >> np.uint64(off)) & np.uint64((1 << w) - 1)
             for name, off, w in zip(cone, offsets, widths)
@@ -213,7 +201,7 @@ def monte_carlo_probability(netlist: Netlist, spec: TrojanSpec,
     while done < samples:
         rows = min(_ENUM_CHUNK, samples - done)
         arrays = {
-            name: rng.integers(0, 1 << netlist.width(name), size=rows,
+            name: rng.integers(0, 1 << netlist.width(name), size=(rows, 1),
                                dtype=np.uint64,
                                endpoint=False)
             for name in cone

@@ -1,18 +1,17 @@
 """Stimulus search shared by test-case generation and trojan activation.
 
-The strategy is deliberately simple and fully deterministic: candidate
-stimuli hold each primary input at a constant value, either from cycle 0
-or after a warm-up of at most four cycles, never the last, that holds the
-flipped bits inverted (the forced bits, or those of them the caller
-names), to let registered state see them change before the interesting
-vector applies.  A search is one pass: a set of free inputs and the input
-bits it forces.  Its free bits are enumerated exhaustively when they are
-few enough, otherwise sampled from a seeded stream.  Candidates are
-simulated in numpy batches, a caller-supplied objective decides every
-batch with arrays, and a scalar check confirms the winner.  Batches grow
-from 256 rows, doubling up to 8,192, so a witness near the start costs a
-small batch; the candidates and their order do not depend on the batch
-sizes, so every search meets the same first witness whatever they are.
+The strategy is deliberately simple and fully deterministic: a candidate
+is a vector of input values, held constant apart from the warm-up its
+schedule gives it (``schedules`` says what a warm-up is).  A search is
+one pass: a set of free inputs and the input bits it forces.  Its free
+bits are enumerated exhaustively when they are few enough, otherwise
+sampled from a seeded stream.  Candidates are simulated in numpy
+batches, one (rows, cycles) array per input, a caller-supplied objective
+decides every batch with arrays, and a scalar check confirms the winner.
+Batches grow from 256 rows, doubling up to 8,192, so a witness near the
+start costs a small batch; the candidates and their order do not depend
+on the batch sizes, so every search meets the same first witness
+whatever they are.
 
 ``necessary_literals`` guides a search: it backtraces a term through the
 combinational logic to the input bits every candidate that makes the term
@@ -25,13 +24,9 @@ one, and every witness of the larger space lies in it.
 
 The same literals decide which schedules can meet a term at all:
 ``ruled_out`` says why no candidate of a schedule can make the term
-true, given the bits the search forces and flips, and a term whose
-literals contradict each other is never true.  A search never samples a
-schedule ruled out for its term, and forge skips an attempt unsearched
-when every schedule is (``trojan._hopeless``).  A forced bit the term
-needs the other way leaves only a warm-up that flips it to meet the
-term, as sequential ATPG justifies a value in an earlier time frame
-(Niermann and Patel, HITEC, 1991).
+true, and a term whose literals contradict each other is never true.  A
+search never samples a schedule ruled out for its term, and forge skips
+an attempt unsearched when every schedule is (``trojan._hopeless``).
 """
 
 from __future__ import annotations
@@ -52,7 +47,7 @@ _CHUNK = 8192       # up to this many
 _WORD = 63  # random bits per drawn code word (the draw keeps the sign bit clear)
 _EXHAUSTIVE_BITS = 20    # enumerate the free bits when they fit
 _RANDOM_VECTORS = 10000  # otherwise draw this many candidates
-_WARMUP = 4              # flipped_prefix warm-up cycles, at most horizon - 1
+_WARMUP = 4              # warm-up cycles at most (``schedules``)
 
 
 #: input bits a search holds fixed: (input, bit) -> 0 or 1
@@ -304,62 +299,82 @@ def _vectors(netlist: Netlist, inputs: list[str],
         start, size = stop, min(2 * size, _CHUNK)
 
 
-def schedules(netlist: Netlist, forced: Literals) -> list[str]:
-    """The schedules a search that forces the *forced* bits tries, in
-    order.  'constant' applies each vector from cycle 0.  On a design
-    with registers, a search that forces bits also tries
-    'flipped_prefix': for a warm-up of _WARMUP cycles, or all but the
-    last when the stimulus is that short, it holds the flipped bits
-    inverted (the forced bits the search is told to flip, by default all
-    of them) and every other bit as the vector has it; the vector then
-    applies to the end, so sequential state sees the flipped bits
-    change.  ``ruled_out`` relies on these two shapes."""
-    return (["constant", "flipped_prefix"] if netlist.registers and forced
-            else ["constant"])
+@dataclass(frozen=True)
+class Schedule:
+    """A plan for laying candidate vectors out in time (``schedules``):
+    for the first *warmup* cycles the forced bits in *flips* are held
+    inverted, then the vector applies to the end."""
+
+    name: str
+    warmup: int
+    flips: frozenset[tuple[str, int]]
+
+    def phases(self, forced: Literals) -> list[Literals]:
+        """The *forced* bits as a candidate holds them after the warm-up,
+        and during it if there is one."""
+        warm = {bit: value ^ (bit in self.flips)
+                for bit, value in forced.items()}
+        return [forced, warm] if self.warmup else [forced]
 
 
-def _apply(schedule: str, values: dict[str, np.ndarray], cycles: int,
-           masks: dict[str, np.uint64]) -> dict[str, np.ndarray]:
-    """The stimulus batch of *schedule* for a batch of constant vectors;
-    *masks* has the flipped bits of each input (``schedules``)."""
-    out = dict(values)
-    if schedule == "flipped_prefix":
-        warm = min(_WARMUP, cycles - 1)
-        for name, flip in masks.items():
-            if name in values:
-                v = values[name]
-                arr = np.repeat(v[:, None], cycles, axis=1)
-                arr[:, :warm] = (v ^ flip)[:, None]
-                out[name] = arr
-    return out
+def schedules(netlist: Netlist, forced: Literals, cycles: int,
+              flips: Iterable[tuple[str, int]] | None = None,
+              ) -> list[Schedule]:
+    """The schedules of a *cycles*-cycle search that forces the *forced*
+    bits, in order: the one place that decides the warm-up.
+
+    'constant' holds each vector from cycle 0.  On a design with
+    registers, 'flipped_prefix' first holds the flipped bits (*flips*, by
+    default every forced bit) inverted for a warm-up of _WARMUP cycles,
+    never the last, so sequential state sees them change; a one-cycle
+    search has no warm-up to give.  Flipping only the forced bits that
+    overrule bits a term needs (forge's trigger against its target's
+    term) lets the term hold in the warm-up, as sequential ATPG justifies
+    a value in an earlier time frame (Niermann and Patel, HITEC, 1991).
+    """
+    plans = [Schedule("constant", 0, frozenset())]
+    warmup = min(_WARMUP, cycles - 1)
+    flipped = frozenset(forced if flips is None else flips)
+    if netlist.registers and flipped and warmup > 0:
+        plans.append(Schedule("flipped_prefix", warmup, flipped))
+    return plans
 
 
-def ruled_out(need: Literals | None, schedule: str, forced: Literals,
-              flips: Iterable[tuple[str, int]] | None = None) -> str | None:
+def _apply(schedule: Schedule, values: dict[str, np.ndarray],
+           cycles: int) -> dict[str, np.ndarray]:
+    """The (rows, cycles) stimulus batch of *schedule* for a batch of
+    constant vectors: each input a read-only view of its vector with
+    cycle stride 0, or a copy where the warm-up flips some of its bits."""
+    batch = {name: np.broadcast_to(v[:, None], (v.size, cycles))
+             for name, v in values.items()}
+    masks: dict[str, int] = {}
+    for name, bit in schedule.flips:
+        masks[name] = masks.get(name, 0) | 1 << bit
+    for name, flip in masks.items():
+        if name in batch:
+            arr = batch[name].copy()
+            arr[:, :schedule.warmup] ^= np.uint64(flip)
+            batch[name] = arr
+    return batch
+
+
+def ruled_out(need: Literals | None, schedule: Schedule,
+              forced: Literals) -> str | None:
     """Why no candidate of *schedule*, in a search that forces the
-    *forced* bits and flips the *flips* among them for the warm-up (all
-    of them when None), makes a term true at any cycle; None when one
-    may.  *need* is the term's ``necessary_literals``, None when its
+    *forced* bits, makes a term true at any cycle; None when one may.
+    *need* is the term's ``necessary_literals``, None when its
     requirements contradict.
 
     The term holds only in a cycle whose inputs have its necessary
-    literals.  A 'constant' candidate holds the forced bits in every
-    cycle.  A 'flipped_prefix' one holds them after its warm-up, which
-    always leaves at least the last cycle, and during it holds the
-    flipped bits inverted and the other forced bits as forced.  A phase
-    that holds a bit the term needs the other way never meets it, and a
-    schedule none of whose phases can is ruled out.  ``search_stimulus``
-    never samples a schedule ruled out for its term.
+    literals.  A phase of the schedule (``Schedule.phases``) that holds a
+    bit the term needs the other way never meets it, and a schedule none
+    of whose phases can is ruled out.  ``search_stimulus`` never samples
+    a schedule ruled out for its term.
     """
     if need is None:
         return "its requirements contradict each other"
-    flipped = set(forced if flips is None else flips)
-    phases = [forced]
-    if schedule == "flipped_prefix":
-        phases.append({bit: value ^ (bit in flipped)
-                       for bit, value in forced.items()})
     if all(any(held.get(bit, value) != value for bit, value in need.items())
-           for held in phases):
+           for held in schedule.phases(forced)):
         return "a forced bit contradicts a bit it needs"
     return None
 
@@ -376,29 +391,30 @@ def search_stimulus(
     kernel: SimKernel,
     *,
     need: Literals | None = None,
-    flips: Iterable[tuple[str, int]] | None = None,
+    plans: list[Schedule] | None = None,
 ) -> tuple[Stimulus | None, SearchStats]:
     """Find a *horizon*-cycle stimulus that meets the caller's objective.
 
     The search holds the *forced* bits and frees every other bit of
     *inputs*; the rest of the inputs stay at zero, and resets at their
-    idle level.  It tries each of ``schedules`` in turn; the warm-up of
-    'flipped_prefix' flips the *flips* among the forced bits, all of them
-    when None.  Given *need*, the ``necessary_literals`` of a term that
-    every candidate meeting the objective makes true in some cycle, a
-    schedule ``ruled_out`` for it is skipped, not sampled.
+    idle level.  It tries each of *plans* in turn, by default
+    ``schedules(netlist, forced, horizon)``.  Given *need*, the
+    ``necessary_literals`` of a term that every candidate meeting the
+    objective makes true in some cycle, a schedule ``ruled_out`` for it is
+    skipped, not sampled.
 
     *objective* receives the net arrays batch-simulated on *kernel*
-    (rows x cycles), which must keep every net it reads, and the raw
-    input arrays that produced them (so it can co-simulate another
-    kernel on the same candidates), decides the full objective with
-    arrays over every row of the batch, and returns every row that meets
-    it in ascending order.  *accept* only confirms: the first returned
-    row is materialized and re-checked with a scalar run (single-run
-    semantics, monitors, ...); should it disagree, the next row is tried.
-    With an exhaustive enumeration, every candidate that meets the
-    objective is therefore reached.  Deterministic: candidate order is
-    fixed by the schedules, the enumeration and the seeded stream.
+    (rows x cycles), which must keep every net it reads, and the
+    (rows x cycles) input arrays that produced them (so it can
+    co-simulate another kernel on the same candidates), decides the full
+    objective with arrays over every row of the batch, and returns every
+    row that meets it in ascending order.  *accept* only confirms: the
+    first returned row is materialized and re-checked with a scalar run
+    (single-run semantics, monitors, ...); should it disagree, the next
+    row is tried.  With an exhaustive enumeration, every candidate that
+    meets the objective is therefore reached.  Deterministic: candidate
+    order is fixed by the schedules, the enumeration and the seeded
+    stream.
     """
     stats = SearchStats()
     resets = netlist.idle_resets()
@@ -406,24 +422,23 @@ def search_stimulus(
     relevant = [n for n in inputs if n not in resets]
     free = len(_free(netlist, relevant, forced))
     space = "enumerated" if free <= _EXHAUSTIVE_BITS else "sampled"
-    masks: dict[str, np.uint64] = {}
-    for name, bit in forced if flips is None else flips:
-        masks[name] = masks.get(name, np.uint64(0)) | np.uint64(1 << bit)
-    for sched_name in schedules(netlist, forced):
-        if need is not None and ruled_out(need, sched_name, forced, flips):
+    if plans is None:
+        plans = schedules(netlist, forced, horizon)
+    for plan in plans:
+        if need is not None and ruled_out(need, plan, forced):
             continue
         for values in _vectors(netlist, relevant, forced, rng):
             rows = next(iter(values.values())).shape[0] if values else 1
             stats.candidates += rows
-            batch = _apply(sched_name, values, horizon, masks)
+            batch = _apply(plan, values, horizon)
             # searches never toggle reset: pin it at the inactive level
             for name, lvl in resets.items():
-                batch[name] = np.full(rows, lvl, dtype=np.uint64)
+                batch[name] = np.broadcast_to(np.uint64(lvl), (rows, horizon))
             arrays = kernel.run_batch(batch, horizon)
             for row in objective(arrays, batch):
                 stim = _materialize(netlist, batch, int(row), horizon)
                 if accept(stim):
-                    stats.schedule, stats.space = sched_name, space
+                    stats.schedule, stats.space = plan.name, space
                     stats.forced = len(forced)
                     return stim, stats
     return None, stats
@@ -431,7 +446,7 @@ def search_stimulus(
 
 def take_rows(arrays: dict[str, np.ndarray],
               rows: np.ndarray) -> dict[str, np.ndarray]:
-    """The given rows of every array, (rows,) and (rows, cycles) alike.
+    """The given rows of every (rows, cycles) array.
 
     *rows* ascend without repeats, so as many rows as the arrays have are
     all of them: the arrays are then returned as they are, not copied.
@@ -441,12 +456,12 @@ def take_rows(arrays: dict[str, np.ndarray],
     return {name: arr[rows] for name, arr in arrays.items()}
 
 
-def _materialize(netlist: Netlist, inputs: dict[str, np.ndarray], row: int,
+def _materialize(netlist: Netlist, batch: dict[str, np.ndarray], row: int,
                  cycles: int) -> Stimulus:
-    maps = []
-    for t in range(cycles):
-        m: dict[str, int] = {}
-        for name, arr in inputs.items():
-            m[name] = int(arr[row] if arr.ndim == 1 else arr[row, t])
-        maps.append(m)
-    return Stimulus.for_design(netlist, maps)
+    """Row *row* of a stimulus batch, its columns in the netlist's input
+    order; an input the batch leaves out holds its idle level, or 0."""
+    idle = netlist.idle_resets()
+    return Stimulus.of_columns(
+        {n.name: batch[n.name][row].tolist() if n.name in batch
+         else [idle.get(n.name, 0)] * cycles for n in netlist.inputs()},
+        cycles)

@@ -19,7 +19,8 @@ compiles assertion terms and search screens with it.
 
 A stimulus holds one column of values per input (``Stimulus``); a
 kernel may be sliced to the nets a caller reads (``SimKernel``), and a
-scalar run returns a ``Trace``.
+scalar run returns a ``Trace``.  A batch run takes each input as one
+(rows, cycles) array and returns each net the same way.
 """
 
 from __future__ import annotations
@@ -52,8 +53,8 @@ class Stimulus:
     counts the cycles, which a design without inputs has too.
     ``Stimulus(rows)`` takes full per-cycle maps that all name the same
     inputs; ``for_design`` also fills in the inputs a cycle omits and
-    checks the values.  ``inputs``, the per-cycle maps, is built on
-    demand.
+    checks the values; ``of_columns`` takes columns as they are,
+    unchecked.  ``inputs``, the per-cycle maps, is built on demand.
     """
 
     columns: dict[str, list[int]]
@@ -68,8 +69,8 @@ class Stimulus:
         self.cycles = len(rows)
 
     @classmethod
-    def _of_columns(cls, columns: dict[str, list[int]],
-                    cycles: int) -> "Stimulus":
+    def of_columns(cls, columns: dict[str, list[int]],
+                   cycles: int) -> "Stimulus":
         stim = cls.__new__(cls)
         stim.columns, stim.cycles = columns, cycles
         return stim
@@ -127,7 +128,7 @@ class Stimulus:
                        and max(col, default=0) >> n.width == 0)]
         if len(maps) == len(cycles) and not bad and (
                 same or set().union(*maps) <= columns.keys()):
-            return Stimulus._of_columns(columns, len(cycles))
+            return Stimulus.of_columns(columns, len(cycles))
         # the earliest cycle at fault; within it, the first input in netlist
         # order, then the first unknown name
         at, fault = len(maps), None
@@ -438,19 +439,22 @@ class SimKernel:
                   nets: Iterable[str] | None = None) -> dict[str, np.ndarray]:
         """Simulate many stimuli at once.
 
-        *inputs* maps input names to uint64 arrays of shape (rows, cycles)
-        or (rows,) for values held constant.  Returns each net of
-        ``net_order`` as an array of shape (rows, cycles), or with *nets*
-        only those, each of which must be a net the kernel keeps: the step
-        is the same, but only the asked-for nets are stored.  Each array
-        is the transposed view of a cycle-major (cycles, rows) array, so
-        every cycle's step stores one contiguous row per net.
+        *inputs* maps input names to uint64 arrays of shape (rows, cycles);
+        an input held constant may be a read-only view whose cycle stride
+        is 0 (``np.broadcast_to`` of its values), and an input left out
+        reads 0.  Returns each net of ``net_order`` as an array of shape
+        (rows, cycles), or with *nets* only those, each of which must be a
+        net the kernel keeps: the step is the same, but only the asked-for
+        nets are stored.  Each array is the transposed view of a
+        cycle-major (cycles, rows) array, so every cycle's step stores one
+        contiguous row per net.
 
         The run stops stepping at the first cycle from which every input
         holds its value and whose step leaves every register of every row
         as it was: each later cycle would repeat that one, so it is copied
-        into the rest.  Constant inputs on a combinational kernel take one
-        step.
+        into the rest.  An input whose cycle stride is 0 holds its value by
+        construction, so only the others are scanned for that cycle.
+        Constant inputs on a combinational kernel take one step.
         """
         # the positions in net_order of the nets to store
         picks: Iterable[int] = range(len(self.net_order))
@@ -465,26 +469,20 @@ class SimKernel:
         names = [self.net_order[i] for i in picks]
         rows = next(iter(inputs.values())).shape[0] if inputs else 1
         zero = np.zeros(rows, dtype=np.uint64)
-
-        def col(name: str, t: int) -> np.ndarray:
-            arr = inputs.get(name)
-            if arr is None:
-                return zero
-            if arr.ndim == 1:
-                return arr
-            return arr[:, t]
-
+        # each input as a cycle-major (cycles, rows) view, 0 where left out
+        absent = np.broadcast_to(zero, (cycles, rows)).T
+        columns = [inputs.get(n, absent).T for n in self.input_names]
         # the first cycle from which every input holds its value
         steady = 0
         for arr in inputs.values():
-            if arr.ndim == 2:
+            if arr.strides[1]:
                 moved = np.flatnonzero((arr[:, 1:] != arr[:, :-1]).any(axis=0))
                 if moved.size:
                     steady = max(steady, int(moved[-1]) + 1)
         regs = tuple(np.full(rows, init, dtype=np.uint64) for init in self.reg_init)
         out = [np.empty((cycles, rows), dtype=np.uint64) for _ in names]
         for t in range(cycles):
-            ins = tuple(col(n, t) for n in self.input_names)
+            ins = tuple(col[t] for col in columns)
             values, nxt = self._fn(ins, regs, zero, _batch_bit, _batch_mux)
             for arr, i in zip(out, picks):
                 arr[t] = values[i]

@@ -19,7 +19,7 @@ from svaport import corpus
 from svaport.cli import _replay, main as cli_main
 from svaport.graph import Relation, build_graph, classify, fanin
 from svaport.metrics import (analytic_probability, brute_force_probability,
-                             monte_carlo_probability, tder, tpi)
+                             monte_carlo_probability, tpi)
 from svaport.monitor import check_assertion, check_assertions
 from svaport.netlist import NetKind
 from svaport.rtl_parser import parse_design
@@ -29,6 +29,8 @@ from svaport.sva import parse_assertion, parse_assertions
 from svaport.translate import (SignalMap, TranslationConfig, assertion_key,
                                translate)
 from svaport.trojan import load_trojans, trigger_expr
+
+from perfbench import checks as bench_checks, workloads
 
 from . import gen, oracles
 
@@ -43,6 +45,11 @@ EXPECTED_SOURCE_COUNTS = {"pmp_unit": 7, "csr_unit": 7, "debug_unit": 4,
 # sorted path order (``perfbench/checks.py`` digests a tree the same way)
 CAMPAIGN_SHA256 = \
     "0fb98c102c6bc824044837db89886c49a76a4bf7beb74f61cb6de5d22a66338b"
+
+# sha256 of the seed-1 ``port`` benchmark workload's output tree, digested
+# the same way: 99 witness searches on designs of three parallel copies
+PORT_SHA256 = \
+    "3ce0f4a798a0dddba2e06b81981376ab4bf37bdf7d7c74bd021bbfe4cf907c87"
 
 
 def _spec_paths(run, module):
@@ -111,7 +118,6 @@ def test_c05_bundled_campaign_translates_and_detects_everything(campaign_run):
         assert row["translated"] == source_count      # translation % = 100
         assert row["generated"] == planned[module]
         assert row["detected"] == row["generated"]
-        assert tder(row["detected"], row["generated"]) == 100.0
     assert sum(r["generated"] for r in rows.values()) == 33
     assert campaign_run.elapsed < 60.0, \
         f"pipeline took {campaign_run.elapsed:.1f} s"
@@ -134,7 +140,6 @@ def test_c06_removing_one_assertion_breaks_detection(campaign_run, tmp_path):
     raw = json.loads((control / "metrics.json").read_text())
     row = next(r for r in raw["modules"] if r["module"] == "debug_unit")
     assert row["detected"] < row["generated"]
-    assert tder(row["detected"], row["generated"]) < 100.0
     entry = next(t for t in raw["trojans"] if t["id"] == "debug_unit_t00")
     assert entry["detected"] is False
 
@@ -327,3 +332,12 @@ def test_c11_campaign_output_tree_is_byte_identical(campaign_run):
         h.update(str(path.relative_to(out)).encode() + b"\0")
         h.update(path.read_bytes() + b"\0")
     assert h.hexdigest() == CAMPAIGN_SHA256
+
+
+def test_c12_port_output_tree_is_byte_identical(tmp_path):
+    config = workloads.write_port(tmp_path / "inputs", 1)
+    out = tmp_path / "out"
+    for stage in ("translate", "inject", "evaluate"):
+        assert cli_main([stage, "--config", str(config), "--out", str(out),
+                         "--jobs", "1"]) == 0
+    assert bench_checks.digest(out) == PORT_SHA256

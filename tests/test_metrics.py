@@ -8,14 +8,12 @@ from fractions import Fraction
 from pathlib import Path
 
 import pytest
-from hypothesis import given
-from hypothesis import strategies as st
 
 from svaport.errors import ConeTooLargeError, ConfigError, DomainError
 from svaport.metrics import (MetricsReport, ModuleRow, MonteCarloEstimate,
                              TrojanRow, analytic_probability,
                              brute_force_probability, emit_report,
-                             monte_carlo_probability, tder, tpi)
+                             monte_carlo_probability, tpi)
 from svaport.rtl_parser import parse_design
 from svaport.trojan import TriggerCond, TrojanSpec
 
@@ -70,25 +68,6 @@ def test_tpi_domain_errors():
             tpi(bad)
     with pytest.raises(DomainError, match="not a probability"):
         tpi("half of the time")
-
-
-def test_tder_examples():
-    assert tder(33, 33) == 100.0
-    assert tder(3, 8) == 37.5
-    assert tder(0, 5) == 0.0
-    with pytest.raises(DomainError, match="at least one"):
-        tder(0, 0)
-    with pytest.raises(DomainError, match="outside"):
-        tder(6, 5)
-    with pytest.raises(DomainError, match="outside"):
-        tder(-1, 5)
-
-
-@given(st.integers(1, 10**6), st.integers(0, 10**6), st.integers(1, 10**6))
-def test_tder_is_scale_invariant(generated, detected, factor):
-    detected = min(detected, generated)
-    assert tder(detected * factor, generated * factor) \
-        == tder(detected, generated)
 
 
 def test_table_of_published_trigger_probabilities():

@@ -11,9 +11,10 @@ from svaport import expr as ex
 from svaport import translate
 from svaport.netlist import Net, NetKind, Netlist
 from svaport.rtl_parser import parse_design
-from svaport.search import (_CHUNK, _FIRST_CHUNK, _RANDOM_VECTORS, _vectors,
-                            necessary_literals, ruled_out, search_stimulus)
-from svaport.sim import BatchExpr, SimKernel, Stimulus
+from svaport.search import (_CHUNK, _FIRST_CHUNK, _RANDOM_VECTORS, Schedule,
+                            _materialize, _vectors, necessary_literals,
+                            ruled_out, schedules, search_stimulus)
+from svaport.sim import BatchExpr, SimKernel, Stimulus, stimulus_text
 
 from . import gen, oracles
 
@@ -164,7 +165,7 @@ def test_search_walks_its_input_set_once_holding_the_forced_bits():
                                4, kernel=kernel)
 
     stim, stats = search(lambda s: kernel.run(s).values["hit_o"][0] == 1)
-    assert searched == [[2] * 4 + [3] * 4]
+    assert searched == [[[2] * 4] * 4 + [[3] * 4] * 4]
     assert {(c["a_i"], c["b_i"]) for c in stim.inputs} == {(0, 3)}
     assert stim.cycles == 4
     assert stats.candidates == 8
@@ -216,19 +217,23 @@ def test_ruled_out_decides_each_schedule_by_the_bits_it_holds():
     need = {("en", 0): 0, ("d", 0): 1}
     forced = {("en", 0): 1, ("d", 0): 1}
     trigger = {("en", 0): 1}
+    constant = Schedule("constant", 0, frozenset())
+
+    def warm_up(flips):
+        return Schedule("flipped_prefix", 4, frozenset(flips))
+
     # held from cycle 0, en contradicts the term in every cycle
-    assert ruled_out(need, "constant", forced, trigger) == _CLASH
+    assert ruled_out(need, constant, forced) == _CLASH
     # a warm-up that flips only the trigger's en holds the whole term
-    assert ruled_out(need, "flipped_prefix", forced, trigger) is None
-    # one that flips every forced bit holds d low, as does a trigger that
-    # holds d high itself: the flipped d is needed the other way
-    assert ruled_out(need, "flipped_prefix", forced) == _CLASH
-    assert ruled_out(need, "flipped_prefix", forced, forced) == _CLASH
+    assert ruled_out(need, warm_up(trigger), forced) is None
+    # one that flips every forced bit holds d low: the flipped d is
+    # needed the other way
+    assert ruled_out(need, warm_up(forced), forced) == _CLASH
     # without a clash every schedule may meet the term after the warm-up
     agree = {("en", 0): 0, ("d", 0): 1}
-    assert ruled_out(need, "constant", agree) is None
-    assert ruled_out(need, "flipped_prefix", agree) is None
-    assert ruled_out(None, "constant", {}) == \
+    assert ruled_out(need, constant, agree) is None
+    assert ruled_out(need, warm_up(agree), agree) is None
+    assert ruled_out(None, constant, {}) == \
         "its requirements contradict each other"
 
 
@@ -241,14 +246,15 @@ def test_a_search_never_samples_a_schedule_ruled_out_for_its_term():
         seen.clear()
 
         def objective(arrays, inputs):
-            seen.append("constant" if inputs["a_i"].ndim == 1
-                        else "flipped_prefix")
+            # only the warm-up changes an input after cycle 0
+            held = all((v == v[:, :1]).all() for v in inputs.values())
+            seen.append("constant" if held else "flipped_prefix")
             return np.arange(len(arrays["q_o"]))
 
         stim, stats = search_stimulus(
             netlist, ["a_i", "b_i"], forced, objective, lambda s: False,
             np.random.default_rng(0), 6, kernel=kernel, need=need,
-            flips=flips)
+            plans=schedules(netlist, forced, 6, flips))
         assert stim is None
         return stats.candidates, sorted(set(seen))
 
@@ -264,6 +270,81 @@ def test_a_search_never_samples_a_schedule_ruled_out_for_its_term():
     assert refused(forced, need, flips=[("a_i", 0)]) == \
         (2 ** 2, ["flipped_prefix"])
     assert refused(forced, need) == (0, [])
+
+
+def test_a_one_cycle_search_has_no_warm_up_to_give():
+    # a one-cycle stimulus leaves no cycle for a warm-up, so a search that
+    # forces bits tries the constant schedule alone and simulates each of
+    # the eight candidates once
+    netlist = parse_design(LATCH_RTL)
+    kernel = SimKernel(netlist)
+    rows: list[int] = []
+
+    def objective(arrays, inputs):
+        rows.append(len(arrays["q_o"]))
+        return np.arange(rows[-1])
+
+    stim, stats = search_stimulus(
+        netlist, ["a_i", "b_i"], {("a_i", 0): 1}, objective, lambda s: False,
+        np.random.default_rng(0), 1, kernel=kernel)
+    assert stim is None
+    assert rows == [2 ** 3] and stats.candidates == 2 ** 3
+
+
+@pytest.mark.parametrize("cycles", range(2, 7))
+def test_schedules_warm_up_all_but_the_last_cycle_up_to_four(cycles):
+    netlist = parse_design(LATCH_RTL)
+    forced = {("a_i", 0): 1, ("b_i", 1): 0}
+    constant, warm = schedules(netlist, forced, cycles)
+    assert (constant.name, constant.warmup, constant.flips) == \
+        ("constant", 0, frozenset())
+    assert (warm.name, warm.warmup) == ("flipped_prefix", min(4, cycles - 1))
+    # every forced bit flips, unless the caller names the ones to flip
+    assert warm.flips == {("a_i", 0), ("b_i", 1)}
+    [_, warm] = schedules(netlist, forced, cycles, [("b_i", 1)])
+    assert warm.flips == {("b_i", 1)}
+    # with nothing forced, or no register to see a change, the constant
+    # schedule is the only one
+    assert [s.name for s in schedules(netlist, {}, cycles)] == ["constant"]
+    assert [s.name for s in schedules(parse_design(PICK_RTL), forced,
+                                      cycles)] == ["constant"]
+
+
+@st.composite
+def _batch_rows(draw):
+    """A generated design, a batch over a subset of its inputs (each held
+    in a zero-stride view or drawn anew every cycle) and one of its
+    rows."""
+    nl = draw(gen.designs())
+    rows, cycles = draw(st.integers(1, 3)), draw(st.integers(1, 6))
+    batch = {}
+    for n in nl.inputs():
+        if not draw(st.booleans()):
+            continue
+        value = st.integers(0, (1 << n.width) - 1)
+        if draw(st.booleans()):
+            held = np.array(draw(st.lists(value, min_size=rows,
+                                          max_size=rows)), dtype=np.uint64)
+            batch[n.name] = np.broadcast_to(held[:, None], (rows, cycles))
+        else:
+            batch[n.name] = np.array(draw(st.lists(
+                st.lists(value, min_size=cycles, max_size=cycles),
+                min_size=rows, max_size=rows)), dtype=np.uint64)
+    return nl, batch, draw(st.integers(0, rows - 1)), cycles
+
+
+@given(_batch_rows())
+def test_a_witness_is_its_rows_columns_as_the_design_checks_them(case):
+    nl, batch, row, cycles = case
+    got = _materialize(nl, batch, row, cycles)
+    # the reference: the row's per-cycle maps, filled in and checked
+    want = Stimulus.for_design(nl, [
+        {name: int(arr[row, t]) for name, arr in batch.items()}
+        for t in range(cycles)])
+    assert got.cycles == want.cycles == cycles
+    assert list(got.columns.items()) == list(want.columns.items())
+    assert all(type(v) is int for col in got.columns.values() for v in col)
+    assert stimulus_text(got) == stimulus_text(want)
 
 
 def test_past_reads_nets_before_cycle_zero_as_zero():

@@ -152,11 +152,18 @@ def test_run_batch_rows_match_scalar_runs(corpus_designs):
             assert batch[net][r].tolist() == trace.values[net], net
 
 
+def _held(values, cycles: int) -> np.ndarray:
+    """*values* held for *cycles* cycles: a read-only (rows, cycles) view
+    whose cycle stride is 0."""
+    column = np.asarray(values, dtype=np.uint64)[:, None]
+    return np.broadcast_to(column, (column.shape[0], cycles))
+
+
 def test_run_batch_broadcasts_constant_rows(corpus_designs):
     nl = corpus_designs["pmp_unit"]
-    inputs = {n.name: np.full(4, 1 if n.width == 1 else 0xA0, dtype=np.uint64)
+    inputs = {n.name: _held([1 if n.width == 1 else 0xA0] * 4, 3)
               for n in nl.inputs()}
-    inputs["addr_i"] = np.full(4, 0xA4, dtype=np.uint64)
+    inputs["addr_i"] = _held([0xA4] * 4, 3)
     out = SimKernel(nl).run_batch(inputs, 3)
     assert out["in_region"].shape == (4, 3)
     assert bool(out["in_region"].all())
@@ -165,20 +172,23 @@ def test_run_batch_broadcasts_constant_rows(corpus_designs):
 @st.composite
 def _held_runs(draw):
     """A generated design with registers and a few rows of inputs held
-    constant, held after a prefix with some bits inverted, or drawn anew
-    every cycle."""
+    constant (as views whose cycle stride is 0), held after a prefix with
+    some bits inverted, a mix of the two, or drawn anew every cycle."""
     nl = draw(gen.designs(max_registers=3))
     assume(nl.registers)
     rows, cycles = draw(st.integers(1, 4)), draw(st.integers(1, 10))
-    shape = draw(st.sampled_from(["constant", "flipped_prefix", "random"]))
+    shapes = ["constant", "flipped_prefix"]
+    run_shape = draw(st.sampled_from(shapes + ["mixed", "random"]))
     prefix = draw(st.integers(0, cycles))
     inputs = {}
     for n in nl.inputs():
         value = st.integers(0, (1 << n.width) - 1)
         held = np.array(draw(st.lists(value, min_size=rows, max_size=rows)),
                         dtype=np.uint64)
+        shape = (draw(st.sampled_from(shapes)) if run_shape == "mixed"
+                 else run_shape)
         if shape == "constant":
-            inputs[n.name] = held
+            inputs[n.name] = _held(held, cycles)
         elif shape == "flipped_prefix":
             arr = np.repeat(held[:, None], cycles, axis=1)
             arr[:, :prefix] ^= np.uint64(draw(value))
@@ -196,8 +206,8 @@ def test_run_batch_matches_oracle_when_it_stops_early(run):
     out = SimKernel(nl).run_batch(inputs, cycles)
     for r in range(rows):
         stim = Stimulus.for_design(nl, [
-            {name: int(arr[r] if arr.ndim == 1 else arr[r, t])
-             for name, arr in inputs.items()} for t in range(cycles)])
+            {name: int(arr[r, t]) for name, arr in inputs.items()}
+            for t in range(cycles)])
         want = oracles.simulate_fixpoint(nl, stim).values
         for net in nl.nets:
             assert out[net][r].tolist() == want[net], net
@@ -242,15 +252,15 @@ def _counted(kernel: SimKernel) -> list[int]:
 def test_run_batch_steps_a_free_running_counter_every_cycle():
     kernel = SimKernel(parse_design(COUNTER_RTL))
     steps = _counted(kernel)
-    out = kernel.run_batch({"en_i": np.array([1, 1], dtype=np.uint64)}, 12)
+    out = kernel.run_batch({"en_i": _held([1, 1], 12)}, 12)
     assert steps == [12]
     assert out["cnt_o"].tolist() == [list(range(12))] * 2
     # one row that counts keeps every row stepping; idle rows never change
-    out = kernel.run_batch({"en_i": np.array([0, 1], dtype=np.uint64)}, 12)
+    out = kernel.run_batch({"en_i": _held([0, 1], 12)}, 12)
     assert steps == [24]
     assert out["cnt_o"].tolist() == [[0] * 12, list(range(12))]
     # with no row counting, the first step already leaves the state as it was
-    kernel.run_batch({"en_i": np.array([0, 0], dtype=np.uint64)}, 12)
+    kernel.run_batch({"en_i": _held([0, 0], 12)}, 12)
     assert steps == [25]
 
 
@@ -261,7 +271,7 @@ def test_run_batch_stops_once_inputs_hold_and_registers_settle():
     a = np.arange(4, dtype=np.uint64)
     # q1 takes a at cycle 1 and q_o at cycle 2; the step at cycle 2
     # changes nothing, so cycles 3..11 repeat it
-    out = kernel.run_batch({"a_i": a}, 12)
+    out = kernel.run_batch({"a_i": _held(a, 12)}, 12)
     assert steps == [3]
     assert out["q_o"].tolist() == [[0, 0] + [v] * 10 for v in range(4)]
     # inputs that change at cycle 4 hold from there: cycles 4..6 step
@@ -275,9 +285,26 @@ def test_run_batch_stops_once_inputs_hold_and_registers_settle():
     # a combinational kernel with constant inputs takes one step
     comb = SimKernel(nl, keep={"a_i"})
     steps = _counted(comb)
-    assert comb.run_batch({"a_i": a}, 12)["a_i"].tolist() == \
+    assert comb.run_batch({"a_i": _held(a, 12)}, 12)["a_i"].tolist() == \
         [[v] * 12 for v in range(4)]
     assert steps == [1]
+
+
+@given(_held_runs())
+def test_run_batch_reads_held_views_as_it_reads_copies(run):
+    nl, inputs, _, cycles = run
+    kernel = SimKernel(nl)
+    steps = _counted(kernel)
+    on_views = kernel.run_batch(inputs, cycles)
+    stepped = steps[0]
+    copies = {name: np.array(arr) for name, arr in inputs.items()}
+    assert all(arr.strides[1] for arr in copies.values())
+    on_copies = kernel.run_batch(copies, cycles)
+    # the copies hold from the same cycle, so the run stops at it too
+    assert steps == [2 * stepped]
+    assert on_views.keys() == on_copies.keys()
+    for net in on_views:
+        assert np.array_equal(on_views[net], on_copies[net]), net
 
 
 @st.composite
@@ -357,7 +384,7 @@ def test_sliced_kernel_assigns_only_its_cone(corpus_designs, name, keep):
     targets = {line.split(" = ")[0].strip()[2:] for line in body
                if not line.lstrip().startswith("(")}
     assert targets and targets <= cone
-    inputs = {n.name: np.zeros(2, dtype=np.uint64) for n in nl.inputs()}
+    inputs = {n.name: np.zeros((2, 3), dtype=np.uint64) for n in nl.inputs()}
     assert set(kernel.run_batch(inputs, 3)) == keep
     assert set(kernel.run(Stimulus.for_design(nl, [{}])).values) == keep
     # without keep, the kernel is the whole design

@@ -775,7 +775,7 @@ def test_a_clashing_trigger_searches_only_the_warm_up_that_holds_the_term(
     assert ((batch["d_i"][:, :4] >> 3 & 1) == 0).all()
     assert ((batch["d_i"][:, 4:] >> 3 & 1) == 1).all()
     # every candidate holds the needed bits the trigger does not contradict
-    assert batch["addr_i"].shape == (256,)
+    assert batch["addr_i"].shape == (256, horizon)
     assert (batch["addr_i"] == 0xbeef).all()
 
 
@@ -1021,10 +1021,12 @@ def test_campaign_forge_accounting(campaign_run, tmp_path, monkeypatch):
 
 
 def _rows(inputs: dict[str, np.ndarray]) -> list[dict[str, int]]:
-    """The candidate rows of a batch of constant inputs."""
+    """The candidate rows of a batch of inputs that hold their values in
+    every cycle."""
     names = sorted(inputs)
+    assert all((inputs[n] == inputs[n][:, :1]).all() for n in names)
     return [dict(zip(names, row))
-            for row in zip(*(inputs[n].tolist() for n in names))]
+            for row in zip(*(inputs[n][:, 0].tolist() for n in names))]
 
 
 def _screen_holds(spec: TrojanSpec, term: ex.Expr, row: dict,
