@@ -450,10 +450,14 @@ def take_rows(arrays: dict[str, np.ndarray],
 
     *rows* ascend without repeats, so as many rows as the arrays have are
     all of them: the arrays are then returned as they are, not copied.
+    An input held through every cycle (cycle stride 0) stays a held view
+    of its picked rows, so ``run_batch`` need not scan it.
     """
     if all(arr.shape[0] == rows.size for arr in arrays.values()):
         return arrays
-    return {name: arr[rows] for name, arr in arrays.items()}
+    return {name: np.broadcast_to(arr[rows, :1], (rows.size, arr.shape[1]))
+            if arr.strides[1] == 0 else arr[rows]
+            for name, arr in arrays.items()}
 
 
 def _materialize(netlist: Netlist, batch: dict[str, np.ndarray], row: int,

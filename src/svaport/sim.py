@@ -8,19 +8,22 @@ Registers start at their reset value, or 0 when no reset is declared, and a
 register whose reset net is active at the clock edge reloads its reset value
 for the next cycle.
 
-The settle/update step is generated as Python source.  All generated
-code, kernels and ``BatchExpr`` terms alike, compiles once per distinct
-source (``_compiled``), so kernels that slice two designs to the same
-logic share one function.  A step runs in two flavors: scalar (plain
-ints) and batch (numpy uint64 arrays, many independent stimuli at once;
-the RTL parser rejects nets wider than 64 bits).  ``emit`` is the one
-expression evaluator: it writes the kernel's code, and ``BatchExpr``
-compiles assertion terms and search screens with it.
+A kernel is one generated Python function that loops over a sequence
+of cycles, settling and updating in each.  All generated code, kernels
+and ``BatchExpr`` terms alike, compiles once per distinct source
+(``_compiled``), so kernels that slice two designs to the same logic
+share one function.  A kernel runs in two flavors: scalar (plain ints),
+handed the whole stimulus in one call, and batch (numpy uint64 arrays,
+many independent stimuli at once; the RTL parser rejects nets wider than
+64 bits), handed one cycle per call so that it can stop early.  ``emit``
+is the one expression evaluator: it writes the kernel's code, and
+``BatchExpr`` compiles assertion terms and search screens with it.
 
-A stimulus holds one column of values per input (``Stimulus``); a
-kernel may be sliced to the nets a caller reads (``SimKernel``), and a
-scalar run returns a ``Trace``.  A batch run takes each input as one
-(rows, cycles) array and returns each net the same way.
+A stimulus holds one column of values per input (``Stimulus``), and is
+written to disk as that column object (``stimulus_text``); a kernel may
+be sliced to the nets a caller reads (``SimKernel``), and a scalar run
+returns a ``Trace``.  A batch run takes each input as one (rows, cycles)
+array and returns each net the same way.
 """
 
 from __future__ import annotations
@@ -51,16 +54,25 @@ class Stimulus:
 
     ``columns`` maps each input to its values, one per cycle; ``cycles``
     counts the cycles, which a design without inputs has too.
-    ``Stimulus(rows)`` takes full per-cycle maps that all name the same
-    inputs; ``for_design`` also fills in the inputs a cycle omits and
-    checks the values; ``of_columns`` takes columns as they are,
-    unchecked.  ``inputs``, the per-cycle maps, is built on demand.
+    ``Stimulus(data)`` takes either form of ``docs/file_formats.md`` as it
+    is: full per-cycle maps that all name the same inputs, or the column
+    object ``{"cycles": N, "inputs": {name: [N values]}}``.
+    ``for_design`` also fills in the inputs the data omits and checks the
+    values; ``of_columns`` takes columns as they are, unchecked.
+    ``inputs``, the per-cycle maps, is built on demand.
     """
 
     columns: dict[str, list[int]]
     cycles: int
 
-    def __init__(self, rows: list[dict[str, int]]):
+    def __init__(self, data: list[dict[str, int]] | dict):
+        if isinstance(data, dict):
+            self.columns, self.cycles = dict(data["inputs"]), data["cycles"]
+            if any(len(col) != self.cycles for col in self.columns.values()):
+                raise ValueError("every input of a stimulus must hold one "
+                                 "value per cycle")
+            return
+        rows = data
         names = list(rows[0]) if rows else []
         if any(row.keys() != rows[0].keys() for row in rows):
             raise ValueError("every cycle of a stimulus must name the same "
@@ -88,10 +100,12 @@ class Stimulus:
         return [dict(zip(names, values)) for values in self.rows()]
 
     @staticmethod
-    def for_design(netlist: Netlist, cycles: list[dict[str, int]]) -> "Stimulus":
+    def for_design(netlist: Netlist,
+                   data: list[dict[str, int]] | dict) -> "Stimulus":
         """Fill in the defaults and check the values by the stimulus rules
         of ``docs/file_formats.md``; a fault raises, naming the earliest
-        cycle at fault.
+        cycle at fault.  *data* is an array of per-cycle maps or a column
+        object (``_checked_columns``).
 
         The columns come in the netlist's input order.  Each is read in one
         pass and checked whole: all integers that fit the input's width.
@@ -100,8 +114,12 @@ class Stimulus:
         is searched for its earliest cycle at fault, where each input is
         checked for its type before its range.
         """
-        if not isinstance(cycles, list):
-            raise ConfigError("expected an array of per-cycle input maps")
+        if isinstance(data, dict):
+            return _checked_columns(netlist, data)
+        if not isinstance(data, list):
+            raise ConfigError("expected an array of per-cycle input maps or "
+                              "an object of \"cycles\" and \"inputs\"")
+        cycles = data
         nets = netlist.inputs()
         inactive = netlist.idle_resets()
         # the cycles before the first that is not a map, as plain dicts: a
@@ -122,10 +140,7 @@ class Stimulus:
             columns[n.name] = read[n.name] if n.name in read else (
                 [default] * len(maps) if same else
                 list(map(dict.get, maps, repeat(n.name), repeat(default))))
-        bad = [n for n, col in zip(nets, columns.values())
-               if not (set(map(type, col)) <= {int}
-                       and min(col, default=0) >= 0
-                       and max(col, default=0) >> n.width == 0)]
+        bad = _bad_columns(nets, columns)
         if len(maps) == len(cycles) and not bad and (
                 same or set().union(*maps) <= columns.keys()):
             return Stimulus.of_columns(columns, len(cycles))
@@ -135,14 +150,7 @@ class Stimulus:
         if at < len(cycles):
             fault = ("expected a map of input values, got "
                      + type(cycles[at]).__name__)
-        for n in bad:
-            i, v = next((i, v) for i, v in enumerate(columns[n.name])
-                        if type(v) is not int or v >> n.width)
-            if i < at:
-                at = i
-                fault = (f"value {v!r} for input {n.name} is not an integer"
-                         if type(v) is not int else f"value {v} does not fit "
-                         f"input {n.name}[{n.width - 1}:0]")
+        at, fault = _earliest_fault(bad, columns, at, fault)
         for name in chain.from_iterable(maps[:at]):
             if name not in columns:
                 raise UnknownSignalError(f"{name} is not an input of "
@@ -150,23 +158,84 @@ class Stimulus:
         raise ConfigError(f"cycle {at}: {fault}")
 
 
-def stimulus_text(stim: Stimulus) -> str:
-    """The one on-disk form of a stimulus: a JSON array holding one compact
-    input map per cycle, each on its own line.
+def _bad_columns(nets: list, columns: dict[str, list]) -> list:
+    """The inputs whose column holds a value that is no int fitting them."""
+    return [n for n, col in zip(nets, columns.values())
+            if not (set(map(type, col)) <= {int}
+                    and min(col, default=0) >= 0
+                    and max(col, default=0) >> n.width == 0)]
 
-    Each line is what ``json.dumps`` writes for the cycle's map, given that
-    its values are ints, as ``Stimulus.for_design`` makes them.  One
-    template per line, naming the columns in order, is repeated for every
-    cycle and filled from the columns in a single formatting call.
+
+def _earliest_fault(bad: list, columns: dict[str, list], at: int,
+                    fault: str | None) -> tuple[int, str | None]:
+    """The earliest bad value of the *bad* inputs' columns, if it comes
+    before cycle *at*, else (*at*, *fault*); within a cycle, the first
+    input in netlist order."""
+    for n in bad:
+        i, v = next((i, v) for i, v in enumerate(columns[n.name])
+                    if type(v) is not int or v >> n.width)
+        if i < at:
+            at = i
+            fault = (f"value {v!r} for input {n.name} is not an integer"
+                     if type(v) is not int else f"value {v} does not fit "
+                     f"input {n.name}[{n.width - 1}:0]")
+    return at, fault
+
+
+def _checked_columns(netlist: Netlist, data: dict) -> Stimulus:
+    """A column object checked as the per-cycle maps it stands for, in
+    which each cycle names every input the object names.
+
+    The object's shape is checked first: exactly the keys ``cycles``, a
+    count, and ``inputs``, an object holding one array of ``cycles``
+    values per input.  Then the values, as ``for_design`` checks them.
+    An input the object names but the design lacks is named in every
+    cycle, so it is reported unless cycle 0 holds a bad value; it is
+    reported in a stimulus of no cycles too.
     """
-    line = "{%s}" % ", ".join(json.dumps(name).replace("%", "%%") + ": %s"
-                              for name in stim.columns)
-    body = ",\n".join(repeat(line, stim.cycles))
-    return "[\n" + body % tuple(chain.from_iterable(stim.rows())) + "\n]\n"
+    if data.keys() != {"cycles", "inputs"}:
+        raise ConfigError(f"a column stimulus has the keys \"cycles\" and "
+                          f"\"inputs\" alone, not {sorted(map(str, data))}")
+    cycles, given = data["cycles"], data["inputs"]
+    if type(cycles) is not int or cycles < 0:
+        raise ConfigError(f"\"cycles\" must be a count, not {cycles!r}")
+    if not isinstance(given, dict):
+        raise ConfigError("\"inputs\" must be an object of columns, not "
+                          + type(given).__name__)
+    for name, col in given.items():
+        if not isinstance(col, list):
+            raise ConfigError(f"input {name} must be an array of values, "
+                              f"not {type(col).__name__}")
+        if len(col) != cycles:
+            raise ConfigError(f"input {name} holds {len(col)} values for "
+                              f"{cycles} cycles")
+    nets = netlist.inputs()
+    inactive = netlist.idle_resets()
+    columns = {n.name: given[n.name] if n.name in given
+               else [inactive.get(n.name, 0)] * cycles for n in nets}
+    bad = _bad_columns(nets, columns)
+    unknown = [name for name in given if name not in columns]
+    if not bad and not unknown:
+        return Stimulus.of_columns(columns, cycles)
+    at, fault = _earliest_fault(bad, columns, cycles, None)
+    if unknown and (at or not cycles):
+        raise UnknownSignalError(f"{unknown[0]} is not an input of "
+                                 f"{netlist.name}")
+    raise ConfigError(f"cycle {at}: {fault}")
+
+
+def stimulus_text(stim: Stimulus) -> str:
+    """The one on-disk form of a stimulus: the column object of
+    ``Stimulus``, as one ``json.dumps`` on one line.
+
+    The inputs come in the order of ``columns``: the netlist's input
+    order for every stimulus the pipeline writes.
+    """
+    return json.dumps({"cycles": stim.cycles, "inputs": stim.columns}) + "\n"
 
 
 def load_stimulus(path: str | Path, netlist: Netlist) -> Stimulus:
-    """Read a stimulus file; any JSON array of per-cycle input maps loads."""
+    """Read a stimulus file of either form, checked by ``for_design``."""
     return Stimulus.for_design(netlist, read_json(path))
 
 
@@ -354,8 +423,9 @@ def fanin_cone(netlist: Netlist, keep: Iterable[str]) -> set[str]:
 
 
 class SimKernel:
-    """One netlist compiled into a reusable settle+update step function;
-    kernels whose generated ``source`` is the same share one function.
+    """One netlist compiled into a reusable settle+update loop over
+    cycles; kernels whose generated ``source`` is the same share one
+    function.
 
     With *keep*, a set of nets, the kernel is sliced to their fan-in cone
     (cone-of-influence reduction): it computes only the assigns and
@@ -380,35 +450,50 @@ class SimKernel:
             (r.reset.value if r.reset is not None else 0)
             for r in self._registers)
         self._source = self._generate()
-        self._fn = _compiled(self._source, "_step")
+        self._fn = _compiled(self._source, "_run")
 
     # -- code generation ---------------------------------------------------
 
     def _generate(self) -> str:
+        """The source of ``_run(INS, REG, _zero, _b, _mux)``: it steps
+        through the cycles of *INS*, each a tuple of input values in
+        ``input_names`` order, from the register values *REG*, and returns
+        one list per net of ``net_order``, holding its value in each
+        cycle, and the registers after the last cycle."""
         nl = self.netlist
         params = nl.constants()
-        lines = ["def _step(IN, REG, _zero, _b, _mux):"]
-        if self.input_names:
-            lines.append(f"    ({', '.join('v_' + n for n in self.input_names)},) = IN")
-        if self.reg_names:
-            lines.append(f"    ({', '.join('v_' + n for n in self.reg_names)},) = REG")
+
+        def names(prefix: str, nets: Iterable[str]) -> str:
+            # a tuple's items, or nothing for no nets: "v_a, v_b,"
+            return "".join(f" {prefix}{n}," for n in nets)[1:]
+
+        regs = names("v_", self.reg_names)
+        lines = ["def _run(INS, REG, _zero, _b, _mux):"]
+        if regs:
+            lines.append(f"    {regs} = REG")
         driven = ({a.lhs for a in self._assigns} | set(self.reg_names)
                   | set(self.input_names))
         for net in self._cone:
             if net not in driven:
                 lines.append(f"    v_{net} = _zero")
+        # one list per kept net, appended to through its bound method p<i>
+        puts = [f"p{i}" for i in range(len(self.net_order))]
+        lines.append(f"    OUT = ({names('', ['[]'] * len(puts))})")
+        if puts:
+            lines.append(f"    {names('', puts)} = [o.append for o in OUT]")
+        lines.append(f"    for {names('v_', self.input_names) or '_'} in INS:")
         for a in self._assigns:
-            lines.append(f"    v_{a.lhs} = {emit(a.rhs, nl.width, params)}")
+            lines.append(f"        v_{a.lhs} = {emit(a.rhs, nl.width, params)}")
         for r in self._registers:
             nxt = emit(r.next, nl.width, params)
             if r.reset is not None:
                 cmp = "==" if r.reset.active_level == 1 else "!="
                 nxt = f"_mux(v_{r.reset.net} {cmp} 1, {r.reset.value}, {nxt})"
-            lines.append(f"    n_{r.target} = {nxt}")
-        nets = ", ".join("v_" + n for n in self.net_order)
-        regs = ", ".join("n_" + r for r in self.reg_names)
-        lines.append(f"    return ({nets}{',' if self.net_order else ''}), "
-                     f"({regs}{',' if self.reg_names else ''})")
+            lines.append(f"        n_{r.target} = {nxt}")
+        lines += [f"        {put}(v_{n})" for put, n in zip(puts, self.net_order)]
+        if regs:
+            lines.append(f"        {regs} = {names('n_', self.reg_names)}")
+        lines.append(f"    return OUT, ({regs})")
         return "\n".join(lines) + "\n"
 
     @property
@@ -418,15 +503,12 @@ class SimKernel:
     # -- execution -----------------------------------------------------------
 
     def run(self, stimulus: Stimulus) -> Trace:
-        fn, regs, out = self._fn, self.reg_init, []
-        for ins in self._input_tuples(stimulus):
-            # operator.pos turns a comparison's bool into an int, as int()
-            # does, at a third of the cost
-            nets, regs = fn(ins, regs, 0, pos, _scalar_mux)
-            out.append(nets)
-        columns = zip(*out) if out else repeat(())
-        values = {name: list(col) for name, col in zip(self.net_order, columns)}
-        return Trace(self.netlist, self.net_order, values, stimulus.cycles)
+        # operator.pos turns a comparison's bool into an int, as int()
+        # does, at a third of the cost
+        out, _ = self._fn(self._input_tuples(stimulus), self.reg_init, 0,
+                          pos, _scalar_mux)
+        return Trace(self.netlist, self.net_order,
+                     dict(zip(self.net_order, out)), stimulus.cycles)
 
     def _input_tuples(self, stimulus: Stimulus) -> Iterable[tuple]:
         """Each cycle's input values, in ``input_names`` order: the
@@ -483,9 +565,9 @@ class SimKernel:
         out = [np.empty((cycles, rows), dtype=np.uint64) for _ in names]
         for t in range(cycles):
             ins = tuple(col[t] for col in columns)
-            values, nxt = self._fn(ins, regs, zero, _batch_bit, _batch_mux)
+            values, nxt = self._fn((ins,), regs, zero, _batch_bit, _batch_mux)
             for arr, i in zip(out, picks):
-                arr[t] = values[i]
+                arr[t] = values[i][0]
             if t >= steady and all(map(np.array_equal, nxt, regs)):
                 for arr in out:
                     arr[t + 1:] = arr[t]

@@ -73,13 +73,46 @@ def eval_expr(e, value, width):
 # --------------------------------------------------------------------------
 # stimulus validation, one cycle and one input at a time
 
+def column_cycles(netlist: Netlist, data: dict) -> list[dict]:
+    """The per-cycle maps a column object stands for: cycle t maps every
+    input the object names to its t-th value.  The object's shape is
+    checked field by field first.  No cycle names an input of an object
+    of no cycles, so an unknown input there is reported here."""
+    if set(data) != {"cycles", "inputs"}:
+        raise ConfigError('a column stimulus has the keys "cycles" and '
+                          f'"inputs" alone, not {sorted(map(str, data))}')
+    count, inputs = data["cycles"], data["inputs"]
+    if type(count) is not int or count < 0:
+        raise ConfigError(f'"cycles" must be a count, not {count!r}')
+    if not isinstance(inputs, dict):
+        raise ConfigError('"inputs" must be an object of columns, not '
+                          + type(inputs).__name__)
+    for name, column in inputs.items():
+        if not isinstance(column, list):
+            raise ConfigError(f"input {name} must be an array of values, "
+                              f"not {type(column).__name__}")
+        if len(column) != count:
+            raise ConfigError(f"input {name} holds {len(column)} values "
+                              f"for {count} cycles")
+    known = {n.name for n in netlist.inputs()}
+    for name in inputs:
+        if count == 0 and name not in known:
+            raise UnknownSignalError(f"{name} is not an input of {netlist.name}")
+    return [{name: column[t] for name, column in inputs.items()}
+            for t in range(count)]
+
+
 def stimulus_rows(netlist: Netlist, cycles) -> list[dict[str, int]]:
     """Reference for ``Stimulus.for_design``: each cycle's full input map,
-    in the netlist's input order, or the first bad cycle or value raised."""
+    in the netlist's input order, or the first bad cycle or value raised.
+    A column object is read as the per-cycle maps it stands for."""
     names = {n.name: n for n in netlist.inputs()}
     inactive = netlist.idle_resets()
+    if isinstance(cycles, dict):
+        cycles = column_cycles(netlist, cycles)
     if not isinstance(cycles, list):
-        raise ConfigError("expected an array of per-cycle input maps")
+        raise ConfigError("expected an array of per-cycle input maps or an "
+                          'object of "cycles" and "inputs"')
     rows: list[dict[str, int]] = []
     for i, cycle in enumerate(cycles):
         if not isinstance(cycle, dict):

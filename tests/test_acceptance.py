@@ -44,12 +44,12 @@ EXPECTED_SOURCE_COUNTS = {"pmp_unit": 7, "csr_unit": 7, "debug_unit": 4,
 # to the output directory and its bytes, each followed by a NUL byte, in
 # sorted path order (``perfbench/checks.py`` digests a tree the same way)
 CAMPAIGN_SHA256 = \
-    "0fb98c102c6bc824044837db89886c49a76a4bf7beb74f61cb6de5d22a66338b"
+    "56f9e19a02b0da825eb4051c68f8a0e008826cb07623fe73c51e72d34d4e09c4"
 
 # sha256 of the seed-1 ``port`` benchmark workload's output tree, digested
 # the same way: 99 witness searches on designs of three parallel copies
 PORT_SHA256 = \
-    "3ce0f4a798a0dddba2e06b81981376ab4bf37bdf7d7c74bd021bbfe4cf907c87"
+    "b6a1e6ebdd10b5e5532b2bf0c72b930afc28918c4237b676b161b33b7cb01c7b"
 
 
 def _spec_paths(run, module):

@@ -314,9 +314,12 @@ def test_translate_stage_writes_links_and_assertions(tmp_path, capsys):
                              "space": "enumerated", "forced": 1}
     doc = json.loads((out / "links" / "a01_A_FLAG.json").read_text())
     assert doc["search"]["forced"] == 0
-    # the shipped testcase replays through the simulator
+    # each shipped testcase is one column object over every input
     for stim in (out / "testcases").glob("*.json"):
-        assert isinstance(json.loads(stim.read_text()), list)
+        doc = json.loads(stim.read_text())
+        assert list(doc) == ["cycles", "inputs"]
+        assert list(doc["inputs"]) == [n.name for n in
+                                       parse_design(TOY_RTL).inputs()]
 
 
 def test_untranslatable_assertion_exits_2(tmp_path, capsys):
@@ -419,21 +422,38 @@ def test_imported_activation_is_written_once(tmp_path, capsys):
     tdir = tmp_path / "out" / "toy" / "trojans"
     spec = json.loads((tdir / "toy_imp.json").read_text())
     assert spec["meta"] == {"origin": "test", "seed": 3}
-    # the stimulus file holds the activation, one cycle per line
+    # the stimulus file holds the activation as columns, on one line
     stim_path = tdir / "toy_imp.stim.json"
-    want = Stimulus.for_design(parse_design(TOY_RTL), rows).inputs
-    lines = stim_path.read_text().splitlines()
-    assert lines[0] == "[" and lines[-1] == "]"
-    assert [json.loads(line.rstrip(",")) for line in lines[1:-1]] == want
+    stim = Stimulus.for_design(parse_design(TOY_RTL), rows)
+    want = stim.inputs
+    assert stim_path.read_text() == stimulus_text(stim)
+    assert stim_path.read_text().count("\n") == 1
+    assert json.loads(stim_path.read_text()) == {"cycles": 3,
+                                                 "inputs": stim.columns}
     assert load_stimulus(stim_path, parse_design(TOY_RTL)).inputs == want
-    # evaluate scores it, and a hand-written indented file alike
-    for text in (None, json.dumps(want, indent=2) + "\n"):
+    # evaluate scores it, and hand-written indented files of either form
+    for text in (None, json.dumps(want, indent=2) + "\n",
+                 json.dumps({"inputs": stim.columns, "cycles": 3}, indent=2)):
         if text is not None:
             stim_path.write_text(text)
         assert main(["evaluate", "--config", str(cfg)]) == 0
         raw = json.loads((tmp_path / "out" / "metrics.json").read_text())
         assert [(t["id"], t["detected"], t["error"]) for t in raw["trojans"]] \
             == [("toy_imp", True, None)]
+
+
+def test_imported_column_activation_loads(tmp_path, capsys):
+    # an activation may be given as columns too; omitted inputs default
+    columns = {"cycles": 2, "inputs": {"en_i": [1, 0], "a_i": [1, 3]}}
+    cfg = _imported_campaign(
+        tmp_path, [dict(IMPORTED, meta={"activation": columns})])
+    for stage in ("translate", "inject"):
+        assert main([stage, "--config", str(cfg)]) == 0
+    stim_path = tmp_path / "out" / "toy" / "trojans" / "toy_imp.stim.json"
+    assert load_stimulus(stim_path, parse_design(TOY_RTL)).inputs == [
+        {"clk": 0, "a_i": 1, "b_i": 0, "en_i": 1},
+        {"clk": 0, "a_i": 3, "b_i": 0, "en_i": 0}]
+    assert main(["evaluate", "--config", str(cfg)]) == 0
 
 
 @pytest.mark.parametrize("records, needle", [
@@ -461,8 +481,19 @@ def test_imported_activation_is_written_once(tmp_path, capsys):
                  "cycle 1: expected a map of input values, got int",
                  id="activation-cycle-not-an-object"),
     pytest.param([dict(IMPORTED, meta={"activation": {"a_i": 1}})],
-                 "expected an array of per-cycle input maps",
+                 'a column stimulus has the keys "cycles" and "inputs" alone',
                  id="activation-not-an-array"),
+    pytest.param([dict(IMPORTED, meta={"activation": 5})],
+                 "expected an array of per-cycle input maps or an object",
+                 id="activation-neither-form"),
+    pytest.param([dict(IMPORTED, meta={"activation": {
+        "cycles": 2, "inputs": {"a_i": [1, "1"]}}})],
+                 "cycle 1: value '1' for input a_i is not an integer",
+                 id="string-column-activation-value"),
+    pytest.param([dict(IMPORTED, meta={"activation": {
+        "cycles": 2, "inputs": {"a_i": [1]}}})],
+                 "input a_i holds 1 values for 2 cycles",
+                 id="short-column-activation"),
     pytest.param("[{", "not valid JSON", id="bad-json"),
     pytest.param([dict(IMPORTED, k=5, trigger=[
         {"signal": "a_i", "bit": None, "value": 3},

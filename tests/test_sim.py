@@ -4,8 +4,11 @@ batching, stimulus IO."""
 import copy
 import json
 import random
+import re
+import tempfile
 from collections import OrderedDict, defaultdict
 from functools import partial
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -17,6 +20,7 @@ from svaport.errors import ConfigError, ElaborationError, UnknownSignalError
 from svaport.monitor import Checker
 from svaport.netlist import Netlist
 from svaport.rtl_parser import parse_design
+from svaport.search import take_rows
 from svaport.sim import (BatchExpr, SimKernel, Stimulus, load_stimulus,
                          stimulus_text)
 
@@ -237,7 +241,8 @@ endmodule
 
 
 def _counted(kernel: SimKernel) -> list[int]:
-    """Count the calls of *kernel*'s step function."""
+    """Count the calls of *kernel*'s generated function: one per cycle of a
+    batch run."""
     steps = [0]
     step = kernel._fn
 
@@ -305,6 +310,26 @@ def test_run_batch_reads_held_views_as_it_reads_copies(run):
     assert on_views.keys() == on_copies.keys()
     for net in on_views:
         assert np.array_equal(on_views[net], on_copies[net]), net
+
+
+@given(_held_runs(), st.data())
+def test_run_batch_returns_the_same_arrays_from_held_rows(run, data):
+    # take_rows keeps a held input held, and the run on the picked rows is
+    # the run on copies of them
+    nl, inputs, rows, cycles = run
+    picked = np.array(sorted(data.draw(
+        st.sets(st.integers(0, rows - 1), min_size=1))))
+    taken = take_rows(inputs, picked)
+    copies = {name: np.array(arr[picked]) for name, arr in inputs.items()}
+    for name, arr in inputs.items():
+        assert (taken[name].strides[1] == 0) == (arr.strides[1] == 0)
+        assert np.array_equal(taken[name], copies[name])
+    kernel = SimKernel(nl)
+    on_taken = kernel.run_batch(taken, cycles)
+    on_copies = kernel.run_batch(copies, cycles)
+    assert on_taken.keys() == on_copies.keys()
+    for net in on_taken:
+        assert np.array_equal(on_taken[net], on_copies[net]), net
 
 
 @st.composite
@@ -378,11 +403,11 @@ def test_sliced_kernel_assigns_only_its_cone(corpus_designs, name, keep):
     assert cone < set(nl.nets)                   # the slice drops something
     # every input is still unpacked; the single-net lines set cone nets
     # (v_<net>) and cone registers' next values (n_<net>) only
-    inputs = ", ".join(f"v_{n.name}" for n in nl.inputs())
-    assert f"    ({inputs},) = IN\n" in kernel.source
-    body = kernel.source.splitlines()[1:-1]
-    targets = {line.split(" = ")[0].strip()[2:] for line in body
-               if not line.lstrip().startswith("(")}
+    inputs = "".join(f" v_{n.name}," for n in nl.inputs())
+    assert f"    for{inputs} in INS:\n" in kernel.source
+    lhs = [line.split(" = ")[0].strip()
+           for line in kernel.source.splitlines()]
+    targets = {name[2:] for name in lhs if re.fullmatch(r"[vn]_\w+", name)}
     assert targets and targets <= cone
     inputs = {n.name: np.zeros((2, 3), dtype=np.uint64) for n in nl.inputs()}
     assert set(kernel.run_batch(inputs, 3)) == keep
@@ -435,53 +460,118 @@ def test_stimulus_file_round_trip(tmp_path, corpus_designs):
     path = tmp_path / "stim.json"
     text = stimulus_text(stim)
     path.write_text(text)
-    # a bare array holding one compact cycle map per line
-    lines = text.splitlines()
-    assert lines[0] == "[" and lines[-1] == "]" and len(lines) == 2 + 5
-    assert [json.loads(line.rstrip(",")) for line in lines[1:-1]] \
-        == stim.inputs
+    # one line: the cycle count and one column per input, in netlist order
+    assert text.count("\n") == 1 and text.endswith("\n")
+    doc = json.loads(text)
+    assert doc == {"cycles": 5, "inputs": stim.columns}
+    assert list(doc["inputs"]) == [n.name for n in nl.inputs()]
     assert load_stimulus(path, nl) == stim
-    # any JSON array of cycle maps loads, such as an indented one
+    # either form loads, whatever its layout: indented per-cycle maps, as
+    # older versions wrote, and indented columns in any input order
     path.write_text(json.dumps(stim.inputs, indent=2) + "\n")
     assert load_stimulus(path, nl) == stim
+    doc["inputs"] = dict(reversed(doc["inputs"].items()))
+    path.write_text(json.dumps(doc, indent=2) + "\n")
+    assert load_stimulus(path, nl) == stim
 
 
+# each malformed per-cycle array, and its twin in column form
 @pytest.mark.parametrize("text, error, needle", [
-    pytest.param('{"cycles": 3}', ConfigError, "array", id="object"),
-    pytest.param('{"inputs": [{}]}', ConfigError, "array", id="wrapped"),
+    pytest.param('5', ConfigError,
+                 "expected an array of per-cycle input maps or an object",
+                 id="neither-form"),
+    pytest.param('{"cycles": 3}', ConfigError,
+                 'keys "cycles" and "inputs" alone, not \\[\'cycles\'\\]',
+                 id="object"),
+    pytest.param('{"inputs": [{}]}', ConfigError,
+                 'keys "cycles" and "inputs" alone, not \\[\'inputs\'\\]',
+                 id="wrapped"),
+    pytest.param('{"cycles": 0, "inputs": {}, "clk_i": []}', ConfigError,
+                 "not \\['clk_i', 'cycles', 'inputs'\\]",
+                 id="columns-extra-key"),
+    pytest.param('{"cycles": true, "inputs": {}}', ConfigError,
+                 '"cycles" must be a count, not True', id="columns-bool-count"),
+    pytest.param('{"cycles": -1, "inputs": {}}', ConfigError,
+                 '"cycles" must be a count, not -1',
+                 id="columns-negative-count"),
+    pytest.param('{"cycles": 1, "inputs": [{}]}', ConfigError,
+                 '"inputs" must be an object of columns, not list',
+                 id="columns-wrapped"),
     pytest.param('[{}, 5]', ConfigError,
                  "cycle 1: expected a map of input values, got int",
                  id="cycle-not-an-object"),
+    pytest.param('{"cycles": 2, "inputs": {"dret_i": 5}}', ConfigError,
+                 "input dret_i must be an array of values, not int",
+                 id="columns-column-not-an-array"),
+    pytest.param('{"cycles": 2, "inputs": {"dret_i": [0]}}', ConfigError,
+                 "input dret_i holds 1 values for 2 cycles",
+                 id="columns-short-column"),
     pytest.param('[{"dret_i": "1"}]', ConfigError,
                  "cycle 0: value '1' for input dret_i is not an integer",
                  id="string"),
+    pytest.param('{"cycles": 1, "inputs": {"dret_i": ["1"]}}', ConfigError,
+                 "cycle 0: value '1' for input dret_i is not an integer",
+                 id="columns-string"),
     pytest.param('[{}, {"dret_i": 1.5}]', ConfigError,
                  "cycle 1: value 1.5 for input dret_i is not an integer",
                  id="float"),
+    pytest.param('{"cycles": 2, "inputs": {"dret_i": [0, 1.5]}}', ConfigError,
+                 "cycle 1: value 1.5 for input dret_i is not an integer",
+                 id="columns-float"),
     pytest.param('[{"dret_i": true}]', ConfigError,
                  "cycle 0: value True for input dret_i is not an integer",
                  id="bool"),
+    pytest.param('{"cycles": 1, "inputs": {"dret_i": [true]}}', ConfigError,
+                 "cycle 0: value True for input dret_i is not an integer",
+                 id="columns-bool"),
     pytest.param('[{"dret_i": null}]', ConfigError,
                  "cycle 0: value None for input dret_i is not an integer",
                  id="null"),
+    pytest.param('{"cycles": 1, "inputs": {"dret_i": [null]}}', ConfigError,
+                 "cycle 0: value None for input dret_i is not an integer",
+                 id="columns-null"),
     pytest.param('[{"dret_i": -1}]', ConfigError,
                  r"cycle 0: value -1 does not fit input dret_i\[0:0\]",
                  id="negative"),
+    pytest.param('{"cycles": 1, "inputs": {"dret_i": [-1]}}', ConfigError,
+                 r"cycle 0: value -1 does not fit input dret_i\[0:0\]",
+                 id="columns-negative"),
     # the first bad cycle is named, not the first bad input
     pytest.param('[{}, {"step_en_i": 2}, {"debug_req_i": 2}]', ConfigError,
                  "cycle 1: value 2 does not fit input step_en_i",
                  id="first-bad-cycle"),
+    pytest.param('{"cycles": 3, "inputs": {"debug_req_i": [0, 0, 2], '
+                 '"step_en_i": [0, 2, 0]}}', ConfigError,
+                 "cycle 1: value 2 does not fit input step_en_i",
+                 id="columns-first-bad-cycle"),
     # within a cycle, inputs in netlist order, whatever the key order
     pytest.param('[{}, {"step_en_i": "1", "dret_i": 2}]', ConfigError,
                  "cycle 1: value 2 does not fit input dret_i",
                  id="range-before-later-type"),
+    pytest.param('{"cycles": 2, "inputs": {"step_en_i": [0, "1"], '
+                 '"dret_i": [0, 2]}}', ConfigError,
+                 "cycle 1: value 2 does not fit input dret_i",
+                 id="columns-range-before-later-type"),
     pytest.param('[{"debug_mode_q": 1}, {"dret_i": 2}]', UnknownSignalError,
                  "debug_mode_q is not an input", id="unknown-input"),
+    # a column names its input in every cycle, cycle 0 included
+    pytest.param('{"cycles": 2, "inputs": {"debug_mode_q": [1, 1], '
+                 '"dret_i": [0, 2]}}', UnknownSignalError,
+                 "debug_mode_q is not an input", id="columns-unknown-input"),
+    pytest.param('{"cycles": 0, "inputs": {"debug_mode_q": []}}',
+                 UnknownSignalError, "debug_mode_q is not an input",
+                 id="columns-unknown-input-no-cycles"),
     # a bad value comes before an unknown name in the same cycle
     pytest.param('[{}, {"debug_mode_q": 1, "dret_i": 2}]', ConfigError,
                  "cycle 1: value 2 does not fit input dret_i",
                  id="value-before-unknown-input"),
+    pytest.param('{"cycles": 2, "inputs": {"debug_mode_q": [1, 1], '
+                 '"dret_i": [2, 0]}}', ConfigError,
+                 "cycle 0: value 2 does not fit input dret_i",
+                 id="columns-value-before-unknown-input"),
     pytest.param('[{', ConfigError, "bad.json: not valid JSON", id="bad-json"),
+    pytest.param('{"cycles": 1, "inputs": {', ConfigError,
+                 "bad.json: not valid JSON", id="columns-bad-json"),
 ])
 def test_load_stimulus_rejects_non_array(tmp_path, corpus_designs, text,
                                          error, needle):
@@ -593,11 +683,77 @@ def test_for_design_matches_per_cycle_validator(nl, data):
     assert cycles == before  # a defaultdict is read, never written
 
 
+@st.composite
+def _raw_columns(draw, nl: Netlist):
+    """A column object over some inputs of *nl*, in any order, with up to
+    three faults: a value of the wrong type or range, an unknown input, a
+    column that is no array or has the wrong length, a bad count, a bad
+    key, or no object of columns at all."""
+    names = [n.name for n in nl.inputs()]
+    cycles = draw(st.integers(0, 6))
+    keys = draw(st.lists(st.sampled_from(names), unique=True)) if names else []
+    columns = {k: [draw(st.integers(0, (1 << nl.width(k)) - 1))
+                   for _ in range(cycles)] for k in keys}
+    data = {"cycles": cycles, "inputs": columns}
+    for _ in range(draw(st.integers(0, 3))):
+        fault = draw(st.sampled_from(["type", "range"] * 3 + [
+            "name", "column", "length", "count", "key", "inputs"]))
+        # a known input whose column still holds a value per cycle
+        held = [k for k in keys if isinstance(columns.get(k), list)
+                and len(columns[k]) == cycles]
+        if fault in ("type", "range") and held and cycles:
+            name = draw(st.sampled_from(held))
+            columns[name][draw(st.integers(0, cycles - 1))] = draw(
+                st.booleans() | st.floats() | st.text(max_size=2) | st.none()
+                if fault == "type" else st.integers(max_value=-1)
+                | st.integers(1 << nl.width(name), 2 ** 70))
+        elif fault == "name":
+            columns["ghost_i"] = [draw(st.integers(0, 1))
+                                  for _ in range(cycles)]
+        elif fault == "column" and columns:
+            columns[draw(st.sampled_from(sorted(columns)))] = draw(
+                st.integers() | st.none() | st.just({}))
+        elif fault == "length" and held:
+            name = draw(st.sampled_from(held))
+            columns[name] = columns[name][1:] if cycles and draw(
+                st.booleans()) else columns[name] + [0]
+        elif fault == "count":
+            data["cycles"] = draw(st.integers(max_value=-1) | st.booleans()
+                                  | st.just(float(cycles)) | st.none())
+        elif fault == "key":
+            data.pop(draw(st.sampled_from(sorted(data))), None) \
+                if draw(st.booleans()) else data.update(extra=1)
+        elif fault == "inputs":
+            data["inputs"] = draw(st.just([columns]) | st.none()
+                                  | st.integers())
+    return data
+
+
+@settings(max_examples=200)
 @given(_designs(), st.data())
-def test_stimulus_text_is_json_dumps_per_cycle(nl, data):
+def test_column_checks_match_per_cycle_validator(nl, data):
+    # a column object is checked as the per-cycle maps it stands for: the
+    # same rows, or the same fault at the same cycle
+    doc = data.draw(_raw_columns(nl))
+    want = _outcome(lambda: oracles.stimulus_rows(nl, doc))
+    before = copy.deepcopy(doc)
+    assert _outcome(lambda: Stimulus.for_design(nl, doc).inputs) == want
+    assert doc == before
+
+
+@given(_designs(), st.data())
+def test_stimulus_text_is_one_json_dumps_of_the_columns(nl, data):
+    # text -> load_stimulus gives the same stimulus back, and the text is
+    # what one json.dumps writes of the column object
     stim = Stimulus.for_design(nl, data.draw(_clean_cycles(nl)))
-    assert stimulus_text(stim) == \
-        "[\n" + ",\n".join(map(json.dumps, stim.inputs)) + "\n]\n"
+    text = stimulus_text(stim)
+    assert text == json.dumps(
+        {"cycles": stim.cycles, "inputs": stim.columns}) + "\n"
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "stim.json"
+        path.write_text(text)
+        assert load_stimulus(path, nl) == stim
+    assert Stimulus(json.loads(text)) == stim
 
 
 @given(_designs(), st.data())
@@ -610,6 +766,15 @@ def test_stimulus_of_full_rows_equals_for_design(nl, data):
     stim = Stimulus(rows)
     assert stim == Stimulus.for_design(nl, rows)
     assert stim.cycles == len(rows) and stim.inputs == rows
+    # and the column object of the same values
+    doc = {"cycles": len(rows), "inputs": stim.columns}
+    assert Stimulus(doc).inputs == rows
+    assert Stimulus.for_design(nl, doc) == Stimulus.for_design(nl, rows)
+
+
+def test_stimulus_columns_must_hold_one_value_per_cycle():
+    with pytest.raises(ValueError, match="one value per cycle"):
+        Stimulus({"cycles": 2, "inputs": {"a_i": [1, 0], "b_i": [1]}})
 
 
 def test_stimulus_rows_must_name_the_same_inputs():
@@ -644,8 +809,9 @@ def test_stimulus_without_inputs_or_cycles(tmp_path, nl, cycles):
     assert stim.inputs == oracles.stimulus_rows(nl, [{}] * cycles)
     path = tmp_path / "stim.json"
     path.write_text(stimulus_text(stim))
-    assert path.read_text() == \
-        "[\n" + ",\n".join(map(json.dumps, stim.inputs)) + "\n]\n"
+    assert json.loads(path.read_text()) == {
+        "cycles": cycles, "inputs": {n.name: [0] * cycles
+                                     for n in nl.inputs()}}
     assert load_stimulus(path, nl) == stim
     trace = SimKernel(nl).run(stim)
     assert trace.cycles == cycles
@@ -663,9 +829,14 @@ def test_long_run_matches_oracle_full_and_sliced(nl, data):
     want = oracles.simulate_fixpoint(nl, stim).values
     assert SimKernel(nl).run(stim).values == want
     keep = data.draw(st.sets(st.sampled_from(sorted(nl.nets)), min_size=1))
-    got = SimKernel(nl, keep).run(stim)
+    kernel = SimKernel(nl, keep)
+    got = kernel.run(stim)
     assert got.cycles == cycles
     assert got.values == {n: want[n] for n in keep}
+    # the batch run steps the same kernel loop one cycle at a time
+    batch = kernel.run_batch({name: np.array([col], dtype=np.uint64)
+                              for name, col in stim.columns.items()}, cycles)
+    assert {n: arr[0].tolist() for n, arr in batch.items()} == got.values
 
 
 @pytest.mark.parametrize("name", corpus.MODULES)
