@@ -19,20 +19,22 @@ many independent stimuli at once; the RTL parser rejects nets wider than
 is the one expression evaluator: it writes the kernel's code, and
 ``BatchExpr`` compiles assertion terms and search screens with it.
 
-A stimulus holds one column of values per input (``Stimulus``), and is
-written to disk as that column object (``stimulus_text``); a kernel may
-be sliced to the nets a caller reads (``SimKernel``), and a scalar run
-returns a ``Trace``.  A batch run takes each input as one (rows, cycles)
-array and returns each net the same way.
+A stimulus holds one column of values per input (``Stimulus``).  One
+checked reader takes it in either of its two forms, per-cycle maps or a
+column object (``Stimulus.for_design``), and it is written to disk as the
+column object (``stimulus_text``).  A kernel may be sliced to the nets a
+caller reads (``SimKernel``), and a scalar run returns a ``Trace``.  A
+batch run takes each input as one (rows, cycles) array and returns each
+net the same way.
 """
 
 from __future__ import annotations
 
 import json
-from contextlib import suppress
+from array import array
 from dataclasses import dataclass, field
 from functools import lru_cache
-from itertools import chain, repeat, takewhile
+from itertools import repeat
 from operator import itemgetter, pos
 from pathlib import Path
 from typing import Callable, Iterable, Mapping
@@ -104,95 +106,72 @@ class Stimulus:
                    data: list[dict[str, int]] | dict) -> "Stimulus":
         """Fill in the defaults and check the values by the stimulus rules
         of ``docs/file_formats.md``; a fault raises, naming the earliest
-        cycle at fault.  *data* is an array of per-cycle maps or a column
-        object (``_checked_columns``).
+        cycle at fault.
 
-        The columns come in the netlist's input order.  Each is read in one
-        pass and checked whole: all integers that fit the input's width.
-        Every key must name an input: when the maps all name the same
-        inputs, counting their keys shows it.  Only a stimulus that fails
-        is searched for its earliest cycle at fault, where each input is
-        checked for its type before its range.
+        One reader takes both forms.  A front end turns *data* into one
+        column per input, in netlist order and an omitted input at its
+        idle level, and lists the faults only it sees, each with its cycle
+        (``_cycle_columns`` for per-cycle maps, ``_object_columns`` for a
+        column object).  Each column is then checked whole, all integers
+        that fit the input's width, and searched for its first bad value
+        only if it fails.  The earliest fault raises; within its cycle the
+        bad values come first, in netlist order, then the front end's.
         """
-        if isinstance(data, dict):
-            return _checked_columns(netlist, data)
-        if not isinstance(data, list):
-            raise ConfigError("expected an array of per-cycle input maps or "
-                              "an object of \"cycles\" and \"inputs\"")
-        cycles = data
         nets = netlist.inputs()
         inactive = netlist.idle_resets()
-        # the cycles before the first that is not a map, as plain dicts: a
-        # subclass's __missing__ would answer for an omitted input
-        maps = cycles
-        if not set(map(type, cycles)) <= {dict}:
-            maps = list(map(dict, takewhile(
-                lambda c: isinstance(c, dict), cycles)))
-        read = {}
-        for n in nets:
-            with suppress(KeyError):
-                read[n.name] = list(map(itemgetter(n.name), maps))
-        # whether the inputs that every map names are all the maps' keys
-        same = sum(map(len, maps)) == len(maps) * len(read)
-        columns = {}
-        for n in nets:
-            default = inactive.get(n.name, 0)
-            columns[n.name] = read[n.name] if n.name in read else (
-                [default] * len(maps) if same else
-                list(map(dict.get, maps, repeat(n.name), repeat(default))))
-        bad = _bad_columns(nets, columns)
-        if len(maps) == len(cycles) and not bad and (
-                same or set().union(*maps) <= columns.keys()):
-            return Stimulus.of_columns(columns, len(cycles))
-        # the earliest cycle at fault; within it, the first input in netlist
-        # order, then the first unknown name
-        at, fault = len(maps), None
-        if at < len(cycles):
-            fault = ("expected a map of input values, got "
-                     + type(cycles[at]).__name__)
-        at, fault = _earliest_fault(bad, columns, at, fault)
-        for name in chain.from_iterable(maps[:at]):
-            if name not in columns:
-                raise UnknownSignalError(f"{name} is not an input of "
-                                         f"{netlist.name}")
-        raise ConfigError(f"cycle {at}: {fault}")
-
-
-def _bad_columns(nets: list, columns: dict[str, list]) -> list:
-    """The inputs whose column holds a value that is no int fitting them."""
-    return [n for n, col in zip(nets, columns.values())
-            if not (set(map(type, col)) <= {int}
-                    and min(col, default=0) >= 0
-                    and max(col, default=0) >> n.width == 0)]
-
-
-def _earliest_fault(bad: list, columns: dict[str, list], at: int,
-                    fault: str | None) -> tuple[int, str | None]:
-    """The earliest bad value of the *bad* inputs' columns, if it comes
-    before cycle *at*, else (*at*, *fault*); within a cycle, the first
-    input in netlist order."""
-    for n in bad:
-        i, v = next((i, v) for i, v in enumerate(columns[n.name])
-                    if type(v) is not int or v >> n.width)
-        if i < at:
-            at = i
+        idle = {n.name: inactive.get(n.name, 0) for n in nets}
+        if isinstance(data, dict):
+            columns, cycles, faults = _object_columns(netlist, idle, data)
+        elif isinstance(data, list):
+            columns, cycles, faults = _cycle_columns(netlist, idle, data)
+        else:
+            raise ConfigError("expected an array of per-cycle input maps or "
+                              "an object of \"cycles\" and \"inputs\"")
+        values = []
+        for n in _bad_columns(nets, columns):
+            i, v = next((i, v) for i, v in enumerate(columns[n.name])
+                        if type(v) is not int or v >> n.width)
             fault = (f"value {v!r} for input {n.name} is not an integer"
                      if type(v) is not int else f"value {v} does not fit "
                      f"input {n.name}[{n.width - 1}:0]")
-    return at, fault
+            values.append((i, ConfigError(f"cycle {i}: {fault}")))
+        faults = values + faults
+        if faults:
+            raise min(faults, key=itemgetter(0))[1]
+        return Stimulus.of_columns(columns, cycles)
 
 
-def _checked_columns(netlist: Netlist, data: dict) -> Stimulus:
-    """A column object checked as the per-cycle maps it stands for, in
-    which each cycle names every input the object names.
+def _cycle_columns(netlist: Netlist, idle: dict, cycles: list) -> tuple:
+    """The per-cycle front end: each input's column by one ``dict.get``
+    pass over the maps, which reads an omitted input at its *idle* level
+    and never asks a map subclass's ``__missing__``.  The maps end at the
+    first entry that is not one, a fault at its cycle; the first name, by
+    cycle, that is no input is a fault at its cycle too."""
+    faults = []
+    maps = cycles
+    if not all(map(isinstance, cycles, repeat(dict))):
+        at = next(i for i, c in enumerate(cycles) if not isinstance(c, dict))
+        maps = cycles[:at]
+        faults.append((at, ConfigError(
+            f"cycle {at}: expected a map of input values, got "
+            f"{type(cycles[at]).__name__}")))
+    columns = {name: list(map(dict.get, maps, repeat(name), repeat(level)))
+               for name, level in idle.items()}
+    if not idle.keys() >= set().union(*maps):
+        at, name = next((i, name) for i, m in enumerate(maps) for name in m
+                        if name not in idle)
+        faults.append((at, UnknownSignalError(
+            f"{name} is not an input of {netlist.name}")))
+    return columns, len(maps), faults
 
-    The object's shape is checked first: exactly the keys ``cycles``, a
-    count, and ``inputs``, an object holding one array of ``cycles``
-    values per input.  Then the values, as ``for_design`` checks them.
-    An input the object names but the design lacks is named in every
-    cycle, so it is reported unless cycle 0 holds a bad value; it is
-    reported in a stimulus of no cycles too.
-    """
+
+def _object_columns(netlist: Netlist, idle: dict, data: dict) -> tuple:
+    """The column front end.  The object's shape is checked first: exactly
+    the keys ``cycles``, a count, and ``inputs``, an object holding one
+    array of ``cycles`` values per input.  An input the object leaves out
+    holds its *idle* level.  A column names its input in every cycle, so
+    the first input the design lacks is a fault at cycle 0, in an object
+    of no cycles too."""
     if data.keys() != {"cycles", "inputs"}:
         raise ConfigError(f"a column stimulus has the keys \"cycles\" and "
                           f"\"inputs\" alone, not {sorted(map(str, data))}")
@@ -209,19 +188,27 @@ def _checked_columns(netlist: Netlist, data: dict) -> Stimulus:
         if len(col) != cycles:
             raise ConfigError(f"input {name} holds {len(col)} values for "
                               f"{cycles} cycles")
-    nets = netlist.inputs()
-    inactive = netlist.idle_resets()
-    columns = {n.name: given[n.name] if n.name in given
-               else [inactive.get(n.name, 0)] * cycles for n in nets}
-    bad = _bad_columns(nets, columns)
-    unknown = [name for name in given if name not in columns]
-    if not bad and not unknown:
-        return Stimulus.of_columns(columns, cycles)
-    at, fault = _earliest_fault(bad, columns, cycles, None)
-    if unknown and (at or not cycles):
-        raise UnknownSignalError(f"{unknown[0]} is not an input of "
-                                 f"{netlist.name}")
-    raise ConfigError(f"cycle {at}: {fault}")
+    columns = {name: given[name] if name in given else [level] * cycles
+               for name, level in idle.items()}
+    return columns, cycles, [
+        (0, UnknownSignalError(f"{name} is not an input of {netlist.name}"))
+        for name in given if name not in idle][:1]
+
+
+def _bad_columns(nets: list, columns: dict[str, list]) -> list:
+    """The inputs whose column holds a value that is no int fitting them."""
+    return [n for n, col in zip(nets, columns.values())
+            if not (set(map(type, col)) <= {int} and _fits(col, n.width))]
+
+
+def _fits(col: list[int], width: int) -> bool:
+    """Whether every int of *col* fits *width* bits: packing them as
+    uint64 fails on a negative value or one wider than 64 bits."""
+    try:
+        packed = array("Q", col)
+    except OverflowError:
+        return False
+    return not col or int(np.frombuffer(packed, np.uint64).max()) >> width == 0
 
 
 def stimulus_text(stim: Stimulus) -> str:
@@ -268,8 +255,8 @@ class Trace:
         for n in nets:
             arr = self._arrays.get(n)
             if arr is None:
-                arr = self._arrays[n] = np.array([self.values[n]],
-                                                 dtype=np.uint64)
+                arr = self._arrays[n] = np.frombuffer(
+                    array("Q", self.values[n]), np.uint64)[None]
                 arr.flags.writeable = False
             out[n] = arr
         return out

@@ -592,6 +592,50 @@ def test_for_design_reads_a_map_subclass_as_a_map(corpus_designs):
         Stimulus.for_design(nl, [cycle, 5])
 
 
+WIDE_RTL = """\
+module wide (input logic clk, input logic [63:0] d_i,
+             output logic [63:0] q_o);
+  assign q_o = d_i;
+endmodule
+"""
+
+TOP_64 = 2 ** 64 - 1
+
+
+def _both_forms(values: list) -> list:
+    """The per-cycle maps and the column object of input d_i's values."""
+    return [[{"d_i": v} for v in values],
+            {"cycles": len(values), "inputs": {"d_i": values}}]
+
+
+@pytest.mark.parametrize("form", [0, 1], ids=["cycles", "columns"])
+def test_64_bit_input_loads_its_widest_value(tmp_path, form):
+    nl = parse_design(WIDE_RTL)
+    stim = Stimulus.for_design(nl, _both_forms([0, TOP_64, 1])[form])
+    assert stim.columns == {"clk": [0, 0, 0], "d_i": [0, TOP_64, 1]}
+    path = tmp_path / "stim.json"
+    path.write_text(stimulus_text(stim))
+    assert load_stimulus(path, nl) == stim
+    arrays = SimKernel(nl).run(stim).arrays(["d_i", "q_o"])
+    for arr in arrays.values():
+        assert arr.dtype == np.uint64
+        assert arr.tolist() == [[0, TOP_64, 1]]
+
+
+@pytest.mark.parametrize("form", [0, 1], ids=["cycles", "columns"])
+@pytest.mark.parametrize("value, fault", [
+    (2 ** 64, "value 18446744073709551616 does not fit input d_i[63:0]"),
+    (-1, "value -1 does not fit input d_i[63:0]"),
+    (True, "value True for input d_i is not an integer"),
+    (1.5, "value 1.5 for input d_i is not an integer"),
+], ids=["2**64", "-1", "True", "1.5"])
+def test_64_bit_input_rejects_values_that_do_not_fit(form, value, fault):
+    nl = parse_design(WIDE_RTL)
+    data = _both_forms([TOP_64, TOP_64, value, 2 ** 64])[form]
+    with pytest.raises(ConfigError, match=re.escape(f"cycle 2: {fault}")):
+        Stimulus.for_design(nl, data)
+
+
 NO_INPUT_RTL = """\
 module no_in (output logic [3:0] y_o);
   assign y_o = 4'h5;
