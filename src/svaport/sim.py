@@ -504,19 +504,17 @@ class SimKernel:
             return repeat((), stimulus.cycles)
         return zip(*map(stimulus.columns.__getitem__, self.input_names))
 
-    def run_batch(self, inputs: dict[str, np.ndarray], cycles: int,
-                  nets: Iterable[str] | None = None) -> dict[str, np.ndarray]:
+    def run_batch(self, inputs: dict[str, np.ndarray],
+                  cycles: int) -> dict[str, np.ndarray]:
         """Simulate many stimuli at once.
 
         *inputs* maps input names to uint64 arrays of shape (rows, cycles);
         an input held constant may be a read-only view whose cycle stride
         is 0 (``np.broadcast_to`` of its values), and an input left out
         reads 0.  Returns each net of ``net_order`` as an array of shape
-        (rows, cycles), or with *nets* only those, each of which must be a
-        net the kernel keeps: the step is the same, but only the asked-for
-        nets are stored.  Each array is the transposed view of a
-        cycle-major (cycles, rows) array, so every cycle's step stores one
-        contiguous row per net.
+        (rows, cycles): the transposed view of a cycle-major (cycles,
+        rows) array, so every cycle's step stores one contiguous row per
+        net.
 
         The run stops stepping at the first cycle from which every input
         holds its value and whose step leaves every register of every row
@@ -525,17 +523,6 @@ class SimKernel:
         construction, so only the others are scanned for that cycle.
         Constant inputs on a combinational kernel take one step.
         """
-        # the positions in net_order of the nets to store
-        picks: Iterable[int] = range(len(self.net_order))
-        if nets is not None:
-            wanted = set(nets)
-            unkept = wanted.difference(self.net_order)
-            if unkept:
-                raise UnknownSignalError(
-                    f"{min(unkept)} is not a net the kernel of "
-                    f"{self.netlist.name} keeps")
-            picks = [i for i, n in enumerate(self.net_order) if n in wanted]
-        names = [self.net_order[i] for i in picks]
         rows = next(iter(inputs.values())).shape[0] if inputs else 1
         zero = np.zeros(rows, dtype=np.uint64)
         # each input as a cycle-major (cycles, rows) view, 0 where left out
@@ -549,15 +536,16 @@ class SimKernel:
                 if moved.size:
                     steady = max(steady, int(moved[-1]) + 1)
         regs = tuple(np.full(rows, init, dtype=np.uint64) for init in self.reg_init)
-        out = [np.empty((cycles, rows), dtype=np.uint64) for _ in names]
+        out = [np.empty((cycles, rows), dtype=np.uint64)
+               for _ in self.net_order]
         for t in range(cycles):
             ins = tuple(col[t] for col in columns)
             values, nxt = self._fn((ins,), regs, zero, _batch_bit, _batch_mux)
-            for arr, i in zip(out, picks):
-                arr[t] = values[i][0]
+            for arr, value in zip(out, values):
+                arr[t] = value[0]
             if t >= steady and all(map(np.array_equal, nxt, regs)):
                 for arr in out:
                     arr[t + 1:] = arr[t]
                 break
             regs = nxt
-        return {name: arr.T for name, arr in zip(names, out)}
+        return {name: arr.T for name, arr in zip(self.net_order, out)}

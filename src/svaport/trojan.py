@@ -276,8 +276,9 @@ def forge(netlist: Netlist, assertions: list[Assertion],
     for the objective), so the result is deterministic for a given seed.
     Each attempt builds its own kernels, and each distinct generated
     source compiles once (``sim``), so the clean design's kernel, the same
-    in every attempt, compiles once.  Each attempt's search decides a
-    batch in stages, cheapest first (see ``_find_activation``).
+    in every attempt, compiles once.  Each attempt's search screens a
+    batch on the corrupted design's run and co-simulates the clean design
+    only on the rows that pass (see ``_find_activation``).
     """
     if not assertions:
         raise InsufficientSignalsError("cannot forge without assertions")
@@ -364,28 +365,20 @@ def _find_activation(spec: TrojanSpec, netlist: Netlist,
     ``checkers[target]`` must fail on the corrupted design and hold on the
     clean one, and no other checker may fail.
 
-    Each batch passes three stages, each simulating only the rows that
-    survived the stage before it, the cheapest first:
-
-    1. the screen: the trigger and the target's first antecedent term
-       (both necessary), on the corrupted design sliced to just their nets;
-    2. with a *target*, the corrupted design's run, storing only the
-       target checker's nets: only rows on which the target fails go on;
-    3. the co-simulation: the corrupted design's full run, on the kernel
-       stage 2 ran, and the clean design's, each sliced to the nets the
-       objective reads.
-
-    A screen the payload cannot reach has the clean design's source, so
-    it runs the clean design's compiled step.  One rule, ``meets``,
-    decides every row that reaches stage 3 with arrays.  Stage 2 drops
-    only rows ``meets`` would reject, and rows are independent in a batch
-    run and in every checker, so every row that meets the objective is
-    returned, in order.  ``accept`` re-runs the first of them on both
-    kernels and decides it with the same rule only to confirm.
+    Each batch runs on the corrupted design, kept to the nets the
+    objective and the trigger read.  Its arrays screen the batch: the
+    trigger and, with a *target*, the target's first antecedent term must
+    hold (both necessary).  Only the rows that pass are co-simulated on
+    the clean design, and one rule, ``meets``, decides them with arrays.
+    Rows are independent in a batch run and in every checker, so every
+    row that meets the objective is returned, in order.  ``accept``
+    re-runs the first of them on both kernels and decides it with the
+    same rule only to confirm.
 
     The search is one pass over every input the objective's nets depend
-    on.  It forces the trigger's input bits and, with a *target*, the
-    necessary literals of the target's first antecedent term
+    on.  It forces the trigger's input bits, every bit of a condition on
+    a whole input among them, and, with a *target*, the necessary
+    literals of the target's first antecedent term
     (``search.necessary_literals``), the trigger's value winning where
     they clash; under a clash the warm-up flips the trigger's bits alone
     (``search.schedules`` says why).  ``_hopeless`` reads the same
@@ -394,9 +387,12 @@ def _find_activation(spec: TrojanSpec, netlist: Netlist,
     reason in *skipped*.
     """
     injected = inject(netlist, spec)
-    trigger_bits = {(c.signal, c.bit): c.value for c in spec.trigger
-                    if c.bit is not None
-                    and netlist.nets[c.signal].kind is NetKind.INPUT}
+    # a whole-input condition forces each of the input's bits
+    trigger_bits = {
+        (c.signal, b): c.value if c.bit is not None else c.value >> b & 1
+        for c in spec.trigger if netlist.nets[c.signal].kind is NetKind.INPUT
+        for b in ((c.bit,) if c.bit is not None
+                  else range(netlist.width(c.signal)))}
     forced, flips, need = trigger_bits, None, None
     # the first-term antecedent is batchable and a cheap necessary condition
     goal = checkers[target] if target is not None else None
@@ -427,9 +423,6 @@ def _find_activation(spec: TrojanSpec, netlist: Netlist,
 
     ante_term = (BatchExpr(ante.steps[0][1], injected.width, consts)
                  if ante is not None else None)
-    screen_nets = trig.nets | (ante_term.nets if ante_term is not None
-                               else set())
-    screen_kernel = SimKernel(injected, keep=screen_nets)
 
     def meets(dirty: dict[str, np.ndarray],
               clean: dict[str, np.ndarray]) -> np.ndarray:
@@ -447,23 +440,17 @@ def _find_activation(spec: TrojanSpec, netlist: Netlist,
                 ok &= ~other(dirty).failed
         return ok
 
-    def objective(screened: dict[str, np.ndarray],
+    def objective(dirty: dict[str, np.ndarray],
                   inputs: dict[str, np.ndarray]) -> np.ndarray:
-        # each stage simulates only the rows the one before it kept
-        screen = (trig(screened) != 0).any(axis=1)
+        # the clean design runs only the rows that pass the screen
+        screen = (trig(dirty) != 0).any(axis=1)
         if ante_term is not None:
-            screen &= (ante_term(screened) != 0).any(axis=1)
+            screen &= (ante_term(dirty) != 0).any(axis=1)
         rows = np.flatnonzero(screen)
-        if goal is not None and rows.size:
-            # the corrupted design's run, storing only the target's nets
-            fails = goal(inj_kernel.run_batch(
-                take_rows(inputs, rows), horizon, nets=goal.nets)).failed
-            rows = rows[fails]
         if not rows.size:
             return rows
-        passed = take_rows(inputs, rows)
-        return rows[meets(inj_kernel.run_batch(passed, horizon),
-                          kernel.run_batch(passed, horizon))]
+        return rows[meets(take_rows(dirty, rows),
+                          kernel.run_batch(take_rows(inputs, rows), horizon))]
 
     def accept(stim: Stimulus) -> bool:
         dirty = inj_kernel.run(stim).arrays(keep)
@@ -474,7 +461,7 @@ def _find_activation(spec: TrojanSpec, netlist: Netlist,
     cone = input_cone(injected, build_graph(injected),
                       reads | {c.signal for c in spec.trigger})
     stim, _stats = search_stimulus(injected, cone, forced, objective, accept,
-                                   rng, horizon, kernel=screen_kernel,
+                                   rng, horizon, kernel=inj_kernel,
                                    need=need, plans=plans)
     return stim
 

@@ -5,7 +5,7 @@ from pathlib import Path
 
 import pytest
 
-from svaport import cli
+from svaport import cli, corpus
 from svaport.cli import main
 from svaport.config import ForgeDefaults, ModuleJob, ProjectConfig
 from svaport.errors import ConfigError
@@ -454,6 +454,30 @@ def test_imported_column_activation_loads(tmp_path, capsys):
         {"clk": 0, "a_i": 1, "b_i": 0, "en_i": 1},
         {"clk": 0, "a_i": 3, "b_i": 0, "en_i": 0}]
     assert main(["evaluate", "--config", str(cfg)]) == 0
+
+
+def test_imported_whole_input_trigger_is_activated(tmp_path, capsys):
+    # a condition on a whole 32-bit input: a search that only sampled it
+    # would meet it with probability 2^-32, so inject forces its bits
+    spec = {"id": "csr_w", "module": "csr_unit",
+            "module_kind": "sequential", "k": 32,
+            "trigger": [{"signal": "csr_wdata_i", "bit": None,
+                         "value": 0x5A5A5A5A}],
+            "payload": {"kind": "invert_net", "net": "csr_wr"}}
+    (tmp_path / "imported.json").write_text(json.dumps([spec]))
+    module = {"name": "csr_unit", "trojans": 0,
+              "target_design": str(corpus.design_path("csr_unit")),
+              "assertions": str(corpus.assertions_path("csr_unit")),
+              "signal_map": str(corpus.signal_map_path("csr_unit")),
+              "imported_trojans": "imported.json"}
+    cfg = make_campaign(tmp_path, modules=[module], horizon=16)
+    for stage in ("translate", "inject"):
+        assert main([stage, "--config", str(cfg)]) == 0
+    netlist = parse_design(corpus.design_path("csr_unit").read_text())
+    stim = load_stimulus(
+        tmp_path / "out" / "csr_unit" / "trojans" / "csr_w.stim.json",
+        netlist)
+    assert 0x5A5A5A5A in stim.columns["csr_wdata_i"]
 
 
 @pytest.mark.parametrize("records, needle", [

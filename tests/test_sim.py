@@ -374,23 +374,6 @@ def test_sliced_batch_kernel_matches_oracle_on_kept_nets(run, data):
                               getattr(on_copies, field)), field
 
 
-@given(_sliced_runs(), st.data())
-def test_batch_run_of_a_net_subset_matches_the_full_run(run, data):
-    nl, keep, inputs, cycles = run
-    kernel = SimKernel(nl, keep)
-    full = kernel.run_batch(inputs, cycles)
-    subset = data.draw(st.sets(st.sampled_from(sorted(keep))))
-    out = kernel.run_batch(inputs, cycles, nets=subset)
-    assert set(out) == subset
-    for net in subset:
-        assert np.array_equal(out[net], full[net]), net
-    # a net the kernel does not keep, or a name that is no net, raises
-    unkept = data.draw(st.sampled_from(
-        sorted(set(nl.nets) - keep) + ["no_such_net"]))
-    with pytest.raises(UnknownSignalError, match=unkept):
-        kernel.run_batch(inputs, cycles, nets=subset | {unkept})
-
-
 @pytest.mark.parametrize("name, keep", [
     ("csr_unit", {"mstatus_q"}),
     ("pmp_unit", {"in_region"}),

@@ -7,13 +7,13 @@ scoring of a trojan (``cli._evaluate_one``) must also reach
 ``SimKernel.run`` and ``check_assertion`` through the wrapped names, or
 its cycle and check counts would read low.  Forge must still build its
 graph through ``build_graph``, or that layer would read 0, and run every
-batch, the run of a target's nets alone included, through ``run_batch``,
-or ``sim.run_batch.row_cycles`` would read low.  The benchmark's own
-modules must import, and the names they reach by attribute or keyword
-(``Stimulus(rows)``, ``Trace.values``, ``input_cone``,
-``TranslationConfig.generate_testcase``, ``translate(..., graph=)``) must
-exist, so a deletion that breaks the benchmark fails here too.  The
-wrappers stay for the life of a process, so the check runs in a fresh one.
+batch through ``run_batch``, or ``sim.run_batch.row_cycles`` would read
+low.  The benchmark's own modules must import, and the names they reach
+by attribute or keyword (``Stimulus(rows)``, ``Trace.values``,
+``input_cone``, ``TranslationConfig.generate_testcase``,
+``translate(..., graph=)``) must exist, so a deletion that breaks the
+benchmark fails here too.  The wrappers stay for the life of a process,
+so the check runs in a fresh one.
 """
 
 import os
@@ -82,17 +82,17 @@ assert delta["monitor.check_assertion.calls"] == len(assertions), delta
 # evaluate builds no graph (its kernel reads the map its parse built), so
 # the layer still reads the forge path's builds
 assert counts["graph.build_graph.calls"] >= 1, counts
-# forging one toy trojan against a target: the run of the target's nets
-# alone goes through the wrapped run_batch too, so its row-cycles count
+# forging one toy trojan against a target: every batch goes through the
+# wrapped run_batch, so its row-cycles count
 from svaport.sim import SimKernel
 
 batches = []
 traced_run_batch = SimKernel.run_batch
 
-def spy(self, inputs, cycles, nets=None):
-    out = traced_run_batch(self, inputs, cycles, nets=nets)
+def spy(self, inputs, cycles):
+    out = traced_run_batch(self, inputs, cycles)
     rows, steps = next(iter(out.values())).shape
-    batches.append((nets is not None, rows * steps))
+    batches.append(rows * steps)
     return out
 
 SimKernel.run_batch = spy
@@ -100,9 +100,7 @@ before = counts["sim.run_batch.row_cycles"]
 forged = trojan.forge(toy, assertions, trojan.ForgeParams(
     count=1, k_min=2, k_max=2, seed=6, horizon=4))
 assert len(forged) == 1
-assert any(subset for subset, _ in batches), batches
-assert counts["sim.run_batch.row_cycles"] - before \
-    == sum(cost for _, cost in batches), batches
+assert counts["sim.run_batch.row_cycles"] - before == sum(batches), batches
 # the benchmark's own modules import, and the names they reach by
 # attribute or keyword still exist
 import perfbench.checks

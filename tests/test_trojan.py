@@ -370,13 +370,13 @@ def test_forge_compiles_once_per_netlist_and_confirms_each_check(
 def test_kernels_of_one_source_share_one_step_function(toy):
     assert SimKernel(toy)._fn is SimKernel(toy)._fn
     assert SimKernel(toy, {"sum_o"})._fn is not SimKernel(toy)._fn
-    # the payload on sum_o cannot reach a screen on a_i and b_i: the
-    # corrupted design's screen kernel runs the clean design's step
+    # the payload on sum_o cannot reach a kernel kept to a_i and b_i: the
+    # corrupted design's kernel runs the clean design's step
     injected = inject(toy, _spec(toy))
     clean, dirty = (SimKernel(nl, keep={"a_i", "b_i"})
                     for nl in (toy, injected))
     assert dirty.netlist is injected and dirty._fn is clean._fn
-    # the payload reaches flag_o: its screen kernel is the corrupted one's
+    # the payload reaches flag_o: a kernel kept to it runs its own step
     assert (SimKernel(injected, keep={"flag_o"})._fn
             is not SimKernel(toy, keep={"flag_o"})._fn)
 
@@ -458,21 +458,29 @@ def test_activation_search_decides_every_candidate_of_a_batch():
 
 def test_forge_runs_each_stage_only_on_the_rows_the_last_one_kept(
         toy, toy_asserts, monkeypatch):
-    calls: list[tuple[sim.SimKernel, dict, set | None]] = []
+    calls: list[tuple[sim.SimKernel, dict]] = []
     run_batch = sim.SimKernel.run_batch
 
-    def counting_run_batch(self, inputs, cycles, nets=None):
-        calls.append((self, inputs, None if nets is None else set(nets)))
-        return run_batch(self, inputs, cycles, nets)
+    def counting_run_batch(self, inputs, cycles):
+        calls.append((self, inputs))
+        return run_batch(self, inputs, cycles)
 
-    attempts: list[tuple[TrojanSpec, int, int]] = []
+    built: list[sim.SimKernel] = []
+    build = sim.SimKernel.__init__
+
+    def counting_build(self, *args, **kwargs):
+        built.append(self)
+        build(self, *args, **kwargs)
+
+    attempts: list[tuple[TrojanSpec, int, int, int]] = []
     find = trojan._find_activation
 
     def tracking_find(spec, netlist, checkers, target, *args, **kwargs):
-        attempts.append((spec, target, len(calls)))
+        attempts.append((spec, target, len(calls), len(built)))
         return find(spec, netlist, checkers, target, *args, **kwargs)
 
     monkeypatch.setattr(sim.SimKernel, "run_batch", counting_run_batch)
+    monkeypatch.setattr(sim.SimKernel, "__init__", counting_build)
     monkeypatch.setattr(trojan, "_find_activation", tracking_find)
     horizon = 8
     # A_PAR reads flag_o and sum_o, and flag_o is computed from sum_o, so
@@ -483,21 +491,20 @@ def test_forge_runs_each_stage_only_on_the_rows_the_last_one_kept(
     # seed 6 takes twelve attempts for three trojans: four hold en_i low
     # against A_PAR's antecedent en_i and one forces flag_o to 0 against
     # A_FLAG's consequent, and these five run nothing; 520 of the 896
-    # rows the others screen pass, and the target fails on 264 of those;
-    # in two batches, of the sum_o trojans on A_PAR, it fails on none of
-    # the rows that pass
+    # rows the others run pass the screen
     forge(toy, asserts, ForgeParams(count=3, k_min=2, k_max=3, seed=6,
                                     horizon=horizon))
-    ends = [start for _, _, start in attempts[1:]] + [len(calls)]
-    screened = passing = failing = 0
-    skipped = quiet = held = 0
-    for (spec, target, start), end in zip(attempts, ends):
+    ends = [(start, made) for _, _, start, made in attempts[1:]]
+    ends.append((len(calls), len(built)))
+    screened = passing = 0
+    skipped = quiet = 0
+    for (spec, target, start, made), (end, made_end) in zip(attempts, ends):
         assertion = asserts[target]
         term = assertion.antecedent.steps[0][1]
-        # the screen's nets: the trigger and the target's first antecedent
-        # term; the target's nets: its signals and its clock
-        screen_nets = {c.signal for c in spec.trigger} | ex.idents_of(term)
-        target_nets = signals_of(assertion) | {assertion.clock}
+        # the corrupted run keeps the objective's nets and the trigger's:
+        # the outputs, the payload net, every assertion's nets and clock
+        objective_nets = {"sum_o", "flag_o", spec.payload_net}.union(
+            *(signals_of(a) | {a.clock} for a in asserts))
         runs = calls[start:end]
         # the toy is combinational, every net is an assign and every
         # target is ante |-> cons, so an attempt runs no batch exactly
@@ -514,12 +521,19 @@ def test_forge_runs_each_stage_only_on_the_rows_the_last_one_kept(
         assert (not runs) == hopeless, spec.trigger
         if hopeless:
             skipped += 1
+            assert made_end == made
             continue
+        # a searched attempt builds two kernels, the clean design's first
+        clean, dirty = built[made:made_end]
+        assert clean.netlist is toy and dirty.netlist is not toy
+        assert set(dirty.net_order) == objective_nets | {
+            c.signal for c in spec.trigger}
         i = 0
         while i < len(runs):
-            kernel, inputs, nets = runs[i]
-            # every batch starts with the screen, over every candidate
-            assert nets is None and set(kernel.net_order) == screen_nets
+            # every batch starts with the corrupted run, over every
+            # candidate
+            kernel, inputs = runs[i]
+            assert kernel is dirty
             rows = _rows(inputs)
             i += 1
             # the toy is combinational: a candidate holds its inputs for
@@ -531,34 +545,13 @@ def test_forge_runs_each_stage_only_on_the_rows_the_last_one_kept(
             if not passed:
                 quiet += 1
                 continue
-            # the corrupted design's run over exactly the rows that pass
-            # the screen, storing only the target's nets
-            kernel, inputs, nets = runs[i]
-            assert kernel.netlist is not toy and nets == target_nets
-            assert _rows(inputs) == passed
+            # the clean run over exactly the rows that pass the screen
+            kernel, inputs = runs[i]
+            assert kernel is clean and _rows(inputs) == passed
             i += 1
-            # the rows on which the corrupted design fails the target,
-            # decided by the reference simulator and monitor
-            fails = [row for row in passed if check_reference(
-                simulate_fixpoint(injected, Stimulus.for_design(
-                    injected, [row] * horizon)), assertion)[1]]
-            failing += len(fails)
-            if not fails:
-                held += 1
-                continue
-            # both designs' full runs over exactly those rows, corrupted
-            # first
-            (dirty, dirty_in, dirty_nets), (clean, clean_in, clean_nets) \
-                = runs[i:i + 2]
-            assert dirty.netlist is not toy and clean.netlist is toy
-            assert dirty_nets is None and clean_nets is None
-            assert _rows(dirty_in) == _rows(clean_in) == fails
-            i += 2
-    assert 0 < failing < passing < screened
-    # some attempt skipped its search, some batch passed no row and ran
-    # the screen alone, and in some batch rows passed the screen but the
-    # target failed on none, so neither full run ran
-    assert skipped >= 1 and quiet >= 1 and held >= 1
+    assert (screened, passing, skipped) == (896, 520, 5)
+    # some batch passed no row and ran the corrupted design alone
+    assert quiet >= 1
 
 
 def test_screen_reads_the_corrupted_design_where_the_payload_reaches_it(
@@ -992,7 +985,9 @@ _SINGLE_CYCLE = ("the target sees the payload only in the cycle the trigger "
 
 def test_campaign_forge_accounting(campaign_run, tmp_path, monkeypatch):
     # every attempt of the bundled campaign's forge: whether it found an
-    # activation, and why the pre-filter skipped it if it did
+    # activation, and why the pre-filter skipped it if it did; and the
+    # kernels inject builds and the row-cycles its batches step, work
+    # counts that do not drift with machine load as timings do
     out = tmp_path / "out"
     shutil.copytree(campaign_run.out_dir, out)
     attempts: list[tuple[str, bool, Counter[str]]] = []
@@ -1004,7 +999,21 @@ def test_campaign_forge_accounting(campaign_run, tmp_path, monkeypatch):
         attempts.append((spec.id, stim is not None, skipped - before))
         return stim
 
+    work = Counter()
+    build, run_batch = sim.SimKernel.__init__, sim.SimKernel.run_batch
+
+    def counting_build(self, *args, **kwargs):
+        work["kernels"] += 1
+        build(self, *args, **kwargs)
+
+    def counting_run_batch(self, inputs, cycles):
+        out = run_batch(self, inputs, cycles)
+        work["row_cycles"] += next(iter(out.values())).size
+        return out
+
     monkeypatch.setattr(trojan, "_find_activation", recording)
+    monkeypatch.setattr(sim.SimKernel, "__init__", counting_build)
+    monkeypatch.setattr(sim.SimKernel, "run_batch", counting_run_batch)
     assert cli_main(["inject", "--config", str(corpus.campaign_path()),
                      "--out", str(out)]) == 0
     assert len(attempts) == 53
@@ -1018,6 +1027,8 @@ def test_campaign_forge_accounting(campaign_run, tmp_path, monkeypatch):
     # (cf_unit_t06), or another assertion fails with it (cf_unit_t02)
     assert sorted(tid for tid, found, why in attempts
                   if not found and not why) == ["cf_unit_t02", "cf_unit_t06"]
+    # the 35 searched attempts build two kernels each
+    assert work == {"kernels": 70, "row_cycles": 130_548}
 
 
 def _rows(inputs: dict[str, np.ndarray]) -> list[dict[str, int]]:
@@ -1166,3 +1177,41 @@ def test_activation_search_agrees_with_the_oracles(case, seed):
             row[n] |= (code >> i & 1) << b
         stim = Stimulus.for_design(netlist, [row] * horizon)
         assert not _meets_by_oracle(netlist, spec, assertions, target, stim)
+
+
+@given(gen.designs(max_inputs=3), st.data(), st.integers(0, 2 ** 32 - 1))
+def test_whole_input_trigger_searches_as_its_bits_do(netlist, data, seed):
+    # a condition on a whole input and its bit-by-bit twin, with the same
+    # id and seed, force the same bits: their searches try the same
+    # candidates and meet the same activation
+    off = netlist.clock_nets() | netlist.reset_nets()
+    name = data.draw(st.sampled_from(
+        [n.name for n in netlist.inputs() if n.name not in off]))
+    width = netlist.width(name)
+    value = data.draw(st.integers(0, (1 << width) - 1))
+    net = data.draw(st.sampled_from(sorted(
+        n for n in netlist.nets if netlist.driver_of(n) is not None)))
+    kind = data.draw(st.sampled_from(("invert_net", "xor_into_assign")))
+    whole = TrojanSpec(id="rand_t00", module=netlist.name,
+                       module_kind="sequential" if netlist.registers
+                       else "combinational",
+                       trigger=(TriggerCond(name, None, value),), k=width,
+                       payload_kind=kind, payload_net=net)
+    bits = replace(whole, trigger=tuple(
+        TriggerCond(name, b, value >> b & 1) for b in range(width)))
+    outcomes = []
+    search = trojan.search_stimulus
+
+    def counting_search(*args, **kwargs):
+        stim, stats = search(*args, **kwargs)
+        outcomes.append(stats.candidates)
+        return stim, stats
+
+    with mock.patch.object(trojan, "search_stimulus", counting_search):
+        for spec in (whole, bits):
+            try:
+                stim = activation_stimulus(spec, netlist, 6, seed=seed)
+            except ActivationNotFoundError:
+                stim = None
+            outcomes.append(None if stim is None else stim.columns)
+    assert outcomes[:2] == outcomes[2:]
