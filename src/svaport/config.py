@@ -19,7 +19,7 @@ from pathlib import Path
 
 from .errors import ConfigError
 from .records import field, file_name, read_json, record
-from .trojan import PAYLOAD_KINDS
+from .trojan import PAYLOAD_KINDS, check_knobs
 
 #: each report format's file, written to the output directory
 REPORT_FILES = {"table": "report.txt", "json": "report.json",
@@ -54,16 +54,7 @@ class ForgeDefaults:
               for key in ("k_min", "k_max", "tries")),
             payloads=field(data, "payloads", (list, str), "forge",
                            default=PAYLOAD_KINDS))
-        for kind in out.payloads:
-            if kind not in PAYLOAD_KINDS:
-                raise ConfigError(f"forge: unknown payload kind {kind!r}")
-        if not out.payloads:
-            raise ConfigError("forge: payloads must name at least one kind")
-        if not 1 <= out.k_min <= out.k_max:
-            raise ConfigError(
-                f"forge: need 1 <= k_min <= k_max, got [{out.k_min}, {out.k_max}]")
-        if out.tries < 1:
-            raise ConfigError("forge: tries must be positive")
+        check_knobs(out.k_min, out.k_max, out.payloads, out.tries)
         return out
 
 

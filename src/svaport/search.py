@@ -405,16 +405,16 @@ def search_stimulus(
 
     *objective* receives the net arrays batch-simulated on *kernel*
     (rows x cycles), which must keep every net it reads, and the
-    (rows x cycles) input arrays that produced them (so it can
-    co-simulate another kernel on the same candidates), decides the full
-    objective with arrays over every row of the batch, and returns every
-    row that meets it in ascending order.  *accept* only confirms: the
-    first returned row is materialized and re-checked with a scalar run
-    (single-run semantics, monitors, ...); should it disagree, the next
-    row is tried.  With an exhaustive enumeration, every candidate that
-    meets the objective is therefore reached.  Deterministic: candidate
-    order is fixed by the schedules, the enumeration and the seeded
-    stream.
+    (rows x cycles) input arrays that produced them, so that it can run
+    another kernel on the same candidates (forge runs the clean design).
+    It decides the full objective with arrays over every row of the
+    batch, and returns every row that meets it in ascending order.
+    *accept* only confirms: the first returned row is materialized and
+    re-checked with a scalar run (single-run semantics, monitors, ...);
+    should it disagree, the next row is tried.  With an exhaustive
+    enumeration, every candidate that meets the objective is therefore
+    reached.  Deterministic: candidate order is fixed by the schedules,
+    the enumeration and the seeded stream.
     """
     stats = SearchStats()
     resets = netlist.idle_resets()
@@ -442,22 +442,6 @@ def search_stimulus(
                     stats.forced = len(forced)
                     return stim, stats
     return None, stats
-
-
-def take_rows(arrays: dict[str, np.ndarray],
-              rows: np.ndarray) -> dict[str, np.ndarray]:
-    """The given rows of every (rows, cycles) array.
-
-    *rows* ascend without repeats, so as many rows as the arrays have are
-    all of them: the arrays are then returned as they are, not copied.
-    An input held through every cycle (cycle stride 0) stays a held view
-    of its picked rows, so ``run_batch`` need not scan it.
-    """
-    if all(arr.shape[0] == rows.size for arr in arrays.values()):
-        return arrays
-    return {name: np.broadcast_to(arr[rows, :1], (rows.size, arr.shape[1]))
-            if arr.strides[1] == 0 else arr[rows]
-            for name, arr in arrays.items()}
 
 
 def _materialize(netlist: Netlist, batch: dict[str, np.ndarray], row: int,

@@ -17,7 +17,7 @@ handed the whole stimulus in one call, and batch (numpy uint64 arrays,
 many independent stimuli at once; the RTL parser rejects nets wider than
 64 bits), handed one cycle per call so that it can stop early.  ``emit``
 is the one expression evaluator: it writes the kernel's code, and
-``BatchExpr`` compiles assertion terms and search screens with it.
+``BatchExpr`` compiles assertion terms and trigger conditions with it.
 
 A stimulus holds one column of values per input (``Stimulus``).  One
 checked reader takes it in either of its two forms, per-cycle maps or a

@@ -35,8 +35,8 @@ from .netlist import Assign, Netlist, NetKind, Register
 from .records import field, read_json, record
 from .rng import substream
 from .search import (Literals, Schedule, input_cone, necessary_literals,
-                     ruled_out, schedules, search_stimulus, take_rows)
-from .sim import BatchExpr, SimKernel, Stimulus, fanin_cone
+                     ruled_out, schedules, search_stimulus)
+from .sim import SimKernel, Stimulus, fanin_cone
 from .sva import Assertion, signals_of
 
 PAYLOAD_KINDS = ("invert_net", "force_constant", "xor_into_assign")
@@ -242,6 +242,22 @@ class ForgeParams:
     horizon: int = 16
 
 
+def check_knobs(k_min: int, k_max: int, payloads: tuple[str, ...],
+                tries: int) -> None:
+    """Raise ``ConfigError`` unless forge can run with these knobs, in the
+    words of the campaign config's ``forge`` section."""
+    for kind in payloads:
+        if kind not in PAYLOAD_KINDS:
+            raise ConfigError(f"forge: unknown payload kind {kind!r}")
+    if not payloads:
+        raise ConfigError("forge: payloads must name at least one kind")
+    if not 1 <= k_min <= k_max:
+        raise ConfigError(
+            f"forge: need 1 <= k_min <= k_max, got [{k_min}, {k_max}]")
+    if tries < 1:
+        raise ConfigError("forge: tries must be positive")
+
+
 def _trigger_pool(netlist: Netlist, assertions: list[Assertion]) -> list[tuple[str, int]]:
     """Candidate (input, bit) pairs inside the assertions' fan-in cones.
     Clock and reset nets never qualify: triggers must be reachable while
@@ -276,10 +292,10 @@ def forge(netlist: Netlist, assertions: list[Assertion],
     for the objective), so the result is deterministic for a given seed.
     Each attempt builds its own kernels, and each distinct generated
     source compiles once (``sim``), so the clean design's kernel, the same
-    in every attempt, compiles once.  Each attempt's search screens a
-    batch on the corrupted design's run and co-simulates the clean design
-    only on the rows that pass (see ``_find_activation``).
+    in every attempt, compiles once.  Each attempt's search runs every
+    batch on both designs (see ``_find_activation``).
     """
+    check_knobs(params.k_min, params.k_max, params.payloads, params.tries)
     if not assertions:
         raise InsufficientSignalsError("cannot forge without assertions")
     pool = _trigger_pool(netlist, assertions)
@@ -359,17 +375,14 @@ def _find_activation(spec: TrojanSpec, netlist: Netlist,
                      ) -> Stimulus | None:
     """Search for a stimulus satisfying the activation objective.
 
-    Always required: the trigger fires and the corrupted design's trace
-    differs from the clean one on an output, the payload net or a net of
-    an assertion.  When *target* is given, the assertion of
-    ``checkers[target]`` must fail on the corrupted design and hold on the
-    clean one, and no other checker may fail.
+    Always required: the corrupted design's trace differs from the clean
+    one on an output, the payload net or a net of an assertion, which it
+    can only in a run where the trigger fires.  When *target* is given,
+    the assertion of ``checkers[target]`` must fail on the corrupted
+    design and hold on the clean one, and no other checker may fail.
 
-    Each batch runs on the corrupted design, kept to the nets the
-    objective and the trigger read.  Its arrays screen the batch: the
-    trigger and, with a *target*, the target's first antecedent term must
-    hold (both necessary).  Only the rows that pass are co-simulated on
-    the clean design, and one rule, ``meets``, decides them with arrays.
+    Each batch runs on both designs, each kept to the nets the objective
+    reads, and one rule, ``meets``, decides every row with arrays.
     Rows are independent in a batch run and in every checker, so every
     row that meets the objective is returned, in order.  ``accept``
     re-runs the first of them on both kernels and decides it with the
@@ -394,11 +407,11 @@ def _find_activation(spec: TrojanSpec, netlist: Netlist,
         for b in ((c.bit,) if c.bit is not None
                   else range(netlist.width(c.signal)))}
     forced, flips, need = trigger_bits, None, None
-    # the first-term antecedent is batchable and a cheap necessary condition
+    # a target fails only where its first antecedent term holds
     goal = checkers[target] if target is not None else None
-    ante = goal.assertion.antecedent if goal is not None else None
     if goal is not None:
-        need = necessary_literals(ante.steps[0][1], injected)
+        need = necessary_literals(goal.assertion.antecedent.steps[0][1],
+                                  injected)
         if need:
             forced = need | trigger_bits  # the trigger wins a clash
             if any(forced[bit] != value for bit, value in need.items()):
@@ -411,18 +424,12 @@ def _find_activation(spec: TrojanSpec, netlist: Netlist,
             skipped[why] += 1
         return None
 
-    consts = netlist.constants()
-    trig = BatchExpr(trigger_expr(spec, netlist), injected.width, consts)
-    # the objective reads these nets of both designs, plus the trigger of
-    # the corrupted one; the clock among them is an input, equal in both
+    # the objective reads these nets of both designs; the clock among
+    # them is an input, equal in both
     reads = (_outputs(netlist) | {spec.payload_net}).union(
         *(c.nets for c in checkers))
-    keep = reads | trig.nets
     kernel = SimKernel(netlist, keep=reads)
-    inj_kernel = SimKernel(injected, keep=keep)
-
-    ante_term = (BatchExpr(ante.steps[0][1], injected.width, consts)
-                 if ante is not None else None)
+    inj_kernel = SimKernel(injected, keep=reads)
 
     def meets(dirty: dict[str, np.ndarray],
               clean: dict[str, np.ndarray]) -> np.ndarray:
@@ -442,21 +449,11 @@ def _find_activation(spec: TrojanSpec, netlist: Netlist,
 
     def objective(dirty: dict[str, np.ndarray],
                   inputs: dict[str, np.ndarray]) -> np.ndarray:
-        # the clean design runs only the rows that pass the screen
-        screen = (trig(dirty) != 0).any(axis=1)
-        if ante_term is not None:
-            screen &= (ante_term(dirty) != 0).any(axis=1)
-        rows = np.flatnonzero(screen)
-        if not rows.size:
-            return rows
-        return rows[meets(take_rows(dirty, rows),
-                          kernel.run_batch(take_rows(inputs, rows), horizon))]
+        return np.flatnonzero(meets(dirty, kernel.run_batch(inputs, horizon)))
 
     def accept(stim: Stimulus) -> bool:
-        dirty = inj_kernel.run(stim).arrays(keep)
-        if not (trig(dirty) != 0).any():
-            return False
-        return bool(meets(dirty, kernel.run(stim).arrays(reads))[0])
+        return bool(meets(inj_kernel.run(stim).arrays(reads),
+                          kernel.run(stim).arrays(reads))[0])
 
     cone = input_cone(injected, build_graph(injected),
                       reads | {c.signal for c in spec.trigger})

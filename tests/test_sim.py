@@ -20,7 +20,6 @@ from svaport.errors import ConfigError, ElaborationError, UnknownSignalError
 from svaport.monitor import Checker
 from svaport.netlist import Netlist
 from svaport.rtl_parser import parse_design
-from svaport.search import take_rows
 from svaport.sim import (BatchExpr, SimKernel, Stimulus, load_stimulus,
                          stimulus_text)
 
@@ -310,26 +309,6 @@ def test_run_batch_reads_held_views_as_it_reads_copies(run):
     assert on_views.keys() == on_copies.keys()
     for net in on_views:
         assert np.array_equal(on_views[net], on_copies[net]), net
-
-
-@given(_held_runs(), st.data())
-def test_run_batch_returns_the_same_arrays_from_held_rows(run, data):
-    # take_rows keeps a held input held, and the run on the picked rows is
-    # the run on copies of them
-    nl, inputs, rows, cycles = run
-    picked = np.array(sorted(data.draw(
-        st.sets(st.integers(0, rows - 1), min_size=1))))
-    taken = take_rows(inputs, picked)
-    copies = {name: np.array(arr[picked]) for name, arr in inputs.items()}
-    for name, arr in inputs.items():
-        assert (taken[name].strides[1] == 0) == (arr.strides[1] == 0)
-        assert np.array_equal(taken[name], copies[name])
-    kernel = SimKernel(nl)
-    on_taken = kernel.run_batch(taken, cycles)
-    on_copies = kernel.run_batch(copies, cycles)
-    assert on_taken.keys() == on_copies.keys()
-    for net in on_taken:
-        assert np.array_equal(on_taken[net], on_copies[net]), net
 
 
 @st.composite

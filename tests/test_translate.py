@@ -19,7 +19,7 @@ from svaport.sim import SimKernel
 from svaport.sva import SeqExpr, parse_assertion, parse_assertions, signals_of
 from svaport.translate import (SignalMap, TranslationConfig, Translatable,
                                Untranslatable, assertion_key,
-                               generate_testcase, translate)
+                               generate_testcase, identify_signals, translate)
 
 from . import gen, oracles
 from .test_trojan import TOY_RTL
@@ -150,6 +150,38 @@ def test_ambiguous_normalization_lists_candidates():
     assert not out.translatable
     reason = " ".join(out.verdict.reasons)
     assert "wake_o" in reason and "wake_q" in reason
+
+
+NORM_RTL = """\
+module norm (
+  input  logic       clk_i,
+  input  logic [7:0] branch_target_i,
+  input  logic       write_en_i,
+  output logic       wake_o
+);
+  logic wake_q;
+  always_ff @(posedge clk_i) wake_q <= write_en_i;
+  assign wake_o = wake_q;
+endmodule
+"""
+
+
+def test_normalization_folds_case_and_strips_one_decoration():
+    # branch_target matches branch_target_i once the suffix goes, as in
+    # cf_unit; underscores are kept, so WriteEn (writeen) never matches
+    # write_en_i (write_en); wake_q and wake_o both become wake
+    source = parse_assertion(
+        "assert property (@(posedge clk_i) "
+        "WriteEn && wake |-> branch_target == 0);")
+    report = identify_signals(source, parse_design(NORM_RTL), SignalMap())
+    assert {name: (e.status, e.method, e.target)
+            for name, e in report.entries.items()} == {
+        "branch_target": ("matched", "normalized", "branch_target_i"),
+        "WriteEn": ("unresolved", "no exact or normalized counterpart in norm",
+                    None),
+        "wake": ("unresolved", "ambiguous normalized match: wake_o, wake_q",
+                 None),
+    }
 
 
 def test_explicit_mapping_resolves_ambiguity(corpus_designs, corpus_maps):

@@ -31,8 +31,7 @@ from svaport.trojan import (ForgeParams, TriggerCond, TrojanSpec,
                             trigger_expr, validate_spec)
 
 from . import gen
-from .oracles import (check_reference, eval_expr, simulate_fixpoint,
-                      trigger_holds)
+from .oracles import check_reference, simulate_fixpoint, trigger_holds
 
 TOY_RTL = """\
 module toy (
@@ -210,6 +209,18 @@ def test_forge_honors_k_values(toy, toy_asserts):
         assert sum(c.bits_constrained(toy) for c in s.trigger) == s.k
     with pytest.raises(ConfigError, match="k_values"):
         forge(toy, toy_asserts, ForgeParams(count=2, k_values=(2,), seed=5))
+
+
+@pytest.mark.parametrize("knobs, message", [
+    ({"k_min": 3, "k_max": 2}, "need 1 <= k_min <= k_max, got [3, 2]"),
+    ({"k_min": 3, "k_max": 1}, "need 1 <= k_min <= k_max, got [3, 1]"),
+    ({"payloads": ()}, "payloads must name at least one kind"),
+], ids=["empty_range", "reversed_range", "no_payloads"])
+def test_forge_rejects_knobs_the_config_rejects(toy, toy_asserts, knobs,
+                                                message):
+    with pytest.raises(ConfigError) as err:
+        forge(toy, toy_asserts, ForgeParams(count=2, seed=5, **knobs))
+    assert str(err.value) == f"forge: {message}"
 
 
 def test_forge_cycles_widths_and_targets(toy, toy_asserts, specs):
@@ -437,8 +448,8 @@ def test_activation_search_decides_every_candidate_of_a_batch():
     # trigger x_i[0] == 0 is forced, so x_i[7:1] and y_i give 15 free bits,
     # x_i first.  Every row whose antecedent holds (x_i[1] == 0) also shows
     # the inverted ok_o, but the target fails only where hit_o is high
-    # (y_i == 31): the first such row has about 2,000 screened, differing
-    # rows before it in the first batch.
+    # (y_i == 31): the first such row has about 2,000 differing rows
+    # before it in the first batch.
     netlist = parse_design(DEEP_RTL)
     target = parse_assertions(
         "T: assert property (@(posedge clk) x_i[1] == 0 |-> ok_o || !hit_o);")[0]
@@ -456,7 +467,7 @@ def test_activation_search_decides_every_candidate_of_a_batch():
     assert dirty[0].failed and not clean[0].failed
 
 
-def test_forge_runs_each_stage_only_on_the_rows_the_last_one_kept(
+def test_forge_runs_both_designs_on_every_candidate_of_a_batch(
         toy, toy_asserts, monkeypatch):
     calls: list[tuple[sim.SimKernel, dict]] = []
     run_batch = sim.SimKernel.run_batch
@@ -490,19 +501,18 @@ def test_forge_runs_each_stage_only_on_the_rows_the_last_one_kept(
         "en_i |-> flag_o == (sum_o == 4'd15));")
     # seed 6 takes twelve attempts for three trojans: four hold en_i low
     # against A_PAR's antecedent en_i and one forces flag_o to 0 against
-    # A_FLAG's consequent, and these five run nothing; 520 of the 896
-    # rows the others run pass the screen
+    # A_FLAG's consequent, and these five run nothing; the others run 896
+    # candidates in 7 batches
     forge(toy, asserts, ForgeParams(count=3, k_min=2, k_max=3, seed=6,
                                     horizon=horizon))
     ends = [(start, made) for _, _, start, made in attempts[1:]]
     ends.append((len(calls), len(built)))
-    screened = passing = 0
-    skipped = quiet = 0
+    candidates = batches = skipped = 0
     for (spec, target, start, made), (end, made_end) in zip(attempts, ends):
         assertion = asserts[target]
         term = assertion.antecedent.steps[0][1]
-        # the corrupted run keeps the objective's nets and the trigger's:
-        # the outputs, the payload net, every assertion's nets and clock
+        # both runs keep exactly the objective's nets: the outputs, the
+        # payload net, every assertion's nets and clock
         objective_nets = {"sum_o", "flag_o", spec.payload_net}.union(
             *(signals_of(a) | {a.clock} for a in asserts))
         runs = calls[start:end]
@@ -526,55 +536,39 @@ def test_forge_runs_each_stage_only_on_the_rows_the_last_one_kept(
         # a searched attempt builds two kernels, the clean design's first
         clean, dirty = built[made:made_end]
         assert clean.netlist is toy and dirty.netlist is not toy
-        assert set(dirty.net_order) == objective_nets | {
-            c.signal for c in spec.trigger}
-        i = 0
-        while i < len(runs):
-            # every batch starts with the corrupted run, over every
-            # candidate
-            kernel, inputs = runs[i]
-            assert kernel is dirty
-            rows = _rows(inputs)
-            i += 1
-            # the toy is combinational: a candidate holds its inputs for
-            # every cycle, so the screen is read off the inputs
-            passed = [row for row in rows
-                      if _screen_holds(spec, term, row, toy.width)]
-            screened += len(rows)
-            passing += len(passed)
-            if not passed:
-                quiet += 1
-                continue
-            # the clean run over exactly the rows that pass the screen
-            kernel, inputs = runs[i]
-            assert kernel is clean and _rows(inputs) == passed
-            i += 1
-    assert (screened, passing, skipped) == (896, 520, 5)
-    # some batch passed no row and ran the corrupted design alone
-    assert quiet >= 1
+        assert set(dirty.net_order) == set(clean.net_order) == objective_nets
+        # every batch runs the corrupted design, then the clean one on the
+        # same candidates
+        assert len(runs) % 2 == 0
+        for (first, inputs), (second, again) in zip(runs[::2], runs[1::2]):
+            assert first is dirty and second is clean and again is inputs
+            candidates += len(_rows(inputs))
+            batches += 1
+    assert (candidates, batches, skipped) == (896, 7, 5)
 
 
-def test_screen_reads_the_corrupted_design_where_the_payload_reaches_it(
+def test_search_reads_the_corrupted_design_where_the_payload_reaches_it(
         toy, monkeypatch):
     # forcing sum_o to 15 raises flag_o, which the target's antecedent
-    # reads: only in the corrupted design can flag_o hold while en_i is low
+    # reads: only in the corrupted design can flag_o hold while en_i is
+    # low, so the search must step the corrupted design, not the clean one
     target = parse_assertions(
         "T: assert property (@(posedge clk) flag_o |-> en_i);")[0]
     spec = _spec(toy, trigger=(TriggerCond("en_i", None, 0),), k=1,
                  payload_kind="force_constant", payload_value=15)
-    screens: list[SimKernel] = []
+    searched: list[SimKernel] = []
     search = trojan.search_stimulus
 
     def recording_search(*args, kernel, **kwargs):
-        screens.append(kernel)
+        searched.append(kernel)
         return search(*args, kernel=kernel, **kwargs)
 
     monkeypatch.setattr(trojan, "search_stimulus", recording_search)
     stim = trojan._find_activation(spec, toy, [Checker(target, toy)], 0, 4,
                                    np.random.default_rng(0))
     assert stim is not None
-    [screen] = screens
-    assert screen.netlist is not toy and "flag_o" in screen.net_order
+    [kernel] = searched
+    assert kernel.netlist is not toy and "flag_o" in kernel.net_order
     assert check_assertions(SimKernel(inject(toy, spec)).run(stim),
                             [target])[0].failed
     assert not check_assertions(SimKernel(toy).run(stim), [target])[0].failed
@@ -773,7 +767,7 @@ def test_a_clashing_trigger_searches_only_the_warm_up_that_holds_the_term(
 
 
 @st.composite
-def _screened_cases(draw):
+def _clashing_cases(draw):
     """An activation case whose target's first antecedent term needs some
     of the trigger's bits, the first one inverted and the others either
     way, besides a random comparison."""
@@ -797,7 +791,7 @@ def _screened_cases(draw):
 
 
 @settings(max_examples=30)
-@given(_screened_cases(), st.integers(0, 2 ** 32 - 1))
+@given(_clashing_cases(), st.integers(0, 2 ** 32 - 1))
 def test_generated_attempts_the_prefilter_skips_find_nothing_unfiltered(
         case, seed):
     netlist, spec, assertions, target = case
@@ -1027,8 +1021,9 @@ def test_campaign_forge_accounting(campaign_run, tmp_path, monkeypatch):
     # (cf_unit_t06), or another assertion fails with it (cf_unit_t02)
     assert sorted(tid for tid, found, why in attempts
                   if not found and not why) == ["cf_unit_t02", "cf_unit_t06"]
-    # the 35 searched attempts build two kernels each
-    assert work == {"kernels": 70, "row_cycles": 130_548}
+    # the 35 searched attempts build two kernels each, and each batch
+    # steps every candidate on both
+    assert work == {"kernels": 70, "row_cycles": 134_328}
 
 
 def _rows(inputs: dict[str, np.ndarray]) -> list[dict[str, int]]:
@@ -1038,17 +1033,6 @@ def _rows(inputs: dict[str, np.ndarray]) -> list[dict[str, int]]:
     assert all((inputs[n] == inputs[n][:, :1]).all() for n in names)
     return [dict(zip(names, row))
             for row in zip(*(inputs[n][:, 0].tolist() for n in names))]
-
-
-def _screen_holds(spec: TrojanSpec, term: ex.Expr, row: dict,
-                  width) -> bool:
-    """The trigger and *term* on one input row of a combinational design,
-    inputs absent from the batch held at 0."""
-    value = lambda name: row.get(name, 0)
-    bit = lambda c: (value(c.signal) if c.bit is None
-                     else value(c.signal) >> c.bit & 1)
-    return (all(bit(c) == c.value for c in spec.trigger)
-            and eval_expr(term, value, width) != 0)
 
 
 # --------------------------------------------------------------------------
