@@ -9,23 +9,28 @@ register whose reset net is active at the clock edge reloads its reset value
 for the next cycle.
 
 A kernel is one generated Python function that loops over a sequence
-of cycles, settling and updating in each.  All generated code, kernels
-and ``BatchExpr`` terms alike, compiles once per distinct source
-(``_compiled``), so kernels that slice two designs to the same logic
-share one function.  A kernel runs in two flavors: scalar (plain ints),
-handed the whole stimulus in one call, and batch (numpy uint64 arrays,
-many independent stimuli at once; the RTL parser rejects nets wider than
-64 bits), handed one cycle per call so that it can stop early.  ``emit``
-is the one expression evaluator: it writes the kernel's code, and
-``BatchExpr`` compiles assertion terms and trigger conditions with it.
+of cycles, settling and updating in each.  Generated code names nets by
+position, never by name: a kernel's nets by their place in its cone, a
+``BatchExpr``'s arguments by the order it first reads them.  It compiles
+once per distinct source (``_compiled``), so every slice of the same
+logic, in one design or in renamed copies, shares one function.  A kernel
+runs in two flavors: scalar (plain ints), handed the whole stimulus in
+one call, and batch (numpy uint64 arrays, many independent stimuli at
+once; the RTL parser rejects nets wider than 64 bits), handed one cycle
+per call so that it can stop early.  ``emit`` is the one expression
+evaluator: it writes the kernel's code, and ``BatchExpr`` compiles
+assertion terms and trigger conditions with it.
 
 A stimulus holds one column of values per input (``Stimulus``).  One
 checked reader takes it in either of its two forms, per-cycle maps or a
 column object (``Stimulus.for_design``), and it is written to disk as the
 column object (``stimulus_text``).  A kernel may be sliced to the nets a
-caller reads (``SimKernel``), and a scalar run returns a ``Trace``.  A
-batch run takes each input as one (rows, cycles) array and returns each
-net the same way.
+caller reads (``SimKernel``); it reads only the inputs of that slice's
+fan-in cone, and records only the nets it computes.  A scalar run returns
+a ``Trace``.  A batch run takes each input as one (rows, cycles) array and
+returns each net the same way.  Either run hands a kept input back as the
+caller's own column or array, not a copy, so what a run returns must be
+treated as read-only.
 """
 
 from __future__ import annotations
@@ -278,20 +283,21 @@ def _batch_bit(x):
 
 
 def emit(e: ex.Expr, width: Callable[[str], int], params: Mapping[str, int],
-         read: Callable[[str, int], str] | None = None, depth: int = 0) -> str:
+         read: Callable[[str, int], str], *, past: bool = False,
+         depth: int = 0) -> str:
     """Python source computing *e*: the one evaluator of the expression AST.
 
     The source runs on plain ints (any width) and on numpy uint64 arrays
     alike, given that flavor's ``_b`` (truth value to 0/1) and ``_mux``.
-    Parameters are inlined as literals and a net is ``v_<name>``.  With
-    *read*, ``$past`` is allowed and a net read *depth* cycles back is
-    ``read(name, depth)``; without it ``$past`` is not synthesizable.
+    Parameters are inlined as literals, and a net read *depth* cycles back
+    is the variable ``read(name, depth)``, so the caller names every net.
+    ``$past`` is allowed only with *past*: it is not synthesizable.
     """
     def net(name: str) -> str:
-        return read(name, depth) if read is not None else f"v_{name}"
+        return read(name, depth)
 
     def sub(x: ex.Expr) -> str:
-        return emit(x, width, params, read, depth)
+        return emit(x, width, params, read, past=past, depth=depth)
 
     if isinstance(e, ex.Const):
         return str(e.value)
@@ -328,9 +334,10 @@ def emit(e: ex.Expr, width: Callable[[str], int], params: Mapping[str, int],
     if isinstance(e, ex.Ternary):
         return f"_mux({sub(e.cond)} != 0, {sub(e.then)}, {sub(e.other)})"
     if isinstance(e, ex.Past):
-        if read is None:
+        if not past:
             raise ElaborationError("$past cannot appear in synthesizable logic")
-        return emit(e.expr, width, params, read, depth + e.depth)
+        return emit(e.expr, width, params, read, past=True,
+                    depth=depth + e.depth)
     raise TypeError(f"not an expression node: {e!r}")
 
 
@@ -361,22 +368,23 @@ class BatchExpr:
 
     def __init__(self, e: ex.Expr, width: Callable[[str], int],
                  params: Mapping[str, int]):
-        reads: list[tuple[str, int]] = []
-
-        def var(name: str, depth: int) -> str:
-            return f"v_{name}" if depth == 0 else f"p{depth}_{name}"
+        # each (net, depth) read is the argument a<i>, numbered in the
+        # order of first read
+        slots: dict[tuple[str, int], str] = {}
+        depths: list[int] = []
 
         def read(name: str, depth: int) -> str:
-            reads.append((name, depth))
-            return var(name, depth)
+            if depth:
+                depths.append(depth)
+            return slots.setdefault((name, depth), f"a{len(slots)}")
 
-        body = emit(e, width, params, read)
-        self.args = tuple(sorted(set(reads)))
+        body = emit(e, width, params, read, past=True)
+        self.args = tuple(slots)
         #: the $past depth of every net read under $past, one per read
-        self.past_depths = tuple(d for _, d in reads if d)
-        names = ", ".join(var(n, d) for n, d in self.args)
-        self._fn = _compiled(f"def _expr({names}):\n    return {body}\n",
-                             "_expr")
+        self.past_depths = tuple(depths)
+        self._fn = _compiled(
+            f"def _expr({', '.join(slots.values())}):\n    return {body}\n",
+            "_expr")
 
     @property
     def nets(self) -> set[str]:
@@ -411,28 +419,42 @@ def fanin_cone(netlist: Netlist, keep: Iterable[str]) -> set[str]:
 
 class SimKernel:
     """One netlist compiled into a reusable settle+update loop over
-    cycles; kernels whose generated ``source`` is the same share one
-    function.
+    cycles.
 
     With *keep*, a set of nets, the kernel is sliced to their fan-in cone
     (cone-of-influence reduction): it computes only the assigns and
     registers that can reach a kept net, and ``run`` and ``run_batch``
-    return the kept nets alone.  Every input is still read, so a reset mux
-    in the cone sees its net.  Without *keep* the cone is the whole design
-    and every net is returned.
+    return the kept nets alone.  Without *keep* the cone is the whole
+    design and every net is returned.  Either way the kernel unpacks and
+    steps only the inputs of its cone, ``input_names``, so a reset mux in
+    the cone sees its net and a caller need give no other input.
+
+    The loop records only the nets it computes.  A kept input comes back
+    as the caller's own values: the stimulus's column from ``run``, the
+    given (rows, cycles) array from ``run_batch``.  They are not copies,
+    and must be treated as read-only.
+
+    The generated ``source`` names each net by its position in the cone,
+    in declaration order (``v<i>``, its next value ``n<i>``), never by its
+    name.  Slices of the same logic, in one design or in renamed copies,
+    therefore have one source and share one compiled function.
     """
 
     def __init__(self, netlist: Netlist, keep: Iterable[str] | None = None):
         self.netlist = netlist
         cone = set(netlist.nets) if keep is None else fanin_cone(netlist, keep)
         kept = cone if keep is None else set(keep)
-        self.input_names = tuple(n.name for n in netlist.inputs())
+        self._cone = tuple(n for n in netlist.nets if n in cone)
+        self.input_names = tuple(n.name for n in netlist.inputs()
+                                 if n.name in cone)
         self._registers = [r for r in netlist.registers if r.target in cone]
         self._assigns = [a for a in netlist.assign_order if a.lhs in cone]
-        self._cone = tuple(n for n in netlist.nets if n in cone)
         self.reg_names = tuple(r.target for r in self._registers)
         #: the nets ``run`` and ``run_batch`` return, in declaration order
-        self.net_order = tuple(n for n in netlist.nets if n in kept)
+        self.net_order = tuple(n for n in self._cone if n in kept)
+        # the returned nets the loop computes and records: all but inputs
+        self._recorded = tuple(n for n in self.net_order
+                               if n not in self.input_names)
         self.reg_init = tuple(
             (r.reset.value if r.reset is not None else 0)
             for r in self._registers)
@@ -445,16 +467,23 @@ class SimKernel:
         """The source of ``_run(INS, REG, _zero, _b, _mux)``: it steps
         through the cycles of *INS*, each a tuple of input values in
         ``input_names`` order, from the register values *REG*, and returns
-        one list per net of ``net_order``, holding its value in each
+        one list per net of ``_recorded``, holding its value in each
         cycle, and the registers after the last cycle."""
         nl = self.netlist
         params = nl.constants()
+        slot = {n: str(i) for i, n in enumerate(self._cone)}
+
+        def read(name: str, depth: int) -> str:
+            return f"v{slot[name]}"
+
+        def items(xs: Iterable[str]) -> str:
+            # a tuple's items, or nothing for none: "v0, v3,"
+            return "".join(f" {x}," for x in xs)[1:]
 
         def names(prefix: str, nets: Iterable[str]) -> str:
-            # a tuple's items, or nothing for no nets: "v_a, v_b,"
-            return "".join(f" {prefix}{n}," for n in nets)[1:]
+            return items(prefix + slot[n] for n in nets)
 
-        regs = names("v_", self.reg_names)
+        regs = names("v", self.reg_names)
         lines = ["def _run(INS, REG, _zero, _b, _mux):"]
         if regs:
             lines.append(f"    {regs} = REG")
@@ -462,24 +491,28 @@ class SimKernel:
                   | set(self.input_names))
         for net in self._cone:
             if net not in driven:
-                lines.append(f"    v_{net} = _zero")
-        # one list per kept net, appended to through its bound method p<i>
-        puts = [f"p{i}" for i in range(len(self.net_order))]
-        lines.append(f"    OUT = ({names('', ['[]'] * len(puts))})")
+                lines.append(f"    v{slot[net]} = _zero")
+        # one list per recorded net, appended to through its bound method
+        # p<i>
+        puts = [f"p{i}" for i in range(len(self._recorded))]
+        lines.append(f"    OUT = ({items(['[]'] * len(puts))})")
         if puts:
-            lines.append(f"    {names('', puts)} = [o.append for o in OUT]")
-        lines.append(f"    for {names('v_', self.input_names) or '_'} in INS:")
-        for a in self._assigns:
-            lines.append(f"        v_{a.lhs} = {emit(a.rhs, nl.width, params)}")
+            lines.append(f"    {items(puts)} = [o.append for o in OUT]")
+        lines.append(f"    for {names('v', self.input_names) or '_'} in INS:")
+        step = [f"v{slot[a.lhs]} = {emit(a.rhs, nl.width, params, read)}"
+                for a in self._assigns]
         for r in self._registers:
-            nxt = emit(r.next, nl.width, params)
+            nxt = emit(r.next, nl.width, params, read)
             if r.reset is not None:
                 cmp = "==" if r.reset.active_level == 1 else "!="
-                nxt = f"_mux(v_{r.reset.net} {cmp} 1, {r.reset.value}, {nxt})"
-            lines.append(f"        n_{r.target} = {nxt}")
-        lines += [f"        {put}(v_{n})" for put, n in zip(puts, self.net_order)]
+                nxt = (f"_mux(v{slot[r.reset.net]} {cmp} 1, "
+                       f"{r.reset.value}, {nxt})")
+            step.append(f"n{slot[r.target]} = {nxt}")
+        step += [f"{put}(v{slot[n]})" for put, n in zip(puts, self._recorded)]
         if regs:
-            lines.append(f"        {regs} = {names('n_', self.reg_names)}")
+            step.append(f"{regs} = {names('n', self.reg_names)}")
+        # a kernel that computes nothing, its kept nets all inputs
+        lines += [f"        {line}" for line in step or ["pass"]]
         lines.append(f"    return OUT, ({regs})")
         return "\n".join(lines) + "\n"
 
@@ -490,12 +523,17 @@ class SimKernel:
     # -- execution -----------------------------------------------------------
 
     def run(self, stimulus: Stimulus) -> Trace:
+        """Simulate *stimulus*, which must hold a column for each of
+        ``input_names``; a kept input's values are that column itself."""
         # operator.pos turns a comparison's bool into an int, as int()
         # does, at a third of the cost
         out, _ = self._fn(self._input_tuples(stimulus), self.reg_init, 0,
                           pos, _scalar_mux)
+        computed = dict(zip(self._recorded, out))
+        columns = stimulus.columns
         return Trace(self.netlist, self.net_order,
-                     dict(zip(self.net_order, out)), stimulus.cycles)
+                     {n: computed[n] if n in computed else columns[n]
+                      for n in self.net_order}, stimulus.cycles)
 
     def _input_tuples(self, stimulus: Stimulus) -> Iterable[tuple]:
         """Each cycle's input values, in ``input_names`` order: the
@@ -510,34 +548,38 @@ class SimKernel:
 
         *inputs* maps input names to uint64 arrays of shape (rows, cycles);
         an input held constant may be a read-only view whose cycle stride
-        is 0 (``np.broadcast_to`` of its values), and an input left out
-        reads 0.  Returns each net of ``net_order`` as an array of shape
-        (rows, cycles): the transposed view of a cycle-major (cycles,
-        rows) array, so every cycle's step stores one contiguous row per
-        net.
+        is 0 (``np.broadcast_to`` of its values), and an input of
+        ``input_names`` left out reads 0.  Only ``input_names`` are read.
+        Returns each net of ``net_order`` as an array of shape (rows,
+        cycles).  A kept input is the array given for it, or a read-only
+        view of zeros where it was left out; every other net is the
+        transposed view of a cycle-major (cycles, rows) array, so every
+        cycle's step stores one contiguous row per net.
 
         The run stops stepping at the first cycle from which every input
-        holds its value and whose step leaves every register of every row
-        as it was: each later cycle would repeat that one, so it is copied
-        into the rest.  An input whose cycle stride is 0 holds its value by
-        construction, so only the others are scanned for that cycle.
-        Constant inputs on a combinational kernel take one step.
+        of ``input_names`` holds its value and whose step leaves every
+        register of every row as it was: each later cycle would repeat
+        that one, so it is copied into the rest.  An input whose cycle
+        stride is 0 holds its value by construction, so only the others
+        are scanned for that cycle.  Constant inputs on a combinational
+        kernel take one step.
         """
         rows = next(iter(inputs.values())).shape[0] if inputs else 1
         zero = np.zeros(rows, dtype=np.uint64)
-        # each input as a cycle-major (cycles, rows) view, 0 where left out
+        # each input as a (rows, cycles) array, 0 where left out
         absent = np.broadcast_to(zero, (cycles, rows)).T
-        columns = [inputs.get(n, absent).T for n in self.input_names]
+        given = {n: inputs.get(n, absent) for n in self.input_names}
+        columns = [arr.T for arr in given.values()]
         # the first cycle from which every input holds its value
         steady = 0
-        for arr in inputs.values():
+        for arr in given.values():
             if arr.strides[1]:
                 moved = np.flatnonzero((arr[:, 1:] != arr[:, :-1]).any(axis=0))
                 if moved.size:
                     steady = max(steady, int(moved[-1]) + 1)
         regs = tuple(np.full(rows, init, dtype=np.uint64) for init in self.reg_init)
         out = [np.empty((cycles, rows), dtype=np.uint64)
-               for _ in self.net_order]
+               for _ in self._recorded]
         for t in range(cycles):
             ins = tuple(col[t] for col in columns)
             values, nxt = self._fn((ins,), regs, zero, _batch_bit, _batch_mux)
@@ -548,4 +590,6 @@ class SimKernel:
                     arr[t + 1:] = arr[t]
                 break
             regs = nxt
-        return {name: arr.T for name, arr in zip(self.net_order, out)}
+        computed = {n: arr.T for n, arr in zip(self._recorded, out)}
+        return {n: computed[n] if n in computed else given[n]
+                for n in self.net_order}

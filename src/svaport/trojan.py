@@ -290,10 +290,11 @@ def forge(netlist: Netlist, assertions: list[Assertion],
     that assertion checks.  Candidates are sampled from a seeded stream and
     accepted only when an activation stimulus exists (see module docstring
     for the objective), so the result is deterministic for a given seed.
-    Each attempt builds its own kernels, and each distinct generated
-    source compiles once (``sim``), so the clean design's kernel, the same
-    in every attempt, compiles once.  Each attempt's search runs every
-    batch on both designs (see ``_find_activation``).
+    The clean design's kernel is built once, kept to the nets every
+    attempt's objective reads: each payload net is a net of its target.
+    Each attempt builds the corrupted design's kernel, and each distinct
+    generated source compiles once (``sim``).  Each attempt's search runs
+    every batch on both designs (see ``_find_activation``).
     """
     check_knobs(params.k_min, params.k_max, params.payloads, params.tries)
     if not assertions:
@@ -305,6 +306,8 @@ def forge(netlist: Netlist, assertions: list[Assertion],
     # the injected designs keep the clean one's nets and constants, so one
     # checker per assertion decides clean and corrupted runs alike
     checkers = [Checker(a, netlist) for a in assertions]
+    clean = SimKernel(netlist, keep=_outputs(netlist).union(
+        *(c.nets for c in checkers)))
 
     forged: list[tuple[TrojanSpec, Stimulus]] = []
     for j in range(params.count):
@@ -348,7 +351,7 @@ def forge(netlist: Netlist, assertions: list[Assertion],
             stim = _find_activation(
                 cand, netlist, checkers, target, params.horizon,
                 substream(params.seed, "forge", netlist.name, j, attempt),
-                skipped=skipped)
+                skipped=skipped, clean=clean)
             if stim is not None:
                 forged.append((cand, stim))
                 break
@@ -372,7 +375,7 @@ def _find_activation(spec: TrojanSpec, netlist: Netlist,
                      checkers: list[Checker], target: int | None,
                      horizon: int, rng: np.random.Generator,
                      *, skipped: Counter[str] | None = None,
-                     ) -> Stimulus | None:
+                     clean: SimKernel | None = None) -> Stimulus | None:
     """Search for a stimulus satisfying the activation objective.
 
     Always required: the corrupted design's trace differs from the clean
@@ -382,7 +385,9 @@ def _find_activation(spec: TrojanSpec, netlist: Netlist,
     design and hold on the clean one, and no other checker may fail.
 
     Each batch runs on both designs, each kept to the nets the objective
-    reads, and one rule, ``meets``, decides every row with arrays.
+    reads, and one rule, ``meets``, decides every row with arrays.  The
+    clean design's kernel is *clean* when given, which must keep those
+    nets; else it is built here.
     Rows are independent in a batch run and in every checker, so every
     row that meets the objective is returned, in order.  ``accept``
     re-runs the first of them on both kernels and decides it with the
@@ -428,7 +433,7 @@ def _find_activation(spec: TrojanSpec, netlist: Netlist,
     # them is an input, equal in both
     reads = (_outputs(netlist) | {spec.payload_net}).union(
         *(c.nets for c in checkers))
-    kernel = SimKernel(netlist, keep=reads)
+    kernel = clean if clean is not None else SimKernel(netlist, keep=reads)
     inj_kernel = SimKernel(injected, keep=reads)
 
     def meets(dirty: dict[str, np.ndarray],

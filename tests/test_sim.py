@@ -7,6 +7,7 @@ import random
 import re
 import tempfile
 from collections import OrderedDict, defaultdict
+from dataclasses import replace
 from functools import partial
 from pathlib import Path
 
@@ -18,10 +19,12 @@ from hypothesis import strategies as st
 from svaport import corpus
 from svaport.errors import ConfigError, ElaborationError, UnknownSignalError
 from svaport.monitor import Checker
-from svaport.netlist import Netlist
+from svaport import expr as ex
+from svaport.netlist import Netlist, render_netlist
 from svaport.rtl_parser import parse_design
 from svaport.sim import (BatchExpr, SimKernel, Stimulus, load_stimulus,
                          stimulus_text)
+from svaport.sva import parse_assertions
 
 from . import gen, oracles
 
@@ -327,15 +330,33 @@ def _sliced_runs(draw):
     return nl, keep, inputs, cycles
 
 
+def _cone_inputs(nl: Netlist, keep) -> tuple[str, ...]:
+    """The inputs in the fan-in cone of *keep*, in declaration order, by
+    the oracle's cone."""
+    cone = oracles.fanin_cone(nl, keep)
+    return tuple(n.name for n in nl.inputs() if n.name in cone)
+
+
 @given(_sliced_runs(), st.data())
 def test_sliced_batch_kernel_matches_oracle_on_kept_nets(run, data):
     nl, keep, inputs, cycles = run
-    out = SimKernel(nl, keep).run_batch(inputs, cycles)
+    kernel = SimKernel(nl, keep)
+    # the kernel reads the inputs of its cone alone, and a batch that
+    # holds only those runs; each is given as drawn or held at its first
+    # cycle's value as a read-only view
+    assert kernel.input_names == _cone_inputs(nl, keep)
+    given = {n: _held(inputs[n][:, 0], cycles) if data.draw(st.booleans())
+             else inputs[n] for n in kernel.input_names}
+    out = kernel.run_batch(given, cycles)
     assert set(out) == keep
-    rows = next(iter(inputs.values())).shape[0]
+    # a kept input comes back as the very array given for it
+    for n in keep & given.keys():
+        assert out[n] is given[n], n
+    rows = next(iter(given.values())).shape[0] if given else 1
+    every = {**inputs, **given}
     for r in range(rows):
         stim = Stimulus.for_design(nl, [
-            {name: int(arr[r, t]) for name, arr in inputs.items()}
+            {name: int(arr[r, t]) for name, arr in every.items()}
             for t in range(cycles)])
         want = oracles.simulate_fixpoint(nl, stim).values
         for net in keep:
@@ -363,19 +384,30 @@ def test_sliced_kernel_assigns_only_its_cone(corpus_designs, name, keep):
     kernel = SimKernel(nl, keep)
     cone = oracles.fanin_cone(nl, keep)
     assert cone < set(nl.nets)                   # the slice drops something
-    # every input is still unpacked; the single-net lines set cone nets
-    # (v_<net>) and cone registers' next values (n_<net>) only
-    inputs = "".join(f" v_{n.name}," for n in nl.inputs())
-    assert f"    for{inputs} in INS:\n" in kernel.source
+    # v<i> and n<i> name the i-th net of the cone in declaration order.
+    # Only the cone's inputs are unpacked, and the single-net lines set
+    # each other cone net (v<i>) or a cone register's next value (n<i>),
+    # and nothing else
+    order = [n for n in nl.nets if n in cone]
+    inputs = _cone_inputs(nl, keep)
+    assert 0 < len(inputs) < len(nl.inputs())
+    unpacked = "".join(f" v{order.index(n)}," for n in inputs)
+    assert f"    for{unpacked} in INS:\n" in kernel.source
     lhs = [line.split(" = ")[0].strip()
            for line in kernel.source.splitlines()]
-    targets = {name[2:] for name in lhs if re.fullmatch(r"[vn]_\w+", name)}
-    assert targets and targets <= cone
-    inputs = {n.name: np.zeros((2, 3), dtype=np.uint64) for n in nl.inputs()}
-    assert set(kernel.run_batch(inputs, 3)) == keep
-    assert set(kernel.run(Stimulus.for_design(nl, [{}])).values) == keep
+    slots = [name for name in lhs if re.fullmatch(r"[vn]\d+", name)]
+    assert len(slots) == len(set(slots))
+    assert {order[int(name[1:])] for name in slots} == cone - set(inputs)
+    assert {order[int(name[1:])] for name in slots if name[0] == "n"} \
+        == {r.target for r in nl.registers} & cone
+    # a batch or a stimulus of the cone's inputs alone runs
+    zeros = {n: np.zeros((2, 3), dtype=np.uint64) for n in inputs}
+    assert set(kernel.run_batch(zeros, 3)) == keep
+    alone = Stimulus.of_columns({n: [0] for n in inputs}, 1)
+    assert set(kernel.run(alone).values) == keep
     # without keep, the kernel is the whole design
-    assert set(SimKernel(nl).run_batch(inputs, 3)) == set(nl.nets)
+    zeros = {n.name: np.zeros((2, 3), dtype=np.uint64) for n in nl.inputs()}
+    assert set(SimKernel(nl).run_batch(zeros, 3)) == set(nl.nets)
 
 
 INTERNAL_RESET_RTL = """\
@@ -398,9 +430,82 @@ def test_sliced_kernel_keeps_an_internal_reset_net():
     # assign over inputs: the slice must compute it
     nl = parse_design(INTERNAL_RESET_RTL)
     stim = _random_stimulus(nl, 12, 5)
-    got = SimKernel(nl, {"q"}).run(stim).values
+    kernel = SimKernel(nl, {"q"})
+    got = kernel.run(stim).values
     assert got == {"q": oracles.simulate_fixpoint(nl, stim).values["q"]}
-    assert "v_rst_int = " in SimKernel(nl, {"q"}).source
+    # the reset's inputs are read, and rst_int, the cone's net at its
+    # place in declaration order, is assigned in every cycle
+    assert kernel.input_names == ("a", "b", "d")
+    order = [n for n in nl.nets if n in oracles.fanin_cone(nl, {"q"})]
+    assert f"\n        v{order.index('rst_int')} = (" in kernel.source
+
+
+def _renamed(nl: Netlist) -> tuple[Netlist, dict[str, str]]:
+    """A copy of *nl* parsed from its rendered text with every net
+    renamed, x00, x01, ... in sorted order, so the assigns settle in the
+    same order; and the renaming."""
+    table = {n: f"x{i:02d}" for i, n in enumerate(sorted(nl.nets))}
+    text = re.sub(r"\b\w+\b", lambda m: table.get(m[0], m[0]),
+                  render_netlist(nl))
+    return parse_design(text), table
+
+
+# {net} stands for a net of csr_unit, renamed or not
+CSR_SVA = """\
+A_LOAD: assert property (@(posedge {clk_i}) disable iff (!{rst_ni})
+  {mstatus_en} |=> {mstatus_q} == $past({csr_wdata_i}));
+A_READ: assert property (@(posedge {clk_i})
+  {csr_op_i} == CSR_OP_READ && {csr_op_en_i} |-> !{csr_we_int});
+"""
+
+
+def test_slices_of_the_same_logic_share_one_function(corpus_designs):
+    nl = corpus_designs["csr_unit"]
+    copy_nl, table = _renamed(nl)
+    assert not set(copy_nl.nets) & set(nl.nets)
+    assertions = parse_assertions(CSR_SVA.format(**{n: n for n in table}))
+    renamed = parse_assertions(CSR_SVA.format(**table))
+    for a, b in zip(assertions, renamed):
+        checker, again = Checker(a, nl), Checker(b, copy_nl)
+        assert again.nets == {table[n] for n in checker.nets}
+        terms = [t for _, t, _ in checker._plan] + [checker._disable]
+        copies = [t for _, t, _ in again._plan] + [again._disable]
+        for term, copied in zip(terms, copies):
+            if term is not None:
+                assert copied._fn is term._fn
+        assert (SimKernel(copy_nl, again.nets)._fn
+                is SimKernel(nl, checker.nets)._fn)
+    assert SimKernel(copy_nl)._fn is SimKernel(nl)._fn
+    for keep in ({"csr_rdata_o"}, {"mie_en", "mstatus_mie_o"}):
+        assert (SimKernel(copy_nl, {table[n] for n in keep})._fn
+                is SimKernel(nl, keep)._fn)
+
+    def fn(netlist: Netlist, keep: set[str]):
+        return SimKernel(netlist, keep)._fn
+
+    # another shape: csr_wr compares, csr_we_int also masks and ands
+    assert fn(nl, {"csr_wr"}) is not fn(nl, {"csr_we_int"})
+    # the same shape on another constant: CSR_MSTATUS against CSR_MIE
+    assert fn(nl, {"mstatus_en"}) is not fn(nl, {"mie_en"})
+    assert fn(nl, {"mstatus_q"}) is not fn(nl, {"mie_q"})
+    # the same shape on another width: ~illegal_csr_insn_o masks 2 bits
+    nets = dict(nl.nets)
+    nets["illegal_csr_insn_o"] = replace(nets["illegal_csr_insn_o"], width=2)
+    wide = replace(nl, nets=nets)
+    assert fn(wide, {"csr_we_int"}) is not fn(nl, {"csr_we_int"})
+
+    def term(text: str, netlist: Netlist = nl) -> BatchExpr:
+        return BatchExpr(ex.parse_expr_text(text), netlist.width,
+                         netlist.constants())
+
+    negated = "~illegal_csr_insn_o"
+    assert term(negated, wide)._fn is not term(negated)._fn
+    assert term(f"~{table['illegal_csr_insn_o']}", copy_nl)._fn \
+        is term(negated)._fn
+    assert term("csr_op_i == CSR_OP_READ")._fn \
+        is not term("csr_op_i == CSR_OP_WRITE")._fn
+    assert term("csr_op_i == CSR_OP_READ")._fn \
+        is not term("csr_op_i != CSR_OP_READ")._fn
 
 
 def test_sliced_kernel_rejects_unknown_nets(corpus_designs):
@@ -836,13 +941,22 @@ def test_long_run_matches_oracle_full_and_sliced(nl, data):
     assert SimKernel(nl).run(stim).values == want
     keep = data.draw(st.sets(st.sampled_from(sorted(nl.nets)), min_size=1))
     kernel = SimKernel(nl, keep)
-    got = kernel.run(stim)
+    assert kernel.input_names == _cone_inputs(nl, keep)
+    # a stimulus of the cone's inputs alone runs
+    alone = Stimulus.of_columns(
+        {n: stim.columns[n] for n in kernel.input_names}, cycles)
+    got = kernel.run(alone)
     assert got.cycles == cycles
     assert got.values == {n: want[n] for n in keep}
     # the batch run steps the same kernel loop one cycle at a time
-    batch = kernel.run_batch({name: np.array([col], dtype=np.uint64)
-                              for name, col in stim.columns.items()}, cycles)
+    given = {n: np.array([col], dtype=np.uint64)
+             for n, col in alone.columns.items()}
+    batch = kernel.run_batch(given, cycles)
     assert {n: arr[0].tolist() for n, arr in batch.items()} == got.values
+    # a kept input is handed back as the caller's own column or array
+    for n in keep & given.keys():
+        assert got.values[n] is stim.columns[n], n
+        assert batch[n] is given[n], n
 
 
 @pytest.mark.parametrize("name", corpus.MODULES)

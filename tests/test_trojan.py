@@ -367,13 +367,18 @@ def test_forge_compiles_once_per_netlist_and_confirms_each_check(
     monkeypatch.setattr(sim, "_compiled", recording)
     monkeypatch.setattr(trojan, "search_stimulus", counting_search)
     compiled.cache_clear()
-    specs = forge(toy, toy_asserts, ForgeParams(count=4, k_min=2, k_max=3,
-                                                seed=11, horizon=8))
+    params = ForgeParams(count=4, k_min=2, k_max=3, seed=11, horizon=8)
+    specs = forge(toy, toy_asserts, params)
     assert len(specs) == 4
+    # one forge generates each source once: the checkers and the clean
+    # kernel are built once, and each attempt's corrupted design is new
+    assert compiled.cache_info().misses == len(set(sources)) == len(sources)
     # each distinct generated source compiles once, however many kernels
-    # and expressions are built from it: the clean kernel of every attempt
-    # is the first attempt's
-    assert compiled.cache_info().misses == len(set(sources)) < len(sources)
+    # and expressions are built from it: forging again compiles nothing
+    first = len(sources)
+    assert forge(toy, toy_asserts, params) == specs
+    assert sources == sources[:first] * 2
+    assert compiled.cache_info().misses == first
     # the batch objective is exact: every scalar confirmation succeeds
     assert confirmed and all(confirmed)
 
@@ -505,6 +510,9 @@ def test_forge_runs_both_designs_on_every_candidate_of_a_batch(
     # candidates in 7 batches
     forge(toy, asserts, ForgeParams(count=3, k_min=2, k_max=3, seed=6,
                                     horizon=horizon))
+    # the call builds one clean kernel, before its first attempt
+    clean = built[0]
+    assert clean.netlist is toy and attempts[0][3] == 1
     ends = [(start, made) for _, _, start, made in attempts[1:]]
     ends.append((len(calls), len(built)))
     candidates = batches = skipped = 0
@@ -533,9 +541,9 @@ def test_forge_runs_both_designs_on_every_candidate_of_a_batch(
             skipped += 1
             assert made_end == made
             continue
-        # a searched attempt builds two kernels, the clean design's first
-        clean, dirty = built[made:made_end]
-        assert clean.netlist is toy and dirty.netlist is not toy
+        # a searched attempt builds one kernel, the corrupted design's
+        [dirty] = built[made:made_end]
+        assert dirty.netlist is not toy
         assert set(dirty.net_order) == set(clean.net_order) == objective_nets
         # every batch runs the corrupted design, then the clean one on the
         # same candidates
@@ -1021,9 +1029,10 @@ def test_campaign_forge_accounting(campaign_run, tmp_path, monkeypatch):
     # (cf_unit_t06), or another assertion fails with it (cf_unit_t02)
     assert sorted(tid for tid, found, why in attempts
                   if not found and not why) == ["cf_unit_t02", "cf_unit_t06"]
-    # the 35 searched attempts build two kernels each, and each batch
-    # steps every candidate on both
-    assert work == {"kernels": 70, "row_cycles": 134_328}
+    # each of the five forge calls builds its clean kernel once, and each
+    # of the 35 searched attempts its corrupted kernel; each batch steps
+    # every candidate on both
+    assert work == {"kernels": 40, "row_cycles": 134_328}
 
 
 def _rows(inputs: dict[str, np.ndarray]) -> list[dict[str, int]]:
