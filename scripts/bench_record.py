@@ -34,6 +34,8 @@ import sys
 import tempfile
 from pathlib import Path
 
+import numpy
+
 ROOT = Path(__file__).resolve().parents[1]
 SEED = 1
 
@@ -128,8 +130,6 @@ def main(argv: list[str] | None = None) -> int:
         print("error: the tree has uncommitted changes; commit them first",
               file=sys.stderr)
         return 2
-    import numpy
-
     revision = _git("rev-parse", "HEAD")
     base = _git("rev-parse", "--verify", f"{args.base}^{{commit}}")
     bench = json.loads((ROOT / "BENCHMARK.json").read_text())

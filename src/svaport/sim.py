@@ -524,7 +524,8 @@ class SimKernel:
 
     def run(self, stimulus: Stimulus) -> Trace:
         """Simulate *stimulus*, which must hold a column for each of
-        ``input_names``; a kept input's values are that column itself."""
+        ``input_names``.  A kept input's values in the trace are that
+        column itself, not a copy, and must be treated as read-only."""
         # operator.pos turns a comparison's bool into an int, as int()
         # does, at a third of the cost
         out, _ = self._fn(self._input_tuples(stimulus), self.reg_init, 0,
@@ -551,10 +552,11 @@ class SimKernel:
         is 0 (``np.broadcast_to`` of its values), and an input of
         ``input_names`` left out reads 0.  Only ``input_names`` are read.
         Returns each net of ``net_order`` as an array of shape (rows,
-        cycles).  A kept input is the array given for it, or a read-only
-        view of zeros where it was left out; every other net is the
-        transposed view of a cycle-major (cycles, rows) array, so every
-        cycle's step stores one contiguous row per net.
+        cycles).  A kept input is the array given for it, not a copy, or
+        a read-only view of zeros where it was left out; it must be
+        treated as read-only.  Every other net is the transposed view of
+        a cycle-major (cycles, rows) array, so every cycle's step stores
+        one contiguous row per net.
 
         The run stops stepping at the first cycle from which every input
         of ``input_names`` holds its value and whose step leaves every
