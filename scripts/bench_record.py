@@ -1,7 +1,7 @@
 #!/usr/bin/env python3
 """Record the benchmark of the committed tree against a base revision.
 
-    python3 scripts/bench_record.py --base REV [--pairs 10]
+    python3 scripts/bench_record.py --base REV
 
 Run it from a checkout whose tree is clean: uncommitted changes, staged or
 not, and untracked files that are not ignored are refused, so the record
@@ -10,13 +10,14 @@ into a temporary directory, removed afterwards.
 
 For each workload of ``BENCHMARK.json`` the recorder runs its command
 (``perfbench/run.py --seed 1 --seconds <run_seconds> --trace 0``) in
-``--pairs`` pairs, one run on each side, the side that runs first
-alternating from pair to pair.  Then one traced run (``--trace 1``) on
-each side gives the work counters.  Every run must be correct, and every
-run of one side must leave the same seed-1 digest.
+ten pairs, one run on each side, the side that runs first alternating
+from pair to pair.  Then one traced run (``--trace 1``) on each side
+gives the work counters.  Every run must be correct, and every run of
+one side must leave the same seed-1 digest.
 
 It writes ``BENCH_<short sha>.json`` at the root of the checkout: both
-revisions, the machine, and per workload each side's digest and counters
+revisions, the machine, and per workload each side's digest, counters
+and the operations its runs attempted and failed, summed over the runs,
 and, for each end-to-end metric, each side's values, median and quartiles,
 the pairs the revision won and whether the gap between the medians is
 wider than the base's interquartile range.
@@ -38,6 +39,7 @@ import numpy
 
 ROOT = Path(__file__).resolve().parents[1]
 SEED = 1
+PAIRS = 10
 
 
 def _git(*args: str) -> str:
@@ -82,25 +84,31 @@ def compare(metric: dict, base: list[float], revision: list[float]) -> dict:
     }
 
 
-def _workload(sides: dict[str, Path], bench: dict, name: str,
-              pairs: int) -> dict:
+def _workload(sides: dict[str, Path], bench: dict, name: str) -> dict:
     metrics = bench["end_to_end"]
     values = {side: {m["name"]: [] for m in metrics} for side in sides}
     digests: dict[str, set[str]] = {side: set() for side in sides}
+    operations = {side: {"attempted": 0, "failed": 0} for side in sides}
+
+    def tally(side: str, result: dict) -> None:
+        digests[side] |= result["digests"]
+        for key, count in operations[side].items():
+            operations[side][key] = count + result[key]
+
     order = list(sides)
-    for i in range(pairs):
+    for i in range(PAIRS):
         for side in order if i % 2 == 0 else order[::-1]:
-            print(f"{name} pair {i + 1}/{pairs}: {side}", file=sys.stderr)
+            print(f"{name} pair {i + 1}/{PAIRS}: {side}", file=sys.stderr)
             result = _run(sides[side], bench["command"], name,
                           bench["run_seconds"], 0)
-            digests[side] |= result["digests"]
+            tally(side, result)
             for m in metrics:
                 values[side][m["name"]].append(
                     result["metrics"][m["name"]]["value"])
     counters = {}
     for side, checkout in sides.items():
         result = _run(checkout, bench["command"], name, 1, 1)
-        digests[side] |= result["digests"]
+        tally(side, result)
         counters[side] = {key: m["value"] for key, m
                           in sorted(result["metrics"].items())
                           if m["unit"] == "count"}
@@ -111,6 +119,7 @@ def _workload(sides: dict[str, Path], bench: dict, name: str,
     return {
         "digest": {side: seen.pop() for side, seen in digests.items()},
         "counters": counters,
+        "operations": operations,
         "metrics": {m["name"]: compare(m, values["base"][m["name"]],
                                        values["revision"][m["name"]])
                     for m in metrics},
@@ -121,11 +130,7 @@ def main(argv: list[str] | None = None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.split("\n")[0])
     parser.add_argument("--base", required=True,
                         help="the revision to compare against")
-    parser.add_argument("--pairs", type=int, default=10,
-                        help="alternating pairs of runs per workload")
     args = parser.parse_args(argv)
-    if args.pairs < 2:
-        parser.error("--pairs must be at least 2")
     if _git("status", "--porcelain"):
         print("error: the tree has uncommitted changes; commit them first",
               file=sys.stderr)
@@ -142,7 +147,7 @@ def main(argv: list[str] | None = None) -> int:
                     "numpy": numpy.__version__},
         "seed": SEED,
         "run_seconds": bench["run_seconds"],
-        "pairs": args.pairs,
+        "pairs": PAIRS,
         "workloads": {},
     }
     with tempfile.TemporaryDirectory() as tmp:
@@ -152,7 +157,7 @@ def main(argv: list[str] | None = None) -> int:
             sides = {"base": checkout, "revision": ROOT}
             for w in bench["workloads"]:
                 record["workloads"][w["name"]] = _workload(
-                    sides, bench, w["name"], args.pairs)
+                    sides, bench, w["name"])
         finally:
             _git("worktree", "remove", "--force", str(checkout))
     path = ROOT / f"BENCH_{_git('rev-parse', '--short', 'HEAD')}.json"

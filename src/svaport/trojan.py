@@ -387,7 +387,7 @@ def _find_activation(spec: TrojanSpec, netlist: Netlist,
     Each batch runs on both designs, each kept to the nets the objective
     reads, and one rule, ``meets``, decides every row with arrays.  The
     clean design's kernel is *clean* when given, which must keep those
-    nets; else it is built here.
+    nets (else ``ValueError``); if not given, it is built here.
     Rows are independent in a batch run and in every checker, so every
     row that meets the objective is returned, in order.  ``accept``
     re-runs the first of them on both kernels and decides it with the
@@ -433,7 +433,13 @@ def _find_activation(spec: TrojanSpec, netlist: Netlist,
     # them is an input, equal in both
     reads = (_outputs(netlist) | {spec.payload_net}).union(
         *(c.nets for c in checkers))
-    kernel = clean if clean is not None else SimKernel(netlist, keep=reads)
+    if clean is None:
+        clean = SimKernel(netlist, keep=reads)
+    missing = reads - set(clean.net_order)
+    if missing:
+        raise ValueError(f"the clean kernel of {netlist.name} drops nets "
+                         f"the objective reads: {sorted(missing)}")
+    kernel = clean
     inj_kernel = SimKernel(injected, keep=reads)
 
     def meets(dirty: dict[str, np.ndarray],

@@ -347,13 +347,16 @@ def test_sliced_batch_kernel_matches_oracle_on_kept_nets(run, data):
     assert kernel.input_names == _cone_inputs(nl, keep)
     given = {n: _held(inputs[n][:, 0], cycles) if data.draw(st.booleans())
              else inputs[n] for n in kernel.input_names}
-    out = kernel.run_batch(given, cycles)
-    assert set(out) == keep
+    # every drawn input, as callers pass them, and the cone's alone
+    every = {**inputs, **given}
+    out = kernel.run_batch(every, cycles)
+    alone = kernel.run_batch(given, cycles)
+    assert set(out) == set(alone) == keep
     # a kept input comes back as the very array given for it
     for n in keep & given.keys():
         assert out[n] is given[n], n
-    rows = next(iter(given.values())).shape[0] if given else 1
-    every = {**inputs, **given}
+        assert alone[n] is given[n], n
+    rows = next(iter(every.values())).shape[0] if every else 1
     for r in range(rows):
         stim = Stimulus.for_design(nl, [
             {name: int(arr[r, t]) for name, arr in every.items()}
@@ -362,6 +365,8 @@ def test_sliced_batch_kernel_matches_oracle_on_kept_nets(run, data):
         for net in keep:
             assert out[net].shape == (rows, cycles)
             assert out[net][r].tolist() == want[net], net
+            # with no input in the cone, the batch alone has one row
+            assert alone[net][r if given else 0].tolist() == want[net], net
     # the monitor reads the (rows, cycles) views as it reads C-ordered
     # arrays of the same values
     widths = {n: nl.width(n) for n in keep}
@@ -942,20 +947,28 @@ def test_long_run_matches_oracle_full_and_sliced(nl, data):
     keep = data.draw(st.sets(st.sampled_from(sorted(nl.nets)), min_size=1))
     kernel = SimKernel(nl, keep)
     assert kernel.input_names == _cone_inputs(nl, keep)
-    # a stimulus of the cone's inputs alone runs
-    alone = Stimulus.of_columns(
-        {n: stim.columns[n] for n in kernel.input_names}, cycles)
-    got = kernel.run(alone)
+    got = kernel.run(stim)
     assert got.cycles == cycles
     assert got.values == {n: want[n] for n in keep}
-    # the batch run steps the same kernel loop one cycle at a time
-    given = {n: np.array([col], dtype=np.uint64)
-             for n, col in alone.columns.items()}
-    batch = kernel.run_batch(given, cycles)
+    # a stimulus of the cone's inputs alone runs the same
+    alone = Stimulus.of_columns(
+        {n: stim.columns[n] for n in kernel.input_names}, cycles)
+    on_alone = kernel.run(alone)
+    assert on_alone.values == got.values
+    # the batch run steps the same kernel loop one cycle at a time, on
+    # every input and on the cone's alone
+    every = {n: np.array([col], dtype=np.uint64)
+             for n, col in stim.columns.items()}
+    given = {n: every[n] for n in kernel.input_names}
+    batch = kernel.run_batch(every, cycles)
     assert {n: arr[0].tolist() for n, arr in batch.items()} == got.values
+    assert {n: arr[0].tolist()
+            for n, arr in kernel.run_batch(given, cycles).items()} \
+        == got.values
     # a kept input is handed back as the caller's own column or array
     for n in keep & given.keys():
         assert got.values[n] is stim.columns[n], n
+        assert on_alone.values[n] is alone.columns[n], n
         assert batch[n] is given[n], n
 
 

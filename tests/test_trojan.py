@@ -470,6 +470,11 @@ def test_activation_search_decides_every_candidate_of_a_batch():
                              [target])
     clean = check_assertions(SimKernel(netlist).run(stim), [target])
     assert dirty[0].failed and not clean[0].failed
+    # a clean kernel handed in must keep every net the objective reads
+    with pytest.raises(ValueError, match=r"drops nets .*'ok_o'"):
+        trojan._find_activation(
+            spec, netlist, [], None, 4, np.random.default_rng(0),
+            clean=SimKernel(netlist, keep={"hit_o"}))
 
 
 def test_forge_runs_both_designs_on_every_candidate_of_a_batch(
