@@ -12,7 +12,7 @@ import textwrap
 from pathlib import Path
 
 from svaport import corpus
-from svaport.monitor import check_assertion
+from svaport.monitor import Checker, check_assertion
 from svaport.rtl_parser import parse_design
 from svaport.sim import SimKernel
 from svaport.sva import parse_assertion, render_assertion
@@ -70,7 +70,7 @@ def main(argv: list[str] | None = None) -> int:
         print("\nno passing test case found within the search budget")
         return 0
     verdict = check_assertion(SimKernel(target).run(testcase),
-                              outcome.verdict.assertion)
+                              Checker(outcome.verdict.assertion, target))
     print(f"\ntest case: {testcase.cycles} cycles, "
           f"{verdict.non_vacuous_passes} real pass(es), "
           f"{verdict.failure_count} failure(s)")

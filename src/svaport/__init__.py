@@ -4,8 +4,9 @@ rule-generated hardware trojans.
 The pipeline: parse a synthesizable-subset design into a :class:`Netlist`,
 resolve each source assertion's signals against it (:func:`translate`),
 forge rare-trigger trojans aimed at the translated assertions
-(:func:`forge`/:func:`inject`), then simulate activation stimuli and score
-detection and trigger rarity (:func:`check_assertions`, :mod:`.metrics`).
+(:func:`forge`/:func:`inject`), then check activation runs with assertions
+compiled once per design (:class:`Checker`, :func:`check_assertions`) and
+score detection and trigger rarity (:mod:`.metrics`).
 The ``svaport`` console script drives the same stages from campaign JSON.
 """
 
@@ -19,7 +20,8 @@ from .graph import DependencyGraph, Relation, Relationship, build_graph, \
 from .metrics import (MetricsReport, ModuleRow, MonteCarloEstimate, TrojanRow,
                       analytic_probability, brute_force_probability,
                       emit_report, monte_carlo_probability, tpi)
-from .monitor import AssertionVerdict, check_assertion, check_assertions
+from .monitor import (AssertionVerdict, Checker, check_assertion,
+                      check_assertions)
 from .netlist import Netlist, render_netlist
 from .rtl_parser import parse_design
 from .sim import SimKernel, Stimulus, Trace, load_stimulus

@@ -46,13 +46,12 @@ from .errors import ConfigError, SvaportError, UnknownSignalError
 from .graph import build_graph
 from .metrics import (MetricsReport, ModuleRow, TrojanRow,
                       analytic_probability, emit_report)
-from .monitor import AssertionVerdict, check_assertions
+from .monitor import AssertionVerdict, Checker, check_assertions
 from .netlist import Netlist, render_netlist
 from .records import field, file_name, read_json, read_text, record
 from .rtl_parser import parse_design
 from .sim import SimKernel, Stimulus, load_stimulus, stimulus_text
-from .sva import (Assertion, parse_assertions, render_assertion,
-                  signals_of)
+from .sva import Assertion, parse_assertions, render_assertion
 from .translate import SignalMap, TranslationConfig, assertion_key, translate
 from .trojan import (ForgeParams, TrojanSpec, activation_stimulus, forge,
                      inject, load_trojans, validate_spec)
@@ -232,13 +231,11 @@ def cmd_inject(config: ProjectConfig) -> int:
 
 def _replay(netlist: Netlist, stimulus: Stimulus,
             assertions: list[Assertion]) -> list[AssertionVerdict]:
-    """Each assertion's verdict on *stimulus*, run on a kernel sliced to
-    the nets the assertions read, clocks included.  A name that is no net
-    of *netlist* stays out of the slice, for the checker to reject."""
-    keep = set().union(*(signals_of(a) | {a.clock}
-                         for a in assertions)) & netlist.nets.keys()
-    return check_assertions(SimKernel(netlist, keep).run(stimulus),
-                            assertions)
+    """Each assertion's verdict on *stimulus*, compiled once for *netlist*
+    and checked on a kernel sliced to the nets the assertions read."""
+    checkers = [Checker(a, netlist) for a in assertions]
+    keep = set().union(*(c.nets for c in checkers))
+    return check_assertions(SimKernel(netlist, keep).run(stimulus), checkers)
 
 
 def _evaluate_one(sv_path: Path, stim_path: Path,

@@ -103,13 +103,11 @@ def _trigger_cone(netlist: Netlist, spec: TrojanSpec,
     return input_cone(netlist, graph, {c.signal for c in spec.trigger})
 
 
-def _count_hits(netlist: Netlist, spec: TrojanSpec, kernel: SimKernel,
+def _count_hits(kernel: SimKernel, trig: BatchExpr,
                 arrays: dict[str, np.ndarray]) -> int:
     """Rows of a one-cycle batch, *arrays* holding (rows, 1) inputs, on
-    which the trigger holds."""
+    which the compiled trigger *trig* holds."""
     nets = kernel.run_batch(arrays, cycles=1)
-    trig = BatchExpr(trigger_expr(spec, netlist), netlist.width,
-                     netlist.constants())
     return int(np.count_nonzero(trig(nets)[:, 0]))
 
 
@@ -132,6 +130,8 @@ def brute_force_probability(netlist: Netlist, spec: TrojanSpec, *,
             f"trigger cone of {spec.id} spans {bits} input bits "
             f"(limit {max_bits}); use monte_carlo_probability instead")
     kernel = SimKernel(netlist)
+    trig = BatchExpr(trigger_expr(spec, netlist), netlist.width,
+                     netlist.constants())
     offsets = [sum(widths[:i]) for i in range(len(cone))]
     total = 1 << bits
     hits = 0
@@ -142,7 +142,7 @@ def brute_force_probability(netlist: Netlist, spec: TrojanSpec, *,
             name: (idx >> np.uint64(off)) & np.uint64((1 << w) - 1)
             for name, off, w in zip(cone, offsets, widths)
         }
-        hits += _count_hits(netlist, spec, kernel, arrays)
+        hits += _count_hits(kernel, trig, arrays)
     return Fraction(hits, total)
 
 
@@ -195,6 +195,8 @@ def monte_carlo_probability(netlist: Netlist, spec: TrojanSpec,
             f"at least {MIN_SAMPLES} samples are required, got {samples}")
     cone = _trigger_cone(netlist, spec, graph)
     kernel = SimKernel(netlist)
+    trig = BatchExpr(trigger_expr(spec, netlist), netlist.width,
+                     netlist.constants())
     rng = substream(seed, "metrics", "monte-carlo", spec.id)
     hits = 0
     done = 0
@@ -206,7 +208,7 @@ def monte_carlo_probability(netlist: Netlist, spec: TrojanSpec,
                                endpoint=False)
             for name in cone
         }
-        hits += _count_hits(netlist, spec, kernel, arrays)
+        hits += _count_hits(kernel, trig, arrays)
         done += rows
     low, high = _wilson_interval(hits, samples)
     return MonteCarloEstimate(estimate=hits / samples, low=low, high=high,

@@ -25,7 +25,8 @@ every term with the design's widths and constants, so a constant has its
 declared width (``parameter logic [3:0] P = 4'h1`` is 4 bits wide, an
 unsized constant as wide as its value).  Calling it decides every row of
 batch-simulated arrays, advancing every attempt of every row in lockstep.
-``check_assertion`` is a ``Checker`` on one trace as a batch of one row.
+``check_assertion`` and ``check_assertions`` compile nothing: they run
+checkers their caller built once, on one trace as a batch of one row.
 """
 
 from __future__ import annotations
@@ -101,10 +102,9 @@ class AssertionVerdict:
         return bool(self.failures)
 
 
-def check_assertion(trace: Trace, assertion: Assertion) -> AssertionVerdict:
-    """Check *assertion* over *trace*: a ``Checker`` for the trace's
-    netlist on the trace as one row, converting only the nets it reads."""
-    checker = Checker(assertion, trace.netlist)
+def check_assertion(trace: Trace, checker: Checker) -> AssertionVerdict:
+    """Run *checker* on *trace*, a run of the design it was compiled
+    for, as a batch of one row, converting only the nets it reads."""
     verdict = checker(trace.arrays(checker.nets))
     status = verdict.status[0]
     failures = [Failure(int(t), int(verdict.fail_cycle[0, t]))
@@ -113,10 +113,9 @@ def check_assertion(trace: Trace, assertion: Assertion) -> AssertionVerdict:
                             failures, int(verdict.past_underflows[0]))
 
 
-def check_assertions(trace: Trace, assertions: list[Assertion]) -> list[AssertionVerdict]:
-    """Evaluate every assertion over the same trace (one verdict each,
-    same order)."""
-    return [check_assertion(trace, a) for a in assertions]
+def check_assertions(trace: Trace, checkers: list[Checker]) -> list[AssertionVerdict]:
+    """One verdict per compiled assertion over *trace*, in order."""
+    return [check_assertion(trace, c) for c in checkers]
 
 
 # --------------------------------------------------------------------------

@@ -551,10 +551,10 @@ def generate_testcase(a: Assertion, target: Netlist,
     design, and say what the search took.
 
     One ``Checker`` decides the verdict (no failure, at least one
-    completed non-vacuous pass) with arrays over every candidate of each
-    simulated batch, and a scalar simulation checked by ``check_assertion``
-    confirms the first candidate that meets it, both on a kernel sliced to
-    the nets the assertion reads.  Every input of the assertion's cone is
+    completed non-vacuous pass) over every candidate of each simulated
+    batch, and ``check_assertion`` runs it again on a scalar simulation
+    of the first candidate that meets it, both on a kernel sliced to the
+    nets the assertion reads.  Every input of the assertion's cone is
     searched in one pass that forces the input bits the antecedent's first
     step needs (``necessary_literals``; the ``search`` module says why that
     loses no witness).  An antecedent whose literals contradict each other
@@ -574,7 +574,7 @@ def generate_testcase(a: Assertion, target: Netlist,
         return np.flatnonzero(verdict.passed & ~verdict.failed)
 
     def accept(stim: Stimulus) -> bool:
-        verdict = check_assertion(kernel.run(stim), a)
+        verdict = check_assertion(kernel.run(stim), checker)
         return verdict.failure_count == 0 and verdict.non_vacuous_passes >= 1
 
     cone = input_cone(target, graph, signals_of(a))

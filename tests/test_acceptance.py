@@ -20,7 +20,7 @@ from svaport.cli import _replay, main as cli_main
 from svaport.graph import Relation, build_graph, classify, fanin
 from svaport.metrics import (analytic_probability, brute_force_probability,
                              monte_carlo_probability, tpi)
-from svaport.monitor import check_assertion, check_assertions
+from svaport.monitor import Checker, check_assertion, check_assertions
 from svaport.netlist import NetKind
 from svaport.rtl_parser import parse_design
 from svaport.search import input_cone
@@ -159,6 +159,9 @@ def test_c07_temporal_semantics_hold_on_1000_random_traces():
     names = ("clk", "a", "b", "c", "d", "x", "xs1", "xs2", "xs3")
     widths = dict.fromkeys(names, 1) | {"x": 4, "xs1": 4, "xs2": 4, "xs3": 4}
     netlist = gen.netlist_of("rand", widths)
+    overlapped, nonoverlapped, disabled = (
+        Checker(a, netlist) for a in (overlapped, nonoverlapped, disabled))
+    past_checks = [Checker(a, netlist) for a in past_checks]
     traces = non_vacuous = 0
     for i in range(1000):
         n = rng.randint(8, 14)
@@ -178,9 +181,9 @@ def test_c07_temporal_semantics_hold_on_1000_random_traces():
         assert v_over.statuses == v_non.statuses
         assert v_over.failures == v_non.failures
 
-        for a in past_checks:
-            verdict = check_assertion(trace, a)
-            assert verdict.failure_count == 0, (i, a.effective_name())
+        for checker in past_checks:
+            verdict = check_assertion(trace, checker)
+            assert verdict.failure_count == 0, (i, verdict.name)
             non_vacuous += verdict.non_vacuous_passes
 
         v_dis = check_assertion(trace, disabled)
@@ -247,7 +250,8 @@ def test_c08_every_forged_trojan_is_dormant_until_activated(campaign_run,
             dirty_trace = dirty_kernel.run(stim)
             assert any(clean_trace.values[n] != dirty_trace.values[n]
                        for n in clean.nets), spec.id
-            verdicts = check_assertions(dirty_trace, assertions)
+            verdicts = check_assertions(
+                dirty_trace, [Checker(a, dirty) for a in assertions])
             assert any(v.failure_count >= 1 for v in verdicts), spec.id
 
 
@@ -262,11 +266,12 @@ def test_evaluate_slice_keeps_every_verdict(campaign_run, corpus_designs):
             dirty = parse_design(spec_path.with_suffix(".sv").read_text())
             activation = load_stimulus(
                 spec_path.with_name(f"{spec_path.stem}.stim.json"), dirty)
+            checkers = [Checker(a, dirty) for a in assertions]
             noise = Stimulus.for_design(dirty, [
                 {n.name: rng.randrange(1 << n.width) for n in dirty.inputs()}
                 for _ in range(300)])
             for stim in (activation, noise):
-                full = check_assertions(SimKernel(dirty).run(stim), assertions)
+                full = check_assertions(SimKernel(dirty).run(stim), checkers)
                 sliced = _replay(dirty, stim, assertions)
                 assert [(v.name, v.statuses, v.failures,
                          v.past_underflow_warnings) for v in sliced] == \

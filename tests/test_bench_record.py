@@ -1,14 +1,20 @@
 """The committed benchmark records, ``BENCH_<short sha>.json`` at the root
 of the repository, each written by ``scripts/bench_record.py``: their
-schema, and that every summary agrees with the values it summarizes.
-Nothing here runs or times the benchmark."""
+schema, that every summary agrees with the values it summarizes, and that
+the newest record's ``replay`` digest is what the code writes today.
+Nothing here times the benchmark."""
 
 import json
 import re
 import statistics
+import subprocess
 from pathlib import Path
 
 import pytest
+
+from svaport import cli
+
+from perfbench import checks, workloads
 
 ROOT = Path(__file__).resolve().parents[1]
 RECORDS = sorted(ROOT.glob("BENCH_*.json"))
@@ -83,3 +89,25 @@ def test_benchmark_record_schema(path):
             assert entry["gap_exceeds_base_iqr"] == (
                 sign * (base["median"] - revision["median"])
                 > base["q3"] - base["q1"])
+
+
+def _newest_record() -> Path:
+    """The committed record that git history added last."""
+    added = subprocess.run(
+        ["git", "log", "--diff-filter=A", "--format=", "--name-only", "--",
+         "BENCH_*.json"], cwd=ROOT, capture_output=True, text=True,
+        check=True).stdout.split()
+    return next(ROOT / name for name in added if ROOT / name in RECORDS)
+
+
+def test_newest_record_replay_digest_matches_a_fresh_run(tmp_path):
+    # the record's seed-1 replay workload, run as perfbench runs it: the
+    # three stages in process with one job
+    record = json.loads(_newest_record().read_text())
+    config = workloads.write_replay(tmp_path / "inputs", record["seed"])
+    out = tmp_path / "out"
+    for stage in ("translate", "inject", "evaluate"):
+        assert cli.main([stage, "--config", str(config), "--out", str(out),
+                         "--jobs", "1"]) == 0
+    assert checks.digest(out) == \
+        record["workloads"]["replay"]["digest"]["revision"]

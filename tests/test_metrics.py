@@ -15,6 +15,7 @@ from svaport.metrics import (MetricsReport, ModuleRow, MonteCarloEstimate,
                              brute_force_probability, emit_report,
                              monte_carlo_probability, tpi)
 from svaport.rtl_parser import parse_design
+from svaport.sim import BatchExpr
 from svaport.trojan import TriggerCond, TrojanSpec
 
 from . import oracles
@@ -31,6 +32,19 @@ module wide (
   output logic        eq_o
 );
   assign eq_o = hi_i == lo_i;
+endmodule
+"""
+
+
+# an 18-bit trigger cone: more rows than one enumeration chunk of 2^16
+EQ9_RTL = """\
+module eq9 (
+  input  logic       clk,
+  input  logic [8:0] x_i,
+  input  logic [8:0] y_i,
+  output logic       eq_o
+);
+  assign eq_o = x_i == y_i;
 endmodule
 """
 
@@ -118,6 +132,28 @@ def test_brute_force_rejects_wide_cones(toy):
     spec = _toy_spec((TriggerCond("sum_o", None, 9),), 4)
     with pytest.raises(ConeTooLargeError, match="monte_carlo"):
         brute_force_probability(toy, spec, max_bits=3)
+
+
+def test_each_probability_compiles_its_trigger_once(monkeypatch):
+    # the 18-bit cone is enumerated in four chunks and 70,000 samples are
+    # drawn in two; every chunk reuses the one compiled trigger
+    design = parse_design(EQ9_RTL)
+    spec = TrojanSpec(id="eq9_t00", module="eq9", module_kind="combinational",
+                      trigger=(TriggerCond("eq_o", None, 1),), k=1,
+                      payload_kind="invert_net", payload_net="eq_o")
+    built: list[BatchExpr] = []
+    compile_expr = BatchExpr.__init__
+
+    def counting_compile(self, *args):
+        compile_expr(self, *args)
+        built.append(self)
+
+    monkeypatch.setattr(BatchExpr, "__init__", counting_compile)
+    assert brute_force_probability(design, spec) == Fraction(1, 512)
+    assert len(built) == 1
+    assert monte_carlo_probability(design, spec, samples=70_000).samples \
+        == 70_000
+    assert len(built) == 2
 
 
 def test_a_cone_too_wide_to_enumerate_is_sampled():

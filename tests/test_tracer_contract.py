@@ -5,10 +5,12 @@ modules and binds ``search_stimulus``'s ``accept`` argument by name, so a
 rename that it misses would break only traced benchmark runs.  Evaluate's
 scoring of a trojan (``cli._evaluate_one``) must also reach
 ``SimKernel.run`` and ``check_assertion`` through the wrapped names, or
-its cycle and check counts would read low.  Forge must still build its
-graph through ``build_graph``, or that layer would read 0, and run every
-batch through ``run_batch``, or ``sim.run_batch.row_cycles`` would read
-low.  The benchmark's own modules must import, and the names they reach
+its cycle and check counts would read low.  Translate's witness search
+must confirm its witness through ``translate.check_assertion``, or its
+share of the check count would read 0.  Forge must still build its graph
+through ``build_graph``, or that layer would read 0, and run every batch
+through ``run_batch``, or ``sim.run_batch.row_cycles`` would read low.
+The benchmark's own modules must import, and the names they reach
 by attribute or keyword (``Stimulus(rows)``, ``Trace.values``,
 ``input_cone``, ``TranslationConfig.generate_testcase``,
 ``translate(..., graph=)``) must exist, so a deletion that breaks the
@@ -39,8 +41,12 @@ from tests.test_trojan import TOY_RTL, TOY_SVA
 translate = import_module("svaport.translate")
 trojan = import_module("svaport.trojan")
 toy = parse_design(TOY_RTL)
-# one search through each module that imports search_stimulus
+# one search through each module that imports search_stimulus; the
+# witness is confirmed by one check through translate's wrapped name
+checks = tracer.counts["monitor.check_assertion.calls"]
 assert translate.generate_testcase(parse_assertions(TOY_SVA)[0], toy)[0]
+assert tracer.counts["monitor.check_assertion.calls"] == checks + 1, \
+    tracer.counts
 spec = trojan.TrojanSpec("toy_t00", "toy", "combinational",
                          (trojan.TriggerCond("en_i", None, 1),), 1,
                          "invert_net", "sum_o")

@@ -85,6 +85,12 @@ def _spec(toy, **kw):
     return TrojanSpec(**base)
 
 
+def _check(trace, assertions):
+    """*assertions* compiled for the trace's netlist and checked over it."""
+    return check_assertions(trace,
+                            [Checker(a, trace.netlist) for a in assertions])
+
+
 def test_validate_spec_rejects_malformed_records(toy):
     validate_spec(_spec(toy), toy)  # the baseline is fine
     cases = [
@@ -281,11 +287,11 @@ def test_activation_replays_from_metadata(toy, toy_asserts, forged):
         dirty = SimKernel(inject(toy, spec)).run(stim)
         clean = SimKernel(toy).run(stim)
         assert any(clean.values[n] != dirty.values[n] for n in sorted(toy.nets))
-        verdicts = {v.name: v for v in check_assertions(dirty, toy_asserts)}
+        verdicts = {v.name: v for v in _check(dirty, toy_asserts)}
         target = spec.meta["target_assertion"]
         assert verdicts[target].failed
         assert not any(v.failed for n, v in verdicts.items() if n != target)
-        clean_v = check_assertions(clean, [by_name[target]])[0]
+        clean_v = _check(clean, [by_name[target]])[0]
         assert not clean_v.failed
 
 
@@ -430,8 +436,8 @@ def test_forge_tells_unlabeled_assertions_apart(toy):
     for seed in range(30):
         for j, (spec, stim) in enumerate(forge(toy, unlabeled, ForgeParams(
                 count=2, k_min=2, k_max=3, seed=seed, horizon=8))):
-            verdicts = check_assertions(SimKernel(inject(toy, spec)).run(stim),
-                                        unlabeled)
+            verdicts = _check(SimKernel(inject(toy, spec)).run(stim),
+                              unlabeled)
             assert [v.failed for v in verdicts] == [j == 0, j == 1], seed
 
 
@@ -466,9 +472,8 @@ def test_activation_search_decides_every_candidate_of_a_batch():
                                    0, 4, np.random.default_rng(0))
     assert stim is not None
     assert {(c["x_i"], c["y_i"]) for c in stim.inputs} == {(0, 31)}
-    dirty = check_assertions(SimKernel(inject(netlist, spec)).run(stim),
-                             [target])
-    clean = check_assertions(SimKernel(netlist).run(stim), [target])
+    dirty = _check(SimKernel(inject(netlist, spec)).run(stim), [target])
+    clean = _check(SimKernel(netlist).run(stim), [target])
     assert dirty[0].failed and not clean[0].failed
     # a clean kernel handed in must keep every net the objective reads
     with pytest.raises(ValueError, match=r"drops nets .*'ok_o'"):
@@ -582,9 +587,9 @@ def test_search_reads_the_corrupted_design_where_the_payload_reaches_it(
     assert stim is not None
     [kernel] = searched
     assert kernel.netlist is not toy and "flag_o" in kernel.net_order
-    assert check_assertions(SimKernel(inject(toy, spec)).run(stim),
-                            [target])[0].failed
-    assert not check_assertions(SimKernel(toy).run(stim), [target])[0].failed
+    assert _check(SimKernel(inject(toy, spec)).run(stim),
+                  [target])[0].failed
+    assert not _check(SimKernel(toy).run(stim), [target])[0].failed
 
 
 # --------------------------------------------------------------------------
