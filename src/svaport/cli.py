@@ -96,16 +96,10 @@ def _clear(*dirs: Path) -> None:
 
 def _translated_assertions(config: ProjectConfig,
                            job: ModuleJob) -> list[Assertion]:
+    """The module's ported assertions in file order; empty if it has none."""
     tdir = _module_dir(config, job) / "translated"
     files = sorted(tdir.glob("*.sva")) if tdir.is_dir() else []
-    if not files:
-        raise ConfigError(
-            f"module {job.name}: no translated assertions under {tdir}; "
-            "run the translate stage first")
-    out: list[Assertion] = []
-    for f in files:
-        out.extend(parse_assertions(read_text(f)))
-    return out
+    return [a for f in files for a in parse_assertions(read_text(f))]
 
 
 # ---------------------------------------------------------------------------
@@ -186,6 +180,11 @@ def cmd_inject(config: ProjectConfig) -> int:
             target = _load_design(job.target_design)
         if job.trojans:
             assertions = _translated_assertions(config, job)
+            if not assertions:
+                raise ConfigError(
+                    f"module {job.name}: no translated assertions under "
+                    f"{_module_dir(config, job) / 'translated'}; "
+                    "run the translate stage first")
             params = ForgeParams(
                 count=job.trojans,
                 k_min=config.forge.k_min,
@@ -287,21 +286,16 @@ def cmd_evaluate(config: ProjectConfig) -> int:
     warning: inject stopped before it, or its files were removed.
     """
     raw: dict = {"seed": config.seed, "modules": [], "trojans": []}
-    tasks: list[tuple[ModuleJob, TrojanSpec, tuple]] = []
-    per_module: dict[str, dict] = {}
-
+    # each trojan's module row, spec and scoring arguments
+    tasks: list[tuple[dict, TrojanSpec, tuple]] = []
     for job in config.modules:
         source_count = len(parse_assertions(read_text(job.assertions)))
-        tdir = _module_dir(config, job) / "translated"
-        sva_files = sorted(tdir.glob("*.sva")) if tdir.is_dir() else []
-        assertions = [a for f in sva_files
-                      for a in parse_assertions(read_text(f))]
-        per_module[job.name] = {
-            "source": source_count,
-            "translated": len(assertions),
-            "scored": [],
-        }
+        assertions = _translated_assertions(config, job)
         spec_paths = _trojan_files(config, job)
+        row = {"module": job.name, "source_assertions": source_count,
+               "translated": len(assertions), "generated": len(spec_paths),
+               "detected": 0}
+        raw["modules"].append(row)
         asked = job.trojans
         if job.imported_trojans is not None:
             asked += _imported_count(job.imported_trojans,
@@ -321,7 +315,7 @@ def cmd_evaluate(config: ProjectConfig) -> int:
                 raise ConfigError(
                     f"trojan {spec.id}: missing {sv_path.name} or "
                     f"{stim_path.name}; run the inject stage first")
-            tasks.append((job, spec, (sv_path, stim_path, assertions)))
+            tasks.append((row, spec, (sv_path, stim_path, assertions)))
 
     if config.jobs > 1 and len(tasks) > 1:
         with futures.ProcessPoolExecutor(max_workers=config.jobs) as pool:
@@ -331,30 +325,17 @@ def cmd_evaluate(config: ProjectConfig) -> int:
         results = [_evaluate_one(*args) for _, _, args in tasks]
     # results pair with tasks by position, not by trojan id: imported specs
     # choose their own ids, so two modules may share one
-    for (job, spec, _), (detected, error) in zip(tasks, results):
-        per_module[job.name]["scored"].append((spec, detected, error))
-
-    for job in config.modules:
-        info = per_module[job.name]
-        detected_count = 0
-        for spec, detected, error in info["scored"]:
-            if error is not None:
-                _warn(f"module {job.name}, trojan {spec.id}: {error}")
-            detected_count += bool(detected)
-            raw["trojans"].append({
-                "id": spec.id,
-                "module": job.name,
-                "k": spec.k,
-                "p": str(analytic_probability(spec)),
-                "detected": bool(detected),
-                "error": error,
-            })
-        raw["modules"].append({
-            "module": job.name,
-            "source_assertions": info["source"],
-            "translated": info["translated"],
-            "generated": len(info["scored"]),
-            "detected": detected_count,
+    for (row, spec, _), (detected, error) in zip(tasks, results):
+        if error is not None:
+            _warn(f"module {row['module']}, trojan {spec.id}: {error}")
+        row["detected"] += bool(detected)
+        raw["trojans"].append({
+            "id": spec.id,
+            "module": row["module"],
+            "k": spec.k,
+            "p": str(analytic_probability(spec)),
+            "detected": bool(detected),
+            "error": error,
         })
 
     rendered = emit_report(_metrics_report(raw), config.format)

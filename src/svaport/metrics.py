@@ -14,7 +14,7 @@ the presentation edge.  Three independent paths produce ``P``:
 * :func:`analytic_probability` - the closed form 2**-k for a conjunction
   of k independent input bits,
 * :func:`brute_force_probability` - exhaustive enumeration of the trigger's
-  input cone (the ground truth, affordable up to 24 bits),
+  input cone (the ground truth, up to ``MAX_BRUTE_FORCE_BITS`` = 24 bits),
 * :func:`monte_carlo_probability` - seeded sampling with a binomial 95%
   interval for cones too wide to enumerate.
 
@@ -30,6 +30,7 @@ import json
 import math
 from dataclasses import dataclass, field
 from fractions import Fraction
+from typing import Callable
 
 import numpy as np
 
@@ -96,53 +97,51 @@ def analytic_probability(spec: TrojanSpec | int) -> Fraction:
     return Fraction(1, 1 << k)
 
 
-def _trigger_cone(netlist: Netlist, spec: TrojanSpec,
-                  graph: DependencyGraph | None) -> list[str]:
-    """Input ports the trigger condition can possibly depend on."""
+def _trigger_hits(netlist: Netlist, spec: TrojanSpec,
+                  graph: DependencyGraph | None,
+                  ) -> tuple[list[str], Callable[[dict], int]]:
+    """The trigger's input cone, the input ports it can depend on, and a
+    count of the rows of a one-cycle batch of (rows, 1) arrays over that
+    cone on which the trigger holds.  The trigger compiles once, and
+    every batch runs on one kernel sliced to the trigger's nets."""
     graph = graph if graph is not None else build_graph(netlist)
-    return input_cone(netlist, graph, {c.signal for c in spec.trigger})
+    trig = BatchExpr(trigger_expr(spec, netlist), netlist.width,
+                     netlist.constants())
+    kernel = SimKernel(netlist, keep=trig.nets)
 
-
-def _count_hits(kernel: SimKernel, trig: BatchExpr,
-                arrays: dict[str, np.ndarray]) -> int:
-    """Rows of a one-cycle batch, *arrays* holding (rows, 1) inputs, on
-    which the compiled trigger *trig* holds."""
-    nets = kernel.run_batch(arrays, cycles=1)
-    return int(np.count_nonzero(trig(nets)[:, 0]))
+    def count(arrays: dict[str, np.ndarray]) -> int:
+        return int(np.count_nonzero(trig(kernel.run_batch(arrays, 1))[:, 0]))
+    return input_cone(netlist, graph, {c.signal for c in spec.trigger}), count
 
 
 def brute_force_probability(netlist: Netlist, spec: TrojanSpec, *,
-                            graph: DependencyGraph | None = None,
-                            max_bits: int = MAX_BRUTE_FORCE_BITS) -> Fraction:
+                            graph: DependencyGraph | None = None) -> Fraction:
     """Exact trigger probability by enumerating the trigger's input cone.
 
     Every combination of the cone's input bits is simulated for one cycle
-    and the trigger condition evaluated on the settled values; the result
-    is the exact hit ratio.  Independent of the analytic model, so it
-    doubles as its oracle.  Cones beyond *max_bits* raise
+    on a kernel sliced to the trigger's nets, and the trigger condition
+    evaluated on the settled values; the result is the exact hit ratio.
+    Independent of the analytic model, so it doubles as its oracle.
+    Cones beyond ``MAX_BRUTE_FORCE_BITS`` raise
     :class:`ConeTooLargeError`; fall back to sampling there.
     """
-    cone = _trigger_cone(netlist, spec, graph)
+    cone, count = _trigger_hits(netlist, spec, graph)
     widths = [netlist.width(n) for n in cone]
     bits = sum(widths)
-    if bits > max_bits:
+    if bits > MAX_BRUTE_FORCE_BITS:
         raise ConeTooLargeError(
-            f"trigger cone of {spec.id} spans {bits} input bits "
-            f"(limit {max_bits}); use monte_carlo_probability instead")
-    kernel = SimKernel(netlist)
-    trig = BatchExpr(trigger_expr(spec, netlist), netlist.width,
-                     netlist.constants())
+            f"trigger cone of {spec.id} spans {bits} input bits (limit "
+            f"{MAX_BRUTE_FORCE_BITS}); use monte_carlo_probability instead")
     offsets = [sum(widths[:i]) for i in range(len(cone))]
     total = 1 << bits
     hits = 0
     for start in range(0, total, _ENUM_CHUNK):
         idx = np.arange(start, min(start + _ENUM_CHUNK, total),
                         dtype=np.uint64)[:, None]
-        arrays = {
+        hits += count({
             name: (idx >> np.uint64(off)) & np.uint64((1 << w) - 1)
             for name, off, w in zip(cone, offsets, widths)
-        }
-        hits += _count_hits(kernel, trig, arrays)
+        })
     return Fraction(hits, total)
 
 
@@ -188,27 +187,24 @@ def monte_carlo_probability(netlist: Netlist, spec: TrojanSpec,
 
     Draws *samples* vectors over the trigger's input cone from a substream
     derived from *seed* and the trojan id, so repeated calls reproduce the
-    estimate exactly.
+    estimate exactly, and simulates each for one cycle on a kernel sliced
+    to the trigger's nets, whatever the cone's width.
     """
     if samples < MIN_SAMPLES:
         raise DomainError(
             f"at least {MIN_SAMPLES} samples are required, got {samples}")
-    cone = _trigger_cone(netlist, spec, graph)
-    kernel = SimKernel(netlist)
-    trig = BatchExpr(trigger_expr(spec, netlist), netlist.width,
-                     netlist.constants())
+    cone, count = _trigger_hits(netlist, spec, graph)
     rng = substream(seed, "metrics", "monte-carlo", spec.id)
     hits = 0
     done = 0
     while done < samples:
         rows = min(_ENUM_CHUNK, samples - done)
-        arrays = {
+        hits += count({
             name: rng.integers(0, 1 << netlist.width(name), size=(rows, 1),
                                dtype=np.uint64,
                                endpoint=False)
             for name in cone
-        }
-        hits += _count_hits(kernel, trig, arrays)
+        })
         done += rows
     low, high = _wilson_interval(hits, samples)
     return MonteCarloEstimate(estimate=hits / samples, low=low, high=high,

@@ -300,6 +300,23 @@ class _Parser:
         if rw is not None and rw > tw:
             self._err(f"cannot assign {rw}-bit value to {tw}-bit {what} "
                       f"{target}", at)
+        if self._most(rhs) >> tw:
+            self._err(f"an unsized literal does not fit {tw}-bit {what} "
+                      f"{target}", at)
+
+    def _most(self, e: ex.Expr) -> int:
+        """The largest value *e* takes in simulation, which masks neither
+        an unsized literal nor the sum of two."""
+        if isinstance(e, ex.Ternary):
+            return max(self._most(e.then), self._most(e.other))
+        w = ex.width_of(e, self._width_fn)
+        if not isinstance(e, ex.Binary) or e.op not in ("&", "|", "^", "+") \
+                or e.op == "+" and w is not None:
+            return e.value if isinstance(e, ex.Const) else ex.mask(w)
+        a, b = self._most(e.left), self._most(e.right)
+        if e.op == "&":
+            return min(a, b)
+        return a + b if e.op == "+" else ex.mask(max(a, b).bit_length())
 
     def _elaborate_registers(self, nl: Netlist) -> None:
         for block in self.blocks:
@@ -338,6 +355,7 @@ class _Parser:
         body = block.body
         reset: Reset | None = None
         reset_loads: dict[str, int] = {}
+        reset_arm: list = []
 
         head = body[0] if len(body) == 1 and isinstance(body[0], _If) else None
         probe = self._reset_cond(head.cond) if head is not None else None
@@ -350,7 +368,7 @@ class _Parser:
                     self._err("reset arm does not match the sensitivity list",
                               head.tok)
                 reset = Reset(rnet, level, 0)
-                reset_loads = loads
+                reset_loads, reset_arm = loads, head.then
                 body = head.other
         if block.reset_sense is not None and reset is None:
             self._err("async-reset sensitivity requires a leading reset arm "
@@ -365,7 +383,7 @@ class _Parser:
                 self._err(f"undeclared register target {tname}", block.tok)
             if self.nets[tname].kind is NetKind.INPUT:
                 self._err(f"input {tname} must not be driven internally", block.tok)
-        for s in _flat(body, _NbAssign):
+        for s in reset_arm + _flat(body, _NbAssign):
             self._check_readable(s.rhs, s.tok, f"register {s.target}")
             self._check_width(s.target, "register", s.rhs, s.tok)
         for s in _flat(body, _If):

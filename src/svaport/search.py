@@ -24,9 +24,9 @@ one, and every witness of the larger space lies in it.
 
 The same literals decide which schedules can meet a term at all:
 ``ruled_out`` says why no candidate of a schedule can make the term
-true, and a term whose literals contradict each other is never true.  A
-search never samples a schedule ruled out for its term, and forge skips
-an attempt unsearched when every schedule is (``trojan._hopeless``).
+true, and a term whose literals contradict each other is never true.
+The caller picks the plans a search tries: forge passes on only those
+``ruled_out`` leaves, and skips an attempt unsearched when none is left.
 """
 
 from __future__ import annotations
@@ -368,8 +368,7 @@ def ruled_out(need: Literals | None, schedule: Schedule,
     The term holds only in a cycle whose inputs have its necessary
     literals.  A phase of the schedule (``Schedule.phases``) that holds a
     bit the term needs the other way never meets it, and a schedule none
-    of whose phases can is ruled out.  ``search_stimulus`` never samples
-    a schedule ruled out for its term.
+    of whose phases can is ruled out.
     """
     if need is None:
         return "its requirements contradict each other"
@@ -389,32 +388,27 @@ def search_stimulus(
     rng: np.random.Generator,
     horizon: int,
     kernel: SimKernel,
-    *,
-    need: Literals | None = None,
-    plans: list[Schedule] | None = None,
+    plans: list[Schedule],
 ) -> tuple[Stimulus | None, SearchStats]:
     """Find a *horizon*-cycle stimulus that meets the caller's objective.
 
     The search holds the *forced* bits and frees every other bit of
     *inputs*; the rest of the inputs stay at zero, and resets at their
-    idle level.  It tries each of *plans* in turn, by default
-    ``schedules(netlist, forced, horizon)``.  Given *need*, the
-    ``necessary_literals`` of a term that every candidate meeting the
-    objective makes true in some cycle, a schedule ``ruled_out`` for it is
-    skipped, not sampled.
+    idle level.  It tries each of *plans* in turn, exactly the plans the
+    caller picked (``schedules`` lists them).
 
     *objective* receives the net arrays batch-simulated on *kernel*
     (rows x cycles), which must keep every net it reads, and the
     (rows x cycles) input arrays that produced them, so that it can run
     another kernel on the same candidates (forge runs the clean design).
     It decides the full objective with arrays over every row of the
-    batch, and returns every row that meets it in ascending order.
-    *accept* only confirms: the first returned row is materialized and
-    re-checked with a scalar run (single-run semantics, monitors, ...);
-    should it disagree, the next row is tried.  With an exhaustive
-    enumeration, every candidate that meets the objective is therefore
-    reached.  Deterministic: candidate order is fixed by the schedules,
-    the enumeration and the seeded stream.
+    batch, and returns a mask: one bool per row, true where the row
+    meets it.  *accept* only confirms: the first true row is materialized
+    and re-checked with a scalar run (single-run semantics, monitors,
+    ...); should it disagree, the next true row is tried.  With an
+    exhaustive enumeration, every candidate that meets the objective is
+    therefore reached.  Deterministic: candidate order is fixed by the
+    plans, the enumeration and the seeded stream.
     """
     stats = SearchStats()
     resets = netlist.idle_resets()
@@ -422,11 +416,7 @@ def search_stimulus(
     relevant = [n for n in inputs if n not in resets]
     free = len(_free(netlist, relevant, forced))
     space = "enumerated" if free <= _EXHAUSTIVE_BITS else "sampled"
-    if plans is None:
-        plans = schedules(netlist, forced, horizon)
     for plan in plans:
-        if need is not None and ruled_out(need, plan, forced):
-            continue
         for values in _vectors(netlist, relevant, forced, rng):
             rows = next(iter(values.values())).shape[0] if values else 1
             stats.candidates += rows
@@ -435,7 +425,7 @@ def search_stimulus(
             for name, lvl in resets.items():
                 batch[name] = np.broadcast_to(np.uint64(lvl), (rows, horizon))
             arrays = kernel.run_batch(batch, horizon)
-            for row in objective(arrays, batch):
+            for row in np.flatnonzero(objective(arrays, batch)):
                 stim = _materialize(netlist, batch, int(row), horizon)
                 if accept(stim):
                     stats.schedule, stats.space = plan.name, space

@@ -29,7 +29,7 @@ from .netlist import Netlist
 from .records import field, read_json, record
 from .rng import substream
 from .search import (SearchStats, input_cone, necessary_literals,
-                     search_stimulus)
+                     schedules, search_stimulus)
 from .sim import SimKernel, Stimulus
 from .sva import Assertion, SeqExpr, signals_of
 
@@ -571,7 +571,7 @@ def generate_testcase(a: Assertion, target: Netlist,
     def objective(arrays: dict[str, np.ndarray],
                   inputs: dict[str, np.ndarray]) -> np.ndarray:
         verdict = checker(arrays)
-        return np.flatnonzero(verdict.passed & ~verdict.failed)
+        return verdict.passed & ~verdict.failed
 
     def accept(stim: Stimulus) -> bool:
         verdict = check_assertion(kernel.run(stim), checker)
@@ -580,4 +580,5 @@ def generate_testcase(a: Assertion, target: Netlist,
     cone = input_cone(target, graph, signals_of(a))
     rng = substream(config.seed, "translate", "testcase", a.effective_name())
     return search_stimulus(target, cone, literals, objective, accept, rng,
-                           config.horizon, kernel=kernel)
+                           config.horizon, kernel=kernel,
+                           plans=schedules(target, literals, config.horizon))

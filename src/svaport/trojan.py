@@ -13,8 +13,8 @@ Injection never touches the module interface: the payload is an inline
 rewrite of the target net's existing driver, guarded by the trigger
 condition, so an untriggered trojan is behaviorally invisible.
 
-A candidate that ``_hopeless`` proves can never fail its target is
-skipped before any search.
+A candidate whose every schedule ``search.ruled_out`` excludes, or that
+``_hopeless`` proves can never fail its target, is skipped unsearched.
 """
 
 from __future__ import annotations
@@ -34,8 +34,8 @@ from .monitor import Checker
 from .netlist import Assign, Netlist, NetKind, Register
 from .records import field, read_json, record
 from .rng import substream
-from .search import (Literals, Schedule, input_cone, necessary_literals,
-                     ruled_out, schedules, search_stimulus)
+from .search import (input_cone, necessary_literals, ruled_out, schedules,
+                     search_stimulus)
 from .sim import SimKernel, Stimulus, fanin_cone
 from .sva import Assertion, signals_of
 
@@ -385,13 +385,13 @@ def _find_activation(spec: TrojanSpec, netlist: Netlist,
     design and hold on the clean one, and no other checker may fail.
 
     Each batch runs on both designs, each kept to the nets the objective
-    reads, and one rule, ``meets``, decides every row with arrays.  The
-    clean design's kernel is *clean* when given, which must keep those
-    nets (else ``ValueError``); if not given, it is built here.
-    Rows are independent in a batch run and in every checker, so every
-    row that meets the objective is returned, in order.  ``accept``
-    re-runs the first of them on both kernels and decides it with the
-    same rule only to confirm.
+    reads, and one rule, ``meets``, decides every row with arrays: it is
+    the objective, returning the mask of rows that meet it, since rows
+    are independent in a batch run and in every checker.  The clean
+    design's kernel is *clean* when given, which must keep those nets
+    (else ``ValueError``); if not given, it is built here.  ``accept``
+    re-runs a row on both kernels and decides it with the same rule only
+    to confirm.
 
     The search is one pass over every input the objective's nets depend
     on.  It forces the trigger's input bits, every bit of a condition on
@@ -399,10 +399,10 @@ def _find_activation(spec: TrojanSpec, netlist: Netlist,
     literals of the target's first antecedent term
     (``search.necessary_literals``), the trigger's value winning where
     they clash; under a clash the warm-up flips the trigger's bits alone
-    (``search.schedules`` says why).  ``_hopeless`` reads the same
-    schedules as the search, and an attempt it proves can never fail the
-    target returns None before any kernel is compiled, counting the
-    reason in *skipped*.
+    (``search.schedules`` says why).  With a *target*, it tries only the
+    schedules ``ruled_out`` leaves for that term; an attempt with none
+    left, or that ``_hopeless`` proves can never fail the target, returns
+    None before any kernel is compiled, counting the reason in *skipped*.
     """
     injected = inject(netlist, spec)
     # a whole-input condition forces each of the input's bits
@@ -422,12 +422,16 @@ def _find_activation(spec: TrojanSpec, netlist: Netlist,
             if any(forced[bit] != value for bit, value in need.items()):
                 flips = trigger_bits  # only the warm-up can meet the term
     plans = schedules(injected, forced, horizon, flips)
-    why = (_hopeless(spec, netlist, injected, goal, need, forced, plans)
-           if goal is not None else None)
-    if why is not None:
-        if skipped is not None:
-            skipped[why] += 1
-        return None
+    if goal is not None:
+        whys = [ruled_out(need, plan, forced) for plan in plans]
+        plans = [plan for plan, why in zip(plans, whys) if why is None]
+        why = (_hopeless(spec, netlist, injected, goal) if plans else
+               "no candidate meets the target's first antecedent term "
+               f"({whys[0]})")
+        if why is not None:
+            if skipped is not None:
+                skipped[why] += 1
+            return None
 
     # the objective reads these nets of both designs; the clock among
     # them is an input, equal in both
@@ -460,7 +464,7 @@ def _find_activation(spec: TrojanSpec, netlist: Netlist,
 
     def objective(dirty: dict[str, np.ndarray],
                   inputs: dict[str, np.ndarray]) -> np.ndarray:
-        return np.flatnonzero(meets(dirty, kernel.run_batch(inputs, horizon)))
+        return meets(dirty, kernel.run_batch(inputs, horizon))
 
     def accept(stim: Stimulus) -> bool:
         return bool(meets(inj_kernel.run(stim).arrays(reads),
@@ -468,22 +472,16 @@ def _find_activation(spec: TrojanSpec, netlist: Netlist,
 
     cone = input_cone(injected, build_graph(injected),
                       reads | {c.signal for c in spec.trigger})
-    stim, _stats = search_stimulus(injected, cone, forced, objective, accept,
-                                   rng, horizon, kernel=inj_kernel,
-                                   need=need, plans=plans)
-    return stim
+    return search_stimulus(injected, cone, forced, objective, accept, rng,
+                           horizon, kernel=inj_kernel, plans=plans)[0]
 
 
 def _hopeless(spec: TrojanSpec, netlist: Netlist, injected: Netlist,
-              goal: Checker, need: Literals | None, forced: Literals,
-              plans: list[Schedule]) -> str | None:
-    """Why no candidate of an attempt's search can fail *goal*'s target;
-    None when one may.  *need* is the ``necessary_literals`` of the
-    target's first antecedent term on the *injected* design.
+              goal: Checker) -> str | None:
+    """Why no candidate of an attempt's search can fail *goal*'s target
+    on the *injected* design; None when one may.
 
-    Either ``search.ruled_out`` proves that no candidate of any of the
-    search's *plans*, which force the *forced* bits, meets that term, or
-    the target sees the payload only in the cycle its antecedent is
+    The target sees the payload only in the cycle its antecedent is
     sampled: it is ``ante |-> cons`` (one step each, no delay, no
     ``$past`` in them or in its disable expression), the payload net is
     driven by an ``assign``, and no register in the target's fan-in cone
@@ -493,10 +491,6 @@ def _hopeless(spec: TrojanSpec, netlist: Netlist, injected: Netlist,
     ``trigger && ante && !cons`` holds, and none does when its
     ``necessary_literals`` contradict each other.
     """
-    whys = [ruled_out(need, plan, forced) for plan in plans]
-    if all(whys):
-        return ("no candidate meets the target's first antecedent term "
-                f"({whys[0]})")
     a = goal.assertion
     steps = a.antecedent.steps + a.consequent.steps
     if (len(a.antecedent.steps) != 1 or len(steps) != 2

@@ -9,13 +9,14 @@ from pathlib import Path
 
 import pytest
 
+from svaport import corpus
 from svaport.errors import ConeTooLargeError, ConfigError, DomainError
-from svaport.metrics import (MetricsReport, ModuleRow, MonteCarloEstimate,
-                             TrojanRow, analytic_probability,
-                             brute_force_probability, emit_report,
-                             monte_carlo_probability, tpi)
+from svaport.metrics import (MAX_BRUTE_FORCE_BITS, MetricsReport, ModuleRow,
+                             MonteCarloEstimate, TrojanRow,
+                             analytic_probability, brute_force_probability,
+                             emit_report, monte_carlo_probability, tpi)
 from svaport.rtl_parser import parse_design
-from svaport.sim import BatchExpr
+from svaport.sim import BatchExpr, SimKernel
 from svaport.trojan import TriggerCond, TrojanSpec
 
 from . import oracles
@@ -128,10 +129,41 @@ def test_brute_force_agrees_with_scalar_enumeration(toy):
     assert got != analytic_probability(spec)
 
 
-def test_brute_force_rejects_wide_cones(toy):
-    spec = _toy_spec((TriggerCond("sum_o", None, 9),), 4)
+def test_brute_force_rejects_wide_cones():
+    # eq_o's cone has 32 input bits, more than MAX_BRUTE_FORCE_BITS
+    wide = parse_design(WIDE_RTL)
+    spec = TrojanSpec(id="wide_t00", module="wide", module_kind="combinational",
+                      trigger=(TriggerCond("eq_o", None, 1),), k=1,
+                      payload_kind="invert_net", payload_net="eq_o")
+    assert 32 > MAX_BRUTE_FORCE_BITS
     with pytest.raises(ConeTooLargeError, match="monte_carlo"):
-        brute_force_probability(toy, spec, max_bits=3)
+        brute_force_probability(wide, spec)
+
+
+def test_each_probability_runs_one_kernel_sliced_to_the_trigger(monkeypatch):
+    # csr_unit's mstatus_en holds for one value of its 16-bit input cone;
+    # each oracle simulates the trigger's net alone, on one kernel
+    design = parse_design(corpus.design_path("csr_unit").read_text())
+    spec = TrojanSpec(id="csr_unit_t99", module="csr_unit",
+                      module_kind="sequential",
+                      trigger=(TriggerCond("mstatus_en", None, 1),), k=1,
+                      payload_kind="invert_net", payload_net="mstatus_en")
+    built: list[SimKernel] = []
+    build = SimKernel.__init__
+
+    def counting_build(self, *args, **kwargs):
+        build(self, *args, **kwargs)
+        built.append(self)
+
+    monkeypatch.setattr(SimKernel, "__init__", counting_build)
+    assert brute_force_probability(design, spec) == Fraction(1, 65536)
+    [kernel] = built
+    assert kernel.net_order == ("mstatus_en",)
+    built.clear()
+    sampled = monte_carlo_probability(design, spec, samples=100_000)
+    assert (sampled.hits, sampled.samples) == (2, 100_000)
+    [kernel] = built
+    assert kernel.net_order == ("mstatus_en",)
 
 
 def test_each_probability_compiles_its_trigger_once(monkeypatch):

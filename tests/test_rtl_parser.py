@@ -9,6 +9,7 @@ from svaport.errors import (CombinationalLoopError, ElaborationError,
                             ParseError, UnsupportedConstructError)
 from svaport.netlist import NetKind, render_netlist
 from svaport.rtl_parser import parse_design
+from svaport.sim import SimKernel, Stimulus
 
 from . import gen
 
@@ -180,6 +181,51 @@ def test_not_of_an_unsized_literal_rejected(driver, where, at):
     assert (err.value.line, err.value.col) == at
     parse_design(text.replace("~4", "~4'd4").replace("~(2 + 1)", "~4'd3")
                  .replace("~1", "~4'd1"))
+
+
+@pytest.mark.parametrize("load", ["3'd5", "5"])
+def test_a_reset_load_wider_than_its_register_rejected(load):
+    # a reset arm's constant loads are width-checked like every other
+    # write, at their statement: a 2-bit register cannot hold 5
+    text = ("module m (input logic clk, input logic rst_ni,\n"
+            "          input logic [1:0] d_i, output logic [1:0] q_o);\n"
+            "  always_ff @(posedge clk) begin\n"
+            f"    if (!rst_ni) q_o <= {load};\n"
+            "    else q_o <= d_i;\n  end\nendmodule\n")
+    with pytest.raises(ElaborationError,
+                       match="-bit register q_o") as err:
+        parse_design(text)
+    assert (err.value.line, err.value.col) == (4, 18)
+    [reg] = parse_design(text.replace(load, "2'd3")).registers
+    assert reg.reset.value == 3
+
+
+_UNFIT_CASES = [
+    ("  assign x_o = 5;\n", "net x_o", (4, 10)),
+    ("  assign x_o = c_i ? 6 : q;\n", "net x_o", (4, 10)),
+    ("  assign x_o = q | 4;\n", "net x_o", (4, 10)),
+    ("  always_ff @(posedge clk) q <= q | 4;\n", "register q", (4, 28)),
+]
+
+
+@pytest.mark.parametrize("driver, where, at", _UNFIT_CASES,
+                         ids=[d.strip() for d, _, _ in _UNFIT_CASES])
+def test_an_unsized_literal_wider_than_its_net_rejected(driver, where, at):
+    # an unsized literal stretches to its net's width but must fit it:
+    # the simulator would otherwise hold 5, 6 or 7 in a 2-bit net
+    text = ("module m (input logic clk, input logic c_i,\n"
+            "          output logic [1:0] x_o, output logic y_o);\n"
+            "  logic [1:0] q;\n" + driver + "endmodule\n")
+    with pytest.raises(ElaborationError,
+                       match=f"unsized literal does not fit 2-bit {where} "
+                       ) as err:
+        parse_design(text)
+    assert (err.value.line, err.value.col) == at
+    # a compared literal is not stored, and a sum is masked to its width
+    fine = parse_design(text.replace(driver, "  assign x_o = q + 5;\n"
+                                     "  assign y_o = x_o == 5;\n"))
+    run = SimKernel(fine).run(Stimulus.for_design(fine, [{}]))
+    assert (run.values["x_o"], run.values["y_o"]) == ([1], [0])
 
 
 def test_combinational_loop_names_the_cycle():

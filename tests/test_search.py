@@ -1,6 +1,8 @@
 """Candidate enumeration of the stimulus search, its screens' $past, and
 the necessary input literals that guide it."""
 
+from collections import Counter
+
 import numpy as np
 import pytest
 from hypothesis import assume, given, settings
@@ -8,13 +10,17 @@ from hypothesis import strategies as st
 
 from svaport import corpus
 from svaport import expr as ex
-from svaport import translate
+from svaport import translate, trojan
+from svaport.monitor import Checker
 from svaport.netlist import Net, NetKind, Netlist
 from svaport.rtl_parser import parse_design
 from svaport.search import (_CHUNK, _FIRST_CHUNK, _RANDOM_VECTORS, Schedule,
-                            _materialize, _vectors, necessary_literals,
-                            ruled_out, schedules, search_stimulus)
+                            SearchStats, _materialize, _vectors,
+                            necessary_literals, ruled_out, schedules,
+                            search_stimulus)
 from svaport.sim import BatchExpr, SimKernel, Stimulus, stimulus_text
+from svaport.sva import parse_assertions
+from svaport.trojan import TriggerCond, TrojanSpec
 
 from . import gen, oracles
 
@@ -156,13 +162,15 @@ def test_search_walks_its_input_set_once_holding_the_forced_bits():
     def objective(arrays, inputs):
         assert sorted(inputs) == ["a_i", "b_i"]
         searched.append(inputs["b_i"].tolist())
-        return np.flatnonzero(arrays["hit_o"].any(axis=1))
+        return arrays["hit_o"].any(axis=1)
 
     def search(accept):
         searched.clear()
-        return search_stimulus(netlist, ["a_i", "b_i"], {("b_i", 1): 1},
+        forced = {("b_i", 1): 1}
+        return search_stimulus(netlist, ["a_i", "b_i"], forced,
                                objective, accept, np.random.default_rng(0),
-                               4, kernel=kernel)
+                               4, kernel=kernel,
+                               plans=schedules(netlist, forced, 4))
 
     stim, stats = search(lambda s: kernel.run(s).values["hit_o"][0] == 1)
     assert searched == [[[2] * 4] * 4 + [[3] * 4] * 4]
@@ -199,8 +207,9 @@ def test_a_refused_search_runs_each_schedule_once_over_its_space():
     def refused(forced):
         stim, stats = search_stimulus(
             netlist, ["a_i", "b_i"], forced,
-            lambda arrays, inputs: np.arange(len(arrays["q_o"])),
-            lambda s: False, np.random.default_rng(0), 6, kernel=kernel)
+            lambda arrays, inputs: np.ones(len(arrays["q_o"]), dtype=bool),
+            lambda s: False, np.random.default_rng(0), 6, kernel=kernel,
+            plans=schedules(netlist, forced, 6))
         assert stim is None and stats.schedule is None
         return stats.candidates
 
@@ -237,39 +246,59 @@ def test_ruled_out_decides_each_schedule_by_the_bits_it_holds():
         "its requirements contradict each other"
 
 
-def test_a_search_never_samples_a_schedule_ruled_out_for_its_term():
+def test_a_search_never_samples_a_schedule_ruled_out_for_its_term(
+        monkeypatch):
+    # forge hands its search only the schedules ``ruled_out`` leaves for
+    # the target's first antecedent term; each search here refuses every
+    # witness, so it walks each schedule it is given over its whole space
     netlist = parse_design(LATCH_RTL)
-    kernel = SimKernel(netlist)
     seen: list[str] = []
+    searched: list[SearchStats] = []
+    search = trojan.search_stimulus
 
-    def refused(forced, need, flips=None):
-        seen.clear()
-
-        def objective(arrays, inputs):
+    def refusing(netlist, inputs, forced, objective, accept, *rest,
+                 **kwargs):
+        def recorded(arrays, batch):
             # only the warm-up changes an input after cycle 0
-            held = all((v == v[:, :1]).all() for v in inputs.values())
+            held = all((v == v[:, :1]).all() for v in batch.values())
             seen.append("constant" if held else "flipped_prefix")
-            return np.arange(len(arrays["q_o"]))
+            return objective(arrays, batch)
+        stim, stats = search(netlist, inputs, forced, recorded,
+                             lambda s: False, *rest, **kwargs)
+        searched.append(stats)
+        return stim, stats
 
-        stim, stats = search_stimulus(
-            netlist, ["a_i", "b_i"], forced, objective, lambda s: False,
-            np.random.default_rng(0), 6, kernel=kernel, need=need,
-            plans=schedules(netlist, forced, 6, flips))
-        assert stim is None
-        return stats.candidates, sorted(set(seen))
+    monkeypatch.setattr(trojan, "search_stimulus", refusing)
+
+    def refused(trigger, ante):
+        seen.clear()
+        searched.clear()
+        spec = TrojanSpec(id="latch_t00", module="latch",
+                          module_kind="sequential",
+                          trigger=tuple(TriggerCond(s, b, 1)
+                                        for s, b in trigger),
+                          k=len(trigger), payload_kind="invert_net",
+                          payload_net="q_o")
+        [target] = parse_assertions(
+            f"L: assert property (@(posedge clk) {ante} |=> q_o == 0);")
+        skipped: Counter[str] = Counter()
+        assert trojan._find_activation(
+            spec, netlist, [Checker(target, netlist)], 0, 6,
+            np.random.default_rng(0), skipped=skipped) is None
+        assert len(searched) == (not skipped)
+        return sum(s.candidates for s in searched), sorted(set(seen))
 
     both = (2 * 2 ** 3, ["constant", "flipped_prefix"])
-    forced = {("a_i", 0): 1}
-    assert refused(forced, {("a_i", 0): 1}) == both
-    # a term needing a_i[0] low is met only by the warm-up
-    assert refused(forced, {("a_i", 0): 0}) == (2 ** 3, ["flipped_prefix"])
+    assert refused([("a_i", 0)], "a_i[0]") == both
+    # a term needing a_i[0] low, which the trigger holds high, is met only
+    # by the warm-up
+    assert refused([("a_i", 0)], "!a_i[0]") == (2 ** 3, ["flipped_prefix"])
     # one that also needs b_i[1] high is met by a warm-up that flips the
-    # clashing a_i[0] alone, and never when b_i[1] flips with it
-    forced = {("a_i", 0): 1, ("b_i", 1): 1}
-    need = {("a_i", 0): 0, ("b_i", 1): 1}
-    assert refused(forced, need, flips=[("a_i", 0)]) == \
-        (2 ** 2, ["flipped_prefix"])
-    assert refused(forced, need) == (0, [])
+    # clashing a_i[0] alone, and never when b_i[1] is a trigger bit that
+    # flips with it: that attempt is skipped unsearched
+    term = "!a_i[0] && b_i[1]"
+    assert refused([("a_i", 0)], term) == (2 ** 2, ["flipped_prefix"])
+    assert refused([("a_i", 0), ("b_i", 1)], term) == (0, [])
 
 
 def test_a_one_cycle_search_has_no_warm_up_to_give():
@@ -282,11 +311,13 @@ def test_a_one_cycle_search_has_no_warm_up_to_give():
 
     def objective(arrays, inputs):
         rows.append(len(arrays["q_o"]))
-        return np.arange(rows[-1])
+        return np.ones(rows[-1], dtype=bool)
 
+    forced = {("a_i", 0): 1}
     stim, stats = search_stimulus(
-        netlist, ["a_i", "b_i"], {("a_i", 0): 1}, objective, lambda s: False,
-        np.random.default_rng(0), 1, kernel=kernel)
+        netlist, ["a_i", "b_i"], forced, objective, lambda s: False,
+        np.random.default_rng(0), 1, kernel=kernel,
+        plans=schedules(netlist, forced, 1))
     assert stim is None
     assert rows == [2 ** 3] and stats.candidates == 2 ** 3
 

@@ -15,6 +15,7 @@ from hypothesis import strategies as st
 
 from svaport import corpus, monitor, sim, trojan
 from svaport import netlist as netlist_module
+from svaport import search as search_module
 from svaport.cli import main as cli_main
 from svaport import expr as ex
 from svaport.errors import (ActivationNotFoundError, CombinationalLoopError,
@@ -621,7 +622,7 @@ def _unfiltered_find(*args, **kwargs):
     """``_find_activation`` without the pre-filter, its search sampling
     every schedule."""
     with mock.patch.object(trojan, "_hopeless", lambda *_: None), \
-            mock.patch("svaport.search.ruled_out", lambda *_: None):
+            mock.patch.object(trojan, "ruled_out", lambda *_: None):
         return _FIND_ACTIVATION(*args, **kwargs)
 
 
@@ -695,6 +696,49 @@ def test_prefilter_keeps_attempts_the_warm_up_can_activate():
                        "term (a forced bit contradicts a bit it needs)": 1}
     assert _unfiltered_find(spec, netlist, checkers, 0, 8,
                             np.random.default_rng(0)) is None
+
+
+def test_a_searched_attempt_rules_out_each_schedule_once(monkeypatch):
+    # forge alone decides which schedules an attempt's search tries: the
+    # search asks ``ruled_out`` nothing again.  The term needs no input
+    # bit, so both schedules are searched; the search refuses every
+    # witness, so it walks both
+    netlist = parse_design(WARM_RTL)
+    spec = TrojanSpec(id="warm_t00", module="warm",
+                      module_kind="sequential",
+                      trigger=(TriggerCond("en_i", 0, 1),), k=1,
+                      payload_kind="invert_net", payload_net="y_o")
+    target = parse_assertions(
+        "W: assert property (@(posedge clk) en_i || !en_i |-> ##4 "
+        "y_o == d_i);")
+    asked: list[str] = []
+    rule = search_module.ruled_out
+
+    def counting(need, schedule, forced):
+        asked.append(schedule.name)
+        return rule(need, schedule, forced)
+
+    monkeypatch.setattr(trojan, "ruled_out", counting)
+    monkeypatch.setattr(search_module, "ruled_out", counting)
+    searched: list = []
+    find = trojan.search_stimulus
+
+    def refusing(netlist, inputs, forced, objective, accept, *rest,
+                 **kwargs):
+        searched.append(find(netlist, inputs, forced, objective,
+                             lambda s: False, *rest, **kwargs))
+        return searched[-1]
+
+    monkeypatch.setattr(trojan, "search_stimulus", refusing)
+    skipped: Counter[str] = Counter()
+    assert trojan._find_activation(spec, netlist,
+                                   [Checker(target[0], netlist)], 0, 8,
+                                   np.random.default_rng(0),
+                                   skipped=skipped) is None
+    # en_i is forced, so each schedule has the two values of d_i
+    [(_, stats)] = searched
+    assert not skipped and stats.candidates == 2 * 2
+    assert asked == ["constant", "flipped_prefix"]
 
 
 @pytest.mark.parametrize("horizon", range(2, 7))
