@@ -5,8 +5,11 @@
 
 Run it from a checkout whose tree is clean: uncommitted changes, staged or
 not, and untracked files that are not ignored are refused, so the record
-describes a commit.  The base revision is checked out with ``git worktree``
-into a temporary directory, removed afterwards.
+describes a commit.  Both sides run from checkouts made with ``git
+worktree`` in one temporary directory, removed afterwards: the base
+revision in ``<tmp>/base`` and the committed tree in ``<tmp>/head``.
+The two paths have the same length, since the checkout's path alone
+moves ``peak_rss_mb`` by more than a change may.
 
 For each workload of ``BENCHMARK.json`` the recorder runs its command
 (``perfbench/run.py --seed 1 --seconds <run_seconds> --trace 0``) in
@@ -151,15 +154,17 @@ def main(argv: list[str] | None = None) -> int:
         "workloads": {},
     }
     with tempfile.TemporaryDirectory() as tmp:
-        checkout = Path(tmp) / "base"
-        _git("worktree", "add", "--detach", str(checkout), base)
+        sides = {"base": Path(tmp) / "base", "revision": Path(tmp) / "head"}
         try:
-            sides = {"base": checkout, "revision": ROOT}
+            for side, rev in zip(sides.values(), (base, revision)):
+                _git("worktree", "add", "--detach", str(side), rev)
             for w in bench["workloads"]:
                 record["workloads"][w["name"]] = _workload(
                     sides, bench, w["name"])
         finally:
-            _git("worktree", "remove", "--force", str(checkout))
+            for checkout in sides.values():
+                if checkout.exists():
+                    _git("worktree", "remove", "--force", str(checkout))
     path = ROOT / f"BENCH_{_git('rev-parse', '--short', 'HEAD')}.json"
     path.write_text(json.dumps(record, indent=2) + "\n")
     print(f"wrote {path.name}", file=sys.stderr)

@@ -17,8 +17,9 @@ previous stage's files and writing its own under the output directory:
 * ``report`` - re-render a finished evaluation in another format.
 
 Stages communicate only through these files, so any stage can be re-run
-or inspected in isolation; translate and inject replace the module
-subdirectories they write, so a rerun leaves no file of an earlier one.
+or inspected in isolation; translate and inject remove the subdirectories
+they write from every module before they read any, so a rerun, even one
+that fails, leaves no file of an earlier one.
 Testcases and activations share the one stimulus format of
 :func:`svaport.sim.stimulus_text`, and evaluate reads them back with
 :func:`svaport.sim.load_stimulus`.  All randomness derives from the config
@@ -37,7 +38,7 @@ import os
 import shutil
 import sys
 from concurrent import futures
-from dataclasses import asdict
+from dataclasses import asdict, replace
 from fractions import Fraction
 from pathlib import Path
 
@@ -53,8 +54,8 @@ from .rtl_parser import parse_design
 from .sim import SimKernel, Stimulus, load_stimulus, stimulus_text
 from .sva import Assertion, parse_assertions, render_assertion
 from .translate import SignalMap, TranslationConfig, assertion_key, translate
-from .trojan import (ForgeParams, TrojanSpec, activation_stimulus, forge,
-                     inject, load_trojans, validate_spec)
+from .trojan import (TrojanSpec, activation_stimulus, forge, inject,
+                     load_trojans, validate_spec)
 
 
 def _warn(message: str) -> None:
@@ -86,12 +87,13 @@ def _module_dir(config: ProjectConfig, job: ModuleJob) -> Path:
     return config.out_dir / job.name
 
 
-def _clear(*dirs: Path) -> None:
-    """Remove the directories a stage owns, so that no file of an earlier
-    run outlives the one it writes now."""
-    for path in dirs:
-        if path.is_dir():
-            shutil.rmtree(path)
+def _clear(config: ProjectConfig, *subdirs: str) -> None:
+    """Remove the subdirectories a stage owns from every module before
+    the stage reads any, so that no file of an earlier run outlives it."""
+    for job in config.modules:
+        for path in (_module_dir(config, job) / sub for sub in subdirs):
+            if path.is_dir():
+                shutil.rmtree(path)
 
 
 def _translated_assertions(config: ProjectConfig,
@@ -109,6 +111,7 @@ def _translated_assertions(config: ProjectConfig,
 def cmd_translate(config: ProjectConfig) -> int:
     """Port each module's assertions; 0 if all landed, 2 if any did not."""
     status = 0
+    _clear(config, "links", "translated", "testcases")
     for job in config.modules:
         target = _load_design(job.target_design)
         assertions = parse_assertions(read_text(job.assertions))
@@ -117,7 +120,6 @@ def cmd_translate(config: ProjectConfig) -> int:
         keys = [assertion_key(a, idx) for idx, a in enumerate(assertions)]
         smap.check_keys(set(keys), str(job.signal_map))
         base = _module_dir(config, job)
-        _clear(base / "links", base / "translated", base / "testcases")
         if not assertions:
             _warn(f"{job.assertions}: no assertions found; "
                   f"nothing to translate for module {job.name}")
@@ -173,6 +175,7 @@ def _check_ids(job: ModuleJob, specs: list[TrojanSpec]) -> None:
 
 def cmd_inject(config: ProjectConfig) -> int:
     """Forge and materialize this campaign's trojans."""
+    _clear(config, "trojans")
     for job in config.modules:
         trojans: list[tuple[TrojanSpec, Stimulus]] = []
         # a module with no trojans to forge or import needs no design
@@ -185,17 +188,9 @@ def cmd_inject(config: ProjectConfig) -> int:
                     f"module {job.name}: no translated assertions under "
                     f"{_module_dir(config, job) / 'translated'}; "
                     "run the translate stage first")
-            params = ForgeParams(
-                count=job.trojans,
-                k_min=config.forge.k_min,
-                k_max=config.forge.k_max,
-                k_values=job.k_values,
-                payloads=config.forge.payloads,
-                seed=config.seed,
-                tries=config.forge.tries,
-                horizon=config.horizon,
-            )
-            trojans.extend(forge(target, assertions, params))
+            trojans.extend(forge(target, assertions, replace(
+                config.forge, count=job.trojans, k_values=job.k_values,
+                seed=config.seed, horizon=config.horizon)))
         if job.imported_trojans:
             for spec in load_trojans(job.imported_trojans):
                 validate_spec(spec, target)
@@ -214,7 +209,6 @@ def cmd_inject(config: ProjectConfig) -> int:
                 trojans.append((spec, stimulus))
         _check_ids(job, [spec for spec, _ in trojans])
         tdir = _module_dir(config, job) / "trojans"
-        _clear(tdir)
         for spec, stimulus in trojans:
             _atomic_write(tdir / f"{spec.id}.sv",
                           render_netlist(inject(target, spec)))

@@ -4,7 +4,7 @@ A campaign names the design modules under test and, per module, where the
 target RTL, the source assertion file, and the signal map live, plus how
 many trojans to forge against it.  Global knobs (seed, horizon, report
 format, parallelism) sit at the top level and can be overridden from the
-command line.
+command line.  The ``forge`` section is a ``trojan.ForgeParams``.
 
 All relative paths in the file resolve against the directory containing
 the config, so a campaign directory can be checked in and run from
@@ -19,7 +19,7 @@ from pathlib import Path
 
 from .errors import ConfigError
 from .records import field, file_name, read_json, record
-from .trojan import PAYLOAD_KINDS, check_knobs
+from .trojan import ForgeParams
 
 #: each report format's file, written to the output directory
 REPORT_FILES = {"table": "report.txt", "json": "report.json",
@@ -36,26 +36,14 @@ def _file(base: Path, value: str | None, where: str) -> Path | None:
     return (base / value).resolve()
 
 
-@dataclass(frozen=True)
-class ForgeDefaults:
-    """Campaign-wide trojan generation knobs (per-module count lives on
-    the module entry)."""
-
-    k_min: int = 2
-    k_max: int = 6
-    tries: int = 64
-    payloads: tuple[str, ...] = PAYLOAD_KINDS
-
-    @staticmethod
-    def from_dict(data: dict) -> "ForgeDefaults":
-        record(data, "forge", {"k_min", "k_max", "tries", "payloads"})
-        out = ForgeDefaults(
-            *(field(data, key, int, "forge", default=getattr(ForgeDefaults, key))
-              for key in ("k_min", "k_max", "tries")),
-            payloads=field(data, "payloads", (list, str), "forge",
-                           default=PAYLOAD_KINDS))
-        check_knobs(out.k_min, out.k_max, out.payloads, out.tries)
-        return out
+def _forge(data: dict) -> ForgeParams:
+    """The ``forge`` section: the knobs of ``ForgeParams`` that apply to
+    every module, which checks them.  Inject fills in the rest."""
+    kinds = {"k_min": int, "k_max": int, "tries": int, "payloads": (list, str)}
+    record(data, "forge", set(kinds))
+    return ForgeParams(**{key: field(data, key, kind, "forge",
+                                     default=getattr(ForgeParams, key))
+                          for key, kind in kinds.items()})
 
 
 @dataclass(frozen=True)
@@ -116,7 +104,7 @@ class ProjectConfig:
     horizon: int = 16
     format: str = "table"
     jobs: int = 1
-    forge: ForgeDefaults = ForgeDefaults()
+    forge: ForgeParams = ForgeParams()
 
     def __post_init__(self) -> None:
         if self.format not in REPORT_FORMATS:
@@ -168,8 +156,7 @@ class ProjectConfig:
             horizon=field(data, "horizon", int, where, default=16),
             format=field(data, "format", str, where, default="table"),
             jobs=field(data, "jobs", int, where, default=1),
-            forge=ForgeDefaults.from_dict(
-                field(data, "forge", dict, where, default={})),
+            forge=_forge(field(data, "forge", dict, where, default={})),
         )
 
     @staticmethod

@@ -99,18 +99,20 @@ def analytic_probability(spec: TrojanSpec | int) -> Fraction:
 
 def _trigger_hits(netlist: Netlist, spec: TrojanSpec,
                   graph: DependencyGraph | None,
-                  ) -> tuple[list[str], Callable[[dict], int]]:
+                  ) -> tuple[list[str], Callable[[dict, int], int]]:
     """The trigger's input cone, the input ports it can depend on, and a
-    count of the rows of a one-cycle batch of (rows, 1) arrays over that
-    cone on which the trigger holds.  The trigger compiles once, and
+    count of the rows of a one-cycle batch of *rows* (rows, 1) arrays
+    over that cone on which the trigger holds (an empty cone has no
+    arrays: one row stands for all).  The trigger compiles once, and
     every batch runs on one kernel sliced to the trigger's nets."""
     graph = graph if graph is not None else build_graph(netlist)
     trig = BatchExpr(trigger_expr(spec, netlist), netlist.width,
                      netlist.constants())
     kernel = SimKernel(netlist, keep=trig.nets)
 
-    def count(arrays: dict[str, np.ndarray]) -> int:
-        return int(np.count_nonzero(trig(kernel.run_batch(arrays, 1))[:, 0]))
+    def count(arrays: dict[str, np.ndarray], rows: int) -> int:
+        hits = trig(kernel.run_batch(arrays, 1))[:, 0]
+        return int(np.count_nonzero(np.broadcast_to(hits, rows)))
     return input_cone(netlist, graph, {c.signal for c in spec.trigger}), count
 
 
@@ -141,7 +143,7 @@ def brute_force_probability(netlist: Netlist, spec: TrojanSpec, *,
         hits += count({
             name: (idx >> np.uint64(off)) & np.uint64((1 << w) - 1)
             for name, off, w in zip(cone, offsets, widths)
-        })
+        }, len(idx))
     return Fraction(hits, total)
 
 
@@ -204,7 +206,7 @@ def monte_carlo_probability(netlist: Netlist, spec: TrojanSpec,
                                dtype=np.uint64,
                                endpoint=False)
             for name in cone
-        })
+        }, rows)
         done += rows
     low, high = _wilson_interval(hits, samples)
     return MonteCarloEstimate(estimate=hits / samples, low=low, high=high,

@@ -6,8 +6,9 @@ schedule gives it (``schedules`` says what a warm-up is).  A search is
 one pass: a set of free inputs and the input bits it forces.  Its free
 bits are enumerated exhaustively when they are few enough, otherwise
 sampled from a seeded stream.  Candidates are simulated in numpy
-batches, one (rows, cycles) array per input, a caller-supplied objective
-decides every batch with arrays, and a scalar check confirms the winner.
+batches on the caller's kernel, one (rows, cycles) array per input, a
+caller-supplied objective decides every batch with arrays, and a scalar
+check confirms the winner.
 Batches grow from 256 rows, doubling up to 8,192, so a witness near the
 start costs a small batch; the candidates and their order do not depend
 on the batch sizes, so every search meets the same first witness
@@ -379,7 +380,6 @@ def ruled_out(need: Literals | None, schedule: Schedule,
 
 
 def search_stimulus(
-    netlist: Netlist,
     inputs: list[str],
     forced: Literals,
     objective: Callable[[dict[str, np.ndarray], dict[str, np.ndarray]],
@@ -390,7 +390,8 @@ def search_stimulus(
     kernel: SimKernel,
     plans: list[Schedule],
 ) -> tuple[Stimulus | None, SearchStats]:
-    """Find a *horizon*-cycle stimulus that meets the caller's objective.
+    """Find a *horizon*-cycle stimulus of *kernel*'s design that meets
+    the caller's objective.
 
     The search holds the *forced* bits and frees every other bit of
     *inputs*; the rest of the inputs stay at zero, and resets at their
@@ -403,14 +404,15 @@ def search_stimulus(
     another kernel on the same candidates (forge runs the clean design).
     It decides the full objective with arrays over every row of the
     batch, and returns a mask: one bool per row, true where the row
-    meets it.  *accept* only confirms: the first true row is materialized
-    and re-checked with a scalar run (single-run semantics, monitors,
-    ...); should it disagree, the next true row is tried.  With an
-    exhaustive enumeration, every candidate that meets the objective is
-    therefore reached.  Deterministic: candidate order is fixed by the
-    plans, the enumeration and the seeded stream.
+    meets it.  *accept* only confirms: the first true row, read by
+    ``Stimulus.for_design``, is re-checked with a scalar run (single-run
+    semantics, monitors, ...); should it disagree, the next true row is
+    tried.  With an exhaustive enumeration, every candidate that meets
+    the objective is therefore reached.  Deterministic: candidate order
+    is fixed by the plans, the enumeration and the seeded stream.
     """
     stats = SearchStats()
+    netlist = kernel.netlist
     resets = netlist.idle_resets()
     # reset is pinned inactive below, never enumerated
     relevant = [n for n in inputs if n not in resets]
@@ -426,20 +428,12 @@ def search_stimulus(
                 batch[name] = np.broadcast_to(np.uint64(lvl), (rows, horizon))
             arrays = kernel.run_batch(batch, horizon)
             for row in np.flatnonzero(objective(arrays, batch)):
-                stim = _materialize(netlist, batch, int(row), horizon)
+                stim = Stimulus.for_design(netlist, {
+                    "cycles": horizon,
+                    "inputs": {n: v[row].tolist() for n, v in batch.items()}})
                 if accept(stim):
                     stats.schedule, stats.space = plan.name, space
                     stats.forced = len(forced)
                     return stim, stats
     return None, stats
 
-
-def _materialize(netlist: Netlist, batch: dict[str, np.ndarray], row: int,
-                 cycles: int) -> Stimulus:
-    """Row *row* of a stimulus batch, its columns in the netlist's input
-    order; an input the batch leaves out holds its idle level, or 0."""
-    idle = netlist.idle_resets()
-    return Stimulus.of_columns(
-        {n.name: batch[n.name][row].tolist() if n.name in batch
-         else [idle.get(n.name, 0)] * cycles for n in netlist.inputs()},
-        cycles)

@@ -94,17 +94,17 @@ class Stimulus:
         stim.columns, stim.cycles = columns, cycles
         return stim
 
-    def rows(self) -> Iterable[tuple]:
-        """Each cycle's values, in the order of ``columns``."""
-        if not self.columns:
-            return repeat((), self.cycles)
-        return zip(*self.columns.values())
+    def rows(self, names: Iterable[str]) -> Iterable[tuple]:
+        """Each cycle's values of the inputs *names*, in that order: their
+        columns zipped."""
+        columns = [self.columns[name] for name in names]
+        return zip(*columns) if columns else repeat((), self.cycles)
 
     @property
     def inputs(self) -> list[dict[str, int]]:
         """One map of every input's value per cycle, built on each read."""
-        names = list(self.columns)
-        return [dict(zip(names, values)) for values in self.rows()]
+        return [dict(zip(self.columns, values))
+                for values in self.rows(self.columns)]
 
     @staticmethod
     def for_design(netlist: Netlist,
@@ -528,20 +528,13 @@ class SimKernel:
         column itself, not a copy, and must be treated as read-only."""
         # operator.pos turns a comparison's bool into an int, as int()
         # does, at a third of the cost
-        out, _ = self._fn(self._input_tuples(stimulus), self.reg_init, 0,
+        out, _ = self._fn(stimulus.rows(self.input_names), self.reg_init, 0,
                           pos, _scalar_mux)
         computed = dict(zip(self._recorded, out))
         columns = stimulus.columns
         return Trace(self.netlist, self.net_order,
                      {n: computed[n] if n in computed else columns[n]
                       for n in self.net_order}, stimulus.cycles)
-
-    def _input_tuples(self, stimulus: Stimulus) -> Iterable[tuple]:
-        """Each cycle's input values, in ``input_names`` order: the
-        stimulus's columns zipped."""
-        if not self.input_names:
-            return repeat((), stimulus.cycles)
-        return zip(*map(stimulus.columns.__getitem__, self.input_names))
 
     def run_batch(self, inputs: dict[str, np.ndarray],
                   cycles: int) -> dict[str, np.ndarray]:

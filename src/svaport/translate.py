@@ -579,6 +579,6 @@ def generate_testcase(a: Assertion, target: Netlist,
 
     cone = input_cone(target, graph, signals_of(a))
     rng = substream(config.seed, "translate", "testcase", a.effective_name())
-    return search_stimulus(target, cone, literals, objective, accept, rng,
+    return search_stimulus(cone, literals, objective, accept, rng,
                            config.horizon, kernel=kernel,
                            plans=schedules(target, literals, config.horizon))

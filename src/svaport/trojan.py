@@ -54,8 +54,13 @@ class TriggerCond:
     bit: int | None
     value: int
 
-    def bits_constrained(self, netlist: Netlist) -> int:
-        return 1 if self.bit is not None else netlist.width(self.signal)
+    def bits(self, netlist: Netlist) -> dict[tuple[str, int], int]:
+        """The bits the condition constrains, each with its value:
+        (signal, bit) -> 0 or 1."""
+        if self.bit is not None:
+            return {(self.signal, self.bit): self.value}
+        return {(self.signal, b): self.value >> b & 1
+                for b in range(netlist.width(self.signal))}
 
 
 @dataclass
@@ -126,9 +131,9 @@ def validate_spec(spec: TrojanSpec, netlist: Netlist) -> None:
         raise ConfigError(f"unknown payload kind {spec.payload_kind}")
     if not spec.trigger:
         raise ConfigError(f"trojan {spec.id} has an empty trigger")
-    # the bits each net's conditions constrain: one bit may be constrained
-    # once, or k and the trigger's probability would count it twice
-    taken: dict[str, set[int]] = {}
+    # one bit may be constrained once, or k and the trigger's probability
+    # would count it twice
+    taken: dict[tuple[str, int], int] = {}
     for c in spec.trigger:
         if c.signal not in netlist.nets:
             raise ConfigError(
@@ -139,12 +144,12 @@ def validate_spec(spec: TrojanSpec, netlist: Netlist) -> None:
         limit = 2 if c.bit is not None else (1 << w)
         if not 0 <= c.value < limit:
             raise ConfigError(f"trigger value for {c.signal} out of range")
-        bits = set(range(w)) if c.bit is None else {c.bit}
-        if bits & taken.setdefault(c.signal, set()):
+        bits = c.bits(netlist)
+        if bits.keys() & taken.keys():
             raise ConfigError(f"duplicate trigger condition on {c.signal}: "
                               "a bit is constrained twice")
-        taken[c.signal] |= bits
-    k = sum(c.bits_constrained(netlist) for c in spec.trigger)
+        taken |= bits
+    k = len(taken)
     if spec.k != k or k < 1:
         raise ConfigError(
             f"trojan {spec.id}: k={spec.k} but trigger constrains {k} bits")
@@ -226,11 +231,16 @@ def inject(netlist: Netlist, spec: TrojanSpec) -> Netlist:
 # --------------------------------------------------------------------------
 # forging
 
-@dataclass
+@dataclass(frozen=True)
 class ForgeParams:
-    """Generation knobs.  ``k_values``, when given, fixes the trigger width
-    of each trojan in order (its length must equal ``count``); otherwise
-    widths cycle through k_min..k_max."""
+    """Forge's knobs, declared and checked here alone: the campaign
+    config's ``forge`` section parses into one, and inject fills in each
+    module's ``count``, ``k_values``, ``seed`` and ``horizon``.
+    ``k_values``, when given, fixes the trigger width of each trojan in
+    order (its length must equal ``count``); otherwise widths cycle
+    through k_min..k_max.  Knobs forge cannot run with raise
+    ``ConfigError`` on construction, in the words of the config's
+    ``forge`` section."""
 
     count: int = 1
     k_min: int = 2
@@ -241,21 +251,19 @@ class ForgeParams:
     tries: int = 64
     horizon: int = 16
 
-
-def check_knobs(k_min: int, k_max: int, payloads: tuple[str, ...],
-                tries: int) -> None:
-    """Raise ``ConfigError`` unless forge can run with these knobs, in the
-    words of the campaign config's ``forge`` section."""
-    for kind in payloads:
-        if kind not in PAYLOAD_KINDS:
-            raise ConfigError(f"forge: unknown payload kind {kind!r}")
-    if not payloads:
-        raise ConfigError("forge: payloads must name at least one kind")
-    if not 1 <= k_min <= k_max:
-        raise ConfigError(
-            f"forge: need 1 <= k_min <= k_max, got [{k_min}, {k_max}]")
-    if tries < 1:
-        raise ConfigError("forge: tries must be positive")
+    def __post_init__(self) -> None:
+        for kind in self.payloads:
+            if kind not in PAYLOAD_KINDS:
+                raise ConfigError(f"forge: unknown payload kind {kind!r}")
+        if not self.payloads:
+            raise ConfigError("forge: payloads must name at least one kind")
+        if not 1 <= self.k_min <= self.k_max:
+            raise ConfigError("forge: need 1 <= k_min <= k_max, got "
+                              f"[{self.k_min}, {self.k_max}]")
+        if self.tries < 1:
+            raise ConfigError("forge: tries must be positive")
+        if self.k_values is not None and len(self.k_values) != self.count:
+            raise ConfigError("k_values length must equal count")
 
 
 def _trigger_pool(netlist: Netlist, assertions: list[Assertion]) -> list[tuple[str, int]]:
@@ -296,12 +304,9 @@ def forge(netlist: Netlist, assertions: list[Assertion],
     generated source compiles once (``sim``).  Each attempt's search runs
     every batch on both designs (see ``_find_activation``).
     """
-    check_knobs(params.k_min, params.k_max, params.payloads, params.tries)
     if not assertions:
         raise InsufficientSignalsError("cannot forge without assertions")
     pool = _trigger_pool(netlist, assertions)
-    if params.k_values is not None and len(params.k_values) != params.count:
-        raise ConfigError("k_values length must equal count")
     module_kind = "sequential" if netlist.registers else "combinational"
     # the injected designs keep the clean one's nets and constants, so one
     # checker per assertion decides clean and corrupted runs alike
@@ -407,10 +412,9 @@ def _find_activation(spec: TrojanSpec, netlist: Netlist,
     injected = inject(netlist, spec)
     # a whole-input condition forces each of the input's bits
     trigger_bits = {
-        (c.signal, b): c.value if c.bit is not None else c.value >> b & 1
-        for c in spec.trigger if netlist.nets[c.signal].kind is NetKind.INPUT
-        for b in ((c.bit,) if c.bit is not None
-                  else range(netlist.width(c.signal)))}
+        bit: value for c in spec.trigger
+        if netlist.nets[c.signal].kind is NetKind.INPUT
+        for bit, value in c.bits(netlist).items()}
     forced, flips, need = trigger_bits, None, None
     # a target fails only where its first antecedent term holds
     goal = checkers[target] if target is not None else None
@@ -472,8 +476,8 @@ def _find_activation(spec: TrojanSpec, netlist: Netlist,
 
     cone = input_cone(injected, build_graph(injected),
                       reads | {c.signal for c in spec.trigger})
-    return search_stimulus(injected, cone, forced, objective, accept, rng,
-                           horizon, kernel=inj_kernel, plans=plans)[0]
+    return search_stimulus(cone, forced, objective, accept, rng, horizon,
+                           kernel=inj_kernel, plans=plans)[0]
 
 
 def _hopeless(spec: TrojanSpec, netlist: Netlist, injected: Netlist,

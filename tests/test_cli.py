@@ -7,11 +7,12 @@ import pytest
 
 from svaport import cli, corpus
 from svaport.cli import main
-from svaport.config import ForgeDefaults, ModuleJob, ProjectConfig
+from svaport.config import ModuleJob, ProjectConfig
 from svaport.errors import ConfigError
 from svaport.rtl_parser import parse_design
 from svaport.sim import Stimulus, load_stimulus, stimulus_text
 from svaport.sva import parse_assertions
+from svaport.trojan import ForgeParams
 
 from .test_trojan import TOY_RTL, TOY_SVA
 
@@ -246,10 +247,29 @@ def test_config_overrides(tmp_path):
         cfg.override(format="xml")
 
 
-def test_forge_defaults_round_trip():
-    got = ForgeDefaults.from_dict(
-        {"k_min": 3, "k_max": 5, "payloads": ["invert_net"]})
-    assert got == ForgeDefaults(k_min=3, k_max=5, payloads=("invert_net",))
+def test_forge_defaults_round_trip(tmp_path):
+    doc = json.loads(make_campaign(tmp_path).read_text())
+    doc["forge"] = {"k_min": 3, "k_max": 5, "payloads": ["invert_net"]}
+    got = ProjectConfig.from_dict(doc, tmp_path).forge
+    assert got == ForgeParams(k_min=3, k_max=5, payloads=("invert_net",))
+
+
+@pytest.mark.parametrize("knobs", [
+    {"k_min": 0}, {"k_min": 3, "k_max": 2}, {"tries": 0},
+    {"payloads": ["melt"]}, {"payloads": []},
+], ids=["k_min", "reversed_range", "tries", "unknown_payload", "no_payloads"])
+def test_forge_params_reject_the_knobs_the_config_rejects(tmp_path, knobs):
+    # the config's forge section parses into ForgeParams, which checks
+    # itself: built directly, it rejects a knob in the config's words
+    doc = json.loads(make_campaign(tmp_path).read_text())
+    doc["forge"] = knobs
+    with pytest.raises(ConfigError) as from_config:
+        ProjectConfig.from_dict(doc, tmp_path)
+    with pytest.raises(ConfigError) as built:
+        ForgeParams(**{key: tuple(v) if isinstance(v, list) else v
+                       for key, v in knobs.items()})
+    assert str(built.value) == str(from_config.value)
+    assert str(built.value).startswith("forge: ")
 
 
 # ---------------------------------------------------------------------------
@@ -386,6 +406,54 @@ def test_inject_rerun_replaces_its_trojans(tmp_path, capsys):
     cfg = make_campaign(tmp_path, trojans=0)
     assert main(["inject", "--config", str(cfg)]) == 0
     assert not tdir.exists()
+
+
+def _two_module_campaign(root: Path) -> Path:
+    toy = {"target_design": "toy.sv", "assertions": "toy.sva", "trojans": 2}
+    return make_campaign(root, modules=[dict(toy, name="toy"),
+                                        dict(toy, name="toy2")])
+
+
+def test_a_failed_translate_leaves_no_port_of_an_earlier_run(tmp_path,
+                                                             capsys):
+    # translate clears every module's files before it reads any module, so
+    # a rerun that stops at the first module's broken source leaves no
+    # module's earlier ports for inject to forge against
+    cfg = _two_module_campaign(tmp_path)
+    assert main(["translate", "--config", str(cfg)]) == 0
+    (tmp_path / "toy.sva").write_text("BROKEN: assert property (\n")
+    assert main(["translate", "--config", str(cfg)]) == 1
+    assert capsys.readouterr().err.startswith("error:")
+    for module in ("toy", "toy2"):
+        for sub in ("links", "translated", "testcases"):
+            assert not (tmp_path / "out" / module / sub).exists()
+    assert main(["inject", "--config", str(cfg)]) == 1
+    assert "run the translate stage first" in capsys.readouterr().err
+
+
+def test_a_failed_inject_leaves_no_trojan_of_an_earlier_run(tmp_path,
+                                                            capsys):
+    # inject clears every module's trojans before it forges any, so a
+    # rerun at another seed that stops at toy2 leaves toy2 none of the
+    # earlier seed's trojans for evaluate to score under the new seed
+    cfg = _two_module_campaign(tmp_path)
+    for stage in ("translate", "inject"):
+        assert main([stage, "--config", str(cfg)]) == 0
+    doc = json.loads(cfg.read_text())
+    doc["seed"] = 99
+    doc["modules"][1]["k_values"] = [40, 40]
+    cfg.write_text(json.dumps(doc))
+    assert main(["inject", "--config", str(cfg)]) == 1
+    assert "assertion cone offers 9 trigger bits" in capsys.readouterr().err
+    assert not (tmp_path / "out" / "toy2" / "trojans").exists()
+    assert main(["evaluate", "--config", str(cfg)]) == 0
+    assert capsys.readouterr().err == (
+        "warning: module toy2: 0 trojan files, but the config asks for 2; "
+        "run the inject stage first\n")
+    raw = json.loads((tmp_path / "out" / "metrics.json").read_text())
+    assert raw["seed"] == 99
+    assert [(t["module"], t["id"]) for t in raw["trojans"]] == [
+        ("toy", "toy_t00"), ("toy", "toy_t01")]
 
 
 def test_inject_cycles_k_without_listing_a_huge_span(tmp_path, capsys):

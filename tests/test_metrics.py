@@ -4,6 +4,7 @@ import csv
 import io
 import json
 import math
+from dataclasses import replace
 from fractions import Fraction
 from pathlib import Path
 
@@ -198,6 +199,36 @@ def test_a_cone_too_wide_to_enumerate_is_sampled():
         brute_force_probability(wide, spec)
     assert monte_carlo_probability(wide, spec, samples=2000, seed=3).samples \
         == 2000
+
+
+CONST_RTL = """\
+module const1 (
+  input  logic clk,
+  input  logic a_i,
+  output logic y,
+  output logic z
+);
+  assign y = 1'b1;
+  assign z = a_i;
+endmodule
+"""
+
+
+def test_a_trigger_with_no_input_in_its_cone_holds_in_every_sample():
+    # no input reaches y, so each chunk of samples runs one row, which
+    # stands for every sample of the chunk
+    design = parse_design(CONST_RTL)
+    spec = TrojanSpec(id="const1_t00", module="const1",
+                      module_kind="combinational",
+                      trigger=(TriggerCond("y", None, 1),), k=1,
+                      payload_kind="invert_net", payload_net="y")
+    assert brute_force_probability(design, spec) == 1
+    sampled = monte_carlo_probability(design, spec, samples=100_000)
+    assert (sampled.hits, sampled.samples, sampled.estimate) == \
+        (100_000, 100_000, 1.0)
+    never = replace(spec, trigger=(TriggerCond("y", None, 0),))
+    assert brute_force_probability(design, never) == 0
+    assert monte_carlo_probability(design, never, samples=100_000).hits == 0
 
 
 def test_monte_carlo_is_deterministic_and_calibrated(toy):

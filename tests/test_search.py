@@ -15,7 +15,7 @@ from svaport.monitor import Checker
 from svaport.netlist import Net, NetKind, Netlist
 from svaport.rtl_parser import parse_design
 from svaport.search import (_CHUNK, _FIRST_CHUNK, _RANDOM_VECTORS, Schedule,
-                            SearchStats, _materialize, _vectors,
+                            SearchStats, _vectors,
                             necessary_literals, ruled_out, schedules,
                             search_stimulus)
 from svaport.sim import BatchExpr, SimKernel, Stimulus, stimulus_text
@@ -167,9 +167,8 @@ def test_search_walks_its_input_set_once_holding_the_forced_bits():
     def search(accept):
         searched.clear()
         forced = {("b_i", 1): 1}
-        return search_stimulus(netlist, ["a_i", "b_i"], forced,
-                               objective, accept, np.random.default_rng(0),
-                               4, kernel=kernel,
+        return search_stimulus(["a_i", "b_i"], forced, objective, accept,
+                               np.random.default_rng(0), 4, kernel=kernel,
                                plans=schedules(netlist, forced, 4))
 
     stim, stats = search(lambda s: kernel.run(s).values["hit_o"][0] == 1)
@@ -206,7 +205,7 @@ def test_a_refused_search_runs_each_schedule_once_over_its_space():
 
     def refused(forced):
         stim, stats = search_stimulus(
-            netlist, ["a_i", "b_i"], forced,
+            ["a_i", "b_i"], forced,
             lambda arrays, inputs: np.ones(len(arrays["q_o"]), dtype=bool),
             lambda s: False, np.random.default_rng(0), 6, kernel=kernel,
             plans=schedules(netlist, forced, 6))
@@ -256,15 +255,14 @@ def test_a_search_never_samples_a_schedule_ruled_out_for_its_term(
     searched: list[SearchStats] = []
     search = trojan.search_stimulus
 
-    def refusing(netlist, inputs, forced, objective, accept, *rest,
-                 **kwargs):
+    def refusing(inputs, forced, objective, accept, *rest, **kwargs):
         def recorded(arrays, batch):
             # only the warm-up changes an input after cycle 0
             held = all((v == v[:, :1]).all() for v in batch.values())
             seen.append("constant" if held else "flipped_prefix")
             return objective(arrays, batch)
-        stim, stats = search(netlist, inputs, forced, recorded,
-                             lambda s: False, *rest, **kwargs)
+        stim, stats = search(inputs, forced, recorded, lambda s: False,
+                             *rest, **kwargs)
         searched.append(stats)
         return stim, stats
 
@@ -315,7 +313,7 @@ def test_a_one_cycle_search_has_no_warm_up_to_give():
 
     forced = {("a_i", 0): 1}
     stim, stats = search_stimulus(
-        netlist, ["a_i", "b_i"], forced, objective, lambda s: False,
+        ["a_i", "b_i"], forced, objective, lambda s: False,
         np.random.default_rng(0), 1, kernel=kernel,
         plans=schedules(netlist, forced, 1))
     assert stim is None
@@ -366,8 +364,11 @@ def _batch_rows(draw):
 
 @given(_batch_rows())
 def test_a_witness_is_its_rows_columns_as_the_design_checks_them(case):
+    # a search reads its witness row as a column object
     nl, batch, row, cycles = case
-    got = _materialize(nl, batch, row, cycles)
+    got = Stimulus.for_design(nl, {
+        "cycles": cycles,
+        "inputs": {name: arr[row].tolist() for name, arr in batch.items()}})
     # the reference: the row's per-cycle maps, filled in and checked
     want = Stimulus.for_design(nl, [
         {name: int(arr[row, t]) for name, arr in batch.items()}

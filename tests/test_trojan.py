@@ -122,6 +122,20 @@ def test_validate_spec_rejects_malformed_records(toy):
             validate_spec(_spec(toy, **overrides), toy)
 
 
+def test_a_trigger_condition_names_the_bits_it_constrains(toy):
+    assert TriggerCond("a_i", None, 0b1010).bits(toy) == {
+        ("a_i", 0): 0, ("a_i", 1): 1, ("a_i", 2): 0, ("a_i", 3): 1}
+    assert TriggerCond("en_i", None, 1).bits(toy) == {("en_i", 0): 1}
+    assert TriggerCond("a_i", 2, 1).bits(toy) == {("a_i", 2): 1}
+    # k is the number of distinct bits: a_i's four and en_i's one
+    validate_spec(_spec(toy, trigger=(TriggerCond("a_i", None, 3),
+                                      TriggerCond("en_i", None, 1)), k=5), toy)
+    # a bit condition inside a whole-signal one constrains its bit twice
+    with pytest.raises(ConfigError, match="a bit is constrained twice"):
+        validate_spec(_spec(toy, trigger=(TriggerCond("a_i", None, 3),
+                                          TriggerCond("a_i", 2, 0)), k=5), toy)
+
+
 def test_spec_files_round_trip(specs, tmp_path):
     path = tmp_path / "trojans.json"
     path.write_text(json.dumps([s.to_dict() for s in specs], indent=2))
@@ -213,7 +227,7 @@ def test_forge_honors_k_values(toy, toy_asserts):
         ForgeParams(count=3, k_values=(2, 4, 3), seed=5, horizon=8))]
     assert [s.k for s in specs] == [2, 4, 3]
     for s in specs:
-        assert sum(c.bits_constrained(toy) for c in s.trigger) == s.k
+        assert len({b for c in s.trigger for b in c.bits(toy)}) == s.k
     with pytest.raises(ConfigError, match="k_values"):
         forge(toy, toy_asserts, ForgeParams(count=2, k_values=(2,), seed=5))
 
@@ -363,13 +377,11 @@ def test_forge_compiles_once_per_netlist_and_confirms_each_check(
     confirmed: list[bool] = []
     search = trojan.search_stimulus
 
-    def counting_search(netlist, inputs, forced, objective, accept, *rest,
-                        **kwargs):
+    def counting_search(inputs, forced, objective, accept, *rest, **kwargs):
         def confirm(stim):
             confirmed.append(accept(stim))
             return confirmed[-1]
-        return search(netlist, inputs, forced, objective, confirm, *rest,
-                      **kwargs)
+        return search(inputs, forced, objective, confirm, *rest, **kwargs)
 
     monkeypatch.setattr(sim, "_compiled", recording)
     monkeypatch.setattr(trojan, "search_stimulus", counting_search)
@@ -723,10 +735,9 @@ def test_a_searched_attempt_rules_out_each_schedule_once(monkeypatch):
     searched: list = []
     find = trojan.search_stimulus
 
-    def refusing(netlist, inputs, forced, objective, accept, *rest,
-                 **kwargs):
-        searched.append(find(netlist, inputs, forced, objective,
-                             lambda s: False, *rest, **kwargs))
+    def refusing(inputs, forced, objective, accept, *rest, **kwargs):
+        searched.append(find(inputs, forced, objective, lambda s: False,
+                             *rest, **kwargs))
         return searched[-1]
 
     monkeypatch.setattr(trojan, "search_stimulus", refusing)
@@ -797,13 +808,11 @@ def test_a_clashing_trigger_searches_only_the_warm_up_that_holds_the_term(
     results: list[tuple] = []
     search = trojan.search_stimulus
 
-    def recording_search(netlist, inputs, forced, objective, *args,
-                         **kwargs):
+    def recording_search(inputs, forced, objective, *args, **kwargs):
         def recorded(arrays, batch):
             batches.append(batch)
             return objective(arrays, batch)
-        results.append(search(netlist, inputs, forced, recorded, *args,
-                              **kwargs))
+        results.append(search(inputs, forced, recorded, *args, **kwargs))
         return results[-1]
 
     monkeypatch.setattr(trojan, "search_stimulus", recording_search)
