@@ -238,7 +238,7 @@ def _evaluate_one(sv_path: Path, stim_path: Path,
     run it; any error is reported, never raised, to keep one bad trojan
     from sinking the batch."""
     try:
-        netlist = parse_design(read_text(sv_path))
+        netlist = _load_design(sv_path)
         verdicts = _replay(netlist, load_stimulus(stim_path, netlist),
                            assertions)
         detected = any(v.failure_count >= 1 for v in verdicts)

@@ -114,13 +114,18 @@ class Netlist:
     def reset_nets(self) -> set[str]:
         return {r.reset.net for r in self.registers if r.reset is not None}
 
-    def idle_resets(self) -> dict[str, int]:
-        """Each input reset net at its inactive level: the value that lets
-        the design run."""
-        inputs = {n.name for n in self.inputs()}
-        return {r.reset.net: 1 - r.reset.active_level
-                for r in self.registers
-                if r.reset is not None and r.reset.net in inputs}
+    def control_nets(self) -> set[str]:
+        """The clock and reset nets: no search enumerates, forces or
+        triggers on them."""
+        return self.clock_nets().union(self.reset_nets())
+
+    def idle_levels(self) -> dict[str, int]:
+        """Each input at its idle level, which a run holds it at wherever
+        it is not given: a reset net at its inactive level, which lets the
+        design run, and every other input at 0."""
+        resets = {r.reset.net: 1 - r.reset.active_level
+                  for r in self.registers if r.reset is not None}
+        return {n.name: resets.get(n.name, 0) for n in self.inputs()}
 
     @cached_property
     def edges(self) -> dict[str, tuple[tuple[str, str], ...]]:

@@ -6,7 +6,7 @@ schedule gives it (``schedules`` says what a warm-up is).  A search is
 one pass: a set of free inputs and the input bits it forces.  Its free
 bits are enumerated exhaustively when they are few enough, otherwise
 sampled from a seeded stream.  Candidates are simulated in numpy
-batches on the caller's kernel, one (rows, cycles) array per input, a
+batches on the caller's kernel, one (rows, cycles) array per searched input, a
 caller-supplied objective decides every batch with arrays, and a scalar
 check confirms the winner.
 Batches grow from 256 rows, doubling up to 8,192, so a witness near the
@@ -109,7 +109,7 @@ def necessary_literals(term: ex.Expr, netlist: Netlist) -> Literals | None:
     """
     consts = netlist.constants()
     drivers = {a.lhs: a.rhs for a in netlist.assigns}
-    off_limits = netlist.clock_nets() | netlist.reset_nets()
+    off_limits = netlist.control_nets()
     width = netlist.width
     out: Literals = {}
     # the requirements on nets already walked, so that reconverging
@@ -234,14 +234,6 @@ def necessary_literals(term: ex.Expr, netlist: Netlist) -> Literals | None:
     return out
 
 
-def _free(netlist: Netlist, inputs: list[str],
-          forced: Literals) -> list[tuple[str, int]]:
-    """The bits of *inputs* that *forced* leaves free, in input order."""
-    return [(name, bit) for name in inputs
-            for bit in range(netlist.nets[name].width)
-            if (name, bit) not in forced]
-
-
 def _runs(free: list[tuple[str, int]]) -> list[tuple]:
     """Free bit i is bit i % _WORD of code word i // _WORD.  Consecutive
     free bits of one input that lie in one word and fill adjacent bits of
@@ -257,15 +249,14 @@ def _runs(free: list[tuple[str, int]]) -> list[tuple]:
     return runs
 
 
-def _vectors(netlist: Netlist, inputs: list[str],
-             forced: Literals,
+def _vectors(inputs: list[str], forced: Literals,
+             free: list[tuple[str, int]], sampled: bool,
              rng: np.random.Generator) -> Iterator[dict[str, np.ndarray]]:
     """Yield batches of constant input vectors (dict name -> (rows,) uint64)
-    honoring the forced bits.  Exhaustive in integer order when the free
-    space fits, else seeded random.  The first batch has _FIRST_CHUNK rows
-    and each next one twice as many, up to _CHUNK; the candidates and
-    their order do not depend on the batch sizes."""
-    free = _free(netlist, inputs, forced)
+    holding the forced bits and filling the *free* bits of *inputs*: from
+    seeded draws when *sampled*, else in integer order.  The first batch
+    has _FIRST_CHUNK rows and each next one twice as many, up to _CHUNK;
+    the candidates and their order do not depend on the batch sizes."""
     base = {name: np.uint64(0) for name in inputs}
     for (name, bit), val in forced.items():
         if name in base and val:
@@ -281,7 +272,6 @@ def _vectors(netlist: Netlist, inputs: list[str],
         return out
 
     n = len(free)
-    sampled = n > _EXHAUSTIVE_BITS
     total = _RANDOM_VECTORS if sampled else 1 << n
     # one word per _WORD free bits, the last masked to the bits left
     masks = np.array([ex.mask(min(_WORD, n - lo)) for lo in range(0, n, _WORD)],
@@ -394,9 +384,11 @@ def search_stimulus(
     the caller's objective.
 
     The search holds the *forced* bits and frees every other bit of
-    *inputs*; the rest of the inputs stay at zero, and resets at their
-    idle level.  It tries each of *plans* in turn, exactly the plans the
-    caller picked (``schedules`` lists them).
+    *inputs* but the clock and reset nets (``Netlist.control_nets``).  Its
+    batches leave out every other input, which the batch run and
+    ``Stimulus.for_design`` alike hold at its idle level, a reset inactive
+    and any other input 0 (``Netlist.idle_levels``).  It tries each of
+    *plans* in turn, exactly the plans the caller picked (``schedules``).
 
     *objective* receives the net arrays batch-simulated on *kernel*
     (rows x cycles), which must keep every net it reads, and the
@@ -413,19 +405,18 @@ def search_stimulus(
     """
     stats = SearchStats()
     netlist = kernel.netlist
-    resets = netlist.idle_resets()
-    # reset is pinned inactive below, never enumerated
-    relevant = [n for n in inputs if n not in resets]
-    free = len(_free(netlist, relevant, forced))
-    space = "enumerated" if free <= _EXHAUSTIVE_BITS else "sampled"
+    control = netlist.control_nets()
+    relevant = [n for n in inputs if n not in control]
+    free = [(name, bit) for name in relevant
+            for bit in range(netlist.nets[name].width)
+            if (name, bit) not in forced]
+    sampled = len(free) > _EXHAUSTIVE_BITS
+    space = "sampled" if sampled else "enumerated"
     for plan in plans:
-        for values in _vectors(netlist, relevant, forced, rng):
+        for values in _vectors(relevant, forced, free, sampled, rng):
             rows = next(iter(values.values())).shape[0] if values else 1
             stats.candidates += rows
             batch = _apply(plan, values, horizon)
-            # searches never toggle reset: pin it at the inactive level
-            for name, lvl in resets.items():
-                batch[name] = np.broadcast_to(np.uint64(lvl), (rows, horizon))
             arrays = kernel.run_batch(batch, horizon)
             for row in np.flatnonzero(objective(arrays, batch)):
                 stim = Stimulus.for_design(netlist, {

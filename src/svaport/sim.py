@@ -28,9 +28,10 @@ column object (``stimulus_text``).  A kernel may be sliced to the nets a
 caller reads (``SimKernel``); it reads only the inputs of that slice's
 fan-in cone, and records only the nets it computes.  A scalar run returns
 a ``Trace``.  A batch run takes each input as one (rows, cycles) array and
-returns each net the same way.  Either run hands a kept input back as the
-caller's own column or array, not a copy, so what a run returns must be
-treated as read-only.
+returns each net the same way.  In every run, an input it is not given
+holds its idle level (``Netlist.idle_levels``).  Either run hands a kept
+input back as the caller's own column or array, not a copy, so what a
+run returns must be treated as read-only.
 """
 
 from __future__ import annotations
@@ -123,8 +124,7 @@ class Stimulus:
         bad values come first, in netlist order, then the front end's.
         """
         nets = netlist.inputs()
-        inactive = netlist.idle_resets()
-        idle = {n.name: inactive.get(n.name, 0) for n in nets}
+        idle = netlist.idle_levels()
         if isinstance(data, dict):
             columns, cycles, faults = _object_columns(netlist, idle, data)
         elif isinstance(data, list):
@@ -445,8 +445,10 @@ class SimKernel:
         cone = set(netlist.nets) if keep is None else fanin_cone(netlist, keep)
         kept = cone if keep is None else set(keep)
         self._cone = tuple(n for n in netlist.nets if n in cone)
-        self.input_names = tuple(n.name for n in netlist.inputs()
-                                 if n.name in cone)
+        #: each cone input's idle level, held where a batch leaves it out
+        self._idle = {n: level for n, level in netlist.idle_levels().items()
+                      if n in cone}
+        self.input_names = tuple(self._idle)
         self._registers = [r for r in netlist.registers if r.target in cone]
         self._assigns = [a for a in netlist.assign_order if a.lhs in cone]
         self.reg_names = tuple(r.target for r in self._registers)
@@ -543,11 +545,13 @@ class SimKernel:
         *inputs* maps input names to uint64 arrays of shape (rows, cycles);
         an input held constant may be a read-only view whose cycle stride
         is 0 (``np.broadcast_to`` of its values), and an input of
-        ``input_names`` left out reads 0.  Only ``input_names`` are read.
+        ``input_names`` left out holds its idle level, as in
+        ``Stimulus.for_design``: a reset at its inactive level, any other
+        input 0 (``Netlist.idle_levels``).  Only ``input_names`` are read.
         Returns each net of ``net_order`` as an array of shape (rows,
         cycles).  A kept input is the array given for it, not a copy, or
-        a read-only view of zeros where it was left out; it must be
-        treated as read-only.  Every other net is the transposed view of
+        a read-only view of its idle level where it was left out; it must
+        be treated as read-only.  Every other net is the transposed view of
         a cycle-major (cycles, rows) array, so every cycle's step stores
         one contiguous row per net.
 
@@ -561,9 +565,11 @@ class SimKernel:
         """
         rows = next(iter(inputs.values())).shape[0] if inputs else 1
         zero = np.zeros(rows, dtype=np.uint64)
-        # each input as a (rows, cycles) array, 0 where left out
-        absent = np.broadcast_to(zero, (cycles, rows)).T
-        given = {n: inputs.get(n, absent) for n in self.input_names}
+        # each input as a (rows, cycles) array, at its idle level where
+        # left out
+        given = {n: inputs[n] if n in inputs else np.broadcast_to(
+                     np.uint64(level), (rows, cycles))
+                 for n, level in self._idle.items()}
         columns = [arr.T for arr in given.values()]
         # the first cycle from which every input holds its value
         steady = 0

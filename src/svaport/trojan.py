@@ -207,14 +207,9 @@ def inject(netlist: Netlist, spec: TrojanSpec) -> Netlist:
     trig = trigger_expr(spec, netlist)
     width = netlist.width(name)
 
-    out = Netlist(
-        name=netlist.name,
-        ports=netlist.ports,
-        nets=dict(netlist.nets),
-        params=dict(netlist.params),
-        assigns=list(netlist.assigns),
-        registers=list(netlist.registers),
-    )
+    out = replace(netlist, nets=dict(netlist.nets),
+                  params=dict(netlist.params), assigns=list(netlist.assigns),
+                  registers=list(netlist.registers))
     if isinstance(driver, Assign):
         idx = out.assigns.index(driver)
         out.assigns[idx] = Assign(name, _corrupted(
@@ -271,7 +266,7 @@ def _trigger_pool(netlist: Netlist, assertions: list[Assertion]) -> list[tuple[s
     Clock and reset nets never qualify: triggers must be reachable while
     the design is running normally."""
     watched = set().union(*(signals_of(a) for a in assertions))
-    off_limits = netlist.clock_nets() | netlist.reset_nets()
+    off_limits = netlist.control_nets()
     return [(name, bit)
             for name in input_cone(netlist, build_graph(netlist), watched)
             if name not in off_limits

@@ -63,7 +63,8 @@ def comparisons(draw, symbols: dict[str, int]) -> ex.Expr:
 def designs(draw, *, max_inputs: int = 4, max_assigns: int = 5,
             max_registers: int = 2) -> Netlist:
     """Small random netlists with inputs, an assign chain, registers, and a
-    one-bit output reading the last net."""
+    one-bit output reading the last net.  Each register has no reset, the
+    active-low ``rst_n`` or the active-high ``rst``."""
     n_inputs = draw(st.integers(1, max_inputs))
     widths = [draw(st.integers(1, 6)) for _ in range(n_inputs)]
     nets: dict[str, Net] = {}
@@ -104,11 +105,13 @@ def designs(draw, *, max_inputs: int = 4, max_assigns: int = 5,
         name = f"reg_{_NAMES[i]}"
         nxt = draw(expressions(symbols, max_depth=2))
         reset = None
-        if draw(st.booleans()):
-            nets.setdefault("rst_n", Net("rst_n", 1, NetKind.INPUT))
-            if "rst_n" not in ports:
-                ports.append("rst_n")
-            reset = Reset("rst_n", 0, draw(st.integers(0, (1 << reg_width) - 1)))
+        level = draw(st.sampled_from([None, 0, 1]))  # the active level
+        if level is not None:
+            net = "rst_n" if level == 0 else "rst"
+            if net not in ports:
+                nets[net] = Net(net, 1, NetKind.INPUT)
+                ports.append(net)
+            reset = Reset(net, level, draw(st.integers(0, (1 << reg_width) - 1)))
         registers.append(Register(name, nxt, "clk", reset))
 
     out_src = sorted(symbols)[-1]

@@ -107,7 +107,8 @@ def stimulus_rows(netlist: Netlist, cycles) -> list[dict[str, int]]:
     in the netlist's input order, or the first bad cycle or value raised.
     A column object is read as the per-cycle maps it stands for."""
     names = {n.name: n for n in netlist.inputs()}
-    inactive = netlist.idle_resets()
+    inactive = {r.reset.net: 1 - r.reset.active_level
+                for r in netlist.registers if r.reset is not None}
     if isinstance(cycles, dict):
         cycles = column_cycles(netlist, cycles)
     if not isinstance(cycles, list):

@@ -1,7 +1,10 @@
 """Candidate enumeration of the stimulus search, its screens' $past, and
 the necessary input literals that guide it."""
 
+import hashlib
+import json
 from collections import Counter
+from importlib import import_module
 
 import numpy as np
 import pytest
@@ -20,7 +23,8 @@ from svaport.search import (_CHUNK, _FIRST_CHUNK, _RANDOM_VECTORS, Schedule,
                             search_stimulus)
 from svaport.sim import BatchExpr, SimKernel, Stimulus, stimulus_text
 from svaport.sva import parse_assertions
-from svaport.trojan import TriggerCond, TrojanSpec
+from svaport.translate import TranslationConfig, assertion_key
+from svaport.trojan import ForgeParams, TriggerCond, TrojanSpec
 
 from . import gen, oracles
 
@@ -42,8 +46,14 @@ def _inputs(*widths: int) -> Netlist:
     return Netlist("vec", tuple(nets), nets, {}, [], [])
 
 
+def _all_free(netlist: Netlist, names: list[str]) -> list[tuple[str, int]]:
+    """Every bit of the inputs *names*, in input order."""
+    return [(n, b) for n in names for b in range(netlist.nets[n].width)]
+
+
 def _first_batch(netlist: Netlist, seed: int) -> dict[str, np.ndarray]:
-    return next(_vectors(netlist, sorted(netlist.nets), {},
+    names = sorted(netlist.nets)
+    return next(_vectors(names, {}, _all_free(netlist, names), True,
                          np.random.default_rng(seed)))
 
 
@@ -83,7 +93,8 @@ def test_sampled_batches_grow_and_join_to_one_draw(widths):
     # they are one draw of _RANDOM_VECTORS candidates however they split
     nl = _inputs(*widths)
     names = sorted(nl.nets)
-    batches = list(_vectors(nl, names, {}, np.random.default_rng(3)))
+    batches = list(_vectors(names, {}, _all_free(nl, names), True,
+                            np.random.default_rng(3)))
     sizes = [len(b["in0"]) for b in batches]
     assert sizes[0] == _FIRST_CHUNK and sum(sizes) == _RANDOM_VECTORS
     assert all(b == min(2 * a, _CHUNK) for a, b in zip(sizes, sizes[1:-1]))
@@ -120,7 +131,8 @@ def test_vectors_fill_free_bits_as_the_per_bit_expansion(widths, data):
             if (n, b) not in forced]
     assume(len(free) <= 12 or len(free) > 20)
     seed = data.draw(st.integers(0, 2 ** 32 - 1))
-    batches = list(_vectors(nl, names, forced, np.random.default_rng(seed)))
+    batches = list(_vectors(names, forced, free, len(free) > 12,
+                            np.random.default_rng(seed)))
     if len(free) <= 12:
         codes = np.arange(1 << len(free), dtype=np.uint64)[:, None]
     else:
@@ -141,7 +153,9 @@ def test_vectors_fill_free_bits_as_the_per_bit_expansion(widths, data):
 
 def test_enumerated_batches_grow_in_integer_order():
     nl = _inputs(7, 6)
-    batches = list(_vectors(nl, ["in0", "in1"], {("in1", 2): 1},
+    forced = {("in1", 2): 1}
+    free = [bit for bit in _all_free(nl, ["in0", "in1"]) if bit not in forced]
+    batches = list(_vectors(["in0", "in1"], forced, free, False,
                             np.random.default_rng(0)))
     assert [len(b["in0"]) for b in batches] == [256, 512, 1024, 2048, 256]
     code = np.arange(1 << 12, dtype=np.uint64)
@@ -318,6 +332,56 @@ def test_a_one_cycle_search_has_no_warm_up_to_give():
         plans=schedules(netlist, forced, 1))
     assert stim is None
     assert rows == [2 ** 3] and stats.candidates == 2 ** 3
+
+
+# csr_unit's witnesses and forged trojans at the bundled campaign's seed,
+# horizon and forge knobs, and the candidates their searches took, as
+# searches that gave reset its inactive level in every batch found them
+CSR_SEARCH_SHA256 = \
+    "77aeb1f796ab66eb9a8908b75547355962b5fc7ae4ce7f5e7d1856040a331361"
+CSR_SEARCH_CANDIDATES = 2822
+
+
+def test_csr_unit_searches_leave_reset_to_the_kernel(
+        monkeypatch, corpus_designs, corpus_assertions, corpus_maps):
+    # no batch of the witness or activation searches names the active-low
+    # rst_ni: the kernel holds it at its idle level, so the searches find
+    # what they found when each batch pinned it
+    nl = corpus_designs["csr_unit"]
+    columns: list[set[str]] = []
+    candidates = [0]
+    run_batch = SimKernel.run_batch
+
+    def spy(self, inputs, cycles):
+        columns.append(set(inputs))
+        return run_batch(self, inputs, cycles)
+
+    monkeypatch.setattr(SimKernel, "run_batch", spy)
+    for owner in (import_module("svaport.translate"), trojan):
+        def counted(*args, _search=owner.search_stimulus, **kwargs):
+            stim, stats = _search(*args, **kwargs)
+            candidates[0] += stats.candidates
+            return stim, stats
+        monkeypatch.setattr(owner, "search_stimulus", counted)
+    digest = hashlib.sha256()
+    ported = []
+    for i, a in enumerate(corpus_assertions["csr_unit"]):
+        outcome = translate(a, nl, corpus_maps["csr_unit"], TranslationConfig(
+            horizon=12, seed=2024, key=assertion_key(a, i)))
+        assert outcome.translatable
+        ported.append(outcome.verdict.assertion)
+        witness = outcome.verdict.testcase
+        digest.update((stimulus_text(witness) if witness is not None
+                       else "none\n").encode())
+    forged = trojan.forge(nl, ported, ForgeParams(
+        count=7, k_min=2, k_max=5, seed=2024, horizon=12))
+    for spec, stim in forged:
+        digest.update(json.dumps(spec.to_dict(), sort_keys=True).encode()
+                      + b"\n" + stimulus_text(stim).encode())
+    assert columns and not any("rst_ni" in c for c in columns)
+    assert (len(ported), len(forged)) == (7, 7)
+    assert candidates == [CSR_SEARCH_CANDIDATES]
+    assert digest.hexdigest() == CSR_SEARCH_SHA256
 
 
 @pytest.mark.parametrize("cycles", range(2, 7))
