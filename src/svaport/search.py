@@ -5,14 +5,13 @@ is a vector of input values, held constant apart from the warm-up its
 schedule gives it (``schedules`` says what a warm-up is).  A search is
 one pass: a set of free inputs and the input bits it forces.  Its free
 bits are enumerated exhaustively when they are few enough, otherwise
-sampled from a seeded stream.  Candidates are simulated in numpy
-batches on the caller's kernel, one (rows, cycles) array per searched input, a
-caller-supplied objective decides every batch with arrays, and a scalar
-check confirms the winner.
-Batches grow from 256 rows, doubling up to 8,192, so a witness near the
-start costs a small batch; the candidates and their order do not depend
-on the batch sizes, so every search meets the same first witness
-whatever they are.
+sampled from a seeded stream.  Candidates come in batches, one (rows,
+cycles) array per searched input.  The caller's ``accept`` simulates a
+batch and decides every row of it exactly, with arrays, and the first
+row it takes is the result: nothing runs it again.  Batches grow from
+256 rows, doubling up to 8,192, so a witness near the start costs a
+small batch; the candidates and their order do not depend on the batch
+sizes, so every search meets the same first witness whatever they are.
 
 ``necessary_literals`` guides a search: it backtraces a term through the
 combinational logic to the input bits every candidate that makes the term
@@ -41,7 +40,7 @@ import numpy as np
 from . import expr as ex
 from .graph import DependencyGraph
 from .netlist import Netlist, NetKind
-from .sim import SimKernel, Stimulus
+from .sim import Stimulus
 
 _FIRST_CHUNK = 256  # rows of a search's first batch; each next one doubles,
 _CHUNK = 8192       # up to this many
@@ -372,59 +371,48 @@ def ruled_out(need: Literals | None, schedule: Schedule,
 def search_stimulus(
     inputs: list[str],
     forced: Literals,
-    objective: Callable[[dict[str, np.ndarray], dict[str, np.ndarray]],
-                        np.ndarray],
-    accept: Callable[[Stimulus], bool],
+    accept: Callable[[dict[str, np.ndarray]], np.ndarray],
     rng: np.random.Generator,
     horizon: int,
-    kernel: SimKernel,
+    netlist: Netlist,
     plans: list[Schedule],
 ) -> tuple[Stimulus | None, SearchStats]:
-    """Find a *horizon*-cycle stimulus of *kernel*'s design that meets
-    the caller's objective.
+    """Find a *horizon*-cycle stimulus of *netlist* that *accept* takes.
 
     The search holds the *forced* bits and frees every other bit of
     *inputs* but the clock and reset nets (``Netlist.control_nets``).  Its
-    batches leave out every other input, which the batch run and
+    batches leave out every other input, which a batch run and
     ``Stimulus.for_design`` alike hold at its idle level, a reset inactive
     and any other input 0 (``Netlist.idle_levels``).  It tries each of
     *plans* in turn, exactly the plans the caller picked (``schedules``).
 
-    *objective* receives the net arrays batch-simulated on *kernel*
-    (rows x cycles), which must keep every net it reads, and the
-    (rows x cycles) input arrays that produced them, so that it can run
-    another kernel on the same candidates (forge runs the clean design).
-    It decides the full objective with arrays over every row of the
-    batch, and returns a mask: one bool per row, true where the row
-    meets it.  *accept* only confirms: the first true row, read by
-    ``Stimulus.for_design``, is re-checked with a scalar run (single-run
-    semantics, monitors, ...); should it disagree, the next true row is
-    tried.  With an exhaustive enumeration, every candidate that meets
-    the objective is therefore reached.  Deterministic: candidate order
-    is fixed by the plans, the enumeration and the seeded stream.
+    *accept* receives the (rows x cycles) input arrays of one batch,
+    simulates them on whatever kernels it needs, and decides each row
+    exactly: it returns one bool per row, true where the row is a
+    witness.  That decision is the result: the first true row, read by
+    ``Stimulus.for_design``, is returned, so with an exhaustive
+    enumeration every witness is reachable.  Deterministic: candidate
+    order is fixed by the plans, the enumeration and the seeded stream.
     """
     stats = SearchStats()
-    netlist = kernel.netlist
     control = netlist.control_nets()
     relevant = [n for n in inputs if n not in control]
     free = [(name, bit) for name in relevant
             for bit in range(netlist.nets[name].width)
             if (name, bit) not in forced]
     sampled = len(free) > _EXHAUSTIVE_BITS
-    space = "sampled" if sampled else "enumerated"
     for plan in plans:
         for values in _vectors(relevant, forced, free, sampled, rng):
             rows = next(iter(values.values())).shape[0] if values else 1
             stats.candidates += rows
             batch = _apply(plan, values, horizon)
-            arrays = kernel.run_batch(batch, horizon)
-            for row in np.flatnonzero(objective(arrays, batch)):
-                stim = Stimulus.for_design(netlist, {
+            hits = np.flatnonzero(accept(batch))
+            if hits.size:
+                stats.schedule = plan.name
+                stats.space = "sampled" if sampled else "enumerated"
+                stats.forced = len(forced)
+                return Stimulus.for_design(netlist, {
                     "cycles": horizon,
-                    "inputs": {n: v[row].tolist() for n, v in batch.items()}})
-                if accept(stim):
-                    stats.schedule, stats.space = plan.name, space
-                    stats.forced = len(forced)
-                    return stim, stats
+                    "inputs": {n: v[hits[0]].tolist()
+                               for n, v in batch.items()}}), stats
     return None, stats
-

@@ -24,7 +24,8 @@ import numpy as np
 from . import expr as ex
 from .errors import ConfigError
 from .graph import DependencyGraph, Relationship, build_graph, classify, fanin
-from .monitor import Checker, check_assertion
+# perfbench's tracer wraps translate.check_assertion (perfbench/tracer.py)
+from .monitor import Checker, check_assertion  # noqa: F401
 from .netlist import Netlist
 from .records import field, read_json, record
 from .rng import substream
@@ -551,14 +552,14 @@ def generate_testcase(a: Assertion, target: Netlist,
     design, and say what the search took.
 
     One ``Checker`` decides the verdict (no failure, at least one
-    completed non-vacuous pass) over every candidate of each simulated
-    batch, and ``check_assertion`` runs it again on a scalar simulation
-    of the first candidate that meets it, both on a kernel sliced to the
-    nets the assertion reads.  Every input of the assertion's cone is
-    searched in one pass that forces the input bits the antecedent's first
-    step needs (``necessary_literals``; the ``search`` module says why that
-    loses no witness).  An antecedent whose literals contradict each other
-    can never hold, so it is not searched at all.
+    completed non-vacuous pass) over every candidate of each batch,
+    simulated on a kernel sliced to the nets the assertion reads, and
+    the first candidate that meets it is the witness.  Every input of
+    the assertion's cone is searched in one pass that forces the input
+    bits the antecedent's first step needs (``necessary_literals``; the
+    ``search`` module says why that loses no witness).  An antecedent
+    whose literals contradict each other can never hold, so it is not
+    searched at all.
     """
     config = config or TranslationConfig()
     checker = Checker(a, target)
@@ -568,17 +569,11 @@ def generate_testcase(a: Assertion, target: Netlist,
     graph = graph or build_graph(target)
     kernel = SimKernel(target, keep=checker.nets)
 
-    def objective(arrays: dict[str, np.ndarray],
-                  inputs: dict[str, np.ndarray]) -> np.ndarray:
-        verdict = checker(arrays)
+    def accept(batch: dict[str, np.ndarray]) -> np.ndarray:
+        verdict = checker(kernel.run_batch(batch, config.horizon))
         return verdict.passed & ~verdict.failed
-
-    def accept(stim: Stimulus) -> bool:
-        verdict = check_assertion(kernel.run(stim), checker)
-        return verdict.failure_count == 0 and verdict.non_vacuous_passes >= 1
 
     cone = input_cone(target, graph, signals_of(a))
     rng = substream(config.seed, "translate", "testcase", a.effective_name())
-    return search_stimulus(cone, literals, objective, accept, rng,
-                           config.horizon, kernel=kernel,
-                           plans=schedules(target, literals, config.horizon))
+    return search_stimulus(cone, literals, accept, rng, config.horizon,
+                           target, schedules(target, literals, config.horizon))

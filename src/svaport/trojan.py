@@ -385,13 +385,11 @@ def _find_activation(spec: TrojanSpec, netlist: Netlist,
     design and hold on the clean one, and no other checker may fail.
 
     Each batch runs on both designs, each kept to the nets the objective
-    reads, and one rule, ``meets``, decides every row with arrays: it is
-    the objective, returning the mask of rows that meet it, since rows
-    are independent in a batch run and in every checker.  The clean
-    design's kernel is *clean* when given, which must keep those nets
-    (else ``ValueError``); if not given, it is built here.  ``accept``
-    re-runs a row on both kernels and decides it with the same rule only
-    to confirm.
+    reads, and one rule, ``meets``, decides every row with arrays, since
+    rows are independent in a batch run and in every checker: the first
+    row it takes is the activation.  The clean design's kernel is *clean*
+    when given, which must keep those nets (else ``ValueError``); if not
+    given, it is built here.
 
     The search is one pass over every input the objective's nets depend
     on.  It forces the trigger's input bits, every bit of a condition on
@@ -442,7 +440,6 @@ def _find_activation(spec: TrojanSpec, netlist: Netlist,
     if missing:
         raise ValueError(f"the clean kernel of {netlist.name} drops nets "
                          f"the objective reads: {sorted(missing)}")
-    kernel = clean
     inj_kernel = SimKernel(injected, keep=reads)
 
     def meets(dirty: dict[str, np.ndarray],
@@ -461,18 +458,14 @@ def _find_activation(spec: TrojanSpec, netlist: Netlist,
                 ok &= ~other(dirty).failed
         return ok
 
-    def objective(dirty: dict[str, np.ndarray],
-                  inputs: dict[str, np.ndarray]) -> np.ndarray:
-        return meets(dirty, kernel.run_batch(inputs, horizon))
-
-    def accept(stim: Stimulus) -> bool:
-        return bool(meets(inj_kernel.run(stim).arrays(reads),
-                          kernel.run(stim).arrays(reads))[0])
+    def accept(batch: dict[str, np.ndarray]) -> np.ndarray:
+        return meets(inj_kernel.run_batch(batch, horizon),
+                     clean.run_batch(batch, horizon))
 
     cone = input_cone(injected, build_graph(injected),
                       reads | {c.signal for c in spec.trigger})
-    return search_stimulus(cone, forced, objective, accept, rng, horizon,
-                           kernel=inj_kernel, plans=plans)[0]
+    return search_stimulus(cone, forced, accept, rng, horizon, injected,
+                           plans)[0]
 
 
 def _hopeless(spec: TrojanSpec, netlist: Netlist, injected: Netlist,
@@ -515,7 +508,15 @@ def _hopeless(spec: TrojanSpec, netlist: Netlist, injected: Netlist,
 def activation_stimulus(spec: TrojanSpec, netlist: Netlist,
                         horizon: int = 16, *, seed: int = 0) -> Stimulus:
     """Find inputs that fire the trigger and make the corruption visible:
-    forge's activation search, with no assertion to fail."""
+    forge's activation search, with no assertion to fail.  No search
+    drives a clock or reset net, so a trigger that names one raises."""
+    control = [c.signal for c in spec.trigger
+               if c.signal in netlist.control_nets()]
+    if control:
+        raise ActivationNotFoundError(
+            f"trojan {spec.id}: its trigger names the clock or reset net "
+            f"{control[0]}, which no search drives; the spec needs its own "
+            "meta.activation")
     rng = substream(seed, "activate", spec.module, spec.id)
     stim = _find_activation(spec, netlist, [], None, horizon, rng)
     if stim is None:

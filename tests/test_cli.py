@@ -548,6 +548,33 @@ def test_imported_whole_input_trigger_is_activated(tmp_path, capsys):
     assert 0x5A5A5A5A in stim.columns["csr_wdata_i"]
 
 
+def test_imported_trigger_on_reset_needs_its_own_activation(tmp_path,
+                                                            capsys):
+    # no search drives a reset, so a trigger that needs rst_ni asserted is
+    # refused before any search; with its own activation it is injected
+    spec = {"id": "csr_rst", "module": "csr_unit",
+            "module_kind": "sequential", "k": 2,
+            "trigger": [{"signal": "rst_ni", "bit": None, "value": 0},
+                        {"signal": "priv_lvl_i", "bit": None, "value": 1}],
+            "payload": {"kind": "invert_net", "net": "illegal_csr_insn_o"}}
+    module = {"name": "csr_unit", "trojans": 0,
+              "target_design": str(corpus.design_path("csr_unit")),
+              "assertions": str(corpus.assertions_path("csr_unit")),
+              "signal_map": str(corpus.signal_map_path("csr_unit")),
+              "imported_trojans": "imported.json"}
+    cfg = make_campaign(tmp_path, modules=[module], horizon=8)
+    (tmp_path / "imported.json").write_text(json.dumps([spec]))
+    assert main(["inject", "--config", str(cfg)]) == 1
+    err = capsys.readouterr().err
+    assert "trojan csr_rst: its trigger names the clock or reset net " \
+        "rst_ni" in err
+    assert "needs its own meta.activation" in err
+    rows = [{"rst_ni": 0, "priv_lvl_i": 1}]
+    (tmp_path / "imported.json").write_text(
+        json.dumps([dict(spec, meta={"activation": rows})]))
+    assert main(["inject", "--config", str(cfg)]) == 0
+
+
 @pytest.mark.parametrize("records, needle", [
     pytest.param([5], "trojan record must be an object, got int",
                  id="record-not-an-object"),

@@ -166,6 +166,11 @@ def test_enumerated_batches_grow_in_integer_order():
     assert (np.concatenate([b["in1"] for b in batches]) == in1).all()
 
 
+def _refused(arrays):
+    """An ``accept`` decision that takes no row of the batch."""
+    return np.zeros(len(next(iter(arrays.values()))), dtype=bool)
+
+
 def test_search_walks_its_input_set_once_holding_the_forced_bits():
     # b_i[1] is forced high, so a_i and b_i[0] give eight candidates in one
     # batch; only b_i == 3 raises hit_o
@@ -173,27 +178,27 @@ def test_search_walks_its_input_set_once_holding_the_forced_bits():
     kernel = SimKernel(netlist)
     searched: list[list[int]] = []
 
-    def objective(arrays, inputs):
-        assert sorted(inputs) == ["a_i", "b_i"]
-        searched.append(inputs["b_i"].tolist())
-        return arrays["hit_o"].any(axis=1)
-
-    def search(accept):
+    def search(meets):
         searched.clear()
         forced = {("b_i", 1): 1}
-        return search_stimulus(["a_i", "b_i"], forced, objective, accept,
-                               np.random.default_rng(0), 4, kernel=kernel,
+
+        def accept(batch):
+            assert sorted(batch) == ["a_i", "b_i"]
+            searched.append(batch["b_i"].tolist())
+            return meets(kernel.run_batch(batch, 4))
+        return search_stimulus(["a_i", "b_i"], forced, accept,
+                               np.random.default_rng(0), 4, netlist,
                                plans=schedules(netlist, forced, 4))
 
-    stim, stats = search(lambda s: kernel.run(s).values["hit_o"][0] == 1)
+    stim, stats = search(lambda arrays: arrays["hit_o"].any(axis=1))
     assert searched == [[[2] * 4] * 4 + [[3] * 4] * 4]
     assert {(c["a_i"], c["b_i"]) for c in stim.inputs} == {(0, 3)}
     assert stim.cycles == 4
     assert stats.candidates == 8
     assert (stats.schedule, stats.space, stats.forced) == \
         ("constant", "enumerated", 1)
-    # refusing every witness walks the set once more, and finds nothing
-    stim, stats = search(lambda s: False)
+    # refusing every row walks the set once more, and finds nothing
+    stim, stats = search(_refused)
     assert stim is None and stats.schedule is None
     assert len(searched) == 1 and stats.candidates == 8
 
@@ -215,14 +220,11 @@ def test_a_refused_search_runs_each_schedule_once_over_its_space():
     # constant and the flipped-prefix schedule; one that forces none tries
     # the constant schedule alone
     netlist = parse_design(LATCH_RTL)
-    kernel = SimKernel(netlist)
 
     def refused(forced):
         stim, stats = search_stimulus(
-            ["a_i", "b_i"], forced,
-            lambda arrays, inputs: np.ones(len(arrays["q_o"]), dtype=bool),
-            lambda s: False, np.random.default_rng(0), 6, kernel=kernel,
-            plans=schedules(netlist, forced, 6))
+            ["a_i", "b_i"], forced, _refused, np.random.default_rng(0), 6,
+            netlist, plans=schedules(netlist, forced, 6))
         assert stim is None and stats.schedule is None
         return stats.candidates
 
@@ -269,14 +271,13 @@ def test_a_search_never_samples_a_schedule_ruled_out_for_its_term(
     searched: list[SearchStats] = []
     search = trojan.search_stimulus
 
-    def refusing(inputs, forced, objective, accept, *rest, **kwargs):
-        def recorded(arrays, batch):
+    def refusing(inputs, forced, accept, *rest, **kwargs):
+        def recorded(batch):
             # only the warm-up changes an input after cycle 0
             held = all((v == v[:, :1]).all() for v in batch.values())
             seen.append("constant" if held else "flipped_prefix")
-            return objective(arrays, batch)
-        stim, stats = search(inputs, forced, recorded, lambda s: False,
-                             *rest, **kwargs)
+            return accept(batch) & False
+        stim, stats = search(inputs, forced, recorded, *rest, **kwargs)
         searched.append(stats)
         return stim, stats
 
@@ -315,21 +316,19 @@ def test_a_search_never_samples_a_schedule_ruled_out_for_its_term(
 
 def test_a_one_cycle_search_has_no_warm_up_to_give():
     # a one-cycle stimulus leaves no cycle for a warm-up, so a search that
-    # forces bits tries the constant schedule alone and simulates each of
+    # forces bits tries the constant schedule alone and decides each of
     # the eight candidates once
     netlist = parse_design(LATCH_RTL)
-    kernel = SimKernel(netlist)
     rows: list[int] = []
 
-    def objective(arrays, inputs):
-        rows.append(len(arrays["q_o"]))
-        return np.ones(rows[-1], dtype=bool)
+    def refused(batch):
+        rows.append(len(batch["a_i"]))
+        return _refused(batch)
 
     forced = {("a_i", 0): 1}
     stim, stats = search_stimulus(
-        ["a_i", "b_i"], forced, objective, lambda s: False,
-        np.random.default_rng(0), 1, kernel=kernel,
-        plans=schedules(netlist, forced, 1))
+        ["a_i", "b_i"], forced, refused, np.random.default_rng(0), 1,
+        netlist, plans=schedules(netlist, forced, 1))
     assert stim is None
     assert rows == [2 ** 3] and stats.candidates == 2 ** 3
 
@@ -346,17 +345,24 @@ def test_csr_unit_searches_leave_reset_to_the_kernel(
         monkeypatch, corpus_designs, corpus_assertions, corpus_maps):
     # no batch of the witness or activation searches names the active-low
     # rst_ni: the kernel holds it at its idle level, so the searches find
-    # what they found when each batch pinned it
+    # what they found when each batch pinned it.  Each search is decided
+    # on its batches alone: no scalar run re-checks what they return
     nl = corpus_designs["csr_unit"]
     columns: list[set[str]] = []
     candidates = [0]
-    run_batch = SimKernel.run_batch
+    scalar_runs = [0]
+    run_batch, run = SimKernel.run_batch, SimKernel.run
 
     def spy(self, inputs, cycles):
         columns.append(set(inputs))
         return run_batch(self, inputs, cycles)
 
+    def scalar_spy(self, stimulus):
+        scalar_runs[0] += 1
+        return run(self, stimulus)
+
     monkeypatch.setattr(SimKernel, "run_batch", spy)
+    monkeypatch.setattr(SimKernel, "run", scalar_spy)
     for owner in (import_module("svaport.translate"), trojan):
         def counted(*args, _search=owner.search_stimulus, **kwargs):
             stim, stats = _search(*args, **kwargs)
@@ -379,6 +385,7 @@ def test_csr_unit_searches_leave_reset_to_the_kernel(
         digest.update(json.dumps(spec.to_dict(), sort_keys=True).encode()
                       + b"\n" + stimulus_text(stim).encode())
     assert columns and not any("rst_ni" in c for c in columns)
+    assert scalar_runs == [0]
     assert (len(ported), len(forged)) == (7, 7)
     assert candidates == [CSR_SEARCH_CANDIDATES]
     assert digest.hexdigest() == CSR_SEARCH_SHA256
