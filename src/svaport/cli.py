@@ -38,12 +38,15 @@ import os
 import shutil
 import sys
 from concurrent import futures
+from contextlib import contextmanager
 from dataclasses import asdict, replace
 from fractions import Fraction
 from pathlib import Path
+from typing import Callable, Iterator, TypeVar
 
 from .config import REPORT_FILES, REPORT_FORMATS, ModuleJob, ProjectConfig
-from .errors import ConfigError, SvaportError, UnknownSignalError
+from .errors import (ConfigError, ElaborationError, SourceError,
+                     SvaportError, UnknownSignalError)
 from .graph import build_graph
 from .metrics import (MetricsReport, ModuleRow, TrojanRow,
                       analytic_probability, emit_report)
@@ -56,6 +59,8 @@ from .sva import Assertion, parse_assertions, render_assertion
 from .translate import SignalMap, TranslationConfig, assertion_key, translate
 from .trojan import (TrojanSpec, activation_stimulus, forge, inject,
                      load_trojans, validate_spec)
+
+T = TypeVar("T")
 
 
 def _warn(message: str) -> None:
@@ -79,8 +84,25 @@ def _slug(key: str) -> str:
     return "".join(c if c.isalnum() or c in "_-" else "_" for c in key)
 
 
+@contextmanager
+def _named(where: str, *kinds: type[SvaportError]) -> Iterator[None]:
+    """Prefix *where* to the message of an error of *kinds* raised inside,
+    which keeps its class."""
+    try:
+        yield
+    except kinds as err:
+        err.args = (f"{where}: {err.args[0]}",)
+        raise
+
+
+def _parsed(parse: Callable[[str], T], path: Path) -> T:
+    """*parse* of the text of *path*; a fault in the text names the file."""
+    with _named(str(path), SourceError):
+        return parse(read_text(path))
+
+
 def _load_design(path: Path) -> Netlist:
-    return parse_design(read_text(path))
+    return _parsed(parse_design, path)
 
 
 def _module_dir(config: ProjectConfig, job: ModuleJob) -> Path:
@@ -101,7 +123,7 @@ def _translated_assertions(config: ProjectConfig,
     """The module's ported assertions in file order; empty if it has none."""
     tdir = _module_dir(config, job) / "translated"
     files = sorted(tdir.glob("*.sva")) if tdir.is_dir() else []
-    return [a for f in files for a in parse_assertions(read_text(f))]
+    return [a for f in files for a in _parsed(parse_assertions, f)]
 
 
 # ---------------------------------------------------------------------------
@@ -114,7 +136,7 @@ def cmd_translate(config: ProjectConfig) -> int:
     _clear(config, "links", "translated", "testcases")
     for job in config.modules:
         target = _load_design(job.target_design)
-        assertions = parse_assertions(read_text(job.assertions))
+        assertions = _parsed(parse_assertions, job.assertions)
         smap = (SignalMap.load(job.signal_map, netlist=target)
                 if job.signal_map else SignalMap())
         keys = [assertion_key(a, idx) for idx, a in enumerate(assertions)]
@@ -197,15 +219,12 @@ def cmd_inject(config: ProjectConfig) -> int:
                 spec.meta.setdefault("seed", config.seed)
                 # the activation is written once, to its own stimulus file
                 rows = spec.meta.pop("activation", None)
-                if rows is None:
-                    stimulus = activation_stimulus(spec, target, config.horizon,
-                                                   seed=config.seed)
-                else:
-                    try:
-                        stimulus = Stimulus.for_design(target, rows)
-                    except (ConfigError, UnknownSignalError) as err:
-                        raise type(err)(f"module {job.name}, trojan {spec.id}: "
-                                        f"{err}") from None
+                with _named(f"module {job.name}, trojan {spec.id}",
+                            ConfigError, UnknownSignalError, ElaborationError):
+                    stimulus = (Stimulus.for_design(target, rows) if rows
+                                is not None else activation_stimulus(
+                                    spec, target, config.horizon,
+                                    seed=config.seed))
                 trojans.append((spec, stimulus))
         _check_ids(job, [spec for spec, _ in trojans])
         tdir = _module_dir(config, job) / "trojans"
@@ -238,7 +257,7 @@ def _evaluate_one(sv_path: Path, stim_path: Path,
     run it; any error is reported, never raised, to keep one bad trojan
     from sinking the batch."""
     try:
-        netlist = _load_design(sv_path)
+        netlist = parse_design(read_text(sv_path))
         verdicts = _replay(netlist, load_stimulus(stim_path, netlist),
                            assertions)
         detected = any(v.failure_count >= 1 for v in verdicts)
@@ -283,7 +302,7 @@ def cmd_evaluate(config: ProjectConfig) -> int:
     # each trojan's module row, spec and scoring arguments
     tasks: list[tuple[dict, TrojanSpec, tuple]] = []
     for job in config.modules:
-        source_count = len(parse_assertions(read_text(job.assertions)))
+        source_count = len(_parsed(parse_assertions, job.assertions))
         assertions = _translated_assertions(config, job)
         spec_paths = _trojan_files(config, job)
         row = {"module": job.name, "source_assertions": source_count,

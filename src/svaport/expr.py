@@ -83,8 +83,14 @@ _PREC = {"?:": 0, "||": 1, "&&": 2, "|": 3, "^": 4, "&": 5, "==": 6, "!=": 6, "+
 
 
 def parse_expr(ts: TokenStream, allow_past: bool = False) -> Expr:
-    """Parse one expression from *ts* (used by both front ends)."""
-    return _parse_ternary(ts, allow_past)
+    """Parse one expression from *ts* (used by both front ends).  One
+    nested too deeply to parse is a ``ParseError`` at its first token."""
+    tok = ts.peek()
+    try:
+        return _parse_ternary(ts, allow_past)
+    except RecursionError:
+        ts.error("expression nests too deeply", tok)
+        raise AssertionError("unreachable")
 
 
 def _parse_ternary(ts: TokenStream, allow_past: bool) -> Expr:
@@ -127,6 +133,9 @@ def _parse_primary(ts: TokenStream, allow_past: bool) -> Expr:
         return inner
     if tok.kind == "num":
         ts.next()
+        if tok.value >> 64 or (tok.size or 0) > 64:
+            ts.error(f"literal {tok.text} is wider than 64 bits; values are "
+                     "limited to 64 bits", tok)
         return Const(tok.value, tok.size)
     if tok.kind == "sysid":
         if tok.text != "$past":

@@ -63,7 +63,7 @@ def _decode_number(m: re.Match, line: int, col: int) -> tuple[int, int | None]:
     except ValueError:
         raise ParseError(f"{digits!r} is not a valid base-{base} number",
                          line, col) from None
-    if size is not None and value >= (1 << size):
+    if size is not None and value.bit_length() > size:
         raise ParseError(f"literal value {value} does not fit in {size} bits", line, col)
     return value, size
 

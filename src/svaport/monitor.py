@@ -36,7 +36,7 @@ from typing import Mapping
 
 import numpy as np
 
-from .errors import UnknownSignalError
+from .errors import ElaborationError, UnknownSignalError
 from .netlist import Netlist
 from .sim import BatchExpr, Trace
 from .sva import Assertion, normalize_overlapped, signals_of
@@ -168,7 +168,11 @@ class Checker:
         consts = netlist.constants()
 
         def compiled(e) -> BatchExpr:
-            return BatchExpr(e, netlist.width, consts)
+            try:
+                return BatchExpr(e, netlist.width, consts)
+            except ElaborationError as err:
+                raise ElaborationError(
+                    f"assertion {a.effective_name()}: {err}") from None
 
         self._disable = compiled(a.disable) if a.disable is not None else None
         # (delay, term, in consequent) per step of the normalized sequence

@@ -167,6 +167,11 @@ class _Parser:
         if name_tok.text in self.nets or name_tok.text in self.params:
             ts.error(f"duplicate declaration of {name_tok.text}", name_tok, ElaborationError)
         size = size if size is not None else val_tok.size
+        width = size if size is not None else val_tok.value.bit_length()
+        if width > 64:
+            ts.error(f"parameter {name_tok.text} is {width} bits wide; "
+                     "parameters are limited to 64 bits", name_tok,
+                     ElaborationError)
         if size is not None and val_tok.value >= (1 << size):
             ts.error(f"parameter value does not fit in {size} bits", val_tok, ElaborationError)
         self.params[name_tok.text] = Param(name_tok.text, val_tok.value, size)

@@ -3,15 +3,15 @@
 The strategy is deliberately simple and fully deterministic: a candidate
 is a vector of input values, held constant apart from the warm-up its
 schedule gives it (``schedules`` says what a warm-up is).  A search is
-one pass: a set of free inputs and the input bits it forces.  Its free
-bits are enumerated exhaustively when they are few enough, otherwise
-sampled from a seeded stream.  Candidates come in batches, one (rows,
-cycles) array per searched input.  The caller's ``accept`` simulates a
-batch and decides every row of it exactly, with arrays, and the first
-row it takes is the result: nothing runs it again.  Batches grow from
-256 rows, doubling up to 8,192, so a witness near the start costs a
-small batch; the candidates and their order do not depend on the batch
-sizes, so every search meets the same first witness whatever they are.
+one pass over the inputs its kernels read, holding the input bits it
+forces.  Its free bits are enumerated exhaustively when they are few
+enough, otherwise sampled from a seeded stream.  Candidates come in
+batches, one (rows, cycles) array per searched input.  The caller's
+``accept`` simulates a batch and decides every row of it exactly, with
+arrays, and the first row it takes is the result: nothing runs it
+again.  Batches grow from 256 rows, doubling up to 8,192, so a witness
+near the start costs a small batch; the candidates, their order and so
+the first witness do not depend on the batch sizes.
 
 ``necessary_literals`` guides a search: it backtraces a term through the
 combinational logic to the input bits every candidate that makes the term
@@ -380,11 +380,12 @@ def search_stimulus(
     """Find a *horizon*-cycle stimulus of *netlist* that *accept* takes.
 
     The search holds the *forced* bits and frees every other bit of
-    *inputs* but the clock and reset nets (``Netlist.control_nets``).  Its
-    batches leave out every other input, which a batch run and
-    ``Stimulus.for_design`` alike hold at its idle level, a reset inactive
-    and any other input 0 (``Netlist.idle_levels``).  It tries each of
-    *plans* in turn, exactly the plans the caller picked (``schedules``).
+    *inputs*, those its kernels read, but the clock and reset nets
+    (``Netlist.control_nets``).  Its batches leave out every other
+    input, which a batch run and ``Stimulus.for_design`` alike hold at
+    its idle level, a reset inactive and any other input 0
+    (``Netlist.idle_levels``).  It tries each of *plans* in turn,
+    exactly the plans the caller picked (``schedules``).
 
     *accept* receives the (rows x cycles) input arrays of one batch,
     simulates them on whatever kernels it needs, and decides each row

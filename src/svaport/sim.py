@@ -38,12 +38,13 @@ from __future__ import annotations
 
 import json
 from array import array
+from contextlib import contextmanager
 from dataclasses import dataclass, field
 from functools import lru_cache
 from itertools import repeat
 from operator import itemgetter, pos
 from pathlib import Path
-from typing import Callable, Iterable, Mapping
+from typing import Callable, Iterable, Iterator, Mapping
 
 import numpy as np
 
@@ -341,6 +342,18 @@ def emit(e: ex.Expr, width: Callable[[str], int], params: Mapping[str, int],
     raise TypeError(f"not an expression node: {e!r}")
 
 
+@contextmanager
+def _compiling(what: str) -> Iterator[None]:
+    """Turn the errors Python raises on code nested too deeply for it,
+    in ``emit`` or in ``_compiled``, into an ``ElaborationError`` that
+    names *what* was being compiled."""
+    try:
+        yield
+    except (RecursionError, SyntaxError):
+        raise ElaborationError(f"{what} nests too deeply to compile") \
+            from None
+
+
 @lru_cache(maxsize=4096)
 def _compiled(source: str, name: str) -> Callable:
     """The function *name* that *source* defines, compiled once per
@@ -378,13 +391,14 @@ class BatchExpr:
                 depths.append(depth)
             return slots.setdefault((name, depth), f"a{len(slots)}")
 
-        body = emit(e, width, params, read, past=True)
+        with _compiling("an expression"):
+            body = emit(e, width, params, read, past=True)
+            self._fn = _compiled(
+                f"def _expr({', '.join(slots.values())}):\n"
+                f"    return {body}\n", "_expr")
         self.args = tuple(slots)
         #: the $past depth of every net read under $past, one per read
         self.past_depths = tuple(depths)
-        self._fn = _compiled(
-            f"def _expr({', '.join(slots.values())}):\n    return {body}\n",
-            "_expr")
 
     @property
     def nets(self) -> set[str]:
@@ -460,8 +474,9 @@ class SimKernel:
         self.reg_init = tuple(
             (r.reset.value if r.reset is not None else 0)
             for r in self._registers)
-        self._source = self._generate()
-        self._fn = _compiled(self._source, "_run")
+        with _compiling(f"the logic of module {netlist.name}"):
+            self._source = self._generate()
+            self._fn = _compiled(self._source, "_run")
 
     # -- code generation ---------------------------------------------------
 

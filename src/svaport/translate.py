@@ -29,9 +29,8 @@ from .monitor import Checker, check_assertion  # noqa: F401
 from .netlist import Netlist
 from .records import field, read_json, record
 from .rng import substream
-from .search import (SearchStats, input_cone, necessary_literals,
-                     schedules, search_stimulus)
-from .sim import SimKernel, Stimulus
+from .search import SearchStats, necessary_literals, schedules, search_stimulus
+from .sim import SimKernel, Stimulus, fanin_cone
 from .sva import Assertion, SeqExpr, signals_of
 
 DEFAULT_SUFFIXES = ("_i", "_o", "_q", "_d", "_n")
@@ -530,7 +529,7 @@ def translate(source: Assertion, target: Netlist, smap: SignalMap,
     notes: list[str] = []
     testcase = stats = None
     if config.generate_testcase:
-        testcase, stats = generate_testcase(out, target, config, graph=graph)
+        testcase, stats = generate_testcase(out, target, config)
         if testcase is None and not stats.candidates:
             notes.append("the antecedent's first step can never hold: the "
                          "input bits it needs contradict each other")
@@ -545,8 +544,7 @@ def translate(source: Assertion, target: Netlist, smap: SignalMap,
 # test-case generation
 
 def generate_testcase(a: Assertion, target: Netlist,
-                      config: TranslationConfig | None = None, *,
-                      graph: DependencyGraph | None = None,
+                      config: TranslationConfig | None = None,
                       ) -> tuple[Stimulus | None, SearchStats]:
     """Find inputs under which *a* passes non-vacuously on the clean
     design, and say what the search took.
@@ -554,26 +552,26 @@ def generate_testcase(a: Assertion, target: Netlist,
     One ``Checker`` decides the verdict (no failure, at least one
     completed non-vacuous pass) over every candidate of each batch,
     simulated on a kernel sliced to the nets the assertion reads, and
-    the first candidate that meets it is the witness.  Every input of
-    the assertion's cone is searched in one pass that forces the input
-    bits the antecedent's first step needs (``necessary_literals``; the
-    ``search`` module says why that loses no witness).  An antecedent
-    whose literals contradict each other can never hold, so it is not
-    searched at all.
+    the first candidate that meets it is the witness.  Every input that
+    kernel reads, the assertion's clock only where logic or a term reads
+    it, is searched in one pass that forces the input bits the
+    antecedent's first step needs (``necessary_literals``; the ``search``
+    module says why that loses no witness).  An antecedent whose literals
+    contradict each other can never hold, so it is not searched at all.
     """
     config = config or TranslationConfig()
     checker = Checker(a, target)
     literals = necessary_literals(a.antecedent.steps[0][1], target)
     if literals is None:
         return None, SearchStats()
-    graph = graph or build_graph(target)
     kernel = SimKernel(target, keep=checker.nets)
 
     def accept(batch: dict[str, np.ndarray]) -> np.ndarray:
         verdict = checker(kernel.run_batch(batch, config.horizon))
         return verdict.passed & ~verdict.failed
 
-    cone = input_cone(target, graph, signals_of(a))
+    cone = fanin_cone(target, signals_of(a) & target.nets.keys())
+    inputs = sorted(n for n in kernel.input_names if n in cone)
     rng = substream(config.seed, "translate", "testcase", a.effective_name())
-    return search_stimulus(cone, literals, accept, rng, config.horizon,
+    return search_stimulus(inputs, literals, accept, rng, config.horizon,
                            target, schedules(target, literals, config.horizon))

@@ -293,11 +293,11 @@ def forge(netlist: Netlist, assertions: list[Assertion],
     that assertion checks.  Candidates are sampled from a seeded stream and
     accepted only when an activation stimulus exists (see module docstring
     for the objective), so the result is deterministic for a given seed.
-    The clean design's kernel is built once, kept to the nets every
-    attempt's objective reads: each payload net is a net of its target.
-    Each attempt builds the corrupted design's kernel, and each distinct
-    generated source compiles once (``sim``).  Each attempt's search runs
-    every batch on both designs (see ``_find_activation``).
+    The clean design's kernel is built once, kept to the outputs and the
+    assertions' nets, which every attempt compares (each payload net is a
+    net of its target; see ``_find_activation``).  Each attempt builds
+    the corrupted design's kernel, and each distinct generated source
+    compiles once (``sim``).
     """
     if not assertions:
         raise InsufficientSignalsError("cannot forge without assertions")
@@ -349,9 +349,9 @@ def forge(netlist: Netlist, assertions: list[Assertion],
                       "seed": params.seed},
             )
             stim = _find_activation(
-                cand, netlist, checkers, target, params.horizon,
+                cand, clean, checkers, target, params.horizon,
                 substream(params.seed, "forge", netlist.name, j, attempt),
-                skipped=skipped, clean=clean)
+                skipped=skipped)
             if stim is not None:
                 forged.append((cand, stim))
                 break
@@ -371,37 +371,37 @@ def _outputs(netlist: Netlist) -> set[str]:
     return {n.name for n in netlist.nets.values() if n.kind is NetKind.OUTPUT}
 
 
-def _find_activation(spec: TrojanSpec, netlist: Netlist,
+def _find_activation(spec: TrojanSpec, clean: SimKernel,
                      checkers: list[Checker], target: int | None,
                      horizon: int, rng: np.random.Generator,
-                     *, skipped: Counter[str] | None = None,
-                     clean: SimKernel | None = None) -> Stimulus | None:
+                     *, skipped: Counter[str] | None = None) -> Stimulus | None:
     """Search for a stimulus satisfying the activation objective.
 
     Always required: the corrupted design's trace differs from the clean
-    one on an output, the payload net or a net of an assertion, which it
-    can only in a run where the trigger fires.  When *target* is given,
-    the assertion of ``checkers[target]`` must fail on the corrupted
-    design and hold on the clean one, and no other checker may fail.
+    one on a net the clean design's kernel *clean* keeps, which it can
+    only in a run where the trigger fires.  When *target* is given, the
+    assertion of ``checkers[target]`` must fail on the corrupted design
+    and hold on the clean one, and no other checker may fail.
 
-    Each batch runs on both designs, each kept to the nets the objective
-    reads, and one rule, ``meets``, decides every row with arrays, since
-    rows are independent in a batch run and in every checker: the first
-    row it takes is the activation.  The clean design's kernel is *clean*
-    when given, which must keep those nets (else ``ValueError``); if not
-    given, it is built here.
+    Each batch runs on *clean* and on the corrupted design kept to the
+    same nets, and one rule, ``meets``, decides every row with arrays,
+    since rows are independent in a batch run and in every checker: the
+    first row it takes is the activation.
 
-    The search is one pass over every input the objective's nets depend
-    on.  It forces the trigger's input bits, every bit of a condition on
-    a whole input among them, and, with a *target*, the necessary
-    literals of the target's first antecedent term
-    (``search.necessary_literals``), the trigger's value winning where
-    they clash; under a clash the warm-up flips the trigger's bits alone
-    (``search.schedules`` says why).  With a *target*, it tries only the
-    schedules ``ruled_out`` leaves for that term; an attempt with none
-    left, or that ``_hopeless`` proves can never fail the target, returns
-    None before any kernel is compiled, counting the reason in *skipped*.
+    The search is one pass over the inputs the corrupted kernel reads,
+    through logic or a register's reset, but a clock the checkers sample
+    for its shape alone, which no logic or term reads.  It forces the
+    trigger's input bits, every bit of a condition on a whole input among
+    them, and, with a *target*, the necessary literals of the target's
+    first antecedent term (``search.necessary_literals``), the trigger's
+    value winning where they clash; under a clash the warm-up flips the
+    trigger's bits alone (``search.schedules`` says why).  With a
+    *target*, it tries only the schedules ``ruled_out`` leaves for that
+    term; an attempt with none left, or that ``_hopeless`` proves can
+    never fail the target, returns None unsimulated, counting the reason
+    in *skipped*.
     """
+    netlist = clean.netlist
     injected = inject(netlist, spec)
     # a whole-input condition forces each of the input's bits
     trigger_bits = {
@@ -430,16 +430,8 @@ def _find_activation(spec: TrojanSpec, netlist: Netlist,
                 skipped[why] += 1
             return None
 
-    # the objective reads these nets of both designs; the clock among
-    # them is an input, equal in both
-    reads = (_outputs(netlist) | {spec.payload_net}).union(
-        *(c.nets for c in checkers))
-    if clean is None:
-        clean = SimKernel(netlist, keep=reads)
-    missing = reads - set(clean.net_order)
-    if missing:
-        raise ValueError(f"the clean kernel of {netlist.name} drops nets "
-                         f"the objective reads: {sorted(missing)}")
+    # the compared nets; a sampled clock among them is an input, equal in both
+    reads = clean.net_order
     inj_kernel = SimKernel(injected, keep=reads)
 
     def meets(dirty: dict[str, np.ndarray],
@@ -462,9 +454,11 @@ def _find_activation(spec: TrojanSpec, netlist: Netlist,
         return meets(inj_kernel.run_batch(batch, horizon),
                      clean.run_batch(batch, horizon))
 
-    cone = input_cone(injected, build_graph(injected),
-                      reads | {c.signal for c in spec.trigger})
-    return search_stimulus(cone, forced, accept, rng, horizon, injected,
+    clocks = {c.assertion.clock for c in checkers}.difference(
+        *(signals_of(c.assertion) for c in checkers))
+    cone = fanin_cone(injected, set(reads) - clocks)
+    inputs = sorted(n for n in inj_kernel.input_names if n in cone)
+    return search_stimulus(inputs, forced, accept, rng, horizon, injected,
                            plans)[0]
 
 
@@ -518,7 +512,8 @@ def activation_stimulus(spec: TrojanSpec, netlist: Netlist,
             f"{control[0]}, which no search drives; the spec needs its own "
             "meta.activation")
     rng = substream(seed, "activate", spec.module, spec.id)
-    stim = _find_activation(spec, netlist, [], None, horizon, rng)
+    clean = SimKernel(netlist, keep=_outputs(netlist) | {spec.payload_net})
+    stim = _find_activation(spec, clean, [], None, horizon, rng)
     if stim is None:
         raise ActivationNotFoundError(
             f"no activating stimulus for {spec.id} within budget "

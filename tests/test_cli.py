@@ -481,6 +481,62 @@ def _imported_campaign(root: Path, records) -> Path:
         "trojans": 0, "imported_trojans": "imported.json"}])
 
 
+def _consequent(cons: str) -> str:
+    return f"A: assert property (@(posedge clk) en_i |-> {cons});\n"
+
+
+_BIG = TOY_RTL.replace("  logic [3:0] mix;", "  parameter logic [79:0] BIG = "
+                       "80'h10000000000000000001;\n  logic [3:0] mix;")
+_XOR_260 = TOY_RTL.replace("assign mix = a_i ^ b_i;",
+                           "assign mix = " + " ^ ".join(["a_i"] * 260) + ";")
+_WORDS = TOY_RTL.replace("  input  logic       en_i,",
+                         "  input  logic       en_i,\n"
+                         "  input  logic [63:0] w_i,\n"
+                         "  input  logic [63:0] v_i,")
+# an imported trigger of 100 bit conditions
+_DEEP_TRIGGER = dict(IMPORTED, k=100, trigger=[
+    {"signal": name, "bit": bit, "value": 1}
+    for name, bits in (("w_i", 64), ("v_i", 36)) for bit in range(bits)])
+
+
+@pytest.mark.parametrize("sva, rtl, imported, needle", [
+    pytest.param(_consequent("(a_i + 1180591620717411303424) == 0"), TOY_RTL,
+                 None, "toy.sva: literal 1180591620717411303424 is wider "
+                 "than 64 bits", id="wide-literal"),
+    pytest.param(_consequent("(~70'h0 & a_i) == 0"), TOY_RTL, None,
+                 "toy.sva: literal 70'h0 is wider than 64 bits",
+                 id="wide-written-size"),
+    pytest.param(TOY_SVA, _BIG, None,
+                 "toy.sv: parameter BIG is 80 bits wide", id="wide-parameter"),
+    pytest.param(_consequent(" || ".join(["a_i == 0"] * 150)), TOY_RTL, None,
+                 "assertion A: an expression nests too deeply to compile",
+                 id="deep-consequent"),
+    pytest.param(TOY_SVA, _XOR_260, None,
+                 "the logic of module toy nests too deeply to compile",
+                 id="deep-assign"),
+    pytest.param(_consequent("(" * 400 + "a_i" + ")" * 400 + " == 0"),
+                 TOY_RTL, None, "toy.sva: expression nests too deeply",
+                 id="deep-parentheses"),
+    pytest.param(TOY_SVA, _WORDS, [_DEEP_TRIGGER],
+                 "module toy, trojan toy_imp: the logic of module toy nests "
+                 "too deeply to compile", id="deep-trigger"),
+])
+def test_a_value_too_wide_or_an_expression_too_deep_exits_1(
+        tmp_path, capsys, sva, rtl, imported, needle):
+    # each names its file, assertion or trojan; none is an internal error
+    if imported is None:
+        cfg, stage = make_campaign(tmp_path, sva=sva), "translate"
+    else:
+        cfg, stage = _imported_campaign(tmp_path, imported), "inject"
+    (tmp_path / "toy.sv").write_text(rtl)
+    if stage == "inject":
+        assert main(["translate", "--config", str(cfg)]) == 0
+    capsys.readouterr()
+    assert main([stage, "--config", str(cfg)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and needle in err.splitlines()[0]
+
+
 def test_imported_activation_is_written_once(tmp_path, capsys):
     rows = [{"a_i": 1, "b_i": 0, "en_i": 1}, {"a_i": 2, "en_i": 1}, {}]
     cfg = _imported_campaign(

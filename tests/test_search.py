@@ -5,6 +5,7 @@ import hashlib
 import json
 from collections import Counter
 from importlib import import_module
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -14,6 +15,7 @@ from hypothesis import strategies as st
 from svaport import corpus
 from svaport import expr as ex
 from svaport import translate, trojan
+from svaport.errors import ActivationNotFoundError, InsufficientSignalsError
 from svaport.monitor import Checker
 from svaport.netlist import Net, NetKind, Netlist
 from svaport.rtl_parser import parse_design
@@ -22,11 +24,13 @@ from svaport.search import (_CHUNK, _FIRST_CHUNK, _RANDOM_VECTORS, Schedule,
                             necessary_literals, ruled_out, schedules,
                             search_stimulus)
 from svaport.sim import BatchExpr, SimKernel, Stimulus, stimulus_text
-from svaport.sva import parse_assertions
-from svaport.translate import TranslationConfig, assertion_key
+from svaport.sva import parse_assertions, signals_of
+from svaport.translate import (TranslationConfig, assertion_key,
+                               generate_testcase)
 from svaport.trojan import ForgeParams, TriggerCond, TrojanSpec
 
 from . import gen, oracles
+from .test_trojan import clean_kernel
 
 PICK_RTL = """\
 module pick (
@@ -295,8 +299,9 @@ def test_a_search_never_samples_a_schedule_ruled_out_for_its_term(
         [target] = parse_assertions(
             f"L: assert property (@(posedge clk) {ante} |=> q_o == 0);")
         skipped: Counter[str] = Counter()
+        checkers = [Checker(target, netlist)]
         assert trojan._find_activation(
-            spec, netlist, [Checker(target, netlist)], 0, 6,
+            spec, clean_kernel(spec, netlist, checkers), checkers, 0, 6,
             np.random.default_rng(0), skipped=skipped) is None
         assert len(searched) == (not skipped)
         return sum(s.candidates for s in searched), sorted(set(seen))
@@ -389,6 +394,67 @@ def test_csr_unit_searches_leave_reset_to_the_kernel(
     assert (len(ported), len(forged)) == (7, 7)
     assert candidates == [CSR_SEARCH_CANDIDATES]
     assert digest.hexdigest() == CSR_SEARCH_SHA256
+
+
+@settings(max_examples=60)
+@given(gen.designs(max_inputs=3), st.data())
+def test_each_search_varies_the_inputs_that_reach_the_nets_it_compares(
+        netlist, data):
+    # once clock and reset nets are dropped, every search is handed the
+    # primary inputs of the oracle's fan-in cone, reset edges followed,
+    # over the nets it compares but the clock the assertions sample, which
+    # no generated term names.  A search is recorded, not run: the inputs
+    # it is handed are the point
+    symbols = {n: netlist.width(n) for n in netlist.nets if n != "clk"}
+    assertions = data.draw(st.lists(gen.assertions(symbols), min_size=1,
+                                    max_size=2))
+    outputs = {n.name for n in netlist.nets.values()
+               if n.kind is NetKind.OUTPUT}
+    handed: list[tuple[list[str], Netlist]] = []
+
+    def recording(inputs, forced, accept, rng, horizon, searched, plans):
+        handed.append((inputs, searched))
+        return None, SearchStats()
+
+    def check(compared: set[str], sampled: set[str]) -> None:
+        for inputs, searched in handed:
+            control = searched.control_nets()
+            cone = oracles.fanin_cone(searched, compared - sampled,
+                                      resets=True)
+            assert inputs == sorted(inputs)
+            assert set(inputs) - control == {
+                n for n in cone - control
+                if searched.nets[n].kind is NetKind.INPUT}, compared
+        handed.clear()
+
+    with mock.patch.object(import_module("svaport.translate"),
+                           "search_stimulus", recording):
+        for a in assertions:
+            generate_testcase(a, netlist, TranslationConfig(horizon=4))
+            check(signals_of(a) & netlist.nets.keys() | {a.clock},
+                  {a.clock})
+    with mock.patch.object(trojan, "search_stimulus", recording):
+        try:
+            trojan.forge(netlist, assertions, ForgeParams(
+                count=1, k_min=1, k_max=2, tries=4, horizon=4))
+        except (InsufficientSignalsError, ActivationNotFoundError):
+            pass
+        check(outputs.union(*(signals_of(a) & netlist.nets.keys() | {a.clock}
+                              for a in assertions)),
+              {a.clock for a in assertions})
+        net = data.draw(st.sampled_from(sorted(
+            n for n in netlist.nets if netlist.driver_of(n) is not None)))
+        name = data.draw(st.sampled_from(sorted(
+            n.name for n in netlist.inputs() if n.name != "clk"
+            and n.name not in netlist.control_nets())))
+        spec = TrojanSpec(id="rand_t00", module=netlist.name,
+                          module_kind="combinational",
+                          trigger=(TriggerCond(name, 0, 1),), k=1,
+                          payload_kind="invert_net", payload_net=net)
+        with pytest.raises(ActivationNotFoundError):
+            trojan.activation_stimulus(spec, netlist, 4)
+        assert len(handed) == 1  # an activation search has no pre-filter
+        check(outputs | {net}, set())
 
 
 @pytest.mark.parametrize("cycles", range(2, 7))

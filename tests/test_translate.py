@@ -22,7 +22,7 @@ from svaport.translate import (SignalMap, TranslationConfig, Translatable,
                                generate_testcase, identify_signals, translate)
 
 from . import gen, oracles
-from .test_trojan import TOY_RTL
+from .test_trojan import GATED_RESET_RTL, TOY_RTL
 
 GOLDEN_SOURCE = corpus.golden_path("source_assertion.sva").read_text()
 GOLDEN_WANT = corpus.golden_path("ported_assertion.sva").read_text()
@@ -337,6 +337,36 @@ def test_testcase_search_decides_every_candidate_of_a_batch():
     assert {(c["x_i"], c["y_i"]) for c in stim.inputs} == {(0, 31)}
     v = check_assertion(SimKernel(target).run(stim), Checker(a, target))
     assert v.failure_count == 0 and v.non_vacuous_passes >= 1
+
+
+def test_witness_search_drives_the_inputs_of_a_logic_driven_reset():
+    # q_o's reset net rst_q is driven by logic of two inputs, which reach
+    # q_o only through that reset.  Left at their idle level 0 they hold
+    # q_o in reset for the whole run, and the antecedent never holds: the
+    # search must vary them
+    target = parse_design(GATED_RESET_RTL)
+    a = parse_assertion("G: assert property (@(posedge clk) "
+                        "q_o |-> $past(d_i));")
+    stim, _ = generate_testcase(a, target)
+    assert stim is not None
+    trace = oracles.simulate_fixpoint(target, stim)
+    statuses, failures = oracles.check_reference(trace, a)
+    assert not failures and "pass" in statuses
+
+
+def test_witness_search_drives_a_sampled_clock_that_logic_reads():
+    # on a combinational design the sampled clock is an input like any
+    # other: the consequent holds only where clk is high, so the search
+    # must vary it where logic reads it
+    target = parse_design(TOY_RTL.replace(
+        "assign flag_o = sum_o == 4'd15;", "assign flag_o = clk & en_i;"))
+    a = parse_assertion("F: assert property (@(posedge clk) "
+                        "en_i |-> flag_o);")
+    stim, _ = generate_testcase(a, target)
+    assert stim is not None
+    trace = oracles.simulate_fixpoint(target, stim)
+    statuses, failures = oracles.check_reference(trace, a)
+    assert not failures and "pass" in statuses
 
 
 def test_testcase_search_compiles_its_assertion_once(monkeypatch):

@@ -92,6 +92,14 @@ def _check(trace, assertions):
                             [Checker(a, trace.netlist) for a in assertions])
 
 
+def clean_kernel(spec, netlist, checkers):
+    """The clean design's kernel for an activation search of *spec*, kept
+    to the nets its objective compares: the outputs, the payload net and
+    every net of *checkers*."""
+    keep = trojan._outputs(netlist) | {spec.payload_net}
+    return SimKernel(netlist, keep=keep.union(*(c.nets for c in checkers)))
+
+
 def test_validate_spec_rejects_malformed_records(toy):
     validate_spec(_spec(toy), toy)  # the baseline is fine
     cases = [
@@ -468,18 +476,14 @@ def test_activation_search_decides_every_candidate_of_a_batch():
                       module_kind="combinational",
                       trigger=(TriggerCond("x_i", 0, 0),), k=1,
                       payload_kind="invert_net", payload_net="ok_o")
-    stim = trojan._find_activation(spec, netlist, [Checker(target, netlist)],
-                                   0, 4, np.random.default_rng(0))
+    checkers = [Checker(target, netlist)]
+    stim = trojan._find_activation(spec, clean_kernel(spec, netlist, checkers),
+                                   checkers, 0, 4, np.random.default_rng(0))
     assert stim is not None
     assert {(c["x_i"], c["y_i"]) for c in stim.inputs} == {(0, 31)}
     dirty = _check(SimKernel(inject(netlist, spec)).run(stim), [target])
     clean = _check(SimKernel(netlist).run(stim), [target])
     assert dirty[0].failed and not clean[0].failed
-    # a clean kernel handed in must keep every net the objective reads
-    with pytest.raises(ValueError, match=r"drops nets .*'ok_o'"):
-        trojan._find_activation(
-            spec, netlist, [], None, 4, np.random.default_rng(0),
-            clean=SimKernel(netlist, keep={"hit_o"}))
 
 
 def test_forge_runs_both_designs_on_every_candidate_of_a_batch(
@@ -501,9 +505,9 @@ def test_forge_runs_both_designs_on_every_candidate_of_a_batch(
     attempts: list[tuple[TrojanSpec, int, int, int]] = []
     find = trojan._find_activation
 
-    def tracking_find(spec, netlist, checkers, target, *args, **kwargs):
+    def tracking_find(spec, clean, checkers, target, *args, **kwargs):
         attempts.append((spec, target, len(calls), len(built)))
-        return find(spec, netlist, checkers, target, *args, **kwargs)
+        return find(spec, clean, checkers, target, *args, **kwargs)
 
     monkeypatch.setattr(sim.SimKernel, "run_batch", counting_run_batch)
     monkeypatch.setattr(sim.SimKernel, "__init__", counting_build)
@@ -516,8 +520,9 @@ def test_forge_runs_both_designs_on_every_candidate_of_a_batch(
         "en_i |-> flag_o == (sum_o == 4'd15));")
     # seed 6 takes twelve attempts for three trojans: four hold en_i low
     # against A_PAR's antecedent en_i and one forces flag_o to 0 against
-    # A_FLAG's consequent, and these five run nothing; the others run 896
-    # candidates in 7 batches
+    # A_FLAG's consequent, and these five run nothing; the others run 448
+    # candidates in 7 batches.  None varies clk, the clock the assertions
+    # sample, which no logic of the toy reads
     forge(toy, asserts, ForgeParams(count=3, k_min=2, k_max=3, seed=6,
                                     horizon=horizon))
     # the call builds one clean kernel, before its first attempt
@@ -562,7 +567,7 @@ def test_forge_runs_both_designs_on_every_candidate_of_a_batch(
             assert first is dirty and second is clean and again is inputs
             candidates += len(_rows(inputs))
             batches += 1
-    assert (candidates, batches, skipped) == (896, 7, 5)
+    assert (candidates, batches, skipped) == (448, 7, 5)
 
 
 def test_search_reads_the_corrupted_design_where_the_payload_reaches_it(
@@ -584,14 +589,61 @@ def test_search_reads_the_corrupted_design_where_the_payload_reaches_it(
         return search(inputs, forced, accept, rng, horizon, netlist, plans)
 
     monkeypatch.setattr(trojan, "search_stimulus", recording_search)
-    stim = trojan._find_activation(spec, toy, [Checker(target, toy)], 0, 4,
-                                   np.random.default_rng(0))
+    checkers = [Checker(target, toy)]
+    stim = trojan._find_activation(spec, clean_kernel(spec, toy, checkers),
+                                   checkers, 0, 4, np.random.default_rng(0))
     assert stim is not None
     [netlist] = searched
     assert render_netlist(netlist) == render_netlist(inject(toy, spec))
     assert _check(SimKernel(inject(toy, spec)).run(stim),
                   [target])[0].failed
     assert not _check(SimKernel(toy).run(stim), [target])[0].failed
+
+
+def test_activation_drives_a_sampled_clock_that_the_trigger_reads(toy):
+    # on a combinational design the clock the checkers sample is an input
+    # like any other: with a trigger on it, the search must vary it
+    spec = _spec(toy, trigger=(TriggerCond("clk", None, 1),), k=1)
+    target = parse_assertions(TOY_SVA)[:1]
+    checkers = [Checker(target[0], toy)]
+    stim = trojan._find_activation(spec, clean_kernel(spec, toy, checkers),
+                                   checkers, 0, 4, np.random.default_rng(0))
+    assert stim is not None
+    assert _meets_by_oracle(toy, spec, target, 0, stim)
+
+
+GATED_RESET_RTL = """\
+module gated (
+  input  logic clk,
+  input  logic rst_ni,
+  input  logic hold_i,
+  input  logic d_i,
+  output logic q_o
+);
+  logic rst_q;
+  assign rst_q = rst_ni & hold_i;
+  always_ff @(posedge clk) begin
+    if (!rst_q) q_o <= 1'b0;
+    else q_o <= d_i;
+  end
+endmodule
+"""
+
+
+def test_activation_drives_the_inputs_of_a_logic_driven_reset():
+    # q_o's reset net rst_q is driven by logic of two inputs, which reach
+    # q_o only through that reset.  Left at their idle level 0 they hold
+    # q_o in reset for the whole run, where no trojan on it shows: the
+    # search must vary them
+    netlist = parse_design(GATED_RESET_RTL)
+    spec = TrojanSpec(id="gated_t00", module="gated",
+                      module_kind="sequential",
+                      trigger=(TriggerCond("d_i", None, 1),), k=1,
+                      payload_kind="invert_net", payload_net="q_o")
+    stim = activation_stimulus(spec, netlist, 8)
+    clean = simulate_fixpoint(netlist, stim)
+    dirty = simulate_fixpoint(inject(netlist, spec), stim)
+    assert clean.values["q_o"] != dirty.values["q_o"]
 
 
 # --------------------------------------------------------------------------
@@ -667,8 +719,9 @@ def test_prefilter_keeps_attempts_the_warm_up_can_activate():
     target = parse_assertions(
         "W: assert property (@(posedge clk) !en_i |-> ##4 y_o == d_i);")
     skipped: Counter[str] = Counter()
-    stim = trojan._find_activation(spec, netlist, [Checker(target[0], netlist)],
-                                   0, 8, np.random.default_rng(0),
+    checkers = [Checker(target[0], netlist)]
+    stim = trojan._find_activation(spec, clean_kernel(spec, netlist, checkers),
+                                   checkers, 0, 8, np.random.default_rng(0),
                                    skipped=skipped)
     assert stim is not None and not skipped
     assert [c["en_i"] for c in stim.inputs] == [0] * 4 + [1] * 4
@@ -677,8 +730,9 @@ def test_prefilter_keeps_attempts_the_warm_up_can_activate():
     # activation holds d_i high throughout
     target = parse_assertions(
         "W: assert property (@(posedge clk) !en_i && d_i |-> ##4 y_o == d_i);")
-    stim = trojan._find_activation(spec, netlist, [Checker(target[0], netlist)],
-                                   0, 8, np.random.default_rng(0),
+    checkers = [Checker(target[0], netlist)]
+    stim = trojan._find_activation(spec, clean_kernel(spec, netlist, checkers),
+                                   checkers, 0, 8, np.random.default_rng(0),
                                    skipped=skipped)
     assert stim is not None and not skipped
     assert [(c["en_i"], c["d_i"]) for c in stim.inputs] == \
@@ -690,12 +744,13 @@ def test_prefilter_keeps_attempts_the_warm_up_can_activate():
     target = parse_assertions(
         "W: assert property (@(posedge clk) !en_i && d_i |-> ##4 y_o == d_i);")
     checkers = [Checker(target[0], netlist)]
-    assert trojan._find_activation(spec, netlist, checkers, 0, 8,
+    clean = clean_kernel(spec, netlist, checkers)
+    assert trojan._find_activation(spec, clean, checkers, 0, 8,
                                    np.random.default_rng(0),
                                    skipped=skipped) is None
     assert skipped == {"no candidate meets the target's first antecedent "
                        "term (a forced bit contradicts a bit it needs)": 1}
-    assert _unfiltered_find(spec, netlist, checkers, 0, 8,
+    assert _unfiltered_find(spec, clean, checkers, 0, 8,
                             np.random.default_rng(0)) is None
 
 
@@ -732,9 +787,10 @@ def test_a_searched_attempt_rules_out_each_schedule_once(monkeypatch):
 
     monkeypatch.setattr(trojan, "search_stimulus", refusing)
     skipped: Counter[str] = Counter()
-    assert trojan._find_activation(spec, netlist,
-                                   [Checker(target[0], netlist)], 0, 8,
-                                   np.random.default_rng(0),
+    checkers = [Checker(target[0], netlist)]
+    assert trojan._find_activation(spec,
+                                   clean_kernel(spec, netlist, checkers),
+                                   checkers, 0, 8, np.random.default_rng(0),
                                    skipped=skipped) is None
     # en_i is forced, so each schedule has the two values of d_i
     [(_, stats)] = searched
@@ -754,8 +810,9 @@ def test_the_warm_up_leaves_the_vector_the_last_cycle(horizon):
                       payload_kind="invert_net", payload_net="y_o")
     target = parse_assertions(
         "W: assert property (@(posedge clk) !en_i |=> y_o == d_i);")
-    stim = trojan._find_activation(spec, netlist,
-                                   [Checker(target[0], netlist)], 0, horizon,
+    checkers = [Checker(target[0], netlist)]
+    stim = trojan._find_activation(spec, clean_kernel(spec, netlist, checkers),
+                                   checkers, 0, horizon,
                                    np.random.default_rng(0))
     assert stim is not None
     warm = min(4, horizon - 1)
@@ -807,8 +864,9 @@ def test_a_clashing_trigger_searches_only_the_warm_up_that_holds_the_term(
 
     monkeypatch.setattr(trojan, "search_stimulus", recording_search)
     horizon = 8
-    stim = trojan._find_activation(spec, netlist,
-                                   [Checker(target[0], netlist)], 0, horizon,
+    checkers = [Checker(target[0], netlist)]
+    stim = trojan._find_activation(spec, clean_kernel(spec, netlist, checkers),
+                                   checkers, 0, horizon,
                                    np.random.default_rng(0))
     [(found, stats)] = results
     assert stim is not None and found is stim
@@ -858,7 +916,7 @@ def test_generated_attempts_the_prefilter_skips_find_nothing_unfiltered(
     netlist, spec, assertions, target = case
     checkers = [Checker(a, netlist) for a in assertions]
     skipped: Counter[str] = Counter()
-    args = (spec, netlist, checkers, target, 6)
+    args = (spec, clean_kernel(spec, netlist, checkers), checkers, target, 6)
     stim = trojan._find_activation(*args, np.random.default_rng(seed),
                                    skipped=skipped)
     assume(skipped)
@@ -919,8 +977,9 @@ def test_attempts_the_prefilter_skips_never_fire_the_trigger_and_fail(case):
     # checker
     netlist, spec, target = case
     skipped: Counter[str] = Counter()
+    checkers = [Checker(target, netlist)]
     assert trojan._find_activation(
-        spec, netlist, [Checker(target, netlist)], 0, 4,
+        spec, clean_kernel(spec, netlist, checkers), checkers, 0, 4,
         np.random.default_rng(0), skipped=skipped) is None or not skipped
     assume(skipped)
     names = [n.name for n in netlist.inputs()]
@@ -981,8 +1040,9 @@ def test_prefilter_searches_targets_that_see_the_payload_later(prop):
         [trigger_expr(spec, netlist), ante, ex.Unary("!", cons)]),
         inject(netlist, spec)) is None
     skipped: Counter[str] = Counter()
-    stim = trojan._find_activation(spec, netlist, [Checker(target, netlist)],
-                                   0, 6, np.random.default_rng(0),
+    checkers = [Checker(target, netlist)]
+    stim = trojan._find_activation(spec, clean_kernel(spec, netlist, checkers),
+                                   checkers, 0, 6, np.random.default_rng(0),
                                    skipped=skipped)
     assert not skipped and stim is not None
     assert _meets_by_oracle(netlist, spec, [target], 0, stim)
@@ -1195,12 +1255,13 @@ def test_activation_search_agrees_with_the_oracles(case, seed):
     netlist, spec, assertions, target = case
     horizon = 6
     checkers = [Checker(a, netlist) for a in assertions]
-    stim = trojan._find_activation(spec, netlist, checkers, target, horizon,
+    clean = clean_kernel(spec, netlist, checkers)
+    stim = trojan._find_activation(spec, clean, checkers, target, horizon,
                                    np.random.default_rng(seed))
     # the search forcing the trigger bits alone finds an activation only
     # where the guided one, which also forces the target's literals, does
     with mock.patch.object(trojan, "necessary_literals", lambda *_: {}):
-        unguided = trojan._find_activation(spec, netlist, checkers, target,
+        unguided = trojan._find_activation(spec, clean, checkers, target,
                                            horizon,
                                            np.random.default_rng(seed))
     assert unguided is None or stim is not None
